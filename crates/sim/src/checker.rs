@@ -571,7 +571,15 @@ pub fn check_stamped(st: &StampedSchedule, full: &CycleSchedule, arch: &ArchConf
         e.value.0 = r.value(e.value.0, m);
         e
     };
-    check_stamped_stream(&st.prev.mem, &base.mem, &full.schedule.mem, k, &shift_val, &mut seed, "mem");
+    check_stamped_stream(
+        &st.prev.mem,
+        &base.mem,
+        &full.schedule.mem,
+        k,
+        &shift_val,
+        &mut seed,
+        "mem",
+    );
     check_stamped_stream(
         &st.prev.net,
         &base.net,
@@ -911,6 +919,164 @@ mod tests {
         check_schedule(&ex, &plan, &cs, &arch);
     }
 
+    /// Runs the full checker over a copy of the legal [`handmade`]
+    /// schedule after `corrupt` has broken it.
+    fn check_corrupted(corrupt: impl FnOnce(&mut CycleSchedule, &ArchConfig)) {
+        let (ex, plan, mut cs, arch) = handmade(4, 775);
+        corrupt(&mut cs, &arch);
+        check_schedule(&ex, &plan, &cs, &arch);
+    }
+
+    /// Appends a 4 KB transfer to the memory stream and books it in the
+    /// HBM counters, so only the check under test can object to it.
+    fn push_mem(cs: &mut CycleSchedule, arch: &ArchConfig, m: f1_isa::streams::MemEntry) {
+        cs.counters.hbm_bytes += m.bytes;
+        cs.counters.hbm_channel_busy_cycles += arch.mem_channel_cycles(m.bytes);
+        cs.schedule.mem.push(m);
+        cs.schedule.mem.sort_by_key(|m| m.cycle);
+    }
+
+    fn mem(cycle: u64, dir: MemDir, value: u32, channel: usize) -> f1_isa::streams::MemEntry {
+        f1_isa::streams::MemEntry {
+            cycle,
+            dir,
+            value: f1_isa::dfg::ValueId(value),
+            bytes: 4096,
+            bank: 0,
+            channel,
+        }
+    }
+
+    fn evict(cycle: u64, value: u32) -> f1_isa::streams::EvictEntry {
+        f1_isa::streams::EvictEntry { cycle, value: f1_isa::dfg::ValueId(value), bytes: 4096 }
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM channel 0 double-booked: transfers at 0 and 10")]
+    fn checker_rejects_double_booked_hbm_channel() {
+        // The refetch of `a` starts while the first load still streams
+        // on the same channel.
+        check_corrupted(|cs, _| cs.schedule.mem[1].cycle = 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossbar lane (Bank(0), Cluster(0), 0) double-booked")]
+    fn checker_rejects_double_booked_crossbar_lane() {
+        check_corrupted(|cs, _| cs.schedule.net[1].cycle = cs.schedule.net[0].cycle + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown HBM channel")]
+    fn checker_rejects_unknown_hbm_channel() {
+        check_corrupted(|cs, arch| cs.schedule.mem[2].channel = arch.hbm_channels);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown crossbar lane")]
+    fn checker_rejects_unknown_crossbar_lane() {
+        check_corrupted(|cs, arch| cs.schedule.net[0].port = arch.xbar_ports);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 0 has no Ntt instance")]
+    fn checker_rejects_missing_fu_instance() {
+        check_corrupted(|cs, arch| {
+            cs.schedule.compute[0][0].fu_index = arch.fus_per_cluster(FuType::Ntt);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM channel busy-cycle counter mismatch")]
+    fn checker_rejects_hbm_busy_counter_mismatch() {
+        check_corrupted(|cs, _| cs.counters.hbm_channel_busy_cycles += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossbar busy-cycle counter mismatch")]
+    fn checker_rejects_xbar_busy_counter_mismatch() {
+        check_corrupted(|cs, _| cs.counters.xbar_busy_cycles += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM byte counter mismatch")]
+    fn checker_rejects_hbm_byte_counter_mismatch() {
+        check_corrupted(|cs, _| cs.counters.hbm_bytes += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "evict byte-count mismatch for ValueId(0)")]
+    fn checker_rejects_evict_byte_mismatch() {
+        check_corrupted(|cs, _| cs.schedule.evict[0].bytes -= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "value 0: eviction at 0 with no on-chip copy")]
+    fn checker_rejects_eviction_without_copy() {
+        // Released in the same cycle its first load claims the bytes:
+        // releases order first, so there is nothing to release yet.
+        check_corrupted(|cs, _| cs.schedule.evict[0].cycle = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "net transfer of ValueId(0) at 420 outside any on-chip residency")]
+    fn checker_rejects_net_transfer_while_evicted() {
+        // `a` is evicted at 400 and its refetch lands at 762.
+        check_corrupted(|cs, _| cs.schedule.net[1].cycle = 420);
+    }
+
+    #[test]
+    #[should_panic(expected = "on cluster 0 consumes remote ValueId(0) with no crossbar transfer")]
+    fn checker_rejects_missing_crossbar_transfer() {
+        // Drop the post-refetch delivery of `a`: i1 then only has the
+        // transfer of the evicted copy, which carries stale bytes.
+        check_corrupted(|cs, arch| {
+            cs.schedule.net.pop();
+            cs.counters.xbar_busy_cycles -= arch.net_cycles(4096);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stream/issue mismatch for InstrId(0)")]
+    fn checker_rejects_issue_table_mismatch() {
+        check_corrupted(|cs, _| cs.issue_cycle[0] += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "availability mismatch for InstrId(2)")]
+    fn checker_rejects_done_table_mismatch() {
+        check_corrupted(|cs, _| cs.done_cycle[2] += 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "store of ValueId(3) at 950 reads a value with no on-chip copy")]
+    fn checker_rejects_store_of_evicted_value() {
+        // v3 is released at 940, before its output store starts.
+        check_corrupted(|cs, _| cs.schedule.evict.push(evict(940, 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "Load transfer of ValueId(1) at 10 before production")]
+    fn checker_rejects_load_before_production() {
+        // v1 is loaded (and released again) before i0 produces it.
+        check_corrupted(|cs, arch| {
+            push_mem(cs, arch, mem(10, MemDir::Load, 1, 1));
+            cs.schedule.evict.insert(0, evict(100, 1));
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "refetch of spilled ValueId(1) at 960 before any writeback completes"
+    )]
+    fn checker_rejects_refetch_without_writeback() {
+        // v1 is released after its last read and loaded back with no
+        // store ever writing it to HBM.
+        check_corrupted(|cs, arch| {
+            cs.schedule.evict.push(evict(910, 1));
+            push_mem(cs, arch, mem(960, MemDir::Load, 1, 2));
+        });
+    }
+
     #[test]
     fn compiled_tiny_pad_schedule_validates() {
         // The real pipeline at a thrashing 2 MB scratchpad must satisfy
@@ -1000,13 +1166,8 @@ mod tests {
         // First entry of stamped block 0 in the evict stream (right
         // after the common prefix); evict `bytes` is only compared by
         // the relocation check, so nothing else trips first.
-        let l = st
-            .prev
-            .evict
-            .iter()
-            .zip(&st.base.schedule.evict)
-            .take_while(|(a, b)| a == b)
-            .count();
+        let l =
+            st.prev.evict.iter().zip(&st.base.schedule.evict).take_while(|(a, b)| a == b).count();
         assert!(
             st.base.schedule.evict.len() > st.prev.evict.len(),
             "needs per-trip evictions to stamp"
