@@ -22,7 +22,7 @@
 //! * Value and instruction counts grow by constants `dv`, `di` per trip,
 //!   and the makespan by `P` cycles per trip.
 //! * `S_i` and `S_{i+2}` agree on a long common prefix; the divergence
-//!   is confined to the last few (≤ [`BACK`]) trips of the schedule (the
+//!   is confined to the last few (≤ `BACK`) trips of the schedule (the
 //!   scheduler's drain), whose entries relocate *exactly* — cycles shift
 //!   by `2P`, and ids above fixed thresholds shift by `2dv`/`2di`.
 //!   Between the common prefix and the relocated drain sits a 2-trip

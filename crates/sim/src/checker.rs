@@ -5,10 +5,10 @@ use f1_arch::ArchConfig;
 use f1_compiler::expand::Expanded;
 use f1_compiler::movement::TrafficBreakdown;
 use f1_compiler::{CycleSchedule, MovePlan, StampedSchedule};
+use f1_isa::dfg::ValueId;
 use f1_isa::streams::MemDir;
 use f1_isa::{ComponentId, FuType};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-window utilization series — the data behind Fig 10.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -41,6 +41,48 @@ pub struct SimReport {
     pub instr_fetch_fraction: f64,
 }
 
+/// Entries grouped by value id in one flat array: value `v`'s entries are
+/// `items[offsets[v]..offsets[v + 1]]`, in the order they were fed in.
+struct ByValue<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> ByValue<T> {
+    /// Groups `entries` by value with a counting sort (one pass to count,
+    /// one to place), keeping each value's entries in input order. Every
+    /// value id must be below `values`.
+    fn build<I>(values: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (ValueId, T)> + Clone,
+    {
+        let mut offsets = vec![0usize; values + 1];
+        for (v, _) in entries.clone() {
+            offsets[v.0 as usize + 1] += 1;
+        }
+        for v in 0..values {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..values].to_vec();
+        // Every slot is overwritten below; the first entry only fills
+        // the array so `T` needs no default.
+        let mut items = match entries.clone().next() {
+            Some((_, first)) => vec![first; offsets[values]],
+            None => Vec::new(),
+        };
+        for (v, x) in entries {
+            let slot = &mut next[v.0 as usize];
+            items[*slot] = x;
+            *slot += 1;
+        }
+        Self { offsets, items }
+    }
+
+    fn get(&self, v: usize) -> &[T] {
+        &self.items[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
 /// One on-chip residency interval of a value, reconstructed from the
 /// emitted streams alone (loads, production cycles, evictions).
 #[derive(Debug, Clone, Copy)]
@@ -55,9 +97,24 @@ struct Residency {
     loaded: bool,
 }
 
+/// An allocation (load or production) or release (eviction) of a value's
+/// scratchpad bytes at `cycle`.
+#[derive(Debug, Clone, Copy)]
+struct ResidencyEvent {
+    cycle: u64,
+    /// 0 = release, 1 = allocation: at equal cycles the release happens
+    /// first (byte lineage: an allocation may reuse bytes freed that
+    /// cycle).
+    phase: u8,
+    /// Allocations only: cycle the data is usable.
+    avail: u64,
+    /// Allocations only: whether the bytes arrive by an off-chip load.
+    loaded: bool,
+}
+
 /// Per-value residency intervals, derived independently of the scheduler
 /// by pairing allocation events (loads, production) with [`f1_isa::streams::EvictEntry`]s
-/// in time order.
+/// in time order. Values are paired in id order.
 ///
 /// # Panics
 ///
@@ -68,29 +125,8 @@ fn residency_intervals(
     expanded: &Expanded,
     cs: &CycleSchedule,
     arch: &ArchConfig,
-) -> HashMap<u32, Vec<Residency>> {
+) -> ByValue<Residency> {
     let dfg = &expanded.dfg;
-    // 0 = release, 1 = allocation: at equal cycles the release happens
-    // first (byte lineage: an allocation may reuse bytes freed that cycle).
-    let mut events: HashMap<u32, Vec<(u64, u8, Residency)>> = HashMap::new();
-    for m in &cs.schedule.mem {
-        if m.dir == MemDir::Load {
-            let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
-            events.entry(m.value.0).or_default().push((
-                m.cycle,
-                1,
-                Residency { start: m.cycle, avail, end: u64::MAX, loaded: true },
-            ));
-        }
-    }
-    for (instr, (&issue, &done)) in cs.issue_cycle.iter().zip(&cs.done_cycle).enumerate() {
-        let out = dfg.instrs()[instr].output;
-        events.entry(out.0).or_default().push((
-            issue,
-            1,
-            Residency { start: issue, avail: done, end: u64::MAX, loaded: false },
-        ));
-    }
     for e in &cs.schedule.evict {
         assert_eq!(
             e.bytes,
@@ -98,39 +134,93 @@ fn residency_intervals(
             "evict byte-count mismatch for {:?}",
             e.value
         );
-        events.entry(e.value.0).or_default().push((
-            e.cycle,
-            0,
-            Residency { start: 0, avail: 0, end: e.cycle, loaded: false },
-        ));
     }
-    let mut intervals: HashMap<u32, Vec<Residency>> = HashMap::new();
-    for (v, mut evs) in events {
-        evs.sort_by_key(|&(cycle, phase, _)| (cycle, phase));
+    let alloc = |cycle, avail, loaded| ResidencyEvent { cycle, phase: 1, avail, loaded };
+    let loads = cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load).map(|m| {
+        let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
+        (m.value, alloc(m.cycle, avail, true))
+    });
+    let produced = (cs.issue_cycle.iter().zip(&cs.done_cycle))
+        .zip(dfg.instrs())
+        .map(|((&issue, &done), instr)| (instr.output, alloc(issue, done, false)));
+    let released =
+        cs.schedule.evict.iter().map(|e| {
+            (e.value, ResidencyEvent { cycle: e.cycle, phase: 0, avail: 0, loaded: false })
+        });
+    let values = dfg.values().len();
+    let mut events = ByValue::build(values, loads.chain(produced).chain(released));
+
+    // A value has at most one interval per allocation, so `items` never
+    // outgrows the event count.
+    let mut offsets = Vec::with_capacity(values + 1);
+    let mut items = Vec::with_capacity(events.items.len());
+    offsets.push(0);
+    for v in 0..values {
+        let evs = &mut events.items[events.offsets[v]..events.offsets[v + 1]];
+        evs.sort_by_key(|e| (e.cycle, e.phase));
         let mut open: Option<Residency> = None;
-        let mut list = Vec::new();
-        for (cycle, phase, r) in evs {
-            if phase == 1 {
+        for e in evs.iter() {
+            let cycle = e.cycle;
+            if e.phase == 1 {
                 assert!(
                     open.is_none(),
                     "value {v}: refetch at {cycle} before the previous copy is evicted"
                 );
-                open = Some(r);
+                open = Some(Residency {
+                    start: cycle,
+                    avail: e.avail,
+                    end: u64::MAX,
+                    loaded: e.loaded,
+                });
             } else {
                 let mut cur = open.take().unwrap_or_else(|| {
                     panic!("value {v}: eviction at {cycle} with no on-chip copy")
                 });
                 cur.end = cycle;
-                list.push(cur);
+                items.push(cur);
             }
         }
-        if let Some(cur) = open {
-            list.push(cur);
-        }
-        intervals.insert(v, list);
+        items.extend(open);
+        offsets.push(items.len());
     }
-    intervals
+    ByValue { offsets, items }
 }
+
+/// Rejects stream entries naming a value or instruction the DFG does not
+/// have, and issue/done tables not sized to its instructions, before any
+/// check indexes a per-value or per-instruction array with them.
+fn check_ids(expanded: &Expanded, cs: &CycleSchedule) {
+    let dfg = &expanded.dfg;
+    let (values, instrs) = (dfg.values().len(), dfg.instrs().len());
+    assert!(
+        cs.issue_cycle.len() == instrs && cs.done_cycle.len() == instrs,
+        "issue/done tables hold {} / {} entries for {instrs} instrs",
+        cs.issue_cycle.len(),
+        cs.done_cycle.len()
+    );
+    for (c, stream) in cs.schedule.compute.iter().enumerate() {
+        for e in stream {
+            assert!(
+                (e.instr.0 as usize) < instrs,
+                "cluster {c} stream names unknown instr {:?} ({instrs} instrs)",
+                e.instr
+            );
+        }
+    }
+    let known = |stream: &str, v: ValueId| {
+        assert!(
+            (v.0 as usize) < values,
+            "{stream} stream names unknown value {v:?} ({values} values)"
+        );
+    };
+    cs.schedule.mem.iter().for_each(|m| known("mem", m.value));
+    cs.schedule.net.iter().for_each(|e| known("net", e.value));
+    cs.schedule.evict.iter().for_each(|e| known("evict", e.value));
+}
+
+/// `cluster_of` entry of a value no compute stream produces (an input,
+/// or a value living in a scratchpad bank).
+const NO_CLUSTER: u32 = u32::MAX;
 
 /// Validates a schedule's emitted streams without computing statistics.
 ///
@@ -157,13 +247,26 @@ fn residency_intervals(
 /// schedule cache — since it needs no [`MovePlan`]. Returns the verified
 /// makespan.
 ///
+/// All per-value state lives in flat arrays indexed by value id, so the
+/// cost is linear in the stream entries plus small per-value sorts and
+/// one sort of the capacity deltas.
+///
 /// # Panics
 ///
 /// Panics (like the paper's checker) on any missed dependence, resource
-/// double-booking, capacity overflow, or accounting mismatch.
+/// double-booking, capacity overflow, accounting mismatch, or stream
+/// entry naming a value or instruction the DFG does not have.
+///
+/// The first violation found is reported, and which one that is does not
+/// vary from run to run: the checks run in a fixed order (ids, structural
+/// resources, residency, capacity, transfers, dependences, memory
+/// ordering), residency walks values in id order, and the other checks
+/// walk the streams in stream order. Of several values with broken
+/// residency, the panic names the lowest id.
 pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> u64 {
     let dfg = &expanded.dfg;
     let n = dfg.n;
+    check_ids(expanded, cs);
     check_structural(cs, arch, n);
 
     // --- Residency intervals (from the streams alone) and the capacity
@@ -172,21 +275,22 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     let intervals = residency_intervals(expanded, cs, arch);
     {
         let cap = arch.scratchpad_bytes();
-        // phase 0 = release, 1 = allocation: bytes freed at cycle t may be
+        // A release's negative delta sorts before an allocation's
+        // positive one at the same cycle: bytes freed at cycle t may be
         // reused by an allocation starting at t.
-        let mut deltas: Vec<(u64, u8, i64)> = Vec::new();
-        for (&v, list) in &intervals {
-            let bytes = dfg.value(f1_isa::dfg::ValueId(v)).bytes as i64;
-            for r in list {
-                deltas.push((r.start, 1, bytes));
+        let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(2 * intervals.items.len());
+        for (v, info) in dfg.values().iter().enumerate() {
+            let bytes = info.bytes as i64;
+            for r in intervals.get(v) {
+                deltas.push((r.start, bytes));
                 if r.end != u64::MAX {
-                    deltas.push((r.end, 0, -bytes));
+                    deltas.push((r.end, -bytes));
                 }
             }
         }
-        deltas.sort_unstable_by_key(|&(cycle, phase, _)| (cycle, phase));
+        deltas.sort_unstable();
         let mut occupied = 0i64;
-        for (cycle, _, d) in deltas {
+        for (cycle, d) in deltas {
             occupied += d;
             assert!(
                 occupied <= cap as i64,
@@ -194,8 +298,8 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
         }
     }
-    let covering = |v: u32, t: u64| -> Option<Residency> {
-        intervals.get(&v).and_then(|list| list.iter().find(|r| r.avail <= t && t <= r.end)).copied()
+    let covering = |v: ValueId, t: u64| -> Option<Residency> {
+        intervals.get(v.0 as usize).iter().find(|r| r.avail <= t && t <= r.end).copied()
     };
 
     // --- Dependences under rate-matched streaming semantics. A value is
@@ -205,27 +309,31 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     // last copy was evicted may not be read until its refetch completes.
     // Remote consumption additionally needs a crossbar transfer, within
     // the same interval, that lands before the consumer issues.
-    let weight = |fu: FuType| f1_compiler::cycle::stream_weight(arch, fu, n);
-    // Producer cluster per value (None = lives in a scratchpad bank).
-    let mut cluster_of: HashMap<u32, usize> = HashMap::new();
+    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
+    let mut cluster_of = vec![NO_CLUSTER; dfg.values().len()];
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
         for e in stream {
-            cluster_of.insert(dfg.instr(e.instr).output.0, c);
+            cluster_of[dfg.instr(e.instr).output.0 as usize] = c as u32;
         }
     }
-    // Crossbar deliveries per (value, destination): (start, arrival).
-    let mut arrivals: HashMap<(u32, ComponentId), Vec<(u64, u64)>> = HashMap::new();
     for e in &cs.schedule.net {
         assert!(
-            covering(e.value.0, e.cycle).is_some(),
+            covering(e.value, e.cycle).is_some(),
             "net transfer of {:?} at {} outside any on-chip residency interval",
             e.value,
             e.cycle
         );
-        let t = e.cycle + f1_compiler::cycle::XBAR_HOP_CYCLES;
-        arrivals.entry((e.value.0, e.to)).or_default().push((e.cycle, t));
     }
+    // Crossbar deliveries per value: (destination, start, arrival).
+    let arrivals = ByValue::build(
+        dfg.values().len(),
+        cs.schedule
+            .net
+            .iter()
+            .map(|e| (e.value, (e.to, e.cycle, e.cycle + f1_compiler::cycle::XBAR_HOP_CYCLES))),
+    );
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
+        let here = ComponentId::Cluster(c);
         for e in stream {
             let instr = dfg.instr(e.instr);
             assert_eq!(
@@ -235,32 +343,28 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
             assert_eq!(
                 cs.done_cycle[e.instr.0 as usize],
-                e.cycle + weight(instr.op.fu_type()),
+                e.cycle + weight[instr.op.fu_type().index()],
                 "availability mismatch for {:?}",
                 e.instr
             );
             for &v in &instr.inputs {
-                let r = covering(v.0, e.cycle).unwrap_or_else(|| {
+                let r = covering(v, e.cycle).unwrap_or_else(|| {
                     panic!(
                         "instr {:?} at {} reads {v:?} while it is evicted \
                          (no completed on-chip copy: refetch not done or value never loaded)",
                         e.instr, e.cycle
                     )
                 });
-                let local = !r.loaded && cluster_of.get(&v.0) == Some(&c);
+                let local = !r.loaded && cluster_of[v.0 as usize] == c as u32;
                 if !local {
                     // Remote (bank-resident or other-cluster) operands MUST
                     // arrive over the crossbar within this same residency
                     // interval — a missing transfer is a scheduler bug, and
                     // a transfer from before the eviction carries stale
                     // bytes, not a free pass.
-                    let ok = arrivals
-                        .get(&(v.0, ComponentId::Cluster(c)))
-                        .map(|xs| {
-                            xs.iter()
-                                .any(|&(s, arrive)| arrive <= e.cycle && s >= r.start && s <= r.end)
-                        })
-                        .unwrap_or(false);
+                    let ok = arrivals.get(v.0 as usize).iter().any(|&(to, s, arrive)| {
+                        to == here && arrive <= e.cycle && s >= r.start && s <= r.end
+                    });
                     assert!(
                         ok,
                         "instr {:?} on cluster {c} consumes remote {v:?} with no \
@@ -274,22 +378,19 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
 
     // --- Memory ordering against production and spills: a store must not
     // start before its value exists, and a spilled intermediate's refetch
-    // must not start before its writeback completes.
-    let mut store_done: HashMap<u32, Vec<u64>> = HashMap::new();
-    for m in &cs.schedule.mem {
-        if m.dir == MemDir::Store {
-            store_done
-                .entry(m.value.0)
-                .or_default()
-                .push(m.cycle + arch.mem_channel_cycles(m.bytes));
-        }
+    // must not start before a writeback of it completes (equivalently,
+    // before its earliest writeback completes).
+    let mut first_writeback = vec![u64::MAX; dfg.values().len()];
+    for m in cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Store) {
+        let done = &mut first_writeback[m.value.0 as usize];
+        *done = (*done).min(m.cycle + arch.mem_channel_cycles(m.bytes));
     }
     for m in &cs.schedule.mem {
         if m.dir == MemDir::Store {
             // A store reads the scratchpad: the value must be resident
             // (within an on-chip interval) when the transfer starts.
             assert!(
-                covering(m.value.0, m.cycle).is_some(),
+                covering(m.value, m.cycle).is_some(),
                 "store of {:?} at {} reads a value with no on-chip copy",
                 m.value,
                 m.cycle
@@ -305,20 +406,38 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
             if m.dir == MemDir::Load {
                 // An intermediate can only be in HBM because it was spilled.
-                let ok = store_done
-                    .get(&m.value.0)
-                    .map(|ds| ds.iter().any(|&d| d <= m.cycle))
-                    .unwrap_or(false);
                 assert!(
-                    ok,
+                    first_writeback[m.value.0 as usize] <= m.cycle,
                     "refetch of spilled {:?} at {} before any writeback completes",
-                    m.value, m.cycle
+                    m.value,
+                    m.cycle
                 );
             }
         }
     }
 
     cs.makespan.max(1)
+}
+
+/// Exclusivity of one kind of resource: `uses` holds `(resource, start
+/// cycle, bytes)`, and two uses of one resource must be spaced by the
+/// earlier one's `busy(bytes)` cycles. One sort brings each resource's
+/// uses together in cycle order, so only neighbours need comparing.
+fn check_exclusive<K: Ord + Copy + std::fmt::Debug>(
+    what: &str,
+    mut uses: Vec<(K, u64, u64)>,
+    busy: impl Fn(u64) -> u64,
+) {
+    uses.sort_unstable();
+    for w in uses.windows(2) {
+        let ((key, c0, b0), (next_key, c1, _)) = (w[0], w[1]);
+        if key == next_key {
+            assert!(
+                c1 >= c0 + busy(b0),
+                "{what} {key:?} double-booked: transfers at {c0} and {c1}"
+            );
+        }
+    }
 }
 
 /// Structural-resource validation from the streams alone — the subset of
@@ -333,8 +452,12 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
 
     // --- Structural hazards: per (cluster, fu, slot), issues must be at
     // least `occupancy` apart (fully pipelined units, one vector each).
+    // Each compute stream is sorted by cycle (just validated), so a
+    // slot's issues arrive in cycle order and each only needs comparing
+    // with the slot's previous one.
+    let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
-        let mut by_slot: HashMap<(FuType, usize), Vec<u64>> = HashMap::new();
+        let mut last_issue = FuType::ALL.map(|fu| vec![None::<u64>; arch.fus_per_cluster(fu)]);
         for e in stream {
             assert!(
                 e.fu_index < arch.fus_per_cluster(e.fu),
@@ -342,17 +465,13 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
                 e.fu,
                 e.fu_index
             );
-            by_slot.entry((e.fu, e.fu_index)).or_default().push(e.cycle);
-        }
-        for ((fu, slot), mut cycles) in by_slot {
-            cycles.sort_unstable();
-            let occ = arch.occupancy(fu, n);
-            for w in cycles.windows(2) {
+            if let Some(prev) = last_issue[e.fu.index()][e.fu_index].replace(e.cycle) {
                 assert!(
-                    w[1] >= w[0] + occ,
-                    "structural hazard on cluster {c} {fu:?}[{slot}]: issues at {} and {}",
-                    w[0],
-                    w[1]
+                    e.cycle >= prev + occ[e.fu.index()],
+                    "structural hazard on cluster {c} {:?}[{}]: issues at {prev} and {}",
+                    e.fu,
+                    e.fu_index,
+                    e.cycle
                 );
             }
         }
@@ -360,46 +479,19 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
 
     // --- HBM channels: each channel is exclusive; transfers on it must
     // be spaced by their per-channel streaming time.
-    {
-        let mut by_channel: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
-        for m in &cs.schedule.mem {
-            assert!(m.channel < arch.hbm_channels, "unknown HBM channel {}", m.channel);
-            by_channel.entry(m.channel).or_default().push((m.cycle, m.bytes));
-        }
-        for (ch, mut xs) in by_channel {
-            xs.sort_unstable();
-            for w in xs.windows(2) {
-                assert!(
-                    w[1].0 >= w[0].0 + arch.mem_channel_cycles(w[0].1),
-                    "HBM channel {ch} double-booked: transfers at {} and {}",
-                    w[0].0,
-                    w[1].0
-                );
-            }
-        }
-    }
+    let channel_uses = cs.schedule.mem.iter().map(|m| {
+        assert!(m.channel < arch.hbm_channels, "unknown HBM channel {}", m.channel);
+        (m.channel, m.cycle, m.bytes)
+    });
+    check_exclusive("HBM channel", channel_uses.collect(), |b| arch.mem_channel_cycles(b));
 
     // --- Crossbar ports: per ((from, to), lane), transfers must be
     // spaced by their streaming time.
-    {
-        let mut by_lane: HashMap<(ComponentId, ComponentId, usize), Vec<(u64, u64)>> =
-            HashMap::new();
-        for e in &cs.schedule.net {
-            assert!(e.port < arch.xbar_ports, "unknown crossbar lane {}", e.port);
-            by_lane.entry((e.from, e.to, e.port)).or_default().push((e.cycle, e.bytes));
-        }
-        for (lane, mut xs) in by_lane {
-            xs.sort_unstable();
-            for w in xs.windows(2) {
-                assert!(
-                    w[1].0 >= w[0].0 + arch.net_cycles(w[0].1),
-                    "crossbar lane {lane:?} double-booked: transfers at {} and {}",
-                    w[0].0,
-                    w[1].0
-                );
-            }
-        }
-    }
+    let lane_uses = cs.schedule.net.iter().map(|e| {
+        assert!(e.port < arch.xbar_ports, "unknown crossbar lane {}", e.port);
+        ((e.from, e.to, e.port), e.cycle, e.bytes)
+    });
+    check_exclusive("crossbar lane", lane_uses.collect(), |b| arch.net_cycles(b));
 
     // --- Counter cross-checks: the scheduler's occupancy bookkeeping
     // must match the streams it emitted.
@@ -486,7 +578,7 @@ fn check_stamped_stream<T: PartialEq + Clone + std::fmt::Debug>(
 ///    to every stamped copy unchanged; the period is positive, so
 ///    relocated cycles stay ordered.
 /// 3. **Materialization faithfulness** — the full streams are checked
-///    structurally from scratch ([`check_structural`]: FU occupancy,
+///    structurally from scratch (`check_structural`: FU occupancy,
 ///    channel/lane exclusivity, monotonicity, counters), the issue/done
 ///    tables are re-derived entry by entry, and every stream is shape-
 ///    checked against the template: verbatim prefix, stamped copies of
@@ -1075,6 +1167,36 @@ mod tests {
             cs.schedule.evict.push(evict(910, 1));
             push_mem(cs, arch, mem(960, MemDir::Load, 1, 2));
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "value 1: eviction at 920 with no on-chip copy")]
+    fn checker_reports_lowest_broken_value_first() {
+        // Two values break residency independently: v3 is released at
+        // 800, before i2 produces it, and v1 is released twice. v3's
+        // violation is earlier in time, but values are walked in id
+        // order, so the report names v1 on every run.
+        check_corrupted(|cs, _| {
+            cs.schedule.evict.extend([evict(800, 3), evict(910, 1), evict(920, 1)]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "net stream names unknown value ValueId(4) (4 values)")]
+    fn checker_rejects_unknown_value_id() {
+        check_corrupted(|cs, _| cs.schedule.net[0].value = f1_isa::dfg::ValueId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 0 stream names unknown instr InstrId(3) (3 instrs)")]
+    fn checker_rejects_unknown_instr_id() {
+        check_corrupted(|cs, _| cs.schedule.compute[0][2].instr = f1_isa::dfg::InstrId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "issue/done tables hold 4 / 3 entries for 3 instrs")]
+    fn checker_rejects_oversized_issue_table() {
+        check_corrupted(|cs, _| cs.issue_cycle.push(0));
     }
 
     #[test]
