@@ -74,37 +74,32 @@ fn main() {
     );
     // The heavy per-benchmark work (optimize, analyze, (N, L) search,
     // managed-program re-analysis) is independent across benchmarks; run
-    // it under the compile-parallelism knob (`F1_PAR_COMPILE=1` forces
-    // serial). Output stays deterministic: `par_map_threads` preserves
-    // order and the JSON below is assembled serially.
+    // it one benchmark per core. Output stays deterministic: `par_map`
+    // preserves order and the JSON below is assembled serially.
     let arch_ref = &arch;
     let spec_ref = &spec;
-    let analyses = rayon::par_map_threads(
-        f1_compiler::par::compile_threads(),
-        &benchmarks,
-        |b: &Benchmark| {
-            let mut analyzer = Analyzer::new().with_arch(arch_ref.clone());
-            analyzer.registry_mut().override_severity(
-                "noise::budget-exhausted",
-                Severity::Info,
-                Benchmark::HAND_MANAGED_NOTE,
-            );
-            let (opt, _) = b.fhe.optimize();
-            let report = analyzer.analyze(&opt);
-            // The merge gate: re-derive switch placement, search the
-            // smallest (N, L) with the target margin, and analyze that
-            // program with NO severity overrides.
-            let found = search(&b.fhe, spec_ref);
-            let managed_errors = match &found {
-                Some(r) => Analyzer::new()
-                    .with_arch(arch_ref.clone())
-                    .analyze(&r.managed)
-                    .count(Severity::Error),
-                None => 1, // unsearchable: gate failure
-            };
-            (opt, report, found, managed_errors)
-        },
-    );
+    let analyses = rayon::par_map(&benchmarks, |b: &Benchmark| {
+        let mut analyzer = Analyzer::new().with_arch(arch_ref.clone());
+        analyzer.registry_mut().override_severity(
+            "noise::budget-exhausted",
+            Severity::Info,
+            Benchmark::HAND_MANAGED_NOTE,
+        );
+        let (opt, _) = b.fhe.optimize();
+        let report = analyzer.analyze(&opt);
+        // The merge gate: re-derive switch placement, search the
+        // smallest (N, L) with the target margin, and analyze that
+        // program with NO severity overrides.
+        let found = search(&b.fhe, spec_ref);
+        let managed_errors = match &found {
+            Some(r) => Analyzer::new()
+                .with_arch(arch_ref.clone())
+                .analyze(&r.managed)
+                .count(Severity::Error),
+            None => 1, // unsearchable: gate failure
+        };
+        (opt, report, found, managed_errors)
+    });
     for (bi, (b, (opt, report, found, managed_errors))) in
         benchmarks.iter().zip(&analyses).enumerate()
     {

@@ -1,8 +1,7 @@
 //! Compile-time benchmark: per-pass wall-clock over the benchmark
-//! suite, a synthetic stress program ~10× the largest benchmark
+//! suite and a synthetic stress program ~10× the largest benchmark
 //! (compiled both flat and via the rolled-loop stamping fast path,
-//! which must agree byte for byte), the schedule cache's cold/hit
-//! cost, and serial-vs-parallel determinism.
+//! which must agree byte for byte).
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin bench_compile            # full scale
@@ -16,32 +15,22 @@
 //! * `--check` — enforce the regression gates (exit 1 on violation).
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_compile.json`).
-//! * `--fingerprints PATH` — additionally write just the per-benchmark
-//!   schedule fingerprints (stable across runs; CI diffs two runs'
-//!   files to prove cross-process cache coherence).
-//! * `--expect-hit` — serve every benchmark compile from the schedule
-//!   cache, failing if any misses; re-verifies each cached schedule
-//!   with the stream checker. Skips the timing-only sections.
 //! * `--schema-ref PATH` — compare this run's JSON key set against a
 //!   reference report (the committed `BENCH_compile.json`); exit 1 on
 //!   schema drift.
 //!
-//! Timings are wall-clock and machine-dependent; the *gates* are chosen
-//! to hold on any multi-core runner (and the hardest ones —
-//! byte-identical parallel schedules, byte-identical rolled-vs-flat
-//! stress schedules, ≥10× cache-hit speedup — are machine-independent
-//! by construction). The committed
+//! Timings are wall-clock and machine-dependent; the byte-identical
+//! rolled-vs-flat stress schedule gate is machine-independent by
+//! construction. The committed
 //! `BENCH_compile.json` records a full-scale run; the seed baseline it
 //! gates pass 3 against was measured at commit 82ebae9 on the same
 //! machine that produced the committed report.
 
 use f1_arch::ArchConfig;
 use f1_bench::bench_scale_or;
-use f1_compiler::cache::{self, CacheStatus};
 use f1_compiler::dsl::Program;
 use f1_compiler::expand::{self, ExpandOptions};
 use f1_compiler::ir::{FheProgram, Scheme};
-use f1_compiler::par::with_compile_threads;
 use f1_compiler::{compile_rolled, cycle, movement, RolledOutcome};
 use f1_workloads::all_benchmarks;
 use std::time::Instant;
@@ -114,16 +103,11 @@ struct RolledRow {
     makespan: u64,
     fingerprint: u64,
     equal: bool,
-    cache_distinct: bool,
 }
 
 /// Times the three passes separately and fingerprints the emitted
-/// schedule. Also returns the artifacts for cache seeding.
-fn time_passes(
-    name: &str,
-    program: &Program,
-    arch: &ArchConfig,
-) -> (PassTimes, (expand::Expanded, movement::MovePlan, cycle::CycleSchedule)) {
+/// schedule.
+fn time_passes(name: &str, program: &Program, arch: &ArchConfig) -> PassTimes {
     let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
     let t0 = Instant::now();
     let ex = expand::expand(program, &opts);
@@ -132,7 +116,7 @@ fn time_passes(
     let t2 = t0.elapsed().as_secs_f64();
     let cs = cycle::schedule(&ex, &plan, arch);
     let t3 = t0.elapsed().as_secs_f64();
-    let pt = PassTimes {
+    PassTimes {
         name: name.to_string(),
         instrs: ex.dfg.instrs().len(),
         values: ex.dfg.values().len(),
@@ -142,8 +126,7 @@ fn time_passes(
         cycle_s: t3 - t2,
         makespan: cs.makespan,
         fingerprint: fnv_debug(&cs.schedule),
-    };
-    (pt, (ex, plan, cs))
+    }
 }
 
 /// Builds the synthetic stress program as a *rolled* loop region: the
@@ -159,7 +142,7 @@ fn stress_rolled(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) ->
         let m = p.square(acc);
         let r = p.aut(m, 9);
         let acc2 = p.add(r, m);
-        p.end_repeat(t, trips, vec![(acc, acc2)], vec![]);
+        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
         p.output(acc2);
         p
     };
@@ -181,6 +164,24 @@ fn json_num(x: f64) -> String {
     format!("{x:.4}")
 }
 
+fn pass_times_json(r: &PassTimes) -> String {
+    format!(
+        "{{\"name\": \"{}\", \"instrs\": {}, \"values\": {}, \"events\": {}, \
+         \"expand_s\": {}, \"movement_s\": {}, \"cycle_s\": {}, \"total_s\": {}, \
+         \"makespan\": {}, \"fingerprint\": \"{:016x}\"}}",
+        r.name,
+        r.instrs,
+        r.values,
+        r.events,
+        json_num(r.expand_s),
+        json_num(r.movement_s),
+        json_num(r.cycle_s),
+        json_num(r.total_s()),
+        r.makespan,
+        r.fingerprint
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -188,9 +189,7 @@ fn main() {
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
     let quick = flag("--quick");
     let check = flag("--check");
-    let expect_hit = flag("--expect-hit");
     let out_path = opt("--out").unwrap_or_else(|| "BENCH_compile.json".to_string());
-    let fingerprints_path = opt("--fingerprints");
     let schema_ref = opt("--schema-ref");
 
     let scale = if quick { bench_scale_or(8) } else { bench_scale_or(1) };
@@ -202,52 +201,14 @@ fn main() {
         if quick { ", quick" } else { "" }
     );
 
-    // --- Per-benchmark pass timings (single-threaded for stable
-    // numbers), seeding the schedule cache as we go. With --expect-hit
-    // every compile must instead be served from the cache.
+    // --- Per-benchmark pass timings.
     let mut rows: Vec<PassTimes> = Vec::new();
-    let mut misses = 0usize;
     println!(
         "\n{:<30} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8}",
         "benchmark", "instrs", "events", "expand", "movemnt", "cycle", "total"
     );
     for b in &benches {
-        if expect_hit {
-            let t0 = Instant::now();
-            let ((ex, _plan, cs), status) = cache::compile_cached(&b.program, &arch);
-            let load_s = t0.elapsed().as_secs_f64();
-            if status != CacheStatus::Hit {
-                misses += 1;
-            }
-            // A deserialized schedule is only trusted after the stream
-            // checker re-verifies it.
-            let makespan = f1_sim::check_streams(&ex, &cs, &arch);
-            rows.push(PassTimes {
-                name: b.name.to_string(),
-                instrs: ex.dfg.instrs().len(),
-                values: ex.dfg.values().len(),
-                events: 0,
-                expand_s: 0.0,
-                movement_s: 0.0,
-                cycle_s: 0.0,
-                makespan,
-                fingerprint: fnv_debug(&cs.schedule),
-            });
-            println!(
-                "{:<30} {:>9} {:>9} {:>35.2}s  ({})",
-                b.name,
-                ex.dfg.instrs().len(),
-                "-",
-                load_s,
-                if status == CacheStatus::Hit { "cache hit" } else { "CACHE MISS" }
-            );
-            continue;
-        }
-        let (pt, (ex, plan, cs)) =
-            with_compile_threads(1, || time_passes(b.name, &b.program, &arch));
-        if let Err(e) = cache::store_dsl(&b.program, &arch, (&ex, &plan, &cs)) {
-            eprintln!("[bench_compile] cache seed failed for {}: {e}", b.name);
-        }
+        let pt = time_passes(b.name, &b.program, &arch);
         println!(
             "{:<30} {:>9} {:>9} {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
             pt.name,
@@ -260,35 +221,6 @@ fn main() {
         );
         rows.push(pt);
     }
-    let serial_suite_s: f64 = rows.iter().map(|r| r.total_s()).sum();
-
-    // --- Parallel re-run: same suite with the intra-compile parallel
-    // regions enabled. Schedules must be byte-identical (fingerprints);
-    // the wall-clock ratio is the suite speedup.
-    let par_threads = cores.max(2);
-    let mut parallel_suite_s = 0.0f64;
-    let mut fingerprints_equal = true;
-    if !expect_hit {
-        for (b, serial_row) in benches.iter().zip(&rows) {
-            let (pt, _) =
-                with_compile_threads(par_threads, || time_passes(b.name, &b.program, &arch));
-            parallel_suite_s += pt.total_s();
-            if pt.fingerprint != serial_row.fingerprint {
-                fingerprints_equal = false;
-                eprintln!(
-                    "[bench_compile] PARALLEL DIVERGENCE on {}: {:016x} != {:016x}",
-                    b.name, pt.fingerprint, serial_row.fingerprint
-                );
-            }
-        }
-        println!(
-            "\nparallel ({par_threads} threads): suite {:.2}s vs serial {:.2}s ({:.2}x), schedules {}",
-            parallel_suite_s,
-            serial_suite_s,
-            serial_suite_s / parallel_suite_s.max(1e-9),
-            if fingerprints_equal { "byte-identical" } else { "DIVERGED" }
-        );
-    }
 
     // --- Stress program: ~10× the largest benchmark's expanded size at
     // full scale (~2× in quick mode, to keep CI smoke fast). The program
@@ -298,226 +230,124 @@ fn main() {
     // window and relocates it across the remaining trips. Both must
     // produce byte-identical schedules; the wall-clock ratio is the
     // rolled speedup this report gates.
-    let mut stress: Option<PassTimes> = None;
-    let mut rolled: Option<RolledRow> = None;
-    if !expect_hit {
-        let largest = rows.iter().max_by_key(|r| r.instrs).expect("suite is non-empty");
-        let factor = if quick { 2 } else { 10 };
-        let (n, l) = (1 << 10, 6);
-        let sp = stress_rolled(n, l, largest.instrs * factor, &arch);
-        let trips = sp.repeats()[0].trips;
-        let rolled_nodes = sp.nodes().len();
-        let unrolled_nodes = sp.unrolled_len();
-
-        // Flat baseline: frontend (unroll + optimize + lower), then the
-        // three scheduling passes, all single-threaded for fairness.
-        let t0 = Instant::now();
-        let (flat_frontend_s, lowered) = with_compile_threads(1, || {
-            let (opt, _) = sp.unroll().optimize();
-            let lowered = opt.lower();
-            (t0.elapsed().as_secs_f64(), lowered)
-        });
-        let (pt, _) =
-            with_compile_threads(1, || time_passes("synthetic-stress", &lowered.program, &arch));
-        drop(lowered);
-        let flat_total_s = flat_frontend_s + pt.total_s();
-        println!(
-            "stress ({}x largest, {} trips): {} instrs  expand {:.2}s  movement {:.2}s  cycle {:.2}s",
-            factor, trips, pt.instrs, pt.expand_s, pt.movement_s, pt.cycle_s
-        );
-
-        // Rolled fast path.
-        let t0 = Instant::now();
-        let rc = with_compile_threads(1, || compile_rolled(&sp, &arch));
-        let rolled_total_s = t0.elapsed().as_secs_f64();
-        let st = match &rc.outcome {
-            RolledOutcome::Stamped(st) => st,
-            RolledOutcome::Flat { reason } => {
-                panic!("stress program must take the stamped path, fell back flat: {reason}")
-            }
-        };
-        // Independent verification of the stamped schedule. Not counted
-        // toward the speedup: it is the trust anchor, not a compile
-        // phase, and the flat path's schedule is not checked here either.
-        let t0 = Instant::now();
-        f1_sim::check_stamped(st, &rc.schedule, &arch);
-        let verify_s = t0.elapsed().as_secs_f64();
-        let rolled_fp = fnv_debug(&rc.schedule.schedule);
-        let equal = rc.schedule.makespan == pt.makespan && rolled_fp == pt.fingerprint;
-        let speedup = flat_total_s / rolled_total_s.max(1e-9);
-
-        // Rolled and unrolled forms of the same program must occupy
-        // distinct schedule-cache entries (the `repeats` field is part
-        // of the serialized key); probe with a small trip count so the
-        // check costs microseconds.
-        let small = sp.with_trips(0, 26);
-        let cache_distinct = cache::fhe_entry_path(&small, &arch, &None)
-            != cache::fhe_entry_path(&small.unroll(), &arch, &None);
-
-        println!(
-            "rolled: probe {:.2}s + materialize {:.2}s = {:.2}s vs flat {:.2}s ({:.1}x), \
-             schedules {}, verify {:.2}s",
-            st.info.probe_s,
-            st.info.materialize_s,
-            rolled_total_s,
-            flat_total_s,
-            speedup,
-            if equal { "byte-identical" } else { "DIVERGED" },
-            verify_s
-        );
-        rolled = Some(RolledRow {
-            trips,
-            rolled_nodes,
-            unrolled_nodes,
-            base_trips: st.info.base_trips,
-            k: st.info.k,
-            flat_frontend_s,
-            flat_total_s,
-            probe_s: st.info.probe_s,
-            materialize_s: st.info.materialize_s,
-            rolled_total_s,
-            verify_s,
-            speedup,
-            makespan: rc.schedule.makespan,
-            fingerprint: rolled_fp,
-            equal,
-            cache_distinct,
-        });
-        stress = Some(pt);
-    }
-
-    // --- Cache cold vs hit on the largest benchmark.
     let largest_idx = (0..rows.len()).max_by_key(|&i| rows[i].instrs).expect("suite is non-empty");
-    let largest_bench = &benches[largest_idx];
-    cache::evict_dsl(&largest_bench.program, &arch);
+    let factor = if quick { 2 } else { 10 };
+    let (n, l) = (1 << 10, 6);
+    let sp = stress_rolled(n, l, rows[largest_idx].instrs * factor, &arch);
+    let trips = sp.repeats()[0].trips;
+    let rolled_nodes = sp.nodes().len();
+    let unrolled_nodes = sp.unrolled_len();
+
+    // Flat baseline: frontend (unroll + optimize + lower), then the
+    // three scheduling passes.
     let t0 = Instant::now();
-    let (_, cold_status) = cache::compile_cached(&largest_bench.program, &arch);
-    let cold_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let ((hit_ex, _, hit_cs), hit_status) = cache::compile_cached(&largest_bench.program, &arch);
-    let hit_s = t0.elapsed().as_secs_f64();
-    let hit_fingerprint = fnv_debug(&hit_cs.schedule);
-    f1_sim::check_streams(&hit_ex, &hit_cs, &arch);
-    let cache_ok = cold_status == CacheStatus::Miss
-        && hit_status == CacheStatus::Hit
-        && hit_fingerprint == rows[largest_idx].fingerprint;
-    let cache_speedup = cold_s / hit_s.max(1e-9);
+    let lowered = {
+        let (opt, _) = sp.unroll().optimize();
+        opt.lower()
+    };
+    let flat_frontend_s = t0.elapsed().as_secs_f64();
+    let stress = time_passes("synthetic-stress", &lowered.program, &arch);
+    drop(lowered);
+    let flat_total_s = flat_frontend_s + stress.total_s();
     println!(
-        "cache ({}): cold {:.2}s, hit {:.3}s ({:.1}x), artifacts {}",
-        largest_bench.name,
-        cold_s,
-        hit_s,
-        cache_speedup,
-        if cache_ok { "verified" } else { "MISMATCH" }
+        "stress ({}x largest, {} trips): {} instrs  expand {:.2}s  movement {:.2}s  cycle {:.2}s",
+        factor, trips, stress.instrs, stress.expand_s, stress.movement_s, stress.cycle_s
     );
+
+    // Rolled fast path.
+    let t0 = Instant::now();
+    let rc = compile_rolled(&sp, &arch);
+    let rolled_total_s = t0.elapsed().as_secs_f64();
+    let st = match &rc.outcome {
+        RolledOutcome::Stamped(st) => st,
+        RolledOutcome::Flat { reason } => {
+            panic!("stress program must take the stamped path, fell back flat: {reason}")
+        }
+    };
+    // Independent verification of the stamped schedule. Not counted
+    // toward the speedup: it is the trust anchor, not a compile
+    // phase, and the flat path's schedule is not checked here either.
+    let t0 = Instant::now();
+    f1_sim::check_stamped(st, &rc.schedule, &arch);
+    let verify_s = t0.elapsed().as_secs_f64();
+    let rolled_fp = fnv_debug(&rc.schedule.schedule);
+    let equal = rc.schedule.makespan == stress.makespan && rolled_fp == stress.fingerprint;
+    let speedup = flat_total_s / rolled_total_s.max(1e-9);
+    println!(
+        "rolled: probe {:.2}s + materialize {:.2}s = {:.2}s vs flat {:.2}s ({:.1}x), \
+         schedules {}, verify {:.2}s",
+        st.info.probe_s,
+        st.info.materialize_s,
+        rolled_total_s,
+        flat_total_s,
+        speedup,
+        if equal { "byte-identical" } else { "DIVERGED" },
+        verify_s
+    );
+    let rolled = RolledRow {
+        trips,
+        rolled_nodes,
+        unrolled_nodes,
+        base_trips: st.info.base_trips,
+        k: st.info.k,
+        flat_frontend_s,
+        flat_total_s,
+        probe_s: st.info.probe_s,
+        materialize_s: st.info.materialize_s,
+        rolled_total_s,
+        verify_s,
+        speedup,
+        makespan: rc.schedule.makespan,
+        fingerprint: rolled_fp,
+        equal,
+    };
 
     // --- Gates.
     let pass3_s = rows[largest_idx].cycle_s;
     let pass3_speedup = SEED_PASS3_S / pass3_s.max(1e-9);
-    let pass3_enforced = !quick && !expect_hit && scale == 1;
+    let pass3_enforced = !quick && scale == 1;
     let pass3_pass = !pass3_enforced || pass3_speedup >= 2.0;
-    let cache_required = if quick { 2.0 } else { 10.0 };
-    let cache_pass = cache_ok && cache_speedup >= cache_required;
-    let par_enforced = !expect_hit && cores >= 4;
-    let par_speedup = serial_suite_s / parallel_suite_s.max(1e-9);
-    let par_pass = !par_enforced || par_speedup >= 1.8;
-    let hits_pass = !expect_hit || misses == 0;
-    // The rolled gates only have meaning when the stress section ran;
-    // under --expect-hit they are skipped (like the other timing gates).
     let rolled_required = if quick { 2.0 } else { 10.0 };
-    let rolled_enforced = !expect_hit;
-    let rolled_speedup = rolled.as_ref().map_or(0.0, |r| r.speedup);
-    let rolled_speedup_pass = !rolled_enforced || rolled_speedup >= rolled_required;
-    let rolled_equal_pass = !rolled_enforced || rolled.as_ref().is_some_and(|r| r.equal);
-    let rolled_cache_pass = !rolled_enforced || rolled.as_ref().is_some_and(|r| r.cache_distinct);
+    let rolled_speedup_pass = rolled.speedup >= rolled_required;
 
     // --- JSON report.
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-bench-compile-v2\",\n");
+    out.push_str("  \"schema\": \"f1-bench-compile-v3\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str("  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"instrs\": {}, \"values\": {}, \"events\": {}, \
-             \"expand_s\": {}, \"movement_s\": {}, \"cycle_s\": {}, \"total_s\": {}, \
-             \"makespan\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
-            r.name,
-            r.instrs,
-            r.values,
-            r.events,
-            json_num(r.expand_s),
-            json_num(r.movement_s),
-            json_num(r.cycle_s),
-            json_num(r.total_s()),
-            r.makespan,
-            r.fingerprint,
+            "    {}{}\n",
+            pass_times_json(r),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
-    match &stress {
-        Some(r) => out.push_str(&format!(
-            "  \"stress\": {{\"name\": \"{}\", \"instrs\": {}, \"values\": {}, \"events\": {}, \
-             \"expand_s\": {}, \"movement_s\": {}, \"cycle_s\": {}, \"total_s\": {}, \
-             \"makespan\": {}, \"fingerprint\": \"{:016x}\"}},\n",
-            r.name,
-            r.instrs,
-            r.values,
-            r.events,
-            json_num(r.expand_s),
-            json_num(r.movement_s),
-            json_num(r.cycle_s),
-            json_num(r.total_s()),
-            r.makespan,
-            r.fingerprint
-        )),
-        None => out.push_str("  \"stress\": null,\n"),
-    }
-    match &rolled {
-        Some(r) => out.push_str(&format!(
-            "  \"rolled\": {{\"trips\": {}, \"rolled_nodes\": {}, \"unrolled_nodes\": {}, \
-             \"base_trips\": {}, \"k\": {}, \"flat_frontend_s\": {}, \"flat_total_s\": {}, \
-             \"probe_s\": {}, \"materialize_s\": {}, \"rolled_total_s\": {}, \"verify_s\": {}, \
-             \"speedup\": {}, \"makespan\": {}, \"fingerprint\": \"{:016x}\", \"equal\": {}, \
-             \"cache_distinct\": {}}},\n",
-            r.trips,
-            r.rolled_nodes,
-            r.unrolled_nodes,
-            r.base_trips,
-            r.k,
-            json_num(r.flat_frontend_s),
-            json_num(r.flat_total_s),
-            json_num(r.probe_s),
-            json_num(r.materialize_s),
-            json_num(r.rolled_total_s),
-            json_num(r.verify_s),
-            json_num(r.speedup),
-            r.makespan,
-            r.fingerprint,
-            r.equal,
-            r.cache_distinct
-        )),
-        None => out.push_str("  \"rolled\": null,\n"),
-    }
+    out.push_str(&format!("  \"stress\": {},\n", pass_times_json(&stress)));
+    let r = &rolled;
     out.push_str(&format!(
-        "  \"cache\": {{\"benchmark\": \"{}\", \"cold_s\": {}, \"hit_s\": {}, \"speedup\": {}, \
-         \"verified\": {}}},\n",
-        largest_bench.name,
-        json_num(cold_s),
-        json_num(hit_s),
-        json_num(cache_speedup),
-        cache_ok
-    ));
-    out.push_str(&format!(
-        "  \"parallel\": {{\"threads\": {par_threads}, \"serial_suite_s\": {}, \
-         \"parallel_suite_s\": {}, \"speedup\": {}, \"fingerprints_equal\": {}}},\n",
-        json_num(serial_suite_s),
-        json_num(parallel_suite_s),
-        json_num(par_speedup),
-        fingerprints_equal
+        "  \"rolled\": {{\"trips\": {}, \"rolled_nodes\": {}, \"unrolled_nodes\": {}, \
+         \"base_trips\": {}, \"k\": {}, \"flat_frontend_s\": {}, \"flat_total_s\": {}, \
+         \"probe_s\": {}, \"materialize_s\": {}, \"rolled_total_s\": {}, \"verify_s\": {}, \
+         \"speedup\": {}, \"makespan\": {}, \"fingerprint\": \"{:016x}\", \"equal\": {}}},\n",
+        r.trips,
+        r.rolled_nodes,
+        r.unrolled_nodes,
+        r.base_trips,
+        r.k,
+        json_num(r.flat_frontend_s),
+        json_num(r.flat_total_s),
+        json_num(r.probe_s),
+        json_num(r.materialize_s),
+        json_num(r.rolled_total_s),
+        json_num(r.verify_s),
+        json_num(r.speedup),
+        r.makespan,
+        r.fingerprint,
+        r.equal
     ));
     out.push_str(&format!(
         "  \"seed_baseline\": {{\"benchmark\": \"{SEED_BENCH}\", \"pass3_s\": {SEED_PASS3_S}, \
@@ -531,56 +361,19 @@ fn main() {
         pass3_pass
     ));
     out.push_str(&format!(
-        "    \"cache_hit_speedup\": {{\"required\": {}, \"actual\": {}, \"enforced\": true, \"pass\": {}}},\n",
-        json_num(cache_required),
-        json_num(cache_speedup),
-        cache_pass
-    ));
-    out.push_str(&format!(
-        "    \"parallel_fingerprints_equal\": {{\"enforced\": {}, \"pass\": {}}},\n",
-        !expect_hit, fingerprints_equal
-    ));
-    out.push_str(&format!(
-        "    \"parallel_suite_speedup\": {{\"required\": 1.8, \"actual\": {}, \"enforced\": {}, \"pass\": {}}},\n",
-        json_num(par_speedup),
-        par_enforced,
-        par_pass
-    ));
-    out.push_str(&format!(
-        "    \"rolled_speedup\": {{\"required\": {}, \"actual\": {}, \"enforced\": {}, \"pass\": {}}},\n",
+        "    \"rolled_speedup\": {{\"required\": {}, \"actual\": {}, \"enforced\": true, \"pass\": {}}},\n",
         json_num(rolled_required),
-        json_num(rolled_speedup),
-        rolled_enforced,
+        json_num(rolled.speedup),
         rolled_speedup_pass
     ));
     out.push_str(&format!(
-        "    \"rolled_equal\": {{\"enforced\": {rolled_enforced}, \"pass\": {rolled_equal_pass}}},\n"
-    ));
-    out.push_str(&format!(
-        "    \"rolled_cache_distinct\": {{\"enforced\": {rolled_enforced}, \"pass\": {rolled_cache_pass}}},\n"
-    ));
-    out.push_str(&format!(
-        "    \"cache_hits\": {{\"enforced\": {}, \"pass\": {}}}\n",
-        expect_hit, hits_pass
+        "    \"rolled_equal\": {{\"enforced\": true, \"pass\": {}}}\n",
+        rolled.equal
     ));
     out.push_str("  }\n");
     out.push_str("}\n");
     std::fs::write(&out_path, &out).expect("failed to write bench_compile JSON");
     println!("wrote {out_path}");
-
-    if let Some(fp_path) = &fingerprints_path {
-        let mut fp = String::new();
-        for r in &rows {
-            fp.push_str(&format!(
-                "{} {:016x} {}\n",
-                r.name.replace(' ', "_"),
-                r.fingerprint,
-                r.makespan
-            ));
-        }
-        std::fs::write(fp_path, fp).expect("failed to write fingerprints file");
-        println!("wrote {fp_path}");
-    }
 
     // --- Schema diff vs the committed report: the key *set* must match
     // (values are machine-dependent; the shape is the contract).
@@ -615,26 +408,11 @@ fn main() {
         if !pass3_pass {
             failed.push(format!("pass3_speedup_vs_seed ({pass3_speedup:.2} < 2.0)"));
         }
-        if !cache_pass {
-            failed.push(format!("cache_hit_speedup ({cache_speedup:.2} < {cache_required})"));
-        }
-        if !fingerprints_equal {
-            failed.push("parallel_fingerprints_equal".to_string());
-        }
-        if !par_pass {
-            failed.push(format!("parallel_suite_speedup ({par_speedup:.2} < 1.8)"));
-        }
         if !rolled_speedup_pass {
-            failed.push(format!("rolled_speedup ({rolled_speedup:.2} < {rolled_required})"));
+            failed.push(format!("rolled_speedup ({:.2} < {rolled_required})", rolled.speedup));
         }
-        if !rolled_equal_pass {
+        if !rolled.equal {
             failed.push("rolled_equal (stamped schedule diverged from flat compile)".to_string());
-        }
-        if !rolled_cache_pass {
-            failed.push("rolled_cache_distinct (rolled/unrolled share a cache entry)".to_string());
-        }
-        if !hits_pass {
-            failed.push(format!("cache_hits ({misses} miss(es) under --expect-hit)"));
         }
         if !failed.is_empty() {
             eprintln!("GATE FAILURES: {}", failed.join(", "));

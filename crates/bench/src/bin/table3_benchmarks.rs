@@ -25,40 +25,20 @@ fn main() {
     let baselines: Vec<CpuBaseline> =
         benches.iter().map(|b| CpuBaseline::measure(&b.program, 2048)).collect();
     eprintln!("[timing] baseline measurement: {:.2}s", t0.elapsed().as_secs_f64());
-    // Phase 2: compile + simulate, in parallel when the host has spare
-    // cores (schedules and cycle counts are deterministic either way).
+    // Phase 2: compile + simulate, one benchmark per core (schedules and
+    // cycle counts are deterministic either way).
     let t1 = std::time::Instant::now();
-    let mut reports: Vec<Option<SimReport>> = (0..benches.len()).map(|_| None).collect();
-    let arch_ref = &arch;
-    let serial = f1_compiler::par::compile_threads() <= 1
-        || std::env::var("F1_TABLE3_SERIAL").map(|v| v != "0").unwrap_or(false);
-    if serial {
-        for (b, slot) in benches.iter().zip(reports.iter_mut()) {
-            let t = std::time::Instant::now();
-            *slot = Some(run_benchmark(b, arch_ref));
-            eprintln!("[timing] {:<30} schedule {:>6.2}s", b.name, t.elapsed().as_secs_f64());
-        }
-    } else {
-        rayon::scope(|s| {
-            for (b, slot) in benches.iter().zip(reports.iter_mut()) {
-                s.spawn(move || {
-                    let t = std::time::Instant::now();
-                    *slot = Some(run_benchmark(b, arch_ref));
-                    eprintln!(
-                        "[timing] {:<30} schedule {:>6.2}s",
-                        b.name,
-                        t.elapsed().as_secs_f64()
-                    );
-                });
-            }
-        });
-    }
+    let reports: Vec<SimReport> = rayon::par_map(&benches, |b| {
+        let t = std::time::Instant::now();
+        let report = run_benchmark(b, &arch);
+        eprintln!("[timing] {:<30} schedule {:>6.2}s", b.name, t.elapsed().as_secs_f64());
+        report
+    });
     eprintln!("[timing] schedule+simulate: {:.2}s", t1.elapsed().as_secs_f64());
 
     println!("{:<30} {:>12} {:>12} {:>10}", "Benchmark", "CPU [ms]", "F1 [ms]", "Speedup");
     let mut speedups = Vec::new();
     for ((b, baseline), report) in benches.iter().zip(&baselines).zip(&reports) {
-        let report = report.as_ref().expect("benchmark scheduled");
         let cpu_s = baseline.estimate_seconds_parallel(&b.program, b.n);
         let f1_ms = report.seconds * 1e3;
         let cpu_ms = cpu_s * 1e3;

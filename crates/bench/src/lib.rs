@@ -34,38 +34,18 @@ pub fn bench_scale_or(default: usize) -> usize {
     f1_poly::env::parse_env_nonzero_or("F1_SCALE", default)
 }
 
-/// Whether bins should route compiles through the schedule cache
-/// (`F1_CACHE=1`; default off so experiment bins measure what they ran).
-pub fn cache_enabled() -> bool {
-    std::env::var("F1_CACHE").map(|v| v != "0").unwrap_or(false)
-}
-
 /// Compiles and simulates one benchmark on a configuration.
-///
-/// With `F1_CACHE=1` the compile goes through the content-addressed
-/// schedule cache; the checker then re-verifies the (possibly
-/// deserialized) schedule exactly as it would a fresh one, so a cache
-/// hit can never smuggle an invalid schedule past the simulator.
 pub fn run_benchmark(b: &Benchmark, arch: &ArchConfig) -> SimReport {
     let t0 = std::time::Instant::now();
-    let ((ex, plan, cs), status) = if cache_enabled() {
-        f1_compiler::cache::compile_cached(&b.program, arch)
-    } else {
-        (f1_compiler::compile(&b.program, arch), f1_compiler::cache::CacheStatus::Miss)
-    };
+    let (ex, plan, cs) = f1_compiler::compile(&b.program, arch);
     let t_compile = t0.elapsed();
     let report = f1_sim::check_schedule(&ex, &plan, &cs, arch);
     if std::env::var("F1_TIMING").is_ok() {
         eprintln!(
-            "[timing] {:<30} compile {:>6.2}s  check {:>6.2}s{}",
+            "[timing] {:<30} compile {:>6.2}s  check {:>6.2}s",
             b.name,
             t_compile.as_secs_f64(),
             (t0.elapsed() - t_compile).as_secs_f64(),
-            match (cache_enabled(), status) {
-                (true, f1_compiler::cache::CacheStatus::Hit) => "  (cache hit)",
-                (true, f1_compiler::cache::CacheStatus::Miss) => "  (cache miss)",
-                _ => "",
-            }
         );
     }
     report

@@ -506,26 +506,13 @@ impl<'a> CycleScheduler<'a> {
             assert!(progressed, "residency event graph deadlock at {committed}/{total}");
         }
 
-        // Final per-stream sorts are independent; each stream sorts on
-        // its own thread when F1_PAR_COMPILE allows. `sort_by_key` is
-        // stable, so the result is identical at any thread count.
-        if crate::par::compile_threads() > 1 {
-            rayon::scope(|s| {
-                s.spawn(|| self.out.mem.sort_by_key(|m| m.cycle));
-                for stream in self.out.compute.iter_mut() {
-                    s.spawn(|| stream.sort_by_key(|e| e.cycle));
-                }
-                s.spawn(|| self.out.net.sort_by_key(|e| e.cycle));
-                s.spawn(|| self.out.evict.sort_by_key(|e| e.cycle));
-            });
-        } else {
-            self.out.mem.sort_by_key(|m| m.cycle);
-            for stream in self.out.compute.iter_mut() {
-                stream.sort_by_key(|e| e.cycle);
-            }
-            self.out.net.sort_by_key(|e| e.cycle);
-            self.out.evict.sort_by_key(|e| e.cycle);
+        // Stable sorts keep same-cycle entries in commit order.
+        self.out.mem.sort_by_key(|m| m.cycle);
+        for stream in self.out.compute.iter_mut() {
+            stream.sort_by_key(|e| e.cycle);
         }
+        self.out.net.sort_by_key(|e| e.cycle);
+        self.out.evict.sort_by_key(|e| e.cycle);
         self.out.makespan = self.makespan;
         self.out.validate_monotone();
 

@@ -126,20 +126,8 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
                 return expand_with(program, opts, &order, true);
             }
             let machine = opts.machine.clone().unwrap_or_default();
-            // The two candidate lowerings are independent pure functions
-            // of (program, order), so they expand in parallel when
-            // F1_PAR_COMPILE allows — identical results either way.
-            let (decomp, ghs) = if crate::par::compile_threads() > 1 {
-                rayon::join(
-                    || expand_with(program, opts, &order, false),
-                    || expand_with(program, opts, &order, true),
-                )
-            } else {
-                (
-                    expand_with(program, opts, &order, false),
-                    expand_with(program, opts, &order, true),
-                )
-            };
+            let decomp = expand_with(program, opts, &order, false);
+            let ghs = expand_with(program, opts, &order, true);
             if estimate_makespan(&ghs, &machine) < estimate_makespan(&decomp, &machine) {
                 ghs
             } else {

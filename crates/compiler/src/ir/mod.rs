@@ -214,7 +214,7 @@ pub struct RepeatSpec {
 }
 
 /// Token returned by [`FheProgram::begin_repeat`] marking where a rolled
-/// region's body starts; consumed by [`FheProgram::end_repeat`].
+/// region's body starts; closed by [`FheProgram::end_repeat`].
 #[derive(Debug)]
 pub struct RepeatToken {
     start: u32,
@@ -607,7 +607,7 @@ impl FheProgram {
     /// runtime binding).
     pub fn end_repeat(
         &mut self,
-        token: RepeatToken,
+        token: &RepeatToken,
         trips: u32,
         carries: Vec<(IrId, IrId)>,
         steps: Vec<(IrId, NodeStep)>,
@@ -648,9 +648,7 @@ impl FheProgram {
                     FheOp::CtInput { .. } | FheOp::PtInput { .. }
                 );
                 if is_input {
-                    let stepped = steps
-                        .iter()
-                        .any(|&(id, st)| id.0 == i && st.d_ordinal != 0);
+                    let stepped = steps.iter().any(|&(id, st)| id.0 == i && st.d_ordinal != 0);
                     assert!(stepped, "body input node {i} needs a d_ordinal != 0 step");
                 }
             }
@@ -681,11 +679,7 @@ impl FheProgram {
     /// Node count after unrolling every repeat (without materializing).
     pub fn unrolled_len(&self) -> usize {
         self.nodes.len()
-            + self
-                .repeats
-                .iter()
-                .map(|r| (r.trips as usize - 1) * r.len as usize)
-                .sum::<usize>()
+            + self.repeats.iter().map(|r| (r.trips as usize - 1) * r.len as usize).sum::<usize>()
     }
 
     /// A copy of this program with repeat region `repeat`'s trip count
@@ -774,9 +768,7 @@ impl FheProgram {
                 iter_map[j] = id;
             }
         }
-        for j in 0..len {
-            map[start + j] = iter_map[j];
-        }
+        map[start..start + len].copy_from_slice(&iter_map);
         // Suffix: remap region references to the last iteration and
         // re-infer types (bodies may change the carried values' levels).
         for i in start + len..self.nodes.len() {
@@ -1110,7 +1102,7 @@ mod tests {
         let m = p.square(acc);
         let r = p.aut(m, 9);
         let acc2 = p.add(r, m);
-        p.end_repeat(t, trips, vec![(acc, acc2)], vec![]);
+        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
         p.output(acc2);
         p
     }
@@ -1166,7 +1158,7 @@ mod tests {
         let c = p.plain_input(l - 1);
         let acc = p.add_plain(m, c);
         p.end_repeat(
-            t,
+            &t,
             trips,
             vec![(acc0, acc)],
             vec![(c, NodeStep { d_ordinal: 1, d_level: -1, d_k: 0 })],
@@ -1201,7 +1193,7 @@ mod tests {
         let inv = p.input(5); // loop-invariant, used inside the body
         let t = p.begin_repeat();
         let m = p.mul(acc0, inv);
-        p.end_repeat(t, 3, vec![(acc0, m)], vec![]);
+        p.end_repeat(&t, 3, vec![(acc0, m)], vec![]);
         let epi = p.mod_switch(m); // epilogue reads the carried value
         p.output(epi);
         let (un, map) = p.unroll_map();
@@ -1223,7 +1215,7 @@ mod tests {
         let t = p.begin_repeat();
         let r = p.aut(acc0, 3);
         let s = p.add(r, r);
-        p.end_repeat(t, 4, vec![(acc0, s)], vec![(r, NodeStep { d_k: 2, ..NodeStep::default() })]);
+        p.end_repeat(&t, 4, vec![(acc0, s)], vec![(r, NodeStep { d_k: 2, ..NodeStep::default() })]);
         p.output(s);
         let un = p.unroll();
         let ks: Vec<usize> = un
@@ -1252,7 +1244,7 @@ mod tests {
         let t = p.begin_repeat();
         let x = p.input(4);
         let s = p.add(acc0, x);
-        p.end_repeat(t, 3, vec![(acc0, s)], vec![]);
+        p.end_repeat(&t, 3, vec![(acc0, s)], vec![]);
     }
 
     #[test]

@@ -41,14 +41,12 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cache;
 pub mod csr;
 pub mod cycle;
 pub mod dsl;
 pub mod expand;
 pub mod ir;
 pub mod movement;
-pub mod par;
 pub mod stamp;
 
 pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
@@ -58,10 +56,10 @@ pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
 pub use ir::{
     FheProgram, IrId, Lowered, NodeStep, NoisePolicy, OptStats, RepeatSpec, RescaleStats, Scheme,
 };
+pub use movement::MovePlan;
 pub use stamp::{
     compile_rolled, Relocation, RolledCompile, RolledOutcome, StampInfo, StampedSchedule,
 };
-pub use movement::MovePlan;
 
 /// Compiles a DSL program end-to-end with default options, returning the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.
@@ -71,25 +69,10 @@ pub fn compile(
     program: &Program,
     arch: &f1_arch::ArchConfig,
 ) -> (Expanded, MovePlan, CycleSchedule) {
-    let timing = std::env::var("F1_TIMING").is_ok();
-    let t0 = std::time::Instant::now();
     let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
     let expanded = expand::expand(program, &opts);
-    let t1 = t0.elapsed();
     let plan = movement::schedule(&expanded, arch);
-    let t2 = t0.elapsed();
     let cycles = cycle::schedule(&expanded, &plan, arch);
-    if timing {
-        eprintln!(
-            "[timing]   expand {:>6.2}s  movement {:>6.2}s  cycle {:>6.2}s  ({} instrs, {} values, {} events)",
-            t1.as_secs_f64(),
-            (t2 - t1).as_secs_f64(),
-            (t0.elapsed() - t2).as_secs_f64(),
-            expanded.dfg.instrs().len(),
-            expanded.dfg.values().len(),
-            plan.events.len()
-        );
-    }
     (expanded, plan, cycles)
 }
 

@@ -285,15 +285,14 @@ impl<'a> Scheduler<'a> {
             output_set[v.0 as usize] = true;
         }
         // Per-value lineage/liveness tables: each value's users sorted by
-        // final rank. Values are independent, so the build fans out across
-        // F1_PAR_COMPILE threads; output order is by value id either way.
-        let value_ids: Vec<u32> = (0..n_values as u32).collect();
-        let sorted_users: Vec<Vec<u32>> =
-            rayon::par_map_threads(crate::par::compile_threads(), &value_ids, |&vi| {
+        // final rank.
+        let sorted_users: Vec<Vec<u32>> = (0..n_values as u32)
+            .map(|vi| {
                 let mut us: Vec<u32> = dfg.users(ValueId(vi)).iter().map(|u| u.0).collect();
                 us.sort_unstable_by_key(|&u| (rank[u as usize], u));
                 us
-            });
+            })
+            .collect();
         Self {
             dfg,
             arch,

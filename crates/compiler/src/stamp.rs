@@ -361,8 +361,7 @@ impl StampedSchedule {
         let k = self.info.k;
         let schedule = extend_schedule(&self.prev, &self.base.schedule, k, self.shift())?;
         let n = self.base_expanded.n;
-        let total =
-            self.base_expanded.dfg.instrs().len() + 2 * k as usize * self.info.di as usize;
+        let total = self.base_expanded.dfg.instrs().len() + 2 * k as usize * self.info.di as usize;
         let (issue_cycle, done_cycle) = issue_done(&schedule, arch, n, total);
         let makespan = schedule.makespan;
         let counters = self.base.counters.plus_scaled(&self.counters_per_trip, 2 * k);
@@ -428,7 +427,7 @@ fn try_stamp(
     // Ids only ever shift by multiples of 2·dv, so that is the quantum
     // that must preserve the bank; the byte-exact predictions below
     // witness it inside the probe window, this guards every larger k.
-    if 2 * dv as usize % arch.scratchpad_banks != 0 {
+    if !(2 * dv as usize).is_multiple_of(arch.scratchpad_banks) {
         return Err(format!(
             "2dv = {} not a multiple of {} scratchpad banks",
             2 * dv,
@@ -462,8 +461,7 @@ fn try_stamp(
 
     // (c) Issue/done reconstruction must be exact on a full compile.
     let last = PROBES as usize - 1;
-    let (ri, rd) =
-        issue_done(&comp[last].1.schedule, arch, comp[last].0.n, instrs[last] as usize);
+    let (ri, rd) = issue_done(&comp[last].1.schedule, arch, comp[last].0.n, instrs[last] as usize);
     if ri != comp[last].1.issue_cycle || rd != comp[last].1.done_cycle {
         return Err("issue/done reconstruction diverged from the scheduler".into());
     }
@@ -479,7 +477,7 @@ fn try_stamp(
 
     // Target: same-parity base among S_4/S_5, stamped k times.
     let i_t = trips - WINDOW;
-    let (prev_i, base_i) = if i_t % 2 == 0 { (2usize, 4usize) } else { (3usize, 5usize) };
+    let (prev_i, base_i) = if i_t.is_multiple_of(2) { (2usize, 4usize) } else { (3usize, 5usize) };
     let k = (i_t as u64 - base_i as u64) / 2;
 
     let t1 = Instant::now();
@@ -516,7 +514,7 @@ mod tests {
         let m = p.square(acc);
         let r = p.aut(m, 9);
         let acc2 = p.add(r, m);
-        p.end_repeat(t, trips, vec![(acc, acc2)], vec![]);
+        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
         p.output(acc2);
         p
     }
@@ -564,7 +562,7 @@ mod tests {
         let t = p.begin_repeat();
         let m = p.square(acc0);
         let acc = p.mod_switch(m);
-        p.end_repeat(t, 30, vec![(acc0, acc)], vec![]);
+        p.end_repeat(&t, 30, vec![(acc0, acc)], vec![]);
         p.output(acc);
         let rolled = compile_rolled(&p, &arch);
         assert!(matches!(rolled.outcome, RolledOutcome::Flat { .. }));

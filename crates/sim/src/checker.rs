@@ -242,10 +242,8 @@ const NO_CLUSTER: u32 = u32::MAX;
 ///   release; a spilled intermediate's refetch additionally requires its
 ///   writeback to have completed.
 ///
-/// This is the right entry for re-verifying a schedule that did *not*
-/// come out of an in-process compile — e.g. one deserialized from the
-/// schedule cache — since it needs no [`MovePlan`]. Returns the verified
-/// makespan.
+/// This is the right entry for re-verifying a schedule without its
+/// [`MovePlan`]. Returns the verified makespan.
 ///
 /// All per-value state lives in flat arrays indexed by value id, so the
 /// cost is linear in the stream entries plus small per-value sorts and
@@ -1254,7 +1252,7 @@ mod tests {
         let m = p.square(acc);
         let r = p.aut(m, 9);
         let acc2 = p.add(r, m);
-        p.end_repeat(t, trips, vec![(acc, acc2)], vec![]);
+        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
         p.output(acc2);
         let rolled = compile_rolled(&p, &arch);
         match rolled.outcome {

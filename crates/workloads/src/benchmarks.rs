@@ -485,7 +485,7 @@ pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
     let new_im = p.rescale(new_im);
     let z_next = p.rescale(z);
     p.end_repeat(
-        t,
+        &t,
         (taylor - 1) as u32,
         vec![(re, new_re), (im, new_im), (z, z_next)],
         vec![(c, NodeStep { d_ordinal: 1, d_level: -1, d_k: 0 })],

@@ -1,7 +1,7 @@
 //! Offline stand-in for [`rayon`](https://crates.io/crates/rayon).
 //!
 //! The build environment has no registry access, so this shim provides the
-//! tiny fork/join subset the workspace uses — [`scope`], [`join`] and
+//! tiny fork/join subset the workspace uses — [`scope`], [`par_map`] and
 //! [`current_num_threads`] — backed by `std::thread::scope`. There is no
 //! work-stealing pool: every spawned task is an OS thread, so callers are
 //! expected to spawn a few coarse tasks (e.g. one per limb group), not one
@@ -23,25 +23,6 @@ pub use std::thread::scope;
 /// The scope handle passed to the [`scope`] closure.
 pub use std::thread::Scope;
 
-/// Runs both closures, potentially in parallel, and returns both results.
-///
-/// Mirrors `rayon::join`: `b` runs on a freshly spawned scoped thread while
-/// `a` runs on the caller's thread.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(oper_b);
-        let ra = oper_a();
-        let rb = hb.join().expect("rayon shim: joined task panicked");
-        (ra, rb)
-    })
-}
-
 /// The number of threads the shim will use for parallel work: the host's
 /// available parallelism (1 if it cannot be determined).
 pub fn current_num_threads() -> usize {
@@ -53,16 +34,27 @@ pub fn current_num_threads() -> usize {
 /// parallel caller produces byte-identical results to a serial one.
 ///
 /// Stands in for rayon's `par_iter().map().collect()`. The shim has no
-/// work-stealing pool, so the slice is cut into at most `threads`
-/// contiguous chunks, one OS thread each — appropriate for coarse tasks
-/// (a compute cluster, a benchmark), not per-element work. `threads <= 1`
-/// (or a 0/1-element slice) runs entirely on the caller's thread with no
-/// spawns, which is the `F1_PAR_COMPILE=1` escape hatch.
+/// work-stealing pool, so the slice is cut into at most
+/// [`current_num_threads`] contiguous chunks, one OS thread each —
+/// appropriate for coarse tasks (a benchmark), not per-element work. On a
+/// 1-core host (or a 0/1-element slice) everything runs on the caller's
+/// thread with no spawns.
 ///
 /// # Panics
 ///
 /// Propagates any panic from `f` once all spawned threads finish.
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    par_map_threads(current_num_threads(), items, f)
+}
+
+/// [`par_map`] across at most `threads` threads; `threads <= 1` runs
+/// serially.
+fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -87,26 +79,9 @@ where
     out.into_iter().map(|r| r.expect("rayon shim: par_map slot unfilled")).collect()
 }
 
-/// [`par_map_threads`] across [`current_num_threads`] threads.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(current_num_threads(), items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 
     #[test]
     fn scope_spawns_and_joins() {

@@ -4,12 +4,11 @@
 //! binary (de)serializer: [`Serialize`] appends to a byte buffer,
 //! [`Deserialize`] reads back from a [`Reader`], and the derive macros in
 //! `serde_derive` generate field-by-field impls. The format is private to
-//! this workspace (it backs the content-addressed schedule cache and the
-//! round-trip tests) and is **deterministic by construction**: struct
-//! fields serialize in declaration order, enum variants carry their
-//! declaration index as a varint tag, and hash maps sort their entries by
-//! key before writing — so equal values always produce equal bytes, which
-//! is what content addressing requires.
+//! this workspace (only round-trip tests use it) and is **deterministic by
+//! construction**: struct fields serialize in declaration order, enum
+//! variants carry their declaration index as a varint tag, and hash maps
+//! sort their entries by key before writing — so equal values always
+//! produce equal bytes.
 //!
 //! Encoding: unsigned integers are LEB128 varints; signed integers are
 //! zigzag varints; `f64`/`f32` are little-endian IEEE bits; `bool` is one
@@ -17,9 +16,8 @@
 //! their contents; `Option` is a 0/1 tag byte.
 //!
 //! Failures surface as typed [`Error`]s, never panics: a truncated or
-//! bit-flipped artifact yields `UnexpectedEof` / `InvalidTag` /
-//! `InvalidUtf8` and callers (the schedule cache) fall back to a fresh
-//! compile. Swapping in the real serde remains a manifest change plus a
+//! bit-flipped input yields `UnexpectedEof` / `InvalidTag` /
+//! `InvalidUtf8`. Swapping in the real serde remains a manifest change plus a
 //! re-export shuffle.
 
 #![forbid(unsafe_code)]
@@ -140,7 +138,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 pub fn read_varint(r: &mut Reader<'_>) -> Result<u64, Error> {
     // Single-byte fast path: values below 128 dominate real artifacts
     // (stream deltas, small ids, lengths), and skipping the loop setup
-    // and bounds re-checks is a measurable win on multi-MB cache loads.
+    // and bounds re-checks is a measurable win on multi-MB inputs.
     if let Some(&b) = r.buf.get(r.pos) {
         if b < 0x80 {
             r.pos += 1;
@@ -179,7 +177,7 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 }
 
 /// Deserializes exactly one `T` from `bytes`; trailing input is an error
-/// (a cache artifact is one value, nothing else).
+/// (the input holds one value, nothing else).
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let mut r = Reader::new(bytes);
     let value = T::deserialize(&mut r)?;

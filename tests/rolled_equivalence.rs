@@ -44,7 +44,7 @@ fn rolled_program(ops: &[u8], trips: u32) -> FheProgram {
         vals.push(v);
     }
     let last = *vals.last().expect("body is non-empty");
-    p.end_repeat(t, trips, vec![(acc, last)], vec![]);
+    p.end_repeat(&t, trips, vec![(acc, last)], vec![]);
     p.output(last);
     p
 }
@@ -95,7 +95,7 @@ fn canonical_chain_takes_the_stamped_path_and_matches() {
     let m = p.square(acc);
     let r = p.aut(m, 9);
     let acc2 = p.add(r, m);
-    p.end_repeat(t, 30, vec![(acc, acc2)], vec![]);
+    p.end_repeat(&t, 30, vec![(acc, acc2)], vec![]);
     p.output(acc2);
     let rolled = compile_rolled(&p, &arch);
     assert!(
