@@ -62,44 +62,6 @@ impl EnergyCounters {
     pub fn add_fu_busy(&mut self, fu: FuType, cycles: u64) {
         self.fu_busy_cycles[fu_index(fu)] += cycles;
     }
-
-    /// Field-wise difference `self - earlier`. Panics on underflow —
-    /// counters are cumulative, so a later schedule dominates an earlier
-    /// one field by field.
-    pub fn delta(&self, earlier: &EnergyCounters) -> EnergyCounters {
-        let mut fu = [0u64; 4];
-        for (i, f) in fu.iter_mut().enumerate() {
-            *f = self.fu_busy_cycles[i] - earlier.fu_busy_cycles[i];
-        }
-        EnergyCounters {
-            hbm_bytes: self.hbm_bytes - earlier.hbm_bytes,
-            scratchpad_bytes: self.scratchpad_bytes - earlier.scratchpad_bytes,
-            noc_bytes: self.noc_bytes - earlier.noc_bytes,
-            rf_bytes: self.rf_bytes - earlier.rf_bytes,
-            fu_busy_cycles: fu,
-            hbm_channel_busy_cycles: self.hbm_channel_busy_cycles - earlier.hbm_channel_busy_cycles,
-            xbar_busy_cycles: self.xbar_busy_cycles - earlier.xbar_busy_cycles,
-        }
-    }
-
-    /// Field-wise `self + k * step` — extends cumulative counters across
-    /// `k` extra repetitions of a pattern that adds `step` per repetition.
-    pub fn plus_scaled(&self, step: &EnergyCounters, k: u64) -> EnergyCounters {
-        let mut fu = [0u64; 4];
-        for (i, f) in fu.iter_mut().enumerate() {
-            *f = self.fu_busy_cycles[i] + k * step.fu_busy_cycles[i];
-        }
-        EnergyCounters {
-            hbm_bytes: self.hbm_bytes + k * step.hbm_bytes,
-            scratchpad_bytes: self.scratchpad_bytes + k * step.scratchpad_bytes,
-            noc_bytes: self.noc_bytes + k * step.noc_bytes,
-            rf_bytes: self.rf_bytes + k * step.rf_bytes,
-            fu_busy_cycles: fu,
-            hbm_channel_busy_cycles: self.hbm_channel_busy_cycles
-                + k * step.hbm_channel_busy_cycles,
-            xbar_busy_cycles: self.xbar_busy_cycles + k * step.xbar_busy_cycles,
-        }
-    }
 }
 
 fn fu_index(fu: FuType) -> usize {

@@ -8,7 +8,7 @@
 //!
 //! We model HEAX_σ's reciprocal throughput structurally from the published
 //! architecture (butterflies/cycle, lane counts, clock) rather than
-//! transcribing the paper's speedup table — see DESIGN.md §2.3. The test
+//! transcribing the paper's speedup table. The test
 //! suite cross-checks the model's outputs against the paper's implied
 //! numbers at the ±40% level, which is as close as a reconstruction of an
 //! FPGA pipeline from its paper can honestly claim.

@@ -11,7 +11,7 @@
 //! * [`energy`] — per-event energies behind Fig 9b's power breakdown.
 //! * [`heax`] — the HEAX_σ comparator model used by Table 4
 //!   (a fixed-pipeline FPGA accelerator with low-throughput FUs; see
-//!   DESIGN.md §2.3 for the substitution rationale).
+//!   that module for the substitution rationale).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

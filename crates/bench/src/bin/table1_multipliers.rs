@@ -6,7 +6,7 @@ use f1_modarith::{primes, MultiplierKind};
 fn main() {
     println!("Table 1: Area, power, and delay of modular multipliers");
     println!(
-        "(structural model calibrated to the paper's 14/12nm synthesis; see DESIGN.md §2.1)\n"
+        "(structural model calibrated to the paper's 14/12nm synthesis; see f1_modarith::cost)\n"
     );
     println!(
         "{:<22} {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10}",

@@ -2,7 +2,8 @@
 //!
 //! CPU times come from measured per-operation costs of the real `f1-fhe`
 //! implementation charged against each program's operation mix
-//! (DESIGN.md §2.2); F1 times come from the cycle-accurate schedule.
+//! (`f1_workloads::cpu_baseline`); F1 times come from the cycle-accurate
+//! schedule.
 //!
 //! Structure: per-op CPU costs are measured first, serially, on an
 //! otherwise-quiet machine (they are wall-clock timings and memoized

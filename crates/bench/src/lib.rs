@@ -1,7 +1,7 @@
 //! # f1-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md
-//! §3 for the experiment index) plus Criterion microbenches of the
+//! One binary per table/figure of the paper's evaluation (see the
+//! README's "Running the experiments") plus Criterion microbenches of the
 //! software substrate. Run e.g.:
 //!
 //! ```text
@@ -36,19 +36,8 @@ pub fn bench_scale_or(default: usize) -> usize {
 
 /// Compiles and simulates one benchmark on a configuration.
 pub fn run_benchmark(b: &Benchmark, arch: &ArchConfig) -> SimReport {
-    let t0 = std::time::Instant::now();
     let (ex, plan, cs) = f1_compiler::compile(&b.program, arch);
-    let t_compile = t0.elapsed();
-    let report = f1_sim::check_schedule(&ex, &plan, &cs, arch);
-    if std::env::var("F1_TIMING").is_ok() {
-        eprintln!(
-            "[timing] {:<30} compile {:>6.2}s  check {:>6.2}s",
-            b.name,
-            t_compile.as_secs_f64(),
-            (t0.elapsed() - t_compile).as_secs_f64(),
-        );
-    }
-    report
+    f1_sim::check_schedule(&ex, &plan, &cs, arch)
 }
 
 /// Geometric mean helper.

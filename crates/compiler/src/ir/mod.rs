@@ -192,9 +192,8 @@ pub struct NodeStep {
 /// substitution: loop-carried operands re-bind to the previous
 /// iteration's clone, and [`NodeStep`]-stepped fields move affinely in
 /// `i`. [`FheProgram::unroll`] performs that expansion (with full type
-/// re-inference per iteration); the scheduling pipeline may instead keep
-/// the region symbolic and stamp one iteration's schedule `trips` times
-/// (see `crate::stamp`).
+/// re-inference per iteration); the scheduling pipeline only ever sees
+/// the unrolled form.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RepeatSpec {
     /// First body node.
@@ -682,16 +681,6 @@ impl FheProgram {
             + self.repeats.iter().map(|r| (r.trips as usize - 1) * r.len as usize).sum::<usize>()
     }
 
-    /// A copy of this program with repeat region `repeat`'s trip count
-    /// replaced — the truncation primitive the stamping engine probes
-    /// with.
-    pub fn with_trips(&self, repeat: usize, trips: u32) -> FheProgram {
-        assert!(trips >= 1);
-        let mut q = self.clone();
-        q.repeats[repeat].trips = trips;
-        q
-    }
-
     /// Unrolls every rolled region into flat IR. Equivalent to having
     /// built each iteration by hand: clones are re-typed from their
     /// operands per iteration, carried operands re-bind to the previous
@@ -954,7 +943,7 @@ impl FheProgram {
         assert!(
             self.repeats.is_empty(),
             "optimize() operates on flat IR; call unroll() first (compile_fhe does this \
-             automatically, and the stamping path optimizes truncated unrollings)"
+             automatically)"
         );
         passes::optimize(self)
     }
@@ -1227,13 +1216,6 @@ mod tests {
             })
             .collect();
         assert_eq!(ks, vec![3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn with_trips_truncates() {
-        let p = rolled_chain(6, 40);
-        let p8 = p.with_trips(0, 8);
-        assert_eq!(p8.unroll().nodes(), flat_chain(6, 8).nodes());
     }
 
     #[test]

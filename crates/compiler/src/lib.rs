@@ -47,7 +47,6 @@ pub mod dsl;
 pub mod expand;
 pub mod ir;
 pub mod movement;
-pub mod stamp;
 
 pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
 pub use cycle::CycleSchedule;
@@ -57,9 +56,6 @@ pub use ir::{
     FheProgram, IrId, Lowered, NodeStep, NoisePolicy, OptStats, RepeatSpec, RescaleStats, Scheme,
 };
 pub use movement::MovePlan;
-pub use stamp::{
-    compile_rolled, Relocation, RolledCompile, RolledOutcome, StampInfo, StampedSchedule,
-};
 
 /// Compiles a DSL program end-to-end with default options, returning the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.
@@ -76,44 +72,24 @@ pub fn compile(
     (expanded, plan, cycles)
 }
 
-/// Compiles a typed [`FheProgram`] end-to-end: optimize (IR passes) →
-/// lower → the three scheduling passes of [`compile`]. Returns the
-/// lowering (with its constant table and input maps), the optimization
-/// statistics, and the usual pass outputs.
+/// Compiles a typed [`FheProgram`] end-to-end: unroll any rolled loop
+/// regions → optimize (IR passes) → lower → the three scheduling passes
+/// of [`compile`]. Returns the lowering (with its constant table and
+/// input maps), the optimization statistics, and the usual pass outputs.
+/// For automatic noise management, run [`ir::rescale::insert_rescales`]
+/// on the program first.
 pub fn compile_fhe(
     program: &FheProgram,
     arch: &f1_arch::ArchConfig,
 ) -> (Lowered, OptStats, Expanded, MovePlan, CycleSchedule) {
-    compile_fhe_with(program, arch, None)
-}
-
-/// [`compile_fhe`] with opt-in automatic noise management: when `policy`
-/// is set, [`ir::rescale::insert_rescales`] reflows the program (drops
-/// hand-placed mod-switches, re-derives placement under the policy, and
-/// re-proves typing + noise margins) before the optimizer runs.
-pub fn compile_fhe_with(
-    program: &FheProgram,
-    arch: &f1_arch::ArchConfig,
-    policy: Option<NoisePolicy>,
-) -> (Lowered, OptStats, Expanded, MovePlan, CycleSchedule) {
     // Rolled loop regions unroll here: every pass below this point sees
-    // flat IR. (`stamp::compile_rolled` is the sublinear alternative that
-    // keeps the region symbolic.)
+    // flat IR.
     let unrolled;
     let program = if program.repeats().is_empty() {
         program
     } else {
         unrolled = program.unroll();
         &unrolled
-    };
-    let managed;
-    let program = match policy {
-        Some(policy) => {
-            let (m, _stats) = ir::rescale::insert_rescales(program, policy);
-            managed = m;
-            &managed
-        }
-        None => program,
     };
     let (optimized, stats) = program.optimize();
     let lowered = optimized.lower();

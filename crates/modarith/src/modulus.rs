@@ -97,7 +97,8 @@ impl Modulus {
     }
 
     /// True if the modulus satisfies the FHE-friendly condition of §5.3
-    /// (our sign convention: `q ≡ 1 mod 2^16`; see DESIGN.md §2.7).
+    /// (our sign convention: `q ≡ 1 mod 2^16`, the mirror of the paper's
+    /// `q ≡ −1` class).
     pub fn is_fhe_friendly(&self) -> bool {
         self.q & 0xFFFF == 1
     }

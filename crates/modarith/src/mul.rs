@@ -8,7 +8,7 @@
 //! | [`barrett`] | reciprocal-estimate division | none |
 //! | [`montgomery`] | single 32-bit Montgomery fold | odd `q` |
 //! | [`ntt_friendly`] | word-level Montgomery, trivial `q'` multiply (Mert et al. \[51\]) | `q ≡ 1 mod 2^m`, program-dependent `m = log 2N` |
-//! | [`fhe_friendly`] | F1's design: fixed two-stage 16-bit datapath, one multiplier stage removed | `q ≡ 1 mod 2^16` (paper uses the mirror class `≡ −1`; DESIGN.md §2.7) |
+//! | [`fhe_friendly`] | F1's design: fixed two-stage 16-bit datapath, one multiplier stage removed | `q ≡ 1 mod 2^16` (paper uses the mirror class `≡ −1`) |
 //!
 //! All four are implemented bit-exactly in software so that correctness can
 //! be cross-checked; the *hardware* area/power/delay ranking is produced by

@@ -3,8 +3,8 @@
 //! Every RNS limb modulus in F1 must admit a negacyclic NTT of the ring
 //! dimension `N`, which requires `q ≡ 1 (mod 2N)`. The FHE-friendly
 //! multiplier additionally pins the low half-word of `q` (our convention:
-//! `q ≡ 1 (mod 2^16)`, see DESIGN.md §2.7), which simultaneously guarantees
-//! NTT-friendliness for every `N ≤ 2^15`.
+//! `q ≡ 1 (mod 2^16)`, the mirror of the paper's `≡ −1`), which
+//! simultaneously guarantees NTT-friendliness for every `N ≤ 2^15`.
 
 /// Deterministic Miller–Rabin primality test, exact for all `n < 3.3 * 10^24`
 /// (we only use it below `2^63`).

@@ -1,5 +1,5 @@
 //! Environment-variable knob parsing shared across the workspace
-//! (`F1_SCALE`, `F1_BASELINE_REPS`, `F1_PAR_LIMBS`, …).
+//! (`F1_SCALE`, `F1_BASELINE_REPS`, …).
 //!
 //! The knobs used to be read with `.parse().ok().unwrap_or(default)`,
 //! which silently swallowed typos: `F1_SCALE=ful` ran the reduced suite

@@ -13,16 +13,12 @@
 const MIN_PAR_N: usize = 4096;
 
 /// Returns the thread count to use for `limbs` limbs of `n` elements each:
-/// 1 (serial) when parallelism is disabled via `F1_PAR_LIMBS=0|1`, the host
-/// is single-core, or the work is too small.
+/// 1 (serial) when the host is single-core or the work is too small.
 fn limb_threads(limbs: usize, n: usize) -> usize {
     if limbs < 2 || n < MIN_PAR_N {
         return 1;
     }
-    // A malformed F1_PAR_LIMBS panics (crate::env policy); 0 and 1 both
-    // mean "serial".
-    let cap = crate::env::parse_env_or("F1_PAR_LIMBS", rayon::current_num_threads()).max(1);
-    cap.min(limbs)
+    rayon::current_num_threads().min(limbs)
 }
 
 /// Applies `f(limb_index, limb_slice)` to every `n`-element limb of the

@@ -4,7 +4,7 @@ use f1_arch::energy::{EnergyModel, PowerBreakdown};
 use f1_arch::ArchConfig;
 use f1_compiler::expand::Expanded;
 use f1_compiler::movement::TrafficBreakdown;
-use f1_compiler::{CycleSchedule, MovePlan, StampedSchedule};
+use f1_compiler::{CycleSchedule, MovePlan};
 use f1_isa::dfg::ValueId;
 use f1_isa::streams::MemDir;
 use f1_isa::{ComponentId, FuType};
@@ -442,9 +442,7 @@ fn check_exclusive<K: Ord + Copy + std::fmt::Debug>(
 /// [`check_streams`] that needs no DFG: per-(cluster, FU, instance)
 /// occupancy spacing, per-HBM-channel exclusivity, per-crossbar-lane
 /// exclusivity, stream monotonicity, and the occupancy-counter
-/// cross-checks. Shared by [`check_streams`] and [`check_stamped`]
-/// (which runs it over materialized streams whose full DFG was never
-/// built).
+/// cross-checks.
 fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     cs.schedule.validate_monotone();
 
@@ -504,209 +502,6 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
         let hbm_bytes: u64 = cs.schedule.mem.iter().map(|m| m.bytes).sum();
         assert_eq!(cs.counters.hbm_bytes, hbm_bytes, "HBM byte counter mismatch");
     }
-}
-
-/// One stamped stream's three-part shape check against the template:
-/// prefix verbatim from the base truncation, `k` copies of the 2-trip
-/// block `K` each independently relocated from `K` itself, and the base's
-/// drain relocated by `2k` trips. `seed` drives which stamped copies get
-/// byte-compared (all of them when `k` is small).
-fn check_stamped_stream<T: PartialEq + Clone + std::fmt::Debug>(
-    prev: &[T],
-    base: &[T],
-    full: &[T],
-    k: u64,
-    apply: &dyn Fn(&T, u64) -> T,
-    seed: &mut u64,
-    what: &str,
-) {
-    assert!(base.len() >= prev.len(), "{what}: stream shrank between truncations");
-    let l = prev.iter().zip(base).take_while(|(a, b)| a == b).count();
-    let block2 = base.len() - prev.len();
-    assert!(l + block2 <= base.len(), "{what}: divergence exceeds the 2-trip block");
-    assert_eq!(
-        full.len(),
-        base.len() + k as usize * block2,
-        "{what}: stamped stream length off the affine model"
-    );
-    assert!(full[..l] == base[..l], "{what}: stamped prefix diverges from the base truncation");
-    let tail = l + k as usize * block2;
-    for (i, e) in base[l..].iter().enumerate() {
-        assert!(
-            full[tail + i] == apply(e, 2 * k),
-            "{what}: relocated drain entry {i} mismatches ({:?} vs {:?})",
-            full[tail + i],
-            apply(e, 2 * k)
-        );
-    }
-    // Spot-check stamped copies of K against an *independent* relocation
-    // of K (exhaustively when k is small, 8 random copies otherwise).
-    let spots: Vec<u64> = if k <= 8 {
-        (0..k).collect()
-    } else {
-        (0..8)
-            .map(|_| {
-                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (*seed >> 33) % k
-            })
-            .collect()
-    };
-    for j in spots {
-        for (i, e) in base[l..l + block2].iter().enumerate() {
-            assert!(
-                full[l + j as usize * block2 + i] == apply(e, 2 * j),
-                "{what}: stamped block {j} entry {i} mismatches its relocation"
-            );
-        }
-    }
-}
-
-/// Validates a *stamped* schedule (the sublinear rolled-compile path)
-/// without ever building the full program's DFG.
-///
-/// The verification argument has three legs:
-///
-/// 1. **Base soundness** — the base truncation's compile is re-verified
-///    end to end with [`check_streams`] (dependences, residency,
-///    capacity, the works) against its own pass-1 DFG.
-/// 2. **Relocation invariants** — the per-trip shift keeps every
-///    relocated memory access in its scratchpad bank
-///    (`2·dv ≡ 0 (mod banks)`, the loads/stores address `bank = value
-///    mod banks`), so the base's capacity and residency proofs transfer
-///    to every stamped copy unchanged; the period is positive, so
-///    relocated cycles stay ordered.
-/// 3. **Materialization faithfulness** — the full streams are checked
-///    structurally from scratch (`check_structural`: FU occupancy,
-///    channel/lane exclusivity, monotonicity, counters), the issue/done
-///    tables are re-derived entry by entry, and every stream is shape-
-///    checked against the template: verbatim prefix, stamped copies of
-///    the 2-trip block byte-compared against an independent relocation,
-///    and the drain relocated by exactly `2k` trips.
-///
-/// Returns the verified makespan of the materialized schedule.
-///
-/// # Panics
-///
-/// Panics (like the paper's checker) on any violated invariant.
-pub fn check_stamped(st: &StampedSchedule, full: &CycleSchedule, arch: &ArchConfig) -> u64 {
-    // Leg 1: the base truncation must pass the full checker.
-    check_streams(&st.base_expanded, &st.base, arch);
-
-    // Leg 2: relocation invariants.
-    let r = st.relocation();
-    let k = st.info.k;
-    assert!(r.period > 0, "stamped schedule with a zero per-trip period");
-    assert!(r.dv > 0 && r.di > 0, "degenerate per-trip id growth");
-    assert_eq!(
-        2 * r.dv as usize % arch.scratchpad_banks,
-        0,
-        "per-block value shift 2dv = {} would re-home scratchpad banks ({} banks)",
-        2 * r.dv,
-        arch.scratchpad_banks
-    );
-    assert_eq!(
-        full.makespan,
-        st.base.makespan + 2 * k * r.period,
-        "stamped makespan off the affine model"
-    );
-
-    // Leg 3a: structural validation of the materialized streams.
-    let n = st.base_expanded.n;
-    check_structural(full, arch, n);
-
-    // Leg 3b: issue/done tables must match the streams entry by entry.
-    let expected_instrs = st.base_expanded.dfg.instrs().len() + 2 * k as usize * r.di as usize;
-    assert_eq!(full.issue_cycle.len(), expected_instrs, "issue table length off the affine model");
-    assert_eq!(full.done_cycle.len(), expected_instrs, "done table length off the affine model");
-    for stream in &full.schedule.compute {
-        for e in stream {
-            let i = e.instr.0 as usize;
-            assert_eq!(full.issue_cycle[i], e.cycle, "stream/issue mismatch for {:?}", e.instr);
-            assert_eq!(
-                full.done_cycle[i],
-                e.cycle + f1_compiler::cycle::stream_weight(arch, e.fu, n),
-                "availability mismatch for {:?}",
-                e.instr
-            );
-        }
-    }
-
-    // Leg 3c: per-stream shape checks against the template.
-    let mut seed = full.makespan | 1;
-    let base = &st.base.schedule;
-    assert_eq!(
-        st.prev.compute.len(),
-        base.compute.len(),
-        "compute stream count changed between truncations"
-    );
-    for (c, (p, b)) in st.prev.compute.iter().zip(&base.compute).enumerate() {
-        check_stamped_stream(
-            p,
-            b,
-            &full.schedule.compute[c],
-            k,
-            &|e, m| {
-                let mut e = e.clone();
-                e.cycle = r.cycle(e.cycle, m);
-                e.instr.0 = r.instr(e.instr.0, m);
-                e
-            },
-            &mut seed,
-            &format!("compute[{c}]"),
-        );
-    }
-    let shift_val = |e: &f1_isa::streams::MemEntry, m: u64| {
-        let mut e = e.clone();
-        e.cycle = r.cycle(e.cycle, m);
-        e.value.0 = r.value(e.value.0, m);
-        e
-    };
-    check_stamped_stream(
-        &st.prev.mem,
-        &base.mem,
-        &full.schedule.mem,
-        k,
-        &shift_val,
-        &mut seed,
-        "mem",
-    );
-    check_stamped_stream(
-        &st.prev.net,
-        &base.net,
-        &full.schedule.net,
-        k,
-        &|e, m| {
-            let mut e = e.clone();
-            e.cycle = r.cycle(e.cycle, m);
-            e.value.0 = r.value(e.value.0, m);
-            e
-        },
-        &mut seed,
-        "net",
-    );
-    check_stamped_stream(
-        &st.prev.evict,
-        &base.evict,
-        &full.schedule.evict,
-        k,
-        &|e, m| {
-            let mut e = *e;
-            e.cycle = r.cycle(e.cycle, m);
-            e.value.0 = r.value(e.value.0, m);
-            e
-        },
-        &mut seed,
-        "evict",
-    );
-
-    // Counters must sit on the affine model too.
-    assert_eq!(
-        full.counters,
-        st.base.counters.plus_scaled(&st.counters_per_trip, 2 * k),
-        "stamped energy counters off the affine model"
-    );
-
-    full.makespan.max(1)
 }
 
 /// Validates a schedule ([`check_streams`]) and derives its statistics.
@@ -1240,70 +1035,5 @@ mod tests {
             stream.sort_by_key(|e| e.cycle);
         }
         check_schedule(&ex, &plan, &cs, &arch);
-    }
-
-    /// A rolled steady-state chain that the stamping fast path accepts.
-    fn stamped_pair(trips: u32) -> (StampedSchedule, CycleSchedule, ArchConfig) {
-        use f1_compiler::{compile_rolled, FheProgram, RolledOutcome, Scheme};
-        let arch = ArchConfig::f1_default();
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let acc = p.input(6);
-        let t = p.begin_repeat();
-        let m = p.square(acc);
-        let r = p.aut(m, 9);
-        let acc2 = p.add(r, m);
-        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
-        p.output(acc2);
-        let rolled = compile_rolled(&p, &arch);
-        match rolled.outcome {
-            RolledOutcome::Stamped(st) => (*st, rolled.schedule, arch),
-            RolledOutcome::Flat { reason } => panic!("fast path must engage: {reason}"),
-        }
-    }
-
-    #[test]
-    fn stamped_schedule_validates() {
-        let (st, full, arch) = stamped_pair(40);
-        let makespan = check_stamped(&st, &full, &arch);
-        assert_eq!(makespan, full.makespan);
-    }
-
-    #[test]
-    #[should_panic(expected = "off the affine model")]
-    fn stamped_checker_rejects_wrong_makespan() {
-        let (st, mut full, arch) = stamped_pair(40);
-        full.makespan += 1;
-        full.schedule.makespan += 1;
-        check_stamped(&st, &full, &arch);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatches its relocation")]
-    fn stamped_checker_rejects_corrupt_block() {
-        // 30 trips → k = 8 stamped blocks: the block spot-check is
-        // exhaustive, so corrupting any stamped entry trips it.
-        let (st, mut full, arch) = stamped_pair(30);
-        // First entry of stamped block 0 in the evict stream (right
-        // after the common prefix); evict `bytes` is only compared by
-        // the relocation check, so nothing else trips first.
-        let l =
-            st.prev.evict.iter().zip(&st.base.schedule.evict).take_while(|(a, b)| a == b).count();
-        assert!(
-            st.base.schedule.evict.len() > st.prev.evict.len(),
-            "needs per-trip evictions to stamp"
-        );
-        full.schedule.evict[l].bytes ^= 1;
-        check_stamped(&st, &full, &arch);
-    }
-
-    #[test]
-    #[should_panic(expected = "relocated drain entry")]
-    fn stamped_checker_rejects_corrupt_drain() {
-        let (st, mut full, arch) = stamped_pair(40);
-        // The final mem entry (the output store) is always in the
-        // relocated drain, which is compared entry by entry.
-        let last = full.schedule.mem.len() - 1;
-        full.schedule.mem[last].bank ^= 1;
-        check_stamped(&st, &full, &arch);
     }
 }

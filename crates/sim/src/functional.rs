@@ -6,8 +6,8 @@
 //! implementations rather than F1's hardware dataflow. Here that role is
 //! played by `f1-fhe`: this module interprets DSL programs against the
 //! real BGV implementation, both to validate results end-to-end and to
-//! *time* the software execution — the CPU baseline of Table 3 (see
-//! DESIGN.md §2.2 for the substitution from the paper's Xeon baseline).
+//! *time* the software execution — the CPU baseline of Table 3, in place
+//! of the paper's Xeon baseline.
 
 use f1_compiler::dsl::{CtId, HomOp, Program};
 use f1_compiler::ir::Lowered;

@@ -31,7 +31,7 @@ pub struct Benchmark {
     pub opt: OptStats,
     /// Scale divisor applied relative to the paper's full instance
     /// (1 = full size; >1 = reduced for tractable scheduling, with the
-    /// reduction documented in EXPERIMENTS.md).
+    /// reduction documented in the README's "Running the experiments").
     pub scale: usize,
     /// Which scheme the original uses (typing only — at the instruction
     /// level all schemes lower identically, the paper's point, §2.5).
@@ -602,7 +602,7 @@ mod tests {
                 rolled.fhe.nodes().len()
             );
             if scale == 1 {
-                // At full scale the Taylor loop runs 7 steps: 6 stamped
+                // At full scale the Taylor loop runs 7 steps: 6 rolled
                 // trips of 7-node body each, so 5 × 7 nodes are saved.
                 assert!(
                     rolled_nodes < rolled.fhe.nodes().len(),

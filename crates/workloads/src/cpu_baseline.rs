@@ -1,7 +1,7 @@
 //! The timed CPU software baseline for Table 3.
 //!
 //! The paper compares F1 against state-of-the-art software on a 4-core
-//! Xeon. Our baseline is `f1-fhe` itself (DESIGN.md §2.2): we *measure*
+//! Xeon. Our baseline is `f1-fhe` itself: we *measure*
 //! each homomorphic operation class at the benchmark's exact `(N, L)` on
 //! the host, then charge the program's operation mix against those
 //! measurements. This per-op measurement approach keeps full-size

@@ -7,7 +7,7 @@
 //! non-packed BGV/CKKS bootstrapping.
 //! Workload *structure* (operation mix, depths, rotation patterns,
 //! parameters) follows the sources the paper ports; weights/data are
-//! synthetic (see DESIGN.md §2.4).
+//! synthetic.
 //!
 //! Also provides the Table 4 microbenchmarks and the timed CPU software
 //! baseline used by Table 3.

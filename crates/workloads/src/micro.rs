@@ -103,8 +103,8 @@ pub fn micro_program(op: MicroOp, n: usize, l: usize) -> Program {
     p.optimize().0.lower().program
 }
 
-/// The paper's Table 4 reference speedups (for EXPERIMENTS.md shape
-/// comparison): `(op, N, logQ, F1 ns, vs CPU, vs HEAX_σ)`.
+/// The paper's Table 4 reference speedups (the shape reference for this
+/// module's tests): `(op, N, logQ, F1 ns, vs CPU, vs HEAX_σ)`.
 pub fn paper_table4() -> Vec<(&'static str, usize, u32, f64, f64, f64)> {
     vec![
         ("NTT", 1 << 12, 109, 12.8, 17148.0, 1600.0),

@@ -122,17 +122,16 @@ fn managed_suite_proves_positive_margins_without_waivers() {
 
 #[test]
 fn the_suite_compiles_end_to_end_under_an_opt_in_noise_policy() {
-    // `compile_fhe_with(Some(policy))` must take every benchmark through
-    // reflow, optimization, lowering, expansion and cycle scheduling —
-    // the full pipeline — at a heavy width reduction. GSW programs pass
-    // through the reflow unchanged, so the whole suite is eligible.
+    // `insert_rescales` followed by `compile_fhe` must take every
+    // benchmark through reflow, optimization, lowering, expansion and
+    // cycle scheduling — the full pipeline — at a heavy width reduction.
+    // GSW programs pass through the reflow unchanged, so the whole suite
+    // is eligible.
     let arch = f1::arch::ArchConfig::f1_default();
+    let policy = f1::compiler::NoisePolicy::LazyAtThreshold(8.0);
     for b in f1::workloads::all_benchmarks(64) {
-        let (lowered, _, ex, _, cycles) = f1::compiler::compile_fhe_with(
-            &b.fhe,
-            &arch,
-            Some(f1::compiler::NoisePolicy::LazyAtThreshold(8.0)),
-        );
+        let (managed, _) = f1::compiler::ir::rescale::insert_rescales(&b.fhe, policy);
+        let (lowered, _, ex, _, cycles) = f1::compiler::compile_fhe(&managed, &arch);
         assert!(!lowered.program.ops().is_empty(), "{}: empty lowering", b.name);
         assert!(!ex.dfg.instrs().is_empty(), "{}: empty expansion", b.name);
         assert!(cycles.makespan > 0, "{}: empty schedule", b.name);

@@ -35,7 +35,7 @@ fn capacity_constrained_schedules_validate_at_4mb() {
         ("lola_mnist_uw", lola_mnist_uw(8).program),
         ("listing2_matvec", Program::listing2_matvec(1 << 13, 8, 4)),
     ] {
-        let (ex, plan, cs) = f1::compiler_compile(&p, &tiny);
+        let (ex, plan, cs) = f1::compiler::compile(&p, &tiny);
         assert!(plan.traffic.non_compulsory() > 0, "{name}: 4 MB must thrash");
         let report = f1::sim::check_schedule(&ex, &plan, &cs, &tiny);
         assert!(report.makespan > 0, "{name}");
@@ -56,7 +56,7 @@ fn tinypad_makespan_is_monotone_in_capacity() {
     let mut prev = u64::MAX;
     for mb in [1u64, 2, 4, 8, 16, 32, 64] {
         let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
-        let (_, _, cs) = f1::compiler_compile(&p, &arch);
+        let (_, _, cs) = f1::compiler::compile(&p, &arch);
         assert!(
             cs.makespan <= prev,
             "makespan increased with capacity at {mb} MB: {} > {prev}",
@@ -74,7 +74,7 @@ fn utilization_unchanged_at_64mb() {
     // full-size smoke below; this uses the fast matvec anchor.)
     let p = Program::listing2_matvec(1 << 13, 8, 4);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cs) = f1::compiler_compile(&p, &arch);
+    let (ex, plan, cs) = f1::compiler::compile(&p, &arch);
     assert_eq!(plan.traffic.interm_store, 0, "64 MB must not spill matvec");
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(
@@ -100,7 +100,7 @@ fn pass_through_outputs_stay_physical() {
     let mut arch = ArchConfig::f1_default();
     arch.scratchpad_banks = 1;
     arch.bank_bytes = 64 * 1024; // 16 values of 4 KB: forces eviction churn
-    let (ex, plan, cs) = f1::compiler_compile(&p, &arch);
+    let (ex, plan, cs) = f1::compiler::compile(&p, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(report.makespan > 0);
     let inputs = f1::sim::mock_inputs(&ex.dfg);
@@ -120,7 +120,7 @@ fn pass_through_outputs_stay_physical() {
 fn full_size_lola_utilization_smoke() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cs) = f1::compiler_compile(&b.program, &arch);
+    let (ex, plan, cs) = f1::compiler::compile(&b.program, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(
         report.avg_fu_utilization >= 0.15,

@@ -10,7 +10,7 @@ fn facade_compiles_listing2_matvec_end_to_end() {
     let program = Program::listing2_matvec(1 << 12, 4, 2);
     let arch = ArchConfig::f1_default();
 
-    let (ex, plan, cycles) = f1::compiler_compile(&program, &arch);
+    let (ex, plan, cycles) = f1::compiler::compile(&program, &arch);
 
     assert!(cycles.makespan > 0, "schedule must have a positive makespan");
     assert_eq!(

@@ -130,7 +130,7 @@ proptest! {
                 let mut arch = ArchConfig::f1_default();
                 arch.scratchpad_banks = 1;
                 arch.bank_bytes = pad_kb * 1024;
-                let (ex, _, cs) = f1::compiler_compile(&lowered.program, &arch);
+                let (ex, _, cs) = f1::compiler::compile(&lowered.program, &arch);
                 let inputs = f1::sim::mock_inputs(&ex.dfg);
                 let direct = f1::sim::eval_dfg(&ex.dfg, &inputs);
                 let replayed = f1::sim::replay_schedule(&ex.dfg, &cs, &arch, &inputs);

@@ -2,9 +2,11 @@
 //! programs must always produce valid, hazard-free schedules with
 //! traffic at least the compulsory bound — and, under scratchpad
 //! capacities down to a few polynomials, schedules whose replayed
-//! execution is bit-identical to direct dataflow evaluation.
+//! execution is bit-identical to direct dataflow evaluation. Random
+//! rolled loop regions must compile end to end through `compile_fhe`.
 
 use f1::arch::ArchConfig;
+use f1::compiler::ir::{FheProgram, Scheme};
 use f1::compiler::{ExpandOptions, Program};
 use proptest::prelude::*;
 
@@ -35,13 +37,51 @@ fn arb_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Random single-carry loop at a fixed level: each opcode byte appends
+/// one level-preserving node reading earlier body values, and the last
+/// body node carries back to the loop input.
+fn rolled_program(ops: &[u8], trips: u32) -> FheProgram {
+    let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+    let acc = p.input(6);
+    let t = p.begin_repeat();
+    let mut vals = vec![acc];
+    for &op in ops {
+        let a = vals[(op as usize / 8) % vals.len()];
+        let b = vals[(op as usize / 64) % vals.len()];
+        let v = match op % 4 {
+            0 => p.square(a),
+            1 => p.aut(a, [3, 5, 9][(op as usize / 4) % 3]),
+            2 => p.add(a, b),
+            _ => p.mul(a, b),
+        };
+        vals.push(v);
+    }
+    let last = *vals.last().expect("body is non-empty");
+    p.end_repeat(&t, trips, vec![(acc, last)], vec![]);
+    p.output(last);
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
+    fn rolled_programs_compile_and_validate(
+        ops in proptest::collection::vec(0u8..=255, 1..6),
+        trips in 1u32..40,
+    ) {
+        let p = rolled_program(&ops, trips);
+        prop_assert_eq!(p.unroll().nodes().len(), p.unrolled_len());
+        let arch = ArchConfig::f1_default();
+        let (_, _, ex, plan, cycles) = f1::compiler::compile_fhe(&p, &arch);
+        let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
+        prop_assert_eq!(report.makespan, cycles.makespan);
+    }
+
+    #[test]
     fn random_programs_schedule_validly(p in arb_program()) {
         let arch = ArchConfig::f1_default();
-        let (ex, plan, cycles) = f1::compiler_compile(&p, &arch);
+        let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
         // check_schedule panics on any dependence/hazard violation.
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         prop_assert!(report.traffic.total() >= report.traffic.compulsory());
@@ -68,7 +108,7 @@ proptest! {
         // of check_schedule: no two ComputeEntrys may share a
         // (cluster, fu, fu_index) slot with overlapping occupancy.
         let arch = ArchConfig::f1_default();
-        let (ex, _, cycles) = f1::compiler_compile(&p, &arch);
+        let (ex, _, cycles) = f1::compiler::compile(&p, &arch);
         let mut by_slot: std::collections::HashMap<(usize, f1::isa::FuType, usize), Vec<u64>> =
             std::collections::HashMap::new();
         for (c, stream) in cycles.schedule.compute.iter().enumerate() {
@@ -101,7 +141,7 @@ proptest! {
             let mut arch = ArchConfig::f1_default();
             arch.scratchpad_banks = 1;
             arch.bank_bytes = pad_kb * 1024;
-            let (ex, plan, cycles) = f1::compiler_compile(&p, &arch);
+            let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
             let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
             prop_assert!(report.makespan > 0);
             let inputs = f1::sim::mock_inputs(&ex.dfg);
