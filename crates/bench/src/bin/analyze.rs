@@ -21,7 +21,7 @@
 //!   is a property of the reproduction target, not a bug.
 //! * **managed** — the same circuit after `insert_rescales` +
 //!   `param_search`: hand-placed switches dropped, placement re-derived
-//!   under the policy, and the smallest `(N, L)` with a ≥ 8-bit
+//!   under the fixed rule, and the smallest `(N, L)` with a ≥ 8-bit
 //!   worst-case margin found. This is the merge gate: the process exits
 //!   1 if any managed program carries an Error-severity diagnostic or
 //!   fails the search.
@@ -59,10 +59,8 @@ fn main() {
     out.push_str("  \"schema\": \"f1-analysis-v2\",\n");
     out.push_str("  \"scale\": 1,\n");
     out.push_str(&format!(
-        "  \"managed_spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}, \"policy\": \"{}\"}},\n",
-        spec.target_margin_bits,
-        spec.min_security_bits,
-        spec.policy.label()
+        "  \"managed_spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}}},\n",
+        spec.target_margin_bits, spec.min_security_bits
     ));
     out.push_str("  \"benchmarks\": [\n");
 
@@ -159,7 +157,6 @@ fn main() {
         match &found {
             Some(r) => {
                 out.push_str("{\n");
-                out.push_str(&format!("        \"policy\": \"{}\",\n", spec.policy.label()));
                 out.push_str(&format!("        \"l\": {},\n", r.l));
                 out.push_str(&format!("        \"n_secure\": {},\n", r.n_secure));
                 out.push_str(&format!("        \"security_bits\": {:.1},\n", r.security_bits));

@@ -110,11 +110,8 @@ fn main() {
     out.push_str("  \"schema\": \"f1-param-search-v1\",\n");
     out.push_str("  \"scale\": 1,\n");
     out.push_str(&format!(
-        "  \"spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}, \"policy\": \"{}\", \"max_l\": {}}},\n",
-        spec.target_margin_bits,
-        spec.min_security_bits,
-        spec.policy.label(),
-        spec.max_l
+        "  \"spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}, \"max_l\": {}}},\n",
+        spec.target_margin_bits, spec.min_security_bits, spec.max_l
     ));
     out.push_str("  \"benchmarks\": [\n");
 

@@ -66,7 +66,8 @@ fn main() {
     );
     for b in &benches {
         let opts = f1_compiler::ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
-        let dfg_before = f1_compiler::expand::expand(&b.program_unopt, &opts).dfg.instrs().len();
+        let unopt = b.fhe.lower().program;
+        let dfg_before = f1_compiler::expand::expand(&unopt, &opts).dfg.instrs().len();
         let dfg_after = f1_compiler::expand::expand(&b.program, &opts).dfg.instrs().len();
         let saved = 100.0 * (dfg_before as f64 - dfg_after as f64) / (dfg_before.max(1)) as f64;
         println!(

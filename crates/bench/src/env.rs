@@ -1,5 +1,4 @@
-//! Environment-variable knob parsing shared across the workspace
-//! (`F1_SCALE`, `F1_BASELINE_REPS`, …).
+//! Strict parsing for the harness's environment knobs (`F1_SCALE`).
 //!
 //! The knobs used to be read with `.parse().ok().unwrap_or(default)`,
 //! which silently swallowed typos: `F1_SCALE=ful` ran the reduced suite

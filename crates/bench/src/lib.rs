@@ -18,6 +18,8 @@ use f1_arch::ArchConfig;
 use f1_sim::SimReport;
 use f1_workloads::Benchmark;
 
+mod env;
+
 /// Reads the benchmark reduction scale from `F1_SCALE` (default 8).
 pub fn bench_scale() -> usize {
     bench_scale_or(8)
@@ -31,7 +33,7 @@ pub fn bench_scale() -> usize {
 /// Panics on a malformed or zero `F1_SCALE` (e.g. `F1_SCALE=ful`): a
 /// typo must not silently run the reduced suite claiming full size.
 pub fn bench_scale_or(default: usize) -> usize {
-    f1_poly::env::parse_env_nonzero_or("F1_SCALE", default)
+    env::parse_env_nonzero_or("F1_SCALE", default)
 }
 
 /// Compiles and simulates one benchmark on a configuration.

@@ -1,5 +1,5 @@
-//! The lint driver: a [`Lint`] trait, the default rule set and a
-//! registry with per-rule severity overrides.
+//! The lint driver: six rule functions run in a fixed order, plus a
+//! registry of per-rule severity overrides.
 //!
 //! Rule catalog (default severities; `analyze` in `f1-bench` serializes
 //! findings into `ANALYSIS.json` and CI fails on Errors):
@@ -24,273 +24,194 @@
 use super::{Diagnostic, NoiseReport, PressureReport, Severity};
 use crate::ir::{FheProgram, IrId, Scheme};
 
-/// Shared inputs every lint can read: the precomputed analyses.
-pub struct AnalysisContext<'a> {
-    /// The noise-budget analysis.
-    pub noise: &'a NoiseReport,
-    /// The scratchpad-pressure analysis.
-    pub pressure: &'a PressureReport,
-}
-
-/// One lint rule (or rule family).
-pub trait Lint {
-    /// The rule id (or family prefix) this lint emits.
-    fn rule(&self) -> &'static str;
-    /// One-line description for catalogs.
-    fn description(&self) -> &'static str;
-    /// Runs the lint.
-    fn check(&self, p: &FheProgram, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic>;
-}
-
-/// The full typing validator as a lint family.
-struct TypingLint;
-impl Lint for TypingLint {
-    fn rule(&self) -> &'static str {
-        "typing"
+/// `scale::*`: CKKS scale bookkeeping beyond plain type-correctness.
+fn scale_lint(p: &FheProgram) -> Vec<Diagnostic> {
+    if p.scheme() != Scheme::Ckks {
+        return Vec::new();
     }
-    fn description(&self) -> &'static str {
-        "SSA well-formedness, level/scale/depth typing, input-ordinal integrity"
-    }
-    fn check(&self, p: &FheProgram, _ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        super::typing::check(p)
-    }
-}
-
-/// CKKS scale bookkeeping beyond plain type-correctness.
-struct ScaleLint;
-impl Lint for ScaleLint {
-    fn rule(&self) -> &'static str {
-        "scale"
-    }
-    fn description(&self) -> &'static str {
-        "CKKS scale vs level budget and rescale saturation"
-    }
-    fn check(&self, p: &FheProgram, _ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        if p.scheme() != Scheme::Ckks {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        // One summary per program (anchored at the worst offender), not
-        // one warning per node: deep CKKS circuits can carry thousands
-        // of over-scale values, and per-node spam buries every other
-        // finding. Warning, not Error: the paper's benchmarks (and this
-        // repo's suite) legitimately defer rescaling across several
-        // multiplications, letting scale transiently exceed the
-        // remaining levels before a rescale chain brings it back.
-        let mut over = 0usize;
-        let mut worst: Option<(IrId, usize)> = None;
-        let mut saturated = 0usize;
-        let mut first_saturated = None;
-        for (i, node) in p.nodes().iter().enumerate() {
-            let id = IrId(i as u32);
-            if !node.ty.plain && node.ty.scale as usize > node.ty.level {
-                over += 1;
-                let excess = node.ty.scale as usize - node.ty.level;
-                if worst.is_none_or(|(_, w)| excess > w) {
-                    worst = Some((id, excess));
-                }
-            }
-            if let crate::ir::FheOp::ModSwitch(a) = node.op {
-                if p.node(a).ty.scale == 1 {
-                    saturated += 1;
-                    first_saturated.get_or_insert(id);
-                }
+    let mut out = Vec::new();
+    // One summary per program (anchored at the worst offender), not
+    // one warning per node: deep CKKS circuits can carry thousands
+    // of over-scale values, and per-node spam buries every other
+    // finding. Warning, not Error: the paper's benchmarks (and this
+    // repo's suite) legitimately defer rescaling across several
+    // multiplications, letting scale transiently exceed the
+    // remaining levels before a rescale chain brings it back.
+    let mut over = 0usize;
+    let mut worst: Option<(IrId, usize)> = None;
+    let mut saturated = 0usize;
+    let mut first_saturated = None;
+    for (i, node) in p.nodes().iter().enumerate() {
+        let id = IrId(i as u32);
+        if !node.ty.plain && node.ty.scale as usize > node.ty.level {
+            over += 1;
+            let excess = node.ty.scale as usize - node.ty.level;
+            if worst.is_none_or(|(_, w)| excess > w) {
+                worst = Some((id, excess));
             }
         }
-        if saturated > 0 {
-            out.push(Diagnostic::warning(
-                "scale::saturated-rescale",
-                first_saturated,
-                format!(
-                    "{saturated} rescale(s) of a scale-1 value saturate at the Δ floor \
+        if let crate::ir::FheOp::ModSwitch(a) = node.op {
+            if p.node(a).ty.scale == 1 {
+                saturated += 1;
+                first_saturated.get_or_insert(id);
+            }
+        }
+    }
+    if saturated > 0 {
+        out.push(Diagnostic::warning(
+            "scale::saturated-rescale",
+            first_saturated,
+            format!(
+                "{saturated} rescale(s) of a scale-1 value saturate at the Δ floor \
                      (first: %{}): a level is burned for no scale reduction \
                      (with_strict_scale programs reject this at build time)",
-                    first_saturated.expect("saturated > 0").0
-                ),
-            ));
-        }
-        if let Some((id, excess)) = worst {
-            out.push(Diagnostic::warning(
-                "scale::exceeds-level",
-                Some(id),
-                format!(
-                    "{over} value(s) carry a scale exceeding their remaining levels \
+                first_saturated.expect("saturated > 0").0
+            ),
+        ));
+    }
+    if let Some((id, excess)) = worst {
+        out.push(Diagnostic::warning(
+            "scale::exceeds-level",
+            Some(id),
+            format!(
+                "{over} value(s) carry a scale exceeding their remaining levels \
                      (worst: %{} by {excess}Δ): they cannot be rescaled back to Δ \
                      before the chain runs out",
-                    id.0
-                ),
-            ));
-        }
-        out
+                id.0
+            ),
+        ));
     }
+    out
 }
 
-/// Noise-budget findings from the abstract interpretation.
-struct NoiseLint;
-impl Lint for NoiseLint {
-    fn rule(&self) -> &'static str {
-        "noise"
-    }
-    fn description(&self) -> &'static str {
-        "static noise-budget margins (tracked estimate and worst-case bound)"
-    }
-    fn check(&self, p: &FheProgram, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let r = ctx.noise;
-        let Some(critical) = r.critical else { return Vec::new() };
-        let mut out = Vec::new();
-        // Only the BGV model is executor-validated; other schemes never
-        // exceed Warning.
-        let ceiling = if p.scheme() == Scheme::Bgv { Severity::Error } else { Severity::Warning };
-        if r.min_margin_wc < 0.0 && r.min_margin_est < 0.0 {
-            // Both quantities overrun: the program is exhausted by any
-            // reading. Anchor at the node with the worst *estimate*
-            // margin (the runtime's view of where it dies first).
-            let worst_est = (0..p.nodes().len())
-                .map(|i| IrId(i as u32))
-                .filter(|&id| !p.node(id).ty.plain)
-                .min_by(|&a, &b| {
-                    r.margin_est(p, a).partial_cmp(&r.margin_est(p, b)).expect("margins are finite")
-                })
-                .expect("critical implies a ciphertext node exists");
-            out.push(Diagnostic {
-                rule: "noise::budget-exhausted",
-                severity: ceiling,
-                node: Some(worst_est),
-                message: format!(
-                    "tracked noise estimate overruns the budget by {:.1} bits at level {}",
-                    -r.min_margin_est,
-                    p.node(worst_est).ty.level
-                ),
-            });
-        } else if r.min_margin_wc < 0.0 {
-            out.push(Diagnostic::warning(
-                "noise::unproven",
-                Some(critical),
-                format!(
-                    "worst-case noise bound overruns the budget by {:.1} bits \
+/// `noise::*`: noise-budget findings from the abstract interpretation.
+fn noise_lint(p: &FheProgram, r: &NoiseReport) -> Vec<Diagnostic> {
+    let Some(critical) = r.critical else { return Vec::new() };
+    let mut out = Vec::new();
+    // Only the BGV model is executor-validated; other schemes never
+    // exceed Warning.
+    let ceiling = if p.scheme() == Scheme::Bgv { Severity::Error } else { Severity::Warning };
+    if r.min_margin_wc < 0.0 && r.min_margin_est < 0.0 {
+        // Both quantities overrun: the program is exhausted by any
+        // reading. Anchor at the node with the worst *estimate*
+        // margin (the runtime's view of where it dies first).
+        let worst_est = (0..p.nodes().len())
+            .map(|i| IrId(i as u32))
+            .filter(|&id| !p.node(id).ty.plain)
+            .min_by(|&a, &b| {
+                r.margin_est(p, a).partial_cmp(&r.margin_est(p, b)).expect("margins are finite")
+            })
+            .expect("critical implies a ciphertext node exists");
+        out.push(Diagnostic {
+            rule: "noise::budget-exhausted",
+            severity: ceiling,
+            node: Some(worst_est),
+            message: format!(
+                "tracked noise estimate overruns the budget by {:.1} bits at level {}",
+                -r.min_margin_est,
+                p.node(worst_est).ty.level
+            ),
+        });
+    } else if r.min_margin_wc < 0.0 {
+        out.push(Diagnostic::warning(
+            "noise::unproven",
+            Some(critical),
+            format!(
+                "worst-case noise bound overruns the budget by {:.1} bits \
                      (estimate still fits by {:.1}): correctness is not statically proven",
-                    -r.min_margin_wc, r.min_margin_est
-                ),
-            ));
-        } else if r.min_margin_est < 0.0 {
-            // The sound worst-case bound fits, so correctness IS
-            // statically proven; the heuristic estimate overrunning is
-            // accumulated per-op pessimism (e.g. BGV `add_est = max+1`
-            // adds a full bit where the exact sum adds almost nothing,
-            // so deep addition trees drift tens of bits above the true
-            // noise). Informational only — the bound is the authority.
-            out.push(Diagnostic::info(
-                "noise::pessimistic-estimate",
-                Some(critical),
-                format!(
-                    "tracked estimate overruns by {:.1} bits but the worst-case bound \
+                -r.min_margin_wc, r.min_margin_est
+            ),
+        ));
+    } else if r.min_margin_est < 0.0 {
+        // The sound worst-case bound fits, so correctness IS
+        // statically proven; the heuristic estimate overrunning is
+        // accumulated per-op pessimism (e.g. BGV `add_est = max+1`
+        // adds a full bit where the exact sum adds almost nothing,
+        // so deep addition trees drift tens of bits above the true
+        // noise). Informational only — the bound is the authority.
+        out.push(Diagnostic::info(
+            "noise::pessimistic-estimate",
+            Some(critical),
+            format!(
+                "tracked estimate overruns by {:.1} bits but the worst-case bound \
                      fits with {:.1} bits to spare: the estimate recurrence is \
                      pessimistic on this shape, not the program",
-                    -r.min_margin_est, r.min_margin_wc
-                ),
-            ));
-        } else if r.min_margin_wc < 10.0 {
-            out.push(Diagnostic::info(
-                "noise::low-margin",
-                Some(critical),
-                format!("worst-case noise margin is only {:.1} bits", r.min_margin_wc),
-            ));
-        }
-        out
-    }
-}
-
-/// Scratchpad pressure finding.
-struct PressureLint;
-impl Lint for PressureLint {
-    fn rule(&self) -> &'static str {
-        "pressure"
-    }
-    fn description(&self) -> &'static str {
-        "peak live ciphertext bytes vs scratchpad capacity"
-    }
-    fn check(&self, _p: &FheProgram, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let r = ctx.pressure;
-        if !r.spills() {
-            return Vec::new();
-        }
-        vec![Diagnostic::warning(
-            "pressure::scratchpad-spill",
-            r.peak_at,
-            format!(
-                "peak working set {:.1} MB ({} live values + {:.1} MB hint) exceeds the \
-                 {:.0} MB scratchpad: pass 2 will spill",
-                r.peak_live_bytes as f64 / (1 << 20) as f64,
-                r.live_at_peak,
-                r.max_hint_bytes as f64 / (1 << 20) as f64,
-                r.capacity_bytes as f64 / (1 << 20) as f64
+                -r.min_margin_est, r.min_margin_wc
             ),
-        )]
+        ));
+    } else if r.min_margin_wc < 10.0 {
+        out.push(Diagnostic::info(
+            "noise::low-margin",
+            Some(critical),
+            format!("worst-case noise margin is only {:.1} bits", r.min_margin_wc),
+        ));
     }
+    out
 }
 
-/// Dead code reachable from no output.
-struct DeadNodeLint;
-impl Lint for DeadNodeLint {
-    fn rule(&self) -> &'static str {
-        "redundancy"
+/// `pressure::scratchpad-spill`: peak live bytes vs scratchpad capacity.
+fn pressure_lint(r: &PressureReport) -> Vec<Diagnostic> {
+    if !r.spills() {
+        return Vec::new();
     }
-    fn description(&self) -> &'static str {
-        "nodes that cannot reach any program output"
-    }
-    fn check(&self, p: &FheProgram, _ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let n = p.nodes().len();
-        let mut live = vec![false; n];
-        for &o in p.outputs() {
-            if (o.0 as usize) < n {
-                live[o.0 as usize] = true;
-            }
+    vec![Diagnostic::warning(
+        "pressure::scratchpad-spill",
+        r.peak_at,
+        format!(
+            "peak working set {:.1} MB ({} live values + {:.1} MB hint) exceeds the \
+                 {:.0} MB scratchpad: pass 2 will spill",
+            r.peak_live_bytes as f64 / (1 << 20) as f64,
+            r.live_at_peak,
+            r.max_hint_bytes as f64 / (1 << 20) as f64,
+            r.capacity_bytes as f64 / (1 << 20) as f64
+        ),
+    )]
+}
+
+/// `redundancy::dead-node`: nodes that cannot reach any program output.
+fn dead_node_lint(p: &FheProgram) -> Vec<Diagnostic> {
+    let n = p.nodes().len();
+    let mut live = vec![false; n];
+    for &o in p.outputs() {
+        if (o.0 as usize) < n {
+            live[o.0 as usize] = true;
         }
-        for i in (0..n).rev() {
-            if live[i] {
-                for o in p.nodes()[i].op.operands() {
-                    if (o.0 as usize) < n {
-                        live[o.0 as usize] = true;
-                    }
+    }
+    for i in (0..n).rev() {
+        if live[i] {
+            for o in p.nodes()[i].op.operands() {
+                if (o.0 as usize) < n {
+                    live[o.0 as usize] = true;
                 }
             }
         }
-        let dead: Vec<usize> = (0..n).filter(|&i| !live[i]).collect();
-        if dead.is_empty() {
-            return Vec::new();
-        }
-        vec![Diagnostic::warning(
-            "redundancy::dead-node",
-            Some(IrId(dead[0] as u32)),
-            format!(
-                "{} node(s) cannot reach any output (first: %{}); run optimize() to \
-                     eliminate them",
-                dead.len(),
-                dead[0]
-            ),
-        )]
     }
+    let dead: Vec<usize> = (0..n).filter(|&i| !live[i]).collect();
+    if dead.is_empty() {
+        return Vec::new();
+    }
+    vec![Diagnostic::warning(
+        "redundancy::dead-node",
+        Some(IrId(dead[0] as u32)),
+        format!(
+            "{} node(s) cannot reach any output (first: %{}); run optimize() to \
+                     eliminate them",
+            dead.len(),
+            dead[0]
+        ),
+    )]
 }
 
-/// A program with no outputs at all.
-struct NoOutputsLint;
-impl Lint for NoOutputsLint {
-    fn rule(&self) -> &'static str {
-        "program"
-    }
-    fn description(&self) -> &'static str {
-        "whole-program sanity (outputs exist)"
-    }
-    fn check(&self, p: &FheProgram, _ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        if p.outputs().is_empty() {
-            vec![Diagnostic::warning(
-                "program::no-outputs",
-                None,
-                "program declares no outputs; everything is dead code".into(),
-            )]
-        } else {
-            Vec::new()
-        }
+/// `program::no-outputs`: the program computes nothing observable.
+fn no_outputs_lint(p: &FheProgram) -> Vec<Diagnostic> {
+    if p.outputs().is_empty() {
+        vec![Diagnostic::warning(
+            "program::no-outputs",
+            None,
+            "program declares no outputs; everything is dead code".into(),
+        )]
+    } else {
+        Vec::new()
     }
 }
 
@@ -306,40 +227,13 @@ pub struct SeverityOverride {
     pub justification: String,
 }
 
-/// An ordered set of lints plus severity overrides.
+/// The severity overrides applied on top of every rule in this module.
+#[derive(Default)]
 pub struct LintRegistry {
-    lints: Vec<Box<dyn Lint>>,
     overrides: Vec<SeverityOverride>,
 }
 
 impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self { lints: Vec::new(), overrides: Vec::new() }
-    }
-
-    /// The default rule set (every lint in this module).
-    pub fn default_set() -> Self {
-        let mut r = Self::new();
-        r.register(Box::new(TypingLint));
-        r.register(Box::new(ScaleLint));
-        r.register(Box::new(NoiseLint));
-        r.register(Box::new(PressureLint));
-        r.register(Box::new(DeadNodeLint));
-        r.register(Box::new(NoOutputsLint));
-        r
-    }
-
-    /// Appends a lint (runs after the existing ones).
-    pub fn register(&mut self, lint: Box<dyn Lint>) {
-        self.lints.push(lint);
-    }
-
-    /// Registered lints, in run order.
-    pub fn lints(&self) -> impl Iterator<Item = &dyn Lint> {
-        self.lints.iter().map(AsRef::as_ref)
-    }
-
     /// Overrides the severity of every diagnostic with exactly `rule`,
     /// with a recorded justification (e.g. waiving a known-benign
     /// finding for one benchmark).
@@ -356,24 +250,27 @@ impl LintRegistry {
         &self.overrides
     }
 
-    /// Runs every lint and applies severity overrides.
-    pub fn run(&self, p: &FheProgram, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for lint in &self.lints {
-            out.extend(lint.check(p, ctx));
-        }
+    /// Runs every rule (`typing::*` is the full
+    /// [`super::typing::check`] validator) and applies severity
+    /// overrides.
+    pub fn run(
+        &self,
+        p: &FheProgram,
+        noise: &NoiseReport,
+        pressure: &PressureReport,
+    ) -> Vec<Diagnostic> {
+        let mut out = super::typing::check(p);
+        out.extend(scale_lint(p));
+        out.extend(noise_lint(p, noise));
+        out.extend(pressure_lint(pressure));
+        out.extend(dead_node_lint(p));
+        out.extend(no_outputs_lint(p));
         for d in &mut out {
             if let Some(o) = self.overrides.iter().find(|o| o.rule == d.rule) {
                 d.severity = o.severity;
             }
         }
         out
-    }
-}
-
-impl Default for LintRegistry {
-    fn default() -> Self {
-        Self::default_set()
     }
 }
 

@@ -20,7 +20,7 @@
 //! * [`pressure`] — peak-live-ciphertext-bytes from IR liveness vs the
 //!   [`f1_arch::ArchConfig`] scratchpad, flagging programs that will
 //!   thrash the pad before pass 2/3 run.
-//! * [`lints`] — the [`Lint`] trait and registry binding it all into
+//! * [`lints`] — the lint rules binding it all into
 //!   machine-readable diagnostics (the `analyze` bin in `f1-bench`
 //!   serializes them into `ANALYSIS.json`; CI fails on any
 //!   [`Severity::Error`]).
@@ -43,7 +43,7 @@ use crate::ir::{FheProgram, IrId};
 use f1_arch::ArchConfig;
 
 pub use dataflow::{run_forward, ForwardAnalysis};
-pub use lints::{AnalysisContext, Lint, LintRegistry};
+pub use lints::LintRegistry;
 pub use noise::NoiseReport;
 pub use param_search::{SearchResult, SearchSpec};
 pub use pressure::PressureReport;
@@ -160,7 +160,7 @@ impl Analyzer {
     /// An analyzer with the default lint set against the F1 default
     /// machine.
     pub fn new() -> Self {
-        Self { registry: LintRegistry::default_set(), arch: ArchConfig::f1_default() }
+        Self { registry: LintRegistry::default(), arch: ArchConfig::f1_default() }
     }
 
     /// Replaces the architecture model (pressure analysis capacity).
@@ -169,8 +169,7 @@ impl Analyzer {
         self
     }
 
-    /// Mutable access to the lint registry (to register extra lints or
-    /// override severities).
+    /// Mutable access to the lint registry (to override severities).
     pub fn registry_mut(&mut self) -> &mut LintRegistry {
         &mut self.registry
     }
@@ -179,8 +178,7 @@ impl Analyzer {
     pub fn analyze(&self, p: &FheProgram) -> AnalysisReport {
         let noise = noise::analyze(p);
         let pressure = pressure::analyze(p, &self.arch);
-        let ctx = AnalysisContext { noise: &noise, pressure: &pressure };
-        let diagnostics = self.registry.run(p, &ctx);
+        let diagnostics = self.registry.run(p, &noise, &pressure);
         AnalysisReport { noise, pressure, diagnostics }
     }
 }

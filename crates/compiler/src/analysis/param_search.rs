@@ -32,7 +32,7 @@
 //! larger ring they would need.
 
 use super::noise::{analyze_with, default_model};
-use crate::ir::rescale::{insert_rescales_with, NoisePolicy, RescaleStats};
+use crate::ir::rescale::{insert_rescales_with, RescaleStats};
 use crate::ir::{FheProgram, Scheme};
 use f1_fhe::noise::NoiseModel;
 use f1_fhe::params::security_level_bits;
@@ -46,14 +46,12 @@ pub struct SearchSpec {
     pub target_margin_bits: f64,
     /// Required security level (bits) for the found `(N, L)` point.
     pub min_security_bits: f64,
-    /// Rescale-insertion policy the managed program is built with.
-    pub policy: NoisePolicy,
     /// Upper bound on the limb count to consider.
     pub max_l: usize,
 }
 
 impl Default for SearchSpec {
-    /// 8-bit margin, 128-bit security, lazy insertion, chains up to 8192
+    /// 8-bit margin, 128-bit security, chains up to 8192
     /// limbs. The ceiling is deliberately generous: binary search returns
     /// the *minimal* point regardless, and the worst-case CKKS model
     /// prices deep chains exponentially (the `e_a·e_b` cross term doubles
@@ -61,12 +59,7 @@ impl Default for SearchSpec {
     /// full-size CKKS bootstrapping answer lands in the thousands of
     /// limbs — reporting that number beats waiving the benchmark.
     fn default() -> Self {
-        Self {
-            target_margin_bits: 8.0,
-            min_security_bits: 128.0,
-            policy: NoisePolicy::LazyAtThreshold(8.0),
-            max_l: 8192,
-        }
+        Self { target_margin_bits: 8.0, min_security_bits: 128.0, max_l: 8192 }
     }
 }
 
@@ -88,13 +81,8 @@ pub struct SearchResult {
 
 /// One oracle evaluation: reflow `p` at `l` limbs under `model` and
 /// return the managed program with its stats.
-fn reflow_oracle(
-    p: &FheProgram,
-    l: usize,
-    policy: NoisePolicy,
-    model: &NoiseModel,
-) -> (FheProgram, RescaleStats) {
-    insert_rescales_with(p, policy, model.clone(), Some(l))
+fn reflow_oracle(p: &FheProgram, l: usize, model: &NoiseModel) -> (FheProgram, RescaleStats) {
+    insert_rescales_with(p, model.clone(), Some(l))
 }
 
 /// Binary-searches the smallest `l` in `[1, max_l]` whose managed margin
@@ -106,7 +94,7 @@ fn min_l(
 ) -> Option<(usize, FheProgram, RescaleStats)> {
     let target = spec.target_margin_bits;
     let meets = |l: usize| {
-        let (managed, stats) = reflow_oracle(p, l, spec.policy, model);
+        let (managed, stats) = reflow_oracle(p, l, model);
         if stats.min_margin_wc_after >= target {
             Some((managed, stats))
         } else {
@@ -176,9 +164,9 @@ pub fn search(p: &FheProgram, spec: &SearchSpec) -> Option<SearchResult> {
 /// Re-proves a found point: reflows at `(result.l)` under the
 /// `result.n_secure` model and returns the margin (callers assert it
 /// still meets the target — cheap insurance that the fixpoint closed).
-pub fn prove_margin(p: &FheProgram, spec: &SearchSpec, result: &SearchResult) -> f64 {
+pub fn prove_margin(p: &FheProgram, result: &SearchResult) -> f64 {
     let model = NoiseModel { n: result.n_secure, ..default_model(p) };
-    let (managed, _) = reflow_oracle(p, result.l, spec.policy, &model);
+    let (managed, _) = reflow_oracle(p, result.l, &model);
     analyze_with(&managed, model).min_margin_wc
 }
 
@@ -206,7 +194,7 @@ mod tests {
         // Minimality: one limb less must miss the target.
         if r.l > 1 {
             let model = NoiseModel { n: r.n_secure, ..default_model(&p) };
-            let (_, below) = reflow_oracle(&p, r.l - 1, spec.policy, &model);
+            let (_, below) = reflow_oracle(&p, r.l - 1, &model);
             assert!(
                 below.min_margin_wc_after < spec.target_margin_bits,
                 "l-1 must fail: {below:?}"
@@ -239,7 +227,7 @@ mod tests {
         let p = chain(4);
         let spec = SearchSpec::default();
         let r = search(&p, &spec).unwrap();
-        assert!(prove_margin(&p, &spec, &r) >= spec.target_margin_bits);
+        assert!(prove_margin(&p, &r) >= spec.target_margin_bits);
     }
 
     #[test]

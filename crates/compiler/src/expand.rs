@@ -29,26 +29,22 @@ pub enum HintId {
 }
 
 /// Key-switch implementation selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KeySwitchChoice {
     /// Force Listing 1's decomposition variant.
     Decomposition,
     /// Force the GHS-style variant.
     Ghs,
     /// Let the compiler decide from `L`, reuse and footprint (§4.2).
+    #[default]
     Auto,
 }
 
 /// Options for the expansion pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ExpandOptions {
     /// Key-switch implementation policy.
     pub keyswitch: KeySwitchChoice,
-    /// Special (raised-modulus) limbs the GHS variant uses; `0` sizes it
-    /// to the operating level automatically.
-    pub ghs_specials: usize,
-    /// Scratchpad capacity assumed by the auto chooser.
-    pub scratchpad_bytes: u64,
     /// Disable the hint-reuse reordering (for ablations; the paper's
     /// Listing 2 discussion shows why leaving program order hurts).
     pub keep_program_order: bool,
@@ -56,18 +52,6 @@ pub struct ExpandOptions {
     /// paper's default configuration. [`crate::compile`] fills this with
     /// the target architecture.
     pub machine: Option<ArchConfig>,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        Self {
-            keyswitch: KeySwitchChoice::Auto,
-            ghs_specials: 0,
-            scratchpad_bytes: 64 * 1024 * 1024,
-            keep_program_order: false,
-            machine: None,
-        }
-    }
 }
 
 /// The pass-1 output: an instruction DFG plus hint/ciphertext metadata.
@@ -112,22 +96,22 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
         hint_reuse_order(program)
     };
     match opts.keyswitch {
-        KeySwitchChoice::Decomposition => expand_with(program, opts, &order, false),
-        KeySwitchChoice::Ghs => expand_with(program, opts, &order, true),
+        KeySwitchChoice::Decomposition => expand_with(program, &order, false),
+        KeySwitchChoice::Ghs => expand_with(program, &order, true),
         KeySwitchChoice::Auto => {
             // No key-switching ops: both variants lower identically, so
             // skip the comparison entirely.
             if program.ops().iter().all(|op| hint_of(op).is_none()) {
-                return expand_with(program, opts, &order, false);
+                return expand_with(program, &order, false);
             }
             // Fast path (and the paper's stated rule): very large L always
             // favors GHS — skip the double expansion.
             if max_hint_level(program) >= 20 {
-                return expand_with(program, opts, &order, true);
+                return expand_with(program, &order, true);
             }
             let machine = opts.machine.clone().unwrap_or_default();
-            let decomp = expand_with(program, opts, &order, false);
-            let ghs = expand_with(program, opts, &order, true);
+            let decomp = expand_with(program, &order, false);
+            let ghs = expand_with(program, &order, true);
             if estimate_makespan(&ghs, &machine) < estimate_makespan(&decomp, &machine) {
                 ghs
             } else {
@@ -211,12 +195,7 @@ fn estimate_makespan(ex: &Expanded, arch: &ArchConfig) -> u64 {
 }
 
 /// Lowers the program with a fixed key-switch variant.
-fn expand_with(
-    program: &Program,
-    opts: &ExpandOptions,
-    order: &[usize],
-    used_ghs: bool,
-) -> Expanded {
+fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
     let mut ex = Expander {
         program,
         dfg: Dfg::new(program.n),
@@ -225,7 +204,6 @@ fn expand_with(
         plains: vec![None; program.ops().len()],
         priority: 0,
         used_ghs,
-        ghs_specials: opts.ghs_specials,
     };
     for &op_idx in order {
         ex.lower_op(op_idx);
@@ -344,7 +322,6 @@ struct Expander<'p> {
     plains: Vec<Option<Vec<ValueId>>>,
     priority: u64,
     used_ghs: bool,
-    ghs_specials: usize,
 }
 
 impl Expander<'_> {
@@ -537,7 +514,8 @@ impl<'p> Expander<'p> {
         hint: HintId,
         l: usize,
     ) -> (Vec<ValueId>, Vec<ValueId>) {
-        let k = if self.ghs_specials == 0 { l.max(1) } else { self.ghs_specials };
+        // One special limb per operating limb (K = L, at least one).
+        let k = l.max(1);
         let total = l + k;
         let hints = self.hint_vals(hint, 2 * total);
         let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();

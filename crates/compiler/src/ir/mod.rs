@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 pub use lower::Lowered;
 pub use passes::OptStats;
-pub use rescale::{NoisePolicy, RescaleStats};
+pub use rescale::RescaleStats;
 
 /// Identifies one value (node) in an [`FheProgram`].
 ///

@@ -33,9 +33,7 @@ use super::{FheOp, FheProgram, IrId, Node, Scheme, ValType};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-pub use super::rescale::{
-    insert_rescales, insert_rescales_with, reflow_at, NoisePolicy, RescaleStats,
-};
+pub use super::rescale::{insert_rescales, insert_rescales_with, reflow_at, RescaleStats};
 
 /// Statistics from one [`optimize`] run (printed by the paper bins to
 /// make the IR's effect visible per benchmark).

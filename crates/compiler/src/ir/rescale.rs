@@ -6,9 +6,17 @@
 //! [`crate::analysis::noise`] abstract interpretation, [`insert_rescales`]
 //! *reflows* a typed [`FheProgram`]: it walks the node list in id order,
 //! **drops every hand-placed `ModSwitch`**, and re-derives placement
-//! under a requested [`NoisePolicy`] — switching operands down exactly
-//! where the worst-case bound says it pays (or where CKKS scales must
-//! renormalize). Placement decisions consult operand *noise*, never the
+//! under one fixed rule:
+//!
+//! * **CKKS** — every ciphertext operand of a `mul`/`mul_plain` is
+//!   rescaled back to scale Δ first (the paper's hand placement).
+//! * **BGV** — before a ciphertext product, the operand pair switches
+//!   down one level at a time while the joint worst-case noise reduction
+//!   exceeds the one-level budget cost (`limb_bits − 1` bits) by more
+//!   than 8 bits. Plaintext products never switch: one switch removes at
+//!   most `limb_bits − 1` bits of noise, never more than it costs.
+//!
+//! Placement decisions consult operand *noise*, never the
 //! chain *budget*, so they are independent of the provisioned `L` and
 //! the resulting margins are monotone in it. BGV correctness is
 //! placement-independent:
@@ -35,39 +43,10 @@ use f1_fhe::noise::NoiseModel;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Where the pass places rescales / mod-switches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum NoisePolicy {
-    /// Switch down immediately after every ciphertext multiplication
-    /// (CKKS additionally rescales products back to scale Δ). Simple and
-    /// predictable; burns one level per multiplicative stage.
-    EagerAtMul,
-    /// Noise-driven placement with a profitability slack: before each
-    /// multiplication, switch the operand pair down while the joint
-    /// reduction in effective noise (worst-case bits plus CKKS scale
-    /// headroom) exceeds the one-level budget cost by more than the
-    /// threshold (in bits). The decision consults only operand noise —
-    /// never the chain budget — so placement is independent of `L` and
-    /// managed margins grow affinely in `L` (what the `(N, L)` binary
-    /// search in [`crate::analysis::param_search`] relies on).
-    LazyAtThreshold(f64),
-    /// Paper-faithful discipline: CKKS operands renormalize to scale Δ at
-    /// multiplication boundaries (the benchmarks' hand placement); BGV
-    /// operands take every strictly profitable switch (zero slack — the
-    /// tightest budget-independent placement).
-    MulBoundary,
-}
-
-impl NoisePolicy {
-    /// Display label (used by `ANALYSIS.json` and the search report).
-    pub fn label(&self) -> String {
-        match self {
-            NoisePolicy::EagerAtMul => "eager-at-mul".into(),
-            NoisePolicy::LazyAtThreshold(t) => format!("lazy-at-threshold({t})"),
-            NoisePolicy::MulBoundary => "mul-boundary".into(),
-        }
-    }
-}
+/// Profitability slack (bits) of the BGV rule: a product's operands
+/// switch down only while the joint noise reduction beats the one-level
+/// budget cost by more than this.
+const BGV_SLACK_BITS: f64 = 8.0;
 
 /// Statistics from one [`insert_rescales`] run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -95,23 +74,18 @@ pub struct RescaleStats {
     pub min_margin_est_after: f64,
 }
 
-/// Reflows `p` under `policy` with the scheme's default noise model.
-/// See the module docs. GSW programs (no modulus chain) pass through
-/// unchanged.
-pub fn insert_rescales(p: &FheProgram, policy: NoisePolicy) -> (FheProgram, RescaleStats) {
-    insert_rescales_with(p, policy, default_model(p), None)
+/// Reflows `p` with the scheme's default noise model. See the module
+/// docs. GSW programs (no modulus chain) pass through unchanged.
+pub fn insert_rescales(p: &FheProgram) -> (FheProgram, RescaleStats) {
+    insert_rescales_with(p, default_model(p), None)
 }
 
 /// Reflows `p` with every ciphertext and plaintext input re-provisioned
 /// at `input_level` limbs — the parameter-search oracle. Plaintext
 /// operands follow the inputs up (they only need to *cover* their
 /// consumers' levels).
-pub fn reflow_at(
-    p: &FheProgram,
-    input_level: usize,
-    policy: NoisePolicy,
-) -> (FheProgram, RescaleStats) {
-    insert_rescales_with(p, policy, default_model(p), Some(input_level))
+pub fn reflow_at(p: &FheProgram, input_level: usize) -> (FheProgram, RescaleStats) {
+    insert_rescales_with(p, default_model(p), Some(input_level))
 }
 
 /// Full-control variant: explicit model and optional input re-leveling.
@@ -122,7 +96,6 @@ pub fn reflow_at(
 /// the program interface (a pass bug, not an input property).
 pub fn insert_rescales_with(
     p: &FheProgram,
-    policy: NoisePolicy,
     model: NoiseModel,
     input_level: Option<usize>,
 ) -> (FheProgram, RescaleStats) {
@@ -143,7 +116,6 @@ pub fn insert_rescales_with(
         analysis: NoiseAnalysis::new(p, model.clone()),
         facts: Vec::new(),
         switch_cache: HashMap::new(),
-        policy,
         inserted: 0,
         dropped: 0,
     };
@@ -177,7 +149,7 @@ pub fn insert_rescales_with(
                 let v = r.new.constant(coeffs, input_level.unwrap_or((*level).max(ct_top)));
                 r.track(v)
             }
-            // Hand-placed switches alias through: the policy re-derives
+            // Hand-placed switches alias through: the rule re-derives
             // placement from scratch.
             FheOp::ModSwitch(a) => {
                 r.dropped += 1;
@@ -247,7 +219,6 @@ struct Reflow {
     /// shared, so two consumers needing the same operand one level down
     /// reuse a single inserted node.
     switch_cache: HashMap<(u32, usize), IrId>,
-    policy: NoisePolicy,
     inserted: usize,
     dropped: usize,
 }
@@ -277,16 +248,6 @@ impl Reflow {
         self.new.scheme() == Scheme::Ckks
     }
 
-    /// CKKS scale headroom in bits (0 outside CKKS) — must mirror
-    /// [`crate::analysis::noise::NoiseReport`]'s margin computation.
-    fn headroom(&self, scale: u32) -> f64 {
-        if self.ckks() {
-            f64::from(scale) * f64::from(self.analysis.model().limb_bits)
-        } else {
-            0.0
-        }
-    }
-
     /// Inserts cached mod-switch chains until `v` sits at `target`.
     fn switch_to(&mut self, mut v: IrId, target: usize) -> IrId {
         while self.level(v) > target {
@@ -306,7 +267,7 @@ impl Reflow {
     }
 
     /// CKKS: rescales `v` until its scale is back at Δ (or the chain runs
-    /// out one level above the floor).
+    /// out one level above the floor). A no-op outside CKKS.
     fn rescale_to_unit(&mut self, mut v: IrId) -> IrId {
         while self.ckks() && self.new.scale_of(v) > 1 && self.level(v) >= 2 {
             v = self.switch_to(v, self.level(v) - 1);
@@ -334,134 +295,55 @@ impl Reflow {
     }
 
     fn emit_mul(&mut self, a: IrId, b: IrId) -> IrId {
-        let (mut a, mut b) = (a, b);
         // CKKS scale discipline is mandatory, not a profitability call:
         // a skipped rescale doubles the scale at every downstream square,
         // so its true cost compounds multiplicatively — operands
         // renormalize to Δ at every mul boundary (the standard CKKS
         // practice and the paper's hand placement).
-        if self.ckks() && !matches!(self.policy, NoisePolicy::EagerAtMul) {
-            a = self.rescale_to_unit(a);
-            b = self.rescale_to_unit(b);
-        }
+        let (a, b) = (self.rescale_to_unit(a), self.rescale_to_unit(b));
         let t = self.level(a).min(self.level(b));
-        a = self.switch_to(a, t);
-        b = self.switch_to(b, t);
-        // BGV noise-profitability planning (budget-independent).
-        let slack = match self.policy {
-            _ if self.ckks() => None,
-            NoisePolicy::LazyAtThreshold(t) => Some(t),
-            NoisePolicy::MulBoundary => Some(0.0),
-            NoisePolicy::EagerAtMul => None,
-        };
-        if let Some(slack) = slack {
-            let target = self.renorm_level_for_mul(a, b, slack);
+        let (mut a, mut b) = (self.switch_to(a, t), self.switch_to(b, t));
+        if !self.ckks() {
+            let target = self.renorm_level_for_mul(a, b);
             a = self.switch_to(a, target);
             b = self.switch_to(b, target);
         }
         let v = self.new.mul(a, b);
-        let v = self.track(v);
-        match self.policy {
-            NoisePolicy::EagerAtMul => {
-                if self.ckks() {
-                    self.rescale_to_unit(v)
-                } else if self.level(v) >= 2 {
-                    self.switch_to(v, self.level(v) - 1)
-                } else {
-                    v
-                }
-            }
-            _ => v,
-        }
+        self.track(v)
     }
 
     fn emit_mul_plain(&mut self, a: IrId, p: IrId) -> IrId {
-        let mut a = a;
-        if self.ckks() && !matches!(self.policy, NoisePolicy::EagerAtMul) {
-            a = self.rescale_to_unit(a);
-        }
-        let slack = match self.policy {
-            _ if self.ckks() => None,
-            NoisePolicy::LazyAtThreshold(t) => Some(t),
-            NoisePolicy::MulBoundary => Some(0.0),
-            NoisePolicy::EagerAtMul => None,
-        };
-        if let Some(slack) = slack {
-            let target = self.renorm_level_for_mul_plain(a, slack);
-            a = self.switch_to(a, target);
-        }
+        let a = self.rescale_to_unit(a);
         let v = self.new.mul_plain(a, p);
-        let v = self.track(v);
-        if matches!(self.policy, NoisePolicy::EagerAtMul) && self.ckks() {
-            return self.rescale_to_unit(v);
-        }
-        v
+        self.track(v)
     }
 
-    /// Pre-multiplication renormalization planning for a (BGV)
-    /// ciphertext product: starting from the aligned level of `a`/`b`,
-    /// simulate switching *both* operands one level down while the joint
-    /// reduction in effective noise (worst-case bits + scale headroom)
+    /// Pre-multiplication planning for a BGV ciphertext product: starting
+    /// from the aligned level of `a`/`b`, simulate switching *both*
+    /// operands one level down while the joint worst-case noise reduction
     /// exceeds the one-level budget cost (`limb_bits - 1`) by more than
-    /// `slack`. Returns the chosen operand level. (CKKS muls take the
-    /// mandatory mul-boundary rescale instead — greedy one-step gains
-    /// cannot see the multiplicative downstream cost of a carried scale.)
+    /// [`BGV_SLACK_BITS`]. Returns the chosen operand level.
     ///
     /// The decision never consults the budget at the current level, so
     /// placement is identical at every provisioned `L` — the property the
     /// parameter search's binary search requires (margins affine in `L`).
-    fn renorm_level_for_mul(&self, a: IrId, b: IrId, slack: f64) -> usize {
-        let m = self.analysis.model().clone();
+    fn renorm_level_for_mul(&self, a: IrId, b: IrId) -> usize {
+        let m = self.analysis.model();
         let mut level = self.level(a);
         debug_assert_eq!(level, self.level(b));
         let square = a == b;
         let (mut awc, mut bwc) = (self.wc(a), self.wc(b));
-        let (mut sa, mut sb) = (self.new.scale_of(a), self.new.scale_of(b));
         let cost = f64::from(m.limb_bits - 1);
         while level >= 2 {
-            // CKKS: a scale-1 rescale divides the message itself — never
-            // insert one for noise management (the saturated-rescale bug).
-            if self.ckks() && (sa < 2 || (!square && sb < 2)) {
-                break;
-            }
             let awc2 = m.wc_mod_switch(awc, level);
             let bwc2 = if square { awc2 } else { m.wc_mod_switch(bwc, level) };
-            let sa2 = sa.saturating_sub(1).max(1);
-            let sb2 = if square { sa2 } else { sb.saturating_sub(1).max(1) };
-            let gain_a = (awc - awc2) + self.headroom(sa) - self.headroom(sa2);
-            let gain_b =
-                if square { gain_a } else { (bwc - bwc2) + self.headroom(sb) - self.headroom(sb2) };
-            if gain_a + gain_b <= cost + slack {
+            let gain_a = awc - awc2;
+            let gain_b = if square { gain_a } else { bwc - bwc2 };
+            if gain_a + gain_b <= cost + BGV_SLACK_BITS {
                 break;
             }
             level -= 1;
-            (awc, bwc, sa, sb) = (awc2, bwc2, sa2, sb2);
-        }
-        level
-    }
-
-    /// Single-operand counterpart for plaintext products. A BGV switch
-    /// reduces noise by at most `limb_bits - 1` — never strictly more
-    /// than its cost — so this only fires in CKKS, where scale headroom
-    /// makes the switch profitable.
-    fn renorm_level_for_mul_plain(&self, a: IrId, slack: f64) -> usize {
-        let m = self.analysis.model().clone();
-        let mut level = self.level(a);
-        let mut awc = self.wc(a);
-        let mut sa = self.new.scale_of(a);
-        let cost = f64::from(m.limb_bits - 1);
-        while level >= 2 {
-            if self.ckks() && sa < 2 {
-                break;
-            }
-            let awc2 = m.wc_mod_switch(awc, level);
-            let sa2 = sa.saturating_sub(1).max(1);
-            let gain = (awc - awc2) + self.headroom(sa) - self.headroom(sa2);
-            if gain <= cost + slack {
-                break;
-            }
-            level -= 1;
-            (awc, sa) = (awc2, sa2);
+            (awc, bwc) = (awc2, bwc2);
         }
         level
     }
@@ -484,27 +366,21 @@ mod tests {
         p
     }
 
+    fn switches(q: &FheProgram) -> usize {
+        q.nodes().iter().filter(|n| matches!(n.op, FheOp::ModSwitch(_))).count()
+    }
+
     #[test]
     fn lazy_improves_margin_on_unmanaged_chain() {
         let p = unmanaged_bgv(8, 5);
         assert!(noise::analyze(&p).min_margin_wc < 8.0, "premise: chain needs management");
-        let (q, stats) = insert_rescales(&p, NoisePolicy::LazyAtThreshold(8.0));
+        let (q, stats) = insert_rescales(&p);
         assert!(stats.inserted > 0, "{stats:?}");
         assert!(
             stats.min_margin_wc_after > stats.min_margin_wc_before,
             "managed margin must improve: {stats:?}"
         );
         assert!(crate::analysis::typing::check(&q).is_empty());
-    }
-
-    #[test]
-    fn eager_switches_after_every_mul() {
-        let p = unmanaged_bgv(12, 3);
-        let (q, _) = insert_rescales(&p, NoisePolicy::EagerAtMul);
-        let switches = q.nodes().iter().filter(|n| matches!(n.op, FheOp::ModSwitch(_))).count();
-        assert_eq!(switches, 3, "one switch per square");
-        // Output sits 3 levels below the input.
-        assert_eq!(q.level_of(*q.outputs().last().unwrap()), 9);
     }
 
     #[test]
@@ -516,10 +392,10 @@ mod tests {
         let d = p.mod_switch(d); // gratuitous second switch
         let m2 = p.square(d);
         p.output(m2);
-        let (q, stats) = insert_rescales(&p, NoisePolicy::EagerAtMul);
+        let (q, stats) = insert_rescales(&p);
         assert_eq!(stats.dropped, 2);
-        let switches = q.nodes().iter().filter(|n| matches!(n.op, FheOp::ModSwitch(_))).count();
-        assert_eq!(switches, 2, "eager re-derives one per mul");
+        assert!(switches(&q) > 0, "the second square must re-derive switches");
+        assert_eq!(stats.inserted, switches(&q));
         assert!(stats.min_margin_wc_after >= stats.min_margin_wc_before - 1e-9, "{stats:?}");
     }
 
@@ -530,7 +406,7 @@ mod tests {
         let m = p.square(x); // scale 2
         let m2 = p.square(m); // scale 4 unmanaged
         p.output(m2);
-        let (q, _) = insert_rescales(&p, NoisePolicy::MulBoundary);
+        let (q, _) = insert_rescales(&p);
         // Every mul's operands are at scale 1 when it fires.
         for node in q.nodes() {
             if let FheOp::Mul(a, b) = node.op {
@@ -548,7 +424,7 @@ mod tests {
         let y = p.input(2);
         let m = p.mul(x, y);
         p.output(m);
-        let (q, stats) = insert_rescales(&p, NoisePolicy::EagerAtMul);
+        let (q, stats) = insert_rescales(&p);
         assert_eq!(stats.inserted, 0);
         assert_eq!(q.nodes().len(), p.nodes().len());
     }
@@ -560,7 +436,7 @@ mod tests {
         let p = unmanaged_bgv(2, 4);
         let before = noise::analyze(&p);
         assert!(before.min_margin_wc < 0.0, "premise: unmanaged is broken");
-        let (q, stats) = reflow_at(&p, 12, NoisePolicy::LazyAtThreshold(8.0));
+        let (q, stats) = reflow_at(&p, 12);
         assert!(stats.min_margin_wc_after > 0.0, "{stats:?}");
         for node in q.nodes() {
             if let FheOp::CtInput { level, .. } = node.op {
@@ -572,8 +448,8 @@ mod tests {
     #[test]
     fn reflow_is_deterministic() {
         let p = unmanaged_bgv(12, 3);
-        let (a, _) = insert_rescales(&p, NoisePolicy::LazyAtThreshold(8.0));
-        let (b, _) = insert_rescales(&p, NoisePolicy::LazyAtThreshold(8.0));
+        let (a, _) = insert_rescales(&p);
+        let (b, _) = insert_rescales(&p);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -581,14 +457,27 @@ mod tests {
     fn shared_operands_reuse_switch_chains() {
         let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
         let x = p.input(12);
-        let a = p.square(x);
-        let b = p.square(x); // same operand squared twice (CSE'd later)
+        let y = p.square(x); // noisy enough that squaring it pays a switch
+        let a = p.square(y);
+        let b = p.square(y); // same operand squared twice (CSE'd later)
         let s = p.add(a, b);
         p.output(s);
-        let (q, _) = insert_rescales(&p, NoisePolicy::EagerAtMul);
-        // The two squares share x at one level: no duplicate switch chain.
-        let switches = q.nodes().iter().filter(|n| matches!(n.op, FheOp::ModSwitch(_))).count();
-        assert_eq!(switches, 2, "one per mul result, none duplicated on x");
+        let (q, _) = insert_rescales(&p);
+        assert!(switches(&q) > 0, "squaring y must switch it down");
+        // Both squares take y down the same chain: no value is switched
+        // twice.
+        let mut switched: Vec<IrId> = q
+            .nodes()
+            .iter()
+            .filter_map(|n| match n.op {
+                FheOp::ModSwitch(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        let n = switched.len();
+        switched.sort_by_key(|v| v.0);
+        switched.dedup();
+        assert_eq!(switched.len(), n, "duplicate switch chain: {q:?}");
     }
 
     #[test]
@@ -597,10 +486,12 @@ mod tests {
         let x = p.input(12);
         let c = p.scalar(3, 12);
         let m = p.square(x);
-        let m = p.mul_plain(m, c); // after eager's switch, ct sits below c
+        let m = p.square(m); // switched down first: the ct ends below c
+        let m = p.mul_plain(m, c);
         p.output(m);
-        let (q, _) = insert_rescales(&p, NoisePolicy::EagerAtMul);
+        let (q, _) = insert_rescales(&p);
         assert!(crate::analysis::typing::check(&q).is_empty());
+        assert!(switches(&q) > 0, "the second square must switch");
         // The constant stays at its declared level; the covering rule
         // admits the lower-level ciphertext.
         let c_level = q
@@ -612,5 +503,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(c_level, 12);
+        let out = *q.outputs().last().unwrap();
+        assert!(q.level_of(out) < c_level, "premise: the ct sits below the constant");
     }
 }

@@ -52,9 +52,7 @@ pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
 pub use cycle::CycleSchedule;
 pub use dsl::{CtId, HomOp, Program};
 pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
-pub use ir::{
-    FheProgram, IrId, Lowered, NodeStep, NoisePolicy, OptStats, RepeatSpec, RescaleStats, Scheme,
-};
+pub use ir::{FheProgram, IrId, Lowered, NodeStep, OptStats, RepeatSpec, RescaleStats, Scheme};
 pub use movement::MovePlan;
 
 /// Compiles a DSL program end-to-end with default options, returning the

@@ -20,9 +20,6 @@
 //!   operators).
 //! * [`par`] — scoped-thread limb parallelism for the RNS hot loops.
 //! * [`crt`] — CRT reconstruction of wide coefficients (client-side only).
-//! * [`mod@env`] — strict parsing for the workspace's environment knobs
-//!   (`F1_SCALE` and friends): malformed values panic, never silently
-//!   fall back.
 //!
 //! # Example
 //!
@@ -45,7 +42,6 @@
 
 pub mod automorphism;
 pub mod crt;
-pub mod env;
 pub mod four_step;
 pub mod ntt;
 pub mod par;

@@ -25,8 +25,6 @@ pub struct Benchmark {
     pub fhe: FheProgram,
     /// The scheduler-facing program: optimized IR, lowered.
     pub program: Program,
-    /// The unoptimized lowering (before/after accounting).
-    pub program_unopt: Program,
     /// IR optimization statistics for this benchmark.
     pub opt: OptStats,
     /// Scale divisor applied relative to the paper's full instance
@@ -61,10 +59,9 @@ impl Benchmark {
     ) -> Self {
         let n = fhe.n;
         let scheme = fhe.scheme();
-        let program_unopt = fhe.lower().program;
         let (optimized, opt) = fhe.optimize();
         let program = optimized.lower().program;
-        Benchmark { name, n, l, fhe, program, program_unopt, opt, scale, scheme, rolled_nodes }
+        Benchmark { name, n, l, fhe, program, opt, scale, scheme, rolled_nodes }
     }
 
     /// Justification recorded when the analyzer demotes
@@ -689,7 +686,7 @@ mod tests {
         // duplicates the z chain's. Both must show up as node reductions.
         for b in [ckks_bootstrapping(8), bgv_bootstrapping(8)] {
             assert!(b.opt.removed() > 0, "{}: expected a node reduction, got {:?}", b.name, b.opt);
-            assert!(b.program.ops().len() < b.program_unopt.ops().len(), "{}", b.name);
+            assert!(b.program.ops().len() < b.fhe.lower().program.ops().len(), "{}", b.name);
         }
     }
 

@@ -38,15 +38,9 @@ fn speedup_cache() -> &'static Mutex<HashMap<usize, f64>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Sample-count knob for the per-op measurements: `F1_BASELINE_REPS` sets
-/// the repetition count for the heavy ops (`mul`, `aut`); light ops run
-/// `2*reps + 1` times. The default of 2 reproduces the historical sample
-/// counts (2 heavy / 5 light); raise it for tighter estimates. Malformed
-/// or zero values panic (`f1_poly::env` policy) instead of silently
-/// measuring at the default.
-fn baseline_reps() -> usize {
-    f1_poly::env::parse_env_nonzero_or("F1_BASELINE_REPS", 2)
-}
+/// Repetitions of each heavy per-op measurement (`mul`, `aut`); light
+/// ops run `2 * HEAVY_REPS + 1` times.
+const HEAVY_REPS: usize = 2;
 
 /// Measured per-operation CPU costs at one `(N, L)` point.
 #[derive(Debug, Clone)]
@@ -77,8 +71,8 @@ impl CpuBaseline {
     ///
     /// Measurements are memoized process-wide by `(measure_n, kind,
     /// level)`, so a Table-3 run over many benchmarks measures each pair
-    /// (and the multicore scaling factor) exactly once. `F1_BASELINE_REPS`
-    /// controls the sample count (default 2 heavy / 5 light reps).
+    /// (and the multicore scaling factor) exactly once, with 2 heavy / 5
+    /// light reps.
     pub fn measure(program: &Program, measure_n: usize) -> Self {
         let mut needed: Vec<(&'static str, usize)> = Vec::new();
         for (i, op) in program.ops().iter().enumerate() {
@@ -110,12 +104,11 @@ impl CpuBaseline {
             let mut keys = KeySet::generate(&params, &mut rng);
             keys.add_rotation_hint(3, &mut rng);
             let m = Plaintext::from_coeffs(&params, &[5, 7, 11]);
-            let heavy_reps = baseline_reps();
-            let light_reps = 2 * heavy_reps + 1;
+            let light_reps = 2 * HEAVY_REPS + 1;
             let mut scratch = KsScratch::default();
             for (k, lvl) in missing {
                 let ct = keys.encrypt_at_level(&m, lvl, &mut rng);
-                let reps = if k == "mul" || k == "aut" { heavy_reps } else { light_reps };
+                let reps = if k == "mul" || k == "aut" { HEAVY_REPS } else { light_reps };
                 let start = Instant::now();
                 for _ in 0..reps {
                     match k {

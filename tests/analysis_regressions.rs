@@ -128,9 +128,8 @@ fn the_suite_compiles_end_to_end_under_an_opt_in_noise_policy() {
     // GSW programs pass through the reflow unchanged, so the whole suite
     // is eligible.
     let arch = f1::arch::ArchConfig::f1_default();
-    let policy = f1::compiler::NoisePolicy::LazyAtThreshold(8.0);
     for b in f1::workloads::all_benchmarks(64) {
-        let (managed, _) = f1::compiler::ir::rescale::insert_rescales(&b.fhe, policy);
+        let (managed, _) = f1::compiler::ir::rescale::insert_rescales(&b.fhe);
         let (lowered, _, ex, _, cycles) = f1::compiler::compile_fhe(&managed, &arch);
         assert!(!lowered.program.ops().is_empty(), "{}: empty lowering", b.name);
         assert!(!ex.dfg.instrs().is_empty(), "{}: empty expansion", b.name);

@@ -9,7 +9,7 @@ use f1::arch::ArchConfig;
 use f1::compiler::analysis::noise as noise_analysis;
 use f1::compiler::analysis::{Analyzer, Severity};
 use f1::compiler::ir::rescale::reflow_at;
-use f1::compiler::ir::{FheProgram, IrId, NoisePolicy, Scheme};
+use f1::compiler::ir::{FheProgram, IrId, Scheme};
 use f1::fhe::bgv::Plaintext;
 use f1::fhe::noise::NoiseModel;
 use f1::fhe::params::BgvParams;
@@ -176,7 +176,7 @@ proptest! {
         // decryption.
         let n = 64usize;
         let fhe = build_fhe(n, 4, &recipe);
-        let (managed, stats) = reflow_at(&fhe, 12, NoisePolicy::LazyAtThreshold(8.0));
+        let (managed, stats) = reflow_at(&fhe, 12);
         prop_assert!(
             stats.min_margin_wc_after > 0.0,
             "managed program must prove a positive margin: {:?}", stats
