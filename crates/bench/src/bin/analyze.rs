@@ -83,7 +83,7 @@ fn main() {
             Severity::Info,
             Benchmark::HAND_MANAGED_NOTE,
         );
-        let (opt, _) = b.fhe.optimize();
+        let (opt, stats) = b.fhe.optimize();
         let report = analyzer.analyze(&opt);
         // The merge gate: re-derive switch placement, search the
         // smallest (N, L) with the target margin, and analyze that
@@ -96,9 +96,9 @@ fn main() {
                 .count(Severity::Error),
             None => 1, // unsearchable: gate failure
         };
-        (opt, report, found, managed_errors)
+        (opt, stats, report, found, managed_errors)
     });
-    for (bi, (b, (opt, report, found, managed_errors))) in
+    for (bi, (b, (opt, stats, report, found, managed_errors))) in
         benchmarks.iter().zip(&analyses).enumerate()
     {
         let managed_errors = *managed_errors;
@@ -111,8 +111,8 @@ fn main() {
         println!(
             "{:<28} {:>6} {:>6} {:>9.1} {:>9.1} {:>5} {:>7} {:>9} {:>6}",
             b.name,
-            b.opt.nodes_before,
-            b.opt.nodes_after,
+            stats.nodes_before,
+            stats.nodes_after,
             report.noise.min_margin_wc,
             report.noise.min_margin_est,
             found.as_ref().map_or("-".into(), |r| r.l.to_string()),
@@ -126,8 +126,8 @@ fn main() {
         out.push_str(&format!("      \"scheme\": \"{}\",\n", b.scheme.label()));
         out.push_str(&format!("      \"n\": {},\n", b.n));
         out.push_str(&format!("      \"l\": {},\n", b.l));
-        out.push_str(&format!("      \"nodes_before_opt\": {},\n", b.opt.nodes_before));
-        out.push_str(&format!("      \"nodes_after_opt\": {},\n", b.opt.nodes_after));
+        out.push_str(&format!("      \"nodes_before_opt\": {},\n", stats.nodes_before));
+        out.push_str(&format!("      \"nodes_after_opt\": {},\n", stats.nodes_after));
         out.push_str(&format!("      \"keyswitch_ops\": {},\n", opt.keyswitch_count()));
         out.push_str("      \"noise\": {\n");
         out.push_str(&format!(

@@ -183,7 +183,7 @@ fn main() {
         "benchmark", "instrs", "events", "expand", "movemnt", "cycle", "total"
     );
     for b in &benches {
-        let pt = time_passes(b.name, &b.program, &arch);
+        let pt = time_passes(b.name, &b.lowered().0, &arch);
         println!(
             "{:<30} {:>9} {:>9} {:>7.2}s {:>7.2}s {:>7.2}s {:>7.2}s",
             pt.name,

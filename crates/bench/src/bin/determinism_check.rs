@@ -28,8 +28,9 @@ fn main() {
     println!("{:<30} {:>12} {:>18}", "Benchmark", "Makespan", "Stream FNV-1a");
     let mut failed = false;
     for b in all_benchmarks(scale) {
-        let (_, _, cs1) = f1_compiler::compile(&b.program, &arch);
-        let (_, _, cs2) = f1_compiler::compile(&b.program, &arch);
+        let program = b.lowered().0;
+        let (_, _, cs1) = f1_compiler::compile(&program, &arch);
+        let (_, _, cs2) = f1_compiler::compile(&program, &arch);
         let f1 = fnv(format!("{:?}", cs1.schedule).as_bytes());
         let f2 = fnv(format!("{:?}", cs2.schedule).as_bytes());
         let ok = cs1.makespan == cs2.makespan && f1 == f2;

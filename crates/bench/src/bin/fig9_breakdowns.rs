@@ -64,21 +64,22 @@ fn main() {
 
     // IR pass effect on the DFGs behind these breakdowns (hom-op counts
     // before/after CSE + DCE + rotation dedup + folding + hoisting; the
-    // stats were computed when the benchmarks above were built).
+    // stats come from re-running the passes behind each schedule above).
     println!("\nIR pass effect per benchmark (hom-ops before -> after, key-switches):");
     for b in &benches {
+        let opt = b.lowered().1;
         println!(
             "  {:<30} ops {:>5} -> {:<5}  keyswitch {:>4} -> {:<4}  (cse {}, dce {}, rot {}, fold {}, hoist {})",
             b.name,
-            b.opt.nodes_before,
-            b.opt.nodes_after,
-            b.opt.keyswitch_before,
-            b.opt.keyswitch_after,
-            b.opt.cse_merged,
-            b.opt.dead_removed,
-            b.opt.rotations_merged,
-            b.opt.folded,
-            b.opt.hoisted
+            opt.nodes_before,
+            opt.nodes_after,
+            opt.keyswitch_before,
+            opt.keyswitch_after,
+            opt.cse_merged,
+            opt.dead_removed,
+            opt.rotations_merged,
+            opt.folded,
+            opt.hoisted
         );
     }
 }

@@ -21,10 +21,11 @@ fn main() {
     let arch = ArchConfig::f1_default();
     println!("Table 3: Performance of F1 and CPU on full FHE benchmarks (scale 1/{scale})\n");
     let benches = all_benchmarks(scale);
+    let lowered: Vec<_> = benches.iter().map(|b| b.lowered()).collect();
     // Phase 1: serial per-op measurement (memoized across benchmarks).
     let t0 = std::time::Instant::now();
     let baselines: Vec<CpuBaseline> =
-        benches.iter().map(|b| CpuBaseline::measure(&b.program, 2048)).collect();
+        lowered.iter().map(|(program, _)| CpuBaseline::measure(program, 2048)).collect();
     eprintln!("[timing] baseline measurement: {:.2}s", t0.elapsed().as_secs_f64());
     // Phase 2: compile + simulate, one benchmark per core (schedules and
     // cycle counts are deterministic either way).
@@ -39,8 +40,10 @@ fn main() {
 
     println!("{:<30} {:>12} {:>12} {:>10}", "Benchmark", "CPU [ms]", "F1 [ms]", "Speedup");
     let mut speedups = Vec::new();
-    for ((b, baseline), report) in benches.iter().zip(&baselines).zip(&reports) {
-        let cpu_s = baseline.estimate_seconds_parallel(&b.program, b.n);
+    for (((b, (program, _)), baseline), report) in
+        benches.iter().zip(&lowered).zip(&baselines).zip(&reports)
+    {
+        let cpu_s = baseline.estimate_seconds_parallel(program, b.n);
         let f1_ms = report.seconds * 1e3;
         let cpu_ms = cpu_s * 1e3;
         let speedup = cpu_s / report.seconds;
@@ -64,15 +67,15 @@ fn main() {
         "{:<30} {:>9} {:>9} {:>10} {:>10} {:>8}",
         "Benchmark", "HomOps", "(opt)", "DFG nodes", "(opt)", "Saved"
     );
-    for b in &benches {
+    for (b, (program, opt)) in benches.iter().zip(&lowered) {
         let opts = f1_compiler::ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
         let unopt = b.fhe.lower().program;
         let dfg_before = f1_compiler::expand::expand(&unopt, &opts).dfg.instrs().len();
-        let dfg_after = f1_compiler::expand::expand(&b.program, &opts).dfg.instrs().len();
+        let dfg_after = f1_compiler::expand::expand(program, &opts).dfg.instrs().len();
         let saved = 100.0 * (dfg_before as f64 - dfg_after as f64) / (dfg_before.max(1)) as f64;
         println!(
             "{:<30} {:>9} {:>9} {:>10} {:>10} {:>7.1}%",
-            b.name, b.opt.nodes_before, b.opt.nodes_after, dfg_before, dfg_after, saved
+            b.name, opt.nodes_before, opt.nodes_after, dfg_before, dfg_after, saved
         );
     }
 

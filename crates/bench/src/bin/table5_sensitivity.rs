@@ -24,7 +24,7 @@ fn main() {
     let mut csr_all = Vec::new();
     let mut csr4_all = Vec::new();
     for b in all_benchmarks(scale) {
-        let ex = f1_compiler::expand::expand(&b.program, &Default::default());
+        let ex = f1_compiler::expand::expand(&b.lowered().0, &Default::default());
         let base = {
             let plan = f1_compiler::movement::schedule(&ex, &base_arch);
             f1_compiler::cycle::schedule(&ex, &plan, &base_arch).makespan

@@ -256,8 +256,9 @@ struct CycleScheduler<'a> {
     rf_member: Vec<u32>,
     /// Reusable operand buffer (avoids cloning instruction input lists).
     input_buf: Vec<ValueId>,
-    /// Reusable `(lower bound, cluster)` scratch for the pruned probe.
-    order_buf: Vec<(u64, usize)>,
+    /// Reusable `(start lower bound, remote bytes, cluster)` scratch for
+    /// [`Self::pick_cluster`]'s pruned scan.
+    order_buf: Vec<(u64, u64, usize)>,
     // Ready queues.
     instr_ready: BinaryHeap<(u64, std::cmp::Reverse<u32>)>,
     mem_ready: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
@@ -675,6 +676,100 @@ impl<'a> CycleScheduler<'a> {
         }
     }
 
+    /// Probes running an `fu` instruction over `inputs` on cluster `c`
+    /// without committing anything; returns its key `(start, remote
+    /// bytes, c)`.
+    fn probe_cluster(
+        &self,
+        inputs: &[ValueId],
+        fu: FuType,
+        base: u64,
+        c: usize,
+    ) -> (u64, u64, usize) {
+        let mut ready = base;
+        let mut remote = 0u64;
+        for &v in inputs {
+            let (t, is_remote) = self.arrival(v, c);
+            if is_remote {
+                remote += self.dfg.value(v).bytes;
+            }
+            ready = ready.max(t);
+        }
+        let occ = self.fu_occ[fu.index()];
+        let start = self.fu_slots[c][fu.index()].iter().map(|s| s.probe(ready, occ)).min().unwrap();
+        (start, remote, c)
+    }
+
+    /// Picks the cluster minimizing `(start, remote bytes, cluster id)`:
+    /// the earliest start, then the fewest operand bytes pulled over the
+    /// crossbar, then the lowest id.
+    ///
+    /// Probing every cluster's lanes and FU slots is the pass's hot loop,
+    /// so the scan visits clusters in ascending `(lb, rb, c)` order and
+    /// stops at the first one whose triple exceeds the incumbent's key.
+    /// `rb` is the cluster's exact remote byte count: `home`/`copies`
+    /// decide it before any probe, by the same test [`Self::arrival`]
+    /// makes. `lb` is a lower bound on its start that omits only the
+    /// lane and FU probes, which can only push a start later. So
+    /// `(lb, rb, c)` is a lexicographic lower bound on the cluster's key,
+    /// and every cluster after the stop has a key above the incumbent's:
+    /// the pruned argmin is exactly the full scan's.
+    fn pick_cluster(&mut self, inputs: &[ValueId], fu: FuType, base: u64) -> usize {
+        debug_assert!(inputs.len() <= 2, "vector ops have at most two operands");
+        // Per input: its size and its earliest arrival on any cluster
+        // that holds neither its home nor a copy.
+        let mut bytes = [0u64; 2];
+        let mut ready_lb = [0u64; 2];
+        for (k, &v) in inputs.iter().enumerate() {
+            let from = self.source_of(v);
+            bytes[k] = self.dfg.value(v).bytes;
+            ready_lb[k] = self.source_ready(v, self.avail[v.0 as usize], from) + XBAR_HOP_CYCLES;
+        }
+        let mut order = std::mem::take(&mut self.order_buf);
+        order.clear();
+        order.extend((0..self.arch.clusters).map(|c| {
+            let (mut lb, mut rb) = (base, 0u64);
+            for (k, &v) in inputs.iter().enumerate() {
+                let vi = v.0 as usize;
+                let t = if self.home[vi] == Some(ComponentId::Cluster(c)) {
+                    self.avail[vi]
+                } else if let Some(&(_, tc)) =
+                    self.copies[vi].iter().find(|&&(cc, _)| cc == c as u32)
+                {
+                    tc
+                } else {
+                    rb += bytes[k];
+                    ready_lb[k]
+                };
+                lb = lb.max(t);
+            }
+            (lb, rb, c)
+        }));
+        order.sort_unstable();
+        let mut best: Option<(u64, u64, usize)> = None;
+        for &(lb, rb, c) in &order {
+            if best.is_some_and(|b| (lb, rb, c) > b) {
+                break;
+            }
+            let key = self.probe_cluster(inputs, fu, base, c);
+            debug_assert_eq!(key.1, rb, "remote bytes must be exact before the probe");
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        self.order_buf = order;
+        let (_, _, cluster) = best.unwrap();
+        #[cfg(test)]
+        assert_eq!(cluster, self.pick_cluster_full(inputs, fu, base), "pruned pick != full scan");
+        cluster
+    }
+
+    /// Reference for [`Self::pick_cluster`]: probes every cluster.
+    #[cfg(test)]
+    fn pick_cluster_full(&self, inputs: &[ValueId], fu: FuType, base: u64) -> usize {
+        (0..self.arch.clusters).map(|c| self.probe_cluster(inputs, fu, base, c)).min().unwrap().2
+    }
+
     fn commit_instr(&mut self, id: u32) {
         let iid = InstrId(id);
         let (fu, output) = {
@@ -689,72 +784,7 @@ impl<'a> CycleScheduler<'a> {
         let lat = self.fu_lat[fu.index()];
         let base = self.gate_time[id as usize];
 
-        // Pick the cluster minimizing (start, remote bytes, stream length,
-        // cluster id) — earliest start; ties prefer operand affinity, then
-        // load balance. Scanning all clusters with full lane/FU probes is
-        // the pass's hot loop, so clusters are visited in ascending
-        // lower-bound order and the scan stops once no unvisited cluster
-        // can beat the incumbent's start. The bound omits only the lane
-        // and FU probes (which can only push a start later), so the
-        // pruned argmin is exactly the full scan's.
-        debug_assert!(inputs.len() <= 2, "vector ops have at most two operands");
-        let mut ready_lb = [0u64; 2]; // reused below; arity is at most 2
-        let mut best: Option<(u64, u64, usize)> = None;
-        {
-            // Per-input invariants: availability, and — when the value is
-            // neither cluster-homed nor copied — the earliest possible
-            // remote arrival on *any* cluster.
-            for (k, &v) in inputs.iter().enumerate() {
-                let vi = v.0 as usize;
-                let t0 = self.avail[vi];
-                let from = self.source_of(v);
-                ready_lb[k] = self.source_ready(v, t0, from) + XBAR_HOP_CYCLES;
-            }
-            let mut order = std::mem::take(&mut self.order_buf);
-            order.clear();
-            order.extend((0..self.arch.clusters).map(|c| {
-                let mut lb = base;
-                for (k, &v) in inputs.iter().enumerate() {
-                    let vi = v.0 as usize;
-                    let t = if self.home[vi] == Some(ComponentId::Cluster(c)) {
-                        self.avail[vi]
-                    } else if let Some(&(_, tc)) =
-                        self.copies[vi].iter().find(|&&(cc, _)| cc == c as u32)
-                    {
-                        tc
-                    } else {
-                        ready_lb[k]
-                    };
-                    lb = lb.max(t);
-                }
-                (lb, c)
-            }));
-            order.sort_unstable();
-            for &(lb, c) in &order {
-                if let Some(b) = best {
-                    if lb > b.0 {
-                        break;
-                    }
-                }
-                let mut ready = base;
-                let mut remote = 0u64;
-                for &v in &inputs {
-                    let (t, is_remote) = self.arrival(v, c);
-                    if is_remote {
-                        remote += self.dfg.value(v).bytes;
-                    }
-                    ready = ready.max(t);
-                }
-                let start =
-                    self.fu_slots[c][fu.index()].iter().map(|s| s.probe(ready, occ)).min().unwrap();
-                let key = (start, remote, c);
-                if best.map(|b| key < b).unwrap_or(true) {
-                    best = Some(key);
-                }
-            }
-            self.order_buf = order;
-        }
-        let (_, _, cluster) = best.unwrap();
+        let cluster = self.pick_cluster(&inputs, fu, base);
 
         // Commit operand transfers on the chosen cluster.
         let mut ready = base;
@@ -1160,5 +1190,33 @@ mod tests {
             })
             .count();
         assert!(writebacks > 0, "RF overflow must re-home values to banks");
+    }
+
+    #[test]
+    fn pruned_cluster_pick_matches_full_scan() {
+        // Every `pick_cluster` call in a test build also runs the
+        // full-scan reference and asserts the two picks agree. The tiny
+        // pad and register file put operands in banks, on their home
+        // cluster and in copies on others (the cases that give clusters
+        // different bounds); the full pad leaves clusters whose bound
+        // ties the incumbent's start, which only an exact prune probes.
+        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        for pad_mb in [2, 64] {
+            for clusters in [1, 3, 16] {
+                for xbar_ports in [1, 2] {
+                    let mut arch = tiny_pad(pad_mb);
+                    arch.clusters = clusters;
+                    arch.xbar_ports = xbar_ports;
+                    arch.rf_bytes_per_cluster = 256 * 1024;
+                    let (_, _, cs) = compile(&p, &arch);
+                    let net = &cs.schedule.net;
+                    let to_bank = net.iter().filter(|e| matches!(e.to, ComponentId::Bank(_)));
+                    let to_cluster = net.iter().filter(|e| matches!(e.to, ComponentId::Cluster(_)));
+                    let cfg = format!("{pad_mb} MB, {clusters} clusters, {xbar_ports} ports");
+                    assert!(to_bank.count() > 0, "{cfg}: no re-home");
+                    assert!(to_cluster.count() > 0, "{cfg}: no copy");
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,9 @@
 //! issue as bandwidth allows; evictions pick dead values first, then the
 //! value with the furthest expected reuse — an approximation of Belady's
 //! optimal policy \[8\]. Dirty evictions add spill stores (and later fills)
-//! to the plan.
+//! to the plan. Eviction candidates come off a max-heap keyed by
+//! `(next use, Reverse(value id))`, kept current as users issue, so an
+//! eviction costs a heap pop rather than a sort of the resident set.
 //!
 //! The pass's product is a **residency event script** ([`MoveEvent`]):
 //! every load, instruction issue, spill store, refetch, silent drop and
@@ -23,6 +25,7 @@
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId, ValueKind};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use crate::expand::Expanded;
@@ -220,15 +223,17 @@ struct Scheduler<'a> {
     residency: Vec<Option<Residency>>,
     dirty: Vec<bool>,
     resident: Vec<bool>,
-    /// Resident values in insertion order (lazily compacted); gives the
-    /// eviction scan a deterministic candidate order, where the old
-    /// hash-set iteration made tie-breaks — and thus whole schedules —
-    /// vary run to run.
-    resident_list: Vec<ValueId>,
-    /// Whether a value currently appears in `resident_list` (entries
-    /// linger after eviction until the next compaction; this flag stops
-    /// evict-then-reload cycles from pushing duplicates).
-    in_list: Vec<bool>,
+    /// Eviction candidates: a max-heap of `(next use rank, Reverse(value
+    /// id))`, so the top is the value reused furthest in the future (dead
+    /// values, rank `u64::MAX`, first) with ties to the lowest id — the
+    /// deterministic Belady order. Entries are never updated in place: a
+    /// value gets a fresh entry when it becomes resident and whenever its
+    /// next use moves (one of its users issues). An entry is valid only
+    /// while its value is resident and its key equals `heap_key`; stale
+    /// entries are dropped when they reach the top.
+    evict_heap: BinaryHeap<(u64, Reverse<u32>)>,
+    /// Per value: the key of its current `evict_heap` entry.
+    heap_key: Vec<u64>,
     output_set: Vec<bool>,
     stored_outputs: Vec<bool>,
     /// Per-value user lists sorted by `(rank, instruction id)`. With the
@@ -244,15 +249,31 @@ struct Scheduler<'a> {
     /// rank[instr] = issue-order key (priority by default, CSR override).
     rank: Vec<u64>,
     /// Ready instructions (all operands resident): min-heap by rank.
-    ready: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    ready: BinaryHeap<Reverse<(u64, u32)>>,
     /// Operands still missing per instruction.
     missing: Vec<usize>,
     /// Pending load requests: min-heap by (earliest-user rank, value).
-    pending_loads: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    pending_loads: BinaryHeap<Reverse<(u64, u32)>>,
     requested: Vec<bool>,
     mem_cycle: u64,
     compute_cycle: [f64; 4],
     out: MovePlan,
+    /// How often each eviction path fired (test builds only).
+    #[cfg(test)]
+    paths: EvictionPaths,
+}
+
+/// Counts of [`Scheduler::make_space_pinned`]'s skip and early-exit paths,
+/// so tests can check none of them is exercised vacuously.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct EvictionPaths {
+    /// Candidates set aside because the pinned instruction reads them.
+    pinned_skips: u64,
+    /// Candidates set aside because they are outputs still to be read.
+    live_output_skips: u64,
+    /// Calls that stopped at a live candidate because `allow_live` was off.
+    no_live_returns: u64,
 }
 
 impl<'a> Scheduler<'a> {
@@ -275,7 +296,7 @@ impl<'a> Scheduler<'a> {
         for instr in dfg.instrs() {
             missing[instr.id.0 as usize] = instr.inputs.len();
             if instr.inputs.is_empty() {
-                ready.push(std::cmp::Reverse((rank[instr.id.0 as usize], instr.id.0)));
+                ready.push(Reverse((rank[instr.id.0 as usize], instr.id.0)));
             }
         }
         let capacity = arch.scratchpad_bytes();
@@ -301,8 +322,8 @@ impl<'a> Scheduler<'a> {
             residency: vec![None; n_values],
             dirty: vec![false; n_values],
             resident: vec![false; n_values],
-            resident_list: Vec::new(),
-            in_list: vec![false; n_values],
+            evict_heap: BinaryHeap::new(),
+            heap_key: vec![0; n_values],
             output_set,
             stored_outputs: vec![false; n_values],
             sorted_users,
@@ -321,10 +342,18 @@ impl<'a> Scheduler<'a> {
                 traffic: TrafficBreakdown::default(),
                 approx_cycles: 0,
             },
+            #[cfg(test)]
+            paths: EvictionPaths::default(),
         }
     }
 
     fn run(mut self) -> MovePlan {
+        self.simulate();
+        self.out
+    }
+
+    /// Runs the whole pass, leaving its product in `self.out`.
+    fn simulate(&mut self) {
         // Seed load requests for every loadable value that has users.
         // (User-less pass-through outputs stay off-chip: HBM already
         // holds their authoritative bits, so no load or store is owed.)
@@ -383,9 +412,7 @@ impl<'a> Scheduler<'a> {
             self.out.traffic.input_compulsory += bytes;
             self.out.events.push(MoveEvent::OutputStore { value: v, bytes, frees: false });
         }
-        let compute = self.compute_cycle.iter().cloned().fold(0.0f64, f64::max) as u64;
-        self.out.approx_cycles = compute.max(self.mem_cycle);
-        self.out
+        self.out.approx_cycles = self.compute_front().max(self.mem_cycle);
     }
 
     fn compute_front(&self) -> u64 {
@@ -436,7 +463,7 @@ impl<'a> Scheduler<'a> {
     /// and space is free (evicting only dead or clean-and-distant data).
     fn drain_loads(&mut self) {
         const LOOKAHEAD: u64 = 20_000;
-        while let Some(&std::cmp::Reverse((_, vid))) = self.pending_loads.peek() {
+        while let Some(&Reverse((_, vid))) = self.pending_loads.peek() {
             let v = ValueId(vid);
             if self.resident[vid as usize] || !self.still_wanted(v) {
                 self.pending_loads.pop();
@@ -457,7 +484,7 @@ impl<'a> Scheduler<'a> {
     }
 
     fn force_one_load(&mut self) -> bool {
-        while let Some(std::cmp::Reverse((_, vid))) = self.pending_loads.pop() {
+        while let Some(Reverse((_, vid))) = self.pending_loads.pop() {
             let v = ValueId(vid);
             if self.resident[vid as usize] || !self.still_wanted(v) {
                 self.requested[vid as usize] = false;
@@ -500,15 +527,13 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Records residency (space must already be claimed via
-    /// [`Self::take_space`]) and wakes users whose operands are now all
-    /// resident.
+    /// [`Self::take_space`]), enters `v` as an eviction candidate and wakes
+    /// users whose operands are now all resident.
     fn mark_resident(&mut self, v: ValueId, dirty: bool) {
         let vi = v.0 as usize;
         self.resident[vi] = true;
-        if !self.in_list[vi] {
-            self.in_list[vi] = true;
-            self.resident_list.push(v);
-        }
+        let next = self.next_use_rank(v);
+        self.push_candidate(v, next);
         self.residency[vi] = Some(Residency::Resident);
         if dirty {
             self.dirty[vi] = true;
@@ -520,30 +545,35 @@ impl<'a> Scheduler<'a> {
             }
             self.missing[ui] = self.missing[ui].saturating_sub(1);
             if self.missing[ui] == 0 {
-                self.ready.push(std::cmp::Reverse((self.rank[ui], u.0)));
+                self.ready.push(Reverse((self.rank[ui], u.0)));
             }
         }
     }
 
     fn pop_ready(&mut self) -> Option<InstrId> {
-        while let Some(&std::cmp::Reverse((_, id))) = self.ready.peek() {
+        while let Some(&Reverse((_, id))) = self.ready.peek() {
             let i = InstrId(id);
             let ii = id as usize;
             if self.issued[ii] {
                 self.ready.pop();
                 continue;
             }
-            // Revalidate: an operand may have been evicted since.
-            let instr = self.dfg.instr(i);
-            let missing: Vec<ValueId> =
-                instr.inputs.iter().copied().filter(|v| !self.resident[v.0 as usize]).collect();
-            if missing.is_empty() {
-                self.ready.pop();
-                return Some(i);
+            // Revalidate: an operand may have been evicted since. Vector
+            // ops have at most two operands, so two slots hold the misses.
+            let mut missing = [ValueId(0); 2];
+            let mut n_missing = 0;
+            for &v in &self.dfg.instr(i).inputs {
+                if !self.resident[v.0 as usize] {
+                    missing[n_missing] = v;
+                    n_missing += 1;
+                }
             }
             self.ready.pop();
-            self.missing[ii] = missing.len();
-            for v in missing {
+            if n_missing == 0 {
+                return Some(i);
+            }
+            self.missing[ii] = n_missing;
+            for &v in &missing[..n_missing] {
                 // Only request values that exist somewhere: loadable
                 // graph inputs, or intermediates whose producer has
                 // issued (an unissued producer will wake this consumer
@@ -568,7 +598,7 @@ impl<'a> Scheduler<'a> {
         }
         self.requested[vi] = true;
         let urgency = self.next_use_rank(v);
-        self.pending_loads.push(std::cmp::Reverse((urgency, v.0)));
+        self.pending_loads.push(Reverse((urgency, v.0)));
     }
 
     fn issue(&mut self, i: InstrId) {
@@ -581,21 +611,32 @@ impl<'a> Scheduler<'a> {
         self.compute_cycle[fu.index()] += occ / fus;
         // Make room for the result (operands pinned).
         let bytes = self.dfg.value(output).bytes;
-        assert!(self.make_space_pinned(bytes, true, i), "cannot allocate result space");
+        assert!(self.make_space_pinned(bytes, true, Some(i)), "cannot allocate result space");
         let space_from = self.take_space(bytes);
         self.out.events.push(MoveEvent::Issue { instr: i, space_from });
         self.issued[i.0 as usize] = true;
         self.out.order.push(i);
         self.mark_resident(output, true);
-        // Free operands that just died.
+        // Free operands that just died; re-key the others, whose next use
+        // just moved past this instruction.
         let n_inputs = self.dfg.instr(i).inputs.len();
         for k in 0..n_inputs {
             let v = self.dfg.instr(i).inputs[k];
-            self.advance_cursor(v);
-            if self.next_use_rank(v) == u64::MAX && !self.output_set[v.0 as usize] {
+            let vi = v.0 as usize;
+            let next = self.next_use_rank(v);
+            if next == u64::MAX && !self.output_set[vi] {
                 self.evict(v, false);
+            } else if self.resident[vi] && self.heap_key[vi] != next {
+                self.push_candidate(v, next);
             }
         }
+    }
+
+    /// Enters `v` into the eviction heap under key `next` (its current
+    /// next use rank), superseding any older entry.
+    fn push_candidate(&mut self, v: ValueId, next: u64) {
+        self.heap_key[v.0 as usize] = next;
+        self.evict_heap.push((next, Reverse(v.0)));
     }
 
     /// Rank of the next unissued user of `v` (`u64::MAX` if none). The
@@ -613,44 +654,86 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    fn advance_cursor(&mut self, v: ValueId) {
-        let users = &self.sorted_users[v.0 as usize];
-        let cur = &mut self.user_cursor[v.0 as usize];
-        while (*cur as usize) < users.len() && self.issued[users[*cur as usize] as usize] {
-            *cur += 1;
-        }
-    }
-
     fn make_space(&mut self, bytes: u64, allow_live: bool) -> bool {
-        self.make_space_pinned(bytes, allow_live, InstrId(u32::MAX))
+        self.make_space_pinned(bytes, allow_live, None)
     }
 
     /// Frees at least `bytes`, evicting dead values first, then (if
     /// allowed) the live value with the furthest next use (§4.3's
-    /// Belady-style policy). Dead outputs are evictable: their eviction
-    /// doubles as the compulsory output store. `pinned` names the
-    /// instruction whose operands must stay resident (`u32::MAX` = none).
-    fn make_space_pinned(&mut self, bytes: u64, allow_live: bool, pinned: InstrId) -> bool {
+    /// Belady-style policy), ties to the lowest value id. Dead outputs are
+    /// evictable: their eviction doubles as the compulsory output store.
+    /// Operands of the `pinned` instruction and live outputs (outputs
+    /// still to be read) stay resident.
+    ///
+    /// Victims come off `evict_heap` in exactly the order a sort of the
+    /// resident set by `(Reverse(next use), value id)` gives: every
+    /// resident value has one valid entry keyed by its current next use
+    /// (see [`Self::issue`]), and the entries it skips are pushed back.
+    fn make_space_pinned(&mut self, bytes: u64, allow_live: bool, pinned: Option<InstrId>) -> bool {
         if self.free_bytes >= bytes {
             return true;
         }
-        // Collect (next_use, value) for every resident candidate, in
-        // deterministic insertion order (compacting the lazy list). Live
-        // outputs (still-consumed values marked as outputs) are pinned
-        // like any live value until dead.
-        let mut list = std::mem::take(&mut self.resident_list);
-        list.retain(|&v| {
-            let keep = self.resident[v.0 as usize];
-            if !keep {
-                self.in_list[v.0 as usize] = false;
+        #[cfg(test)]
+        let expected = self.victims_by_sort(bytes, allow_live, pinned);
+        #[cfg(test)]
+        let mut victims = Vec::new();
+        let mut set_aside: Vec<(u64, Reverse<u32>)> = Vec::new();
+        while self.free_bytes < bytes {
+            let Some(entry) = self.evict_heap.pop() else { break };
+            let (next, Reverse(id)) = entry;
+            let v = ValueId(id);
+            let vi = id as usize;
+            if !self.resident[vi] || self.heap_key[vi] != next {
+                continue; // stale entry
             }
-            keep
-        });
+            debug_assert_eq!(next, self.next_use_rank(v), "stale eviction key for {v:?}");
+            if pinned.is_some_and(|p| self.dfg.instr(p).inputs.contains(&v)) {
+                #[cfg(test)]
+                {
+                    self.paths.pinned_skips += 1;
+                }
+                set_aside.push(entry);
+                continue;
+            }
+            if self.output_set[vi] && next != u64::MAX {
+                #[cfg(test)]
+                {
+                    self.paths.live_output_skips += 1;
+                }
+                set_aside.push(entry);
+                continue;
+            }
+            if next != u64::MAX && !allow_live {
+                #[cfg(test)]
+                {
+                    self.paths.no_live_returns += 1;
+                }
+                set_aside.push(entry);
+                break;
+            }
+            #[cfg(test)]
+            victims.push(v);
+            self.evict(v, next != u64::MAX);
+        }
+        self.evict_heap.extend(set_aside);
+        #[cfg(test)]
+        assert_eq!(victims, expected, "heap eviction order != sorted resident set");
+        self.free_bytes >= bytes
+    }
+
+    /// Reference for [`Self::make_space_pinned`]: the victims that sorting
+    /// every resident candidate by `(Reverse(next use), value id)` picks.
+    #[cfg(test)]
+    fn victims_by_sort(
+        &mut self,
+        bytes: u64,
+        allow_live: bool,
+        pinned: Option<InstrId>,
+    ) -> Vec<ValueId> {
         let mut candidates: Vec<(u64, ValueId)> = Vec::new();
-        for k in 0..list.len() {
-            let v = list[k];
-            let vi = v.0 as usize;
-            if pinned.0 != u32::MAX && self.dfg.instr(pinned).inputs.contains(&v) {
+        for vi in 0..self.resident.len() {
+            let v = ValueId(vi as u32);
+            if !self.resident[vi] || pinned.is_some_and(|p| self.dfg.instr(p).inputs.contains(&v)) {
                 continue;
             }
             let next = self.next_use_rank(v);
@@ -659,20 +742,17 @@ impl<'a> Scheduler<'a> {
             }
             candidates.push((next, v));
         }
-        self.resident_list = list;
-        // Furthest reuse first (dead values have rank MAX); ties broken
-        // by value id so the whole pass stays deterministic.
-        candidates.sort_unstable_by_key(|&(next, v)| (std::cmp::Reverse(next), v.0));
-        for (next_use, v) in candidates {
-            if self.free_bytes >= bytes {
-                return true;
+        candidates.sort_unstable_by_key(|&(next, v)| (Reverse(next), v.0));
+        let mut free = self.free_bytes;
+        let mut victims = Vec::new();
+        for (next, v) in candidates {
+            if free >= bytes || (next != u64::MAX && !allow_live) {
+                break;
             }
-            if next_use != u64::MAX && !allow_live {
-                return self.free_bytes >= bytes;
-            }
-            self.evict(v, next_use != u64::MAX);
+            free += self.dfg.value(v).bytes;
+            victims.push(v);
         }
-        self.free_bytes >= bytes
+        victims
     }
 
     fn evict(&mut self, v: ValueId, still_needed: bool) {
@@ -918,5 +998,63 @@ mod tests {
             plan.events.iter().filter(|e| matches!(e, MoveEvent::OutputStore { .. })).count();
         let unique_outputs: HashSet<ValueId> = ex.dfg.outputs().iter().copied().collect();
         assert_eq!(store_count, unique_outputs.len(), "each output stored exactly once");
+    }
+
+    #[test]
+    fn heap_eviction_exercises_every_path() {
+        // Every slow-path `make_space_pinned` call in a test build also
+        // sorts the resident set and asserts the heap evicts the same
+        // victims. Small pads make every path of that loop fire, so the
+        // check is not vacuous: operands of the issuing instruction set
+        // aside, outputs that later instructions still read set aside,
+        // prefetches that stop at a live value, and spilled values reloaded.
+        // Outputs that instructions at the end of a long rotation chain
+        // read again.
+        let mut outs = Program::new(1 << 12);
+        let products: Vec<_> = (0..4)
+            .map(|_| {
+                let (a, b) = (outs.input(4), outs.input(4));
+                let m = outs.mul(a, b);
+                outs.output(m);
+                m
+            })
+            .collect();
+        let mut z = outs.input(4);
+        for k in 1..12 {
+            z = outs.rotate(z, k);
+        }
+        for m in products {
+            z = outs.add(z, m);
+        }
+        outs.output(z);
+        let mut total = EvictionPaths::default();
+        let mut spill_reloads = 0;
+        for p in [Program::listing2_matvec(1 << 12, 4, 4), outs] {
+            let ex = expand(&p, &ExpandOptions::default());
+            for mb in 1..=4 {
+                let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
+                let mut s = Scheduler::new(&ex, &arch, None);
+                s.simulate();
+                total.pinned_skips += s.paths.pinned_skips;
+                total.live_output_skips += s.paths.live_output_skips;
+                total.no_live_returns += s.paths.no_live_returns;
+                let mut spilled = HashSet::new();
+                for e in &s.out.events {
+                    match *e {
+                        MoveEvent::SpillStore { value, .. } => {
+                            spilled.insert(value);
+                        }
+                        MoveEvent::Load { value, refetch: true, .. } => {
+                            spill_reloads += usize::from(spilled.contains(&value));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(total.pinned_skips > 0, "no pinned operand was set aside");
+        assert!(total.live_output_skips > 0, "no live output was set aside");
+        assert!(total.no_live_returns > 0, "no prefetch stopped at a live value");
+        assert!(spill_reloads > 0, "no spilled value was reloaded");
     }
 }

@@ -23,10 +23,6 @@ pub struct Benchmark {
     pub l: usize,
     /// The typed frontend program (pre-optimization).
     pub fhe: FheProgram,
-    /// The scheduler-facing program: optimized IR, lowered.
-    pub program: Program,
-    /// IR optimization statistics for this benchmark.
-    pub opt: OptStats,
     /// Scale divisor applied relative to the paper's full instance
     /// (1 = full size; >1 = reduced for tractable scheduling, with the
     /// reduction documented in the README's "Running the experiments").
@@ -42,7 +38,7 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Optimizes and lowers a built frontend program.
+    /// Wraps a built frontend program.
     fn finish(name: &'static str, l: usize, fhe: FheProgram, scale: usize) -> Self {
         Self::finish_rolled(name, l, fhe, scale, None)
     }
@@ -59,9 +55,15 @@ impl Benchmark {
     ) -> Self {
         let n = fhe.n;
         let scheme = fhe.scheme();
-        let (optimized, opt) = fhe.optimize();
-        let program = optimized.lower().program;
-        Benchmark { name, n, l, fhe, program, opt, scale, scheme, rolled_nodes }
+        Benchmark { name, n, l, fhe, scale, scheme, rolled_nodes }
+    }
+
+    /// The scheduler-facing program (the frontend program through the IR
+    /// optimization pipeline, then lowered) and the optimization
+    /// statistics. Each call optimizes afresh.
+    pub fn lowered(&self) -> (Program, OptStats) {
+        let (optimized, opt) = self.fhe.optimize();
+        (optimized.lower().program, opt)
     }
 
     /// Justification recorded when the analyzer demotes
@@ -518,7 +520,7 @@ mod tests {
     #[test]
     fn all_benchmarks_build_and_expand() {
         for b in all_benchmarks(8) {
-            let ex = expand(&b.program, &ExpandOptions::default());
+            let ex = expand(&b.lowered().0, &ExpandOptions::default());
             assert!(
                 ex.dfg.instrs().len() > 100,
                 "{}: only {} instructions",
@@ -641,7 +643,8 @@ mod tests {
         // The trace automorphisms all feed adds that also consume their
         // input, so the optimizer must preserve every one of them.
         let auts_opt = b
-            .program
+            .lowered()
+            .0
             .ops()
             .iter()
             .filter(|o| matches!(o, f1_compiler::dsl::HomOp::Aut { .. }))
@@ -665,15 +668,12 @@ mod tests {
 
     #[test]
     fn scaling_reduces_width_not_depth() {
-        let full = db_lookup(1);
-        let small = db_lookup(8);
-        assert!(small.program.ops().len() < full.program.ops().len() / 4);
+        let full = db_lookup(1).lowered().0;
+        let small = db_lookup(8).lowered().0;
+        assert!(small.ops().len() < full.ops().len() / 4);
         // Depth preserved: both bottom out at the same level.
-        let min_level = |b: &Benchmark| {
-            (0..b.program.ops().len())
-                .map(|i| b.program.level_of(f1_compiler::dsl::CtId(i as u32)))
-                .min()
-                .unwrap()
+        let min_level = |p: &Program| {
+            (0..p.ops().len()).map(|i| p.level_of(f1_compiler::dsl::CtId(i as u32))).min().unwrap()
         };
         assert_eq!(min_level(&full), min_level(&small));
     }
@@ -685,8 +685,9 @@ mod tests {
         // bootstrapping: digit extraction's first lockstep mod-switch
         // duplicates the z chain's. Both must show up as node reductions.
         for b in [ckks_bootstrapping(8), bgv_bootstrapping(8)] {
-            assert!(b.opt.removed() > 0, "{}: expected a node reduction, got {:?}", b.name, b.opt);
-            assert!(b.program.ops().len() < b.fhe.lower().program.ops().len(), "{}", b.name);
+            let (program, opt) = b.lowered();
+            assert!(opt.removed() > 0, "{}: expected a node reduction, got {:?}", b.name, opt);
+            assert!(program.ops().len() < b.fhe.lower().program.ops().len(), "{}", b.name);
         }
     }
 
@@ -695,7 +696,8 @@ mod tests {
         // Optimization must trim, not gut: every benchmark keeps ≥ 80%
         // of its hom-ops (the passes remove genuine redundancy only).
         for b in all_benchmarks(8) {
-            let (before, after) = (b.opt.nodes_before, b.opt.nodes_after);
+            let opt = b.lowered().1;
+            let (before, after) = (opt.nodes_before, opt.nodes_after);
             assert!(after * 10 >= before * 8, "{}: {before} -> {after} ops", b.name);
         }
     }

@@ -231,11 +231,12 @@ mod tests {
     #[test]
     fn baseline_measures_and_estimates() {
         let b = benchmarks::lola_mnist_uw(8);
-        let base = CpuBaseline::measure(&b.program, 256);
-        let t = base.estimate_seconds(&b.program, b.n);
+        let program = b.lowered().0;
+        let base = CpuBaseline::measure(&program, 256);
+        let t = base.estimate_seconds(&program, b.n);
         assert!(t > 0.0, "estimate must be positive");
         assert!(base.parallel_speedup >= 1.0);
-        let tp = base.estimate_seconds_parallel(&b.program, b.n);
+        let tp = base.estimate_seconds_parallel(&program, b.n);
         assert!(tp <= t);
     }
 

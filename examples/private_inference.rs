@@ -11,14 +11,15 @@ use f1::workloads::CpuBaseline;
 fn main() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cycles) = f1::compiler::compile(&b.program, &arch);
+    let (program, opt) = b.lowered();
+    let (ex, plan, cycles) = f1::compiler::compile(&program, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
-    let baseline = CpuBaseline::measure(&b.program, 1024);
-    let cpu_s = baseline.estimate_seconds_parallel(&b.program, b.n);
+    let baseline = CpuBaseline::measure(&program, 1024);
+    let cpu_s = baseline.estimate_seconds_parallel(&program, b.n);
     println!("{} ({}, scale 1/{}):", b.name, b.scheme, b.scale);
     println!(
         "  IR passes: {} hom ops -> {} before key-switch expansion",
-        b.opt.nodes_before, b.opt.nodes_after
+        opt.nodes_before, opt.nodes_after
     );
     println!(
         "  F1:  {:.3} ms  ({} instructions, {} cycles, {} key-switching)",

@@ -32,7 +32,7 @@ fn capacity_constrained_schedules_validate_at_4mb() {
     // execution must be bit-identical to direct evaluation.
     let tiny = ArchConfig::f1_default().with_scratchpad_mb(4);
     for (name, p) in [
-        ("lola_mnist_uw", lola_mnist_uw(8).program),
+        ("lola_mnist_uw", lola_mnist_uw(8).lowered().0),
         ("listing2_matvec", Program::listing2_matvec(1 << 13, 8, 4)),
     ] {
         let (ex, plan, cs) = f1::compiler::compile(&p, &tiny);
@@ -52,7 +52,7 @@ fn capacity_constrained_schedules_validate_at_4mb() {
 fn tinypad_makespan_is_monotone_in_capacity() {
     // The tinypad_sweep property at test scale: growing the scratchpad
     // never slows the schedule down.
-    let p = lola_mnist_uw(8).program;
+    let p = lola_mnist_uw(8).lowered().0;
     let mut prev = u64::MAX;
     for mb in [1u64, 2, 4, 8, 16, 32, 64] {
         let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
@@ -120,7 +120,7 @@ fn pass_through_outputs_stay_physical() {
 fn full_size_lola_utilization_smoke() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cs) = f1::compiler::compile(&b.program, &arch);
+    let (ex, plan, cs) = f1::compiler::compile(&b.lowered().0, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(
         report.avg_fu_utilization >= 0.15,

@@ -29,8 +29,8 @@ fn lola_mnist_double_compile_is_byte_identical() {
     let arch = ArchConfig::f1_default();
     let b1 = lola_mnist_uw(8);
     let b2 = lola_mnist_uw(8);
-    let (_, _, cs1) = f1::compiler::compile(&b1.program, &arch);
-    let (_, _, cs2) = f1::compiler::compile(&b2.program, &arch);
+    let (_, _, cs1) = f1::compiler::compile(&b1.lowered().0, &arch);
+    let (_, _, cs2) = f1::compiler::compile(&b2.lowered().0, &arch);
     assert_eq!(cs1.makespan, cs2.makespan, "makespan delta must be exactly 0");
     assert_eq!(
         fingerprint(&cs1),
@@ -47,8 +47,8 @@ fn whole_suite_double_compiles_identically_at_test_scale() {
     for (a, b) in
         f1::workloads::all_benchmarks(16).into_iter().zip(f1::workloads::all_benchmarks(16))
     {
-        let (ex1, plan1, cs1) = f1::compiler::compile(&a.program, &arch);
-        let (ex2, plan2, cs2) = f1::compiler::compile(&b.program, &arch);
+        let (ex1, plan1, cs1) = f1::compiler::compile(&a.lowered().0, &arch);
+        let (ex2, plan2, cs2) = f1::compiler::compile(&b.lowered().0, &arch);
         assert_eq!(ex1.hom_order, ex2.hom_order, "{}: hom-op order differs", a.name);
         assert_eq!(
             format!("{:?}", plan1.events),

@@ -51,7 +51,7 @@ fn compile_simulate_and_verify_matvec() {
 fn every_benchmark_compiles_validates_and_is_memory_sane() {
     let arch = ArchConfig::f1_default();
     for b in f1::workloads::all_benchmarks(16) {
-        let (ex, plan, cycles) = f1::compiler::compile(&b.program, &arch);
+        let (ex, plan, cycles) = f1::compiler::compile(&b.lowered().0, &arch);
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         // Traffic can never be below the compulsory bound.
         assert!(report.traffic.total() >= report.traffic.compulsory(), "{}", b.name);
