@@ -1,7 +1,6 @@
 //! The architecture description (Fig 3's input file) and timing model.
 
 use f1_isa::FuType;
-use serde::{Deserialize, Serialize};
 
 /// Complete description of an F1 configuration.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// 1 NTT, 1 automorphism, 2 multiplier and 2 adder FUs plus a 512 KB
 /// banked register file; a 64 MB scratchpad in 16 banks; two HBM2 PHYs at
 /// 512 GB/s each; compute at 1 GHz with double-pumped memories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     /// Number of compute clusters.
     pub clusters: usize,

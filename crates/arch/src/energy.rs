@@ -7,10 +7,9 @@
 use crate::area::fu_tdp_w;
 use crate::config::ArchConfig;
 use f1_isa::FuType;
-use serde::{Deserialize, Serialize};
 
 /// Energy cost constants (picojoules per byte unless noted).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// HBM2 access energy per byte (≈ 3.9 pJ/bit including PHY \[63\]).
     pub hbm_pj_per_byte: f64,
@@ -34,7 +33,7 @@ impl Default for EnergyModel {
 }
 
 /// Event counts accumulated by the simulator.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EnergyCounters {
     /// Bytes moved over HBM (both directions).
     pub hbm_bytes: u64,
@@ -74,7 +73,7 @@ fn fu_index(fu: FuType) -> usize {
 }
 
 /// The Fig 9b breakdown: average power per component class, in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     /// HBM accesses.
     pub hbm_w: f64,

@@ -36,10 +36,9 @@ use crate::ir::rescale::{insert_rescales_with, RescaleStats};
 use crate::ir::{FheProgram, Scheme};
 use f1_fhe::noise::NoiseModel;
 use f1_fhe::params::security_level_bits;
-use serde::{Deserialize, Serialize};
 
 /// What the search must achieve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SearchSpec {
     /// Required minimum worst-case noise margin (bits) on the managed
     /// program.

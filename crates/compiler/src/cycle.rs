@@ -59,7 +59,6 @@ use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId};
 use f1_isa::streams::{ComputeEntry, EvictEntry, MemDir, MemEntry, NetEntry, StaticSchedule};
 use f1_isa::{ComponentId, FuType};
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles a value spends crossing one bit-sliced crossbar switch. The
@@ -68,7 +67,7 @@ use std::collections::{BinaryHeap, VecDeque};
 pub const XBAR_HOP_CYCLES: u64 = 1;
 
 /// The cycle-level schedule plus accounting the simulator verifies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CycleSchedule {
     /// Per-component static streams.
     pub schedule: StaticSchedule,
@@ -201,26 +200,6 @@ enum MemNode {
     Drop { ev: u32 },
 }
 
-/// Fingerprint of the [`stream_weight`] function the cycle scheduler and
-/// expand's makespan estimator rank instructions by — the memoization key
-/// for [`Dfg::critical_depths_cached`]. Two `(arch, n)` pairs that weight
-/// every FU class identically share a key (and may share the cached
-/// depths, which is exactly the point).
-pub fn depth_key(arch: &ArchConfig, n: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(n as u64);
-    for &fu in FuType::ALL.iter() {
-        mix(stream_weight(arch, fu, n));
-    }
-    h
-}
-
 /// Schedules the plan onto the machine.
 pub fn schedule(expanded: &Expanded, plan: &MovePlan, arch: &ArchConfig) -> CycleSchedule {
     CycleScheduler::new(expanded, plan, arch).run()
@@ -246,7 +225,7 @@ struct CycleScheduler<'a> {
     indeg: Vec<u32>,
     /// Earliest start each node inherits from its gating predecessors.
     gate_time: Vec<u64>,
-    depth: std::sync::Arc<Vec<u64>>,
+    depth: Vec<u64>,
     /// Per-FU-class `occupancy` / [`stream_weight`] / `latency` at ring
     /// size `n`, indexed by [`FuType::index`] (identical for every
     /// instruction of a class — no need to re-derive per commit).
@@ -417,12 +396,8 @@ impl<'a> CycleScheduler<'a> {
         drop(edges);
 
         // Rank = streaming critical-path depth (matches the availability
-        // semantics the schedule is checked under). Memoized on the DFG:
-        // expand's makespan estimator uses the same weighting, and pass-3
-        // reruns over one expansion (the Table 5 ablations) hit it too.
-        let depth = dfg.critical_depths_cached(depth_key(arch, n), &|i| {
-            stream_weight(arch, i.op.fu_type(), n)
-        });
+        // semantics the schedule is checked under).
+        let depth = dfg.critical_depths(&|i| stream_weight(arch, i.op.fu_type(), n));
 
         let mut fu_occ = [0u64; 4];
         let mut fu_weight = [0u64; 4];
@@ -986,7 +961,7 @@ impl<'a> CycleScheduler<'a> {
 mod tests {
     use super::*;
     use crate::dsl::Program;
-    use crate::expand::{expand, ExpandOptions};
+    use crate::expand::{expand, ExpandOptions, KeySwitchChoice};
     use crate::movement;
     use std::collections::HashMap;
 
@@ -1065,6 +1040,33 @@ mod tests {
         let busy: u64 = cs.counters.fu_busy_cycles.iter().sum();
         let util = busy as f64 / (total_fus * cs.makespan) as f64;
         assert!(util >= 0.15, "avg FU utilization {util:.3} regressed below 15%");
+    }
+
+    #[test]
+    fn auto_expansion_schedules_like_the_forced_variant() {
+        // Pass 1's `Auto` chooser walks each candidate's critical depths
+        // before keeping one; pass 3 must schedule the kept expansion
+        // exactly as a fresh expansion forced to the same variant. The
+        // 64 MB machine keeps decomposition, the 1 MB one flips to GHS.
+        let p = Program::listing2_matvec(1 << 12, 4, 4);
+        let mut used_ghs = Vec::new();
+        for arch in [ArchConfig::f1_default(), tiny_pad(1)] {
+            let auto =
+                expand(&p, &ExpandOptions { machine: Some(arch.clone()), ..Default::default() });
+            let keyswitch =
+                if auto.used_ghs { KeySwitchChoice::Ghs } else { KeySwitchChoice::Decomposition };
+            let forced = expand(
+                &p,
+                &ExpandOptions { keyswitch, machine: Some(arch.clone()), ..Default::default() },
+            );
+            let run = |ex: &Expanded| {
+                let plan = movement::schedule(ex, &arch);
+                format!("{:?}", schedule(ex, &plan, &arch))
+            };
+            assert_eq!(run(&auto), run(&forced), "used_ghs = {}", auto.used_ghs);
+            used_ghs.push(auto.used_ghs);
+        }
+        assert_eq!(used_ghs, [false, true], "the two machines must pick different variants");
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! noise-budget management via `mod_switch` (the compiler does not
 //! automate noise management; the DSL encodes the desired budget, §4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a ciphertext (or plaintext operand) in a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CtId(pub u32);
 
 /// One homomorphic operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum HomOp {
     /// An encrypted input at a given level.
     Input {
@@ -69,7 +67,7 @@ pub enum HomOp {
 }
 
 /// A homomorphic program: a DAG of [`HomOp`]s over ring dimension `N`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Ring dimension.
     pub n: usize,
@@ -204,11 +202,6 @@ impl Program {
     /// Level of a value.
     pub fn level_of(&self, x: CtId) -> usize {
         self.levels[x.0 as usize]
-    }
-
-    /// Whether a value is a plaintext.
-    pub fn is_plain(&self, x: CtId) -> bool {
-        self.plain[x.0 as usize]
     }
 
     /// Program outputs.

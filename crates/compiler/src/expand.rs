@@ -16,11 +16,10 @@
 use crate::dsl::{CtId, HomOp, Program};
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, ValueId, ValueKind, VectorOp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifies a key-switch hint (one pair of matrices, §2.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HintId {
     /// The relinearization hint shared by every multiplication.
     Relin,
@@ -29,7 +28,7 @@ pub enum HintId {
 }
 
 /// Key-switch implementation selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KeySwitchChoice {
     /// Force Listing 1's decomposition variant.
     Decomposition,
@@ -41,7 +40,7 @@ pub enum KeySwitchChoice {
 }
 
 /// Options for the expansion pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExpandOptions {
     /// Key-switch implementation policy.
     pub keyswitch: KeySwitchChoice,
@@ -55,7 +54,7 @@ pub struct ExpandOptions {
 }
 
 /// The pass-1 output: an instruction DFG plus hint/ciphertext metadata.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Expanded {
     /// The instruction-level dataflow graph.
     pub dfg: Dfg,
@@ -180,16 +179,12 @@ fn estimate_makespan(ex: &Expanded, arch: &ArchConfig) -> u64 {
         traffic += (reread as f64 * overflow) as u64;
     }
     let mem_bound = arch.mem_cycles(traffic);
-    // Dependence bound: the streaming critical path. Memoized on the DFG
-    // under the same key pass 3 uses, so when this expansion wins the
-    // auto comparison, the cycle scheduler reuses the depths wholesale.
+    // Dependence bound: the streaming critical path, under the weighting
+    // pass 3 ranks by.
     let cp = dfg
-        .critical_depths_cached(crate::cycle::depth_key(arch, n), &|i| {
-            crate::cycle::stream_weight(arch, i.op.fu_type(), n)
-        })
-        .iter()
+        .critical_depths(&|i| crate::cycle::stream_weight(arch, i.op.fu_type(), n))
+        .into_iter()
         .max()
-        .copied()
         .unwrap_or(0);
     fu_bound.max(mem_bound).max(cp)
 }

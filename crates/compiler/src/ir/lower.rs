@@ -10,10 +10,9 @@
 
 use super::{FheOp, FheProgram, IrId};
 use crate::dsl::{CtId, Program};
-use serde::{Deserialize, Serialize};
 
 /// The result of lowering an [`FheProgram`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lowered {
     /// The scheduler-facing DSL program.
     pub program: Program,

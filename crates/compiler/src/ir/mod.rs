@@ -30,8 +30,6 @@ pub mod lower;
 pub mod passes;
 pub mod rescale;
 
-use serde::{Deserialize, Serialize};
-
 pub use lower::Lowered;
 pub use passes::OptStats;
 pub use rescale::RescaleStats;
@@ -41,13 +39,13 @@ pub use rescale::RescaleStats;
 /// Ids are dense indices into the node list in creation order; every
 /// pass renumbers survivors in that same order, so ids are deterministic
 /// for a given builder call sequence — no hash-iteration order anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IrId(pub u32);
 
 /// The FHE scheme a program is typed against (§2.5: at the instruction
 /// level all three compile to the same vector operations; the scheme
 /// governs frontend *typing* — what the builder accepts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// BGV: exact modular arithmetic, level-typed modulus chain.
     Bgv,
@@ -77,7 +75,7 @@ impl std::fmt::Display for Scheme {
 }
 
 /// The type of one IR value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValType {
     /// Plaintext operand (one polynomial) vs ciphertext (two).
     pub plain: bool,
@@ -93,7 +91,7 @@ pub struct ValType {
 
 /// One IR operation. Operands always reference earlier nodes (SSA,
 /// acyclic by construction).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FheOp {
     /// An encrypted input. `ordinal` is the input's position among all
     /// ciphertext inputs (stable across passes — the binding key for
@@ -159,7 +157,7 @@ impl FheOp {
 }
 
 /// One IR node: an operation plus the type of the value it produces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// The operation.
     pub op: FheOp,
@@ -174,7 +172,7 @@ pub struct Node {
 /// (mod 2N). Everything a loop body varies per iteration — which
 /// plaintext it consumes, what level it enters at, how far it rotates —
 /// is one of these three affine channels.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStep {
     /// Per-iteration input-ordinal increment (`CtInput`/`PtInput`).
     pub d_ordinal: i64,
@@ -194,7 +192,7 @@ pub struct NodeStep {
 /// `i`. [`FheProgram::unroll`] performs that expansion (with full type
 /// re-inference per iteration); the scheduling pipeline only ever sees
 /// the unrolled form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepeatSpec {
     /// First body node.
     pub start: u32,
@@ -221,7 +219,7 @@ pub struct RepeatToken {
 
 /// A typed, scheme-aware FHE program: the circuit builder and the
 /// normalized SSA IR in one. See the module docs for the pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FheProgram {
     /// Ring dimension.
     pub n: usize,
@@ -234,8 +232,7 @@ pub struct FheProgram {
     next_ct_ordinal: u32,
     next_pt_ordinal: u32,
     /// Rolled loop regions, in ascending, non-overlapping node order.
-    /// Part of the serialized form, so a rolled program and its
-    /// unrolling are distinct cache keys.
+    /// Empty for a flat program; [`Self::unroll`] expands them.
     repeats: Vec<RepeatSpec>,
 }
 

@@ -30,14 +30,13 @@
 //! * **DCE** — nodes that cannot reach an output are dropped.
 
 use super::{FheOp, FheProgram, IrId, Node, Scheme, ValType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 pub use super::rescale::{insert_rescales, insert_rescales_with, reflow_at, RescaleStats};
 
 /// Statistics from one [`optimize`] run (printed by the paper bins to
 /// make the IR's effect visible per benchmark).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OptStats {
     /// Homomorphic-op (IR node) count before optimization.
     pub nodes_before: usize,

@@ -40,7 +40,6 @@ use super::{FheOp, FheProgram, IrId, Scheme};
 use crate::analysis::noise::{analyze_with, default_model, NoiseAnalysis, NoiseFact};
 use crate::analysis::{dataflow::ForwardAnalysis, typing};
 use f1_fhe::noise::NoiseModel;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Profitability slack (bits) of the BGV rule: a product's operands
@@ -49,7 +48,7 @@ use std::collections::HashMap;
 const BGV_SLACK_BITS: f64 = 8.0;
 
 /// Statistics from one [`insert_rescales`] run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RescaleStats {
     /// Mod-switch / rescale nodes the pass inserted.
     pub inserted: usize,

@@ -24,7 +24,6 @@
 
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId, ValueKind};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
@@ -35,7 +34,7 @@ pub type EventId = u32;
 
 /// Off-chip traffic split by data class and necessity — the Fig 9a
 /// categories.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficBreakdown {
     /// First-time loads of key-switch hints.
     pub ksh_compulsory: u64,
@@ -79,7 +78,7 @@ impl TrafficBreakdown {
 /// every constraint they encode: an allocation's `space_from` donors
 /// always precede it, a refetch always follows the eviction it undoes,
 /// and every release follows the reads it must wait out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MoveEvent {
     /// Fetch `value` from HBM into the scratchpad (first load *or*
     /// capacity refetch — pass 3 schedules both on the HBM channel
@@ -160,7 +159,7 @@ impl MoveEvent {
 
 /// The pass-2 result: an instruction issue order plus the residency
 /// event script and traffic accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MovePlan {
     /// Instructions in issue order.
     pub order: Vec<InstrId>,

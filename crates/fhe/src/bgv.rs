@@ -229,14 +229,6 @@ impl KeySet {
         Ciphertext { a, b, noise_log2: noise, correction: 1, pt_modulus: t }
     }
 
-    /// Encryption of zero used as a fresh mask (public-key-style noise
-    /// flooding is out of scope; symmetric encryption suffices for
-    /// benchmarking the server side, which never encrypts).
-    pub fn encrypt_zero(&self, level: usize, rng: &mut impl Rng) -> Ciphertext {
-        let zero = Plaintext::from_coeffs(&self.params, &[]);
-        self.encrypt_at_level(&zero, level, rng)
-    }
-
     /// Decrypts a ciphertext (using the plaintext modulus the ciphertext
     /// carries, which bootstrapping changes mid-pipeline).
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {

@@ -111,13 +111,6 @@ impl BgvBootstrapper {
         Self { boot_params, boot_keys, boot_key_ct, rho, nu }
     }
 
-    /// Size in bytes of the bootstrapping key material resident during a
-    /// bootstrap (the encrypted secret key; rotation/relin hints are
-    /// accounted separately by the scheduler).
-    pub fn boot_key_bytes(&self) -> usize {
-        self.boot_key_ct.size_bytes()
-    }
-
     /// Refreshes an exhausted level-1 ciphertext, returning a ciphertext
     /// at roughly `L_max - ρ` with fresh noise.
     ///

@@ -100,11 +100,6 @@ impl CkksEncoder {
         Self { n, scale: params.scale, slot_of }
     }
 
-    /// Number of complex slots (`N/2`).
-    pub fn slot_count(&self) -> usize {
-        self.n / 2
-    }
-
     /// Forward negacyclic FFT: coefficients -> evaluations at ψ^{2i+1}
     /// (bit-reversed slot order, matching the NTT convention).
     fn fft_forward(&self, a: &mut [Complex]) {

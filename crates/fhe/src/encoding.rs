@@ -52,11 +52,6 @@ impl SlotEncoder {
         Self { n, t, tables, slot_of }
     }
 
-    /// Number of slots per row (`N/2`).
-    pub fn row_len(&self) -> usize {
-        self.n / 2
-    }
-
     /// Encodes a `2 × N/2` slot matrix into a plaintext polynomial.
     ///
     /// # Panics

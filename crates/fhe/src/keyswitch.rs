@@ -191,25 +191,6 @@ impl DecompHint {
         (r0, r1)
     }
 
-    /// A zero-mask, zero-noise hint: `rows[i] = (g_i * target, 0)`.
-    /// Test-only scaffolding to isolate the gadget identity
-    /// `Σ lift_i ⊙ g_i·target == x·target`.
-    #[doc(hidden)]
-    pub fn generate_noiseless_for_tests(sk: &SecretKey, target: &RnsPoly, level: usize) -> Self {
-        let ctx = sk.context().clone();
-        let mut rows = Vec::with_capacity(level);
-        for i in 0..level {
-            let mut g_target = target.clone();
-            for j in 0..level {
-                if j != i {
-                    g_target.limb_mut(j).iter_mut().for_each(|x| *x = 0);
-                }
-            }
-            rows.push((g_target, RnsPoly::zero_ntt_at_level(&ctx, level)));
-        }
-        Self { level, error_scale: 1, rows }
-    }
-
     /// Hint size in bytes when used at level `l`.
     pub fn size_bytes_at(&self, l: usize) -> usize {
         let n = self.rows[0].0.n();

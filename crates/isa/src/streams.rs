@@ -8,11 +8,10 @@
 //! the "<0.1% of memory traffic" instruction-fetch claim.
 
 use crate::dfg::{InstrId, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// Functional-unit classes (per cluster: 1 NTT, 1 automorphism, 2
 /// multipliers, 2 adders in the paper's configuration, §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuType {
     /// Four-step NTT unit (forward and inverse).
     Ntt,
@@ -42,7 +41,7 @@ impl FuType {
 }
 
 /// A hardware component with its own instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComponentId {
     /// Compute cluster `index`.
     Cluster(usize),
@@ -53,7 +52,7 @@ pub enum ComponentId {
 }
 
 /// One entry in a compute cluster's stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComputeEntry {
     /// Absolute issue cycle (compute clock, 1 GHz domain).
     pub cycle: u64,
@@ -66,7 +65,7 @@ pub struct ComputeEntry {
 }
 
 /// Direction of an off-chip transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemDir {
     /// HBM → scratchpad.
     Load,
@@ -75,7 +74,7 @@ pub enum MemDir {
 }
 
 /// One entry in a memory controller / scratchpad-bank stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemEntry {
     /// Cycle the transfer is issued.
     pub cycle: u64,
@@ -96,7 +95,7 @@ pub struct MemEntry {
 
 /// One on-chip network transfer (bank→cluster, cluster→bank, or
 /// cluster→cluster over the three crossbars, §6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetEntry {
     /// Cycle the transfer starts.
     pub cycle: u64,
@@ -121,7 +120,7 @@ pub struct NetEntry {
 /// the value's next load, the value has **no on-chip copy**; the checker
 /// rejects any consumer reading in that window and uses these entries to
 /// prove the resident set never exceeds scratchpad capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictEntry {
     /// Cycle the bytes are free (for spills: the writeback completion).
     pub cycle: u64,
@@ -132,7 +131,7 @@ pub struct EvictEntry {
 }
 
 /// A complete static schedule: every component's stream plus the horizon.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct StaticSchedule {
     /// Compute entries, grouped by cluster index.
     pub compute: Vec<Vec<ComputeEntry>>,

@@ -137,15 +137,6 @@ pub fn paper_prime_census() -> usize {
     prime_census_mod_2_16((1 << 16) - 1)
 }
 
-/// Splits a target modulus width `log Q` into a chain of `L = ceil(logQ/width)`
-/// primes of `width` bits each, as RNS representation requires (§2.3).
-///
-/// All returned primes are NTT-friendly for ring dimension `n` and mutually
-/// distinct.
-pub fn rns_modulus_chain(n: usize, width: u32, l: usize) -> Vec<u32> {
-    ntt_friendly_primes(n, width, l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -135,11 +135,6 @@ impl RnsContext {
         &self.tables[i]
     }
 
-    /// `Q_l` for a given level, as a big integer.
-    pub fn big_q(&self, level: usize) -> &UBig {
-        &self.crt[level - 1].q_big
-    }
-
     /// CRT precomputation for a level.
     pub fn crt_level(&self, level: usize) -> &CrtLevel {
         &self.crt[level - 1]

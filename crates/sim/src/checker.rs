@@ -8,10 +8,9 @@ use f1_compiler::{CycleSchedule, MovePlan};
 use f1_isa::dfg::ValueId;
 use f1_isa::streams::MemDir;
 use f1_isa::{ComponentId, FuType};
-use serde::{Deserialize, Serialize};
 
 /// Per-window utilization series — the data behind Fig 10.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Window width in cycles.
     pub window: u64,
@@ -22,7 +21,7 @@ pub struct Timeline {
 }
 
 /// The simulator's verdict and statistics for one compiled program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Total cycles.
     pub makespan: u64,

@@ -10,10 +10,9 @@
 
 use f1_compiler::dsl::Program;
 use f1_compiler::ir::{FheProgram, IrId, NodeStep, OptStats, Scheme};
-use serde::{Deserialize, Serialize};
 
 /// One benchmark: a typed FHE program plus its identity and parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Benchmark {
     /// Paper name (Table 3 row label).
     pub name: &'static str,

@@ -6,10 +6,9 @@ use f1_arch::ArchConfig;
 use f1_compiler::dsl::Program;
 use f1_compiler::ir::{FheProgram, Scheme};
 use f1_isa::FuType;
-use serde::{Deserialize, Serialize};
 
 /// One microbenchmark row of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
     /// NTT of one ciphertext (2 polynomials × L limbs).
     Ntt,

@@ -1,293 +1,2 @@
-//! Offline stand-in for `serde_derive`.
-//!
-//! Generates real `::serde::Serialize` / `::serde::Deserialize` impls for
-//! the shim's direct binary format (see `shims/serde`): struct fields in
-//! declaration order, enum variants tagged by declaration index. Written
-//! against `proc_macro` alone — no `syn`/`quote` in an offline build — so
-//! the parser handles exactly the shapes this workspace uses: non-generic
-//! structs (named, tuple, unit) and enums (unit, tuple, struct variants).
-//! Anything fancier (generics, unions) is a compile error with a clear
-//! message rather than silently wrong code.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// The shape of a type we can derive for.
-enum Shape {
-    /// `struct S;`
-    UnitStruct,
-    /// `struct S(A, B);` with the arity.
-    TupleStruct(usize),
-    /// `struct S { a: A, b: B }` with field names in order.
-    NamedStruct(Vec<String>),
-    /// `enum E { ... }` with `(variant name, fields)` in order.
-    Enum(Vec<(String, VariantFields)>),
-}
-
-/// Fields of one enum variant.
-enum VariantFields {
-    /// `V`
-    Unit,
-    /// `V(A, B)` with the arity.
-    Tuple(usize),
-    /// `V { a: A }` with field names in order.
-    Named(Vec<String>),
-}
-
-/// Derives `::serde::Serialize` for the shim's binary format.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let (name, shape) = parse(input);
-    let body = match &shape {
-        Shape::UnitStruct => String::new(),
-        Shape::TupleStruct(arity) => (0..*arity)
-            .map(|i| format!("::serde::Serialize::serialize(&self.{i}, out);\n"))
-            .collect(),
-        Shape::NamedStruct(fields) => fields
-            .iter()
-            .map(|f| format!("::serde::Serialize::serialize(&self.{f}, out);\n"))
-            .collect(),
-        Shape::Enum(variants) => {
-            let mut arms = String::new();
-            for (tag, (v, fields)) in variants.iter().enumerate() {
-                match fields {
-                    VariantFields::Unit => {
-                        arms.push_str(&format!(
-                            "Self::{v} => ::serde::write_varint(out, {tag}u64),\n"
-                        ));
-                    }
-                    VariantFields::Tuple(arity) => {
-                        let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                        let writes: String = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b}, out);\n"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "Self::{v}({binds}) => {{ ::serde::write_varint(out, {tag}u64);\n{writes} }}\n",
-                            binds = binds.join(", "),
-                        ));
-                    }
-                    VariantFields::Named(names) => {
-                        let writes: String = names
-                            .iter()
-                            .map(|n| format!("::serde::Serialize::serialize({n}, out);\n"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "Self::{v} {{ {binds} }} => {{ ::serde::write_varint(out, {tag}u64);\n{writes} }}\n",
-                            binds = names.join(", "),
-                        ));
-                    }
-                }
-            }
-            format!("match self {{\n{arms}}}\n")
-        }
-    };
-    let out = format!(
-        "impl ::serde::Serialize for {name} {{\n\
-         fn serialize(&self, out: &mut ::std::vec::Vec<u8>) {{\n\
-         let _ = out;\n{body}}}\n}}\n"
-    );
-    out.parse().expect("generated Serialize impl parses")
-}
-
-/// Derives `::serde::Deserialize` for the shim's binary format.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, shape) = parse(input);
-    let body = match &shape {
-        Shape::UnitStruct => "Ok(Self)\n".to_string(),
-        Shape::TupleStruct(arity) => {
-            let fields: Vec<String> =
-                (0..*arity).map(|_| "::serde::Deserialize::deserialize(r)?".to_string()).collect();
-            format!("Ok(Self({}))\n", fields.join(", "))
-        }
-        Shape::NamedStruct(fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::deserialize(r)?,\n"))
-                .collect();
-            format!("Ok(Self {{\n{inits}}})\n")
-        }
-        Shape::Enum(variants) => {
-            let mut arms = String::new();
-            for (tag, (v, fields)) in variants.iter().enumerate() {
-                match fields {
-                    VariantFields::Unit => {
-                        arms.push_str(&format!("{tag}u64 => Ok(Self::{v}),\n"));
-                    }
-                    VariantFields::Tuple(arity) => {
-                        let reads: Vec<String> = (0..*arity)
-                            .map(|_| "::serde::Deserialize::deserialize(r)?".to_string())
-                            .collect();
-                        arms.push_str(&format!(
-                            "{tag}u64 => Ok(Self::{v}({})),\n",
-                            reads.join(", ")
-                        ));
-                    }
-                    VariantFields::Named(names) => {
-                        let inits: String = names
-                            .iter()
-                            .map(|n| format!("{n}: ::serde::Deserialize::deserialize(r)?,\n"))
-                            .collect();
-                        arms.push_str(&format!("{tag}u64 => Ok(Self::{v} {{\n{inits}}}),\n"));
-                    }
-                }
-            }
-            format!(
-                "match ::serde::read_varint(r)? {{\n{arms}\
-                 tag => Err(::serde::Error::InvalidTag {{ ty: \"{name}\", tag }}),\n}}\n"
-            )
-        }
-    };
-    let out = format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         let _ = &r;\n{body}}}\n}}\n"
-    );
-    out.parse().expect("generated Deserialize impl parses")
-}
-
-/// Parses a derive input down to (type name, [`Shape`]).
-fn parse(input: TokenStream) -> (String, Shape) {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
-    let kind = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        t => panic!("serde shim derive: expected `struct` or `enum`, found `{t}`"),
-    };
-    i += 1;
-    let name = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        t => panic!("serde shim derive: expected type name, found `{t}`"),
-    };
-    i += 1;
-    if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("serde shim derive: generic type `{name}` is not supported (add a manual impl)");
-    }
-    match kind.as_str() {
-        "struct" => match tokens.get(i) {
-            None => (name, Shape::UnitStruct),
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => (name, Shape::UnitStruct),
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let fields = parse_named_fields(g.stream());
-                (name, Shape::NamedStruct(fields))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let arity = count_tuple_fields(g.stream());
-                (name, Shape::TupleStruct(arity))
-            }
-            Some(t) => panic!("serde shim derive: unexpected token `{t}` in struct `{name}`"),
-        },
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let variants = parse_variants(g.stream());
-                (name, Shape::Enum(variants))
-            }
-            _ => panic!("serde shim derive: expected enum body for `{name}`"),
-        },
-        other => {
-            panic!("serde shim derive: cannot derive for `{other} {name}` (unions unsupported)")
-        }
-    }
-}
-
-/// Advances `i` past any `#[...]` attributes and a `pub` / `pub(...)`
-/// visibility prefix.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
-    loop {
-        match tokens.get(*i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                *i += 2; // `#` plus the `[...]` group
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                *i += 1;
-                if matches!(tokens.get(*i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-                {
-                    *i += 1;
-                }
-            }
-            _ => return,
-        }
-    }
-}
-
-/// Splits a token sequence on top-level commas (angle-bracket depth 0),
-/// returning the non-empty segments.
-fn split_top_level(stream: TokenStream) -> Vec<Vec<TokenTree>> {
-    let mut segments = Vec::new();
-    let mut current = Vec::new();
-    let mut angle_depth = 0i32;
-    for t in stream {
-        match &t {
-            TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                segments.push(std::mem::take(&mut current));
-                continue;
-            }
-            _ => {}
-        }
-        current.push(t);
-    }
-    if !current.is_empty() {
-        segments.push(current);
-    }
-    segments
-}
-
-/// Field names, in order, from a named-fields body
-/// (`#[attr] pub name: Type, ...`).
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
-    split_top_level(stream)
-        .into_iter()
-        .map(|seg| {
-            let mut i = 0;
-            skip_attrs_and_vis(&seg, &mut i);
-            match &seg[i] {
-                TokenTree::Ident(id) => id.to_string(),
-                t => panic!("serde shim derive: expected field name, found `{t}`"),
-            }
-        })
-        .collect()
-}
-
-/// Arity of a tuple-struct / tuple-variant body.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    split_top_level(stream).len()
-}
-
-/// Enum variants in declaration order. Explicit discriminants
-/// (`V = 3`) are rejected: the wire tag is the declaration index.
-fn parse_variants(stream: TokenStream) -> Vec<(String, VariantFields)> {
-    split_top_level(stream)
-        .into_iter()
-        .map(|seg| {
-            let mut i = 0;
-            skip_attrs_and_vis(&seg, &mut i);
-            let name = match &seg[i] {
-                TokenTree::Ident(id) => id.to_string(),
-                t => panic!("serde shim derive: expected variant name, found `{t}`"),
-            };
-            i += 1;
-            let fields = match seg.get(i) {
-                None => VariantFields::Unit,
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    VariantFields::Tuple(count_tuple_fields(g.stream()))
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    VariantFields::Named(parse_named_fields(g.stream()))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == '=' => panic!(
-                    "serde shim derive: explicit discriminant on variant `{name}` unsupported"
-                ),
-                Some(t) => {
-                    panic!("serde shim derive: unexpected token `{t}` after variant `{name}`")
-                }
-            };
-            (name, fields)
-        })
-        .collect()
-}
+//! Empty offline stand-in for `serde_derive`, kept only as the `serde`
+//! shim's dependency; see `shims/serde`.
