@@ -148,11 +148,10 @@ impl Occupancy {
     /// Reserves `[start, start + len)`; the caller must have probed.
     ///
     /// Adjacent intervals are coalesced, but timelines still grow long:
-    /// at the paper suite's ~2% FU utilization the gaps rarely close, and
-    /// a probed timeline holds about 6,900 intervals on average. Searches
-    /// stay cheap because they land near the tail, which is where
-    /// [`tail_partition_point`] starts: of the suite's 30 M probes, 99.8%
-    /// split within 64 intervals of it and 99.94% within 512.
+    /// the paper suite's capacity-bound programs keep their FUs mostly
+    /// idle, so the gaps rarely close and a probed timeline holds
+    /// thousands of intervals. Searches stay cheap because they land near
+    /// the tail, which is where [`tail_partition_point`] starts.
     fn commit(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
