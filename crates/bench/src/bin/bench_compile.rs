@@ -1,6 +1,5 @@
 //! Compile-time benchmark: per-pass wall-clock over the benchmark
-//! suite and a synthetic stress program ~10× the largest benchmark
-//! (built as a rolled loop region and compiled flat after `unroll()`).
+//! suite and a synthetic stress program ~10× the largest benchmark.
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin bench_compile            # full scale
@@ -105,25 +104,30 @@ fn time_passes(name: &str, program: &Program, arch: &ArchConfig) -> PassTimes {
     }
 }
 
-/// Builds the synthetic stress program as a *rolled* loop region: a
-/// steady-state square → rotate → add chain, with the trip count
-/// calibrated (via two cheap truncation compiles) so the unrolled
-/// expanded-DFG instruction count lands near `target_instrs`.
-fn stress_rolled(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) -> FheProgram {
-    let chain = |trips: u32| {
+/// Builds the synthetic stress program: a steady-state square → rotate
+/// → add chain, with the trip count calibrated (via two cheap truncation
+/// compiles) so the expanded-DFG instruction count lands near
+/// `target_instrs`. Returns the program and the trip count it chose.
+fn stress_chain(
+    n: usize,
+    l: usize,
+    target_instrs: usize,
+    arch: &ArchConfig,
+) -> (FheProgram, usize) {
+    let chain = |trips: usize| {
         let mut p = FheProgram::new(n, Scheme::Bgv);
-        let acc = p.input(l);
-        let t = p.begin_repeat();
-        let m = p.square(acc);
-        let r = p.aut(m, 9);
-        let acc2 = p.add(r, m);
-        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
-        p.output(acc2);
+        let mut acc = p.input(l);
+        for _ in 0..trips {
+            let m = p.square(acc);
+            let r = p.aut(m, 9);
+            acc = p.add(r, m);
+        }
+        p.output(acc);
         p
     };
     let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
-    let instrs_at = |trips: u32| {
-        let (opt, _) = chain(trips).unroll().optimize();
+    let instrs_at = |trips: usize| {
+        let (opt, _) = chain(trips).optimize();
         expand::expand(&opt.lower().program, &opts).dfg.instrs().len()
     };
     let base = instrs_at(8);
@@ -131,8 +135,8 @@ fn stress_rolled(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) ->
     let per_trip = (probe.saturating_sub(base) / 4).max(1);
     // Floor of 18 extra trips keeps the program well past the two
     // calibration points even for tiny targets.
-    let trips = 8 + (target_instrs.saturating_sub(base) / per_trip).max(18) as u32;
-    chain(trips)
+    let trips = 8 + (target_instrs.saturating_sub(base) / per_trip).max(18);
+    (chain(trips), trips)
 }
 
 fn json_num(x: f64) -> String {
@@ -199,15 +203,14 @@ fn main() {
 
     // --- Stress program: ~10× the largest benchmark's expanded size at
     // full scale (~2× in quick mode, to keep CI smoke fast). The program
-    // is a rolled loop region, unrolled and optimized up front; only the
-    // three scheduling passes are timed.
+    // is optimized and lowered up front; only the three scheduling passes
+    // are timed.
     let largest_idx = (0..rows.len()).max_by_key(|&i| rows[i].instrs).expect("suite is non-empty");
     let factor = if quick { 2 } else { 10 };
     let (n, l) = (1 << 10, 6);
-    let sp = stress_rolled(n, l, rows[largest_idx].instrs * factor, &arch);
-    let trips = sp.repeats()[0].trips;
+    let (sp, trips) = stress_chain(n, l, rows[largest_idx].instrs * factor, &arch);
     let lowered = {
-        let (opt, _) = sp.unroll().optimize();
+        let (opt, _) = sp.optimize();
         opt.lower()
     };
     let stress = time_passes("synthetic-stress", &lowered.program, &arch);

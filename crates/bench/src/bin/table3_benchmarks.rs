@@ -78,20 +78,4 @@ fn main() {
             b.name, opt.nodes_before, opt.nodes_after, dfg_before, dfg_after, saved
         );
     }
-
-    // Rolled-loop frontend sizes: builders that express their main loop
-    // as a Repeat region store the body once; the flat (unrolled) count
-    // is what every later pass sees.
-    println!("\nRolled loop regions (frontend node counts):");
-    println!("{:<30} {:>9} {:>10} {:>8}", "Benchmark", "Rolled", "Unrolled", "Saved");
-    for b in &benches {
-        let unrolled = b.fhe.nodes().len();
-        match b.rolled_nodes {
-            Some(rolled) => {
-                let saved = 100.0 * (unrolled as f64 - rolled as f64) / unrolled.max(1) as f64;
-                println!("{:<30} {:>9} {:>10} {:>7.1}%", b.name, rolled, unrolled, saved);
-            }
-            None => println!("{:<30} {:>9} {:>10} {:>8}", b.name, "-", unrolled, "flat"),
-        }
-    }
 }

@@ -165,58 +165,6 @@ pub struct Node {
     pub ty: ValType,
 }
 
-/// Affine per-iteration stepping of one node inside a [`RepeatSpec`]
-/// body: at iteration `i` (0-based) the stepped field sits at its
-/// iteration-0 value plus `i * delta`. Ordinals and levels step on
-/// `CtInput`/`PtInput` nodes; automorphism exponents step on `Aut`
-/// (mod 2N). Everything a loop body varies per iteration — which
-/// plaintext it consumes, what level it enters at, how far it rotates —
-/// is one of these three affine channels.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStep {
-    /// Per-iteration input-ordinal increment (`CtInput`/`PtInput`).
-    pub d_ordinal: i64,
-    /// Per-iteration input-level increment (`CtInput`/`PtInput`;
-    /// usually 0, or -1 for bodies that descend the modulus chain).
-    pub d_level: i64,
-    /// Per-iteration automorphism-exponent increment (`Aut` only),
-    /// applied modulo 2N.
-    pub d_k: i64,
-}
-
-/// A rolled loop region: `trips` repetitions of the body nodes
-/// `[start, start+len)`, materialized once. The body is ordinary IR —
-/// iteration 0 *is* the region — and iterations `i > 0` are defined by
-/// substitution: loop-carried operands re-bind to the previous
-/// iteration's clone, and [`NodeStep`]-stepped fields move affinely in
-/// `i`. [`FheProgram::unroll`] performs that expansion (with full type
-/// re-inference per iteration); the scheduling pipeline only ever sees
-/// the unrolled form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepeatSpec {
-    /// First body node.
-    pub start: u32,
-    /// Body length in nodes (>= 1).
-    pub len: u32,
-    /// Trip count (>= 1); iteration 0 is the materialized body itself.
-    pub trips: u32,
-    /// Loop-carried values as `(init, out)` pairs: iteration 0 reads
-    /// `init` (a pre-region value) wherever the body names it;
-    /// iteration `i > 0` reads iteration `i-1`'s clone of `out`.
-    /// Region-referencing nodes after the loop — and outputs — read the
-    /// *last* iteration's clone.
-    pub carries: Vec<(IrId, IrId)>,
-    /// Affine per-iteration field steps, keyed by body node id.
-    pub steps: Vec<(IrId, NodeStep)>,
-}
-
-/// Token returned by [`FheProgram::begin_repeat`] marking where a rolled
-/// region's body starts; closed by [`FheProgram::end_repeat`].
-#[derive(Debug)]
-pub struct RepeatToken {
-    start: u32,
-}
-
 /// A typed, scheme-aware FHE program: the circuit builder and the
 /// normalized SSA IR in one. See the module docs for the pipeline.
 #[derive(Debug, Clone)]
@@ -231,9 +179,6 @@ pub struct FheProgram {
     outputs: Vec<IrId>,
     next_ct_ordinal: u32,
     next_pt_ordinal: u32,
-    /// Rolled loop regions, in ascending, non-overlapping node order.
-    /// Empty for a flat program; [`Self::unroll`] expands them.
-    repeats: Vec<RepeatSpec>,
 }
 
 impl FheProgram {
@@ -249,7 +194,6 @@ impl FheProgram {
             outputs: Vec::new(),
             next_ct_ordinal: 0,
             next_pt_ordinal: 0,
-            repeats: Vec::new(),
         }
     }
 
@@ -301,11 +245,8 @@ impl FheProgram {
         a.level
     }
 
-    /// Recomputes the type `op` produces from its operands' types,
-    /// applying exactly the builder's typing rules. Shared by the
-    /// builder methods and [`Self::unroll`]'s per-iteration
-    /// re-inference, so an unrolled clone is typed precisely as if it
-    /// had been built by hand.
+    /// Computes the type `op` produces from its operands' types,
+    /// applying the builder's typing rules.
     fn infer_ty(&self, op: &FheOp) -> ValType {
         let base_scale = if self.scheme == Scheme::Ckks { 1 } else { 0 };
         match op {
@@ -577,264 +518,16 @@ impl FheProgram {
         self.outputs.push(x);
     }
 
-    /// Opens a rolled loop region. Build the body (one iteration) with
-    /// the ordinary typed builder methods, then close it with
-    /// [`Self::end_repeat`]. Iteration 0 *is* the body you build;
-    /// values the body computes are also the values later code (or the
-    /// loop itself, through carries) references — after unrolling they
-    /// re-bind to the last iteration's clones.
-    pub fn begin_repeat(&mut self) -> RepeatToken {
-        RepeatToken { start: self.nodes.len() as u32 }
+    /// Always empty: the IR has no rolled loop regions. Exists only for
+    /// perfbench and goes with ROADMAP item 4's benchmark change.
+    pub fn repeats(&self) -> &[std::convert::Infallible] {
+        &[]
     }
 
-    /// Closes the rolled region opened by `token`, registering it as
-    /// `trips` repetitions with the given loop-carried values and
-    /// affine per-iteration steps (see [`RepeatSpec`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the region is malformed: empty body, zero trips,
-    /// carries whose `init` is not a pre-region value or whose `out` is
-    /// not a body value (or whose plain/cipher kinds differ), steps
-    /// that target non-body nodes or fields the node kind does not
-    /// have, or body inputs left unstepped (every `CtInput`/`PtInput`
-    /// built inside the body must carry a `d_ordinal != 0` step when
-    /// `trips > 1`, otherwise distinct iterations would alias one
-    /// runtime binding).
-    pub fn end_repeat(
-        &mut self,
-        token: &RepeatToken,
-        trips: u32,
-        carries: Vec<(IrId, IrId)>,
-        steps: Vec<(IrId, NodeStep)>,
-    ) {
-        let start = token.start;
-        let end = self.nodes.len() as u32;
-        assert!(end > start, "end_repeat: empty body");
-        assert!(trips >= 1, "end_repeat: trips must be >= 1");
-        let in_body = |v: IrId| v.0 >= start && v.0 < end;
-        for &(init, out) in &carries {
-            assert!(init.0 < start, "carry init {init:?} must precede the region");
-            assert!(in_body(out), "carry out {out:?} must be a body value");
-            assert_eq!(
-                self.ty(init).plain,
-                self.ty(out).plain,
-                "carry ({init:?}, {out:?}) mixes plaintext and ciphertext"
-            );
-        }
-        for &(id, st) in &steps {
-            assert!(in_body(id), "step target {id:?} must be a body value");
-            match &self.nodes[id.0 as usize].op {
-                FheOp::CtInput { .. } | FheOp::PtInput { .. } => {
-                    assert_eq!(st.d_k, 0, "d_k step on input node {id:?}");
-                }
-                FheOp::Aut { .. } => {
-                    assert_eq!((st.d_ordinal, st.d_level), (0, 0), "input step on Aut node {id:?}");
-                }
-                other => panic!("steps only apply to inputs and automorphisms, not {other:?}"),
-            }
-        }
-        // Every input declared inside the body must be ordinal-stepped:
-        // otherwise each unrolled iteration would carry the same ordinal
-        // and alias one runtime binding.
-        if trips > 1 {
-            for i in start..end {
-                let is_input = matches!(
-                    self.nodes[i as usize].op,
-                    FheOp::CtInput { .. } | FheOp::PtInput { .. }
-                );
-                if is_input {
-                    let stepped = steps.iter().any(|&(id, st)| id.0 == i && st.d_ordinal != 0);
-                    assert!(stepped, "body input node {i} needs a d_ordinal != 0 step");
-                }
-            }
-        }
-        // Reserve the ordinal ranges the stepped iterations will occupy,
-        // so inputs declared after the loop don't collide with them.
-        for &(id, st) in &steps {
-            let claim = |ordinal: u32, next: &mut u32| {
-                let last = ordinal as i64 + st.d_ordinal * (trips as i64 - 1);
-                let hi = (ordinal as i64).max(last);
-                assert!(last >= 0, "stepped ordinal underflows");
-                *next = (*next).max(hi as u32 + 1);
-            };
-            match self.nodes[id.0 as usize].op {
-                FheOp::CtInput { ordinal, .. } => claim(ordinal, &mut self.next_ct_ordinal),
-                FheOp::PtInput { ordinal, .. } => claim(ordinal, &mut self.next_pt_ordinal),
-                _ => {}
-            }
-        }
-        self.repeats.push(RepeatSpec { start, len: end - start, trips, carries, steps });
-    }
-
-    /// Rolled loop regions, in ascending node order.
-    pub fn repeats(&self) -> &[RepeatSpec] {
-        &self.repeats
-    }
-
-    /// Node count after unrolling every repeat (without materializing).
-    pub fn unrolled_len(&self) -> usize {
-        self.nodes.len()
-            + self.repeats.iter().map(|r| (r.trips as usize - 1) * r.len as usize).sum::<usize>()
-    }
-
-    /// Unrolls every rolled region into flat IR. Equivalent to having
-    /// built each iteration by hand: clones are re-typed from their
-    /// operands per iteration, carried operands re-bind to the previous
-    /// iteration's clone, and stepped fields move affinely in the
-    /// iteration index. On a repeat-free program this is an identity
-    /// copy.
+    /// Returns a copy: the IR is always flat. Exists only for perfbench
+    /// and goes with ROADMAP item 4's benchmark change.
     pub fn unroll(&self) -> FheProgram {
-        self.unroll_map().0
-    }
-
-    /// [`Self::unroll`], also returning the id map: `map[v]` is where
-    /// rolled-program value `v` lives in the unrolled program (body
-    /// values map to their *last*-iteration clone). Use it to keep
-    /// building an epilogue on the unrolled form from handles obtained
-    /// while building rolled.
-    pub fn unroll_map(&self) -> (FheProgram, Vec<IrId>) {
-        let mut cur = self.clone();
-        let mut map: Vec<IrId> = (0..self.nodes.len() as u32).map(IrId).collect();
-        while !cur.repeats.is_empty() {
-            let (next, m) = cur.unroll_one();
-            for slot in map.iter_mut() {
-                *slot = m[slot.0 as usize];
-            }
-            cur = next;
-        }
-        (cur, map)
-    }
-
-    /// Expands the first repeat region; later regions shift in place.
-    fn unroll_one(&self) -> (FheProgram, Vec<IrId>) {
-        let rep = self.repeats[0].clone();
-        let (start, len, trips) = (rep.start as usize, rep.len as usize, rep.trips as usize);
-        let mut q = FheProgram::new(self.n, self.scheme);
-        q.strict_scale = self.strict_scale;
-        let mut map: Vec<IrId> = Vec::with_capacity(self.nodes.len());
-        // Prefix and iteration 0: verbatim.
-        for i in 0..start + len {
-            q.nodes.push(self.nodes[i].clone());
-            map.push(IrId(i as u32));
-        }
-        let mut step_of: Vec<Option<NodeStep>> = vec![None; len];
-        for &(id, st) in &rep.steps {
-            step_of[id.0 as usize - start] = Some(st);
-        }
-        // Iterations 1..trips: clone with carry substitution, affine
-        // stepping, and full type re-inference.
-        let mut iter_map: Vec<IrId> = (start..start + len).map(|i| IrId(i as u32)).collect();
-        let two_n = 2 * self.n as i64;
-        for it in 1..trips {
-            let prev = iter_map.clone();
-            for j in 0..len {
-                let src = &self.nodes[start + j];
-                let mut op = match step_of[j] {
-                    Some(st) => Self::step_op(&src.op, st, it as i64, two_n),
-                    None => src.op.clone(),
-                };
-                op = Self::remap_op(&op, |o| {
-                    let oi = o.0 as usize;
-                    if oi >= start && oi < start + len {
-                        // Same-iteration reference (SSA: always earlier
-                        // in the body, so already cloned this trip).
-                        iter_map[oi - start]
-                    } else if let Some(c) = rep.carries.iter().position(|&(init, _)| init == o) {
-                        // Loop-carried: previous iteration's out.
-                        prev[rep.carries[c].1 .0 as usize - start]
-                    } else {
-                        // Loop-invariant pre-region value.
-                        map[oi]
-                    }
-                });
-                let ty = q.infer_ty(&op);
-                let id = IrId(q.nodes.len() as u32);
-                q.nodes.push(Node { op, ty });
-                iter_map[j] = id;
-            }
-        }
-        map[start..start + len].copy_from_slice(&iter_map);
-        // Suffix: remap region references to the last iteration and
-        // re-infer types (bodies may change the carried values' levels).
-        for i in start + len..self.nodes.len() {
-            let src = &self.nodes[i];
-            let op = Self::remap_op(&src.op, |o| map[o.0 as usize]);
-            let ty = match op {
-                FheOp::CtInput { .. } | FheOp::PtInput { .. } | FheOp::Constant { .. } => src.ty,
-                _ => q.infer_ty(&op),
-            };
-            map.push(IrId(q.nodes.len() as u32));
-            q.nodes.push(Node { op, ty });
-        }
-        q.outputs = self.outputs.iter().map(|&o| map[o.0 as usize]).collect();
-        // Later repeat regions are contiguous suffix copies: shift them.
-        for r in &self.repeats[1..] {
-            q.repeats.push(RepeatSpec {
-                start: map[r.start as usize].0,
-                len: r.len,
-                trips: r.trips,
-                carries: r
-                    .carries
-                    .iter()
-                    .map(|&(a, b)| (map[a.0 as usize], map[b.0 as usize]))
-                    .collect(),
-                steps: r.steps.iter().map(|&(a, s)| (map[a.0 as usize], s)).collect(),
-            });
-        }
-        // Input ordinal counters: cover everything materialized.
-        let (mut ct, mut pt) = (self.next_ct_ordinal, self.next_pt_ordinal);
-        for n in &q.nodes {
-            match n.op {
-                FheOp::CtInput { ordinal, .. } => ct = ct.max(ordinal + 1),
-                FheOp::PtInput { ordinal, .. } => pt = pt.max(ordinal + 1),
-                _ => {}
-            }
-        }
-        q.next_ct_ordinal = ct;
-        q.next_pt_ordinal = pt;
-        (q, map)
-    }
-
-    /// Applies `st` at iteration `it` to a steppable op.
-    fn step_op(op: &FheOp, st: NodeStep, it: i64, two_n: i64) -> FheOp {
-        let step_u32 = |v: u32, d: i64| -> u32 {
-            let s = v as i64 + d * it;
-            assert!(s >= 0, "stepped ordinal underflows at iteration {it}");
-            s as u32
-        };
-        let step_level = |v: usize, d: i64| -> usize {
-            let s = v as i64 + d * it;
-            assert!(s >= 1, "stepped level underflows at iteration {it}");
-            s as usize
-        };
-        match op {
-            FheOp::CtInput { level, ordinal } => FheOp::CtInput {
-                level: step_level(*level, st.d_level),
-                ordinal: step_u32(*ordinal, st.d_ordinal),
-            },
-            FheOp::PtInput { level, ordinal } => FheOp::PtInput {
-                level: step_level(*level, st.d_level),
-                ordinal: step_u32(*ordinal, st.d_ordinal),
-            },
-            FheOp::Aut { a, k } => {
-                FheOp::Aut { a: *a, k: (*k as i64 + st.d_k * it).rem_euclid(two_n) as usize }
-            }
-            other => other.clone(),
-        }
-    }
-
-    /// Rewrites `op`'s operands through `f`.
-    fn remap_op(op: &FheOp, f: impl Fn(IrId) -> IrId) -> FheOp {
-        match op {
-            FheOp::CtInput { .. } | FheOp::PtInput { .. } | FheOp::Constant { .. } => op.clone(),
-            FheOp::Add(a, b) => FheOp::Add(f(*a), f(*b)),
-            FheOp::AddPlain(a, b) => FheOp::AddPlain(f(*a), f(*b)),
-            FheOp::Mul(a, b) => FheOp::Mul(f(*a), f(*b)),
-            FheOp::MulPlain(a, b) => FheOp::MulPlain(f(*a), f(*b)),
-            FheOp::Aut { a, k } => FheOp::Aut { a: f(*a), k: *k },
-            FheOp::ModSwitch(a) => FheOp::ModSwitch(f(*a)),
-        }
+        self.clone()
     }
 
     /// All nodes, in id order.
@@ -914,20 +607,6 @@ impl FheProgram {
             assert!((o.0 as usize) < self.nodes.len(), "unknown output {o:?}");
             assert!(!self.ty(o).plain, "plain output {o:?}");
         }
-        let mut prev_end = 0u32;
-        for r in &self.repeats {
-            assert!(r.len >= 1 && r.trips >= 1, "degenerate repeat {r:?}");
-            assert!(r.start >= prev_end, "overlapping repeat regions");
-            let end = r.start + r.len;
-            assert!(end as usize <= self.nodes.len(), "repeat region out of bounds");
-            for &(init, out) in &r.carries {
-                assert!(init.0 < r.start && out.0 >= r.start && out.0 < end, "bad carry in {r:?}");
-            }
-            for &(id, _) in &r.steps {
-                assert!(id.0 >= r.start && id.0 < end, "step outside region in {r:?}");
-            }
-            prev_end = end;
-        }
         self.nodes.len()
     }
 
@@ -937,22 +616,12 @@ impl FheProgram {
     /// optimized program and per-pass statistics. Deterministic: passes
     /// iterate the node list in id order only.
     pub fn optimize(&self) -> (FheProgram, OptStats) {
-        assert!(
-            self.repeats.is_empty(),
-            "optimize() operates on flat IR; call unroll() first (compile_fhe does this \
-             automatically)"
-        );
         passes::optimize(self)
     }
 
     /// Lowers this program 1:1 into a [`crate::dsl::Program`] for the
     /// scheduling passes (usually after [`Self::optimize`]).
     pub fn lower(&self) -> Lowered {
-        assert!(
-            self.repeats.is_empty(),
-            "lower() operates on flat IR; call unroll() first (compile_fhe does this \
-             automatically)"
-        );
         lower::lower(self)
     }
 
@@ -1078,159 +747,6 @@ mod tests {
         let b = p.input(2);
         let s = p.add(a, b);
         assert_eq!((a, b, s), (IrId(0), IrId(1), IrId(2)));
-    }
-
-    /// `trips` iterations of square → aut → add, rolled.
-    fn rolled_chain(l: usize, trips: u32) -> FheProgram {
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let acc = p.input(l);
-        let t = p.begin_repeat();
-        let m = p.square(acc);
-        let r = p.aut(m, 9);
-        let acc2 = p.add(r, m);
-        p.end_repeat(&t, trips, vec![(acc, acc2)], vec![]);
-        p.output(acc2);
-        p
-    }
-
-    /// The same chain built by hand.
-    fn flat_chain(l: usize, trips: u32) -> FheProgram {
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let mut acc = p.input(l);
-        for _ in 0..trips {
-            let m = p.square(acc);
-            let r = p.aut(m, 9);
-            acc = p.add(r, m);
-        }
-        p.output(acc);
-        p
-    }
-
-    #[test]
-    fn unroll_matches_handwritten_chain() {
-        for trips in [1u32, 2, 7] {
-            let rolled = rolled_chain(6, trips);
-            assert_eq!(rolled.validate(), 4);
-            assert_eq!(rolled.unrolled_len(), 1 + 3 * trips as usize);
-            let flat = flat_chain(6, trips);
-            let un = rolled.unroll();
-            assert_eq!(un.nodes(), flat.nodes());
-            assert_eq!(un.outputs(), flat.outputs());
-            assert!(un.repeats().is_empty());
-        }
-    }
-
-    #[test]
-    fn unroll_is_identity_without_repeats() {
-        let p = FheProgram::listing2_matvec(1 << 10, 4, 2);
-        let (un, map) = p.unroll_map();
-        assert_eq!(un.nodes(), p.nodes());
-        assert_eq!(un.outputs(), p.outputs());
-        assert!(map.iter().enumerate().all(|(i, v)| v.0 as usize == i));
-    }
-
-    #[test]
-    fn unroll_steps_ordinals_levels_and_retypes() {
-        // CKKS Horner step: mul by z, rescale, add a fresh plaintext —
-        // level drops and the plaintext ordinal advances per iteration.
-        let trips = 4u32;
-        let l = 8usize;
-        // Rolled version.
-        let mut p = FheProgram::new(1 << 10, Scheme::Ckks);
-        let acc0 = p.input(l);
-        let t = p.begin_repeat();
-        let m = p.square(acc0);
-        let m = p.rescale(m);
-        let c = p.plain_input(l - 1);
-        let acc = p.add_plain(m, c);
-        p.end_repeat(
-            &t,
-            trips,
-            vec![(acc0, acc)],
-            vec![(c, NodeStep { d_ordinal: 1, d_level: -1, d_k: 0 })],
-        );
-        p.output(acc);
-        // Handwritten version.
-        let mut q = FheProgram::new(1 << 10, Scheme::Ckks);
-        let mut hacc = q.input(l);
-        for _ in 0..trips {
-            let hm = q.square(hacc);
-            let hm = q.rescale(hm);
-            let hc = q.plain_input(q.level_of(hm));
-            hacc = q.add_plain(hm, hc);
-        }
-        q.output(hacc);
-        let un = p.unroll();
-        assert_eq!(un.nodes(), q.nodes());
-        assert_eq!(un.outputs(), q.outputs());
-        // Post-loop ordinal allocation continues past the stepped range.
-        let mut p2 = p.clone();
-        let late = p2.plain_input(2);
-        match p2.node(late).op {
-            FheOp::PtInput { ordinal, .. } => assert_eq!(ordinal, trips),
-            ref other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn unroll_remaps_epilogue_to_last_iteration() {
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let acc0 = p.input(5);
-        let inv = p.input(5); // loop-invariant, used inside the body
-        let t = p.begin_repeat();
-        let m = p.mul(acc0, inv);
-        p.end_repeat(&t, 3, vec![(acc0, m)], vec![]);
-        let epi = p.mod_switch(m); // epilogue reads the carried value
-        p.output(epi);
-        let (un, map) = p.unroll_map();
-        // 2 inputs + 3 muls + 1 mod_switch.
-        assert_eq!(un.nodes().len(), 6);
-        assert_eq!(map[m.0 as usize], IrId(4), "body value maps to last clone");
-        match un.node(IrId(5)).op {
-            FheOp::ModSwitch(a) => assert_eq!(a, IrId(4)),
-            ref other => panic!("{other:?}"),
-        }
-        assert_eq!(un.depth_of(IrId(4)), 3, "depth re-inferred per iteration");
-        assert_eq!(un.outputs(), &[IrId(5)]);
-    }
-
-    #[test]
-    fn aut_exponents_step_affinely() {
-        let mut p = FheProgram::new(1 << 4, Scheme::Bgv); // 2N = 32
-        let acc0 = p.input(3);
-        let t = p.begin_repeat();
-        let r = p.aut(acc0, 3);
-        let s = p.add(r, r);
-        p.end_repeat(&t, 4, vec![(acc0, s)], vec![(r, NodeStep { d_k: 2, ..NodeStep::default() })]);
-        p.output(s);
-        let un = p.unroll();
-        let ks: Vec<usize> = un
-            .nodes()
-            .iter()
-            .filter_map(|n| match n.op {
-                FheOp::Aut { k, .. } => Some(k),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ks, vec![3, 5, 7, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a d_ordinal")]
-    fn unstepped_body_input_is_rejected() {
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let acc0 = p.input(4);
-        let t = p.begin_repeat();
-        let x = p.input(4);
-        let s = p.add(acc0, x);
-        p.end_repeat(&t, 3, vec![(acc0, s)], vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "operates on flat IR")]
-    fn optimize_rejects_rolled_programs() {
-        let p = rolled_chain(6, 4);
-        let _ = p.optimize();
     }
 
     #[test]

@@ -152,7 +152,6 @@ fn apply_alias(p: &FheProgram, alias: &[u32]) -> (FheProgram, usize) {
         outputs,
         next_ct_ordinal: p.next_ct_ordinal,
         next_pt_ordinal: p.next_pt_ordinal,
-        repeats: Vec::new(),
     };
     (out, dropped)
 }

@@ -52,7 +52,7 @@ pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
 pub use cycle::CycleSchedule;
 pub use dsl::{CtId, HomOp, Program};
 pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
-pub use ir::{FheProgram, IrId, Lowered, NodeStep, OptStats, RepeatSpec, RescaleStats, Scheme};
+pub use ir::{FheProgram, IrId, Lowered, OptStats, RescaleStats, Scheme};
 pub use movement::MovePlan;
 
 /// Compiles a DSL program end-to-end with default options, returning the
@@ -70,25 +70,16 @@ pub fn compile(
     (expanded, plan, cycles)
 }
 
-/// Compiles a typed [`FheProgram`] end-to-end: unroll any rolled loop
-/// regions → optimize (IR passes) → lower → the three scheduling passes
-/// of [`compile`]. Returns the lowering (with its constant table and
-/// input maps), the optimization statistics, and the usual pass outputs.
+/// Compiles a typed [`FheProgram`] end-to-end: optimize (IR passes) →
+/// lower → the three scheduling passes of [`compile`]. Returns the
+/// lowering (with its constant table and input maps), the optimization
+/// statistics, and the usual pass outputs.
 /// For automatic noise management, run [`ir::rescale::insert_rescales`]
 /// on the program first.
 pub fn compile_fhe(
     program: &FheProgram,
     arch: &f1_arch::ArchConfig,
 ) -> (Lowered, OptStats, Expanded, MovePlan, CycleSchedule) {
-    // Rolled loop regions unroll here: every pass below this point sees
-    // flat IR.
-    let unrolled;
-    let program = if program.repeats().is_empty() {
-        program
-    } else {
-        unrolled = program.unroll();
-        &unrolled
-    };
     let (optimized, stats) = program.optimize();
     let lowered = optimized.lower();
     let (expanded, plan, cycles) = compile(&lowered.program, arch);

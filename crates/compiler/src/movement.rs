@@ -180,8 +180,6 @@ pub struct MovePlan {
     pub events: Vec<MoveEvent>,
     /// Traffic accounting.
     pub traffic: TrafficBreakdown,
-    /// Approximate makespan of the simplified model, in cycles.
-    pub approx_cycles: u64,
 }
 
 impl MovePlan {
@@ -360,7 +358,6 @@ impl<'a> Scheduler<'a> {
                 order: Vec::with_capacity(n_instr),
                 events: Vec::new(),
                 traffic: TrafficBreakdown::default(),
-                approx_cycles: 0,
             },
             #[cfg(test)]
             paths: EvictionPaths::default(),
@@ -432,7 +429,6 @@ impl<'a> Scheduler<'a> {
             self.out.traffic.input_compulsory += bytes;
             self.out.events.push(MoveEvent::OutputStore { value: v, bytes, frees: false });
         }
-        self.out.approx_cycles = self.compute_front().max(self.mem_cycle);
     }
 
     fn compute_front(&self) -> u64 {

@@ -191,12 +191,6 @@ impl DecompHint {
         (r0, r1)
     }
 
-    /// Hint size in bytes when used at level `l`.
-    pub fn size_bytes_at(&self, l: usize) -> usize {
-        let n = self.rows[0].0.n();
-        2 * l * l * n * 4
-    }
-
     /// Applies the key-switch to `x` (NTT domain, level `l <= level`).
     ///
     /// Convenience wrapper over [`DecompHint::apply_with_scratch`] with a
@@ -324,11 +318,6 @@ impl GhsHint {
             ksh0,
             ksh1: a,
         }
-    }
-
-    /// Hint size in bytes when used at level `l`.
-    pub fn size_bytes_at(&self, l: usize) -> usize {
-        2 * (l + self.special_count) * self.ksh0.n() * 4
     }
 
     /// Applies the GHS key-switch to `x` (NTT domain, level `l <= level`).

@@ -54,17 +54,3 @@ pub use rns::{Domain, ResiduePoly, RnsContext, RnsPoly};
 pub const MIN_LOG_N: u32 = 10;
 /// Maximum supported `log2 N`.
 pub const MAX_LOG_N: u32 = 14;
-
-/// Validates that `n` is a supported ring dimension.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two in `[2^10, 2^14]`. Tests may use
-/// smaller rings via the unchecked constructors.
-pub fn assert_supported_ring(n: usize) {
-    assert!(n.is_power_of_two(), "ring dimension must be a power of two, got {n}");
-    assert!(
-        (MIN_LOG_N..=MAX_LOG_N).contains(&(n.trailing_zeros())),
-        "ring dimension {n} outside supported range 2^{MIN_LOG_N}..2^{MAX_LOG_N}"
-    );
-}

@@ -340,21 +340,11 @@ impl RnsPoly {
         self.domain = domain;
     }
 
-    /// Reshapes this polynomial in place into the all-zero polynomial at
-    /// `level` limbs with the given domain tag, reusing the allocation.
-    pub fn reset_zero(&mut self, level: usize, domain: Domain) {
-        assert!(level >= 1 && level <= self.ctx.max_level());
-        self.data.clear();
-        self.data.resize(level * self.ctx.n, 0);
-        self.level = level;
-        self.domain = domain;
-    }
-
     /// Reshapes this polynomial to `level` limbs with the given domain tag
     /// *without* zeroing: existing residues are unspecified (but
     /// initialized) until the caller overwrites them. For scratch buffers
     /// whose every element is about to be written — skips the `O(level*n)`
-    /// memset [`RnsPoly::reset_zero`] pays.
+    /// memset that zeroing would pay.
     pub fn reshape_for_overwrite(&mut self, level: usize, domain: Domain) {
         assert!(level >= 1 && level <= self.ctx.max_level());
         self.data.resize(level * self.ctx.n, 0);

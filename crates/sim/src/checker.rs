@@ -752,7 +752,6 @@ mod tests {
             order: (0..3).map(f1_isa::dfg::InstrId).collect(),
             events: Vec::new(),
             traffic: TrafficBreakdown::default(),
-            approx_cycles: 1100,
         };
         let _ = ValueId(0);
         let ex = Expanded {

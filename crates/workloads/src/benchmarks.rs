@@ -2,14 +2,14 @@
 //! typed [`FheProgram`] frontend.
 //!
 //! Each builder constructs a scheme-typed circuit (CKKS for the neural
-//! networks and HELR, BGV for DB lookup and BGV bootstrapping), then
-//! [`Benchmark`] runs the IR optimization pipeline and lowers to the
-//! scheduler-facing DSL program. Both the optimized program (what the
-//! scheduling passes and the CPU baseline consume) and the unoptimized
-//! lowering (for before/after accounting in the paper bins) are kept.
+//! networks and HELR, BGV for DB lookup and BGV bootstrapping). Loops are
+//! plain Rust loops, so every program is flat IR, as F1's static dataflow
+//! programs are (§3). [`Benchmark::lowered`] runs the IR optimization
+//! pipeline and lowers to the scheduler-facing DSL program; the frontend
+//! program stays available for before/after accounting in the paper bins.
 
 use f1_compiler::dsl::Program;
-use f1_compiler::ir::{FheProgram, IrId, NodeStep, OptStats, Scheme};
+use f1_compiler::ir::{FheProgram, IrId, OptStats, Scheme};
 
 /// One benchmark: a typed FHE program plus its identity and parameters.
 #[derive(Debug, Clone)]
@@ -20,7 +20,7 @@ pub struct Benchmark {
     pub n: usize,
     /// Starting number of RNS limbs.
     pub l: usize,
-    /// The typed frontend program (pre-optimization).
+    /// The typed frontend program: flat IR, before optimization.
     pub fhe: FheProgram,
     /// Scale divisor applied relative to the paper's full instance
     /// (1 = full size; >1 = reduced for tractable scheduling, with the
@@ -29,32 +29,14 @@ pub struct Benchmark {
     /// Which scheme the original uses (typing only — at the instruction
     /// level all schemes lower identically, the paper's point, §2.5).
     pub scheme: Scheme,
-    /// Frontend node count of the *rolled* form when the builder uses a
-    /// [`f1_compiler::ir::RepeatSpec`] region (loop body stored once);
-    /// `None` when the builder is inherently flat. Compare against
-    /// `fhe.nodes().len()` for the unrolled size.
-    pub rolled_nodes: Option<usize>,
 }
 
 impl Benchmark {
     /// Wraps a built frontend program.
     fn finish(name: &'static str, l: usize, fhe: FheProgram, scale: usize) -> Self {
-        Self::finish_rolled(name, l, fhe, scale, None)
-    }
-
-    /// [`Self::finish`] for builders that constructed (part of) the
-    /// program as a rolled region: records the rolled node count next to
-    /// the flat program all downstream consumers see.
-    fn finish_rolled(
-        name: &'static str,
-        l: usize,
-        fhe: FheProgram,
-        scale: usize,
-        rolled_nodes: Option<usize>,
-    ) -> Self {
         let n = fhe.n;
         let scheme = fhe.scheme();
-        Benchmark { name, n, l, fhe, scale, scheme, rolled_nodes }
+        Benchmark { name, n, l, fhe, scale, scheme }
     }
 
     /// The scheduler-facing program (the frontend program through the IR
@@ -457,42 +439,19 @@ pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
         z = p.rescale(z);
     }
     // Horner Taylor: re/im pair, two ct×ct muls per step + rescales.
-    // The first step is peeled — re and im both start at `z`, so its
-    // operand references are indistinguishable; from step 1 on the
-    // iterations are generic and live in a rolled Repeat region (body
-    // stored once, Taylor coefficient stepping one plaintext ordinal
-    // forward and one level down per trip). Unrolling reproduces the
-    // handwritten loop byte for byte (pinned by a test below).
-    let (mut re, mut im);
-    {
-        let new_re = p.mul(z, z);
+    let mut re = z;
+    let mut im = z;
+    for _ in 0..taylor {
+        let new_re = p.mul(im, z);
         let new_re = p.rescale(new_re);
         let c = p.plain_input(p.level_of(new_re));
-        re = p.add_plain(new_re, c);
-        let new_im = p.mul(z, z);
-        im = p.rescale(new_im);
+        let new_re = p.add_plain(new_re, c);
+        let new_im = p.mul(re, z);
+        let new_im = p.rescale(new_im);
+        re = new_re;
+        im = new_im;
         z = p.rescale(z);
     }
-    assert!(taylor >= 2, "div_sqrt floors at 2");
-    let t = p.begin_repeat();
-    let new_re = p.mul(im, z);
-    let new_re = p.rescale(new_re);
-    let c = p.plain_input(p.level_of(new_re));
-    let new_re = p.add_plain(new_re, c);
-    let new_im = p.mul(re, z);
-    let new_im = p.rescale(new_im);
-    let z_next = p.rescale(z);
-    p.end_repeat(
-        &t,
-        (taylor - 1) as u32,
-        vec![(re, new_re), (im, new_im), (z, z_next)],
-        vec![(c, NodeStep { d_ordinal: 1, d_level: -1, d_k: 0 })],
-    );
-    let rolled_prefix = p.nodes().len();
-    let (mut p, map) = p.unroll_map();
-    let unrolled_at_loop = p.nodes().len();
-    re = map[new_re.0 as usize];
-    im = map[new_im.0 as usize];
     // Double-angle squarings: 3 muls per step.
     for _ in 0..double_angles {
         let re2 = p.square(re);
@@ -506,8 +465,7 @@ pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
     let c_final = p.plain_input(p.level_of(im));
     let out = p.mul_plain(im, c_final);
     p.output(out);
-    let rolled_nodes = rolled_prefix + (p.nodes().len() - unrolled_at_loop);
-    Benchmark::finish_rolled("CKKS Bootstrapping", l_max, p, scale, Some(rolled_nodes))
+    Benchmark::finish("CKKS Bootstrapping", l_max, p, scale)
 }
 
 #[cfg(test)]
@@ -526,87 +484,6 @@ mod tests {
                 b.name,
                 ex.dfg.instrs().len()
             );
-        }
-    }
-
-    /// The handwritten (fully unrolled) CKKS bootstrapping builder that
-    /// `ckks_bootstrapping` replaced with a rolled Repeat region — kept
-    /// here verbatim as the reference the rolled builder must reproduce.
-    fn ckks_bootstrapping_handwritten(scale: usize) -> FheProgram {
-        let n = 1 << 14;
-        let l_max = 24;
-        let nu = 14usize;
-        let taylor = div_sqrt(7, scale);
-        let double_angles = div_sqrt(9, scale);
-        let mut p = FheProgram::new(n, Scheme::Ckks);
-        let ct = p.input(l_max);
-        let two_n = 2 * n;
-        let mut z = ct;
-        let mut k = 3usize;
-        for _ in 0..nu - 1 {
-            let rot = p.aut(z, k);
-            z = p.add(z, rot);
-            k = (k * k) % two_n;
-        }
-        let rot = p.aut(z, two_n - 1);
-        z = p.add(z, rot);
-        for _ in 0..3 {
-            let c = p.plain_input(p.level_of(z));
-            z = p.mul_plain(z, c);
-            z = p.rescale(z);
-        }
-        let mut re = z;
-        let mut im = z;
-        for _ in 0..taylor {
-            let new_re = p.mul(im, z);
-            let new_re = p.rescale(new_re);
-            let c = p.plain_input(p.level_of(new_re));
-            let new_re = p.add_plain(new_re, c);
-            let new_im = p.mul(re, z);
-            let new_im = p.rescale(new_im);
-            re = new_re;
-            im = new_im;
-            z = p.rescale(z);
-        }
-        for _ in 0..double_angles {
-            let re2 = p.square(re);
-            let im2 = p.square(im);
-            let cross = p.mul(re, im);
-            let diff = p.add(re2, im2);
-            re = p.rescale(diff);
-            let twice = p.add(cross, cross);
-            im = p.rescale(twice);
-        }
-        let c_final = p.plain_input(p.level_of(im));
-        let out = p.mul_plain(im, c_final);
-        p.output(out);
-        p
-    }
-
-    #[test]
-    fn ckks_rolled_region_unrolls_to_the_handwritten_loop() {
-        for scale in [1, 8] {
-            let rolled = ckks_bootstrapping(scale);
-            let hand = ckks_bootstrapping_handwritten(scale);
-            assert_eq!(
-                format!("{:?}", rolled.fhe),
-                format!("{:?}", hand),
-                "scale {scale}: rolled builder diverges from the handwritten loop"
-            );
-            let rolled_nodes = rolled.rolled_nodes.expect("CKKS boot reports its rolled size");
-            assert!(
-                rolled_nodes <= rolled.fhe.nodes().len(),
-                "rolled form ({rolled_nodes} nodes) cannot exceed unrolled ({})",
-                rolled.fhe.nodes().len()
-            );
-            if scale == 1 {
-                // At full scale the Taylor loop runs 7 steps: 6 rolled
-                // trips of 7-node body each, so 5 × 7 nodes are saved.
-                assert!(
-                    rolled_nodes < rolled.fhe.nodes().len(),
-                    "full-scale rolled form must be strictly smaller"
-                );
-            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! traffic at least the compulsory bound — and, under scratchpad
 //! capacities down to a few polynomials, schedules whose replayed
 //! execution is bit-identical to direct dataflow evaluation. Random
-//! rolled loop regions must compile end to end through `compile_fhe`.
+//! loop-shaped programs must compile end to end through `compile_fhe`.
 
 use f1::arch::ArchConfig;
 use f1::compiler::ir::{FheProgram, Scheme};
@@ -37,28 +37,28 @@ fn arb_program() -> impl Strategy<Value = Program> {
     })
 }
 
-/// Random single-carry loop at a fixed level: each opcode byte appends
-/// one level-preserving node reading earlier body values, and the last
-/// body node carries back to the loop input.
-fn rolled_program(ops: &[u8], trips: u32) -> FheProgram {
+/// Random single-carry loop at a fixed level, built flat: each opcode
+/// byte appends one level-preserving node reading earlier values of the
+/// same iteration, and each iteration's last node feeds the next.
+fn loop_program(ops: &[u8], trips: u32) -> FheProgram {
     let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-    let acc = p.input(6);
-    let t = p.begin_repeat();
-    let mut vals = vec![acc];
-    for &op in ops {
-        let a = vals[(op as usize / 8) % vals.len()];
-        let b = vals[(op as usize / 64) % vals.len()];
-        let v = match op % 4 {
-            0 => p.square(a),
-            1 => p.aut(a, [3, 5, 9][(op as usize / 4) % 3]),
-            2 => p.add(a, b),
-            _ => p.mul(a, b),
-        };
-        vals.push(v);
+    let mut acc = p.input(6);
+    for _ in 0..trips {
+        let mut vals = vec![acc];
+        for &op in ops {
+            let a = vals[(op as usize / 8) % vals.len()];
+            let b = vals[(op as usize / 64) % vals.len()];
+            let v = match op % 4 {
+                0 => p.square(a),
+                1 => p.aut(a, [3, 5, 9][(op as usize / 4) % 3]),
+                2 => p.add(a, b),
+                _ => p.mul(a, b),
+            };
+            vals.push(v);
+        }
+        acc = *vals.last().expect("body is non-empty");
     }
-    let last = *vals.last().expect("body is non-empty");
-    p.end_repeat(&t, trips, vec![(acc, last)], vec![]);
-    p.output(last);
+    p.output(acc);
     p
 }
 
@@ -70,8 +70,7 @@ proptest! {
         ops in proptest::collection::vec(0u8..=255, 1..6),
         trips in 1u32..40,
     ) {
-        let p = rolled_program(&ops, trips);
-        prop_assert_eq!(p.unroll().nodes().len(), p.unrolled_len());
+        let p = loop_program(&ops, trips);
         let arch = ArchConfig::f1_default();
         let (_, _, ex, plan, cycles) = f1::compiler::compile_fhe(&p, &arch);
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
