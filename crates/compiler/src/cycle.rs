@@ -1321,7 +1321,7 @@ mod tests {
                     let mut arch = tiny_pad(pad_mb);
                     arch.clusters = clusters;
                     arch.xbar_ports = xbar_ports;
-                    arch.rf_bytes_per_cluster = 256 * 1024;
+                    arch.rf_bytes_per_cluster = 128 * 1024; // 8 vectors
                     let (_, _, cs) = compile(&p, &arch);
                     let net = &cs.schedule.net;
                     let to_bank = net.iter().filter(|e| matches!(e.to, ComponentId::Bank(_)));

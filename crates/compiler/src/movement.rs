@@ -34,6 +34,19 @@
 //! pass 3 can overlap it with the instructions in between. The reserve is
 //! derived from the machine, not tuned: one result-sized vector in flight
 //! per HBM channel, capped at one bank so tiny pads do not thrash.
+//!
+//! Prefetching and eviction must not fight. Once the pad is full, filling
+//! free space with the most urgent pending load can fetch a value whose
+//! first use is far off; the next instruction's allocation then evicts it
+//! again, unread, because it is now the resident reused furthest in the
+//! future. Prefetch therefore follows the **do-no-harm** rule of
+//! integrated prefetching and caching (Cao, Felten, Karlin & Li, 1995):
+//! never prefetch a value that would itself be the next live victim, i.e.
+//! one reused no sooner than every live, evictable resident. The rule is
+//! gated on **pressure**: it applies only after capacity has forced a live
+//! eviction, so programs whose live data always fits keep prefetching
+//! freely. A skipped request stays pending, and `force_one_load` serves it
+//! when nothing is ready to issue.
 
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId, ValueKind};
@@ -273,6 +286,10 @@ struct Scheduler<'a> {
     /// Pending load requests: min-heap by (earliest-user rank, value).
     pending_loads: BinaryHeap<Reverse<(u64, u32)>>,
     requested: Vec<bool>,
+    /// Set once capacity has forced a live eviction; from then on
+    /// [`Self::drain_loads`] skips prefetches that would be the next live
+    /// victim.
+    pressure: bool,
     mem_cycle: u64,
     compute_cycle: [f64; 4],
     out: MovePlan,
@@ -292,6 +309,9 @@ struct EvictionPaths {
     live_output_skips: u64,
     /// Calls that stopped at a live candidate because `allow_live` was off.
     no_live_returns: u64,
+    /// Prefetches [`Scheduler::drain_loads`] held back by the do-no-harm
+    /// rule.
+    held_prefetches: u64,
 }
 
 impl<'a> Scheduler<'a> {
@@ -352,6 +372,7 @@ impl<'a> Scheduler<'a> {
             missing,
             pending_loads: BinaryHeap::new(),
             requested: vec![false; n_values],
+            pressure: false,
             mem_cycle: 0,
             compute_cycle: [0.0; 4],
             out: MovePlan {
@@ -494,9 +515,66 @@ impl<'a> Scheduler<'a> {
             if !self.make_space(bytes, false) {
                 break;
             }
+            // Do no harm: under pressure, a value reused no sooner than the
+            // first live victim would itself be the next victim, so loading
+            // it now only gets it evicted unread.
+            if self.pressure {
+                let next = self.next_use_rank(v);
+                if self.first_live_victim_rank().is_some_and(|f| f <= next) {
+                    #[cfg(test)]
+                    {
+                        self.paths.held_prefetches += 1;
+                    }
+                    break;
+                }
+            }
             self.pending_loads.pop();
             self.do_load(v, bytes);
         }
+    }
+
+    /// Next use rank of the value [`Self::make_space_pinned`] would evict
+    /// first once dead values are gone, ignoring pins: the top of
+    /// `evict_heap` past stale entries, dead values and live outputs.
+    /// `None` when no live value is evictable.
+    fn first_live_victim_rank(&mut self) -> Option<u64> {
+        let mut set_aside: Vec<(u64, Reverse<u32>)> = Vec::new();
+        let mut found = None;
+        // Peek first: the top is almost always the answer, and leaving it
+        // in place saves a pop and a push per call.
+        while let Some(&entry) = self.evict_heap.peek() {
+            let (next, Reverse(id)) = entry;
+            let vi = id as usize;
+            let valid = self.resident[vi] && self.heap_key[vi] == next;
+            if valid && next != u64::MAX && !self.output_set[vi] {
+                found = Some(next);
+                break;
+            }
+            self.evict_heap.pop();
+            if valid {
+                set_aside.push(entry); // dead or a live output
+            }
+        }
+        self.evict_heap.extend(set_aside);
+        #[cfg(test)]
+        assert_eq!(found, self.first_live_victim_by_scan(), "heap live victim != resident scan");
+        found
+    }
+
+    /// Reference for [`Self::first_live_victim_rank`]: the largest next
+    /// use among resident values that are neither dead nor outputs.
+    #[cfg(test)]
+    fn first_live_victim_by_scan(&mut self) -> Option<u64> {
+        let mut max = None;
+        for vi in 0..self.resident.len() {
+            if self.resident[vi] && !self.output_set[vi] {
+                let next = self.next_use_rank(ValueId(vi as u32));
+                if next != u64::MAX {
+                    max = max.max(Some(next));
+                }
+            }
+        }
+        max
     }
 
     fn force_one_load(&mut self) -> bool {
@@ -781,6 +859,7 @@ impl<'a> Scheduler<'a> {
             return;
         }
         self.resident[vi] = false;
+        self.pressure |= still_needed;
         let bytes = self.dfg.value(v).bytes;
         let was_dirty = self.dirty[vi];
         self.dirty[vi] = false;
@@ -1067,12 +1146,15 @@ mod tests {
     fn heap_eviction_exercises_every_path() {
         // Every slow-path `make_space_pinned` call in a test build, the
         // best-effort reserve call in `issue` included, also sorts the
-        // resident set and asserts the heap evicts the same victims. Small pads make every path of that loop fire, so the
-        // check is not vacuous: operands of the issuing instruction set
-        // aside, outputs that later instructions still read set aside,
-        // prefetches that stop at a live value, and spilled values reloaded.
-        // Outputs that instructions at the end of a long rotation chain
-        // read again.
+        // resident set and asserts the heap evicts the same victims, and
+        // every `first_live_victim_rank` call checks its answer against a
+        // scan of the resident set. Small pads make every path of the
+        // eviction loop fire, so the check is not vacuous: operands of the
+        // issuing instruction set aside, outputs that later instructions
+        // still read set aside, prefetches that stop at a live value,
+        // prefetches held back under pressure, and spilled values reloaded.
+        // The second program's outputs are read again at the end of a long
+        // rotation chain.
         let mut outs = Program::new(1 << 12);
         let products: Vec<_> = (0..4)
             .map(|_| {
@@ -1101,6 +1183,7 @@ mod tests {
                 total.pinned_skips += s.paths.pinned_skips;
                 total.live_output_skips += s.paths.live_output_skips;
                 total.no_live_returns += s.paths.no_live_returns;
+                total.held_prefetches += s.paths.held_prefetches;
                 let mut spilled = HashSet::new();
                 for e in &s.out.events {
                     match *e {
@@ -1118,6 +1201,7 @@ mod tests {
         assert!(total.pinned_skips > 0, "no pinned operand was set aside");
         assert!(total.live_output_skips > 0, "no live output was set aside");
         assert!(total.no_live_returns > 0, "no prefetch stopped at a live value");
+        assert!(total.held_prefetches > 0, "no prefetch was held back under pressure");
         assert!(spill_reloads > 0, "no spilled value was reloaded");
     }
 }
