@@ -1,8 +1,7 @@
 //! # f1-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see the
-//! README's "Running the experiments") plus Criterion microbenches of the
-//! software substrate. Run e.g.:
+//! README's "Running the experiments"). Run e.g.:
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin table3_benchmarks
