@@ -9,16 +9,15 @@ fn main() {
     let scale = bench_scale();
     println!("Fig 11: gmean normalized performance vs area (scale 1/{scale})\n");
     println!("{:<10} {:>12} {:>14} {:>12}", "factor", "area [mm2]", "gmean cycles", "norm perf");
-    let programs: Vec<_> = all_benchmarks(scale).iter().map(|b| b.lowered().0).collect();
+    let benches = all_benchmarks(scale);
     let factors = [0.25, 0.5, 0.75, 1.0];
     let mut rows = Vec::new();
     for &f in &factors {
         let arch = ArchConfig::scaled(f);
         let area = AreaBreakdown::for_config(&arch).total_area_mm2;
         let mut cycles = Vec::new();
-        for program in &programs {
-            let (ex, plan, cs) = f1_compiler::compile(program, &arch);
-            let _ = (&ex, &plan);
+        for b in &benches {
+            let (.., cs) = f1_compiler::compile_fhe(&b.fhe, &arch);
             cycles.push(cs.makespan as f64);
         }
         rows.push((f, area, gmean(&cycles)));

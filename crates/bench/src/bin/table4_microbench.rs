@@ -1,14 +1,15 @@
 //! Table 4: microbenchmark reciprocal throughputs — F1 vs CPU vs HEAX_σ.
 
 use f1_arch::ArchConfig;
+use f1_compiler::ir::{FheProgram, Scheme};
 use f1_fhe::params::table4_parameter_sets;
 use f1_workloads::cpu_baseline::CpuBaseline;
 use f1_workloads::micro::{f1_reciprocal_s, heax_reciprocal_s, micro_program, MicroOp};
 
 /// A measurement program containing every op kind at level `l`, so the
 /// baseline has real timings for each class.
-fn measurement_program(l: usize) -> f1_compiler::dsl::Program {
-    let mut p = f1_compiler::dsl::Program::new(256);
+fn measurement_program(l: usize) -> f1_compiler::Program {
+    let mut p = FheProgram::new(256, Scheme::Bgv);
     let x = p.input(l);
     let y = p.input(l);
     let m = p.mul(x, y);
@@ -16,7 +17,7 @@ fn measurement_program(l: usize) -> f1_compiler::dsl::Program {
     let a = p.add(r, m);
     let s = p.mod_switch(a);
     p.output(s);
-    p
+    p.lower().program
 }
 
 fn main() {

@@ -18,7 +18,6 @@ use f1_workloads::benchmarks::lola_mnist_uw;
 fn main() {
     let scale = bench_scale();
     let b = lola_mnist_uw(scale);
-    let program = b.lowered().0;
     println!("# Tiny-pad sweep: {} (scale 1/{scale})", b.name);
     println!(
         "capacity_mb,makespan_cycles,ms,traffic_mb,noncompulsory_mb,spill_refetch_mb,fu_util_pct"
@@ -26,7 +25,7 @@ fn main() {
     let mut prev: Option<(u64, u64)> = None;
     for mb in [1u64, 2, 4, 8, 16, 32, 64] {
         let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
-        let (ex, plan, cs) = f1_compiler::compile(&program, &arch);
+        let (_, _, ex, plan, cs) = f1_compiler::compile_fhe(&b.fhe, &arch);
         let r = f1_sim::check_schedule(&ex, &plan, &cs, &arch);
         let t = r.traffic;
         println!(

@@ -37,7 +37,7 @@ pub fn bench_scale_or(default: usize) -> usize {
 
 /// Compiles and simulates one benchmark on a configuration.
 pub fn run_benchmark(b: &Benchmark, arch: &ArchConfig) -> SimReport {
-    let (ex, plan, cs) = f1_compiler::compile(&b.lowered().0, arch);
+    let (_, _, ex, plan, cs) = f1_compiler::compile_fhe(&b.fhe, arch);
     f1_sim::check_schedule(&ex, &plan, &cs, arch)
 }
 

@@ -90,12 +90,12 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsl::Program;
     use crate::expand::{expand, ExpandOptions};
+    use crate::listing2;
 
     #[test]
     fn csr_is_a_valid_topological_order() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = listing2(1 << 12, 4, 2);
         let ex = expand(&p, &ExpandOptions::default());
         let order = csr_order(&ex.dfg).unwrap();
         let mut pos = vec![usize::MAX; ex.dfg.instrs().len()];
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn csr_diverges_from_hint_order() {
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let ex = expand(&p, &ExpandOptions::default());
         let order = csr_order(&ex.dfg).unwrap();
         let priority_order: Vec<InstrId> = {

@@ -961,7 +961,8 @@ mod tests {
     use super::*;
     use crate::dsl::Program;
     use crate::expand::{expand, ExpandOptions, KeySwitchChoice};
-    use crate::movement;
+    use crate::ir::{FheProgram, Scheme};
+    use crate::{listing2, movement};
     use std::collections::HashMap;
 
     fn compile(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan, CycleSchedule) {
@@ -978,7 +979,7 @@ mod tests {
 
     #[test]
     fn dependences_hold_in_time() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = listing2(1 << 12, 4, 2);
         let arch = ArchConfig::f1_default();
         let (ex, _, cs) = compile(&p, &arch);
         for instr in ex.dfg.instrs() {
@@ -1001,7 +1002,7 @@ mod tests {
         // No two ComputeEntrys may share (cluster, fu, fu_index) with
         // overlapping occupancy windows — checked directly here,
         // independent of the f1-sim checker.
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let arch = ArchConfig::f1_default();
         let (ex, _, cs) = compile(&p, &arch);
         let mut by_slot: HashMap<(usize, FuType, usize), Vec<u64>> = HashMap::new();
@@ -1030,7 +1031,7 @@ mod tests {
         // list scheduling keep average FU utilization above 15% (§8.2
         // reports ~30% across benchmarks; the greedy seed scheduler
         // managed ~6% on private inference).
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
         let (_, _, cs) = compile(&p, &arch);
         let total_fus: u64 =
@@ -1047,7 +1048,7 @@ mod tests {
         // before keeping one; pass 3 must schedule the kept expansion
         // exactly as a fresh expansion forced to the same variant. The
         // 64 MB machine keeps decomposition, the 1 MB one flips to GHS.
-        let p = Program::listing2_matvec(1 << 12, 4, 4);
+        let p = listing2(1 << 12, 4, 4);
         let mut used_ghs = Vec::new();
         for arch in [ArchConfig::f1_default(), tiny_pad(1)] {
             let auto =
@@ -1073,7 +1074,7 @@ mod tests {
         // The overlapping property: the last load must not complete before
         // the first instruction issues (the seed scheduler serialized the
         // whole load prologue ahead of compute on big programs).
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
         let (_, _, cs) = compile(&p, &arch);
         let first_issue = cs.issue_cycle.iter().min().copied().unwrap();
@@ -1093,7 +1094,7 @@ mod tests {
 
     #[test]
     fn channels_load_concurrently() {
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
         let (_, _, cs) = compile(&p, &arch);
         let used: std::collections::HashSet<usize> =
@@ -1158,7 +1159,7 @@ mod tests {
 
     #[test]
     fn more_clusters_run_faster() {
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let mut small = ArchConfig::f1_default();
         small.clusters = 2;
         let big = ArchConfig::f1_default();
@@ -1177,7 +1178,7 @@ mod tests {
         // Table 5, column "LT NTT": same aggregate throughput, worse time.
         // One expansion scheduled on both machines (as the table does), so
         // the key-switch chooser cannot mask the FU ablation.
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let ex = expand(&p, &ExpandOptions::default());
         let base = ArchConfig::f1_default();
         let mut lt = ArchConfig::f1_default();
@@ -1194,7 +1195,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = listing2(1 << 12, 4, 2);
         let arch = ArchConfig::f1_default();
         let (_, plan, cs) = compile(&p, &arch);
         assert_eq!(cs.counters.hbm_bytes, plan.traffic.total());
@@ -1205,7 +1206,7 @@ mod tests {
 
     #[test]
     fn seconds_conversion() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = listing2(1 << 12, 4, 2);
         let arch = ArchConfig::f1_default();
         let (_, _, cs) = compile(&p, &arch);
         let s = cs.seconds(&arch);
@@ -1217,7 +1218,7 @@ mod tests {
         // The tentpole property: under a capacity-constrained scratchpad,
         // every consumer of a refetched value issues only after the
         // refetch completes, and the capacity pressure costs makespan.
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let arch = tiny_pad(2);
         let (ex, plan, cs) = compile(&p, &arch);
         let refetched: Vec<ValueId> = plan
@@ -1269,7 +1270,7 @@ mod tests {
     fn spills_share_channels_with_loads() {
         // Spill stores and refetches are co-scheduled on the same HBM
         // channel timelines as first loads — not replayed after compute.
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let arch = tiny_pad(2);
         let (_, _, cs) = compile(&p, &arch);
         let stores: Vec<&MemEntry> =
@@ -1284,13 +1285,14 @@ mod tests {
     fn rf_overflow_rehomes_values() {
         // A dependence chain whose produced values exceed the per-cluster
         // register file: the scheduler must write some back to banks.
-        let mut p = Program::new(1 << 14); // 64 KB values
-        let x = p.input(4);
-        let mut acc = p.add(x, x);
+        let mut f = FheProgram::new(1 << 14, Scheme::Bgv); // 64 KB values
+        let x = f.input(4);
+        let mut acc = f.add(x, x);
         for _ in 0..12 {
-            acc = p.add(acc, x);
+            acc = f.add(acc, x);
         }
-        p.output(acc);
+        f.output(acc);
+        let p = f.lower().program;
         let mut arch = ArchConfig::f1_default();
         arch.clusters = 1; // concentrate production on one register file
         arch.rf_bytes_per_cluster = 256 * 1024; // 4 values
@@ -1314,7 +1316,7 @@ mod tests {
         // cluster and in copies on others (the cases that give clusters
         // different bounds); the full pad leaves clusters whose bound
         // ties the incumbent's start, which only an exact prune probes.
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = listing2(1 << 12, 4, 2);
         for pad_mb in [2, 64] {
             for clusters in [1, 3, 16] {
                 for xbar_ports in [1, 2] {
@@ -1339,17 +1341,18 @@ mod tests {
         // That exercises the special-cluster dedupe and its merge with the
         // shared bound of the other clusters (visiting the special
         // clusters first, say, picks a later cluster here).
-        let mut p = Program::new(1 << 13);
-        let x = p.input(4);
-        let y = p.input(4);
-        let mut acc = p.add(x, x);
+        let mut f = FheProgram::new(1 << 13, Scheme::Bgv);
+        let x = f.input(4);
+        let y = f.input(4);
+        let mut acc = f.add(x, x);
         for i in 0..16 {
-            let prod = p.mul(x, y);
-            let rot = p.rotate(prod, i + 1);
-            let twice = p.add(rot, rot);
-            acc = p.add(acc, twice);
+            let prod = f.mul(x, y);
+            let rot = f.rotate(prod, i + 1);
+            let twice = f.add(rot, rot);
+            acc = f.add(acc, twice);
         }
-        p.output(acc);
+        f.output(acc);
+        let p = f.lower().program;
         for clusters in [3, 16] {
             let mut arch = ArchConfig::f1_default();
             arch.clusters = clusters;

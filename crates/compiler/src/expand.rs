@@ -549,20 +549,27 @@ impl<'p> Expander<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::{FheProgram, Scheme};
 
     fn matvec() -> Program {
-        Program::listing2_matvec(1 << 12, 4, 4)
+        crate::listing2(1 << 12, 4, 4)
+    }
+
+    /// One homomorphic multiply of two level-`l` inputs.
+    fn one_mul(n: usize, l: usize) -> Program {
+        let mut p = FheProgram::new(n, Scheme::Bgv);
+        let x = p.input(l);
+        let y = p.input(l);
+        let m = p.mul(x, y);
+        p.output(m);
+        p.lower().program
     }
 
     #[test]
     fn listing1_instruction_counts() {
         // One hom-mul at level L: tensor 4L mul + L add; key-switch L
         // INTT + L(L-1) NTT + 2L^2 mul + 2L(L-1) add; final 2L adds.
-        let mut p = Program::new(1 << 10);
-        let x = p.input(4);
-        let y = p.input(4);
-        let m = p.mul(x, y);
-        p.output(m);
+        let p = one_mul(1 << 10, 4);
         let ex = expand(&p, &ExpandOptions::default());
         let counts = ex.dfg.op_counts();
         let l = 4usize;
@@ -578,11 +585,7 @@ mod tests {
         // §2.4: at L = 16, N = 16K the decomposition key-switch hints are
         // 32 MB (pinned explicitly: Auto picks GHS here precisely
         // *because* of this footprint).
-        let mut p = Program::new(1 << 14);
-        let x = p.input(16);
-        let y = p.input(16);
-        let m = p.mul(x, y);
-        p.output(m);
+        let p = one_mul(1 << 14, 16);
         let opts =
             ExpandOptions { keyswitch: KeySwitchChoice::Decomposition, ..Default::default() };
         let ex = expand(&p, &opts);
@@ -647,20 +650,11 @@ mod tests {
         // a 32 MB hint for ~200K busy FU-cycles — bandwidth-bound on the
         // paper machine — so the §4.2 cost model must pick GHS (O(L)
         // hints, more compute).
-        let mut p = Program::new(1 << 14);
-        let x = p.input(16);
-        let y = p.input(16);
-        let m = p.mul(x, y);
-        p.output(m);
+        let p = one_mul(1 << 14, 16);
         let ex = expand(&p, &ExpandOptions::default());
         assert!(ex.used_ghs, "bandwidth-bound program must choose GHS");
         // A shallow program whose hints are tiny stays on decomposition.
-        let mut q = Program::new(1 << 10);
-        let a = q.input(4);
-        let b = q.input(4);
-        let s = q.mul(a, b);
-        q.output(s);
-        let exq = expand(&q, &ExpandOptions::default());
+        let exq = expand(&one_mul(1 << 10, 4), &ExpandOptions::default());
         assert!(!exq.used_ghs, "compute-cheap program must keep decomposition");
     }
 
@@ -672,14 +666,14 @@ mod tests {
         // here) gets re-fetched on a 64 KB pad every round, while GHS's
         // O(L) hint is four times cheaper to thrash.
         let build = || {
-            let mut p = Program::new(1 << 10);
+            let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
             for _ in 0..8 {
                 let x = p.input(4);
                 let y = p.input(4);
                 let m = p.mul(x, y);
                 p.output(m);
             }
-            p
+            p.lower().program
         };
         let big = expand(
             &build(),
@@ -694,11 +688,7 @@ mod tests {
 
     #[test]
     fn ghs_choice_at_large_l() {
-        let mut p = Program::new(1 << 10);
-        let x = p.input(21);
-        let y = p.input(21);
-        let m = p.mul(x, y);
-        p.output(m);
+        let p = one_mul(1 << 10, 21);
         let ex = expand(&p, &ExpandOptions::default());
         assert!(ex.used_ghs, "L >= 20 must select the GHS variant (§2.4)");
         // GHS hints are O(L): 2(L+K) residue vectors, far below 2L².
@@ -708,20 +698,12 @@ mod tests {
 
     #[test]
     fn ghs_uses_more_compute() {
-        let build = || {
-            let mut p = Program::new(1 << 10);
-            let x = p.input(8);
-            let y = p.input(8);
-            let m = p.mul(x, y);
-            p.output(m);
-            p
-        };
         let d = expand(
-            &build(),
+            &one_mul(1 << 10, 8),
             &ExpandOptions { keyswitch: KeySwitchChoice::Decomposition, ..Default::default() },
         );
         let g = expand(
-            &build(),
+            &one_mul(1 << 10, 8),
             &ExpandOptions { keyswitch: KeySwitchChoice::Ghs, ..Default::default() },
         );
         assert!(
@@ -738,10 +720,11 @@ mod tests {
 
     #[test]
     fn modswitch_expansion() {
-        let mut p = Program::new(1 << 10);
-        let x = p.input(3);
-        let y = p.mod_switch(x);
-        p.output(y);
+        let mut f = FheProgram::new(1 << 10, Scheme::Bgv);
+        let x = f.input(3);
+        let y = f.mod_switch(x);
+        f.output(y);
+        let p = f.lower().program;
         let ex = expand(&p, &ExpandOptions::default());
         let c = ex.dfg.op_counts();
         assert_eq!(c["intt"], 2, "one per polynomial");

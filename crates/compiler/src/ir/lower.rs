@@ -1,75 +1,80 @@
 //! Lowering: [`FheProgram`] → [`crate::dsl::Program`].
 //!
-//! The translation is 1:1 — every IR node becomes exactly one DSL
+//! The translation is 1:1 — every IR node becomes exactly one
 //! homomorphic op at the same index, so the lowered program inherits the
-//! IR's dense, deterministic ids (`ct_of[i] == CtId(i)` always; the
-//! mapping is returned anyway so callers never hard-code it). Plaintext
-//! constants lower to `plain_input` ops plus a side table of their
-//! coefficient values, which functional executors bind at run time
-//! ([`Lowered::constants`]).
+//! IR's dense, deterministic ids. Plaintext constants lower to
+//! `PlainInput` ops plus a side table of their coefficient values, which
+//! functional executors bind at run time ([`Lowered::constants`]).
 
 use super::{FheOp, FheProgram, IrId};
-use crate::dsl::{CtId, Program};
+use crate::dsl::{CtId, HomOp, Program};
 
 /// The result of lowering an [`FheProgram`].
+///
+/// Ids are 1:1: IR node `IrId(i)` is lowered op `CtId(i)`, with the same
+/// level, so `program.level_of(CtId(i)) == ir.level_of(IrId(i))`.
 #[derive(Debug, Clone)]
 pub struct Lowered {
-    /// The scheduler-facing DSL program.
+    /// The scheduler-facing homomorphic-op list.
     pub program: Program,
-    /// DSL id of each IR node (dense: `ct_of[i] == CtId(i)`).
-    pub ct_of: Vec<CtId>,
-    /// Folded compile-time constants: the `plain_input` op that carries
+    /// Folded compile-time constants: the `PlainInput` op that carries
     /// each constant, with its plaintext coefficients.
     pub constants: Vec<(CtId, Vec<u64>)>,
-    /// Ciphertext inputs as `(build-time ordinal, DSL id)` — the stable
+    /// Ciphertext inputs as `(build-time ordinal, id)` — the stable
     /// binding key for feeding the same data to differently-optimized
     /// variants of one program (passes may drop unused inputs, but an
     /// ordinal never changes).
     pub ct_inputs: Vec<(u32, CtId)>,
-    /// Runtime plaintext inputs as `(build-time ordinal, DSL id)`.
+    /// Runtime plaintext inputs as `(build-time ordinal, id)`.
     pub pt_inputs: Vec<(u32, CtId)>,
 }
 
 /// Lowers an IR program (see [`FheProgram::lower`]).
 ///
+/// Every node's type is re-derived with the builder's typing rules, so
+/// IR assembled through the `raw_*` escape hatches cannot reach the
+/// scheduler with operand levels the builder would have refused.
+///
 /// Plaintext-constant arithmetic that has not been folded yet (lowering
 /// an unoptimized program is allowed) is const-evaluated here, so every
-/// constant-pair node still lowers to a `plain_input` with a known
+/// constant-pair node still lowers to a `PlainInput` with a known
 /// value.
 ///
 /// # Panics
 ///
-/// Panics on constant arithmetic with no runtime lowering *and* no fold:
-/// u64 overflow, or a product of non-scalar constants (negacyclic
-/// convolution needs the plaintext modulus the IR does not know).
+/// Panics on a node whose claimed type differs from the one the builder
+/// infers (or that the builder rejects outright), and on constant
+/// arithmetic with no runtime lowering *and* no fold: u64 overflow, or a
+/// product of non-scalar constants (negacyclic convolution needs the
+/// plaintext modulus the IR does not know).
 pub fn lower(ir: &FheProgram) -> Lowered {
     ir.validate();
-    let mut program = Program::new(ir.n);
-    let mut ct_of = Vec::with_capacity(ir.nodes().len());
+    let outputs = ir.outputs().iter().map(|o| CtId(o.0)).collect();
+    let mut program = Program::with_outputs(ir.n, outputs);
     let mut constants = Vec::new();
     let mut ct_inputs = Vec::new();
     let mut pt_inputs = Vec::new();
     // Constant values per node, for const-evaluating plain-pair ops.
     let mut const_vals: Vec<Option<Vec<u64>>> = Vec::with_capacity(ir.nodes().len());
     for (i, node) in ir.nodes().iter().enumerate() {
-        let c = |v: &IrId| ct_of[v.0 as usize];
+        let inferred = ir.infer_ty(&node.op);
+        assert_eq!(inferred, node.ty, "node {i}: claimed type differs from the inferred one");
+        let c = |v: &IrId| CtId(v.0);
+        let id = CtId(i as u32);
         let mut const_val: Option<Vec<u64>> = None;
-        let id = match &node.op {
+        let op = match &node.op {
             FheOp::CtInput { level, ordinal } => {
-                let id = program.input(*level);
                 ct_inputs.push((*ordinal, id));
-                id
+                HomOp::Input { level: *level }
             }
             FheOp::PtInput { level, ordinal } => {
-                let id = program.plain_input(*level);
                 pt_inputs.push((*ordinal, id));
-                id
+                HomOp::PlainInput { level: *level }
             }
             FheOp::Constant { coeffs, level } => {
-                let id = program.plain_input(*level);
                 constants.push((id, coeffs.clone()));
                 const_val = Some(coeffs.clone());
-                id
+                HomOp::PlainInput { level: *level }
             }
             FheOp::Add(a, b) | FheOp::Mul(a, b) if node.ty.plain => {
                 // Constant-pair arithmetic: const-evaluate (the builder
@@ -91,33 +96,28 @@ pub fn lower(ir: &FheProgram) -> Lowered {
                          or non-scalar constant product)"
                     )
                 });
-                let id = program.plain_input(node.ty.level);
                 constants.push((id, coeffs.clone()));
                 const_val = Some(coeffs);
-                id
+                HomOp::PlainInput { level: node.ty.level }
             }
-            FheOp::Add(a, b) => program.add(c(a), c(b)),
-            FheOp::Mul(a, b) => program.mul(c(a), c(b)),
-            FheOp::AddPlain(a, p) => program.add_plain(c(a), c(p)),
-            FheOp::MulPlain(a, p) => program.mul_plain(c(a), c(p)),
-            FheOp::Aut { a, k } => program.aut(c(a), *k),
-            FheOp::ModSwitch(a) => program.mod_switch(c(a)),
+            FheOp::Add(a, b) => HomOp::Add { a: c(a), b: c(b) },
+            FheOp::Mul(a, b) => HomOp::Mul { a: c(a), b: c(b) },
+            FheOp::AddPlain(a, p) => HomOp::AddPlain { a: c(a), p: c(p) },
+            FheOp::MulPlain(a, p) => HomOp::MulPlain { a: c(a), p: c(p) },
+            FheOp::Aut { a, k } => HomOp::Aut { a: c(a), k: *k },
+            FheOp::ModSwitch(a) => HomOp::ModSwitch { a: c(a) },
         };
-        debug_assert_eq!(id, CtId(i as u32), "lowering must stay 1:1");
-        ct_of.push(id);
+        program.push(op, node.ty.level);
         const_vals.push(const_val);
     }
-    for &o in ir.outputs() {
-        program.output(ct_of[o.0 as usize]);
-    }
-    Lowered { program, ct_of, constants, ct_inputs, pt_inputs }
+    Lowered { program, constants, ct_inputs, pt_inputs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::Scheme;
+    use super::super::ValType;
     use super::*;
-    use crate::dsl::HomOp;
 
     #[test]
     fn lowering_is_one_to_one_and_ordered() {
@@ -133,7 +133,6 @@ mod tests {
         p.output(d);
         let lo = p.lower();
         assert_eq!(lo.program.ops().len(), p.nodes().len());
-        assert_eq!(lo.ct_of, (0..p.nodes().len() as u32).map(CtId).collect::<Vec<_>>());
         assert_eq!(lo.constants, vec![(CtId(2), vec![5])]);
         assert_eq!(lo.ct_inputs, vec![(0, CtId(0))]);
         assert_eq!(lo.pt_inputs, vec![(0, CtId(1))]);
@@ -175,16 +174,16 @@ mod tests {
     }
 
     #[test]
-    fn lowered_matvec_expands_like_the_dsl_original() {
-        // The unoptimized typed frontend must reproduce the DSL program
-        // exactly (same ops, same expansion) — the IR changes nothing
-        // until passes run.
-        let fhe = FheProgram::listing2_matvec(1 << 12, 4, 2);
-        let dsl = Program::listing2_matvec(1 << 12, 4, 2);
-        let lo = fhe.lower();
-        assert_eq!(format!("{:?}", lo.program.ops()), format!("{:?}", dsl.ops()));
-        let ex_a = crate::expand::expand(&lo.program, &Default::default());
-        let ex_b = crate::expand::expand(&dsl, &Default::default());
-        assert_eq!(ex_a.dfg.instrs().len(), ex_b.dfg.instrs().len());
+    #[should_panic(expected = "levels differ")]
+    fn raw_level_mismatch_is_rejected_at_lower() {
+        // The builder refuses this add; lower() must refuse it too when
+        // it arrives through the raw escape hatch.
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+        let x = p.input(3);
+        let y = p.input(2);
+        let ty = ValType { plain: false, level: 3, scale: 0, depth: 0 };
+        let s = p.raw_push(FheOp::Add(x, y), ty);
+        p.output(s);
+        p.lower();
     }
 }

@@ -1,12 +1,13 @@
-//! The `FheProgram` IR — a typed, scheme-aware frontend above [`crate::dsl`].
+//! The `FheProgram` IR — the typed, scheme-aware frontend every program
+//! is written on.
 //!
-//! The DSL of Listing 2 is deliberately thin: untyped ciphertext handles
-//! and exactly the homomorphic operations pass 1 expands. Real workloads
-//! want more — scheme-specific typing (BGV levels, CKKS scales, GSW
-//! depth), plaintext *constants* the compiler can fold, and redundancy
-//! elimination before the expensive key-switch expansion multiplies every
-//! homomorphic op into hundreds of vector instructions. This module is
-//! that layer:
+//! Pass 1 reads Listing 2's thin homomorphic-op list ([`crate::dsl`]):
+//! untyped ciphertext handles and exactly the operations it expands.
+//! Real workloads want more — scheme-specific typing (BGV levels, CKKS
+//! scales, GSW depth), plaintext *constants* the compiler can fold, and
+//! redundancy elimination before the expensive key-switch expansion
+//! multiplies every homomorphic op into hundreds of vector instructions.
+//! This module is that layer:
 //!
 //! * [`FheProgram`] is simultaneously the circuit **builder** (typed
 //!   `input`/`mul`/`rotate`/... methods that check levels and scales at
@@ -620,14 +621,14 @@ impl FheProgram {
     }
 
     /// Lowers this program 1:1 into a [`crate::dsl::Program`] for the
-    /// scheduling passes (usually after [`Self::optimize`]).
+    /// scheduling passes (usually after [`Self::optimize`]), re-checking
+    /// every node's type.
     pub fn lower(&self) -> Lowered {
         lower::lower(self)
     }
 
     /// Builds the 4×16K matrix-vector multiply of Listing 2 at level `l`
-    /// on the typed frontend (mirrors
-    /// [`crate::dsl::Program::listing2_matvec`]).
+    /// (the running example of §4.1).
     pub fn listing2_matvec(n: usize, l: usize, rows: usize) -> Self {
         let mut p = Self::new(n, Scheme::Bgv);
         let m_rows: Vec<IrId> = (0..rows).map(|_| p.input(l)).collect();
@@ -754,8 +755,11 @@ mod tests {
         let p = FheProgram::listing2_matvec(1 << 14, 16, 4);
         let muls = p.nodes().iter().filter(|n| matches!(n.op, FheOp::Mul(..))).count();
         let auts = p.nodes().iter().filter(|n| matches!(n.op, FheOp::Aut { .. })).count();
+        let adds = p.nodes().iter().filter(|n| matches!(n.op, FheOp::Add(..))).count();
+        // 4 multiplies + log2(16K) = 14 rotations and adds per row.
         assert_eq!(muls, 4);
         assert_eq!(auts, 4 * 14);
+        assert_eq!(adds, 4 * 14);
         assert_eq!(p.outputs().len(), 4);
     }
 }

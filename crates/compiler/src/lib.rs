@@ -10,8 +10,9 @@
 //!    plus the optimization pipeline (constant folding, rotation dedup,
 //!    CSE, key-switch hoisting, DCE) that runs *before* key-switch
 //!    expansion multiplies every homomorphic op by ~100×.
-//! 1. [`dsl`] — the high-level FHE DSL of Listing 2 (`Program`), the
-//!    scheduler-facing homomorphic-op list the IR lowers into.
+//! 1. [`dsl`] — Listing 2's homomorphic-op list (`Program`): what the
+//!    IR lowers into 1:1 and pass 1 reads. [`compile_fhe`] is the one
+//!    entry point that runs the whole stack.
 //! 2. [`expand`] — the homomorphic-operation compiler (§4.2): orders
 //!    homomorphic operations to maximize key-switch-hint reuse, chooses
 //!    between key-switching implementations, and translates each
@@ -55,25 +56,12 @@ pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
 pub use ir::{FheProgram, IrId, Lowered, OptStats, RescaleStats, Scheme};
 pub use movement::MovePlan;
 
-/// Compiles a DSL program end-to-end with default options, returning the
+/// Compiles a typed [`FheProgram`] end-to-end: optimize (IR passes) →
+/// lower → the three scheduling passes. Returns the lowering (with its
+/// constant table and input maps), the optimization statistics, the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.
 /// The target architecture informs pass 1's key-switch cost model (§4.2)
 /// as well as the two scheduling passes.
-pub fn compile(
-    program: &Program,
-    arch: &f1_arch::ArchConfig,
-) -> (Expanded, MovePlan, CycleSchedule) {
-    let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
-    let expanded = expand::expand(program, &opts);
-    let plan = movement::schedule(&expanded, arch);
-    let cycles = cycle::schedule(&expanded, &plan, arch);
-    (expanded, plan, cycles)
-}
-
-/// Compiles a typed [`FheProgram`] end-to-end: optimize (IR passes) →
-/// lower → the three scheduling passes of [`compile`]. Returns the
-/// lowering (with its constant table and input maps), the optimization
-/// statistics, and the usual pass outputs.
 /// For automatic noise management, run [`ir::rescale::insert_rescales`]
 /// on the program first.
 pub fn compile_fhe(
@@ -82,6 +70,17 @@ pub fn compile_fhe(
 ) -> (Lowered, OptStats, Expanded, MovePlan, CycleSchedule) {
     let (optimized, stats) = program.optimize();
     let lowered = optimized.lower();
-    let (expanded, plan, cycles) = compile(&lowered.program, arch);
+    let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
+    let expanded = expand::expand(&lowered.program, &opts);
+    let plan = movement::schedule(&expanded, arch);
+    let cycles = cycle::schedule(&expanded, &plan, arch);
     (lowered, stats, expanded, plan, cycles)
+}
+
+/// Listing 2's matrix-vector multiply, lowered without the optimizer so
+/// its shape stays exactly Listing 2's: `optimize` drops each row's last
+/// `inner_sum` rotation, the identity automorphism `k = 1`.
+#[cfg(test)]
+pub(crate) fn listing2(n: usize, l: usize, rows: usize) -> Program {
+    FheProgram::listing2_matvec(n, l, rows).lower().program
 }

@@ -901,6 +901,8 @@ mod tests {
     use super::*;
     use crate::dsl::Program;
     use crate::expand::{expand, ExpandOptions};
+    use crate::ir::{FheProgram, Scheme};
+    use crate::listing2;
     use std::collections::HashMap;
 
     fn plan_for(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
@@ -911,11 +913,12 @@ mod tests {
 
     #[test]
     fn small_program_has_only_compulsory_traffic() {
-        let mut p = Program::new(1 << 12);
-        let x = p.input(4);
-        let y = p.input(4);
-        let m = p.mul(x, y);
-        p.output(m);
+        let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
+        let x = f.input(4);
+        let y = f.input(4);
+        let m = f.mul(x, y);
+        f.output(m);
+        let p = f.lower().program;
         let arch = ArchConfig::f1_default();
         let (ex, plan) = plan_for(&p, &arch);
         assert_eq!(plan.order.len(), ex.dfg.instrs().len());
@@ -932,7 +935,7 @@ mod tests {
 
     #[test]
     fn order_respects_dependences() {
-        let p = Program::listing2_matvec(1 << 12, 4, 4);
+        let p = listing2(1 << 12, 4, 4);
         let arch = ArchConfig::f1_default();
         let (ex, plan) = plan_for(&p, &arch);
         let mut produced: std::collections::HashSet<ValueId> = ex
@@ -954,7 +957,7 @@ mod tests {
     fn tiny_scratchpad_forces_noncompulsory_traffic() {
         // Shrink the scratchpad below the hint working set: hints must be
         // re-fetched (the §4.2 thrashing scenario).
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let mut arch = ArchConfig::f1_default();
         arch.scratchpad_banks = 1;
         arch.bank_bytes = 4 * 1024 * 1024; // 4 MB << 15 hints × 2 MB
@@ -962,7 +965,7 @@ mod tests {
         let big = plan.traffic;
         let mut arch2 = ArchConfig::f1_default();
         arch2.scratchpad_banks = 16;
-        let (_, plan2) = plan_for(&Program::listing2_matvec(1 << 12, 8, 4), &arch2);
+        let (_, plan2) = plan_for(&listing2(1 << 12, 8, 4), &arch2);
         let small = plan2.traffic;
         assert!(
             big.total() > small.total(),
@@ -977,7 +980,7 @@ mod tests {
     fn hint_reuse_keeps_traffic_near_compulsory() {
         // The paper's headline scheduling result (§8.2): non-compulsory
         // traffic is a small fraction for reuse-friendly programs.
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
         let (_, plan) = plan_for(&p, &arch);
         let t = plan.traffic;
@@ -987,11 +990,12 @@ mod tests {
 
     #[test]
     fn loads_are_planned_before_users() {
-        let mut p = Program::new(1 << 12);
-        let x = p.input(2);
-        let y = p.input(2);
-        let s = p.add(x, y);
-        p.output(s);
+        let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
+        let x = f.input(2);
+        let y = f.input(2);
+        let s = f.add(x, y);
+        f.output(s);
+        let p = f.lower().program;
         let arch = ArchConfig::f1_default();
         let (ex, plan) = plan_for(&p, &arch);
         // Every input value must appear as a load in the plan, before the
@@ -1021,7 +1025,7 @@ mod tests {
         // Replay the script with a byte-exact scratchpad: allocations must
         // reference donors that already freed their space, occupancy must
         // never exceed capacity, and refetches must follow evictions.
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = listing2(1 << 12, 8, 4);
         let mut arch = ArchConfig::f1_default();
         arch.scratchpad_banks = 1;
         arch.bank_bytes = 2 * 1024 * 1024; // thrash hard
@@ -1075,11 +1079,12 @@ mod tests {
 
     #[test]
     fn reserve_is_one_vector_per_hbm_channel_capped_at_a_bank() {
-        let mut p = Program::new(1 << 14);
-        let x = p.input(1);
-        let y = p.input(1);
-        let s = p.add(x, y);
-        p.output(s);
+        let mut f = FheProgram::new(1 << 14, Scheme::Bgv);
+        let x = f.input(1);
+        let y = f.input(1);
+        let s = f.add(x, y);
+        f.output(s);
+        let p = f.lower().program;
         let ex = expand(&p, &ExpandOptions::default());
         let vector = ex.dfg.value(ex.dfg.instrs()[0].output).bytes;
         assert_eq!(vector, 64 * 1024, "one N = 2^14 residue vector");
@@ -1096,7 +1101,7 @@ mod tests {
         // two one after the other. Without the reserve, 12% of the
         // allocations here (and 22% at 2 MB) chain that way; with it,
         // almost every allocation reuses bytes freed several issues back.
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default().with_scratchpad_mb(4);
         let (_, plan) = plan_for(&p, &arch);
         assert!(plan.traffic.non_compulsory() > 0, "4 MB must thrash");
@@ -1121,17 +1126,18 @@ mod tests {
         // Many outputs + a pad smaller than their sum: the scheduler must
         // store outputs early instead of deadlocking, and total output
         // traffic must stay compulsory (each output stored exactly once).
-        let mut p = Program::new(1 << 12);
+        let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
         let l = 4usize;
         let mut outs = Vec::new();
         for _ in 0..8 {
-            let x = p.input(l);
-            let y = p.input(l);
-            outs.push(p.mul(x, y));
+            let x = f.input(l);
+            let y = f.input(l);
+            outs.push(f.mul(x, y));
         }
         for o in outs {
-            p.output(o);
+            f.output(o);
         }
+        let p = f.lower().program;
         let mut arch = ArchConfig::f1_default();
         arch.scratchpad_banks = 1;
         arch.bank_bytes = 1024 * 1024;
@@ -1155,7 +1161,7 @@ mod tests {
         // prefetches held back under pressure, and spilled values reloaded.
         // The second program's outputs are read again at the end of a long
         // rotation chain.
-        let mut outs = Program::new(1 << 12);
+        let mut outs = FheProgram::new(1 << 12, Scheme::Bgv);
         let products: Vec<_> = (0..4)
             .map(|_| {
                 let (a, b) = (outs.input(4), outs.input(4));
@@ -1174,7 +1180,7 @@ mod tests {
         outs.output(z);
         let mut total = EvictionPaths::default();
         let mut spill_reloads = 0;
-        for p in [Program::listing2_matvec(1 << 12, 4, 4), outs] {
+        for p in [listing2(1 << 12, 4, 4), outs.lower().program] {
             let ex = expand(&p, &ExpandOptions::default());
             for mb in 1..=4 {
                 let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);

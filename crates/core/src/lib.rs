@@ -5,11 +5,11 @@
 //!
 //! ```
 //! use f1::arch::ArchConfig;
-//! use f1::compiler::Program;
+//! use f1::compiler::FheProgram;
 //!
-//! let program = Program::listing2_matvec(1 << 12, 4, 2);
+//! let program = FheProgram::listing2_matvec(1 << 12, 4, 2);
 //! let arch = ArchConfig::f1_default();
-//! let (_ex, _plan, cycles) = f1::compiler::compile(&program, &arch);
+//! let (_lowered, _stats, _ex, _plan, cycles) = f1::compiler::compile_fhe(&program, &arch);
 //! assert!(cycles.makespan > 0);
 //! ```
 

@@ -591,17 +591,17 @@ pub fn check_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f1_compiler::dsl::Program;
+    use f1_compiler::{compile_fhe, FheProgram};
 
-    fn run(p: &Program) -> (Expanded, MovePlan, CycleSchedule, ArchConfig) {
+    fn run(p: &FheProgram) -> (Expanded, MovePlan, CycleSchedule, ArchConfig) {
         let arch = ArchConfig::f1_default();
-        let (ex, plan, cs) = f1_compiler::compile(p, &arch);
+        let (_, _, ex, plan, cs) = compile_fhe(p, &arch);
         (ex, plan, cs, arch)
     }
 
     #[test]
     fn matvec_schedule_validates_and_reports() {
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = FheProgram::listing2_matvec(1 << 12, 8, 4);
         let (ex, plan, cs, arch) = run(&p);
         let report = check_schedule(&ex, &plan, &cs, &arch);
         assert!(report.makespan > 0);
@@ -621,7 +621,7 @@ mod tests {
 
     #[test]
     fn timeline_conserves_busy_cycles() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = FheProgram::listing2_matvec(1 << 12, 4, 2);
         let (ex, plan, cs, arch) = run(&p);
         let report = check_schedule(&ex, &plan, &cs, &arch);
         let t = &report.timeline;
@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn power_is_dominated_by_data_movement() {
         // §8.2: computation is 20-30% of power for realistic programs.
-        let p = Program::listing2_matvec(1 << 13, 8, 4);
+        let p = FheProgram::listing2_matvec(1 << 13, 8, 4);
         let (ex, plan, cs, arch) = run(&p);
         let report = check_schedule(&ex, &plan, &cs, &arch);
         assert!(
@@ -994,9 +994,9 @@ mod tests {
     fn compiled_tiny_pad_schedule_validates() {
         // The real pipeline at a thrashing 2 MB scratchpad must satisfy
         // the strengthened checker end to end.
-        let p = Program::listing2_matvec(1 << 12, 8, 4);
+        let p = FheProgram::listing2_matvec(1 << 12, 8, 4);
         let arch = ArchConfig::f1_default().with_scratchpad_mb(2);
-        let (ex, plan, cs) = f1_compiler::compile(&p, &arch);
+        let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         assert!(plan.traffic.non_compulsory() > 0, "2 MB pad must thrash");
         let report = check_schedule(&ex, &plan, &cs, &arch);
         assert!(report.traffic.total() > report.traffic.compulsory());
@@ -1005,7 +1005,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "structural hazard")]
     fn checker_catches_fu_hazards() {
-        let p = Program::listing2_matvec(1 << 12, 4, 2);
+        let p = FheProgram::listing2_matvec(1 << 12, 4, 2);
         let (ex, plan, mut cs, arch) = run(&p);
         // Corrupt: delay the first of two same-slot NTT issues onto the
         // second's cycle (delaying keeps dependences satisfied, so the

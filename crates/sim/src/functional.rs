@@ -4,7 +4,7 @@
 //! (on top of a number-theory library) to verify input-output correctness
 //! and generate dataflow graphs; the algorithms match common software
 //! implementations rather than F1's hardware dataflow. Here that role is
-//! played by `f1-fhe`: this module interprets DSL programs against the
+//! played by `f1-fhe`: this module interprets lowered programs against the
 //! real BGV implementation, both to validate results end-to-end and to
 //! *time* the software execution — the CPU baseline of Table 3, in place
 //! of the paper's Xeon baseline.
@@ -30,7 +30,7 @@ pub fn bind_constants(lowered: &Lowered, params: &BgvParams) -> HashMap<CtId, Pl
         .collect()
 }
 
-/// Executes DSL programs against the real BGV scheme.
+/// Executes lowered programs against the real BGV scheme.
 pub struct BgvExecutor {
     params: BgvParams,
     keys: KeySet,
@@ -150,6 +150,7 @@ impl BgvExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use f1_compiler::ir::{FheProgram, IrId, Scheme};
     use f1_fhe::encoding::SlotEncoder;
     use rand::SeedableRng;
 
@@ -165,15 +166,16 @@ mod tests {
         let enc = SlotEncoder::new(&params);
         let t = params.plaintext_modulus;
 
-        // The DSL program: per row, Mul + innerSum over the slot count.
-        let mut p = Program::new(n);
-        let m_rows: Vec<CtId> = (0..rows).map(|_| p.input(4)).collect();
-        let v = p.input(4);
+        // The program: per row, Mul + innerSum over the slot count.
+        let mut f = FheProgram::new(n, Scheme::Bgv);
+        let m_rows: Vec<IrId> = (0..rows).map(|_| f.input(4)).collect();
+        let v = f.input(4);
         for &row in &m_rows {
-            let prod = p.mul(row, v);
-            let sum = p.inner_sum(prod, n / 2);
-            p.output(sum);
+            let prod = f.mul(row, v);
+            let sum = f.inner_sum(prod, n / 2);
+            f.output(sum);
         }
+        let p = f.lower().program;
 
         let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
         // Data: small values so slot products stay below t.
@@ -182,9 +184,10 @@ mod tests {
             (0..rows).map(|r| (0..n / 2).map(|j| ((j + r) % 5) as u64).collect()).collect();
         let mut inputs = HashMap::new();
         for (r, &id) in m_rows.iter().enumerate() {
-            inputs.insert(id, enc.encode(&[row_data[r].clone(), row_data[r].clone()], &params));
+            let row = enc.encode(&[row_data[r].clone(), row_data[r].clone()], &params);
+            inputs.insert(CtId(id.0), row);
         }
-        inputs.insert(v, enc.encode(&[vec_data.clone(), vec_data.clone()], &params));
+        inputs.insert(CtId(v.0), enc.encode(&[vec_data.clone(), vec_data.clone()], &params));
 
         let run = exec.run(&p, &inputs, &HashMap::new(), &mut rng);
         assert_eq!(run.outputs.len(), rows);
@@ -204,15 +207,16 @@ mod tests {
     fn functional_depth_chain_with_modswitch() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1F2);
         let params = BgvParams::test_small(64, 3);
-        let mut p = Program::new(64);
-        let x = p.input(3);
-        let sq = p.mul(x, x);
-        let down = p.mod_switch(sq);
-        let y = p.mul(down, down);
-        p.output(y);
+        let mut f = FheProgram::new(64, Scheme::Bgv);
+        let x = f.input(3);
+        let sq = f.mul(x, x);
+        let down = f.mod_switch(sq);
+        let y = f.mul(down, down);
+        f.output(y);
+        let p = f.lower().program;
         let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
         let mut inputs = HashMap::new();
-        inputs.insert(x, Plaintext::from_coeffs(&params, &[3]));
+        inputs.insert(CtId(x.0), Plaintext::from_coeffs(&params, &[3]));
         let run = exec.run(&p, &inputs, &HashMap::new(), &mut rng);
         assert_eq!(run.outputs[0].coeff(0), 81, "3^4 = 81");
         assert_eq!(run.hom_ops, 3);
@@ -222,17 +226,18 @@ mod tests {
     fn plain_operand_path() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1F3);
         let params = BgvParams::test_small(64, 2);
-        let mut p = Program::new(64);
-        let x = p.input(2);
-        let w = p.plain_input(2);
-        let y = p.mul_plain(x, w);
-        let z = p.add_plain(y, w);
-        p.output(z);
+        let mut f = FheProgram::new(64, Scheme::Bgv);
+        let x = f.input(2);
+        let w = f.plain_input(2);
+        let y = f.mul_plain(x, w);
+        let z = f.add_plain(y, w);
+        f.output(z);
+        let p = f.lower().program;
         let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
         let mut inputs = HashMap::new();
-        inputs.insert(x, Plaintext::from_coeffs(&params, &[7]));
+        inputs.insert(CtId(x.0), Plaintext::from_coeffs(&params, &[7]));
         let mut plains = HashMap::new();
-        plains.insert(w, Plaintext::from_coeffs(&params, &[3]));
+        plains.insert(CtId(w.0), Plaintext::from_coeffs(&params, &[3]));
         let run = exec.run(&p, &inputs, &plains, &mut rng);
         assert_eq!(run.outputs[0].coeff(0), 7 * 3 + 3);
     }

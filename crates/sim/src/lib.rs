@@ -11,8 +11,8 @@
 //!   hazards, memory bandwidth), and derives the evaluation statistics:
 //!   traffic breakdown (Fig 9a), power breakdown (Fig 9b) and
 //!   utilization-over-time series (Fig 10).
-//! * [`functional`] — the functional simulator of §8.5: executes DSL
-//!   programs against the real BGV implementation to verify input-output
+//! * [`functional`] — the functional simulator of §8.5: executes lowered
+//!   `FheProgram`s against the real BGV implementation to verify input-output
 //!   correctness, and doubles as the *timed CPU software baseline* of
 //!   Table 3.
 //! * [`replay`] — capacity-faithful replay: executes a schedule's

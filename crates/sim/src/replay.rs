@@ -200,7 +200,7 @@ pub fn replay_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f1_compiler::dsl::Program;
+    use f1_compiler::{compile_fhe, FheProgram};
 
     fn arch_with_pad(kb: u64) -> ArchConfig {
         let mut arch = ArchConfig::f1_default();
@@ -211,9 +211,9 @@ mod tests {
 
     #[test]
     fn replay_matches_direct_eval_at_full_capacity() {
-        let p = Program::listing2_matvec(1 << 10, 4, 2);
+        let p = FheProgram::listing2_matvec(1 << 10, 4, 2);
         let arch = ArchConfig::f1_default();
-        let (ex, _, cs) = f1_compiler::compile(&p, &arch);
+        let (_, _, ex, _, cs) = compile_fhe(&p, &arch);
         let inputs = mock_inputs(&ex.dfg);
         let direct = eval_dfg(&ex.dfg, &inputs);
         let replayed = replay_schedule(&ex.dfg, &cs, &arch, &inputs);
@@ -227,9 +227,9 @@ mod tests {
         // A scratchpad of a few dozen 4 KB polynomials: the schedule is
         // full of spills, refetches and re-loads, and replay must still
         // reproduce the exact bits.
-        let p = Program::listing2_matvec(1 << 10, 4, 2);
+        let p = FheProgram::listing2_matvec(1 << 10, 4, 2);
         let arch = arch_with_pad(64); // 16 values of 4 KB
-        let (ex, plan, cs) = f1_compiler::compile(&p, &arch);
+        let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         assert!(plan.traffic.non_compulsory() > 0, "this pad must thrash");
         let inputs = mock_inputs(&ex.dfg);
         let direct = eval_dfg(&ex.dfg, &inputs);
@@ -244,9 +244,9 @@ mod tests {
     fn replay_catches_premature_reads() {
         // Corrupt a valid schedule: pull an eviction earlier than a
         // reader of its value — the replay must see the missing bits.
-        let p = Program::listing2_matvec(1 << 10, 4, 2);
+        let p = FheProgram::listing2_matvec(1 << 10, 4, 2);
         let arch = arch_with_pad(64);
-        let (ex, _, mut cs) = f1_compiler::compile(&p, &arch);
+        let (_, _, ex, _, mut cs) = compile_fhe(&p, &arch);
         // Find an evicted, loaded value and destroy its pad copy right
         // after the load lands: every reader in between now reads a hole.
         let mut moved = false;

@@ -5,7 +5,7 @@
 //! networks and HELR, BGV for DB lookup and BGV bootstrapping). Loops are
 //! plain Rust loops, so every program is flat IR, as F1's static dataflow
 //! programs are (§3). [`Benchmark::lowered`] runs the IR optimization
-//! pipeline and lowers to the scheduler-facing DSL program; the frontend
+//! pipeline and lowers to the scheduler-facing `Program`; the frontend
 //! program stays available for before/after accounting in the paper bins.
 
 use f1_compiler::dsl::Program;
@@ -473,6 +473,7 @@ mod tests {
     use super::*;
     use f1_compiler::expand::{expand, ExpandOptions};
     use f1_compiler::ir::FheOp;
+    use f1_compiler::CtId;
 
     #[test]
     fn all_benchmarks_build_and_expand() {
@@ -548,10 +549,24 @@ mod tests {
         let small = db_lookup(8).lowered().0;
         assert!(small.ops().len() < full.ops().len() / 4);
         // Depth preserved: both bottom out at the same level.
-        let min_level = |p: &Program| {
-            (0..p.ops().len()).map(|i| p.level_of(f1_compiler::dsl::CtId(i as u32))).min().unwrap()
-        };
+        let min_level =
+            |p: &Program| (0..p.ops().len()).map(|i| p.level_of(CtId(i as u32))).min().unwrap();
         assert_eq!(min_level(&full), min_level(&small));
+    }
+
+    #[test]
+    fn lowering_keeps_op_count_and_levels() {
+        // Pass 1 reads hint levels through `Program::level_of`, so the
+        // lowering must keep every optimized node at its id and level.
+        for b in all_benchmarks(8) {
+            let (optimized, _) = b.fhe.optimize();
+            let program = optimized.lower().program;
+            assert_eq!(program.ops().len(), optimized.nodes().len(), "{}", b.name);
+            for i in 0..program.ops().len() as u32 {
+                let (lowered, ir) = (program.level_of(CtId(i)), optimized.level_of(IrId(i)));
+                assert_eq!(lowered, ir, "{}: node {i}", b.name);
+            }
+        }
     }
 
     #[test]

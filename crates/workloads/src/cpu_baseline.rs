@@ -142,7 +142,7 @@ impl CpuBaseline {
             if !speedup_known {
                 // Parallel efficiency: run independent op streams across
                 // cores (the paper parallelizes its DB-lookup baseline, §7).
-                let s = Self::measure_parallel_speedup(&keys, &params, &m);
+                let s = Self::measure_parallel_speedup(&keys, &m);
                 speedup_cache().lock().unwrap().insert(measure_n, s);
             }
         }
@@ -156,7 +156,7 @@ impl CpuBaseline {
         Self { n: measure_n, costs, parallel_speedup }
     }
 
-    fn measure_parallel_speedup(keys: &KeySet, params: &BgvParams, m: &Plaintext) -> f64 {
+    fn measure_parallel_speedup(keys: &KeySet, m: &Plaintext) -> f64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
         let ct = keys.encrypt(m, &mut rng);
         let work = |reps: usize| {
@@ -181,7 +181,6 @@ impl CpuBaseline {
         };
         // threads × work done in t_par vs 1 × in t1.
         let speedup = (threads as f64 * t1 / t_par).max(1.0);
-        let _ = params;
         speedup.min(threads as f64)
     }
 
@@ -227,6 +226,7 @@ impl CpuBaseline {
 mod tests {
     use super::*;
     use crate::benchmarks;
+    use f1_compiler::ir::{FheProgram, Scheme};
 
     #[test]
     fn baseline_measures_and_estimates() {
@@ -245,12 +245,13 @@ mod tests {
         // On a small program at the measurement size itself, the per-op
         // estimate must land within 3x of a direct execution (per-op
         // timing ignores allocator effects but must capture the scale).
-        let mut p = Program::new(256);
-        let x = p.input(3);
-        let y = p.mul(x, x);
-        let z = p.rotate(y, 1);
-        let w = p.add(y, z);
-        p.output(w);
+        let mut f = FheProgram::new(256, Scheme::Bgv);
+        let x = f.input(3);
+        let y = f.mul(x, x);
+        let z = f.rotate(y, 1);
+        let w = f.add(y, z);
+        f.output(w);
+        let p = f.lower().program;
         let base = CpuBaseline::measure(&p, 256);
         let est = base.estimate_seconds(&p, 256);
         let params = BgvParams::test_small(256, 3);

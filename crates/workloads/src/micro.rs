@@ -89,7 +89,7 @@ pub fn micro_program(op: MicroOp, n: usize, l: usize) -> Program {
     match op {
         MicroOp::Ntt | MicroOp::HomMul => {
             // The CPU cost of a standalone NTT is measured from hom-mul
-            // pieces; at the DSL level both reduce to Mul.
+            // pieces; as homomorphic ops both reduce to Mul.
             let y = p.input(l);
             let m = p.mul(x, y);
             p.output(m);

@@ -7,6 +7,7 @@
 
 use f1::arch::ArchConfig;
 use f1::compiler::ir::{FheProgram, IrId, Scheme};
+use f1::compiler::CtId;
 use f1::fhe::encoding::SlotEncoder;
 use f1::fhe::params::BgvParams;
 use f1::sim::BgvExecutor;
@@ -29,7 +30,8 @@ fn main() {
         p.output(sum);
     }
     let lowered = p.lower();
-    let ct = |id: IrId| lowered.ct_of[id.0 as usize];
+    // Lowering keeps ids: IR node `IrId(i)` is op `CtId(i)`.
+    let ct = |id: IrId| CtId(id.0);
     let exec = BgvExecutor::new(params.clone(), &lowered.program, &mut rng);
     let vec_data: Vec<u64> = (0..n / 2).map(|j| (j % 9) as u64).collect();
     let mut inputs = HashMap::new();

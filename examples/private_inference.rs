@@ -11,8 +11,8 @@ use f1::workloads::CpuBaseline;
 fn main() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (program, opt) = b.lowered();
-    let (ex, plan, cycles) = f1::compiler::compile(&program, &arch);
+    let (lowered, opt, ex, plan, cycles) = f1::compiler::compile_fhe(&b.fhe, &arch);
+    let program = lowered.program;
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
     let baseline = CpuBaseline::measure(&program, 1024);
     let cpu_s = baseline.estimate_seconds_parallel(&program, b.n);

@@ -3,7 +3,7 @@
 
 use f1::arch::ArchConfig;
 use f1::compiler::movement::MoveEvent;
-use f1::compiler::{ExpandOptions, Program};
+use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, Scheme};
 use f1::workloads::benchmarks::{
     bgv_bootstrapping, ckks_bootstrapping, db_lookup, logistic_regression, lola_mnist_uw,
 };
@@ -16,7 +16,7 @@ fn csr_ablation_bites_at_4mb() {
     // cost at least 5% over the hint-priority order once spills and
     // refetches are real scheduled events. (Measured ~4.6x here; the
     // deep benchmarks in table5_sensitivity read 3-7x.)
-    let p = Program::listing2_matvec(1 << 13, 8, 4);
+    let p = FheProgram::listing2_matvec(1 << 13, 8, 4).lower().program;
     let tiny = ArchConfig::f1_default().with_scratchpad_mb(4);
     let ex = f1::compiler::expand::expand(&p, &ExpandOptions::default());
     let base_plan = f1::compiler::movement::schedule(&ex, &tiny);
@@ -36,10 +36,10 @@ fn capacity_constrained_schedules_validate_at_4mb() {
     // execution must be bit-identical to direct evaluation.
     let tiny = ArchConfig::f1_default().with_scratchpad_mb(4);
     for (name, p) in [
-        ("lola_mnist_uw", lola_mnist_uw(8).lowered().0),
-        ("listing2_matvec", Program::listing2_matvec(1 << 13, 8, 4)),
+        ("lola_mnist_uw", lola_mnist_uw(8).fhe),
+        ("listing2_matvec", FheProgram::listing2_matvec(1 << 13, 8, 4)),
     ] {
-        let (ex, plan, cs) = f1::compiler::compile(&p, &tiny);
+        let (_, _, ex, plan, cs) = compile_fhe(&p, &tiny);
         assert!(plan.traffic.non_compulsory() > 0, "{name}: 4 MB must thrash");
         let report = f1::sim::check_schedule(&ex, &plan, &cs, &tiny);
         assert!(report.makespan > 0, "{name}");
@@ -56,11 +56,11 @@ fn capacity_constrained_schedules_validate_at_4mb() {
 fn tinypad_makespan_is_monotone_in_capacity() {
     // The tinypad_sweep property at test scale: growing the scratchpad
     // never slows the schedule down.
-    let p = lola_mnist_uw(8).lowered().0;
+    let p = lola_mnist_uw(8).fhe;
     let mut prev = u64::MAX;
     for mb in [1u64, 2, 4, 8, 16, 32, 64] {
         let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
-        let (_, _, cs) = f1::compiler::compile(&p, &arch);
+        let (.., cs) = compile_fhe(&p, &arch);
         assert!(
             cs.makespan <= prev,
             "makespan increased with capacity at {mb} MB: {} > {prev}",
@@ -76,9 +76,9 @@ fn utilization_unchanged_at_64mb() {
     // paper's 64 MB scratchpad nothing spills, so gating edges must not
     // cost utilization. (Full-size LoLa-MNIST is pinned by the ignored
     // full-size smoke below; this uses the fast matvec anchor.)
-    let p = Program::listing2_matvec(1 << 13, 8, 4);
+    let p = FheProgram::listing2_matvec(1 << 13, 8, 4);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cs) = f1::compiler::compile(&p, &arch);
+    let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
     assert_eq!(plan.traffic.interm_store, 0, "64 MB must not spill matvec");
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(
@@ -95,7 +95,7 @@ fn pass_through_outputs_stay_physical() {
     // schedule must not invent a store of data the scratchpad never held
     // (the checker rejects exactly that), and replay must still produce
     // the input bits for the output.
-    let mut p = Program::new(1 << 10);
+    let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
     let x = p.input(4);
     let y = p.input(4);
     let m = p.mul(x, y);
@@ -104,7 +104,7 @@ fn pass_through_outputs_stay_physical() {
     let mut arch = ArchConfig::f1_default();
     arch.scratchpad_banks = 1;
     arch.bank_bytes = 64 * 1024; // 16 values of 4 KB: forces eviction churn
-    let (ex, plan, cs) = f1::compiler::compile(&p, &arch);
+    let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(report.makespan > 0);
     let inputs = f1::sim::mock_inputs(&ex.dfg);
@@ -166,7 +166,7 @@ fn prefetches_are_read_before_release() {
 fn full_size_lola_utilization_smoke() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cs) = f1::compiler::compile(&b.lowered().0, &arch);
+    let (_, _, ex, plan, cs) = compile_fhe(&b.fhe, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
     assert!(
         report.avg_fu_utilization >= 0.15,
@@ -188,7 +188,7 @@ fn full_size_makespan_is_monotone_in_capacity() {
         let mut prev = u64::MAX;
         for mb in [32u64, 64, 128, 256] {
             let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
-            let (_, _, ex, plan, cs) = f1::compiler::compile_fhe(&b.fhe, &arch);
+            let (_, _, ex, plan, cs) = compile_fhe(&b.fhe, &arch);
             let makespan = f1::sim::check_schedule(&ex, &plan, &cs, &arch).makespan;
             assert!(
                 makespan <= prev,
@@ -211,7 +211,7 @@ fn full_size_table4_smoke() {
     use f1::workloads::micro::{f1_reciprocal_s, heax_reciprocal_s, micro_program, MicroOp};
     let arch = ArchConfig::f1_default();
     for (n, _logq, l) in f1::fhe::params::table4_parameter_sets() {
-        let mut mp = Program::new(256);
+        let mut mp = FheProgram::new(256, Scheme::Bgv);
         let x = mp.input(l);
         let y = mp.input(l);
         let m = mp.mul(x, y);
@@ -219,7 +219,7 @@ fn full_size_table4_smoke() {
         let a = mp.add(r, m);
         let s = mp.mod_switch(a);
         mp.output(s);
-        let base = CpuBaseline::measure(&mp, 256);
+        let base = CpuBaseline::measure(&mp.lower().program, 256);
         for op in MicroOp::ALL {
             let f1_s = f1_reciprocal_s(op, n, l, &arch);
             let cpu_s = base.estimate_seconds(&micro_program(op, n, l), n);

@@ -29,8 +29,8 @@ fn lola_mnist_double_compile_is_byte_identical() {
     let arch = ArchConfig::f1_default();
     let b1 = lola_mnist_uw(8);
     let b2 = lola_mnist_uw(8);
-    let (_, _, cs1) = f1::compiler::compile(&b1.lowered().0, &arch);
-    let (_, _, cs2) = f1::compiler::compile(&b2.lowered().0, &arch);
+    let (.., cs1) = f1::compiler::compile_fhe(&b1.fhe, &arch);
+    let (.., cs2) = f1::compiler::compile_fhe(&b2.fhe, &arch);
     assert_eq!(cs1.makespan, cs2.makespan, "makespan delta must be exactly 0");
     assert_eq!(
         fingerprint(&cs1),
@@ -47,8 +47,8 @@ fn whole_suite_double_compiles_identically_at_test_scale() {
     for (a, b) in
         f1::workloads::all_benchmarks(16).into_iter().zip(f1::workloads::all_benchmarks(16))
     {
-        let (ex1, plan1, cs1) = f1::compiler::compile(&a.lowered().0, &arch);
-        let (ex2, plan2, cs2) = f1::compiler::compile(&b.lowered().0, &arch);
+        let (_, _, ex1, plan1, cs1) = f1::compiler::compile_fhe(&a.fhe, &arch);
+        let (_, _, ex2, plan2, cs2) = f1::compiler::compile_fhe(&b.fhe, &arch);
         assert_eq!(ex1.hom_order, ex2.hom_order, "{}: hom-op order differs", a.name);
         assert_eq!(
             format!("{:?}", plan1.events),
@@ -64,7 +64,7 @@ fn whole_suite_double_compiles_identically_at_test_scale() {
 #[test]
 fn ir_optimize_lower_is_deterministic() {
     // The frontend half of the pipeline: optimize + lower twice, same
-    // DSL program out (ids included).
+    // lowered program out (ids included).
     let build = || lola_mnist_uw(8).fhe;
     let (o1, s1) = build().optimize();
     let (o2, s2) = build().optimize();

@@ -1,10 +1,9 @@
-//! Cross-crate integration tests: the full pipeline from DSL program to
+//! Cross-crate integration tests: the full pipeline from `FheProgram` to
 //! validated cycle-accurate schedule, cross-checked against functional
 //! execution on the real FHE implementation.
 
 use f1::arch::ArchConfig;
-use f1::compiler::dsl::CtId;
-use f1::compiler::{ExpandOptions, Program};
+use f1::compiler::{compile_fhe, CtId, ExpandOptions, FheProgram, Scheme};
 use f1::fhe::encoding::SlotEncoder;
 use f1::fhe::params::BgvParams;
 use f1::sim::BgvExecutor;
@@ -17,9 +16,9 @@ fn compile_simulate_and_verify_matvec() {
     // (b) functionally executed on real BGV; both must succeed, and the
     // functional result must be numerically correct.
     let n_hw = 1 << 13;
-    let p_hw = Program::listing2_matvec(n_hw, 8, 4);
+    let p_hw = FheProgram::listing2_matvec(n_hw, 8, 4);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cycles) = f1::compiler::compile(&p_hw, &arch);
+    let (_, _, ex, plan, cycles) = compile_fhe(&p_hw, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
     assert!(report.makespan > 0);
     assert!(report.traffic.compulsory() > 0);
@@ -29,18 +28,19 @@ fn compile_simulate_and_verify_matvec() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let params = BgvParams::test_small(n_sw, 4);
     let enc = SlotEncoder::new(&params);
-    let mut p = Program::new(n_sw);
-    let row = p.input(4);
-    let v = p.input(4);
-    let prod = p.mul(row, v);
-    let sum = p.inner_sum(prod, n_sw / 2);
-    p.output(sum);
+    let mut f = FheProgram::new(n_sw, Scheme::Bgv);
+    let row = f.input(4);
+    let v = f.input(4);
+    let prod = f.mul(row, v);
+    let sum = f.inner_sum(prod, n_sw / 2);
+    f.output(sum);
+    let p = f.lower().program;
     let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
     let row_data: Vec<u64> = (0..n_sw / 2).map(|j| (j % 5) as u64).collect();
     let vec_data: Vec<u64> = (0..n_sw / 2).map(|j| (j % 3) as u64).collect();
     let mut inputs = HashMap::new();
-    inputs.insert(row, enc.encode(&[row_data.clone(), row_data.clone()], &params));
-    inputs.insert(v, enc.encode(&[vec_data.clone(), vec_data.clone()], &params));
+    inputs.insert(CtId(row.0), enc.encode(&[row_data.clone(), row_data.clone()], &params));
+    inputs.insert(CtId(v.0), enc.encode(&[vec_data.clone(), vec_data.clone()], &params));
     let run = exec.run(&p, &inputs, &HashMap::new(), &mut rng);
     let want: u64 = row_data.iter().zip(&vec_data).map(|(&a, &b)| a * b).sum::<u64>()
         % params.plaintext_modulus;
@@ -51,7 +51,7 @@ fn compile_simulate_and_verify_matvec() {
 fn every_benchmark_compiles_validates_and_is_memory_sane() {
     let arch = ArchConfig::f1_default();
     for b in f1::workloads::all_benchmarks(16) {
-        let (ex, plan, cycles) = f1::compiler::compile(&b.lowered().0, &arch);
+        let (_, _, ex, plan, cycles) = compile_fhe(&b.fhe, &arch);
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         // Traffic can never be below the compulsory bound.
         assert!(report.traffic.total() >= report.traffic.compulsory(), "{}", b.name);
@@ -70,12 +70,13 @@ fn every_benchmark_compiles_validates_and_is_memory_sane() {
 #[test]
 fn ghs_and_decomposition_schedules_both_validate() {
     let arch = ArchConfig::f1_default();
-    let mut p = Program::new(1 << 12);
-    let x = p.input(8);
-    let y = p.input(8);
-    let m = p.mul(x, y);
-    let r = p.aut(m, 3);
-    p.output(r);
+    let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
+    let x = f.input(8);
+    let y = f.input(8);
+    let m = f.mul(x, y);
+    let r = f.aut(m, 3);
+    f.output(r);
+    let p = f.lower().program;
     for choice in [f1::compiler::KeySwitchChoice::Decomposition, f1::compiler::KeySwitchChoice::Ghs]
     {
         let opts = ExpandOptions { keyswitch: choice, ..Default::default() };
@@ -92,7 +93,7 @@ fn hint_reuse_beats_program_order_on_traffic() {
     // The §4.2 motivating claim, end to end: reuse-ordered compilation
     // must move no more hint bytes than program-order compilation on a
     // capacity-constrained scratchpad.
-    let p = Program::listing2_matvec(1 << 13, 8, 4);
+    let p = FheProgram::listing2_matvec(1 << 13, 8, 4).lower().program;
     let mut arch = ArchConfig::f1_default();
     arch.scratchpad_banks = 4; // 16 MB: each hint is 4 MB, 13 hints don't fit
     let reuse = {
@@ -112,7 +113,8 @@ fn hint_reuse_beats_program_order_on_traffic() {
 
 #[test]
 fn listing2_hom_op_counts() {
-    let p = Program::listing2_matvec(1 << 14, 16, 4);
+    // Unoptimized: the optimizer drops each row's identity rotation.
+    let p = FheProgram::listing2_matvec(1 << 14, 16, 4).lower().program;
     // 15 hint groups: 1 relin + 14 rotations (log2 16K); §4.2's "480 MB"
     // example counts 15 hint sets of Listing 1's decomposition variant
     // (pinned explicitly — the Auto cost model switches this very
@@ -128,5 +130,4 @@ fn listing2_hom_op_counts() {
     // 15 hints × 32 MB = 480 MB, exceeding on-chip storage — the paper's
     // exact number.
     assert_eq!(hint_bytes, 480 * 1024 * 1024);
-    let _ = CtId(0);
 }

@@ -3,14 +3,14 @@
 //! stack, and the resulting schedule must validate.
 
 use f1::arch::ArchConfig;
-use f1::compiler::Program;
+use f1::compiler::FheProgram;
 
 #[test]
 fn facade_compiles_listing2_matvec_end_to_end() {
-    let program = Program::listing2_matvec(1 << 12, 4, 2);
+    let program = FheProgram::listing2_matvec(1 << 12, 4, 2);
     let arch = ArchConfig::f1_default();
 
-    let (ex, plan, cycles) = f1::compiler::compile(&program, &arch);
+    let (_, _, ex, plan, cycles) = f1::compiler::compile_fhe(&program, &arch);
 
     assert!(cycles.makespan > 0, "schedule must have a positive makespan");
     assert_eq!(

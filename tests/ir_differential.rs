@@ -10,6 +10,7 @@ use f1::compiler::analysis::noise as noise_analysis;
 use f1::compiler::analysis::{Analyzer, Severity};
 use f1::compiler::ir::rescale::reflow_at;
 use f1::compiler::ir::{FheProgram, IrId, Scheme};
+use f1::compiler::ExpandOptions;
 use f1::fhe::bgv::Plaintext;
 use f1::fhe::noise::NoiseModel;
 use f1::fhe::params::BgvParams;
@@ -130,7 +131,11 @@ proptest! {
                 let mut arch = ArchConfig::f1_default();
                 arch.scratchpad_banks = 1;
                 arch.bank_bytes = pad_kb * 1024;
-                let (ex, _, cs) = f1::compiler::compile(&lowered.program, &arch);
+                // Passes 1-3 only: `compile_fhe` would optimize `fhe` too.
+                let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
+                let ex = f1::compiler::expand::expand(&lowered.program, &opts);
+                let plan = f1::compiler::movement::schedule(&ex, &arch);
+                let cs = f1::compiler::cycle::schedule(&ex, &plan, &arch);
                 let inputs = f1::sim::mock_inputs(&ex.dfg);
                 let direct = f1::sim::eval_dfg(&ex.dfg, &inputs);
                 let replayed = f1::sim::replay_schedule(&ex.dfg, &cs, &arch, &inputs);

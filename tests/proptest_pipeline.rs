@@ -7,13 +7,15 @@
 
 use f1::arch::ArchConfig;
 use f1::compiler::ir::{FheProgram, Scheme};
-use f1::compiler::{ExpandOptions, Program};
+use f1::compiler::{CycleSchedule, ExpandOptions, Expanded, MovePlan, Program};
 use proptest::prelude::*;
 
-/// A random program: a sequence of ops over a growing set of ciphertexts.
+/// A random program: a sequence of ops over a growing set of ciphertexts,
+/// lowered unoptimized so the ops that do not reach the output stay in
+/// the schedule.
 fn arb_program() -> impl Strategy<Value = Program> {
     proptest::collection::vec(0u8..5, 1..20).prop_map(|choices| {
-        let mut p = Program::new(1 << 10);
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
         let mut cts = vec![p.input(4), p.input(4)];
         let mut idx = 0usize;
         for c in choices {
@@ -33,8 +35,17 @@ fn arb_program() -> impl Strategy<Value = Program> {
             cts.push(new);
         }
         p.output(*cts.last().unwrap());
-        p
+        p.lower().program
     })
+}
+
+/// Passes 1–3 of `compile_fhe`, without its optimizer.
+fn schedule(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan, CycleSchedule) {
+    let opts = ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
+    let ex = f1::compiler::expand::expand(p, &opts);
+    let plan = f1::compiler::movement::schedule(&ex, arch);
+    let cycles = f1::compiler::cycle::schedule(&ex, &plan, arch);
+    (ex, plan, cycles)
 }
 
 /// Random single-carry loop at a fixed level, built flat: each opcode
@@ -80,7 +91,7 @@ proptest! {
     #[test]
     fn random_programs_schedule_validly(p in arb_program()) {
         let arch = ArchConfig::f1_default();
-        let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
+        let (ex, plan, cycles) = schedule(&p, &arch);
         // check_schedule panics on any dependence/hazard violation.
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         prop_assert!(report.traffic.total() >= report.traffic.compulsory());
@@ -107,7 +118,7 @@ proptest! {
         // of check_schedule: no two ComputeEntrys may share a
         // (cluster, fu, fu_index) slot with overlapping occupancy.
         let arch = ArchConfig::f1_default();
-        let (ex, _, cycles) = f1::compiler::compile(&p, &arch);
+        let (ex, _, cycles) = schedule(&p, &arch);
         let mut by_slot: std::collections::HashMap<(usize, f1::isa::FuType, usize), Vec<u64>> =
             std::collections::HashMap::new();
         for (c, stream) in cycles.schedule.compute.iter().enumerate() {
@@ -140,7 +151,7 @@ proptest! {
             let mut arch = ArchConfig::f1_default();
             arch.scratchpad_banks = 1;
             arch.bank_bytes = pad_kb * 1024;
-            let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
+            let (ex, plan, cycles) = schedule(&p, &arch);
             let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
             prop_assert!(report.makespan > 0);
             let inputs = f1::sim::mock_inputs(&ex.dfg);
