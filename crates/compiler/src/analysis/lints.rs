@@ -51,7 +51,7 @@ fn scale_lint(p: &FheProgram) -> Vec<Diagnostic> {
             }
         }
         if let crate::ir::FheOp::ModSwitch(a) = node.op {
-            if p.node(a).ty.scale == 1 {
+            if p.nodes().get(a.0 as usize).is_some_and(|n| n.ty.scale == 1) {
                 saturated += 1;
                 first_saturated.get_or_insert(id);
             }

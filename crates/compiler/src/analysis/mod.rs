@@ -5,18 +5,17 @@
 //! static-analysis framework that *proves* properties of a program
 //! before the scheduling passes spend minutes on it:
 //!
-//! * [`dataflow`] — the generic forward engine: a worklist over the
-//!   dense creation-order ids driving per-analysis transfer functions.
+//! * [`typing`] — the scheme-typing rules ([`typing::infer`], which the
+//!   builder also applies) and the only IR validator ([`typing::check`]):
+//!   SSA well-formedness, levels, operand kinds, CKKS scale bookkeeping,
+//!   GSW restrictions and input-ordinal integrity. It powers the
+//!   between-pass verification [`crate::ir::passes::optimize`] runs, so
+//!   a miscompiling pass is caught at the boundary that introduced it,
+//!   and [`crate::ir::lower::lower`] refuses any program it rejects.
 //! * [`noise`] — abstract interpretation of noise growth in bits per
 //!   node (tracked-estimate and worst-case-bound recurrences from
 //!   [`f1_fhe::noise`]), reporting each node's remaining budget margin
 //!   and the critical noise path.
-//! * [`typing`] — the scheme-typing validator: re-proves SSA
-//!   well-formedness, level monotonicity, CKKS scale bookkeeping, GSW
-//!   restrictions and input-ordinal integrity from scratch, and powers
-//!   the between-pass verification [`crate::ir::passes::optimize`] runs
-//!   so a miscompiling pass is caught at the boundary that introduced
-//!   it.
 //! * [`pressure`] — peak-live-ciphertext-bytes from IR liveness vs the
 //!   [`f1_arch::ArchConfig`] scratchpad, flagging programs that will
 //!   thrash the pad before pass 2/3 run.
@@ -30,9 +29,11 @@
 //!   margin, then sizes the ring for a security target.
 //!
 //! Entry point: [`Analyzer::analyze`] runs everything and returns an
-//! [`AnalysisReport`].
+//! [`AnalysisReport`]. Every analysis is one in-order sweep over the
+//! node list: ids are in SSA creation order, so a node's operands are
+//! done before it. On malformed IR an operand that is not an earlier
+//! node reads the analysis' bottom fact, and `typing::ssa` reports it.
 
-pub mod dataflow;
 pub mod lints;
 pub mod noise;
 pub mod param_search;
@@ -42,7 +43,6 @@ pub mod typing;
 use crate::ir::{FheProgram, IrId};
 use f1_arch::ArchConfig;
 
-pub use dataflow::{run_forward, ForwardAnalysis};
 pub use lints::LintRegistry;
 pub use noise::NoiseReport;
 pub use param_search::{SearchResult, SearchSpec};
@@ -199,6 +199,44 @@ mod tests {
         let report = Analyzer::new().analyze(&p);
         assert!(!report.has_errors(), "diagnostics: {:?}", report.diagnostics);
         assert!(report.noise.min_margin_wc > 0.0);
+    }
+
+    #[test]
+    fn analyzer_terminates_on_malformed_ir() {
+        use crate::ir::FheOp;
+        let mut programs = Vec::new();
+        for scheme in [Scheme::Bgv, Scheme::Ckks, Scheme::Gsw] {
+            let mut p = FheProgram::new(1 << 10, scheme);
+            let x = p.input(4);
+            let y = p.input(4);
+            let m = p.mul(x, y);
+            let r = p.aut(m, 3);
+            p.output(r);
+            // %2 <-> %3 is a cycle, and %9 does not exist.
+            p.raw_node_mut(m).op = FheOp::Mul(IrId(3), IrId(9));
+            programs.push(p);
+        }
+        // A rescale of a later, larger value, and one of a missing node.
+        let mut p = FheProgram::new(1 << 10, Scheme::Ckks);
+        let a = p.input(1);
+        let _ = p.input(4);
+        let c = p.input(1);
+        p.output(a);
+        p.output(c);
+        p.raw_node_mut(a).op = FheOp::ModSwitch(IrId(1));
+        p.raw_node_mut(c).op = FheOp::ModSwitch(IrId(9));
+        programs.push(p);
+        for p in programs {
+            let report = Analyzer::new().analyze(&p);
+            assert!(
+                report
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.rule == "typing::ssa" && d.severity == Severity::Error),
+                "{:?}",
+                report.diagnostics
+            );
+        }
     }
 
     #[test]

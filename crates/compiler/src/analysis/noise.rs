@@ -24,7 +24,6 @@
 //! but have no executor to validate against, so lints cap their findings
 //! at warning severity (see [`super::lints`]).
 
-use super::dataflow::{run_forward, ForwardAnalysis};
 use crate::ir::{FheOp, FheProgram, IrId, Scheme};
 use f1_fhe::noise::NoiseModel;
 
@@ -43,16 +42,15 @@ pub struct NoiseFact {
     pub worst_operand: Option<IrId>,
 }
 
-impl NoiseFact {
-    fn plain() -> Self {
-        Self {
-            est: f64::NEG_INFINITY,
-            wc: f64::NEG_INFINITY,
-            correction: Vec::new(),
-            worst_operand: None,
-        }
-    }
-}
+/// The bottom fact: no encryption noise. Plaintexts carry it, and so
+/// does an operand that is not an earlier node (malformed IR, which the
+/// typing validator reports).
+static NOISELESS: NoiseFact = NoiseFact {
+    est: f64::NEG_INFINITY,
+    wc: f64::NEG_INFINITY,
+    correction: Vec::new(),
+    worst_operand: None,
+};
 
 fn merge_corrections(a: &[(usize, u32)], b: &[(usize, u32)]) -> Vec<(usize, u32)> {
     let mut out = a.to_vec();
@@ -69,7 +67,9 @@ fn bump_correction(c: &[(usize, u32)], level: usize) -> Vec<(usize, u32)> {
     merge_corrections(c, &[(level, 1)])
 }
 
-/// The noise abstract interpretation as a [`ForwardAnalysis`].
+/// The noise abstract interpretation: one transfer function, applied in
+/// one in-order sweep by [`analyze_with`] and node by node by the
+/// rescale pass ([`crate::ir::rescale`]) as it builds a program.
 pub struct NoiseAnalysis {
     model: NoiseModel,
     track_corrections: bool,
@@ -85,34 +85,22 @@ impl NoiseAnalysis {
     pub fn model(&self) -> &NoiseModel {
         &self.model
     }
-}
 
-/// The scheme's default noise model for a program (what [`analyze`]
-/// interprets under).
-pub fn default_model(p: &FheProgram) -> NoiseModel {
-    match p.scheme() {
-        Scheme::Bgv => NoiseModel::bgv_default(p.n),
-        Scheme::Ckks => NoiseModel::ckks(p.n),
-        Scheme::Gsw => NoiseModel::gsw(p.n),
-    }
-}
-
-impl ForwardAnalysis for NoiseAnalysis {
-    type Fact = NoiseFact;
-
-    fn bottom(&self) -> NoiseFact {
-        NoiseFact::plain()
-    }
-
-    fn transfer(&self, p: &FheProgram, id: IrId, operands: &[NoiseFact]) -> NoiseFact {
+    /// The fact of node `id`, given `facts`, the facts of the nodes
+    /// before it. Ids are in SSA creation order, so that prefix holds
+    /// every operand of a well-formed node; any other operand reads the
+    /// noiseless bottom fact.
+    pub fn transfer(&self, p: &FheProgram, id: IrId, facts: &[NoiseFact]) -> NoiseFact {
         let m = &self.model;
         let node = p.node(id);
         if node.ty.plain {
             // Constants, runtime plaintexts and compile-time constant
             // pairs carry no encryption noise.
-            return NoiseFact::plain();
+            return NOISELESS.clone();
         }
         let level = node.ty.level;
+        let fact = |v: &IrId| facts.get(v.0 as usize).unwrap_or(&NOISELESS);
+        let scale = |v: &IrId| p.nodes().get(v.0 as usize).map_or(0, |n| n.ty.scale);
         match &node.op {
             FheOp::CtInput { .. } => NoiseFact {
                 est: m.est_fresh(),
@@ -121,7 +109,7 @@ impl ForwardAnalysis for NoiseAnalysis {
                 worst_operand: None,
             },
             FheOp::Add(a_id, b_id) => {
-                let (a, b) = (&operands[0], &operands[1]);
+                let (a, b) = (fact(a_id), fact(b_id));
                 let aligned = !self.track_corrections || a.correction == b.correction;
                 let (b_est, b_wc) =
                     if aligned { (b.est, b.wc) } else { (m.est_align(b.est), m.wc_align(b.wc)) };
@@ -133,7 +121,7 @@ impl ForwardAnalysis for NoiseAnalysis {
                 }
             }
             FheOp::AddPlain(a_id, _) => {
-                let a = &operands[0];
+                let a = fact(a_id);
                 NoiseFact {
                     est: m.est_add_plain(a.est),
                     // BGV: the scaled plaintext re-centers mod t (+ t);
@@ -144,12 +132,12 @@ impl ForwardAnalysis for NoiseAnalysis {
                 }
             }
             FheOp::Mul(a_id, b_id) => {
-                let (a, b) = (&operands[0], &operands[1]);
+                let (a, b) = (fact(a_id), fact(b_id));
                 let (est, wc) = if p.scheme() == Scheme::Ckks {
                     // The CKKS bound needs the operand scales: the message
                     // magnitude (Δ^scale) multiplies the other operand's
                     // noise in the cross terms.
-                    let (sa, sb) = (p.node(*a_id).ty.scale, p.node(*b_id).ty.scale);
+                    let (sa, sb) = (scale(a_id), scale(b_id));
                     (
                         m.est_mul_ckks(a.est, sa, b.est, sb, level),
                         m.wc_mul_ckks(a.wc, sa, b.wc, sb, level),
@@ -165,9 +153,9 @@ impl ForwardAnalysis for NoiseAnalysis {
                 }
             }
             FheOp::MulPlain(a_id, b_id) => {
-                let a = &operands[0];
+                let a = fact(a_id);
                 let (est, wc) = if p.scheme() == Scheme::Ckks {
-                    let (sa, sp) = (p.node(*a_id).ty.scale, p.node(*b_id).ty.scale);
+                    let (sa, sp) = (scale(a_id), scale(b_id));
                     (m.est_mul_plain_ckks(a.est, sa, sp), m.wc_mul_plain_ckks(a.wc, sa, sp))
                 } else {
                     (m.est_mul_plain(a.est), m.wc_mul_plain(a.wc))
@@ -175,7 +163,7 @@ impl ForwardAnalysis for NoiseAnalysis {
                 NoiseFact { est, wc, correction: a.correction.clone(), worst_operand: Some(*a_id) }
             }
             FheOp::Aut { a: a_id, .. } => {
-                let a = &operands[0];
+                let a = fact(a_id);
                 NoiseFact {
                     est: m.est_aut(a.est),
                     wc: m.wc_aut(a.wc, level),
@@ -184,7 +172,7 @@ impl ForwardAnalysis for NoiseAnalysis {
                 }
             }
             FheOp::ModSwitch(a_id) => {
-                let a = &operands[0];
+                let a = fact(a_id);
                 // `level` is the post-switch level; the switch happened
                 // from level + 1.
                 let from = level + 1;
@@ -200,8 +188,18 @@ impl ForwardAnalysis for NoiseAnalysis {
                     worst_operand: Some(*a_id),
                 }
             }
-            FheOp::PtInput { .. } | FheOp::Constant { .. } => NoiseFact::plain(),
+            FheOp::PtInput { .. } | FheOp::Constant { .. } => NOISELESS.clone(),
         }
+    }
+}
+
+/// The scheme's default noise model for a program (what [`analyze`]
+/// interprets under).
+pub fn default_model(p: &FheProgram) -> NoiseModel {
+    match p.scheme() {
+        Scheme::Bgv => NoiseModel::bgv_default(p.n),
+        Scheme::Ckks => NoiseModel::ckks(p.n),
+        Scheme::Gsw => NoiseModel::gsw(p.n),
     }
 }
 
@@ -259,7 +257,11 @@ pub fn analyze(p: &FheProgram) -> NoiseReport {
 /// plaintext modulus).
 pub fn analyze_with(p: &FheProgram, model: NoiseModel) -> NoiseReport {
     let analysis = NoiseAnalysis::new(p, model);
-    let facts = run_forward(p, &analysis);
+    let mut facts = Vec::with_capacity(p.nodes().len());
+    for i in 0..p.nodes().len() {
+        let fact = analysis.transfer(p, IrId(i as u32), &facts);
+        facts.push(fact);
+    }
     let mut report = NoiseReport {
         model: analysis.model,
         facts,
@@ -283,7 +285,9 @@ pub fn analyze_with(p: &FheProgram, model: NoiseModel) -> NoiseReport {
     }
     if let Some(mut at) = report.critical {
         let mut path = vec![at];
-        while let Some(prev) = report.facts[at.0 as usize].worst_operand {
+        // An operand that is not an earlier node (malformed IR) ends the
+        // path, so a cycle of forward references cannot loop here.
+        while let Some(prev) = report.facts[at.0 as usize].worst_operand.filter(|v| *v < at) {
             path.push(prev);
             at = prev;
         }

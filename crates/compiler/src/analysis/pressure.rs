@@ -61,8 +61,10 @@ pub fn analyze(p: &FheProgram, arch: &ArchConfig) -> PressureReport {
     let mut last_use: Vec<usize> = (0..n).collect();
     for (i, node) in p.nodes().iter().enumerate() {
         for o in node.op.operands() {
-            if (o.0 as usize) < n {
-                last_use[o.0 as usize] = i;
+            // `max` keeps a forward reference (malformed IR) from ending
+            // a value's life before its definition.
+            if let Some(lu) = last_use.get_mut(o.0 as usize) {
+                *lu = (*lu).max(i);
             }
         }
     }

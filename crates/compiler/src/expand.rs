@@ -48,7 +48,7 @@ pub struct ExpandOptions {
     /// Listing 2 discussion shows why leaving program order hurts).
     pub keep_program_order: bool,
     /// The machine the `Auto` chooser estimates against; `None` uses the
-    /// paper's default configuration. [`crate::compile`] fills this with
+    /// paper's default configuration. [`crate::compile_fhe`] fills this with
     /// the target architecture.
     pub machine: Option<ArchConfig>,
 }

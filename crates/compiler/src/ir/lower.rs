@@ -7,6 +7,7 @@
 //! functional executors bind at run time ([`Lowered::constants`]).
 
 use super::{FheOp, FheProgram, IrId};
+use crate::analysis::typing;
 use crate::dsl::{CtId, HomOp, Program};
 
 /// The result of lowering an [`FheProgram`].
@@ -31,9 +32,9 @@ pub struct Lowered {
 
 /// Lowers an IR program (see [`FheProgram::lower`]).
 ///
-/// Every node's type is re-derived with the builder's typing rules, so
-/// IR assembled through the `raw_*` escape hatches cannot reach the
-/// scheduler with operand levels the builder would have refused.
+/// The program is validated first with [`typing::check`], so IR
+/// assembled through the `raw_*` escape hatches cannot reach the
+/// scheduler with anything the builder would have refused.
 ///
 /// Plaintext-constant arithmetic that has not been folded yet (lowering
 /// an unoptimized program is allowed) is const-evaluated here, so every
@@ -42,13 +43,13 @@ pub struct Lowered {
 ///
 /// # Panics
 ///
-/// Panics on a node whose claimed type differs from the one the builder
-/// infers (or that the builder rejects outright), and on constant
-/// arithmetic with no runtime lowering *and* no fold: u64 overflow, or a
-/// product of non-scalar constants (negacyclic convolution needs the
-/// plaintext modulus the IR does not know).
+/// Panics on the first Error [`typing::check`] reports, naming its rule,
+/// and on constant arithmetic with no lowering: a non-constant plaintext
+/// operand, u64 overflow, or a product of non-scalar constants
+/// (negacyclic convolution needs the plaintext modulus the IR does not
+/// know).
 pub fn lower(ir: &FheProgram) -> Lowered {
-    ir.validate();
+    typing::assert_valid(ir);
     let outputs = ir.outputs().iter().map(|o| CtId(o.0)).collect();
     let mut program = Program::with_outputs(ir.n, outputs);
     let mut constants = Vec::new();
@@ -57,8 +58,6 @@ pub fn lower(ir: &FheProgram) -> Lowered {
     // Constant values per node, for const-evaluating plain-pair ops.
     let mut const_vals: Vec<Option<Vec<u64>>> = Vec::with_capacity(ir.nodes().len());
     for (i, node) in ir.nodes().iter().enumerate() {
-        let inferred = ir.infer_ty(&node.op);
-        assert_eq!(inferred, node.ty, "node {i}: claimed type differs from the inferred one");
         let c = |v: &IrId| CtId(v.0);
         let id = CtId(i as u32);
         let mut const_val: Option<Vec<u64>> = None;

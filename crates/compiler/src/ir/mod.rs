@@ -11,10 +11,10 @@
 //!
 //! * [`FheProgram`] is simultaneously the circuit **builder** (typed
 //!   `input`/`mul`/`rotate`/... methods that check levels and scales at
-//!   construction time) and the **normalized IR**: a flat SSA node list
-//!   whose value ids ([`IrId`]) are dense indices in creation order —
-//!   stable and deterministic by construction, never derived from hash
-//!   iteration.
+//!   construction time, by [`crate::analysis::typing::infer`]'s rules)
+//!   and the **normalized IR**: a flat SSA node list whose value ids
+//!   ([`IrId`]) are dense indices in creation order — stable and
+//!   deterministic by construction, never derived from hash iteration.
 //! * [`passes`] implements the optimization pipeline — constant folding,
 //!   rotation/automorphism dedup, common-subexpression elimination,
 //!   key-switch hoisting and dead-code elimination (see
@@ -34,6 +34,8 @@ pub mod rescale;
 pub use lower::Lowered;
 pub use passes::OptStats;
 pub use rescale::RescaleStats;
+
+use crate::analysis::typing;
 
 /// Identifies one value (node) in an [`FheProgram`].
 ///
@@ -198,7 +200,8 @@ impl FheProgram {
         }
     }
 
-    /// Enables strict CKKS scale checking: additions assert equal scales.
+    /// Enables strict CKKS scale checking: additions need equal scales,
+    /// and a rescale needs a scale above one Δ.
     pub fn with_strict_scale(mut self) -> Self {
         self.strict_scale = true;
         self
@@ -214,155 +217,34 @@ impl FheProgram {
         self.strict_scale
     }
 
-    fn push(&mut self, op: FheOp, ty: ValType) -> IrId {
+    /// Types `op` with [`typing::infer`] and appends it, panicking with
+    /// the message of the typing rule it breaks.
+    fn push(&mut self, op: FheOp) -> IrId {
+        let ty = typing::infer(self, &op).unwrap_or_else(|d| panic!("{}", d.message));
         let id = IrId(self.nodes.len() as u32);
-        debug_assert!(op.operands().iter().all(|o| (o.0 as usize) < self.nodes.len()));
         self.nodes.push(Node { op, ty });
         id
     }
 
-    fn ty(&self, v: IrId) -> ValType {
-        self.nodes[v.0 as usize].ty
-    }
-
-    fn ct(&self, v: IrId, what: &str) -> ValType {
-        let t = self.ty(v);
-        assert!(!t.plain, "{what}: operand {v:?} must be a ciphertext");
-        t
-    }
-
-    fn pt(&self, v: IrId, what: &str) -> ValType {
-        let t = self.ty(v);
-        assert!(t.plain, "{what}: operand {v:?} must be a plaintext");
-        t
-    }
-
-    fn join_levels(&self, a: ValType, b: ValType) -> usize {
-        assert_eq!(
-            a.level, b.level,
-            "operand levels differ ({} vs {}); insert mod_switch",
-            a.level, b.level
-        );
-        a.level
-    }
-
-    /// Computes the type `op` produces from its operands' types,
-    /// applying the builder's typing rules.
-    fn infer_ty(&self, op: &FheOp) -> ValType {
-        let base_scale = if self.scheme == Scheme::Ckks { 1 } else { 0 };
-        match op {
-            FheOp::CtInput { level, .. } => {
-                assert!(*level >= 1);
-                ValType { plain: false, level: *level, scale: base_scale, depth: 0 }
-            }
-            FheOp::PtInput { level, .. } | FheOp::Constant { level, .. } => {
-                assert!(*level >= 1);
-                ValType { plain: true, level: *level, scale: base_scale, depth: 0 }
-            }
-            FheOp::Add(a, b) => {
-                let (ta, tb) = (self.ty(*a), self.ty(*b));
-                if ta.plain && tb.plain {
-                    let (ta, tb) = (self.pt(*a, "const op"), self.pt(*b, "const op"));
-                    let level = self.join_levels(ta, tb);
-                    ValType { plain: true, level, scale: ta.scale.max(tb.scale), depth: 0 }
-                } else {
-                    let (ta, tb) = (self.ct(*a, "add"), self.ct(*b, "add"));
-                    let level = self.join_levels(ta, tb);
-                    if self.strict_scale && self.scheme == Scheme::Ckks {
-                        assert_eq!(ta.scale, tb.scale, "CKKS scales differ on add; rescale first");
-                    }
-                    ValType {
-                        plain: false,
-                        level,
-                        scale: ta.scale.max(tb.scale),
-                        depth: ta.depth.max(tb.depth),
-                    }
-                }
-            }
-            FheOp::Mul(a, b) => {
-                let (ta, tb) = (self.ty(*a), self.ty(*b));
-                if ta.plain && tb.plain {
-                    let (ta, tb) = (self.pt(*a, "const op"), self.pt(*b, "const op"));
-                    let level = self.join_levels(ta, tb);
-                    ValType { plain: true, level, scale: ta.scale.max(tb.scale), depth: 0 }
-                } else {
-                    let (ta, tb) = (self.ct(*a, "mul"), self.ct(*b, "mul"));
-                    let level = self.join_levels(ta, tb);
-                    ValType {
-                        plain: false,
-                        level,
-                        scale: ta.scale + tb.scale,
-                        depth: ta.depth.max(tb.depth) + 1,
-                    }
-                }
-            }
-            FheOp::AddPlain(a, p) => {
-                let ta = self.ct(*a, "add_plain");
-                let tp = self.pt(*p, "add_plain");
-                let level = self.join_plain_level(ta, tp);
-                ValType { level, ..ta }
-            }
-            FheOp::MulPlain(a, p) => {
-                let ta = self.ct(*a, "mul_plain");
-                let tp = self.pt(*p, "mul_plain");
-                let level = self.join_plain_level(ta, tp);
-                ValType { plain: false, level, scale: ta.scale + tp.scale, depth: ta.depth }
-            }
-            FheOp::Aut { a, k } => {
-                assert!(k % 2 == 1 && *k < 2 * self.n, "invalid automorphism exponent {k}");
-                self.ct(*a, "aut")
-            }
-            FheOp::ModSwitch(a) => {
-                assert!(self.scheme != Scheme::Gsw, "GSW has no modulus chain to switch");
-                let ta = self.ct(*a, "mod_switch");
-                assert!(ta.level >= 2, "cannot switch below level 1");
-                if self.strict_scale && self.scheme == Scheme::Ckks {
-                    assert!(
-                        ta.scale >= 2,
-                        "CKKS rescale at scale 1 saturates (burns a level for no scale reduction)"
-                    );
-                }
-                let scale =
-                    if self.scheme == Scheme::Ckks { ta.scale.saturating_sub(1).max(1) } else { 0 };
-                ValType { level: ta.level - 1, scale, ..ta }
-            }
-        }
-    }
-
     /// Declares an encrypted input with `level` RNS limbs.
     pub fn input(&mut self, level: usize) -> IrId {
-        assert!(level >= 1);
         let ordinal = self.next_ct_ordinal;
         self.next_ct_ordinal += 1;
-        let scale = if self.scheme == Scheme::Ckks { 1 } else { 0 };
-        self.push(
-            FheOp::CtInput { level, ordinal },
-            ValType { plain: false, level, scale, depth: 0 },
-        )
+        self.push(FheOp::CtInput { level, ordinal })
     }
 
     /// Declares an unencrypted runtime input.
     pub fn plain_input(&mut self, level: usize) -> IrId {
-        assert!(level >= 1);
         let ordinal = self.next_pt_ordinal;
         self.next_pt_ordinal += 1;
-        let scale = if self.scheme == Scheme::Ckks { 1 } else { 0 };
-        self.push(
-            FheOp::PtInput { level, ordinal },
-            ValType { plain: true, level, scale, depth: 0 },
-        )
+        self.push(FheOp::PtInput { level, ordinal })
     }
 
     /// Declares a plaintext constant with the given coefficients, encoded
     /// at `level`. Unlike [`Self::plain_input`], constants participate in
     /// constant folding and CSE.
     pub fn constant(&mut self, coeffs: &[u64], level: usize) -> IrId {
-        assert!(level >= 1);
-        let scale = if self.scheme == Scheme::Ckks { 1 } else { 0 };
-        self.push(
-            FheOp::Constant { coeffs: coeffs.to_vec(), level },
-            ValType { plain: true, level, scale, depth: 0 },
-        )
+        self.push(FheOp::Constant { coeffs: coeffs.to_vec(), level })
     }
 
     /// A scalar constant (degree-0 plaintext).
@@ -374,49 +256,21 @@ impl FheProgram {
     /// same level (and, under [`Self::with_strict_scale`], the same CKKS
     /// scale) — or both plaintext constants, which fold at compile time.
     pub fn add(&mut self, a: IrId, b: IrId) -> IrId {
-        let (ta, tb) = (self.ty(a), self.ty(b));
-        if ta.plain && tb.plain {
-            return self.plain_pair_op(a, b, true);
-        }
-        let op = FheOp::Add(a, b);
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
-    }
-
-    /// Checks a ciphertext/plaintext level pair. Plaintexts only need to
-    /// *cover* the ciphertext level: an RNS plaintext encoded at level
-    /// `l >= level` contains every residue of the ciphertext's chain
-    /// prefix, so the backend simply ignores its top limbs. (Requiring
-    /// equality would force duplicating `PtInput` ordinals whenever a
-    /// rescale pass moves the consuming ciphertext down a level.)
-    fn join_plain_level(&self, ct: ValType, pt: ValType) -> usize {
-        assert!(
-            pt.level >= ct.level,
-            "plaintext level {} does not cover ciphertext level {}",
-            pt.level,
-            ct.level
-        );
-        ct.level
+        self.check_foldable(a, b, true);
+        self.push(FheOp::Add(a, b))
     }
 
     /// Adds a plaintext operand (runtime input or constant) to a
     /// ciphertext. The plaintext may sit at a *higher* level — its excess
     /// limbs are ignored; the result takes the ciphertext's level.
     pub fn add_plain(&mut self, a: IrId, p: IrId) -> IrId {
-        let op = FheOp::AddPlain(a, p);
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
+        self.push(FheOp::AddPlain(a, p))
     }
 
     /// Homomorphic multiplication (tensor + relinearization).
     pub fn mul(&mut self, a: IrId, b: IrId) -> IrId {
-        let (ta, tb) = (self.ty(a), self.ty(b));
-        if ta.plain && tb.plain {
-            return self.plain_pair_op(a, b, false);
-        }
-        let op = FheOp::Mul(a, b);
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
+        self.check_foldable(a, b, false);
+        self.push(FheOp::Mul(a, b))
     }
 
     /// Squares a ciphertext (sugar for `mul(a, a)`).
@@ -428,42 +282,35 @@ impl FheProgram {
     /// [`Self::add_plain`], the plaintext's level only needs to cover the
     /// ciphertext's; the result takes the ciphertext's level.
     pub fn mul_plain(&mut self, a: IrId, p: IrId) -> IrId {
-        let op = FheOp::MulPlain(a, p);
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
+        self.push(FheOp::MulPlain(a, p))
     }
 
-    /// A compile-time operation between two plaintext values: legal only
-    /// when both are constants (so constant folding can evaluate it —
-    /// runtime plain x plain compute has no lowering). Foldability is
-    /// validated here so an unloweringable op (u64 overflow, non-scalar
-    /// constant product) fails fast at the construction site instead of
-    /// deep inside `lower()`.
-    fn plain_pair_op(&mut self, a: IrId, b: IrId, is_add: bool) -> IrId {
-        let (ta, tb) = (self.pt(a, "const op"), self.pt(b, "const op"));
-        let constant = |p: &Self, v: IrId| match &p.nodes[v.0 as usize].op {
-            FheOp::Constant { coeffs, .. } => Some(coeffs.clone()),
+    /// The lowering rule for an operation between two plaintext values:
+    /// legal only when both are constants that fold (runtime plain x
+    /// plain compute has no lowering). Checked here so an unlowerable op
+    /// (u64 overflow, non-scalar constant product) fails fast at the
+    /// construction site instead of deep inside `lower()`.
+    fn check_foldable(&self, a: IrId, b: IrId, is_add: bool) {
+        if !(self.node(a).ty.plain && self.node(b).ty.plain) {
+            return;
+        }
+        let constant = |v: IrId| match &self.node(v).op {
+            FheOp::Constant { coeffs, .. } => Some(coeffs),
             _ => None,
         };
-        let (ca, cb) = (constant(self, a), constant(self, b));
-        let (ca, cb) = match (ca, cb) {
-            (Some(x), Some(y)) => (x, y),
-            _ => panic!("plaintext-plaintext arithmetic requires compile-time constants"),
+        let (Some(ca), Some(cb)) = (constant(a), constant(b)) else {
+            panic!("plaintext-plaintext arithmetic requires compile-time constants");
         };
         let foldable = if is_add {
-            passes::fold_add(&ca, &cb).is_some()
+            passes::fold_add(ca, cb).is_some()
         } else {
-            passes::fold_mul_scalar(&ca, &cb).is_some()
+            passes::fold_mul_scalar(ca, cb).is_some()
         };
         assert!(
             foldable,
             "constant {} has no lowering (u64 overflow or non-scalar constant product)",
             if is_add { "add" } else { "mul" }
         );
-        let _ = self.join_levels(ta, tb);
-        let op = if is_add { FheOp::Add(a, b) } else { FheOp::Mul(a, b) };
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
     }
 
     /// Homomorphic rotation by `amount` slots: automorphism with
@@ -479,9 +326,7 @@ impl FheProgram {
 
     /// Homomorphic automorphism with an explicit exponent.
     pub fn aut(&mut self, a: IrId, k: usize) -> IrId {
-        let op = FheOp::Aut { a, k };
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
+        self.push(FheOp::Aut { a, k })
     }
 
     /// Modulus switch (BGV) / rescale (CKKS) one level down. Rejected
@@ -492,9 +337,7 @@ impl FheProgram {
     /// Under [`Self::with_strict_scale`] that is rejected outright; in
     /// lax programs the `scale::saturated-rescale` lint flags it.
     pub fn mod_switch(&mut self, a: IrId) -> IrId {
-        let op = FheOp::ModSwitch(a);
-        let ty = self.infer_ty(&op);
-        self.push(op, ty)
+        self.push(FheOp::ModSwitch(a))
     }
 
     /// CKKS-flavored alias for [`Self::mod_switch`].
@@ -515,7 +358,9 @@ impl FheProgram {
 
     /// Marks a value as a program output (must be a ciphertext).
     pub fn output(&mut self, x: IrId) {
-        self.ct(x, "output");
+        if let Err(d) = typing::check_output(self, x) {
+            panic!("{}", d.message);
+        }
         self.outputs.push(x);
     }
 
@@ -573,42 +418,23 @@ impl FheProgram {
 
     /// Level of a value.
     pub fn level_of(&self, v: IrId) -> usize {
-        self.ty(v).level
+        self.node(v).ty.level
     }
 
     /// CKKS scale of a value (units of Δ; 0 outside CKKS).
     pub fn scale_of(&self, v: IrId) -> u32 {
-        self.ty(v).scale
+        self.node(v).ty.scale
     }
 
     /// Multiplicative depth consumed by a value.
     pub fn depth_of(&self, v: IrId) -> u32 {
-        self.ty(v).depth
+        self.node(v).ty.depth
     }
 
     /// Number of key-switching operations (Mul/Aut) — the expansion-cost
     /// drivers the optimization passes try to reduce.
     pub fn keyswitch_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.op.is_keyswitch()).count()
-    }
-
-    /// Validates SSA (operands reference earlier nodes) and typing
-    /// invariants; returns the node count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on violation.
-    pub fn validate(&self) -> usize {
-        for (i, node) in self.nodes.iter().enumerate() {
-            for o in node.op.operands() {
-                assert!((o.0 as usize) < i, "node {i} uses a later value {o:?}");
-            }
-        }
-        for &o in &self.outputs {
-            assert!((o.0 as usize) < self.nodes.len(), "unknown output {o:?}");
-            assert!(!self.ty(o).plain, "plain output {o:?}");
-        }
-        self.nodes.len()
     }
 
     /// Runs the full optimization pipeline to a fixpoint: constant
@@ -621,8 +447,12 @@ impl FheProgram {
     }
 
     /// Lowers this program 1:1 into a [`crate::dsl::Program`] for the
-    /// scheduling passes (usually after [`Self::optimize`]), re-checking
-    /// every node's type.
+    /// scheduling passes (usually after [`Self::optimize`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first Error of [`crate::analysis::typing::check`],
+    /// and on constant arithmetic with no lowering; see [`lower::lower`].
     pub fn lower(&self) -> Lowered {
         lower::lower(self)
     }
@@ -659,7 +489,7 @@ mod tests {
         let m2 = p.square(d);
         assert_eq!(p.depth_of(m2), 2);
         p.output(m2);
-        assert_eq!(p.validate(), 5);
+        assert!(typing::check(&p).is_empty());
     }
 
     #[test]
@@ -718,7 +548,7 @@ mod tests {
         let m = p.mul_plain(x, c);
         p.output(m);
         assert!(p.node(c).ty.plain);
-        assert_eq!(p.validate(), 3);
+        assert!(typing::check(&p).is_empty());
     }
 
     #[test]

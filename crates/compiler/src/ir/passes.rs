@@ -29,7 +29,8 @@
 //!   commutes with the Galois permutation exactly).
 //! * **DCE** — nodes that cannot reach an output are dropped.
 
-use super::{FheOp, FheProgram, IrId, Node, Scheme, ValType};
+use super::{FheOp, FheProgram, IrId, Node};
+use crate::analysis::typing;
 use std::collections::HashMap;
 
 pub use super::rescale::{insert_rescales, insert_rescales_with, reflow_at, RescaleStats};
@@ -69,15 +70,16 @@ impl OptStats {
 
 /// Runs the full pipeline to a bounded fixpoint. See module docs.
 ///
-/// Between every pass the typing validator re-proves the IR invariants
-/// and checks the program interface (output types, input ordinals)
-/// against the input program, panicking with the offending pass's name
-/// if a pass broke either. The validation is O(nodes) per pass — cheap
-/// next to the passes themselves — so it is always on, not debug-only.
+/// After every pass [`typing::check`] re-proves the IR invariants and
+/// [`typing::verify_step`] checks the program interface (output types,
+/// input ordinals) against the input program, panicking with the
+/// offending pass's name if a pass broke either; the last pass's check
+/// is the final one. The validation is O(nodes) per pass — cheap next
+/// to the passes themselves — so it is always on, not debug-only.
 pub fn optimize(input: &FheProgram) -> (FheProgram, OptStats) {
-    let interface = crate::analysis::typing::interface(input);
+    let interface = typing::interface(input);
     let verified = |q: FheProgram, pass: &str| {
-        crate::analysis::typing::assert_verified(&interface, &q, pass);
+        typing::assert_verified(&interface, &q, pass);
         q
     };
     let mut p = input.clone();
@@ -112,7 +114,6 @@ pub fn optimize(input: &FheProgram) -> (FheProgram, OptStats) {
             break;
         }
     }
-    p.validate();
     stats.nodes_after = p.nodes.len();
     stats.keyswitch_after = p.keyswitch_count();
     (p, stats)
@@ -390,10 +391,9 @@ pub fn hoist_keyswitch(p: &FheProgram) -> (FheProgram, usize) {
         if uses[a.0 as usize] != 1 {
             continue;
         }
-        let tx = p.nodes[x.0 as usize].ty;
-        debug_assert!(tx.level >= 2, "mod_switch typing guarantees level >= 2");
-        let scale = if p.scheme == Scheme::Ckks { tx.scale.saturating_sub(1).max(1) } else { 0 };
-        let switched = ValType { level: tx.level - 1, scale, ..tx };
+        // σ_k keeps its operand's type, so x switches wherever σ_k(x) did.
+        let switched =
+            typing::infer(&p, &FheOp::ModSwitch(x)).expect("the mod-switch typed before hoisting");
         let out_ty = p.nodes[i].ty;
         p.nodes[a.0 as usize] = Node { op: FheOp::ModSwitch(x), ty: switched };
         p.nodes[i] = Node { op: FheOp::Aut { a, k }, ty: out_ty };
@@ -452,6 +452,7 @@ pub fn dce(p: &FheProgram) -> (FheProgram, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::Scheme;
 
     fn bgv(n: usize) -> FheProgram {
         FheProgram::new(n, Scheme::Bgv)

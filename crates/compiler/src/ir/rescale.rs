@@ -38,7 +38,7 @@
 
 use super::{FheOp, FheProgram, IrId, Scheme};
 use crate::analysis::noise::{analyze_with, default_model, NoiseAnalysis, NoiseFact};
-use crate::analysis::{dataflow::ForwardAnalysis, typing};
+use crate::analysis::typing;
 use f1_fhe::noise::NoiseModel;
 use std::collections::HashMap;
 
@@ -209,7 +209,7 @@ pub fn insert_rescales_with(
 
 /// The rebuild state: the program under construction plus an incremental
 /// noise interpretation of it (one [`NoiseFact`] per new node, computed
-/// with the same transfer function the batch analysis uses).
+/// with the same transfer function the batch analysis sweeps).
 struct Reflow {
     new: FheProgram,
     analysis: NoiseAnalysis,
@@ -223,14 +223,11 @@ struct Reflow {
 }
 
 impl Reflow {
-    /// Records the noise fact of a just-pushed node (incremental
-    /// counterpart of the batch forward analysis).
+    /// Records the noise fact of a just-pushed node (the batch analysis'
+    /// in-order sweep, one node at a time).
     fn track(&mut self, id: IrId) -> IrId {
         debug_assert_eq!(id.0 as usize, self.facts.len(), "track must follow every push");
-        let operands = self.new.node(id).op.operands();
-        let operand_facts: Vec<NoiseFact> =
-            operands.iter().map(|o| self.facts[o.0 as usize].clone()).collect();
-        let f = self.analysis.transfer(&self.new, id, &operand_facts);
+        let f = self.analysis.transfer(&self.new, id, &self.facts);
         self.facts.push(f);
         id
     }
