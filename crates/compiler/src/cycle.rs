@@ -20,17 +20,21 @@
 //!   back to their scratchpad bank over the same lanes.
 //!
 //! **Scratchpad capacity is a scheduling constraint, not an accounting
-//! afterthought.** Pass 2 hands over a byte lineage: each allocation
-//! names the release events (`space_from`) whose freed bytes it reuses.
-//! The scheduler turns those into gating edges — an allocation may not
-//! start before its donors' release cycles, a release may not happen
-//! before the value's producer has drained and every reader has streamed
-//! it, and a refetch may not start before the spill store that put the
-//! value off-chip completes. Consumers of a refetched value are gated on
-//! the refetch's completion. Because every byte of the scratchpad then
-//! serves temporally disjoint residency intervals, the resident set
-//! provably never exceeds capacity at any cycle — which the `f1-sim`
-//! checker re-verifies from the emitted streams alone.
+//! afterthought.** The scratchpad's resident bytes have a timeline of
+//! their own (`PadTimeline`): an allocation (a load's channel start or
+//! an instruction's issue) adds its bytes, and a release removes them at
+//! its evict cycle. An allocation starts no earlier than the first cycle
+//! from which its bytes stay within capacity at every later cycle. Pass 2
+//! hands over a byte lineage: each allocation names the release events
+//! (`space_from`) whose freed bytes it reuses. The scheduler keeps those
+//! only as commit order. An allocation commits after its donors, so its
+//! bytes are free at the end of the timeline, but it may start before
+//! they release wherever other bytes are free by then. A release may not
+//! happen before the value's producer has drained and every reader has
+//! streamed it, and a refetch may not start before the spill store that
+//! put the value off-chip completes. Consumers of a refetched value are
+//! gated on the refetch's completion. The `f1-sim` checker re-verifies
+//! capacity from the emitted streams alone.
 //!
 //! On-chip, produced values live in their cluster's register file until
 //! its capacity (`arch.rf_bytes_per_cluster`) overflows; the scheduler
@@ -59,6 +63,7 @@ use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId};
 use f1_isa::streams::{ComputeEntry, EvictEntry, MemDir, MemEntry, NetEntry, StaticSchedule};
 use f1_isa::{ComponentId, FuType};
+use std::cell::Cell;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles a value spends crossing one bit-sliced crossbar switch. The
@@ -128,9 +133,16 @@ fn tail_partition_point(busy: &[(u64, u64)], pred: impl Fn(&(u64, u64)) -> bool)
 #[derive(Debug, Default, Clone)]
 struct Occupancy {
     busy: Vec<(u64, u64)>,
+    /// The shortest request this timeline serves: a gap narrower than
+    /// this can never be used, so [`Self::commit`] closes it.
+    min_len: u64,
 }
 
 impl Occupancy {
+    fn new(min_len: u64) -> Self {
+        Self { busy: Vec::new(), min_len }
+    }
+
     /// Earliest `start >= ready` such that `[start, start + len)` is free.
     fn probe(&self, ready: u64, len: u64) -> u64 {
         let mut t = ready;
@@ -147,11 +159,13 @@ impl Occupancy {
 
     /// Reserves `[start, start + len)`; the caller must have probed.
     ///
-    /// Adjacent intervals are coalesced, but timelines still grow long:
-    /// the paper suite's capacity-bound programs keep their FUs mostly
-    /// idle, so the gaps rarely close and a probed timeline holds
-    /// thousands of intervals. Searches stay cheap because they land near
-    /// the tail, which is where [`tail_partition_point`] starts.
+    /// The new interval absorbs any neighbouring gap shorter than
+    /// `min_len`: no request could start there, so the probe answers for
+    /// requests of at least `min_len` do not change, and the timeline
+    /// stays short. The paper suite's spilling programs leave many such
+    /// slivers between back-to-back vector operations. Searches stay
+    /// cheap because they land near the tail, which is where
+    /// [`tail_partition_point`] starts.
     fn commit(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -161,8 +175,9 @@ impl Occupancy {
         debug_assert_eq!(pos, self.busy.partition_point(|&(s, _)| s < start));
         debug_assert!(pos == 0 || self.busy[pos - 1].1 <= start, "overlapping commit");
         debug_assert!(pos == self.busy.len() || end <= self.busy[pos].0);
-        let glue_prev = pos > 0 && self.busy[pos - 1].1 == start;
-        let glue_next = pos < self.busy.len() && self.busy[pos].0 == end;
+        let unusable = self.min_len.max(1);
+        let glue_prev = pos > 0 && start - self.busy[pos - 1].1 < unusable;
+        let glue_next = pos < self.busy.len() && self.busy[pos].0 - end < unusable;
         match (glue_prev, glue_next) {
             (true, true) => {
                 self.busy[pos - 1].1 = self.busy[pos].1;
@@ -172,6 +187,208 @@ impl Occupancy {
             (false, true) => self.busy[pos].0 = start,
             (false, false) => self.busy.insert(pos, (start, end)),
         }
+    }
+}
+
+/// Interchangeable units of one resource: the FU instances of one class
+/// in one cluster, the lanes of one crossbar pair, or the HBM channels.
+#[derive(Debug, Clone)]
+struct Units {
+    units: Vec<Occupancy>,
+    /// The last [`Self::fit`] answer `(ready, len, unit, start)`, cleared
+    /// by every commit.
+    memo: Cell<Option<(u64, u64, usize, u64)>>,
+}
+
+impl Units {
+    fn new(count: usize, min_len: u64) -> Self {
+        Self { units: vec![Occupancy::new(min_len); count], memo: Cell::new(None) }
+    }
+
+    /// The unit that can start a `len`-cycle request earliest at or after
+    /// `ready` (ties to the lowest index), and that start.
+    ///
+    /// The scan stops at the first unit free at `ready`, which no other
+    /// unit can beat. A memoized answer `(r, len, unit, start)` also
+    /// answers every `ready` in `[r, start]`: no unit can start in
+    /// `[r, start)`, and `unit` still can at `start`.
+    fn fit(&self, ready: u64, len: u64) -> (usize, u64) {
+        let fit = match self.memo.get() {
+            Some((r, l, i, s)) if l == len && r <= ready && ready <= s => (i, s),
+            _ => {
+                let mut best = (0, u64::MAX);
+                for (i, u) in self.units.iter().enumerate() {
+                    let s = u.probe(ready, len);
+                    if s < best.1 {
+                        best = (i, s);
+                        if s == ready {
+                            break;
+                        }
+                    }
+                }
+                self.memo.set(Some((ready, len, best.0, best.1)));
+                best
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(fit, self.fit_full(ready, len), "memoized fit != full scan");
+        fit
+    }
+
+    /// Reference for [`Self::fit`]: probes every unit.
+    #[cfg(test)]
+    fn fit_full(&self, ready: u64, len: u64) -> (usize, u64) {
+        let probes = self.units.iter().map(|u| u.probe(ready, len));
+        probes.enumerate().min_by_key(|&(i, s)| (s, i)).unwrap()
+    }
+
+    /// Reserves `[start, start + len)` on unit `i`.
+    fn commit(&mut self, i: usize, start: u64, len: u64) {
+        self.units[i].commit(start, len);
+        self.memo.set(None);
+    }
+}
+
+/// Cycles per [`PadTimeline`] leaf.
+const PAD_LEAF_CYCLES: u64 = 256;
+
+/// The scratchpad's resident bytes over time, as net per-cycle deltas:
+/// `+bytes` at each allocation's start, `-bytes` at each release. The
+/// resident set at cycle `t` is the sum of the deltas through `t`, so a
+/// release and an allocation in the same cycle net out, as under the
+/// checker's release-first rule.
+///
+/// Each leaf holds the sorted `(cycle, delta)` entries of
+/// [`PAD_LEAF_CYCLES`] cycles. A segment tree over the leaves keeps, per
+/// node, the delta `sum` of its span and `peak`, the largest resident set
+/// just *before* one of its entries, relative to the span's start. That
+/// is what [`Self::fit`] needs: the resident set only changes at entries,
+/// so the last cycle a request would overflow is the cycle before the
+/// last entry preceded by too many bytes.
+#[derive(Debug)]
+struct PadTimeline {
+    cap: u64,
+    /// `leaves[k]` holds the entries of cycles
+    /// `[k * PAD_LEAF_CYCLES, (k + 1) * PAD_LEAF_CYCLES)`; its length is a
+    /// power of two.
+    leaves: Vec<Vec<(u64, i64)>>,
+    /// `(sum, peak)` per node: node 1 is the root, node `i` has children
+    /// `2i` and `2i + 1`, and leaf `k` is node `leaves.len() + k`.
+    tree: Vec<(i64, i64)>,
+}
+
+impl PadTimeline {
+    /// An empty span: no entries, so no peak. Half of `i64::MIN` stays
+    /// below every real peak after adding any span's sum.
+    const EMPTY: (i64, i64) = (0, i64::MIN / 2);
+
+    fn new(cap: u64) -> Self {
+        Self { cap, leaves: vec![Vec::new()], tree: vec![Self::EMPTY; 2] }
+    }
+
+    fn join((ls, lp): (i64, i64), (rs, rp): (i64, i64)) -> (i64, i64) {
+        (ls + rs, lp.max(ls + rp))
+    }
+
+    /// Records `delta` bytes at `cycle`.
+    fn add(&mut self, cycle: u64, delta: i64) {
+        let k = (cycle / PAD_LEAF_CYCLES) as usize;
+        if k >= self.leaves.len() {
+            self.grow(k + 1);
+        }
+        let leaf = &mut self.leaves[k];
+        let i = leaf.partition_point(|&(c, _)| c < cycle);
+        match leaf.get_mut(i) {
+            Some(e) if e.0 == cycle => {
+                e.1 += delta;
+                if e.1 == 0 {
+                    leaf.remove(i);
+                }
+            }
+            _ => leaf.insert(i, (cycle, delta)),
+        }
+        let (mut sum, mut peak) = Self::EMPTY;
+        for &(_, d) in leaf.iter() {
+            peak = peak.max(sum);
+            sum += d;
+        }
+        let (mut node, mut span) = (self.leaves.len() + k, (sum, peak));
+        self.tree[node] = span;
+        while node > 1 {
+            let sibling = self.tree[node ^ 1];
+            span =
+                if node % 2 == 0 { Self::join(span, sibling) } else { Self::join(sibling, span) };
+            node /= 2;
+            self.tree[node] = span;
+        }
+    }
+
+    /// Doubles the leaf count until it reaches `need`, rebuilding the tree.
+    fn grow(&mut self, need: usize) {
+        let size = need.next_power_of_two();
+        let old = self.leaves.len();
+        self.leaves.resize_with(size, Vec::new);
+        let mut tree = vec![Self::EMPTY; 2 * size];
+        tree[size..size + old].copy_from_slice(&self.tree[old..2 * old]);
+        for node in (1..size).rev() {
+            tree[node] = Self::join(tree[2 * node], tree[2 * node + 1]);
+        }
+        self.tree = tree;
+    }
+
+    /// The first cycle from which `bytes` more stay within capacity at
+    /// every later cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes resident at the end of the timeline leave no
+    /// room for `bytes`: pass 2's byte lineage rules that out, because an
+    /// allocation commits only after the releases that free its bytes.
+    fn fit(&self, bytes: u64) -> u64 {
+        let room = self.cap as i64 - bytes as i64;
+        let (total, peak) = self.tree[1];
+        assert!(total <= room, "no scratchpad room for {bytes} bytes: {total} stay resident");
+        let fit = if peak <= room {
+            0
+        } else {
+            // Descend toward the last entry preceded by more than `room`.
+            let (mut node, mut before) = (1, 0i64);
+            while node < self.leaves.len() {
+                let (ls, _) = self.tree[2 * node];
+                let (_, rp) = self.tree[2 * node + 1];
+                node = if before + ls + rp > room {
+                    before += ls;
+                    2 * node + 1
+                } else {
+                    2 * node
+                };
+            }
+            let mut last = 0;
+            for &(c, d) in &self.leaves[node - self.leaves.len()] {
+                if before > room {
+                    last = c;
+                }
+                before += d;
+            }
+            last
+        };
+        #[cfg(test)]
+        assert_eq!(fit, self.fit_linear(bytes), "pad fit != linear scan");
+        fit
+    }
+
+    /// Reference for [`Self::fit`]: walks every entry.
+    #[cfg(test)]
+    fn fit_linear(&self, bytes: u64) -> u64 {
+        let room = self.cap as i64 - bytes as i64;
+        let (mut resident, mut fit) = (0i64, 0);
+        for &(c, d) in self.leaves.iter().flatten() {
+            if resident > room {
+                fit = c;
+            }
+            resident += d;
+        }
+        fit
     }
 }
 
@@ -235,12 +452,14 @@ struct CycleScheduler<'a> {
     // Vec-indexed tables (ValueIds and FU classes are dense): the
     // scheduler touches them hundreds of times per instruction, and
     // hashing dominated the pass at full-size benchmark scale.
-    channels: Vec<Occupancy>,
-    /// `fu_slots[cluster][FuType::index()][instance]`.
-    fu_slots: Vec<[Vec<Occupancy>; 4]>,
-    /// `net_busy[comp_index(from) * n_comp + comp_index(to)][lane]`.
-    net_busy: Vec<Vec<Occupancy>>,
+    channels: Units,
+    /// `fu_slots[cluster][FuType::index()]`.
+    fu_slots: Vec<[Units; 4]>,
+    /// `net_busy[comp_index(from) * n_comp + comp_index(to)]`.
+    net_busy: Vec<Units>,
     n_comp: usize,
+    /// Scratchpad bytes resident over time.
+    pad: PadTimeline,
     // Value state (indexed by ValueId).
     avail: Vec<u64>,
     home: Vec<Option<ComponentId>>,
@@ -324,7 +543,7 @@ impl<'a> CycleScheduler<'a> {
                         *head = (reader_pool.len() - 1) as u32;
                     }
                     for &d in space_from {
-                        edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Done);
+                        edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     let out = dfg.instr(*instr).output.0 as usize;
                     cur_alloc[out] = nid;
@@ -334,7 +553,7 @@ impl<'a> CycleScheduler<'a> {
                     let nid = (n_instr + mem_nodes.len()) as u32;
                     mem_nodes.push(MemNode::Load { ev: ei as u32 });
                     for &d in space_from {
-                        edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Done);
+                        edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     // A reload may not start before the previous copy's
                     // release (and, for spills, the writeback) completes.
@@ -407,17 +626,15 @@ impl<'a> CycleScheduler<'a> {
             fu_lat[fu.index()] = arch.latency(fu, n);
         }
 
+        // Every request a timeline serves is one value's worth of work, so
+        // the smallest value bounds each timeline's shortest request.
+        let min_bytes = dfg.values().iter().map(|v| v.bytes).min().unwrap_or(0);
         let fu_slots = (0..arch.clusters)
-            .map(|_| {
-                let mut slots: [Vec<Occupancy>; 4] = Default::default();
-                for &fu in FuType::ALL.iter() {
-                    slots[fu.index()] = vec![Occupancy::default(); arch.fus_per_cluster(fu)];
-                }
-                slots
-            })
+            .map(|_| FuType::ALL.map(|fu| Units::new(arch.fus_per_cluster(fu), fu_occ[fu.index()])))
             .collect();
         let n_comp = arch.clusters + arch.scratchpad_banks;
-        let net_busy = vec![vec![Occupancy::default(); arch.xbar_ports.max(1)]; n_comp * n_comp];
+        let net_busy =
+            vec![Units::new(arch.xbar_ports.max(1), arch.net_cycles(min_bytes)); n_comp * n_comp];
 
         let mut s = Self {
             dfg,
@@ -433,10 +650,11 @@ impl<'a> CycleScheduler<'a> {
             fu_occ,
             fu_weight,
             fu_lat,
-            channels: vec![Occupancy::default(); arch.hbm_channels.max(1)],
+            channels: Units::new(arch.hbm_channels.max(1), arch.mem_channel_cycles(min_bytes)),
             fu_slots,
             net_busy,
             n_comp,
+            pad: PadTimeline::new(arch.scratchpad_bytes()),
             avail: vec![0; n_values],
             home: vec![None; n_values],
             copies: vec![Vec::new(); n_values],
@@ -538,16 +756,11 @@ impl<'a> CycleScheduler<'a> {
         }
     }
 
-    /// Picks the least-loaded HBM channel at `ready` and commits `dur`.
+    /// Commits `dur` cycles on the HBM channel that can start them
+    /// earliest at or after `ready`, ties to the lowest index.
     fn commit_channel(&mut self, ready: u64, dur: u64) -> (usize, u64) {
-        let (ci, start) = self
-            .channels
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.probe(ready, dur)))
-            .min_by_key(|&(i, s)| (s, i))
-            .unwrap();
-        self.channels[ci].commit(start, dur);
+        let (ci, start) = self.channels.fit(ready, dur);
+        self.channels.commit(ci, start, dur);
         (ci, start)
     }
 
@@ -563,14 +776,16 @@ impl<'a> CycleScheduler<'a> {
 
     /// The lane timelines for the `(from, to)` crossbar pair.
     #[inline(always)]
-    fn lanes(&self, from: ComponentId, to: ComponentId) -> &[Occupancy] {
+    fn lanes(&self, from: ComponentId, to: ComponentId) -> &Units {
         &self.net_busy[self.comp_index(from) * self.n_comp + self.comp_index(to)]
     }
 
-    /// Ends a value's residency: invalidates every on-chip location and
-    /// releases its register-file slot.
-    fn invalidate(&mut self, v: ValueId) {
+    /// Ends a value's residency at `cycle`: frees its scratchpad bytes,
+    /// invalidates every on-chip location and releases its register-file
+    /// slot.
+    fn release(&mut self, v: ValueId, cycle: u64) {
         let vi = v.0 as usize;
+        self.pad.add(cycle, -(self.dfg.value(v).bytes as i64));
         self.home[vi] = None;
         self.copies[vi].clear();
         self.bank_ready[vi] = 0;
@@ -590,8 +805,10 @@ impl<'a> CycleScheduler<'a> {
                     unreachable!()
                 };
                 let dur = self.arch.mem_channel_cycles(bytes);
-                let ready = self.gate_time[nid as usize];
+                let pad_bytes = self.dfg.value(value).bytes;
+                let ready = self.gate_time[nid as usize].max(self.pad.fit(pad_bytes));
                 let (ci, start) = self.commit_channel(ready, dur);
+                self.pad.add(start, pad_bytes as i64);
                 let bank = (value.0 as usize) % self.arch.scratchpad_banks;
                 self.out.mem.push(MemEntry {
                     cycle: start,
@@ -634,7 +851,7 @@ impl<'a> CycleScheduler<'a> {
                 let done = start + dur;
                 if frees {
                     self.out.evict.push(EvictEntry { cycle: done, value, bytes });
-                    self.invalidate(value);
+                    self.release(value, done);
                 }
                 self.makespan = self.makespan.max(done);
                 self.finish(nid, 0, 0, done);
@@ -645,7 +862,7 @@ impl<'a> CycleScheduler<'a> {
                 };
                 let done = self.gate_time[nid as usize].max(self.wb_done[value.0 as usize]);
                 self.out.evict.push(EvictEntry { cycle: done, value, bytes });
-                self.invalidate(value);
+                self.release(value, done);
                 self.finish(nid, 0, 0, done);
             }
         }
@@ -665,12 +882,7 @@ impl<'a> CycleScheduler<'a> {
         let from = self.source_of(v);
         let t0 = self.source_ready(v, t0, from);
         let dur = self.arch.net_cycles(self.dfg.value(v).bytes);
-        let start = self
-            .lanes(from, ComponentId::Cluster(c))
-            .iter()
-            .map(|l| l.probe(t0, dur))
-            .min()
-            .unwrap_or(t0);
+        let (_, start) = self.lanes(from, ComponentId::Cluster(c)).fit(t0, dur);
         (start + XBAR_HOP_CYCLES, true)
     }
 
@@ -708,7 +920,7 @@ impl<'a> CycleScheduler<'a> {
             ready = ready.max(t);
         }
         let occ = self.fu_occ[fu.index()];
-        let start = self.fu_slots[c][fu.index()].iter().map(|s| s.probe(ready, occ)).min().unwrap();
+        let (_, start) = self.fu_slots[c][fu.index()].fit(ready, occ);
         (start, remote, c)
     }
 
@@ -779,6 +991,12 @@ impl<'a> CycleScheduler<'a> {
             if best.is_some_and(|b| (lb, rb, c) > b) {
                 break;
             }
+            // The FU cannot start before its fit at `lb`, so a cluster
+            // that loses even then needs no lane probes.
+            let (_, fu_lb) = self.fu_slots[c][fu.index()].fit(lb, self.fu_occ[fu.index()]);
+            if best.is_some_and(|b| (fu_lb, rb, c) > b) {
+                continue;
+            }
             let key = self.probe_cluster(inputs, fu, base, c);
             debug_assert_eq!(key.1, rb, "remote bytes must be exact before the probe");
             if best.is_none_or(|b| key < b) {
@@ -830,7 +1048,8 @@ impl<'a> CycleScheduler<'a> {
         let occ = self.fu_occ[fu.index()];
         let weight = self.fu_weight[fu.index()];
         let lat = self.fu_lat[fu.index()];
-        let base = self.gate_time[id as usize];
+        let out_bytes = self.dfg.value(output).bytes;
+        let base = self.gate_time[id as usize].max(self.pad.fit(out_bytes));
 
         let cluster = self.pick_cluster(&inputs, fu, base);
 
@@ -853,13 +1072,8 @@ impl<'a> CycleScheduler<'a> {
                 let lane_idx = self.comp_index(from) * self.n_comp
                     + self.comp_index(ComponentId::Cluster(cluster));
                 let lanes = &mut self.net_busy[lane_idx];
-                let (li, start) = lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, l)| (i, l.probe(t0, dur)))
-                    .min_by_key(|&(i, s)| (s, i))
-                    .unwrap();
-                lanes[li].commit(start, dur);
+                let (li, start) = lanes.fit(t0, dur);
+                lanes.commit(li, start, dur);
                 self.out.net.push(NetEntry {
                     cycle: start,
                     value: v,
@@ -878,13 +1092,10 @@ impl<'a> CycleScheduler<'a> {
             self.counters.rf_bytes += self.dfg.value(v).bytes;
         }
 
-        let (slot, start) = self.fu_slots[cluster][fu.index()]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.probe(ready, occ)))
-            .min_by_key(|&(i, s)| (s, i))
-            .unwrap();
-        self.fu_slots[cluster][fu.index()][slot].commit(start, occ);
+        let slots = &mut self.fu_slots[cluster][fu.index()];
+        let (slot, start) = slots.fit(ready, occ);
+        slots.commit(slot, start, occ);
+        self.pad.add(start, out_bytes as i64);
         self.issue_cycle[id as usize] = start;
         let available = start + weight;
         self.done_cycle[id as usize] = available;
@@ -902,7 +1113,6 @@ impl<'a> CycleScheduler<'a> {
 
         // Register-file occupancy: the result claims RF space; overflow
         // re-homes the oldest still-resident values to their bank.
-        let out_bytes = self.dfg.value(output).bytes;
         self.rf_used[cluster] += out_bytes;
         self.rf_queue[cluster].push_back(output);
         self.rf_member[output.0 as usize] = cluster as u32;
@@ -935,13 +1145,8 @@ impl<'a> CycleScheduler<'a> {
         let t0 = self.avail[wi];
         let lane_idx = self.comp_index(from) * self.n_comp + self.comp_index(to);
         let lanes = &mut self.net_busy[lane_idx];
-        let (li, start) = lanes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i, l.probe(t0, dur)))
-            .min_by_key(|&(i, s)| (s, i))
-            .unwrap();
-        lanes[li].commit(start, dur);
+        let (li, start) = lanes.fit(t0, dur);
+        lanes.commit(li, start, dur);
         self.out.net.push(NetEntry { cycle: start, value: w, from, to, bytes, port: li });
         self.counters.noc_bytes += bytes;
         self.counters.xbar_busy_cycles += dur;
@@ -1155,6 +1360,95 @@ mod tests {
         o.commit(15 * 99 + 10, 20);
         assert_eq!(o.busy.len(), 198);
         assert_eq!(o.probe(0, 20), tail_end);
+    }
+
+    /// A small xorshift generator for the randomized timeline tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn closing_short_gaps_keeps_probe_answers() {
+        // Two timelines take the same commits; one closes every gap
+        // shorter than its 8-cycle minimum request. Probes for requests
+        // of at least 8 cycles answer the same on both.
+        let min_len = 8;
+        let (mut open, mut closed) = (Occupancy::default(), Occupancy::new(min_len));
+        let mut rng = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..2000 {
+            let ready = xorshift(&mut rng) % 20_000;
+            let len = min_len + xorshift(&mut rng) % (2 * min_len);
+            let start = open.probe(ready, len);
+            assert_eq!(closed.probe(ready, len), start);
+            open.commit(start, len);
+            closed.commit(start, len);
+            for _ in 0..4 {
+                let ready = xorshift(&mut rng) % 25_000;
+                let len = min_len + xorshift(&mut rng) % (4 * min_len);
+                assert_eq!(closed.probe(ready, len), open.probe(ready, len), "at {ready}+{len}");
+            }
+        }
+        assert!(closed.busy.len() < open.busy.len(), "no gap was short enough to close");
+    }
+
+    #[test]
+    fn pad_release_and_allocation_in_one_cycle_net_out() {
+        let mut pad = PadTimeline::new(100);
+        pad.add(0, 60);
+        assert_eq!(pad.fit(40), 0);
+        pad.add(10, -60);
+        // Bytes released at cycle 10 are free for an allocation at 10.
+        assert_eq!(pad.fit(50), 10);
+        pad.add(10, 50);
+        assert_eq!(pad.leaves[0], [(0, 60), (10, -10)]);
+        assert_eq!(pad.fit(50), 10);
+        assert_eq!(pad.fit(40), 0);
+        // Entries that net to zero leave the leaf.
+        pad.add(10, 10);
+        assert_eq!(pad.leaves[0], [(0, 60)]);
+    }
+
+    #[test]
+    fn pad_allocations_placed_at_fit_stay_within_capacity() {
+        // Allocations start at their ready cycle or their fit, whichever
+        // is later; releases land at random later cycles, often in the
+        // cycle of another allocation. In a test build every `fit` also
+        // checks itself against a linear scan of the deltas. The
+        // timeline spans many leaves, so the tree grows several times.
+        let cap = 1 << 20;
+        let mut pad = PadTimeline::new(cap);
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        let (mut resident, mut rng) = (0u64, 0x9e37_79b9_7f4a_7c15_u64);
+        let mut starts = Vec::new();
+        for _ in 0..3000 {
+            let bytes = (1 + xorshift(&mut rng) % 16) << 14;
+            while resident + bytes > cap {
+                let (start, b) = live.swap_remove(xorshift(&mut rng) as usize % live.len());
+                // Half the releases reuse the cycle an allocation started.
+                let at = match xorshift(&mut rng) % 2 {
+                    0 => starts[xorshift(&mut rng) as usize % starts.len()],
+                    _ => start + xorshift(&mut rng) % 5000,
+                };
+                pad.add(at.max(start), -(b as i64));
+                resident -= b;
+            }
+            let ready = xorshift(&mut rng) % 200_000;
+            let start = ready.max(pad.fit(bytes));
+            pad.add(start, bytes as i64);
+            live.push((start, bytes));
+            starts.push(start);
+            resident += bytes;
+        }
+        assert!(pad.leaves.len() >= 512, "only {} leaves", pad.leaves.len());
+        let mut occupied = 0i64;
+        for &(cycle, d) in pad.leaves.iter().flatten() {
+            occupied += d;
+            assert!((0..=cap as i64).contains(&occupied), "{occupied} bytes at cycle {cycle}");
+        }
+        assert_eq!(occupied, resident as i64);
     }
 
     #[test]

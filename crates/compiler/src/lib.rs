@@ -20,14 +20,16 @@
 //! 3. [`movement`] — the off-chip data movement scheduler (§4.3): greedy
 //!    priority scheduling against a scratchpad model with Belady-style
 //!    furthest-reuse eviction, emitting a residency event script whose
-//!    allocations carry the byte lineage of the space they reuse.
+//!    allocations carry the byte lineage of the space they reuse (pass 3
+//!    keeps it as commit order only).
 //! 4. [`cycle`] — the cycle-level scheduler (§4.4): a resource-explicit
 //!    list scheduler over the event graph that ranks instructions by
 //!    critical-path depth, overlaps loads/spills/refetches with compute
 //!    on the HBM-channel timelines, gates consumers on refetch
-//!    completion, models FU/crossbar/register-file occupancy, and emits
-//!    per-component static streams whose resident set provably fits the
-//!    scratchpad at every cycle.
+//!    completion, models FU/crossbar/register-file occupancy, starts
+//!    each allocation once its bytes fit on a scratchpad occupancy
+//!    timeline, and emits per-component static streams whose resident
+//!    set fits the scratchpad at every cycle.
 //! 5. [`csr`] — the Goodman–Hsu register-pressure-aware baseline
 //!    scheduler used by the Table 5 sensitivity study.
 //!

@@ -4,10 +4,12 @@
 use f1::arch::ArchConfig;
 use f1::compiler::movement::MoveEvent;
 use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, Scheme};
+use f1::isa::dfg::ValueId;
+use f1::isa::streams::MemDir;
 use f1::workloads::benchmarks::{
     bgv_bootstrapping, ckks_bootstrapping, db_lookup, logistic_regression, lola_mnist_uw,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 #[test]
 fn csr_ablation_bites_at_4mb() {
@@ -53,6 +55,59 @@ fn capacity_constrained_schedules_validate_at_4mb() {
 }
 
 #[test]
+fn allocations_start_before_their_byte_donors_release() {
+    // Pass 2 names, for each allocation on a full pad, the releases whose
+    // bytes it reuses. Pass 3 keeps them as commit order only and starts
+    // the allocation once its bytes fit, which can be before the newest
+    // of those releases: some other release has freed the room by then.
+    // The checker's capacity check stays the oracle.
+    let arch = ArchConfig::f1_default().with_scratchpad_mb(2);
+    let p = FheProgram::listing2_matvec(1 << 12, 8, 4);
+    let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
+    // Per value, its release and load cycles in order: each value's
+    // residency intervals are disjoint, so its k-th release event in the
+    // plan is its k-th evict entry, and likewise for loads.
+    let mut evicts: HashMap<ValueId, VecDeque<u64>> = HashMap::new();
+    for e in &cs.schedule.evict {
+        evicts.entry(e.value).or_default().push_back(e.cycle);
+    }
+    let mut loads: HashMap<ValueId, VecDeque<u64>> = HashMap::new();
+    for m in cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load) {
+        loads.entry(m.value).or_default().push_back(m.cycle);
+    }
+    let mut released_at = vec![None; plan.events.len()];
+    let (mut allocations, mut early) = (0, 0);
+    for (ei, e) in plan.events.iter().enumerate() {
+        let (start, space_from) = match e {
+            MoveEvent::Load { value, space_from, .. } => {
+                (loads.get_mut(value).and_then(VecDeque::pop_front).expect("load"), space_from)
+            }
+            MoveEvent::Issue { instr, space_from } => {
+                (cs.issue_cycle[instr.0 as usize], space_from)
+            }
+            e if e.frees_space() => {
+                let v = e.value().expect("a release names its value");
+                released_at[ei] = evicts.get_mut(&v).and_then(VecDeque::pop_front);
+                continue;
+            }
+            _ => continue,
+        };
+        if let Some(&newest) = space_from.iter().max() {
+            allocations += 1;
+            let release = released_at[newest as usize].expect("donors release first");
+            early += usize::from(start < release);
+        }
+    }
+    assert!(allocations > 0, "a 2 MB pad must reuse released bytes");
+    assert!(
+        early > 0,
+        "none of {allocations} allocations started before its newest donor's release"
+    );
+    let report = f1::sim::check_schedule(&ex, &plan, &cs, &arch);
+    assert!(report.makespan > 0);
+}
+
+#[test]
 fn tinypad_makespan_is_monotone_in_capacity() {
     // The tinypad_sweep property at test scale: growing the scratchpad
     // never slows the schedule down.
@@ -72,10 +127,11 @@ fn tinypad_makespan_is_monotone_in_capacity() {
 
 #[test]
 fn utilization_unchanged_at_64mb() {
-    // The PR 2 pinned floor must survive the capacity model: at the
-    // paper's 64 MB scratchpad nothing spills, so gating edges must not
-    // cost utilization. (Full-size LoLa-MNIST is pinned by the ignored
-    // full-size smoke below; this uses the fast matvec anchor.)
+    // The pinned utilization floor must survive the capacity model: at
+    // the paper's 64 MB scratchpad nothing spills, so waiting for
+    // scratchpad room must not cost utilization. (Full-size LoLa-MNIST is
+    // pinned by the ignored full-size smoke below; this uses the fast
+    // matvec anchor.)
     let p = FheProgram::listing2_matvec(1 << 13, 8, 4);
     let arch = ArchConfig::f1_default();
     let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
