@@ -11,6 +11,7 @@ use crate::keys::SecretKey;
 use crate::keyswitch::{DecompHint, GhsHint, KsScratch};
 use crate::noise;
 use crate::params::BgvParams;
+use f1_modarith::CenteredLift;
 use f1_poly::crt;
 use f1_poly::rns::{Domain, RnsPoly};
 use rand::Rng;
@@ -587,12 +588,12 @@ pub fn mod_switch_poly(p: &RnsPoly, t: u64) -> RnsPoly {
         let mj = *ctx.modulus(j);
         let q_top_inv = mj.inv((top_m.value() as u64 % mj.value() as u64) as u32);
         let t_red = (t % mj.value() as u64) as u32;
+        let lift = CenteredLift::new(&top_m, &mj);
         let src = coeff.limb(j);
         let dst = out.limb_mut(j);
         for ((d, &s), &top) in dst.iter_mut().zip(src).zip(top_limb) {
             let mu = top_m.mul(top, t_inv_top);
-            let mu_centered = top_m.center(mu);
-            let delta = mj.mul(mj.reduce_i64(mu_centered), t_red);
+            let delta = mj.mul(lift.lift(mu), t_red);
             *d = mj.mul(mj.sub(s, delta), q_top_inv);
         }
     }

@@ -15,6 +15,7 @@ use f1_poly::crt;
 use f1_poly::ntt::bit_reverse;
 use f1_poly::rns::RnsPoly;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A complex number (we avoid external dependencies).
@@ -387,16 +388,14 @@ impl Ciphertext {
             self.scale,
             other.scale
         );
-        let l = self.level().min(other.level());
-        let (x, y) = (self.truncate_level(l), other.truncate_level(l));
+        let (x, y) = self.aligned(other);
         Self { a: x.a.add(&y.a), b: x.b.add(&y.b), scale: self.scale }
     }
 
     /// Homomorphic subtraction.
     pub fn sub(&self, other: &Self) -> Self {
         assert!((self.scale / other.scale - 1.0).abs() < 1e-4);
-        let l = self.level().min(other.level());
-        let (x, y) = (self.truncate_level(l), other.truncate_level(l));
+        let (x, y) = self.aligned(other);
         Self { a: x.a.sub(&y.a), b: x.b.sub(&y.b), scale: self.scale }
     }
 
@@ -409,15 +408,14 @@ impl Ciphertext {
     /// the top limb (scale becomes `Δ² / q_top`). Operands at different
     /// levels are aligned by truncating the deeper one.
     pub fn mul(&self, other: &Self, relin: &GhsHint) -> Self {
-        let l = self.level().min(other.level());
-        let x = self.truncate_level(l);
-        let y = other.truncate_level(l);
-        let l2 = x.a.mul(&y.a);
-        let l1 = x.a.mul(&y.b).add(&y.a.mul(&x.b));
-        let l0 = x.b.mul(&y.b);
-        let (u0, u1) = relin.apply(&l2);
-        let raw = Self { a: l1.add(&u1), b: l0.add(&u0), scale: x.scale * y.scale };
-        raw.rescale()
+        let (x, y) = self.aligned(other);
+        let (u0, u1) = relin.apply(&x.a.mul(&y.a));
+        let mut a = x.a.mul(&y.b);
+        a.fma_assign(&y.a, &x.b);
+        a.add_assign(&u1);
+        let mut b = x.b.mul(&y.b);
+        b.add_assign(&u0);
+        Self { a, b, scale: x.scale * y.scale }.rescale()
     }
 
     /// Adds the real constant `c` (broadcast to every slot) at this
@@ -495,6 +493,20 @@ impl Ciphertext {
     /// Drops to a lower level without rescaling semantics (alignment aid).
     pub fn truncate_level(&self, level: usize) -> Self {
         Self { a: self.a.truncate_level(level), b: self.b.truncate_level(level), scale: self.scale }
+    }
+
+    /// Both operands at the lower of their levels: the deeper one is
+    /// truncated, an operand already at that level is borrowed as is.
+    fn aligned<'a>(&'a self, other: &'a Self) -> (Cow<'a, Self>, Cow<'a, Self>) {
+        let l = self.level().min(other.level());
+        let at_l = |c: &'a Self| {
+            if c.level() == l {
+                Cow::Borrowed(c)
+            } else {
+                Cow::Owned(c.truncate_level(l))
+            }
+        };
+        (at_l(self), at_l(other))
     }
 
     /// Homomorphic slot rotation via `σ_k` + key-switch (GHS variant; see

@@ -10,6 +10,7 @@
 //! decomposition machinery as Listing 1's key-switch).
 
 use crate::keys::SecretKey;
+use crate::keyswitch::{decompose_mac, Digits};
 use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
 use std::sync::Arc;
@@ -86,33 +87,22 @@ impl GswCiphertext {
     /// External product `GSW(μ) ⊡ RLWE(m) -> RLWE(μ*m)`.
     ///
     /// Decomposes both polynomials of `ct` limb-by-limb (centered lift,
-    /// exactly the key-switch lift of Listing 1) and accumulates the
-    /// matching GSW rows.
+    /// exactly the key-switch lift of Listing 1) in one digit-decomposition
+    /// pass: `b` against the b-block rows and `a` against the a-block rows.
+    /// Both blocks are indicator-gadget rows, so they serve every level
+    /// `l <= level` by truncation, like a decomposition hint. The a-block
+    /// rows carry phase `e - μ*g_i*s`, so accumulating them contributes
+    /// `-μ*(a*s)` as required.
     pub fn external_product(&self, ct: &Rlwe) -> Rlwe {
         let l = ct.a.level();
         assert!(l <= self.level, "GSW level {} below input level {l}", self.level);
-        let ctx = ct.a.context().clone();
-        let b_coeff = ct.b.to_coeff();
-        let a_coeff = ct.a.to_coeff();
-        let mut out_a = RnsPoly::zero_ntt_at_level(&ctx, l);
-        let mut out_b = RnsPoly::zero_ntt_at_level(&ctx, l);
-        for i in 0..l {
-            let dec_b = lift_limb_ntt(&b_coeff, i, l, &ctx);
-            let (ra, rb) = (&self.rows[i].0.truncate_level(l), &self.rows[i].1.truncate_level(l));
-            out_a = out_a.add(&dec_b.mul(ra));
-            out_b = out_b.add(&dec_b.mul(rb));
-            // a-block rows are offset by the GSW's own level, not l.
-            let dec_a = lift_limb_ntt(&a_coeff, i, l, &ctx);
-            let (sa, sb) = (
-                &self.rows[self.level + i].0.truncate_level(l),
-                &self.rows[self.level + i].1.truncate_level(l),
-            );
-            // Add: the a-block rows already carry phase e - mu*g_i*s, so
-            // accumulating them contributes -mu*(a*s) as required.
-            out_a = out_a.add(&dec_a.mul(sa));
-            out_b = out_b.add(&dec_a.mul(sb));
-        }
-        Rlwe { a: out_a, b: out_b }
+        let (b_coeff, a_coeff) = (ct.b.to_coeff(), ct.a.to_coeff());
+        let (b_rows, a_rows) = self.rows.split_at(self.level);
+        let (a, b) = decompose_mac(&[
+            Digits { ntt: &ct.b, coeff: &b_coeff, rows: b_rows },
+            Digits { ntt: &ct.a, coeff: &a_coeff, rows: a_rows },
+        ]);
+        Rlwe { a, b }
     }
 }
 
@@ -140,27 +130,10 @@ fn add_gadget(p: &mut RnsPoly, i: usize, mu: u32, ctx: &Arc<RnsContext>) {
     }
 }
 
-/// Centered lift of limb `i` into all `l` bases, NTT domain (shared shape
-/// with the key-switch lift).
-fn lift_limb_ntt(y: &RnsPoly, i: usize, l: usize, ctx: &Arc<RnsContext>) -> RnsPoly {
-    let mi = *ctx.modulus(i);
-    let src = y.limb(i);
-    let mut out = RnsPoly::zero_at_level(ctx, l);
-    let tables = ctx.clone();
-    out.for_each_limb_mut(|j, mj, limb| {
-        for (x, &s) in limb.iter_mut().zip(src) {
-            *x = mj.reduce_i64(mi.center(s));
-        }
-        tables.tables(j).forward(limb);
-    });
-    // The limbs were filled with NTT-domain data directly.
-    out.assume_domain(Domain::Ntt);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyswitch::lift_reference;
     use f1_poly::crt;
     use rand::SeedableRng;
 
@@ -217,6 +190,43 @@ mod tests {
         let g1 = GswCiphertext::encrypt(1, &sk, 3, 4, &mut rng);
         let out = g1.external_product(&g1.external_product(&rlwe));
         assert_eq!(phase_coeff0(&out, &sk), 3);
+    }
+
+    /// Reference for [`GswCiphertext::external_product`]: each digit of
+    /// `b` and `a` lifted into a whole polynomial and multiplied into its
+    /// row's truncated copy with allocating operators, serially.
+    fn external_product_reference(gsw: &GswCiphertext, ct: &Rlwe) -> Rlwe {
+        let l = ct.a.level();
+        let (b_coeff, a_coeff) = (ct.b.to_coeff(), ct.a.to_coeff());
+        let mut out_a = RnsPoly::zero_ntt_at_level(ct.a.context(), l);
+        let mut out_b = out_a.clone();
+        for i in 0..l {
+            for (y, (ra, rb)) in [(&b_coeff, &gsw.rows[i]), (&a_coeff, &gsw.rows[gsw.level + i])] {
+                let dec = lift_reference(y, i, l);
+                out_a = out_a.add(&dec.mul(&ra.truncate_level(l)));
+                out_b = out_b.add(&dec.mul(&rb.truncate_level(l)));
+            }
+        }
+        Rlwe { a: out_a, b: out_b }
+    }
+
+    #[test]
+    fn external_product_matches_serial_reference() {
+        // N = 2^12 runs the output limbs on threads, N = 2^10 serially; a
+        // level-3 GSW serves inputs at levels 2 and 3.
+        for n in [1 << 12, 1 << 10] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x66);
+            let ctx = RnsContext::for_ring(n, 30, 3);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let gsw = GswCiphertext::encrypt(1, &sk, 3, 4, &mut rng);
+            for l in [2, 3] {
+                let m = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+                let ct = Rlwe::encrypt(&m, &sk, 4, &mut rng);
+                let (got, want) =
+                    (gsw.external_product(&ct), external_product_reference(&gsw, &ct));
+                assert_eq!((got.a, got.b), (want.a, want.b), "n={n} l={l}");
+            }
+        }
     }
 
     #[test]

@@ -27,25 +27,26 @@
 //!   §2.4 describes.
 
 use crate::keys::SecretKey;
-use f1_modarith::slice_ops;
+use f1_modarith::mul::ShoupMul;
+use f1_modarith::{slice_ops, CenteredLift};
+use f1_poly::par::par_limbs;
 use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Reusable scratch buffers for the decomposition key-switch.
+/// Reusable scratch buffer for the decomposition key-switch.
 ///
-/// [`DecompHint::apply_with_scratch`] needs two working polynomials: the
-/// coefficient-domain copy of the input (`y` in Listing 1) and the lifted
-/// digit being accumulated. Holding them in a caller-owned arena means the
-/// digit-decomposition inner loop of a whole program reuses one pair of
-/// allocations; `Default::default()` starts empty and the buffers are
-/// grown (and re-homed to a new context) on first use.
+/// [`DecompHint::apply_with_scratch`] needs one working polynomial: the
+/// coefficient-domain copy of the input (`y` in Listing 1). Holding it in
+/// a caller-owned arena means the key-switches of a whole program reuse
+/// one allocation; `Default::default()` starts empty and the buffer is
+/// grown (and re-homed to a new context) on first use. The lifted digits
+/// never exist as polynomials: `decompose_mac` lifts them one limb at a
+/// time into a buffer owned by the output limb being accumulated.
 #[derive(Debug, Default)]
 pub struct KsScratch {
     /// Coefficient-domain copy of the key-switch input.
     y: Option<RnsPoly>,
-    /// The lifted digit polynomial (Listing 1's `xqj` row).
-    lifted: Option<RnsPoly>,
 }
 
 /// Which key-switch implementation to use (the compiler's choice, §4.2).
@@ -85,13 +86,14 @@ impl KeySwitchVariant {
                 adds: 2 * l * l,
                 hint_bytes: 2 * l * l * n * 4,
             },
-            // GHS: INTT the l limbs, extend into k specials (l*k NTTs on
-            // the lifted limbs... k NTTs per special over the lifted value),
-            // 2 (l+k) multiplies for the hint product, then the rounded
-            // division by P: per special, (l + k) scalar-multiply-add
-            // passes and INTT/NTT pairs to move between domains.
+            // GHS, as `GhsHint::apply` runs it: l INTTs for the digits, k
+            // NTTs for the extended special limbs (the program limbs are x
+            // itself), 2(l+k) INTTs after the hint product, and 2l NTTs
+            // returning the result. 2(l+k) multiplies for the hint product,
+            // then the rounded division by P: per special, at most (l+k)
+            // scalar multiply-subtract passes on each polynomial.
             KeySwitchVariant::Ghs => KeySwitchCost {
-                ntts: l + k_special + 2 * (l + k_special),
+                ntts: 5 * l + 3 * k_special,
                 muls: 2 * (l + k_special) + 2 * k_special * (l + k_special),
                 adds: 2 * (l + k_special) + 2 * k_special * (l + k_special),
                 hint_bytes: 2 * (l + k_special) * n * 4,
@@ -206,10 +208,11 @@ impl DecompHint {
     /// Applies the key-switch to `x`, reusing `scratch`'s buffers for the
     /// digit-decomposition inner loop.
     ///
-    /// This is Listing 1: INTT each limb, lift into the other bases, NTT
-    /// back, and multiply-accumulate the hint products — the lift lands in
-    /// the scratch arena and the accumulation is fused ([`RnsPoly::fma_assign`]
-    /// shape), so steady state allocates only the returned `(u0, u1)`.
+    /// This is Listing 1: INTT the input into the scratch arena (line 3),
+    /// then `decompose_mac` lifts, NTTs and multiply-accumulates every
+    /// digit against the hint rows (lines 5-10), so steady state allocates
+    /// only the returned `(u0, u1)`, their accumulator and one scratch
+    /// limb per output limb.
     ///
     /// # Panics
     ///
@@ -218,8 +221,6 @@ impl DecompHint {
         assert_eq!(x.domain(), Domain::Ntt, "key-switch input must be in NTT domain");
         let l = x.level();
         assert!(l <= self.level, "hint level {} below input level {l}", self.level);
-        let ctx = x.context().clone();
-        // Line 3 of Listing 1: y = [INTT(x[i])], into the scratch arena.
         let y = match &mut scratch.y {
             Some(y) => {
                 y.clone_from(x);
@@ -228,27 +229,80 @@ impl DecompHint {
             slot => slot.insert(x.clone()),
         };
         y.intt_inplace();
-        let lifted = match &mut scratch.lifted {
-            Some(p) if Arc::ptr_eq(p.context(), &ctx) => p,
-            slot => slot.insert(RnsPoly::zero_at_level(&ctx, l)),
-        };
-        let mut u0 = RnsPoly::zero_ntt_at_level(&ctx, l);
-        let mut u1 = RnsPoly::zero_ntt_at_level(&ctx, l);
-        for (i, (row0, row1)) in self.rows.iter().take(l).enumerate() {
-            // Lines 7-8: lift limb i into every base (xqj); the j == i case
-            // reuses x[i] directly.
-            lift_limb_into(y, i, l, &ctx, Some(x), lifted);
-            // Lines 9-10: multiply-accumulate against both hint rows. Rows
-            // live at the hint's level; reading their first `l` limbs is the
-            // truncation that keeps one hint valid for every lower level.
-            for j in 0..l {
-                let mj = ctx.modulus(j);
-                slice_ops::fma_slice(mj, u0.limb_mut(j), lifted.limb(j), row0.limb(j));
-                slice_ops::fma_slice(mj, u1.limb_mut(j), lifted.limb(j), row1.limb(j));
+        decompose_mac(&[Digits { ntt: x, coeff: y, rows: &self.rows }])
+    }
+}
+
+/// One source of digits for [`decompose_mac`]: a polynomial at level `l`
+/// in both domains and the `(r0, r1)` rows its digits multiply (at least
+/// `l` of them, each at level `l` or above).
+pub(crate) struct Digits<'a> {
+    /// The polynomial, NTT domain: digit `i` lifted into its own base `i`.
+    pub(crate) ntt: &'a RnsPoly,
+    /// The same polynomial in coefficient domain, which the lifts read.
+    pub(crate) coeff: &'a RnsPoly,
+    /// Row `i` multiplies digit `i`: Listing 1's hint rows or a GSW block.
+    pub(crate) rows: &'a [(RnsPoly, RnsPoly)],
+}
+
+/// The digit-decomposition multiply-accumulate of Listing 1 (lines 5-10),
+/// shared by [`DecompHint`] and the GSW external product. Returns
+/// `(u0, u1) = Σ_sources Σ_i lift(digit_i) * (r0_i, r1_i)` in NTT domain at
+/// the sources' level `l`.
+///
+/// Runs limb-parallel over the *output* limbs `j`: for each digit `i`, a
+/// thread lifts limb `i` of `coeff` into base `j` through its centered
+/// representative and NTTs it in that output limb's scratch buffer (or reads
+/// `ntt[i]` as is when `i == j`), then `fma`s it into both accumulators'
+/// limb `j`. Rows live at their own level; reading their first `l` limbs
+/// is the truncation that keeps one hint valid for every lower level.
+/// Each output limb is independent, so results are bit-identical to a
+/// serial loop.
+pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> (RnsPoly, RnsPoly) {
+    let first = sources[0].ntt;
+    let (ctx, l, n) = (first.context().clone(), first.level(), first.n());
+    for src in sources {
+        assert_eq!(src.ntt.domain(), Domain::Ntt, "digit source must be in NTT domain");
+        assert_eq!(src.coeff.domain(), Domain::Coefficient);
+        assert!(src.ntt.level() == l && src.coeff.level() == l && src.rows.len() >= l);
+    }
+    // One [u0_j | u1_j] pair per output limb, limb-major.
+    let mut acc = vec![0u32; 2 * l * n];
+    par_limbs(&mut acc, 2 * n, |j, pair| {
+        let (u0, u1) = pair.split_at_mut(n);
+        let mj = *ctx.modulus(j);
+        let mut buf = vec![0u32; n];
+        for src in sources {
+            for (i, (r0, r1)) in src.rows[..l].iter().enumerate() {
+                let lifted = if i == j {
+                    src.ntt.limb(j)
+                } else {
+                    let lift = CenteredLift::new(ctx.modulus(i), &mj);
+                    for (x, &s) in buf.iter_mut().zip(src.coeff.limb(i)) {
+                        *x = lift.lift(s);
+                    }
+                    ctx.tables(j).forward(&mut buf);
+                    &buf[..]
+                };
+                slice_ops::fma_slice(&mj, u0, lifted, r0.limb(j));
+                slice_ops::fma_slice(&mj, u1, lifted, r1.limb(j));
             }
         }
-        (u0, u1)
+    });
+    split_pairs(&ctx, l, &acc)
+}
+
+/// Copies the first `l` `[u0_j | u1_j]` pairs of `acc` (NTT-domain limbs)
+/// out as the polynomials `(u0, u1)`.
+fn split_pairs(ctx: &Arc<RnsContext>, l: usize, acc: &[u32]) -> (RnsPoly, RnsPoly) {
+    let n = ctx.n();
+    let mut u0 = RnsPoly::zero_ntt_at_level(ctx, l);
+    let mut u1 = RnsPoly::zero_ntt_at_level(ctx, l);
+    for (j, pair) in acc.chunks_exact(2 * n).take(l).enumerate() {
+        u0.limb_mut(j).copy_from_slice(&pair[..n]);
+        u1.limb_mut(j).copy_from_slice(&pair[n..]);
     }
+    (u0, u1)
 }
 
 /// The GHS-style hint: a single row over the extended basis `Q_max * P`.
@@ -323,173 +377,135 @@ impl GhsHint {
     /// Applies the GHS key-switch to `x` (NTT domain, level `l <= level`).
     ///
     /// Pipeline: lift `x` into the special basis, multiply by the hint over
-    /// `Q_l * P`, then divide by `P` with `t`-preserving rounding.
+    /// `Q_l * P`, then divide by `P` with `t`-preserving rounding, one
+    /// special at a time. Every step but the overflow estimate runs
+    /// limb-parallel, and no per-coefficient loop divides: the constants
+    /// are Shoup multipliers and the reductions are Barrett.
     pub fn apply(&self, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
         assert_eq!(x.domain(), Domain::Ntt);
         let l = x.level();
         assert!(l <= self.level);
         let ctx = x.context().clone();
         let n = x.n();
-        // Lift x into program limbs 0..l plus the specials using the
-        // floating-point-assisted RNS base extension (HPS-style): exact for
-        // chains far deeper than ours, and O(N * l * (l+K)) word ops — the
-        // same arithmetic shape the accelerator executes as vector ops.
-        let y = x.to_coeff();
-        let lvl_limbs: Vec<usize> =
-            (0..l).chain(self.special_start..self.special_start + self.special_count).collect();
+        let k = self.special_count;
+        // Position in the extended basis -> chain index: the program limbs
+        // 0..l, then the specials.
+        let limb_of = |pos: usize| if pos < l { pos } else { self.special_start + pos - l };
+        // Lift x into the specials with the floating-point-assisted RNS base
+        // extension (HPS-style): exact for chains far deeper than ours, and
+        // O(N * l * K) word ops — the same arithmetic shape the accelerator
+        // executes as vector ops. Per-coefficient digits
+        // yhat_i = [y_i * (Q/q_i)^{-1}]_{q_i} of y = INTT(x) and the overflow
+        // estimate alpha = round(sum yhat_i / q_i), so that
+        // y = sum yhat_i * (Q/q_i) - alpha * Q exactly, with y in [0, Q).
         let crt = ctx.crt_level(l);
-        // Per-coefficient digits yhat_i = [x_i * (Q/q_i)^{-1}]_{q_i} and the
-        // overflow estimate alpha = round(sum yhat_i / q_i), so that
-        // x = sum yhat_i * (Q/q_i) - alpha * Q exactly, with x in [0, Q).
-        let mut yhat = vec![vec![0u32; n]; l];
-        let mut alpha = vec![0u64; n];
-        {
-            let mut frac = vec![0f64; n];
-            for i in 0..l {
-                let mi = ctx.modulus(i);
-                let inv = crt.q_over_qi_inv[i];
-                let qi_f = mi.value() as f64;
-                let src = y.limb(i);
-                for c in 0..n {
-                    let d = mi.mul(src[c], inv);
-                    yhat[i][c] = d;
-                    frac[c] += d as f64 / qi_f;
-                }
-            }
-            for c in 0..n {
-                alpha[c] = frac[c].round() as u64;
-            }
+        let mut yhat = x.flat().to_vec();
+        par_limbs(&mut yhat, n, |i, limb| {
+            let mi = ctx.modulus(i);
+            ctx.tables(i).inverse(limb);
+            let inv = ShoupMul::new(crt.q_over_qi_inv[i], mi);
+            limb.iter_mut().for_each(|d| *d = inv.mul(*d, mi.value()));
+        });
+        // The f64 sum runs i-ascending per coefficient: its rounding is
+        // part of the result.
+        let mut frac = vec![0f64; n];
+        for (i, digits) in yhat.chunks_exact(n).enumerate() {
+            let qi_f = ctx.modulus(i).value() as f64;
+            frac.iter_mut().zip(digits).for_each(|(f, &d)| *f += d as f64 / qi_f);
         }
-        let mut ext_limbs: Vec<Vec<u32>> = Vec::with_capacity(lvl_limbs.len());
-        for &j in &lvl_limbs {
-            let mj = ctx.modulus(j);
-            let w_ij: Vec<u32> =
-                (0..l).map(|i| crt.q_over_qi[i].rem_u64(mj.value() as u64) as u32).collect();
-            let q_mod_j = crt.q_big.rem_u64(mj.value() as u64) as u32;
-            let mut limb = vec![0u32; n];
-            for c in 0..n {
-                let mut acc = 0u64;
-                for i in 0..l {
-                    acc += yhat[i][c] as u64 * w_ij[i] as u64 % mj.value() as u64;
-                }
-                // acc sums l reduced terms (< q_j < 2^31 each) and alpha
-                // counts at most l overflow units, so both operands stay
-                // < l * 2^31 << 2^63 — reduce_u64's Barrett fast path.
-                let pos = mj.reduce_u64(acc);
-                let corr = mj.reduce_u64(alpha[c] * q_mod_j as u64);
-                limb[c] = mj.sub(pos, corr);
-            }
-            self.ntt_limb(&ctx, j, &mut limb);
-            ext_limbs.push(limb);
-        }
-        // Multiply by the hint over the extended basis.
-        let mut u0_limbs: Vec<Vec<u32>> = Vec::with_capacity(lvl_limbs.len());
-        let mut u1_limbs: Vec<Vec<u32>> = Vec::with_capacity(lvl_limbs.len());
-        for (pos, &j) in lvl_limbs.iter().enumerate() {
-            let m = ctx.modulus(j);
-            let h0 = self.ksh0.limb(j);
-            let h1 = self.ksh1.limb(j);
-            let mut l0 = vec![0u32; n];
-            let mut l1 = vec![0u32; n];
-            for c in 0..n {
-                l0[c] = m.mul(ext_limbs[pos][c], h0[c]);
-                l1[c] = m.mul(ext_limbs[pos][c], h1[c]);
-            }
-            u0_limbs.push(l0);
-            u1_limbs.push(l1);
-        }
-        // Rounded division by P with t-preserving correction, special by
-        // special. Work in coefficient domain.
-        for limbs in [&mut u0_limbs, &mut u1_limbs] {
-            for (pos, &j) in lvl_limbs.iter().enumerate() {
-                self.intt_limb(&ctx, j, &mut limbs[pos]);
-            }
-        }
-        let t = self.error_scale;
-        for sp in (0..self.special_count).rev() {
-            let sp_pos = l + sp;
-            let sp_idx = self.special_start + sp;
-            let p = ctx.modulus(sp_idx);
-            let t_inv_p = if t == 1 { 1 } else { p.inv((t % p.value() as u64) as u32) };
-            for limbs in [&mut u0_limbs, &mut u1_limbs] {
-                let (head, tail) = limbs.split_at_mut(sp_pos);
-                let top = &tail[0];
-                for (pos2, limb) in head.iter_mut().enumerate() {
-                    let j = if pos2 < l { pos2 } else { self.special_start + (pos2 - l) };
-                    let mj = ctx.modulus(j);
-                    let p_inv = mj.inv((p.value() as u64 % mj.value() as u64) as u32);
-                    let t_red = (t % mj.value() as u64) as u32;
-                    for c in 0..top.len() {
-                        // delta = t * [top * t^{-1}]_p centered: congruent to
-                        // the residue mod p and to 0 mod t.
-                        let mu = p.mul(top[c], t_inv_p);
-                        let mu_c = p.center(mu);
-                        let delta = mj.mul(mj.reduce_i64(mu_c), t_red);
-                        let num = mj.sub(limb[c], delta);
-                        limb[c] = mj.mul(num, p_inv);
+        let alpha: Vec<u32> = frac.iter().map(|f| f.round() as u32).collect();
+        // One [u0 | u1] limb pair per extended-basis position: extend, NTT,
+        // multiply by the hint, and INTT for the rounding below.
+        let mut acc = vec![0u32; 2 * (l + k) * n];
+        par_limbs(&mut acc, 2 * n, |pos, pair| {
+            let j = limb_of(pos);
+            let mj = *ctx.modulus(j);
+            let q = mj.value();
+            let (w0, w1) = pair.split_at_mut(n);
+            if pos < l {
+                // Q ≡ 0 mod q_j: the extension's program limbs are x itself.
+                w0.copy_from_slice(x.limb(j));
+            } else {
+                for (i, digits) in yhat.chunks_exact(n).enumerate() {
+                    let w_ij = crt.q_over_qi[i].rem_u64(q as u64) as u32;
+                    let w_ij = ShoupMul::new(w_ij, &mj);
+                    for (o, &d) in w0.iter_mut().zip(digits) {
+                        let s = *o + w_ij.mul(d, q);
+                        *o = s.min(s.wrapping_sub(q));
                     }
                 }
-                limbs.truncate(sp_pos);
+                let q_mod_j = ShoupMul::new(crt.q_big.rem_u64(q as u64) as u32, &mj);
+                for (o, &a) in w0.iter_mut().zip(&alpha) {
+                    *o = mj.sub(*o, q_mod_j.mul(a, q));
+                }
+                ctx.tables(j).forward(w0);
             }
-        }
-        // Re-assemble RnsPolys at level l (NTT domain).
-        let mut u0 = RnsPoly::zero_at_level(&ctx, l);
-        let mut u1 = RnsPoly::zero_at_level(&ctx, l);
-        for j in 0..l {
-            u0.limb_mut(j).copy_from_slice(&u0_limbs[j]);
-            u1.limb_mut(j).copy_from_slice(&u1_limbs[j]);
-        }
-        (u0.to_ntt(), u1.to_ntt())
-    }
-
-    fn ntt_limb(&self, ctx: &Arc<RnsContext>, j: usize, limb: &mut [u32]) {
-        ctx.tables(j).forward(limb);
-    }
-
-    fn intt_limb(&self, ctx: &Arc<RnsContext>, j: usize, limb: &mut [u32]) {
-        ctx.tables(j).inverse(limb);
-    }
-}
-
-/// Lifts limb `i` of the coefficient-domain polynomial `y` into all `l`
-/// bases via the centered representative, writing an NTT-domain polynomial
-/// into `out` (Listing 1 lines 7-8). When `orig` is given, limb `i` is
-/// copied from it verbatim (the `i == j` shortcut of line 8). The per-base
-/// reductions and NTTs run limb-parallel on large rings.
-fn lift_limb_into(
-    y: &RnsPoly,
-    i: usize,
-    l: usize,
-    ctx: &Arc<RnsContext>,
-    orig: Option<&RnsPoly>,
-    out: &mut RnsPoly,
-) {
-    let mi = *ctx.modulus(i);
-    let src = y.limb(i);
-    // Every coefficient of every limb is written below (copy or
-    // reduce+NTT), so the scratch reshape skips zeroing.
-    out.reshape_for_overwrite(l, Domain::Coefficient);
-    let tables = ctx.clone();
-    out.for_each_limb_mut(|j, mj, limb| {
-        if j == i {
-            if let Some(o) = orig {
-                limb.copy_from_slice(o.limb(i));
-                return;
+            slice_ops::mul_slice_into(&mj, w1, w0, self.ksh1.limb(j));
+            slice_ops::mul_slice(&mj, w0, self.ksh0.limb(j));
+            ctx.tables(j).inverse(w0);
+            ctx.tables(j).inverse(w1);
+        });
+        // Rounded division by P with t-preserving correction, special by
+        // special from the top, in coefficient domain; the last round
+        // returns the surviving program limbs to the NTT domain.
+        let t = self.error_scale;
+        let mut mu = vec![0u32; 2 * n];
+        for sp in (0..k).rev() {
+            let p = *ctx.modulus(self.special_start + sp);
+            let t_inv_p = if t == 1 { 1 } else { p.inv((t % p.value() as u64) as u32) };
+            let t_inv_p = ShoupMul::new(t_inv_p, &p);
+            let (head, top) = acc.split_at_mut((l + sp) * 2 * n);
+            // mu = [top * t^{-1}]_p, for u0 then u1: once per (special,
+            // coefficient), shared by every remaining limb.
+            for (m, &v) in mu.iter_mut().zip(&top[..2 * n]) {
+                *m = t_inv_p.mul(v, p.value());
             }
+            par_limbs(head, 2 * n, |pos, pair| {
+                let j = limb_of(pos);
+                let mj = *ctx.modulus(j);
+                let q = mj.value();
+                let lift = CenteredLift::new(&p, &mj);
+                let p_inv = ShoupMul::new(mj.inv((p.value() as u64 % q as u64) as u32), &mj);
+                let t_red = ShoupMul::new((t % q as u64) as u32, &mj);
+                for (w, &m) in pair.iter_mut().zip(&mu) {
+                    // delta = t * centered(mu): congruent to the top
+                    // residue mod p and to 0 mod t.
+                    let delta = t_red.mul(lift.lift(m), q);
+                    *w = p_inv.mul(mj.sub(*w, delta), q);
+                }
+                if sp == 0 {
+                    let (w0, w1) = pair.split_at_mut(n);
+                    ctx.tables(j).forward(w0);
+                    ctx.tables(j).forward(w1);
+                }
+            });
         }
-        for (x, &s) in limb.iter_mut().zip(src) {
-            *x = mj.reduce_i64(mi.center(s));
-        }
-        tables.tables(j).forward(limb);
-    });
-    // The limbs were filled with NTT-domain data directly.
-    out.assume_domain(Domain::Ntt);
+        split_pairs(&ctx, l, &acc)
+    }
 }
 
 fn scale_residue(t: u64) -> u32 {
     // Error scale as a small residue multiplier; t < 2^31 in all our
     // parameter sets.
     u32::try_from(t).expect("error scale must fit in 32 bits")
+}
+
+/// Reference for [`decompose_mac`]'s lift: limb `i` of the
+/// coefficient-domain `y` lifted into all `l` bases as one NTT-domain
+/// polynomial, serially.
+#[cfg(test)]
+pub(crate) fn lift_reference(y: &RnsPoly, i: usize, l: usize) -> RnsPoly {
+    let ctx = y.context();
+    let mi = *ctx.modulus(i);
+    let mut out = RnsPoly::zero_at_level(ctx, l);
+    for j in 0..l {
+        let mj = *ctx.modulus(j);
+        let src = y.limb(i);
+        for (x, &s) in out.limb_mut(j).iter_mut().zip(src) {
+            *x = mi.center(s).rem_euclid(mj.value() as i64) as u32;
+        }
+    }
+    out.to_ntt()
 }
 
 #[cfg(test)]
@@ -524,6 +540,128 @@ mod tests {
             noise < max_noise_log2,
             "key-switch noise too large: 2^{noise:.1} (limit 2^{max_noise_log2})"
         );
+    }
+
+    /// Reference for [`DecompHint::apply`]: every digit lifted into a
+    /// whole polynomial, then multiply-accumulated limb by limb, serially.
+    fn decomp_reference(hint: &DecompHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
+        let l = x.level();
+        let y = x.to_coeff();
+        let mut u0 = RnsPoly::zero_ntt_at_level(x.context(), l);
+        let mut u1 = u0.clone();
+        for (i, (row0, row1)) in hint.rows.iter().take(l).enumerate() {
+            let lifted = lift_reference(&y, i, l);
+            u0.fma_assign(&lifted, &row0.truncate_level(l));
+            u1.fma_assign(&lifted, &row1.truncate_level(l));
+        }
+        (u0, u1)
+    }
+
+    /// Reference for [`GhsHint::apply`]: the serial loops with a 64-bit
+    /// `%` per (coefficient, digit, limb) and a full extension of every
+    /// limb, program limbs included.
+    fn ghs_reference(hint: &GhsHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
+        let l = x.level();
+        let ctx = x.context().clone();
+        let n = x.n();
+        let y = x.to_coeff();
+        let lvl_limbs: Vec<usize> =
+            (0..l).chain(hint.special_start..hint.special_start + hint.special_count).collect();
+        let crt = ctx.crt_level(l);
+        let mut yhat = vec![vec![0u32; n]; l];
+        let mut frac = vec![0f64; n];
+        for i in 0..l {
+            let mi = ctx.modulus(i);
+            let qi_f = mi.value() as f64;
+            for c in 0..n {
+                yhat[i][c] = mi.mul(y.limb(i)[c], crt.q_over_qi_inv[i]);
+                frac[c] += yhat[i][c] as f64 / qi_f;
+            }
+        }
+        let alpha: Vec<u64> = frac.iter().map(|f| f.round() as u64).collect();
+        let mut u0_limbs = Vec::new();
+        let mut u1_limbs = Vec::new();
+        for &j in &lvl_limbs {
+            let mj = ctx.modulus(j);
+            let q = mj.value() as u64;
+            let q_mod_j = crt.q_big.rem_u64(q);
+            let mut ext = vec![0u32; n];
+            for c in 0..n {
+                let mut acc = 0u64;
+                for i in 0..l {
+                    acc += yhat[i][c] as u64 * crt.q_over_qi[i].rem_u64(q) % q;
+                }
+                ext[c] = mj.sub((acc % q) as u32, (alpha[c] * q_mod_j % q) as u32);
+            }
+            ctx.tables(j).forward(&mut ext);
+            let mut l0: Vec<u32> = (0..n).map(|c| mj.mul(ext[c], hint.ksh0.limb(j)[c])).collect();
+            let mut l1: Vec<u32> = (0..n).map(|c| mj.mul(ext[c], hint.ksh1.limb(j)[c])).collect();
+            ctx.tables(j).inverse(&mut l0);
+            ctx.tables(j).inverse(&mut l1);
+            u0_limbs.push(l0);
+            u1_limbs.push(l1);
+        }
+        let t = hint.error_scale;
+        for sp in (0..hint.special_count).rev() {
+            let sp_pos = l + sp;
+            let p = ctx.modulus(hint.special_start + sp);
+            let t_inv_p = if t == 1 { 1 } else { p.inv((t % p.value() as u64) as u32) };
+            for limbs in [&mut u0_limbs, &mut u1_limbs] {
+                let (head, tail) = limbs.split_at_mut(sp_pos);
+                for (pos, limb) in head.iter_mut().enumerate() {
+                    let mj = ctx.modulus(lvl_limbs[pos]);
+                    let p_inv = mj.inv((p.value() as u64 % mj.value() as u64) as u32);
+                    let t_red = (t % mj.value() as u64) as u32;
+                    for c in 0..n {
+                        let mu = p.center(p.mul(tail[0][c], t_inv_p));
+                        let delta = mj.mul(mu.rem_euclid(mj.value() as i64) as u32, t_red);
+                        limb[c] = mj.mul(mj.sub(limb[c], delta), p_inv);
+                    }
+                }
+                limbs.truncate(sp_pos);
+            }
+        }
+        let mut u0 = RnsPoly::zero_at_level(&ctx, l);
+        let mut u1 = RnsPoly::zero_at_level(&ctx, l);
+        for j in 0..l {
+            u0.limb_mut(j).copy_from_slice(&u0_limbs[j]);
+            u1.limb_mut(j).copy_from_slice(&u1_limbs[j]);
+        }
+        (u0.to_ntt(), u1.to_ntt())
+    }
+
+    #[test]
+    fn fused_decomp_keyswitch_matches_serial_reference() {
+        // N = 2^12 runs the output limbs on threads, N = 2^10 serially;
+        // both below the hint's level, where rows are read truncated.
+        for n in [1 << 12, 1 << 10] {
+            let ctx = RnsContext::for_ring(n, 30, 4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let hint = DecompHint::generate(&sk, &sk.s_squared_at_level(4), 4, 65537, 8, &mut rng);
+            for l in [3, 4] {
+                let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+                assert_eq!(hint.apply(&x), decomp_reference(&hint, &x), "n={n} l={l}");
+            }
+        }
+    }
+
+    #[test]
+    fn ghs_apply_matches_serial_reference() {
+        // BGV's t = 65537 and CKKS's t = 1; 3 program limbs + 2 specials,
+        // applied at and below the hint's program level.
+        for n in [1 << 12, 1 << 10] {
+            let ctx = RnsContext::for_ring(n, 30, 5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            for t in [65537, 1] {
+                let hint = GhsHint::generate(&sk, &sk.s_squared_at_level(5), 3, t, 8, &mut rng);
+                for l in [2, 3] {
+                    let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+                    assert_eq!(hint.apply(&x), ghs_reference(&hint, &x), "n={n} t={t} l={l}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -611,5 +749,14 @@ mod tests {
         assert_eq!(c.ntts, 16 * 16);
         assert_eq!(c.muls, 2 * 16 * 16);
         assert_eq!(c.adds, 2 * 16 * 16);
+    }
+
+    #[test]
+    fn ghs_op_counts() {
+        // GhsHint::apply at l = 8, K = 9: 8 digit INTTs, 9 special NTTs,
+        // 2 * 17 INTTs after the hint product, 2 * 8 NTTs back: 5l + 3K.
+        let c = KeySwitchVariant::Ghs.cost(8, 9, 16384);
+        assert_eq!(c.ntts, 8 + 9 + 2 * 17 + 2 * 8);
+        assert_eq!(c.ntts, 5 * 8 + 3 * 9);
     }
 }

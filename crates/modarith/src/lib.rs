@@ -6,7 +6,9 @@
 //!
 //! * [`Modulus`] — a word-sized prime modulus with every precomputed constant
 //!   the four multiplier designs need (Barrett µ, Montgomery constants,
-//!   word-level Montgomery constants, Shoup constants for fixed operands).
+//!   word-level Montgomery constants, Shoup constants for fixed operands),
+//!   and [`CenteredLift`], the division-free centered lift between two
+//!   moduli that RNS key-switching and modulus switching run per digit.
 //! * [`mul`] — the four modular-multiplier designs compared in the paper's
 //!   Table 1: Barrett, Montgomery, NTT-friendly (word-level Montgomery of
 //!   Mert et al. \[51\]) and F1's FHE-friendly multiplier.
@@ -45,7 +47,7 @@ pub mod slice_ops;
 pub mod ubig;
 
 pub use cost::{MultiplierCost, MultiplierKind};
-pub use modulus::Modulus;
+pub use modulus::{CenteredLift, Modulus};
 pub use ubig::UBig;
 
 /// The machine word width of the accelerator datapath, in bits.

@@ -227,12 +227,22 @@ impl Modulus {
         unreachable!("a primitive root exists for every prime modulus")
     }
 
-    /// Converts a signed 64-bit value into a reduced residue.
+    /// Converts a signed 64-bit value into a reduced residue, correct over
+    /// the full `i64` range.
+    ///
+    /// Barrett-reduces `|x|` with [`Modulus::reduce_u64`] and negates the
+    /// residue when `x < 0`, so it never divides: only `i64::MIN`, whose
+    /// magnitude is `2^63`, takes `reduce_u64`'s `#[cold]` wide path. The
+    /// per-digit lifts of key-switching use [`CenteredLift`] instead, which
+    /// also avoids the sign branch.
     #[inline]
     pub fn reduce_i64(&self, x: i64) -> u32 {
-        let q = self.q as i64;
-        let r = x.rem_euclid(q);
-        r as u32
+        let r = self.reduce_u64(x.unsigned_abs());
+        if x < 0 {
+            self.neg(r)
+        } else {
+            r
+        }
     }
 
     /// Lifts a residue to the centered representative in `(-q/2, q/2]`.
@@ -243,6 +253,48 @@ impl Modulus {
             a as i64 - self.q as i64
         } else {
             a as i64
+        }
+    }
+}
+
+/// Maps residues modulo `from` to residues modulo `to` through their
+/// centered representatives: `lift(s) == to.reduce_i64(from.center(s))`.
+///
+/// This is the digit lift of RNS key-switching (Listing 1 line 8) and of
+/// the rounding corrections of modulus switching. It neither divides nor
+/// branches per element: a residue above `from/2` stands for `s - from`,
+/// so it gets an offset congruent to `-from` added. When `from/2 < to`
+/// (every chain of same-width primes) the offset is `to - from` and the
+/// sum already lies in `[0, to)`; otherwise it is `M - from`, `M` the
+/// least multiple of `to` that is `>= from`, and one Barrett reduction of
+/// a value `< from + to < 2^32` finishes.
+#[derive(Debug, Clone, Copy)]
+pub struct CenteredLift {
+    half: u32,
+    offset: u64,
+    to: Modulus,
+}
+
+impl CenteredLift {
+    /// Precomputes the lift from `from` into `to`.
+    pub fn new(from: &Modulus, to: &Modulus) -> Self {
+        let (f, t) = (from.q as u64, to.q as u64);
+        let half = from.q / 2;
+        let offset = if half < to.q { t.wrapping_sub(f) } else { t * f.div_ceil(t) - f };
+        Self { half, offset, to: *to }
+    }
+
+    /// The residue modulo `to` of the centered representative of `s`.
+    #[inline(always)]
+    pub fn lift(&self, s: u32) -> u32 {
+        // All ones when s > half: a mask, not a branch, because the sign
+        // of a residue is a coin flip.
+        let above = ((self.half as u64).wrapping_sub(s as u64) as i64 >> 63) as u64;
+        let v = (s as u64).wrapping_add(self.offset & above);
+        if self.half < self.to.q {
+            v as u32
+        } else {
+            self.to.reduce_u64(v)
         }
     }
 }
@@ -292,6 +344,42 @@ mod tests {
                 u64::MAX,
             ] {
                 assert_eq!(m.reduce_u64(x) as u64, x % q as u64, "q={q} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_i64_matches_rem_euclid() {
+        // Both signs of every boundary: the Barrett path for |x| < 2^63 and
+        // the #[cold] wide path that i64::MIN's magnitude 2^63 takes.
+        for q in [Q, 999_983, 3, 0x7FFF_FFED] {
+            let m = Modulus::new(q);
+            let qi = q as i64;
+            let mut xs = vec![i64::MAX, i64::MIN, 1 << 62, -(1 << 62)];
+            for v in [0, 1, qi - 1, qi, 7 * qi, qi * qi, (i64::MAX / qi) * qi] {
+                xs.extend([v, -v]);
+            }
+            for x in xs {
+                assert_eq!(m.reduce_i64(x) as i64, x.rem_euclid(qi), "q={q} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn centered_lift_matches_reduce_i64() {
+        // Lifts between moduli of every size order, including a source
+        // more than twice the target, at the centering boundary and at
+        // pseudo-random residues.
+        let qs = [Q, 999_983, 3, 0x7FFF_FFED, 65537];
+        for &from in &qs {
+            for &to in &qs {
+                let (mf, mt) = (Modulus::new(from), Modulus::new(to));
+                let lift = CenteredLift::new(&mf, &mt);
+                let mut xs = vec![0, 1, from / 2, from / 2 + 1, from - 1];
+                xs.extend((1..200u64).map(|k| (k * 0x9E37_79B9 % from as u64) as u32));
+                for s in xs {
+                    assert_eq!(lift.lift(s), mt.reduce_i64(mf.center(s)), "{from}->{to} s={s}");
+                }
             }
         }
     }

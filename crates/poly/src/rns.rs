@@ -319,36 +319,12 @@ impl RnsPoly {
         &self.data
     }
 
-    /// Applies `f(limb_index, modulus, limb_slice)` to every limb, using
-    /// limb-level threads when the polynomial is large enough to pay for
-    /// them (see [`crate::par::par_limbs`]). Results are bit-identical to
-    /// the serial loop; `f` only needs `Sync` captures.
-    pub fn for_each_limb_mut<F>(&mut self, f: F)
-    where
-        F: Fn(usize, &Modulus, &mut [u32]) + Sync,
-    {
-        let ctx = self.ctx.clone();
-        par_limbs(&mut self.data, ctx.n, |i, limb| f(i, &ctx.moduli[i], limb));
-    }
-
     /// Re-tags the representation without transforming the data.
     ///
     /// For kernels that fill limbs with data already in the target
-    /// representation (e.g. the key-switch lift writes NTT-domain residues
+    /// representation (e.g. a digit lift that writes NTT-domain residues
     /// directly); the caller asserts the tag is truthful.
     pub fn assume_domain(&mut self, domain: Domain) {
-        self.domain = domain;
-    }
-
-    /// Reshapes this polynomial to `level` limbs with the given domain tag
-    /// *without* zeroing: existing residues are unspecified (but
-    /// initialized) until the caller overwrites them. For scratch buffers
-    /// whose every element is about to be written — skips the `O(level*n)`
-    /// memset that zeroing would pay.
-    pub fn reshape_for_overwrite(&mut self, level: usize, domain: Domain) {
-        assert!(level >= 1 && level <= self.ctx.max_level());
-        self.data.resize(level * self.ctx.n, 0);
-        self.level = level;
         self.domain = domain;
     }
 

@@ -8,7 +8,10 @@
 //! baselines tractable (LoLa-CIFAR in software took the paper 20
 //! minutes); the measured per-op costs are real executions of the real
 //! scheme, not estimates. A parallel-efficiency factor measured with
-//! `std::thread::scope` models the paper's multicore baseline.
+//! `std::thread::scope` models the paper's multicore baseline. The BGV
+//! key-switch already spreads its output limbs over the cores (from
+//! `N = 2048` up), so that factor only credits what independent op
+//! streams add on top.
 
 use f1_compiler::dsl::{HomOp, Program};
 use f1_fhe::bgv::{KeySet, Plaintext};
@@ -184,8 +187,9 @@ impl CpuBaseline {
         speedup.min(threads as f64)
     }
 
-    /// Estimated single-thread seconds for a program at ring dimension
-    /// `target_n` (costs measured at `self.n` scale by `N log N`).
+    /// Estimated seconds for a program at ring dimension `target_n`, one
+    /// op at a time (costs measured at `self.n` scale by `N log N`; each
+    /// op's own limb threads are part of its measured cost).
     pub fn estimate_seconds(&self, program: &Program, target_n: usize) -> f64 {
         let scale =
             (target_n as f64 * (target_n as f64).log2()) / (self.n as f64 * (self.n as f64).log2());
