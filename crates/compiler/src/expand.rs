@@ -5,7 +5,8 @@
 //! * **Ordering**: cluster independent homomorphic operations that reuse
 //!   the same key-switch hint, then list-schedule the clusters, so each
 //!   hint is fetched once and reused (Listing 2 would otherwise cycle
-//!   through 480 MB of hints four times, §4.2).
+//!   through 480 MB of hints four times, §4.2), while the live results
+//!   stay within a quarter of the scratchpad.
 //! * **Algorithmic choice**: pick the key-switch implementation
 //!   (Listing 1's decomposition variant vs the GHS-style `O(L)`-hint
 //!   variant) from `L`, hint reuse and FU load (§2.4, §4.2).
@@ -47,7 +48,8 @@ pub struct ExpandOptions {
     /// Disable the hint-reuse reordering (for ablations; the paper's
     /// Listing 2 discussion shows why leaving program order hurts).
     pub keep_program_order: bool,
-    /// The machine the `Auto` chooser estimates against; `None` uses the
+    /// The machine whose scratchpad sets the op order's live-bytes budget
+    /// and that the `Auto` chooser estimates against; `None` uses the
     /// paper's default configuration. [`crate::compile_fhe`] fills this with
     /// the target architecture.
     pub machine: Option<ArchConfig>,
@@ -88,11 +90,15 @@ struct LoweredCt {
 /// target machine — is lower. Decomposition has the least compute but
 /// `O(L²)` hints; GHS pays more arithmetic for `O(L)` hints, winning
 /// whenever hint traffic would leave the machine bandwidth-bound.
+///
+/// The op order is [`hint_reuse_order`]'s rule under the live-bytes
+/// budget of the target machine's scratchpad (`opts.machine`).
 pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
+    let machine = opts.machine.clone().unwrap_or_default();
     let order = if opts.keep_program_order {
         (0..program.ops().len()).collect()
     } else {
-        hint_reuse_order(program)
+        budgeted_order(program, live_budget(&machine))
     };
     match opts.keyswitch {
         KeySwitchChoice::Decomposition => expand_with(program, &order, false),
@@ -108,7 +114,6 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
             if max_hint_level(program) >= 20 {
                 return expand_with(program, &order, true);
             }
-            let machine = opts.machine.clone().unwrap_or_default();
             let decomp = expand_with(program, &order, false);
             let ghs = expand_with(program, &order, true);
             if estimate_makespan(&ghs, &machine) < estimate_makespan(&decomp, &machine) {
@@ -224,11 +229,32 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
     }
 }
 
-/// Orders homomorphic operations to maximize hint reuse (§4.2): schedule
-/// hint-free ready operations eagerly, and among hint-using ready
-/// operations stay on the current hint as long as possible, switching to
-/// the hint with the most ready users when forced.
+/// Orders homomorphic operations to maximize hint reuse (§4.2) without
+/// letting the working set outgrow the scratchpad (§4.3): the order of
+/// [`expand`] on the paper's default 64 MB machine.
+///
+/// The rule: issue hint-free ready operations eagerly; among hint-using
+/// ready operations, stay on the current hint as long as possible,
+/// switching to the hint with the most ready users when forced. While the
+/// live set (computed results that still have unissued users, or are
+/// outputs) holds more than a quarter of the scratchpad, a hint-using
+/// pick is instead the lowest-index ready operation: program order
+/// consumes results near where they were made, where staying on one hint
+/// fans out every ready use of it and holds all the results at once.
 pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
+    budgeted_order(program, live_budget(&ArchConfig::default()))
+}
+
+/// The live-bytes budget of pass 1's order on `arch`: a quarter of the
+/// scratchpad. Budgets from a sixteenth to a third of the pad schedule the
+/// paper suite alike; half the pad already spills again.
+fn live_budget(arch: &ArchConfig) -> u64 {
+    arch.scratchpad_bytes() / 4
+}
+
+/// [`hint_reuse_order`]'s rule under a live set of at most `budget` bytes
+/// (a soft bound: hint-free operations drain regardless).
+fn budgeted_order(program: &Program, budget: u64) -> Vec<usize> {
     let ops = program.ops();
     let n_ops = ops.len();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
@@ -239,6 +265,7 @@ pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
             indegree[i] += 1;
         }
     }
+    let mut live = LiveSet::new(program);
     let mut ready: Vec<usize> = (0..n_ops).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n_ops);
     let mut current_hint: Option<HintId> = None;
@@ -248,8 +275,11 @@ pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
         let pos = ready.iter().position(|&i| hint_of(&ops[i]).is_none());
         let pick = if let Some(p) = pos {
             p
+        } else if live.bytes > budget {
+            // 2. Over budget: program order (`ready` is sorted).
+            0
         } else {
-            // 2. Prefer the current hint; otherwise the most popular one.
+            // 3. Prefer the current hint; otherwise the most popular one.
             let same = ready
                 .iter()
                 .position(|&i| hint_of(&ops[i]) == current_hint && current_hint.is_some());
@@ -279,6 +309,7 @@ pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
             current_hint = Some(h);
         }
         order.push(chosen);
+        live.issue(chosen);
         for &succ in &deps[chosen] {
             indegree[succ] -= 1;
             if indegree[succ] == 0 {
@@ -288,6 +319,54 @@ pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
     }
     assert_eq!(order.len(), n_ops, "cycle in homomorphic-op graph");
     order
+}
+
+/// The live set of a partial op order: the computed results that still
+/// have unissued users or are outputs, at `2 · L · N · 4` bytes each (both
+/// polynomials). Inputs are left out: pass 2 loads them on demand.
+struct LiveSet<'p> {
+    program: &'p Program,
+    unissued_users: Vec<usize>,
+    is_output: Vec<bool>,
+    bytes: u64,
+}
+
+impl<'p> LiveSet<'p> {
+    fn new(program: &'p Program) -> Self {
+        let mut unissued_users = vec![0usize; program.ops().len()];
+        for op in program.ops() {
+            for d in op_deps(op) {
+                unissued_users[d.0 as usize] += 1;
+            }
+        }
+        let mut is_output = vec![false; unissued_users.len()];
+        for o in program.outputs() {
+            is_output[o.0 as usize] = true;
+        }
+        Self { program, unissued_users, is_output, bytes: 0 }
+    }
+
+    fn result_bytes(&self, i: usize) -> u64 {
+        match self.program.ops()[i] {
+            HomOp::Input { .. } | HomOp::PlainInput { .. } => 0,
+            _ => 2 * self.program.level_of(CtId(i as u32)) as u64 * self.program.n as u64 * 4,
+        }
+    }
+
+    /// Issues op `i`: its result joins the set, and each operand whose last
+    /// user it was leaves.
+    fn issue(&mut self, i: usize) {
+        if self.unissued_users[i] > 0 || self.is_output[i] {
+            self.bytes += self.result_bytes(i);
+        }
+        for d in op_deps(&self.program.ops()[i]) {
+            let d = d.0 as usize;
+            self.unissued_users[d] -= 1;
+            if self.unissued_users[d] == 0 && !self.is_output[d] {
+                self.bytes -= self.result_bytes(d);
+            }
+        }
+    }
 }
 
 fn op_deps(op: &HomOp) -> Vec<CtId> {
@@ -642,6 +721,59 @@ mod tests {
             }
         }
         assert!(switches > 13, "program order should thrash ({switches} switches)");
+    }
+
+    /// `r` same-hint rotations of independent ciphertexts: each result
+    /// goes through a `mul_plain` and an `add`, then a second rotation
+    /// amount, and the second rotations are summed into one output.
+    fn rotation_fan_out(r: usize) -> Program {
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+        let pt = p.plain_input(4);
+        let mut acc = None;
+        for _ in 0..r {
+            let x = p.input(4);
+            let rot = p.rotate(x, 1);
+            let m = p.mul_plain(rot, pt);
+            let t = p.add(m, x);
+            let s = p.rotate(t, 2);
+            acc = Some(acc.map_or(s, |a| p.add(a, s)));
+        }
+        p.output(acc.unwrap());
+        p.lower().program
+    }
+
+    /// The largest live set `order` leaves after an issue.
+    fn peak_live_bytes(p: &Program, order: &[usize]) -> u64 {
+        let mut live = LiveSet::new(p);
+        order
+            .iter()
+            .map(|&i| {
+                live.issue(i);
+                live.bytes
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn live_budget_bounds_the_rotation_fan_out() {
+        let r = 16;
+        let p = rotation_fan_out(r);
+        let first_rotation = |i: usize| matches!(p.ops()[i], HomOp::Aut { k: 3, .. });
+        let result = 2 * 4 * (1u64 << 10) * 4;
+        // Unbounded: the order stays on the first hint, so all `r` first
+        // rotations issue back to back and their sums wait together.
+        let grouped = budgeted_order(&p, u64::MAX);
+        let auts: Vec<usize> =
+            grouped.iter().copied().filter(|&i| hint_of(&p.ops()[i]).is_some()).collect();
+        assert!(auts[..r].iter().all(|&i| first_rotation(i)), "{auts:?}");
+        assert!(peak_live_bytes(&p, &grouped) >= r as u64 * result);
+        // A three-result budget: the order falls back to program order
+        // whenever the live set outgrows it.
+        let budget = 3 * result;
+        let bounded = budgeted_order(&p, budget);
+        let peak = peak_live_bytes(&p, &bounded);
+        assert!(peak <= budget + result, "peak {peak} over budget {budget} + {result}");
     }
 
     #[test]

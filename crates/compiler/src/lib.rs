@@ -14,7 +14,8 @@
 //!    IR lowers into 1:1 and pass 1 reads. [`compile_fhe`] is the one
 //!    entry point that runs the whole stack.
 //! 2. [`expand`] — the homomorphic-operation compiler (§4.2): orders
-//!    homomorphic operations to maximize key-switch-hint reuse, chooses
+//!    homomorphic operations to maximize key-switch-hint reuse within a
+//!    live-bytes budget of a quarter of the scratchpad, chooses
 //!    between key-switching implementations, and translates each
 //!    operation into residue-vector instructions (Listing 1's expansion).
 //! 3. [`movement`] — the off-chip data movement scheduler (§4.3): greedy

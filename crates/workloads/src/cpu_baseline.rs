@@ -41,9 +41,24 @@ fn speedup_cache() -> &'static Mutex<HashMap<usize, f64>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Repetitions of each heavy per-op measurement (`mul`, `aut`); light
-/// ops run `2 * HEAVY_REPS + 1` times.
-const HEAVY_REPS: usize = 2;
+/// Timed repetitions of each per-op measurement. Each rep is timed on its
+/// own and the fastest is kept: on a shared host, preemption and steal
+/// only ever add wall time, so the minimum is the least disturbed sample.
+const REPS: usize = 5;
+
+/// Timed repetitions of the multicore scaling measurement (each side).
+const SPEEDUP_REPS: usize = 3;
+
+/// The fastest of `reps` separately timed runs of `f`, in seconds.
+fn min_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 /// Measured per-operation CPU costs at one `(N, L)` point.
 #[derive(Debug, Clone)]
@@ -74,8 +89,8 @@ impl CpuBaseline {
     ///
     /// Measurements are memoized process-wide by `(measure_n, kind,
     /// level)`, so a Table-3 run over many benchmarks measures each pair
-    /// (and the multicore scaling factor) exactly once, with 2 heavy / 5
-    /// light reps.
+    /// (and the multicore scaling factor) exactly once, keeping the fastest
+    /// of five separately timed reps.
     pub fn measure(program: &Program, measure_n: usize) -> Self {
         let mut needed: Vec<(&'static str, usize)> = Vec::new();
         for (i, op) in program.ops().iter().enumerate() {
@@ -107,39 +122,30 @@ impl CpuBaseline {
             let mut keys = KeySet::generate(&params, &mut rng);
             keys.add_rotation_hint(3, &mut rng);
             let m = Plaintext::from_coeffs(&params, &[5, 7, 11]);
-            let light_reps = 2 * HEAVY_REPS + 1;
             let mut scratch = KsScratch::default();
             for (k, lvl) in missing {
                 let ct = keys.encrypt_at_level(&m, lvl, &mut rng);
-                let reps = if k == "mul" || k == "aut" { HEAVY_REPS } else { light_reps };
-                let start = Instant::now();
-                for _ in 0..reps {
-                    match k {
-                        "add" => {
-                            let _ = ct.add(&ct);
-                        }
-                        "mul" => {
-                            let _ = ct.mul_with_scratch(&ct, keys.relin_hint(), &mut scratch);
-                        }
-                        "mul_plain" => {
-                            let _ = ct.mul_plain(&m, &params);
-                        }
-                        "aut" => {
-                            let _ = ct.automorphism_with_scratch(
-                                3,
-                                keys.rotation_hint(3),
-                                &mut scratch,
-                            );
-                        }
-                        "mod_switch" => {
-                            if lvl >= 2 {
-                                let _ = ct.mod_switch_down();
-                            }
-                        }
-                        _ => unreachable!(),
+                let per_op = min_seconds(REPS, || match k {
+                    "add" => {
+                        let _ = ct.add(&ct);
                     }
-                }
-                let per_op = start.elapsed().as_secs_f64() / reps as f64;
+                    "mul" => {
+                        let _ = ct.mul_with_scratch(&ct, keys.relin_hint(), &mut scratch);
+                    }
+                    "mul_plain" => {
+                        let _ = ct.mul_plain(&m, &params);
+                    }
+                    "aut" => {
+                        let _ =
+                            ct.automorphism_with_scratch(3, keys.rotation_hint(3), &mut scratch);
+                    }
+                    "mod_switch" => {
+                        if lvl >= 2 {
+                            let _ = ct.mod_switch_down();
+                        }
+                    }
+                    _ => unreachable!(),
+                });
                 cost_cache().lock().unwrap().insert((measure_n, k, lvl), per_op);
             }
             if !speedup_known {
@@ -167,21 +173,15 @@ impl CpuBaseline {
                 let _ = ct.mul(&ct, keys.relin_hint());
             }
         };
-        let t1 = {
-            let s = Instant::now();
-            work(2);
-            s.elapsed().as_secs_f64()
-        };
+        let t1 = min_seconds(SPEEDUP_REPS, || work(2));
         let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(8);
-        let t_par = {
-            let s = Instant::now();
+        let t_par = min_seconds(SPEEDUP_REPS, || {
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     scope.spawn(|| work(2));
                 }
             });
-            s.elapsed().as_secs_f64()
-        };
+        });
         // threads × work done in t_par vs 1 × in t1.
         let speedup = (threads as f64 * t1 / t_par).max(1.0);
         speedup.min(threads as f64)
@@ -217,12 +217,15 @@ impl CpuBaseline {
     }
 
     /// Directly measured end-to-end evaluation of a (small) program via
-    /// the functional simulator — used to validate the per-op estimates.
+    /// the functional simulator — used to validate the per-op estimates,
+    /// so it too keeps the fastest of five runs.
     pub fn measure_direct(program: &Program, params: BgvParams) -> Duration {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xD137);
         let exec = f1_sim::BgvExecutor::new(params, program, &mut rng);
-        let run = exec.run(program, &HashMap::new(), &HashMap::new(), &mut rng);
-        run.eval_time
+        (0..REPS)
+            .map(|_| exec.run(program, &HashMap::new(), &HashMap::new(), &mut rng).eval_time)
+            .min()
+            .expect("REPS > 0")
     }
 }
 

@@ -3,11 +3,12 @@
 
 use f1::arch::ArchConfig;
 use f1::compiler::movement::MoveEvent;
-use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, Scheme};
+use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, KeySwitchChoice, Scheme};
 use f1::isa::dfg::ValueId;
 use f1::isa::streams::MemDir;
 use f1::workloads::benchmarks::{
-    bgv_bootstrapping, ckks_bootstrapping, db_lookup, logistic_regression, lola_mnist_uw,
+    bgv_bootstrapping, ckks_bootstrapping, db_lookup, logistic_regression, lola_cifar_uw,
+    lola_mnist_uw,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -211,6 +212,27 @@ fn prefetches_are_read_before_release() {
             b.name
         );
     }
+}
+
+/// Pass 1 orders ops under a live-bytes budget of a quarter of the
+/// target scratchpad. On a 4 MB pad, LoLa-CIFAR's order budgeted for that
+/// pad must spill less than its order budgeted for the 64 MB default,
+/// under which the hint-reuse order fans out every ready use of a
+/// rotation hint (164 MB against 35 MB of spill stores when this was
+/// written). The key-switch variant is pinned so that only the order
+/// differs.
+#[test]
+fn live_budget_cuts_spills_on_a_small_pad() {
+    let p = lola_cifar_uw(8).lowered().0;
+    let tiny = ArchConfig::f1_default().with_scratchpad_mb(4);
+    let spill = |machine: Option<ArchConfig>| {
+        let opts = ExpandOptions { keyswitch: KeySwitchChoice::Ghs, machine, ..Default::default() };
+        let ex = f1::compiler::expand::expand(&p, &opts);
+        f1::compiler::movement::schedule(&ex, &tiny).traffic.interm_store
+    };
+    let (own, default_pad) = (spill(Some(tiny.clone())), spill(None));
+    assert!(default_pad > 0, "the 64 MB order must spill on a 4 MB pad");
+    assert!(own < default_pad, "budgeted order spills {own} B, the 64 MB order {default_pad} B");
 }
 
 /// Full-size (`F1_SCALE=1`) smoke: LoLa-MNIST compiles, validates under
