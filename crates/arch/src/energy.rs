@@ -32,7 +32,7 @@ impl Default for EnergyModel {
     }
 }
 
-/// Event counts accumulated by the simulator.
+/// Event counts the simulator derives from a schedule's streams.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EnergyCounters {
     /// Bytes moved over HBM (both directions).
@@ -45,30 +45,12 @@ pub struct EnergyCounters {
     pub rf_bytes: u64,
     /// Busy cycles per FU class, summed over all instances.
     pub fu_busy_cycles: [u64; 4],
-    /// Busy cycles summed across HBM channels — the contention model's
-    /// occupancy bookkeeping (each transfer holds one channel for
-    /// `mem_channel_cycles(bytes)`); the simulator re-derives and
-    /// cross-checks it against the memory streams.
-    pub hbm_channel_busy_cycles: u64,
-    /// Busy cycles summed across crossbar port lanes (each on-chip
-    /// transfer holds one lane for `net_cycles(bytes)`); cross-checked
-    /// against the network stream the same way.
-    pub xbar_busy_cycles: u64,
 }
 
 impl EnergyCounters {
     /// Records `cycles` of activity on one FU of class `fu`.
     pub fn add_fu_busy(&mut self, fu: FuType, cycles: u64) {
-        self.fu_busy_cycles[fu_index(fu)] += cycles;
-    }
-}
-
-fn fu_index(fu: FuType) -> usize {
-    match fu {
-        FuType::Ntt => 0,
-        FuType::Aut => 1,
-        FuType::Mul => 2,
-        FuType::Add => 3,
+        self.fu_busy_cycles[fu.index()] += cycles;
     }
 }
 
@@ -114,7 +96,7 @@ impl EnergyModel {
         let pj = |bytes: u64, per_byte: f64| bytes as f64 * per_byte * 1e-12;
         let mut fus_j = 0.0;
         for fu in FuType::ALL {
-            let busy = counters.fu_busy_cycles[fu_index(fu)] as f64;
+            let busy = counters.fu_busy_cycles[fu.index()] as f64;
             fus_j += busy * fu_tdp_w(fu) / (cfg.freq_ghz * 1e9);
         }
         PowerBreakdown {

@@ -49,16 +49,19 @@
 //! and 512-byte port produces and consumes at `lanes` elements per cycle,
 //! so a dependent instruction can issue `latency` cycles after its
 //! producer (Cray-style chaining), reading elements exactly as they are
-//! produced. `done_cycle` records that availability cycle; the full
-//! vector has drained `occupancy` cycles later, which is what `makespan`
-//! accounts. Slow producers (the low-throughput ablation units) add a
-//! catch-up term so a standard-rate consumer never outruns them. Because
-//! the schedule is fully static, this pass doubles as the performance
-//! model.
+//! produced: a result is available [`stream_weight`] cycles after its
+//! producer issues. The full vector has drained `occupancy` cycles after
+//! that, which is what `makespan` accounts. Slow producers (the
+//! low-throughput ablation units) add a catch-up term so a standard-rate
+//! consumer never outruns them. Because the schedule is fully static, this
+//! pass doubles as the performance model.
+//!
+//! The emitted streams are the only record of when and where each
+//! instruction and transfer runs. The `f1-sim` checker derives issue and
+//! availability cycles, the makespan and the energy counters from them.
 
 use crate::expand::Expanded;
 use crate::movement::{MoveEvent, MovePlan};
-use f1_arch::energy::EnergyCounters;
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId};
 use f1_isa::streams::{ComputeEntry, EvictEntry, MemDir, MemEntry, NetEntry, StaticSchedule};
@@ -71,24 +74,15 @@ use std::collections::{BinaryHeap, VecDeque};
 /// its lane for `net_cycles(bytes)`.
 pub const XBAR_HOP_CYCLES: u64 = 1;
 
-/// The cycle-level schedule plus accounting the simulator verifies.
+/// The cycle-level schedule: per-component streams and their makespan.
 #[derive(Debug, Clone)]
 pub struct CycleSchedule {
-    /// Per-component static streams.
+    /// Per-component static streams, the only record of each
+    /// instruction's issue cycle, cluster and FU instance.
     pub schedule: StaticSchedule,
-    /// Exact issue cycle per DFG instruction (indexed by instruction id).
-    pub issue_cycle: Vec<u64>,
-    /// Cycle each instruction's result becomes available to rate-matched
-    /// consumers: `issue + latency`, plus the catch-up correction when
-    /// the producer streams slower than the standard rate. The full
-    /// vector has drained `occupancy` cycles later (accounted in
-    /// `makespan`).
-    pub done_cycle: Vec<u64>,
-    /// Total makespan in compute cycles (last drained result or store).
+    /// Total makespan in compute cycles (last drained result or
+    /// transfer); the checker re-derives it from the streams.
     pub makespan: u64,
-    /// Energy/traffic counters accumulated while scheduling (the
-    /// simulator re-derives and cross-checks them).
-    pub counters: EnergyCounters,
 }
 
 impl CycleSchedule {
@@ -487,10 +481,7 @@ struct CycleScheduler<'a> {
     mem_ready: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
     // Output.
     out: StaticSchedule,
-    issue_cycle: Vec<u64>,
-    done_cycle: Vec<u64>,
     makespan: u64,
-    counters: EnergyCounters,
 }
 
 impl<'a> CycleScheduler<'a> {
@@ -498,7 +489,6 @@ impl<'a> CycleScheduler<'a> {
         let dfg = &expanded.dfg;
         let n = dfg.n;
         let n_instr = dfg.instrs().len();
-        assert_eq!(plan.order.len(), n_instr, "plan must issue every instruction");
 
         // --- Build the event graph by replaying pass 2's script. All
         // bookkeeping tables are dense (indexed by event id / value id).
@@ -507,6 +497,7 @@ impl<'a> CycleScheduler<'a> {
         // the replay's discovery order).
         let n_values = dfg.values().len();
         let n_mem = plan.events.iter().filter(|e| !matches!(e, MoveEvent::Issue { .. })).count();
+        assert_eq!(plan.events.len() - n_mem, n_instr, "plan must issue every instruction");
         let total = n_instr + n_mem;
         let mut mem_nodes = Vec::with_capacity(n_mem);
         let mut edges: Vec<(u32, u32, Gate)> = Vec::with_capacity(total * 2);
@@ -668,10 +659,7 @@ impl<'a> CycleScheduler<'a> {
             instr_ready: BinaryHeap::new(),
             mem_ready: BinaryHeap::new(),
             out: StaticSchedule::new(arch.clusters),
-            issue_cycle: vec![0; n_instr],
-            done_cycle: vec![0; n_instr],
             makespan: 0,
-            counters: EnergyCounters::default(),
         };
         for nid in 0..total as u32 {
             if s.indeg[nid as usize] == 0 {
@@ -747,13 +735,7 @@ impl<'a> CycleScheduler<'a> {
         self.out.makespan = self.makespan;
         self.out.validate_monotone();
 
-        CycleSchedule {
-            schedule: self.out,
-            issue_cycle: self.issue_cycle,
-            done_cycle: self.done_cycle,
-            makespan: self.makespan,
-            counters: self.counters,
-        }
+        CycleSchedule { schedule: self.out, makespan: self.makespan }
     }
 
     /// Commits `dur` cycles on the HBM channel that can start them
@@ -801,14 +783,14 @@ impl<'a> CycleScheduler<'a> {
         let node = self.mem_nodes[nid as usize - self.n_instr];
         match node {
             MemNode::Load { ev } => {
-                let MoveEvent::Load { value, bytes, .. } = self.plan.events[ev as usize] else {
+                let MoveEvent::Load { value, .. } = self.plan.events[ev as usize] else {
                     unreachable!()
                 };
+                let bytes = self.dfg.value(value).bytes;
                 let dur = self.arch.mem_channel_cycles(bytes);
-                let pad_bytes = self.dfg.value(value).bytes;
-                let ready = self.gate_time[nid as usize].max(self.pad.fit(pad_bytes));
+                let ready = self.gate_time[nid as usize].max(self.pad.fit(bytes));
                 let (ci, start) = self.commit_channel(ready, dur);
-                self.pad.add(start, pad_bytes as i64);
+                self.pad.add(start, bytes as i64);
                 let bank = (value.0 as usize) % self.arch.scratchpad_banks;
                 self.out.mem.push(MemEntry {
                     cycle: start,
@@ -818,9 +800,6 @@ impl<'a> CycleScheduler<'a> {
                     bank,
                     channel: ci,
                 });
-                self.counters.hbm_bytes += bytes;
-                self.counters.scratchpad_bytes += bytes;
-                self.counters.hbm_channel_busy_cycles += dur;
                 let done = start + dur + self.arch.hbm_latency_cycles;
                 self.avail[value.0 as usize] = done;
                 self.home[value.0 as usize] = Some(ComponentId::Bank(bank));
@@ -828,11 +807,12 @@ impl<'a> CycleScheduler<'a> {
                 self.finish(nid, 0, 0, done);
             }
             MemNode::Store { ev } => {
-                let (value, bytes, frees) = match self.plan.events[ev as usize] {
-                    MoveEvent::SpillStore { value, bytes } => (value, bytes, true),
-                    MoveEvent::OutputStore { value, bytes, frees } => (value, bytes, frees),
+                let (value, frees) = match self.plan.events[ev as usize] {
+                    MoveEvent::SpillStore { value } => (value, true),
+                    MoveEvent::OutputStore { value, frees } => (value, frees),
                     _ => unreachable!(),
                 };
+                let bytes = self.dfg.value(value).bytes;
                 let dur = self.arch.mem_channel_cycles(bytes);
                 let ready = self.gate_time[nid as usize].max(self.wb_done[value.0 as usize]);
                 let (ci, start) = self.commit_channel(ready, dur);
@@ -845,9 +825,6 @@ impl<'a> CycleScheduler<'a> {
                     bank,
                     channel: ci,
                 });
-                self.counters.hbm_bytes += bytes;
-                self.counters.scratchpad_bytes += bytes;
-                self.counters.hbm_channel_busy_cycles += dur;
                 let done = start + dur;
                 if frees {
                     self.out.evict.push(EvictEntry { cycle: done, value, bytes });
@@ -857,10 +834,11 @@ impl<'a> CycleScheduler<'a> {
                 self.finish(nid, 0, 0, done);
             }
             MemNode::Drop { ev } => {
-                let MoveEvent::Drop { value, bytes } = self.plan.events[ev as usize] else {
+                let MoveEvent::Drop { value } = self.plan.events[ev as usize] else {
                     unreachable!()
                 };
                 let done = self.gate_time[nid as usize].max(self.wb_done[value.0 as usize]);
+                let bytes = self.dfg.value(value).bytes;
                 self.out.evict.push(EvictEntry { cycle: done, value, bytes });
                 self.release(value, done);
                 self.finish(nid, 0, 0, done);
@@ -1082,28 +1060,21 @@ impl<'a> CycleScheduler<'a> {
                     bytes,
                     port: li,
                 });
-                self.counters.noc_bytes += bytes;
-                self.counters.xbar_busy_cycles += dur;
                 let arrive = start + XBAR_HOP_CYCLES;
                 self.copies[vi].push((cluster as u32, arrive));
                 arrive
             };
             ready = ready.max(t);
-            self.counters.rf_bytes += self.dfg.value(v).bytes;
         }
 
         let slots = &mut self.fu_slots[cluster][fu.index()];
         let (slot, start) = slots.fit(ready, occ);
         slots.commit(slot, start, occ);
         self.pad.add(start, out_bytes as i64);
-        self.issue_cycle[id as usize] = start;
         let available = start + weight;
-        self.done_cycle[id as usize] = available;
         self.makespan = self.makespan.max(start + occ + lat);
         self.avail[output.0 as usize] = available;
         self.home[output.0 as usize] = Some(ComponentId::Cluster(cluster));
-        self.counters.add_fu_busy(fu, occ);
-        self.counters.rf_bytes += self.dfg.value(output).bytes;
         self.out.compute[cluster].push(ComputeEntry {
             cycle: start,
             instr: iid,
@@ -1148,9 +1119,6 @@ impl<'a> CycleScheduler<'a> {
         let (li, start) = lanes.fit(t0, dur);
         lanes.commit(li, start, dur);
         self.out.net.push(NetEntry { cycle: start, value: w, from, to, bytes, port: li });
-        self.counters.noc_bytes += bytes;
-        self.counters.xbar_busy_cycles += dur;
-        self.counters.scratchpad_bytes += bytes;
         let landed = start + dur;
         self.home[wi] = Some(to);
         self.bank_ready[wi] = landed;
@@ -1182,16 +1150,32 @@ mod tests {
         ArchConfig::f1_default().with_scratchpad_mb(mb)
     }
 
+    /// Issue cycle per instruction, read from the compute streams.
+    fn issue_cycles(cs: &CycleSchedule, dfg: &Dfg) -> Vec<u64> {
+        let mut issue = vec![u64::MAX; dfg.instrs().len()];
+        for e in cs.schedule.compute.iter().flatten() {
+            issue[e.instr.0 as usize] = e.cycle;
+        }
+        issue
+    }
+
+    /// Cycle instruction `i`'s result becomes available to rate-matched
+    /// consumers: its issue plus [`stream_weight`].
+    fn done_cycle(issue: &[u64], dfg: &Dfg, arch: &ArchConfig, i: InstrId) -> u64 {
+        issue[i.0 as usize] + stream_weight(arch, dfg.instr(i).op.fu_type(), dfg.n)
+    }
+
     #[test]
     fn dependences_hold_in_time() {
         let p = listing2(1 << 12, 4, 2);
         let arch = ArchConfig::f1_default();
         let (ex, _, cs) = compile(&p, &arch);
+        let issue = issue_cycles(&cs, &ex.dfg);
         for instr in ex.dfg.instrs() {
             for &v in &instr.inputs {
                 if let Some(prod) = ex.dfg.producer(v) {
                     assert!(
-                        cs.done_cycle[prod.0 as usize] <= cs.issue_cycle[instr.id.0 as usize],
+                        done_cycle(&issue, &ex.dfg, &arch, prod) <= issue[instr.id.0 as usize],
                         "instr {:?} issues before its operand {:?} is available",
                         instr.id,
                         v
@@ -1238,11 +1222,12 @@ mod tests {
         // managed ~6% on private inference).
         let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
-        let (_, _, cs) = compile(&p, &arch);
+        let (ex, _, cs) = compile(&p, &arch);
         let total_fus: u64 =
             FuType::ALL.iter().map(|&f| arch.fus_per_cluster(f) as u64).sum::<u64>()
                 * arch.clusters as u64;
-        let busy: u64 = cs.counters.fu_busy_cycles.iter().sum();
+        let busy: u64 =
+            cs.schedule.compute.iter().flatten().map(|e| arch.occupancy(e.fu, ex.dfg.n)).sum();
         let util = busy as f64 / (total_fus * cs.makespan) as f64;
         assert!(util >= 0.15, "avg FU utilization {util:.3} regressed below 15%");
     }
@@ -1282,7 +1267,7 @@ mod tests {
         let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
         let (_, _, cs) = compile(&p, &arch);
-        let first_issue = cs.issue_cycle.iter().min().copied().unwrap();
+        let first_issue = cs.schedule.compute.iter().flatten().map(|e| e.cycle).min().unwrap();
         let last_load_end = cs
             .schedule
             .mem
@@ -1488,17 +1473,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let p = listing2(1 << 12, 4, 2);
-        let arch = ArchConfig::f1_default();
-        let (_, plan, cs) = compile(&p, &arch);
-        assert_eq!(cs.counters.hbm_bytes, plan.traffic.total());
-        assert!(cs.counters.rf_bytes > 0);
-        assert!(cs.counters.fu_busy_cycles.iter().sum::<u64>() > 0);
-        assert!(cs.counters.hbm_channel_busy_cycles > 0);
-    }
-
-    #[test]
     fn seconds_conversion() {
         let p = listing2(1 << 12, 4, 2);
         let arch = ArchConfig::f1_default();
@@ -1524,6 +1498,7 @@ mod tests {
             })
             .collect();
         assert!(!refetched.is_empty(), "2 MB pad must force refetches");
+        let issue = issue_cycles(&cs, &ex.dfg);
         // Reconstruct per-value load completions and evictions, then
         // assert every read falls inside a residency interval.
         for &v in &refetched {
@@ -1535,14 +1510,14 @@ mod tests {
                 .map(|m| m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles)
                 .collect();
             if let Some(p) = ex.dfg.producer(v) {
-                allocs.push(cs.done_cycle[p.0 as usize]);
+                allocs.push(done_cycle(&issue, &ex.dfg, &arch, p));
             }
             let mut ends: Vec<u64> =
                 cs.schedule.evict.iter().filter(|e| e.value == v).map(|e| e.cycle).collect();
             allocs.sort_unstable();
             ends.sort_unstable();
             for &u in ex.dfg.users(v) {
-                let t = cs.issue_cycle[u.0 as usize];
+                let t = issue[u.0 as usize];
                 let covered = allocs
                     .iter()
                     .zip(ends.iter().map(Some).chain(std::iter::repeat(None)))
@@ -1570,7 +1545,7 @@ mod tests {
         let stores: Vec<&MemEntry> =
             cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Store).collect();
         assert!(!stores.is_empty());
-        let last_compute = cs.issue_cycle.iter().max().copied().unwrap();
+        let last_compute = cs.schedule.compute.iter().flatten().map(|e| e.cycle).max().unwrap();
         let overlapped = stores.iter().any(|m| m.cycle < last_compute);
         assert!(overlapped, "no spill store overlaps the compute window");
     }

@@ -65,10 +65,6 @@ pub struct Expanded {
     pub hint_values: BTreeMap<HintId, Vec<ValueId>>,
     /// The key-switch variant actually used.
     pub used_ghs: bool,
-    /// Ring dimension.
-    pub n: usize,
-    /// Output values per program output (a then b limbs).
-    pub output_values: Vec<Vec<ValueId>>,
     /// The hint-reuse order of homomorphic ops chosen by the pass.
     pub hom_order: Vec<usize>,
 }
@@ -208,25 +204,14 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
     for &op_idx in order {
         ex.lower_op(op_idx);
     }
-    let mut output_values = Vec::new();
     for &out in program.outputs() {
-        let ct = ex.cts[out.0 as usize].as_ref().expect("output must be a ciphertext").clone();
-        let mut vals = ct.a.clone();
-        vals.extend_from_slice(&ct.b);
-        for &v in &vals {
+        let ct = ex.cts[out.0 as usize].as_ref().expect("output must be a ciphertext");
+        for &v in ct.a.iter().chain(&ct.b) {
             ex.dfg.mark_output(v);
         }
-        output_values.push(vals);
     }
     ex.dfg.validate();
-    Expanded {
-        dfg: ex.dfg,
-        hint_values: ex.hints,
-        used_ghs,
-        n: program.n,
-        output_values,
-        hom_order: order.to_vec(),
-    }
+    Expanded { dfg: ex.dfg, hint_values: ex.hints, used_ghs, hom_order: order.to_vec() }
 }
 
 /// Orders homomorphic operations to maximize hint reuse (§4.2) without
@@ -862,13 +847,16 @@ mod tests {
         assert_eq!(c["intt"], 2, "one per polynomial");
         assert_eq!(c["ntt"], 2 * 2);
         assert_eq!(c["scalar_mul"], 2 * 2);
-        assert_eq!(ex.output_values[0].len(), 2 * 2, "output at level 2");
+        assert_eq!(ex.dfg.outputs().len(), 2 * 2, "output at level 2");
     }
 
     #[test]
     fn full_matvec_expands_and_validates() {
-        let ex = expand(&matvec(), &ExpandOptions::default());
+        let p = matvec();
+        let ex = expand(&p, &ExpandOptions::default());
         assert!(ex.dfg.instrs().len() > 1000, "{} instructions", ex.dfg.instrs().len());
-        assert_eq!(ex.output_values.len(), 4);
+        assert_eq!(p.outputs().len(), 4);
+        let limbs: usize = p.outputs().iter().map(|&o| 2 * p.level_of(o)).sum();
+        assert_eq!(ex.dfg.outputs().len(), limbs, "each output expands to its a and b limbs");
     }
 }

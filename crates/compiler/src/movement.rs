@@ -100,7 +100,9 @@ impl TrafficBreakdown {
     }
 }
 
-/// One step of the residency script pass 2 hands to pass 3.
+/// One step of the residency script pass 2 hands to pass 3. Every
+/// transfer or release moves all of its value's bytes
+/// (`dfg.value(value).bytes`).
 ///
 /// Events appear in pass-2 simulation order, which is a legal order for
 /// every constraint they encode: an allocation's `space_from` donors
@@ -114,8 +116,6 @@ pub enum MoveEvent {
     Load {
         /// The value fetched.
         value: ValueId,
-        /// Bytes moved.
-        bytes: u64,
         /// `true` when this re-fetches a previously evicted value.
         refetch: bool,
         /// Liveness-derived deadline: the issue rank of the earliest
@@ -138,16 +138,12 @@ pub enum MoveEvent {
     SpillStore {
         /// The value spilled.
         value: ValueId,
-        /// Bytes moved.
-        bytes: u64,
     },
     /// Release a clean or dead copy of `value` (no writeback: the HBM
     /// copy is still valid, or nothing reads the value again).
     Drop {
         /// The value dropped.
         value: ValueId,
-        /// Bytes freed.
-        bytes: u64,
     },
     /// Store a program output to HBM. With `frees` set this doubles as
     /// the value's eviction (a dead output squeezed out by capacity —
@@ -155,8 +151,6 @@ pub enum MoveEvent {
     OutputStore {
         /// The output value stored.
         value: ValueId,
-        /// Bytes moved.
-        bytes: u64,
         /// Whether the scratchpad bytes are freed at store completion.
         frees: bool,
     },
@@ -185,12 +179,10 @@ impl MoveEvent {
     }
 }
 
-/// The pass-2 result: an instruction issue order plus the residency
-/// event script and traffic accounting.
+/// The pass-2 result: the residency event script (its `Issue` events are
+/// the instruction issue order) and traffic accounting.
 #[derive(Debug, Clone)]
 pub struct MovePlan {
-    /// Instructions in issue order.
-    pub order: Vec<InstrId>,
     /// The residency script, in simulation order (see [`MoveEvent`]).
     pub events: Vec<MoveEvent>,
     /// Traffic accounting.
@@ -208,14 +200,6 @@ impl MovePlan {
             })
             .collect()
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Residency {
-    OffChip,
-    Resident,
-    /// Spilled intermediate (or evicted clean value) currently in HBM.
-    Spilled,
 }
 
 /// Runs the data-movement scheduler with the DFG's priority order.
@@ -251,9 +235,14 @@ struct Scheduler<'a> {
     free_pool: VecDeque<(u64, Option<EventId>)>,
     // All per-value state is dense (indexed by ValueId): the scheduler
     // touches it several times per instruction, and hashing dominated the
-    // pass at full-size benchmark scale. `Option<Residency>` stands in for
-    // the old map's "absent" state.
-    residency: Vec<Option<Residency>>,
+    // pass at full-size benchmark scale.
+    /// Loadable values (inputs, hints) not loaded yet: their first load
+    /// is compulsory traffic.
+    never_loaded: Vec<bool>,
+    /// Whether HBM holds a valid copy: loadable values from the start,
+    /// intermediates once spilled or stored as outputs. Values never
+    /// change, so the copy stays valid.
+    in_hbm: Vec<bool>,
     dirty: Vec<bool>,
     resident: Vec<bool>,
     /// Eviction candidates: a max-heap of `(next use rank, Reverse(value
@@ -292,6 +281,8 @@ struct Scheduler<'a> {
     /// [`Self::drain_loads`] skips prefetches that would be the next live
     /// victim.
     pressure: bool,
+    /// Instructions issued so far.
+    issued_count: usize,
     mem_cycle: u64,
     compute_cycle: [f64; 4],
     out: MovePlan,
@@ -359,7 +350,8 @@ impl<'a> Scheduler<'a> {
             arch,
             free_bytes: capacity,
             free_pool: VecDeque::from([(capacity, None)]),
-            residency: vec![None; n_values],
+            never_loaded: vec![false; n_values],
+            in_hbm: vec![false; n_values],
             dirty: vec![false; n_values],
             resident: vec![false; n_values],
             evict_heap: BinaryHeap::new(),
@@ -377,11 +369,8 @@ impl<'a> Scheduler<'a> {
             pressure: false,
             mem_cycle: 0,
             compute_cycle: [0.0; 4],
-            out: MovePlan {
-                order: Vec::with_capacity(n_instr),
-                events: Vec::new(),
-                traffic: TrafficBreakdown::default(),
-            },
+            out: MovePlan { events: Vec::new(), traffic: TrafficBreakdown::default() },
+            issued_count: 0,
             #[cfg(test)]
             paths: EvictionPaths::default(),
         }
@@ -400,7 +389,8 @@ impl<'a> Scheduler<'a> {
         for v in self.dfg.values() {
             let loadable = matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint);
             if loadable {
-                self.residency[v.id.0 as usize] = Some(Residency::OffChip);
+                self.never_loaded[v.id.0 as usize] = true;
+                self.in_hbm[v.id.0 as usize] = true;
                 if !self.dfg.users(v.id).is_empty() {
                     self.request_load(v.id);
                 }
@@ -408,12 +398,12 @@ impl<'a> Scheduler<'a> {
         }
         let total = self.dfg.instrs().len();
         let mut guard = 0u64;
-        while self.out.order.len() < total {
+        while self.issued_count < total {
             guard += 1;
             assert!(
                 guard < 40 * total as u64 + 10_000,
                 "movement scheduler livelock at {}/{total}",
-                self.out.order.len()
+                self.issued_count
             );
             // Decoupled prefetch: stay ahead of compute while space lasts.
             self.drain_loads();
@@ -442,15 +432,13 @@ impl<'a> Scheduler<'a> {
             }
             self.stored_outputs[vi] = true;
             if !self.resident[vi] {
-                match self.residency[vi] {
-                    Some(Residency::OffChip) | Some(Residency::Spilled) => continue,
-                    state => panic!("output {v:?} is neither on chip nor in HBM ({state:?})"),
-                }
+                assert!(self.in_hbm[vi], "output {v:?} is neither on chip nor in HBM");
+                continue;
             }
             let bytes = self.dfg.value(v).bytes;
             self.mem_cycle += self.arch.mem_cycles(bytes);
             self.out.traffic.input_compulsory += bytes;
-            self.out.events.push(MoveEvent::OutputStore { value: v, bytes, frees: false });
+            self.out.events.push(MoveEvent::OutputStore { value: v, frees: false });
         }
     }
 
@@ -599,7 +587,7 @@ impl<'a> Scheduler<'a> {
             self.dfg.producer(v).is_none_or(|p| self.issued[p.0 as usize]),
             "load of unproduced {v:?}"
         );
-        let first_time = self.residency[v.0 as usize] == Some(Residency::OffChip);
+        let first_time = std::mem::take(&mut self.never_loaded[v.0 as usize]);
         let kind = self.dfg.value(v).kind;
         match (kind, first_time) {
             (ValueKind::KeySwitchHint, true) => self.out.traffic.ksh_compulsory += bytes,
@@ -613,7 +601,6 @@ impl<'a> Scheduler<'a> {
         let deadline = self.next_use_rank(v);
         self.out.events.push(MoveEvent::Load {
             value: v,
-            bytes,
             refetch: !first_time,
             deadline,
             space_from,
@@ -630,7 +617,6 @@ impl<'a> Scheduler<'a> {
         self.resident[vi] = true;
         let next = self.next_use_rank(v);
         self.push_candidate(v, next);
-        self.residency[vi] = Some(Residency::Resident);
         if dirty {
             self.dirty[vi] = true;
         }
@@ -715,7 +701,7 @@ impl<'a> Scheduler<'a> {
         let space_from = self.take_space(bytes);
         self.out.events.push(MoveEvent::Issue { instr: i, space_from });
         self.issued[i.0 as usize] = true;
-        self.out.order.push(i);
+        self.issued_count += 1;
         self.mark_resident(output, true);
         // Free operands that just died; re-key the others, whose next use
         // just moved past this instruction.
@@ -870,24 +856,18 @@ impl<'a> Scheduler<'a> {
             // Spill store (the later refetch is gated on its completion).
             self.out.traffic.interm_store += bytes;
             self.mem_cycle += self.arch.mem_cycles(bytes);
-            self.out.events.push(MoveEvent::SpillStore { value: v, bytes });
-            self.residency[vi] = Some(Residency::Spilled);
+            self.out.events.push(MoveEvent::SpillStore { value: v });
+            self.in_hbm[vi] = true;
         } else if was_dirty && self.output_set[vi] && !self.stored_outputs[vi] {
             // Dead output squeezed out: store it now (compulsory anyway).
             self.out.traffic.input_compulsory += bytes;
             self.mem_cycle += self.arch.mem_cycles(bytes);
-            self.out.events.push(MoveEvent::OutputStore { value: v, bytes, frees: true });
+            self.out.events.push(MoveEvent::OutputStore { value: v, frees: true });
             self.stored_outputs[vi] = true;
-            self.residency[vi] = Some(Residency::Spilled);
+            self.in_hbm[vi] = true;
         } else {
-            self.out.events.push(MoveEvent::Drop { value: v, bytes });
-            if !was_dirty && self.residency[vi] != Some(Residency::OffChip) {
-                // Clean copies (loadable values, or intermediates brought
-                // back by a refetch) still exist in HBM; record that so
-                // reloads classify as non-compulsory and final output
-                // stores know nothing on chip needs moving.
-                self.residency[vi] = Some(Residency::Spilled);
-            }
+            // A clean copy was loaded, so HBM already holds the value.
+            self.out.events.push(MoveEvent::Drop { value: v });
         }
         self.release_space(bytes, eid);
         if still_needed {
@@ -923,7 +903,8 @@ mod tests {
         let p = f.lower().program;
         let arch = ArchConfig::f1_default();
         let (ex, plan) = plan_for(&p, &arch);
-        assert_eq!(plan.order.len(), ex.dfg.instrs().len());
+        let issues = plan.events.iter().filter(|e| matches!(e, MoveEvent::Issue { .. })).count();
+        assert_eq!(issues, ex.dfg.instrs().len());
         let t = plan.traffic;
         assert_eq!(t.ksh_non_compulsory, 0);
         assert_eq!(t.input_non_compulsory, 0);
@@ -947,7 +928,8 @@ mod tests {
             .filter(|v| ex.dfg.producer(v.id).is_none())
             .map(|v| v.id)
             .collect();
-        for &i in &plan.order {
+        for e in &plan.events {
+            let MoveEvent::Issue { instr: i, .. } = *e else { continue };
             for &inp in &ex.dfg.instr(i).inputs {
                 assert!(produced.contains(&inp), "instr {i:?} uses unproduced {inp:?}");
             }
@@ -1038,7 +1020,7 @@ mod tests {
         let mut resident: HashSet<ValueId> = HashSet::new();
         for (i, ev) in plan.events.iter().enumerate() {
             match ev {
-                MoveEvent::Load { value, bytes, refetch, space_from, .. } => {
+                MoveEvent::Load { value, refetch, space_from, .. } => {
                     assert!(!resident.contains(value), "double load of {value:?}");
                     if *refetch {
                         let prior = plan.events[..i]
@@ -1049,7 +1031,7 @@ mod tests {
                     for d in space_from {
                         assert!(freed_bytes.contains_key(d), "donor {d} has not freed yet");
                     }
-                    occupied += bytes;
+                    occupied += ex.dfg.value(*value).bytes;
                     resident.insert(*value);
                 }
                 MoveEvent::Issue { instr, space_from } => {
@@ -1059,12 +1041,13 @@ mod tests {
                     occupied += ex.dfg.value(ex.dfg.instr(*instr).output).bytes;
                     resident.insert(ex.dfg.instr(*instr).output);
                 }
-                MoveEvent::SpillStore { value, bytes }
-                | MoveEvent::Drop { value, bytes }
-                | MoveEvent::OutputStore { value, bytes, frees: true } => {
+                MoveEvent::SpillStore { value }
+                | MoveEvent::Drop { value }
+                | MoveEvent::OutputStore { value, frees: true } => {
                     assert!(resident.remove(value), "eviction of non-resident {value:?}");
+                    let bytes = ex.dfg.value(*value).bytes;
                     occupied -= bytes;
-                    freed_bytes.insert(i as EventId, *bytes);
+                    freed_bytes.insert(i as EventId, bytes);
                 }
                 MoveEvent::OutputStore { .. } => {}
             }

@@ -1,6 +1,6 @@
 //! The checker-style cycle simulator (§7) and evaluation statistics.
 
-use f1_arch::energy::{EnergyModel, PowerBreakdown};
+use f1_arch::energy::{EnergyCounters, EnergyModel, PowerBreakdown};
 use f1_arch::ArchConfig;
 use f1_compiler::expand::Expanded;
 use f1_compiler::movement::TrafficBreakdown;
@@ -113,7 +113,8 @@ struct ResidencyEvent {
 
 /// Per-value residency intervals, derived independently of the scheduler
 /// by pairing allocation events (loads, production) with [`f1_isa::streams::EvictEntry`]s
-/// in time order. Values are paired in id order.
+/// in time order. Values are paired in id order. `issue` is
+/// [`issue_table`]'s issue cycle per instruction.
 ///
 /// # Panics
 ///
@@ -124,8 +125,10 @@ fn residency_intervals(
     expanded: &Expanded,
     cs: &CycleSchedule,
     arch: &ArchConfig,
+    issue: &[u64],
 ) -> ByValue<Residency> {
     let dfg = &expanded.dfg;
+    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, dfg.n));
     for e in &cs.schedule.evict {
         assert_eq!(
             e.bytes,
@@ -139,9 +142,9 @@ fn residency_intervals(
         let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
         (m.value, alloc(m.cycle, avail, true))
     });
-    let produced = (cs.issue_cycle.iter().zip(&cs.done_cycle))
-        .zip(dfg.instrs())
-        .map(|((&issue, &done), instr)| (instr.output, alloc(issue, done, false)));
+    let produced = issue.iter().zip(dfg.instrs()).map(|(&issue, instr)| {
+        (instr.output, alloc(issue, issue + weight[instr.op.fu_type().index()], false))
+    });
     let released =
         cs.schedule.evict.iter().map(|e| {
             (e.value, ResidencyEvent { cycle: e.cycle, phase: 0, avail: 0, loaded: false })
@@ -185,18 +188,22 @@ fn residency_intervals(
     ByValue { offsets, items }
 }
 
-/// Rejects stream entries naming a value or instruction the DFG does not
-/// have, and issue/done tables not sized to its instructions, before any
-/// check indexes a per-value or per-instruction array with them.
-fn check_ids(expanded: &Expanded, cs: &CycleSchedule) {
+/// When and where each instruction ran, read from the compute streams,
+/// the only record of it: the issue cycle per instruction, and the
+/// cluster that produced each value ([`NO_CLUSTER`] for values no
+/// instruction produces).
+///
+/// Rejects a stream entry naming a value or instruction the DFG does not
+/// have before any check indexes a per-value or per-instruction array
+/// with it. Every instruction must appear on exactly one compute entry,
+/// on a unit of its op's FU class.
+fn issue_table(expanded: &Expanded, cs: &CycleSchedule) -> (Vec<u64>, Vec<u32>) {
     let dfg = &expanded.dfg;
     let (values, instrs) = (dfg.values().len(), dfg.instrs().len());
-    assert!(
-        cs.issue_cycle.len() == instrs && cs.done_cycle.len() == instrs,
-        "issue/done tables hold {} / {} entries for {instrs} instrs",
-        cs.issue_cycle.len(),
-        cs.done_cycle.len()
-    );
+    let mut issue = vec![0; instrs];
+    // Each instruction has its own output value, so a produced value
+    // marks its producer as seen.
+    let mut cluster_of = vec![NO_CLUSTER; values];
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
         for e in stream {
             assert!(
@@ -204,7 +211,22 @@ fn check_ids(expanded: &Expanded, cs: &CycleSchedule) {
                 "cluster {c} stream names unknown instr {:?} ({instrs} instrs)",
                 e.instr
             );
+            let instr = dfg.instr(e.instr);
+            let fu = instr.op.fu_type();
+            assert!(
+                e.fu == fu,
+                "cluster {c} runs {:?} on {:?}, but its op needs {fu:?}",
+                e.instr,
+                e.fu
+            );
+            let home = &mut cluster_of[instr.output.0 as usize];
+            assert!(*home == NO_CLUSTER, "{:?} issues twice (cluster {c})", e.instr);
+            *home = c as u32;
+            issue[e.instr.0 as usize] = e.cycle;
         }
+    }
+    if let Some(i) = dfg.instrs().iter().find(|i| cluster_of[i.output.0 as usize] == NO_CLUSTER) {
+        panic!("{:?} is on no compute stream", i.id);
     }
     let known = |stream: &str, v: ValueId| {
         assert!(
@@ -215,6 +237,7 @@ fn check_ids(expanded: &Expanded, cs: &CycleSchedule) {
     cs.schedule.mem.iter().for_each(|m| known("mem", m.value));
     cs.schedule.net.iter().for_each(|e| known("net", e.value));
     cs.schedule.evict.iter().for_each(|e| known("evict", e.value));
+    (issue, cluster_of)
 }
 
 /// `cluster_of` entry of a value no compute stream produces (an input,
@@ -224,13 +247,17 @@ const NO_CLUSTER: u32 = u32::MAX;
 /// Validates a schedule's emitted streams without computing statistics.
 ///
 /// Independently re-verifies the overlapped schedule the list scheduler
-/// emits: per-(cluster, FU, instance) occupancy, per-HBM-channel
-/// exclusivity, per-crossbar-lane exclusivity, load/store ordering
-/// against value production, streaming dependence timing, and the
-/// scheduler's own availability/occupancy counters.
+/// emits, from the streams and the DFG alone: every instruction issues
+/// exactly once, on a unit of its op's FU class, and its result is
+/// available [`f1_compiler::cycle::stream_weight`] cycles later. On top
+/// of that it checks per-(cluster, FU, instance) occupancy,
+/// per-HBM-channel exclusivity, per-crossbar-lane exclusivity, load/store
+/// ordering against value production, streaming dependence timing, and
+/// the makespan: the last compute entry's drain or memory transfer's end
+/// must equal both the claimed `cs.makespan` and the streams' own.
 ///
-/// Capacity faithfulness (§4.3) is checked from the streams alone, with
-/// no access to the scheduler's internal state:
+/// Capacity faithfulness (§4.3) is checked without any access to the
+/// scheduler's internal state:
 ///
 /// * **Residency**: every consumer must read each operand inside one of
 ///   the value's on-chip residency intervals — a value whose last copy
@@ -242,7 +269,7 @@ const NO_CLUSTER: u32 = u32::MAX;
 ///   writeback to have completed.
 ///
 /// This is the right entry for re-verifying a schedule without its
-/// [`MovePlan`]. Returns the verified makespan.
+/// [`MovePlan`]. Returns the verified makespan (at least 1).
 ///
 /// All per-value state lives in flat arrays indexed by value id, so the
 /// cost is linear in the stream entries plus small per-value sorts and
@@ -251,25 +278,27 @@ const NO_CLUSTER: u32 = u32::MAX;
 /// # Panics
 ///
 /// Panics (like the paper's checker) on any missed dependence, resource
-/// double-booking, capacity overflow, accounting mismatch, or stream
-/// entry naming a value or instruction the DFG does not have.
+/// double-booking, capacity overflow, makespan mismatch, stream entry
+/// naming a value or instruction the DFG does not have, or instruction
+/// missing from, repeated in or on the wrong FU class of the compute
+/// streams.
 ///
 /// The first violation found is reported, and which one that is does not
-/// vary from run to run: the checks run in a fixed order (ids, structural
-/// resources, residency, capacity, transfers, dependences, memory
-/// ordering), residency walks values in id order, and the other checks
-/// walk the streams in stream order. Of several values with broken
-/// residency, the panic names the lowest id.
+/// vary from run to run: the checks run in a fixed order (ids and the
+/// issue table, structural resources, residency, capacity, transfers,
+/// dependences, memory ordering, makespan), residency walks values in id
+/// order, and the other checks walk the streams in stream order. Of
+/// several values with broken residency, the panic names the lowest id.
 pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> u64 {
     let dfg = &expanded.dfg;
     let n = dfg.n;
-    check_ids(expanded, cs);
+    let (issue, cluster_of) = issue_table(expanded, cs);
     check_structural(cs, arch, n);
 
     // --- Residency intervals (from the streams alone) and the capacity
     // invariant: the byte-weighted overlap of all on-chip intervals must
     // never exceed the scratchpad.
-    let intervals = residency_intervals(expanded, cs, arch);
+    let intervals = residency_intervals(expanded, cs, arch, &issue);
     {
         let cap = arch.scratchpad_bytes();
         // A release's negative delta sorts before an allocation's
@@ -307,12 +336,6 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     // Remote consumption additionally needs a crossbar transfer, within
     // the same interval, that lands before the consumer issues.
     let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
-    let mut cluster_of = vec![NO_CLUSTER; dfg.values().len()];
-    for (c, stream) in cs.schedule.compute.iter().enumerate() {
-        for e in stream {
-            cluster_of[dfg.instr(e.instr).output.0 as usize] = c as u32;
-        }
-    }
     for e in &cs.schedule.net {
         assert!(
             covering(e.value, e.cycle).is_some(),
@@ -333,17 +356,6 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
         let here = ComponentId::Cluster(c);
         for e in stream {
             let instr = dfg.instr(e.instr);
-            assert_eq!(
-                cs.issue_cycle[e.instr.0 as usize], e.cycle,
-                "stream/issue mismatch for {:?}",
-                e.instr
-            );
-            assert_eq!(
-                cs.done_cycle[e.instr.0 as usize],
-                e.cycle + weight[instr.op.fu_type().index()],
-                "availability mismatch for {:?}",
-                e.instr
-            );
             for &v in &instr.inputs {
                 let r = covering(v, e.cycle).unwrap_or_else(|| {
                     panic!(
@@ -394,8 +406,9 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
         }
         if let Some(p) = dfg.producer(m.value) {
+            let done = issue[p.0 as usize] + weight[dfg.instr(p).op.fu_type().index()];
             assert!(
-                m.cycle >= cs.done_cycle[p.0 as usize],
+                m.cycle >= done,
                 "{:?} transfer of {:?} at {} before production",
                 m.dir,
                 m.value,
@@ -413,7 +426,22 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
         }
     }
 
-    cs.makespan.max(1)
+    // --- Makespan: the last result to drain or transfer to end.
+    let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
+    let lat = FuType::ALL.map(|fu| arch.latency(fu, n));
+    let drained = cs.schedule.compute.iter().flatten().map(|e| {
+        let fu = e.fu.index();
+        e.cycle + occ[fu] + lat[fu]
+    });
+    let transferred = cs.schedule.mem.iter().map(|m| m.cycle + arch.mem_channel_cycles(m.bytes));
+    let makespan = drained.chain(transferred).max().unwrap_or(0);
+    assert!(
+        cs.makespan == makespan && cs.schedule.makespan == makespan,
+        "makespan claimed as {} (streams: {}) but the streams end at {makespan}",
+        cs.makespan,
+        cs.schedule.makespan
+    );
+    makespan.max(1)
 }
 
 /// Exclusivity of one kind of resource: `uses` holds `(resource, start
@@ -440,8 +468,7 @@ fn check_exclusive<K: Ord + Copy + std::fmt::Debug>(
 /// Structural-resource validation from the streams alone — the subset of
 /// [`check_streams`] that needs no DFG: per-(cluster, FU, instance)
 /// occupancy spacing, per-HBM-channel exclusivity, per-crossbar-lane
-/// exclusivity, stream monotonicity, and the occupancy-counter
-/// cross-checks.
+/// exclusivity and stream monotonicity.
 fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     cs.schedule.validate_monotone();
 
@@ -487,28 +514,45 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
         ((e.from, e.to, e.port), e.cycle, e.bytes)
     });
     check_exclusive("crossbar lane", lane_uses.collect(), |b| arch.net_cycles(b));
-
-    // --- Counter cross-checks: the scheduler's occupancy bookkeeping
-    // must match the streams it emitted.
-    {
-        let chan_busy: u64 = cs.schedule.mem.iter().map(|m| arch.mem_channel_cycles(m.bytes)).sum();
-        assert_eq!(
-            cs.counters.hbm_channel_busy_cycles, chan_busy,
-            "HBM channel busy-cycle counter mismatch"
-        );
-        let xbar_busy: u64 = cs.schedule.net.iter().map(|e| arch.net_cycles(e.bytes)).sum();
-        assert_eq!(cs.counters.xbar_busy_cycles, xbar_busy, "crossbar busy-cycle counter mismatch");
-        let hbm_bytes: u64 = cs.schedule.mem.iter().map(|m| m.bytes).sum();
-        assert_eq!(cs.counters.hbm_bytes, hbm_bytes, "HBM byte counter mismatch");
-    }
 }
 
-/// Validates a schedule ([`check_streams`]) and derives its statistics.
+/// The event counts behind the power breakdown, derived from the streams
+/// and the DFG: HBM bytes are the memory stream's, the scratchpad serves
+/// those plus every crossbar write into a bank, the NoC carries every
+/// crossbar transfer, each instruction reads its inputs from and writes
+/// its output to a register file, and each compute entry holds its FU
+/// for one occupancy.
+fn energy_counters(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> EnergyCounters {
+    let dfg = &expanded.dfg;
+    let mut c = EnergyCounters {
+        hbm_bytes: cs.schedule.mem.iter().map(|m| m.bytes).sum(),
+        ..Default::default()
+    };
+    for e in &cs.schedule.net {
+        c.noc_bytes += e.bytes;
+        if matches!(e.to, ComponentId::Bank(_)) {
+            c.scratchpad_bytes += e.bytes;
+        }
+    }
+    c.scratchpad_bytes += c.hbm_bytes;
+    for instr in dfg.instrs() {
+        let inputs: u64 = instr.inputs.iter().map(|&v| dfg.value(v).bytes).sum();
+        c.rf_bytes += inputs + dfg.value(instr.output).bytes;
+    }
+    for e in cs.schedule.compute.iter().flatten() {
+        c.add_fu_busy(e.fu, arch.occupancy(e.fu, dfg.n));
+    }
+    c
+}
+
+/// Validates a schedule ([`check_streams`]) and derives its statistics,
+/// power included, from its streams.
 ///
 /// # Panics
 ///
 /// Panics (like the paper's checker) on any missed dependence, resource
-/// double-booking, capacity overflow, or accounting mismatch.
+/// double-booking, capacity overflow, or accounting mismatch, such as
+/// memory streams that move other than the plan's traffic total.
 pub fn check_schedule(
     expanded: &Expanded,
     plan: &MovePlan,
@@ -516,8 +560,15 @@ pub fn check_schedule(
     arch: &ArchConfig,
 ) -> SimReport {
     let makespan = check_streams(expanded, cs, arch);
-    let dfg = &expanded.dfg;
-    let n = dfg.n;
+    let counters = energy_counters(expanded, cs, arch);
+    assert_eq!(
+        counters.hbm_bytes,
+        plan.traffic.total(),
+        "memory streams move {} bytes but the plan's traffic totals {}",
+        counters.hbm_bytes,
+        plan.traffic.total()
+    );
+    let n = expanded.dfg.n;
 
     // --- Statistics.
     let window = (makespan / 160).max(1);
@@ -526,12 +577,6 @@ pub fn check_schedule(
         window,
         fu_active: [vec![0.0; buckets], vec![0.0; buckets], vec![0.0; buckets], vec![0.0; buckets]],
         hbm_util: vec![0.0; buckets],
-    };
-    let fu_idx = |fu: FuType| match fu {
-        FuType::Ntt => 0usize,
-        FuType::Aut => 1,
-        FuType::Mul => 2,
-        FuType::Add => 3,
     };
     let add_interval = |series: &mut Vec<f64>, start: u64, end: u64| {
         let mut c = start;
@@ -545,13 +590,9 @@ pub fn check_schedule(
             c += step;
         }
     };
-    let mut total_busy = 0u64;
-    for stream in &cs.schedule.compute {
-        for e in stream {
-            let occ = arch.occupancy(e.fu, n);
-            total_busy += occ;
-            add_interval(&mut timeline.fu_active[fu_idx(e.fu)], e.cycle, e.cycle + occ);
-        }
+    for e in cs.schedule.compute.iter().flatten() {
+        let occ = arch.occupancy(e.fu, n);
+        add_interval(&mut timeline.fu_active[e.fu.index()], e.cycle, e.cycle + occ);
     }
     for m in &cs.schedule.mem {
         let mc = arch.mem_channel_cycles(m.bytes);
@@ -570,10 +611,11 @@ pub fn check_schedule(
     let total_fus: usize = (0..arch.clusters)
         .map(|_| FuType::ALL.iter().map(|&f| arch.fus_per_cluster(f)).sum::<usize>())
         .sum();
+    let total_busy: u64 = counters.fu_busy_cycles.iter().sum();
     let avg_fu_utilization = total_busy as f64 / (total_fus as u64 * makespan) as f64;
 
     let model = EnergyModel::default();
-    let power = model.power_breakdown(&cs.counters, makespan, arch);
+    let power = model.power_breakdown(&counters, makespan, arch);
     let instr_fetch_fraction =
         cs.schedule.encoded_bytes() as f64 / cs.schedule.offchip_bytes().max(1) as f64;
 
@@ -628,10 +670,11 @@ mod tests {
         // Sum of (avg active × window) over buckets equals total busy
         // cycles per class.
         let ntt_busy: f64 = t.fu_active[0].iter().map(|v| v * t.window as f64).sum();
-        let expected = cs.counters.fu_busy_cycles[0] as f64;
+        let ntt_entries = cs.schedule.compute.iter().flatten().filter(|e| e.fu == FuType::Ntt);
+        let expected = (ntt_entries.count() as u64 * arch.occupancy(FuType::Ntt, ex.dfg.n)) as f64;
         assert!(
             (ntt_busy - expected).abs() / expected.max(1.0) < 0.01,
-            "timeline NTT busy {ntt_busy} vs counters {expected}"
+            "timeline NTT busy {ntt_busy} vs streams {expected}"
         );
     }
 
@@ -653,7 +696,7 @@ mod tests {
     /// `pad_values` sizes the scratchpad in 4 KB value slots; `i1_issue`
     /// places the post-refetch consumer.
     fn handmade(pad_values: u64, i1_issue: u64) -> (Expanded, MovePlan, CycleSchedule, ArchConfig) {
-        use f1_isa::dfg::{Dfg, ValueId, ValueKind, VectorOp};
+        use f1_isa::dfg::{Dfg, ValueKind, VectorOp};
         use f1_isa::streams::{ComputeEntry, EvictEntry, MemEntry, NetEntry, StaticSchedule};
         use f1_isa::ComponentId;
 
@@ -701,7 +744,6 @@ mod tests {
             channel: 1,
         });
         s.evict.push(EvictEntry { cycle: 400, value: a, bytes: 4096 });
-        let hop = f1_compiler::cycle::XBAR_HOP_CYCLES;
         s.net.push(NetEntry {
             cycle: avail1,
             value: a,
@@ -718,11 +760,7 @@ mod tests {
             bytes: 4096,
             port: 0,
         });
-        let _ = hop;
-        let w_ntt = f1_compiler::cycle::stream_weight(&arch, FuType::Ntt, n);
-        let w_add = f1_compiler::cycle::stream_weight(&arch, FuType::Add, n);
         let issue = [320u64, i1_issue, 900];
-        let done = [issue[0] + w_ntt, issue[1] + w_ntt, issue[2] + w_add];
         for (i, fu) in [(0usize, FuType::Ntt), (1, FuType::Ntt), (2, FuType::Add)] {
             s.compute[0].push(ComputeEntry {
                 cycle: issue[i],
@@ -732,34 +770,22 @@ mod tests {
             });
         }
         s.compute[0].sort_by_key(|e| e.cycle);
-        s.makespan = 1100;
+        let drained = |e: &ComputeEntry| e.cycle + arch.occupancy(e.fu, n) + arch.latency(e.fu, n);
+        s.makespan = s.compute[0].iter().map(drained).max().unwrap().max(950 + dur);
 
-        let counters = f1_arch::energy::EnergyCounters {
-            hbm_bytes: 3 * 4096,
-            hbm_channel_busy_cycles: 3 * dur,
-            xbar_busy_cycles: 2 * arch.net_cycles(4096),
+        let cs = CycleSchedule { makespan: s.makespan, schedule: s };
+        // `a`'s first load and `v3`'s store are compulsory; the refetch
+        // is not.
+        let traffic = TrafficBreakdown {
+            input_compulsory: 2 * 4096,
+            input_non_compulsory: 4096,
             ..Default::default()
         };
-
-        let cs = CycleSchedule {
-            schedule: s,
-            issue_cycle: issue.to_vec(),
-            done_cycle: done.to_vec(),
-            makespan: 1100,
-            counters,
-        };
-        let plan = MovePlan {
-            order: (0..3).map(f1_isa::dfg::InstrId).collect(),
-            events: Vec::new(),
-            traffic: TrafficBreakdown::default(),
-        };
-        let _ = ValueId(0);
+        let plan = MovePlan { events: Vec::new(), traffic };
         let ex = Expanded {
             dfg,
             hint_values: std::collections::BTreeMap::new(),
             used_ghs: false,
-            n,
-            output_values: vec![vec![v3]],
             hom_order: vec![],
         };
         (ex, plan, cs, arch)
@@ -810,11 +836,11 @@ mod tests {
         check_schedule(&ex, &plan, &cs, &arch);
     }
 
-    /// Appends a 4 KB transfer to the memory stream and books it in the
-    /// HBM counters, so only the check under test can object to it.
-    fn push_mem(cs: &mut CycleSchedule, arch: &ArchConfig, m: f1_isa::streams::MemEntry) {
-        cs.counters.hbm_bytes += m.bytes;
-        cs.counters.hbm_channel_busy_cycles += arch.mem_channel_cycles(m.bytes);
+    /// Appends a 4 KB transfer to the memory stream, keeping it sorted.
+    /// The transfer ends before the makespan, and the plan's traffic total
+    /// is checked only after the streams, so only the check under test
+    /// can object to it.
+    fn push_mem(cs: &mut CycleSchedule, m: f1_isa::streams::MemEntry) {
         cs.schedule.mem.push(m);
         cs.schedule.mem.sort_by_key(|m| m.cycle);
     }
@@ -869,24 +895,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "HBM channel busy-cycle counter mismatch")]
-    fn checker_rejects_hbm_busy_counter_mismatch() {
-        check_corrupted(|cs, _| cs.counters.hbm_channel_busy_cycles += 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "crossbar busy-cycle counter mismatch")]
-    fn checker_rejects_xbar_busy_counter_mismatch() {
-        check_corrupted(|cs, _| cs.counters.xbar_busy_cycles += 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "HBM byte counter mismatch")]
-    fn checker_rejects_hbm_byte_counter_mismatch() {
-        check_corrupted(|cs, _| cs.counters.hbm_bytes += 1);
-    }
-
-    #[test]
     #[should_panic(expected = "evict byte-count mismatch for ValueId(0)")]
     fn checker_rejects_evict_byte_mismatch() {
         check_corrupted(|cs, _| cs.schedule.evict[0].bytes -= 1);
@@ -912,22 +920,9 @@ mod tests {
     fn checker_rejects_missing_crossbar_transfer() {
         // Drop the post-refetch delivery of `a`: i1 then only has the
         // transfer of the evicted copy, which carries stale bytes.
-        check_corrupted(|cs, arch| {
+        check_corrupted(|cs, _| {
             cs.schedule.net.pop();
-            cs.counters.xbar_busy_cycles -= arch.net_cycles(4096);
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "stream/issue mismatch for InstrId(0)")]
-    fn checker_rejects_issue_table_mismatch() {
-        check_corrupted(|cs, _| cs.issue_cycle[0] += 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "availability mismatch for InstrId(2)")]
-    fn checker_rejects_done_table_mismatch() {
-        check_corrupted(|cs, _| cs.done_cycle[2] += 1);
     }
 
     #[test]
@@ -941,8 +936,8 @@ mod tests {
     #[should_panic(expected = "Load transfer of ValueId(1) at 10 before production")]
     fn checker_rejects_load_before_production() {
         // v1 is loaded (and released again) before i0 produces it.
-        check_corrupted(|cs, arch| {
-            push_mem(cs, arch, mem(10, MemDir::Load, 1, 1));
+        check_corrupted(|cs, _| {
+            push_mem(cs, mem(10, MemDir::Load, 1, 1));
             cs.schedule.evict.insert(0, evict(100, 1));
         });
     }
@@ -954,9 +949,9 @@ mod tests {
     fn checker_rejects_refetch_without_writeback() {
         // v1 is released after its last read and loaded back with no
         // store ever writing it to HBM.
-        check_corrupted(|cs, arch| {
+        check_corrupted(|cs, _| {
             cs.schedule.evict.push(evict(910, 1));
-            push_mem(cs, arch, mem(960, MemDir::Load, 1, 2));
+            push_mem(cs, mem(960, MemDir::Load, 1, 2));
         });
     }
 
@@ -985,9 +980,91 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "issue/done tables hold 4 / 3 entries for 3 instrs")]
-    fn checker_rejects_oversized_issue_table() {
-        check_corrupted(|cs, _| cs.issue_cycle.push(0));
+    #[should_panic(expected = "cluster 0 runs InstrId(2) on Mul, but its op needs Add")]
+    fn checker_rejects_wrong_fu_class() {
+        check_corrupted(|cs, _| cs.schedule.compute[0][2].fu = FuType::Mul);
+    }
+
+    #[test]
+    #[should_panic(expected = "InstrId(1) is on no compute stream")]
+    fn checker_rejects_missing_instr() {
+        check_corrupted(|cs, _| {
+            cs.schedule.compute[0].remove(1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "InstrId(0) issues twice (cluster 1)")]
+    fn checker_rejects_instr_issued_twice() {
+        check_corrupted(|cs, _| {
+            let copy = cs.schedule.compute[0][0].clone();
+            cs.schedule.compute[1].push(copy);
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "makespan claimed as 1013 (streams: 1014) but the streams end at 1014"
+    )]
+    fn checker_rejects_understated_makespan() {
+        check_corrupted(|cs, _| cs.makespan -= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory streams move 12288 bytes but the plan's traffic totals 8192")]
+    fn checker_rejects_traffic_total_mismatch() {
+        let (ex, mut plan, cs, arch) = handmade(4, 775);
+        plan.traffic.input_non_compulsory = 0;
+        check_schedule(&ex, &plan, &cs, &arch);
+    }
+
+    /// Whether [`check_schedule`] rejects `cs`.
+    fn rejects(ex: &Expanded, plan: &MovePlan, cs: &CycleSchedule, arch: &ArchConfig) -> bool {
+        let check = || check_schedule(ex, plan, cs, arch);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
+    }
+
+    #[test]
+    fn checker_rejects_every_compute_stream_mutant() {
+        // Four mutation operators over a compiled schedule: drop one
+        // compute entry, give one the next FU class, append a copy of one
+        // on the next cluster (kept in cycle order), and claim one cycle
+        // less of makespan. The streams are the only record of when each
+        // instruction ran, so every mutant must be rejected.
+        let p = FheProgram::listing2_matvec(1 << 10, 3, 2);
+        let (ex, plan, cs, arch) = run(&p);
+        check_schedule(&ex, &plan, &cs, &arch);
+        let next_fu = |fu: FuType| FuType::ALL[(fu.index() + 1) % FuType::ALL.len()];
+        let mut tried = [0usize; 4];
+        let mut survived = [0usize; 4];
+        let mut mutant = |op: usize, mutate: &dyn Fn(&mut CycleSchedule)| {
+            let mut m = cs.clone();
+            mutate(&mut m);
+            tried[op] += 1;
+            survived[op] += usize::from(!rejects(&ex, &plan, &m, &arch));
+        };
+        for (c, stream) in cs.schedule.compute.iter().enumerate() {
+            for (k, e) in stream.iter().enumerate() {
+                mutant(0, &|m| {
+                    m.schedule.compute[c].remove(k);
+                });
+                mutant(1, &|m| m.schedule.compute[c][k].fu = next_fu(e.fu));
+                mutant(2, &|m| {
+                    let other = &mut m.schedule.compute[(c + 1) % arch.clusters];
+                    other.push(e.clone());
+                    other.sort_by_key(|e| e.cycle);
+                });
+            }
+        }
+        mutant(3, &|m| {
+            m.makespan -= 1;
+            m.schedule.makespan -= 1;
+        });
+        assert_eq!(tried[0], ex.dfg.instrs().len());
+        assert_eq!(
+            survived, [0; 4],
+            "mutants accepted of {tried:?} (drop, relabel, duplicate, makespan - 1)"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! * [`checker`] — that checker: validates a compiled [`f1_compiler::CycleSchedule`]
 //!   against its DFG and architecture (dependences, FU structural
-//!   hazards, memory bandwidth), and derives the evaluation statistics:
+//!   hazards, memory bandwidth, scratchpad capacity, makespan) from the
+//!   emitted streams alone, the only record of when and where each
+//!   instruction ran, and derives the evaluation statistics from them:
 //!   traffic breakdown (Fig 9a), power breakdown (Fig 9b) and
 //!   utilization-over-time series (Fig 10).
 //! * [`functional`] — the functional simulator of §8.5: executes lowered

@@ -76,6 +76,10 @@ fn allocations_start_before_their_byte_donors_release() {
     for m in cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load) {
         loads.entry(m.value).or_default().push_back(m.cycle);
     }
+    let mut issue = vec![0; ex.dfg.instrs().len()];
+    for e in cs.schedule.compute.iter().flatten() {
+        issue[e.instr.0 as usize] = e.cycle;
+    }
     let mut released_at = vec![None; plan.events.len()];
     let (mut allocations, mut early) = (0, 0);
     for (ei, e) in plan.events.iter().enumerate() {
@@ -83,9 +87,7 @@ fn allocations_start_before_their_byte_donors_release() {
             MoveEvent::Load { value, space_from, .. } => {
                 (loads.get_mut(value).and_then(VecDeque::pop_front).expect("load"), space_from)
             }
-            MoveEvent::Issue { instr, space_from } => {
-                (cs.issue_cycle[instr.0 as usize], space_from)
-            }
+            MoveEvent::Issue { instr, space_from } => (issue[instr.0 as usize], space_from),
             e if e.frees_space() => {
                 let v = e.value().expect("a release names its value");
                 released_at[ei] = evicts.get_mut(&v).and_then(VecDeque::pop_front);
