@@ -1,6 +1,6 @@
 //! The architecture description (Fig 3's input file) and timing model.
 
-use f1_isa::FuType;
+use f1_isa::{FuType, ValueId};
 
 /// Complete description of an F1 configuration.
 ///
@@ -100,6 +100,12 @@ impl ArchConfig {
     /// Total scratchpad capacity in bytes.
     pub fn scratchpad_bytes(&self) -> u64 {
         self.scratchpad_banks as u64 * self.bank_bytes
+    }
+
+    /// The scratchpad bank that holds value `v`: values are striped
+    /// across the banks by id.
+    pub fn bank_of(&self, v: ValueId) -> usize {
+        v.0 as usize % self.scratchpad_banks
     }
 
     /// Resizes the scratchpad to `mb` megabytes, keeping the bank count

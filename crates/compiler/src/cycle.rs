@@ -59,6 +59,11 @@
 //! The emitted streams are the only record of when and where each
 //! instruction and transfer runs. The `f1-sim` checker derives issue and
 //! availability cycles, the makespan and the energy counters from them.
+//! An entry carries no fact another owner already holds: every value is
+//! one [`Dfg::vector_bytes`]-byte residue vector, so this pass computes
+//! one HBM-channel and one crossbar duration up front; a value's bank is
+//! [`ArchConfig::bank_of`]; an instruction's FU class is its op's; and
+//! [`CycleSchedule::makespan`] is the makespan's only copy.
 
 use crate::expand::Expanded;
 use crate::movement::{MoveEvent, MovePlan};
@@ -71,7 +76,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles a value spends crossing one bit-sliced crossbar switch. The
 /// transfer then streams behind the wavefront at the port rate, holding
-/// its lane for `net_cycles(bytes)`.
+/// its lane for `net_cycles` of one value.
 pub const XBAR_HOP_CYCLES: u64 = 1;
 
 /// The cycle-level schedule: per-component streams and their makespan.
@@ -442,6 +447,11 @@ struct CycleScheduler<'a> {
     fu_occ: [u64; 4],
     fu_weight: [u64; 4],
     fu_lat: [u64; 4],
+    /// Bytes of every value ([`Dfg::vector_bytes`]) and the cycles one
+    /// value holds an HBM channel or a crossbar lane.
+    vector_bytes: u64,
+    mem_cycles: u64,
+    net_cycles: u64,
     // Resources. All per-value and per-resource state is held in dense
     // Vec-indexed tables (ValueIds and FU classes are dense): the
     // scheduler touches them hundreds of times per instruction, and
@@ -608,24 +618,19 @@ impl<'a> CycleScheduler<'a> {
         // semantics the schedule is checked under).
         let depth = dfg.critical_depths(&|i| stream_weight(arch, i.op.fu_type(), n));
 
-        let mut fu_occ = [0u64; 4];
-        let mut fu_weight = [0u64; 4];
-        let mut fu_lat = [0u64; 4];
-        for &fu in FuType::ALL.iter() {
-            fu_occ[fu.index()] = arch.occupancy(fu, n);
-            fu_weight[fu.index()] = stream_weight(arch, fu, n);
-            fu_lat[fu.index()] = arch.latency(fu, n);
-        }
+        let fu_occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
+        let fu_weight = FuType::ALL.map(|fu| stream_weight(arch, fu, n));
+        let fu_lat = FuType::ALL.map(|fu| arch.latency(fu, n));
 
-        // Every request a timeline serves is one value's worth of work, so
-        // the smallest value bounds each timeline's shortest request.
-        let min_bytes = dfg.values().iter().map(|v| v.bytes).min().unwrap_or(0);
+        // Every request a timeline serves is one value's worth of work.
+        let vector_bytes = dfg.vector_bytes();
+        let mem_cycles = arch.mem_channel_cycles(vector_bytes);
+        let net_cycles = arch.net_cycles(vector_bytes);
         let fu_slots = (0..arch.clusters)
             .map(|_| FuType::ALL.map(|fu| Units::new(arch.fus_per_cluster(fu), fu_occ[fu.index()])))
             .collect();
         let n_comp = arch.clusters + arch.scratchpad_banks;
-        let net_busy =
-            vec![Units::new(arch.xbar_ports.max(1), arch.net_cycles(min_bytes)); n_comp * n_comp];
+        let net_busy = vec![Units::new(arch.xbar_ports.max(1), net_cycles); n_comp * n_comp];
 
         let mut s = Self {
             dfg,
@@ -641,7 +646,10 @@ impl<'a> CycleScheduler<'a> {
             fu_occ,
             fu_weight,
             fu_lat,
-            channels: Units::new(arch.hbm_channels.max(1), arch.mem_channel_cycles(min_bytes)),
+            vector_bytes,
+            mem_cycles,
+            net_cycles,
+            channels: Units::new(arch.hbm_channels.max(1), mem_cycles),
             fu_slots,
             net_busy,
             n_comp,
@@ -732,17 +740,16 @@ impl<'a> CycleScheduler<'a> {
         }
         self.out.net.sort_by_key(|e| e.cycle);
         self.out.evict.sort_by_key(|e| e.cycle);
-        self.out.makespan = self.makespan;
         self.out.validate_monotone();
 
         CycleSchedule { schedule: self.out, makespan: self.makespan }
     }
 
-    /// Commits `dur` cycles on the HBM channel that can start them
+    /// Commits one value's transfer on the HBM channel that can start it
     /// earliest at or after `ready`, ties to the lowest index.
-    fn commit_channel(&mut self, ready: u64, dur: u64) -> (usize, u64) {
-        let (ci, start) = self.channels.fit(ready, dur);
-        self.channels.commit(ci, start, dur);
+    fn commit_channel(&mut self, ready: u64) -> (usize, u64) {
+        let (ci, start) = self.channels.fit(ready, self.mem_cycles);
+        self.channels.commit(ci, start, self.mem_cycles);
         (ci, start)
     }
 
@@ -752,14 +759,23 @@ impl<'a> CycleScheduler<'a> {
         match c {
             ComponentId::Cluster(i) => i,
             ComponentId::Bank(b) => self.arch.clusters + b,
-            ComponentId::MemCtrl(_) => unreachable!("crossbar transfers never touch a MemCtrl"),
         }
     }
 
-    /// The lane timelines for the `(from, to)` crossbar pair.
+    /// Index into `net_busy` of the `(from, to)` crossbar pair's lanes.
     #[inline(always)]
-    fn lanes(&self, from: ComponentId, to: ComponentId) -> &Units {
-        &self.net_busy[self.comp_index(from) * self.n_comp + self.comp_index(to)]
+    fn lane_index(&self, from: ComponentId, to: ComponentId) -> usize {
+        self.comp_index(from) * self.n_comp + self.comp_index(to)
+    }
+
+    /// Commits a crossbar transfer of `v` on the `(from, to)` lane that can
+    /// start it earliest at or after `ready`, and returns its start.
+    fn commit_net(&mut self, v: ValueId, from: ComponentId, to: ComponentId, ready: u64) -> u64 {
+        let (dur, pair) = (self.net_cycles, self.lane_index(from, to));
+        let (port, cycle) = self.net_busy[pair].fit(ready, dur);
+        self.net_busy[pair].commit(port, cycle, dur);
+        self.out.net.push(NetEntry { cycle, value: v, from, to, port });
+        cycle
     }
 
     /// Ends a value's residency at `cycle`: frees its scratchpad bytes,
@@ -767,7 +783,7 @@ impl<'a> CycleScheduler<'a> {
     /// slot.
     fn release(&mut self, v: ValueId, cycle: u64) {
         let vi = v.0 as usize;
-        self.pad.add(cycle, -(self.dfg.value(v).bytes as i64));
+        self.pad.add(cycle, -(self.vector_bytes as i64));
         self.home[vi] = None;
         self.copies[vi].clear();
         self.bank_ready[vi] = 0;
@@ -775,7 +791,7 @@ impl<'a> CycleScheduler<'a> {
         let c = self.rf_member[vi];
         if c != NONE_U32 {
             self.rf_member[vi] = NONE_U32;
-            self.rf_used[c as usize] -= self.dfg.value(v).bytes;
+            self.rf_used[c as usize] -= self.vector_bytes;
         }
     }
 
@@ -786,24 +802,15 @@ impl<'a> CycleScheduler<'a> {
                 let MoveEvent::Load { value, .. } = self.plan.events[ev as usize] else {
                     unreachable!()
                 };
-                let bytes = self.dfg.value(value).bytes;
-                let dur = self.arch.mem_channel_cycles(bytes);
-                let ready = self.gate_time[nid as usize].max(self.pad.fit(bytes));
-                let (ci, start) = self.commit_channel(ready, dur);
-                self.pad.add(start, bytes as i64);
-                let bank = (value.0 as usize) % self.arch.scratchpad_banks;
-                self.out.mem.push(MemEntry {
-                    cycle: start,
-                    dir: MemDir::Load,
-                    value,
-                    bytes,
-                    bank,
-                    channel: ci,
-                });
-                let done = start + dur + self.arch.hbm_latency_cycles;
+                let ready = self.gate_time[nid as usize].max(self.pad.fit(self.vector_bytes));
+                let (channel, cycle) = self.commit_channel(ready);
+                self.pad.add(cycle, self.vector_bytes as i64);
+                self.out.mem.push(MemEntry { cycle, dir: MemDir::Load, value, channel });
+                let landed = cycle + self.mem_cycles;
+                let done = landed + self.arch.hbm_latency_cycles;
                 self.avail[value.0 as usize] = done;
-                self.home[value.0 as usize] = Some(ComponentId::Bank(bank));
-                self.makespan = self.makespan.max(start + dur);
+                self.home[value.0 as usize] = Some(ComponentId::Bank(self.arch.bank_of(value)));
+                self.makespan = self.makespan.max(landed);
                 self.finish(nid, 0, 0, done);
             }
             MemNode::Store { ev } => {
@@ -812,22 +819,12 @@ impl<'a> CycleScheduler<'a> {
                     MoveEvent::OutputStore { value, frees } => (value, frees),
                     _ => unreachable!(),
                 };
-                let bytes = self.dfg.value(value).bytes;
-                let dur = self.arch.mem_channel_cycles(bytes);
                 let ready = self.gate_time[nid as usize].max(self.wb_done[value.0 as usize]);
-                let (ci, start) = self.commit_channel(ready, dur);
-                let bank = (value.0 as usize) % self.arch.scratchpad_banks;
-                self.out.mem.push(MemEntry {
-                    cycle: start,
-                    dir: MemDir::Store,
-                    value,
-                    bytes,
-                    bank,
-                    channel: ci,
-                });
-                let done = start + dur;
+                let (channel, cycle) = self.commit_channel(ready);
+                self.out.mem.push(MemEntry { cycle, dir: MemDir::Store, value, channel });
+                let done = cycle + self.mem_cycles;
                 if frees {
-                    self.out.evict.push(EvictEntry { cycle: done, value, bytes });
+                    self.out.evict.push(EvictEntry { cycle: done, value });
                     self.release(value, done);
                 }
                 self.makespan = self.makespan.max(done);
@@ -838,8 +835,7 @@ impl<'a> CycleScheduler<'a> {
                     unreachable!()
                 };
                 let done = self.gate_time[nid as usize].max(self.wb_done[value.0 as usize]);
-                let bytes = self.dfg.value(value).bytes;
-                self.out.evict.push(EvictEntry { cycle: done, value, bytes });
+                self.out.evict.push(EvictEntry { cycle: done, value });
                 self.release(value, done);
                 self.finish(nid, 0, 0, done);
             }
@@ -859,14 +855,13 @@ impl<'a> CycleScheduler<'a> {
         }
         let from = self.source_of(v);
         let t0 = self.source_ready(v, t0, from);
-        let dur = self.arch.net_cycles(self.dfg.value(v).bytes);
-        let (_, start) = self.lanes(from, ComponentId::Cluster(c)).fit(t0, dur);
+        let pair = self.lane_index(from, ComponentId::Cluster(c));
+        let (_, start) = self.net_busy[pair].fit(t0, self.net_cycles);
         (start + XBAR_HOP_CYCLES, true)
     }
 
     fn source_of(&self, v: ValueId) -> ComponentId {
-        self.home[v.0 as usize]
-            .unwrap_or(ComponentId::Bank((v.0 as usize) % self.arch.scratchpad_banks))
+        self.home[v.0 as usize].unwrap_or(ComponentId::Bank(self.arch.bank_of(v)))
     }
 
     /// Transfers from a bank may not start before a re-homed value's
@@ -893,7 +888,7 @@ impl<'a> CycleScheduler<'a> {
         for &v in inputs {
             let (t, is_remote) = self.arrival(v, c);
             if is_remote {
-                remote += self.dfg.value(v).bytes;
+                remote += self.vector_bytes;
             }
             ready = ready.max(t);
         }
@@ -931,7 +926,7 @@ impl<'a> CycleScheduler<'a> {
         let (mut default_lb, mut default_rb) = (base, 0u64);
         for &v in inputs {
             let from = self.source_of(v);
-            default_rb += self.dfg.value(v).bytes;
+            default_rb += self.vector_bytes;
             default_lb = default_lb
                 .max(self.source_ready(v, self.avail[v.0 as usize], from) + XBAR_HOP_CYCLES);
         }
@@ -1000,7 +995,7 @@ impl<'a> CycleScheduler<'a> {
                 tc
             } else {
                 let from = self.source_of(v);
-                rb += self.dfg.value(v).bytes;
+                rb += self.vector_bytes;
                 self.source_ready(v, self.avail[vi], from) + XBAR_HOP_CYCLES
             };
             lb = lb.max(t);
@@ -1026,7 +1021,7 @@ impl<'a> CycleScheduler<'a> {
         let occ = self.fu_occ[fu.index()];
         let weight = self.fu_weight[fu.index()];
         let lat = self.fu_lat[fu.index()];
-        let out_bytes = self.dfg.value(output).bytes;
+        let out_bytes = self.vector_bytes;
         let base = self.gate_time[id as usize].max(self.pad.fit(out_bytes));
 
         let cluster = self.pick_cluster(&inputs, fu, base);
@@ -1045,22 +1040,8 @@ impl<'a> CycleScheduler<'a> {
             } else {
                 let from = self.source_of(v);
                 let t0 = self.source_ready(v, t0, from);
-                let bytes = self.dfg.value(v).bytes;
-                let dur = self.arch.net_cycles(bytes);
-                let lane_idx = self.comp_index(from) * self.n_comp
-                    + self.comp_index(ComponentId::Cluster(cluster));
-                let lanes = &mut self.net_busy[lane_idx];
-                let (li, start) = lanes.fit(t0, dur);
-                lanes.commit(li, start, dur);
-                self.out.net.push(NetEntry {
-                    cycle: start,
-                    value: v,
-                    from,
-                    to: ComponentId::Cluster(cluster),
-                    bytes,
-                    port: li,
-                });
-                let arrive = start + XBAR_HOP_CYCLES;
+                let arrive =
+                    self.commit_net(v, from, ComponentId::Cluster(cluster), t0) + XBAR_HOP_CYCLES;
                 self.copies[vi].push((cluster as u32, arrive));
                 arrive
             };
@@ -1075,12 +1056,7 @@ impl<'a> CycleScheduler<'a> {
         self.makespan = self.makespan.max(start + occ + lat);
         self.avail[output.0 as usize] = available;
         self.home[output.0 as usize] = Some(ComponentId::Cluster(cluster));
-        self.out.compute[cluster].push(ComputeEntry {
-            cycle: start,
-            instr: iid,
-            fu,
-            fu_index: slot,
-        });
+        self.out.compute[cluster].push(ComputeEntry { cycle: start, instr: iid, fu_index: slot });
 
         // Register-file occupancy: the result claims RF space; overflow
         // re-homes the oldest still-resident values to their bank.
@@ -1108,23 +1084,14 @@ impl<'a> CycleScheduler<'a> {
     /// over the crossbar; later consumers fetch it from the bank.
     fn rehome(&mut self, w: ValueId, c: usize) {
         let wi = w.0 as usize;
-        let bytes = self.dfg.value(w).bytes;
-        let bank = wi % self.arch.scratchpad_banks;
         let from = ComponentId::Cluster(c);
-        let to = ComponentId::Bank(bank);
-        let dur = self.arch.net_cycles(bytes);
-        let t0 = self.avail[wi];
-        let lane_idx = self.comp_index(from) * self.n_comp + self.comp_index(to);
-        let lanes = &mut self.net_busy[lane_idx];
-        let (li, start) = lanes.fit(t0, dur);
-        lanes.commit(li, start, dur);
-        self.out.net.push(NetEntry { cycle: start, value: w, from, to, bytes, port: li });
-        let landed = start + dur;
+        let to = ComponentId::Bank(self.arch.bank_of(w));
+        let landed = self.commit_net(w, from, to, self.avail[wi]) + self.net_cycles;
         self.home[wi] = Some(to);
         self.bank_ready[wi] = landed;
         self.wb_done[wi] = landed;
         self.copies[wi].retain(|&(cc, _)| cc != c as u32);
-        self.rf_used[c] -= bytes;
+        self.rf_used[c] -= self.vector_bytes;
         self.rf_member[wi] = NONE_U32;
     }
 }
@@ -1197,7 +1164,8 @@ mod tests {
         let mut by_slot: HashMap<(usize, FuType, usize), Vec<u64>> = HashMap::new();
         for (c, stream) in cs.schedule.compute.iter().enumerate() {
             for e in stream {
-                by_slot.entry((c, e.fu, e.fu_index)).or_default().push(e.cycle);
+                let fu = ex.dfg.instr(e.instr).op.fu_type();
+                by_slot.entry((c, fu, e.fu_index)).or_default().push(e.cycle);
             }
         }
         for ((c, fu, slot), mut cycles) in by_slot {
@@ -1227,7 +1195,7 @@ mod tests {
             FuType::ALL.iter().map(|&f| arch.fus_per_cluster(f) as u64).sum::<u64>()
                 * arch.clusters as u64;
         let busy: u64 =
-            cs.schedule.compute.iter().flatten().map(|e| arch.occupancy(e.fu, ex.dfg.n)).sum();
+            ex.dfg.instrs().iter().map(|i| arch.occupancy(i.op.fu_type(), ex.dfg.n)).sum();
         let util = busy as f64 / (total_fus * cs.makespan) as f64;
         assert!(util >= 0.15, "avg FU utilization {util:.3} regressed below 15%");
     }
@@ -1266,14 +1234,15 @@ mod tests {
         // whole load prologue ahead of compute on big programs).
         let p = listing2(1 << 13, 8, 4);
         let arch = ArchConfig::f1_default();
-        let (_, _, cs) = compile(&p, &arch);
+        let (ex, _, cs) = compile(&p, &arch);
         let first_issue = cs.schedule.compute.iter().flatten().map(|e| e.cycle).min().unwrap();
+        let dur = arch.mem_channel_cycles(ex.dfg.vector_bytes());
         let last_load_end = cs
             .schedule
             .mem
             .iter()
             .filter(|m| m.dir == MemDir::Load)
-            .map(|m| m.cycle + arch.mem_channel_cycles(m.bytes))
+            .map(|m| m.cycle + dur)
             .max()
             .unwrap();
         assert!(
@@ -1499,6 +1468,7 @@ mod tests {
             .collect();
         assert!(!refetched.is_empty(), "2 MB pad must force refetches");
         let issue = issue_cycles(&cs, &ex.dfg);
+        let dur = arch.mem_channel_cycles(ex.dfg.vector_bytes());
         // Reconstruct per-value load completions and evictions, then
         // assert every read falls inside a residency interval.
         for &v in &refetched {
@@ -1507,7 +1477,7 @@ mod tests {
                 .mem
                 .iter()
                 .filter(|m| m.dir == MemDir::Load && m.value == v)
-                .map(|m| m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles)
+                .map(|m| m.cycle + dur + arch.hbm_latency_cycles)
                 .collect();
             if let Some(p) = ex.dfg.producer(v) {
                 allocs.push(done_cycle(&issue, &ex.dfg, &arch, p));

@@ -161,21 +161,22 @@ fn estimate_makespan(ex: &Expanded, arch: &ArchConfig) -> u64 {
     // Bandwidth bound: compulsory traffic (used inputs and hints loaded
     // once, outputs stored once) — the hint-reuse order keeps refetches
     // negligible for working sets that fit the scratchpad.
-    let loadable: Vec<&f1_isa::dfg::ValueInfo> = dfg
+    let vector = dfg.vector_bytes();
+    let loadable: Vec<ValueId> = dfg
         .values()
         .iter()
         .filter(|v| matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint))
-        .filter(|v| !dfg.users(v.id).is_empty())
+        .map(|v| v.id)
+        .filter(|&v| !dfg.users(v).is_empty())
         .collect();
-    let working_set: u64 = loadable.iter().map(|v| v.bytes).sum();
-    let mut traffic = working_set;
-    traffic += dfg.outputs().iter().map(|&v| dfg.value(v).bytes).sum::<u64>();
+    let working_set = loadable.len() as u64 * vector;
+    let mut traffic = working_set + dfg.outputs().len() as u64 * vector;
     // Capacity term: the overflow fraction of the working set cannot stay
     // resident, so that share of every repeat read is a refetch.
     let cap = arch.scratchpad_bytes();
     if working_set > cap {
-        let reread: u64 =
-            loadable.iter().map(|v| (dfg.users(v.id).len() as u64 - 1) * v.bytes).sum();
+        let rereads: u64 = loadable.iter().map(|&v| dfg.users(v).len() as u64 - 1).sum();
+        let reread = rereads * vector;
         let overflow = (working_set - cap) as f64 / working_set as f64;
         traffic += (reread as f64 * overflow) as u64;
     }
@@ -653,8 +654,7 @@ mod tests {
         let opts =
             ExpandOptions { keyswitch: KeySwitchChoice::Decomposition, ..Default::default() };
         let ex = expand(&p, &opts);
-        let hint_bytes: u64 =
-            ex.hint_values[&HintId::Relin].iter().map(|&v| ex.dfg.value(v).bytes).sum();
+        let hint_bytes = ex.hint_values[&HintId::Relin].len() as u64 * ex.dfg.vector_bytes();
         assert_eq!(hint_bytes, 32 * 1024 * 1024);
     }
 
@@ -829,9 +829,8 @@ mod tests {
             g.dfg.instrs().len(),
             d.dfg.instrs().len()
         );
-        let hint_bytes = |e: &Expanded| -> u64 {
-            e.hint_values[&HintId::Relin].iter().map(|&v| e.dfg.value(v).bytes).sum()
-        };
+        let hint_bytes =
+            |e: &Expanded| e.hint_values[&HintId::Relin].len() as u64 * e.dfg.vector_bytes();
         assert!(hint_bytes(&g) < hint_bytes(&d) / 3, "GHS hints must be much smaller");
     }
 

@@ -102,7 +102,7 @@ impl TrafficBreakdown {
 
 /// One step of the residency script pass 2 hands to pass 3. Every
 /// transfer or release moves all of its value's bytes
-/// (`dfg.value(value).bytes`).
+/// (`dfg.vector_bytes()`).
 ///
 /// Events appear in pass-2 simulation order, which is a legal order for
 /// every constraint they encode: an allocation's `space_from` donors
@@ -435,7 +435,7 @@ impl<'a> Scheduler<'a> {
                 assert!(self.in_hbm[vi], "output {v:?} is neither on chip nor in HBM");
                 continue;
             }
-            let bytes = self.dfg.value(v).bytes;
+            let bytes = self.dfg.vector_bytes();
             self.mem_cycle += self.arch.mem_cycles(bytes);
             self.out.traffic.input_compulsory += bytes;
             self.out.events.push(MoveEvent::OutputStore { value: v, frees: false });
@@ -501,7 +501,7 @@ impl<'a> Scheduler<'a> {
             if have_ready && self.mem_cycle > self.compute_front() + LOOKAHEAD {
                 break;
             }
-            let bytes = self.dfg.value(v).bytes;
+            let bytes = self.dfg.vector_bytes();
             if !self.make_space(bytes, false) {
                 break;
             }
@@ -574,7 +574,7 @@ impl<'a> Scheduler<'a> {
                 self.requested[vid as usize] = false;
                 continue;
             }
-            let bytes = self.dfg.value(v).bytes;
+            let bytes = self.dfg.vector_bytes();
             assert!(self.make_space(bytes, true), "cannot evict enough for one value");
             self.do_load(v, bytes);
             return true;
@@ -692,7 +692,7 @@ impl<'a> Scheduler<'a> {
         let fus = (self.arch.fus_per_cluster(fu) * self.arch.clusters) as f64;
         self.compute_cycle[fu.index()] += occ / fus;
         // Make room for the result (operands pinned).
-        let bytes = self.dfg.value(output).bytes;
+        let bytes = self.dfg.vector_bytes();
         // First try to leave the reserve free too (best effort, result
         // ignored), so this allocation takes older releases from the
         // front of `free_pool` rather than the ones just made.
@@ -835,7 +835,7 @@ impl<'a> Scheduler<'a> {
             if free >= bytes || (next != u64::MAX && !allow_live) {
                 break;
             }
-            free += self.dfg.value(v).bytes;
+            free += self.dfg.vector_bytes();
             victims.push(v);
         }
         victims
@@ -848,7 +848,7 @@ impl<'a> Scheduler<'a> {
         }
         self.resident[vi] = false;
         self.pressure |= still_needed;
-        let bytes = self.dfg.value(v).bytes;
+        let bytes = self.dfg.vector_bytes();
         let was_dirty = self.dirty[vi];
         self.dirty[vi] = false;
         let eid = self.out.events.len() as EventId;
@@ -1031,21 +1031,21 @@ mod tests {
                     for d in space_from {
                         assert!(freed_bytes.contains_key(d), "donor {d} has not freed yet");
                     }
-                    occupied += ex.dfg.value(*value).bytes;
+                    occupied += ex.dfg.vector_bytes();
                     resident.insert(*value);
                 }
                 MoveEvent::Issue { instr, space_from } => {
                     for d in space_from {
                         assert!(freed_bytes.contains_key(d), "donor {d} has not freed yet");
                     }
-                    occupied += ex.dfg.value(ex.dfg.instr(*instr).output).bytes;
+                    occupied += ex.dfg.vector_bytes();
                     resident.insert(ex.dfg.instr(*instr).output);
                 }
                 MoveEvent::SpillStore { value }
                 | MoveEvent::Drop { value }
                 | MoveEvent::OutputStore { value, frees: true } => {
                     assert!(resident.remove(value), "eviction of non-resident {value:?}");
-                    let bytes = ex.dfg.value(*value).bytes;
+                    let bytes = ex.dfg.vector_bytes();
                     occupied -= bytes;
                     freed_bytes.insert(i as EventId, bytes);
                 }
@@ -1071,7 +1071,7 @@ mod tests {
         f.output(s);
         let p = f.lower().program;
         let ex = expand(&p, &ExpandOptions::default());
-        let vector = ex.dfg.value(ex.dfg.instrs()[0].output).bytes;
+        let vector = ex.dfg.vector_bytes();
         assert_eq!(vector, 64 * 1024, "one N = 2^14 residue vector");
         assert_eq!(reserve_bytes(&ArchConfig::f1_default(), vector), 1024 * 1024);
         // A 1 MB pad has 64 KB banks, so the bank cap binds.

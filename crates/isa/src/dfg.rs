@@ -93,8 +93,6 @@ pub struct ValueInfo {
     pub id: ValueId,
     /// Traffic class.
     pub kind: ValueKind,
-    /// Size in bytes (4·N for a full residue vector).
-    pub bytes: u64,
     /// Optional label for diagnostics (e.g. `"ksh_mul[3][7]"`).
     pub label: Option<String>,
 }
@@ -144,7 +142,7 @@ impl Dfg {
     /// Registers a new value of the given kind and returns its id.
     pub fn add_value(&mut self, kind: ValueKind, label: Option<String>) -> ValueId {
         let id = ValueId(self.values.len() as u32);
-        self.values.push(ValueInfo { id, kind, bytes: 4 * self.n as u64, label });
+        self.values.push(ValueInfo { id, kind, label });
         self.producer.push(None);
         self.users.push(Vec::new());
         id
@@ -186,6 +184,12 @@ impl Dfg {
         &self.values
     }
 
+    /// Bytes of every value: one `N`-element residue vector of 32-bit
+    /// words.
+    pub fn vector_bytes(&self) -> u64 {
+        4 * self.n as u64
+    }
+
     /// Metadata for a value.
     pub fn value(&self, v: ValueId) -> &ValueInfo {
         &self.values[v.0 as usize]
@@ -220,12 +224,6 @@ impl Dfg {
     /// larger id) — helper for the schedulers' replacement policies.
     pub fn dead_after(&self, v: ValueId, i: InstrId) -> bool {
         !self.outputs.contains(&v) && self.users(v).iter().all(|&u| u <= i)
-    }
-
-    /// Total bytes of all values of a kind (for the compulsory-traffic
-    /// accounting of Fig 9a).
-    pub fn bytes_of_kind(&self, kind: ValueKind) -> u64 {
-        self.values.iter().filter(|v| v.kind == kind).map(|v| v.bytes).sum()
     }
 
     /// Operation histogram (diagnostics; also drives the CPU baseline's
@@ -322,9 +320,7 @@ mod tests {
     #[test]
     fn value_sizes_follow_ring() {
         let g = Dfg::new(16384);
-        let mut g = g;
-        let v = g.add_value(ValueKind::Input, None);
-        assert_eq!(g.value(v).bytes, 64 * 1024, "one RVec at N=16K is 64 KB (§2.4)");
+        assert_eq!(g.vector_bytes(), 64 * 1024, "one RVec at N=16K is 64 KB (§2.4)");
     }
 
     #[test]
@@ -365,13 +361,5 @@ mod tests {
         };
         let d = g.critical_depths(&w);
         assert_eq!(d, vec![112, 108, 100]);
-    }
-
-    #[test]
-    fn kind_byte_totals() {
-        let (mut g, _, _, _) = tiny_graph();
-        let _ = g.add_value(ValueKind::KeySwitchHint, None);
-        assert_eq!(g.bytes_of_kind(ValueKind::KeySwitchHint), 2 * 4 * 1024);
-        assert_eq!(g.bytes_of_kind(ValueKind::Input), 2 * 4 * 1024);
     }
 }

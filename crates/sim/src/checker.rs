@@ -35,8 +35,9 @@ pub struct SimReport {
     pub timeline: Timeline,
     /// Average FU utilization (0..1) across the run (§8.2 reports ~30%).
     pub avg_fu_utilization: f64,
-    /// Instruction-stream bytes as a fraction of off-chip traffic
-    /// (§3: "<0.1%").
+    /// Instruction-stream bytes ([`f1_isa::streams::StaticSchedule::encoded_bytes`])
+    /// as a fraction of off-chip traffic. §3 reports under 0.1%; on Table
+    /// 3's programs at full size this measures 0.93–8.6%.
     pub instr_fetch_fraction: f64,
 }
 
@@ -114,7 +115,9 @@ struct ResidencyEvent {
 /// Per-value residency intervals, derived independently of the scheduler
 /// by pairing allocation events (loads, production) with [`f1_isa::streams::EvictEntry`]s
 /// in time order. Values are paired in id order. `issue` is
-/// [`issue_table`]'s issue cycle per instruction.
+/// [`issue_table`]'s issue cycle per instruction, a result is usable
+/// `weight[fu]` after its issue, and a load's data `load_cycles` after it
+/// starts.
 ///
 /// # Panics
 ///
@@ -124,24 +127,14 @@ struct ResidencyEvent {
 fn residency_intervals(
     expanded: &Expanded,
     cs: &CycleSchedule,
-    arch: &ArchConfig,
     issue: &[u64],
+    weight: &[u64; 4],
+    load_cycles: u64,
 ) -> ByValue<Residency> {
     let dfg = &expanded.dfg;
-    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, dfg.n));
-    for e in &cs.schedule.evict {
-        assert_eq!(
-            e.bytes,
-            dfg.value(e.value).bytes,
-            "evict byte-count mismatch for {:?}",
-            e.value
-        );
-    }
     let alloc = |cycle, avail, loaded| ResidencyEvent { cycle, phase: 1, avail, loaded };
-    let loads = cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load).map(|m| {
-        let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
-        (m.value, alloc(m.cycle, avail, true))
-    });
+    let loads = cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load);
+    let loads = loads.map(|m| (m.value, alloc(m.cycle, m.cycle + load_cycles, true)));
     let produced = issue.iter().zip(dfg.instrs()).map(|(&issue, instr)| {
         (instr.output, alloc(issue, issue + weight[instr.op.fu_type().index()], false))
     });
@@ -189,21 +182,22 @@ fn residency_intervals(
 }
 
 /// When and where each instruction ran, read from the compute streams,
-/// the only record of it: the issue cycle per instruction, and the
-/// cluster that produced each value ([`NO_CLUSTER`] for values no
-/// instruction produces).
+/// the only record of it: the issue cycle per instruction, the cluster
+/// that produced each value ([`NO_CLUSTER`] for values no instruction
+/// produces), and the FU class of each compute entry (its instruction's
+/// op's) in stream order.
 ///
 /// Rejects a stream entry naming a value or instruction the DFG does not
 /// have before any check indexes a per-value or per-instruction array
-/// with it. Every instruction must appear on exactly one compute entry,
-/// on a unit of its op's FU class.
-fn issue_table(expanded: &Expanded, cs: &CycleSchedule) -> (Vec<u64>, Vec<u32>) {
+/// with it. Every instruction must appear on exactly one compute entry.
+fn issue_table(expanded: &Expanded, cs: &CycleSchedule) -> (Vec<u64>, Vec<u32>, Vec<FuType>) {
     let dfg = &expanded.dfg;
     let (values, instrs) = (dfg.values().len(), dfg.instrs().len());
     let mut issue = vec![0; instrs];
     // Each instruction has its own output value, so a produced value
     // marks its producer as seen.
     let mut cluster_of = vec![NO_CLUSTER; values];
+    let mut fu = Vec::with_capacity(instrs);
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
         for e in stream {
             assert!(
@@ -212,13 +206,7 @@ fn issue_table(expanded: &Expanded, cs: &CycleSchedule) -> (Vec<u64>, Vec<u32>) 
                 e.instr
             );
             let instr = dfg.instr(e.instr);
-            let fu = instr.op.fu_type();
-            assert!(
-                e.fu == fu,
-                "cluster {c} runs {:?} on {:?}, but its op needs {fu:?}",
-                e.instr,
-                e.fu
-            );
+            fu.push(instr.op.fu_type());
             let home = &mut cluster_of[instr.output.0 as usize];
             assert!(*home == NO_CLUSTER, "{:?} issues twice (cluster {c})", e.instr);
             *home = c as u32;
@@ -237,7 +225,7 @@ fn issue_table(expanded: &Expanded, cs: &CycleSchedule) -> (Vec<u64>, Vec<u32>) 
     cs.schedule.mem.iter().for_each(|m| known("mem", m.value));
     cs.schedule.net.iter().for_each(|e| known("net", e.value));
     cs.schedule.evict.iter().for_each(|e| known("evict", e.value));
-    (issue, cluster_of)
+    (issue, cluster_of, fu)
 }
 
 /// `cluster_of` entry of a value no compute stream produces (an input,
@@ -248,13 +236,16 @@ const NO_CLUSTER: u32 = u32::MAX;
 ///
 /// Independently re-verifies the overlapped schedule the list scheduler
 /// emits, from the streams and the DFG alone: every instruction issues
-/// exactly once, on a unit of its op's FU class, and its result is
-/// available [`f1_compiler::cycle::stream_weight`] cycles later. On top
-/// of that it checks per-(cluster, FU, instance) occupancy,
-/// per-HBM-channel exclusivity, per-crossbar-lane exclusivity, load/store
-/// ordering against value production, streaming dependence timing, and
-/// the makespan: the last compute entry's drain or memory transfer's end
-/// must equal both the claimed `cs.makespan` and the streams' own.
+/// exactly once, and its result is available
+/// [`f1_compiler::cycle::stream_weight`] cycles after that for its op's
+/// FU class. On top of that it checks per-(cluster, FU, instance)
+/// occupancy, per-HBM-channel exclusivity, per-crossbar-lane exclusivity,
+/// crossbar endpoints, load/store ordering against value production,
+/// streaming dependence timing, and the makespan: the last compute
+/// entry's drain or memory transfer's end must equal `cs.makespan`.
+///
+/// Every value is one [`f1_isa::dfg::Dfg::vector_bytes`]-byte vector, so
+/// one HBM-channel time and one crossbar-lane time serve every transfer.
 ///
 /// Capacity faithfulness (§4.3) is checked without any access to the
 /// scheduler's internal state:
@@ -279,39 +270,68 @@ const NO_CLUSTER: u32 = u32::MAX;
 ///
 /// Panics (like the paper's checker) on any missed dependence, resource
 /// double-booking, capacity overflow, makespan mismatch, stream entry
-/// naming a value or instruction the DFG does not have, or instruction
-/// missing from, repeated in or on the wrong FU class of the compute
-/// streams.
+/// naming a value or instruction the DFG does not have, crossbar
+/// transfer between the wrong endpoints, or instruction missing from or
+/// repeated in the compute streams.
 ///
 /// The first violation found is reported, and which one that is does not
 /// vary from run to run: the checks run in a fixed order (ids and the
-/// issue table, structural resources, residency, capacity, transfers,
-/// dependences, memory ordering, makespan), residency walks values in id
-/// order, and the other checks walk the streams in stream order. Of
-/// several values with broken residency, the panic names the lowest id.
+/// issue table, structural resources, crossbar endpoints, residency,
+/// capacity, transfers, dependences, memory ordering, makespan),
+/// residency walks values in id order, and the other checks walk the
+/// streams in stream order. Of several values with broken residency, the
+/// panic names the lowest id.
 pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> u64 {
+    verify(expanded, cs, arch).0
+}
+
+/// [`check_streams`], also returning each compute entry's FU class.
+fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, Vec<FuType>) {
     let dfg = &expanded.dfg;
     let n = dfg.n;
-    let (issue, cluster_of) = issue_table(expanded, cs);
-    check_structural(cs, arch, n);
+    let vector = dfg.vector_bytes();
+    let mem_cycles = arch.mem_channel_cycles(vector);
+    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
+    let (issue, cluster_of, fu) = issue_table(expanded, cs);
+    check_structural(cs, arch, n, &fu, mem_cycles, arch.net_cycles(vector));
+
+    // --- Crossbar endpoints: a bank end is the value's own bank, a
+    // cluster source is the cluster that produced the value (remote
+    // copies are never forwarded), and no transfer ends where it starts.
+    for e in &cs.schedule.net {
+        let bank = ComponentId::Bank(arch.bank_of(e.value));
+        let producer = cluster_of[e.value.0 as usize];
+        let from_ok = e.from == bank
+            || (producer != NO_CLUSTER && e.from == ComponentId::Cluster(producer as usize));
+        let to_ok = e.to != e.from
+            && (e.to == bank || matches!(e.to, ComponentId::Cluster(c) if c < arch.clusters));
+        assert!(
+            from_ok && to_ok,
+            "net transfer of {:?} at {} from {:?} to {:?}: a bank end must be {bank:?}, \
+             a cluster source its producer, and the ends must differ",
+            e.value,
+            e.cycle,
+            e.from,
+            e.to
+        );
+    }
 
     // --- Residency intervals (from the streams alone) and the capacity
     // invariant: the byte-weighted overlap of all on-chip intervals must
     // never exceed the scratchpad.
-    let intervals = residency_intervals(expanded, cs, arch, &issue);
+    let intervals =
+        residency_intervals(expanded, cs, &issue, &weight, mem_cycles + arch.hbm_latency_cycles);
     {
         let cap = arch.scratchpad_bytes();
         // A release's negative delta sorts before an allocation's
         // positive one at the same cycle: bytes freed at cycle t may be
         // reused by an allocation starting at t.
+        let bytes = vector as i64;
         let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(2 * intervals.items.len());
-        for (v, info) in dfg.values().iter().enumerate() {
-            let bytes = info.bytes as i64;
-            for r in intervals.get(v) {
-                deltas.push((r.start, bytes));
-                if r.end != u64::MAX {
-                    deltas.push((r.end, -bytes));
-                }
+        for r in &intervals.items {
+            deltas.push((r.start, bytes));
+            if r.end != u64::MAX {
+                deltas.push((r.end, -bytes));
             }
         }
         deltas.sort_unstable();
@@ -335,7 +355,6 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     // last copy was evicted may not be read until its refetch completes.
     // Remote consumption additionally needs a crossbar transfer, within
     // the same interval, that lands before the consumer issues.
-    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
     for e in &cs.schedule.net {
         assert!(
             covering(e.value, e.cycle).is_some(),
@@ -392,7 +411,7 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     let mut first_writeback = vec![u64::MAX; dfg.values().len()];
     for m in cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Store) {
         let done = &mut first_writeback[m.value.0 as usize];
-        *done = (*done).min(m.cycle + arch.mem_channel_cycles(m.bytes));
+        *done = (*done).min(m.cycle + mem_cycles);
     }
     for m in &cs.schedule.mem {
         if m.dir == MemDir::Store {
@@ -427,49 +446,50 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     }
 
     // --- Makespan: the last result to drain or transfer to end.
-    let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
-    let lat = FuType::ALL.map(|fu| arch.latency(fu, n));
-    let drained = cs.schedule.compute.iter().flatten().map(|e| {
-        let fu = e.fu.index();
-        e.cycle + occ[fu] + lat[fu]
-    });
-    let transferred = cs.schedule.mem.iter().map(|m| m.cycle + arch.mem_channel_cycles(m.bytes));
+    let drain = FuType::ALL.map(|fu| arch.occupancy(fu, n) + arch.latency(fu, n));
+    let drained = cs.schedule.compute.iter().flatten().zip(&fu);
+    let drained = drained.map(|(e, fu)| e.cycle + drain[fu.index()]);
+    let transferred = cs.schedule.mem.iter().map(|m| m.cycle + mem_cycles);
     let makespan = drained.chain(transferred).max().unwrap_or(0);
     assert!(
-        cs.makespan == makespan && cs.schedule.makespan == makespan,
-        "makespan claimed as {} (streams: {}) but the streams end at {makespan}",
-        cs.makespan,
-        cs.schedule.makespan
+        cs.makespan == makespan,
+        "makespan claimed as {} but the streams end at {makespan}",
+        cs.makespan
     );
-    makespan.max(1)
+    (makespan.max(1), fu)
 }
 
 /// Exclusivity of one kind of resource: `uses` holds `(resource, start
-/// cycle, bytes)`, and two uses of one resource must be spaced by the
-/// earlier one's `busy(bytes)` cycles. One sort brings each resource's
-/// uses together in cycle order, so only neighbours need comparing.
+/// cycle)`, and two uses of one resource must be `busy` cycles apart.
+/// One sort brings each resource's uses together in cycle order, so only
+/// neighbours need comparing.
 fn check_exclusive<K: Ord + Copy + std::fmt::Debug>(
     what: &str,
-    mut uses: Vec<(K, u64, u64)>,
-    busy: impl Fn(u64) -> u64,
+    mut uses: Vec<(K, u64)>,
+    busy: u64,
 ) {
     uses.sort_unstable();
     for w in uses.windows(2) {
-        let ((key, c0, b0), (next_key, c1, _)) = (w[0], w[1]);
+        let ((key, c0), (next_key, c1)) = (w[0], w[1]);
         if key == next_key {
-            assert!(
-                c1 >= c0 + busy(b0),
-                "{what} {key:?} double-booked: transfers at {c0} and {c1}"
-            );
+            assert!(c1 >= c0 + busy, "{what} {key:?} double-booked: transfers at {c0} and {c1}");
         }
     }
 }
 
-/// Structural-resource validation from the streams alone — the subset of
-/// [`check_streams`] that needs no DFG: per-(cluster, FU, instance)
-/// occupancy spacing, per-HBM-channel exclusivity, per-crossbar-lane
-/// exclusivity and stream monotonicity.
-fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
+/// Structural-resource validation from the streams and each compute
+/// entry's FU class `fu`: stream monotonicity, per-(cluster, FU,
+/// instance) occupancy spacing, and per-HBM-channel and per-crossbar-lane
+/// exclusivity (one value holds a channel `mem_cycles` and a lane
+/// `net_cycles`).
+fn check_structural(
+    cs: &CycleSchedule,
+    arch: &ArchConfig,
+    n: usize,
+    fu: &[FuType],
+    mem_cycles: u64,
+    net_cycles: u64,
+) {
     cs.schedule.validate_monotone();
 
     // --- Structural hazards: per (cluster, fu, slot), issues must be at
@@ -478,24 +498,22 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     // slot's issues arrive in cycle order and each only needs comparing
     // with the slot's previous one.
     let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
-    for (c, stream) in cs.schedule.compute.iter().enumerate() {
-        let mut last_issue = FuType::ALL.map(|fu| vec![None::<u64>; arch.fus_per_cluster(fu)]);
-        for e in stream {
+    let slots = FuType::ALL.map(|fu| vec![None::<u64>; arch.fus_per_cluster(fu)]);
+    let mut last_issue = vec![slots; cs.schedule.compute.len()];
+    let streams = cs.schedule.compute.iter().enumerate();
+    for ((c, e), &fu) in streams.flat_map(|(c, s)| s.iter().map(move |e| (c, e))).zip(fu) {
+        assert!(
+            e.fu_index < arch.fus_per_cluster(fu),
+            "cluster {c} has no {fu:?} instance {}",
+            e.fu_index
+        );
+        if let Some(prev) = last_issue[c][fu.index()][e.fu_index].replace(e.cycle) {
             assert!(
-                e.fu_index < arch.fus_per_cluster(e.fu),
-                "cluster {c} has no {:?} instance {}",
-                e.fu,
-                e.fu_index
+                e.cycle >= prev + occ[fu.index()],
+                "structural hazard on cluster {c} {fu:?}[{}]: issues at {prev} and {}",
+                e.fu_index,
+                e.cycle
             );
-            if let Some(prev) = last_issue[e.fu.index()][e.fu_index].replace(e.cycle) {
-                assert!(
-                    e.cycle >= prev + occ[e.fu.index()],
-                    "structural hazard on cluster {c} {:?}[{}]: issues at {prev} and {}",
-                    e.fu,
-                    e.fu_index,
-                    e.cycle
-                );
-            }
         }
     }
 
@@ -503,44 +521,42 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     // be spaced by their per-channel streaming time.
     let channel_uses = cs.schedule.mem.iter().map(|m| {
         assert!(m.channel < arch.hbm_channels, "unknown HBM channel {}", m.channel);
-        (m.channel, m.cycle, m.bytes)
+        (m.channel, m.cycle)
     });
-    check_exclusive("HBM channel", channel_uses.collect(), |b| arch.mem_channel_cycles(b));
+    check_exclusive("HBM channel", channel_uses.collect(), mem_cycles);
 
     // --- Crossbar ports: per ((from, to), lane), transfers must be
     // spaced by their streaming time.
     let lane_uses = cs.schedule.net.iter().map(|e| {
         assert!(e.port < arch.xbar_ports, "unknown crossbar lane {}", e.port);
-        ((e.from, e.to, e.port), e.cycle, e.bytes)
+        ((e.from, e.to, e.port), e.cycle)
     });
-    check_exclusive("crossbar lane", lane_uses.collect(), |b| arch.net_cycles(b));
+    check_exclusive("crossbar lane", lane_uses.collect(), net_cycles);
 }
 
 /// The event counts behind the power breakdown, derived from the streams
 /// and the DFG: HBM bytes are the memory stream's, the scratchpad serves
 /// those plus every crossbar write into a bank, the NoC carries every
 /// crossbar transfer, each instruction reads its inputs from and writes
-/// its output to a register file, and each compute entry holds its FU
-/// for one occupancy.
+/// its output to a register file, and holds its FU for one occupancy.
+/// Every transfer and operand is one [`f1_isa::dfg::Dfg::vector_bytes`]
+/// vector.
 fn energy_counters(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> EnergyCounters {
     let dfg = &expanded.dfg;
+    let vector = dfg.vector_bytes();
+    let net = &cs.schedule.net;
+    let into_banks = net.iter().filter(|e| matches!(e.to, ComponentId::Bank(_))).count();
+    let hbm_bytes = cs.schedule.mem.len() as u64 * vector;
     let mut c = EnergyCounters {
-        hbm_bytes: cs.schedule.mem.iter().map(|m| m.bytes).sum(),
+        hbm_bytes,
+        scratchpad_bytes: hbm_bytes + into_banks as u64 * vector,
+        noc_bytes: net.len() as u64 * vector,
         ..Default::default()
     };
-    for e in &cs.schedule.net {
-        c.noc_bytes += e.bytes;
-        if matches!(e.to, ComponentId::Bank(_)) {
-            c.scratchpad_bytes += e.bytes;
-        }
-    }
-    c.scratchpad_bytes += c.hbm_bytes;
     for instr in dfg.instrs() {
-        let inputs: u64 = instr.inputs.iter().map(|&v| dfg.value(v).bytes).sum();
-        c.rf_bytes += inputs + dfg.value(instr.output).bytes;
-    }
-    for e in cs.schedule.compute.iter().flatten() {
-        c.add_fu_busy(e.fu, arch.occupancy(e.fu, dfg.n));
+        c.rf_bytes += (instr.inputs.len() as u64 + 1) * vector;
+        let fu = instr.op.fu_type();
+        c.add_fu_busy(fu, arch.occupancy(fu, dfg.n));
     }
     c
 }
@@ -559,7 +575,7 @@ pub fn check_schedule(
     cs: &CycleSchedule,
     arch: &ArchConfig,
 ) -> SimReport {
-    let makespan = check_streams(expanded, cs, arch);
+    let (makespan, fu) = verify(expanded, cs, arch);
     let counters = energy_counters(expanded, cs, arch);
     assert_eq!(
         counters.hbm_bytes,
@@ -590,12 +606,12 @@ pub fn check_schedule(
             c += step;
         }
     };
-    for e in cs.schedule.compute.iter().flatten() {
-        let occ = arch.occupancy(e.fu, n);
-        add_interval(&mut timeline.fu_active[e.fu.index()], e.cycle, e.cycle + occ);
+    let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
+    for (e, fu) in cs.schedule.compute.iter().flatten().zip(fu) {
+        add_interval(&mut timeline.fu_active[fu.index()], e.cycle, e.cycle + occ[fu.index()]);
     }
+    let mc = arch.mem_channel_cycles(expanded.dfg.vector_bytes());
     for m in &cs.schedule.mem {
-        let mc = arch.mem_channel_cycles(m.bytes);
         add_interval(&mut timeline.hbm_util, m.cycle, m.cycle + mc);
     }
     for series in timeline.fu_active.iter_mut() {
@@ -617,7 +633,7 @@ pub fn check_schedule(
     let model = EnergyModel::default();
     let power = model.power_breakdown(&counters, makespan, arch);
     let instr_fetch_fraction =
-        cs.schedule.encoded_bytes() as f64 / cs.schedule.offchip_bytes().max(1) as f64;
+        cs.schedule.encoded_bytes() as f64 / counters.hbm_bytes.max(1) as f64;
 
     SimReport {
         makespan,
@@ -634,6 +650,7 @@ pub fn check_schedule(
 mod tests {
     use super::*;
     use f1_compiler::{compile_fhe, FheProgram};
+    use f1_isa::streams::ComputeEntry;
 
     fn run(p: &FheProgram) -> (Expanded, MovePlan, CycleSchedule, ArchConfig) {
         let arch = ArchConfig::f1_default();
@@ -670,7 +687,8 @@ mod tests {
         // Sum of (avg active × window) over buckets equals total busy
         // cycles per class.
         let ntt_busy: f64 = t.fu_active[0].iter().map(|v| v * t.window as f64).sum();
-        let ntt_entries = cs.schedule.compute.iter().flatten().filter(|e| e.fu == FuType::Ntt);
+        let is_ntt = |e: &&ComputeEntry| ex.dfg.instr(e.instr).op.fu_type() == FuType::Ntt;
+        let ntt_entries = cs.schedule.compute.iter().flatten().filter(is_ntt);
         let expected = (ntt_entries.count() as u64 * arch.occupancy(FuType::Ntt, ex.dfg.n)) as f64;
         assert!(
             (ntt_busy - expected).abs() / expected.max(1.0) < 0.01,
@@ -697,7 +715,7 @@ mod tests {
     /// places the post-refetch consumer.
     fn handmade(pad_values: u64, i1_issue: u64) -> (Expanded, MovePlan, CycleSchedule, ArchConfig) {
         use f1_isa::dfg::{Dfg, ValueKind, VectorOp};
-        use f1_isa::streams::{ComputeEntry, EvictEntry, MemEntry, NetEntry, StaticSchedule};
+        use f1_isa::streams::{EvictEntry, MemEntry, NetEntry, StaticSchedule};
         use f1_isa::ComponentId;
 
         let n = 1024usize; // 4 KB values
@@ -719,61 +737,27 @@ mod tests {
         let avail2 = refetch_start + dur + lat; // 762
 
         let mut s = StaticSchedule::new(arch.clusters);
-        s.mem.push(MemEntry {
-            cycle: 0,
-            dir: MemDir::Load,
-            value: a,
-            bytes: 4096,
-            bank: 0,
-            channel: 0,
-        });
-        s.mem.push(MemEntry {
-            cycle: refetch_start,
-            dir: MemDir::Load,
-            value: a,
-            bytes: 4096,
-            bank: 0,
-            channel: 0,
-        });
-        s.mem.push(MemEntry {
-            cycle: 950,
-            dir: MemDir::Store,
-            value: v3,
-            bytes: 4096,
-            bank: 0,
-            channel: 1,
-        });
-        s.evict.push(EvictEntry { cycle: 400, value: a, bytes: 4096 });
-        s.net.push(NetEntry {
-            cycle: avail1,
-            value: a,
-            from: ComponentId::Bank(0),
-            to: ComponentId::Cluster(0),
-            bytes: 4096,
-            port: 0,
-        });
-        s.net.push(NetEntry {
-            cycle: avail2,
-            value: a,
-            from: ComponentId::Bank(0),
-            to: ComponentId::Cluster(0),
-            bytes: 4096,
-            port: 0,
-        });
+        s.mem.push(MemEntry { cycle: 0, dir: MemDir::Load, value: a, channel: 0 });
+        s.mem.push(MemEntry { cycle: refetch_start, dir: MemDir::Load, value: a, channel: 0 });
+        s.mem.push(MemEntry { cycle: 950, dir: MemDir::Store, value: v3, channel: 1 });
+        s.evict.push(EvictEntry { cycle: 400, value: a });
+        for cycle in [avail1, avail2] {
+            let (from, to) = (ComponentId::Bank(0), ComponentId::Cluster(0));
+            s.net.push(NetEntry { cycle, value: a, from, to, port: 0 });
+        }
         let issue = [320u64, i1_issue, 900];
-        for (i, fu) in [(0usize, FuType::Ntt), (1, FuType::Ntt), (2, FuType::Add)] {
-            s.compute[0].push(ComputeEntry {
-                cycle: issue[i],
-                instr: f1_isa::dfg::InstrId(i as u32),
-                fu,
-                fu_index: 0,
-            });
+        for (i, &cycle) in issue.iter().enumerate() {
+            let instr = f1_isa::dfg::InstrId(i as u32);
+            s.compute[0].push(ComputeEntry { cycle, instr, fu_index: 0 });
         }
         s.compute[0].sort_by_key(|e| e.cycle);
-        let drained = |e: &ComputeEntry| e.cycle + arch.occupancy(e.fu, n) + arch.latency(e.fu, n);
-        s.makespan = s.compute[0].iter().map(drained).max().unwrap().max(950 + dur);
+        let drained = |e: &ComputeEntry| {
+            let fu = dfg.instr(e.instr).op.fu_type();
+            e.cycle + arch.occupancy(fu, n) + arch.latency(fu, n)
+        };
+        let makespan = s.compute[0].iter().map(drained).max().unwrap().max(950 + dur);
 
-        let cs = CycleSchedule { makespan: s.makespan, schedule: s };
+        let cs = CycleSchedule { makespan, schedule: s };
         // `a`'s first load and `v3`'s store are compulsory; the refetch
         // is not.
         let traffic = TrafficBreakdown {
@@ -846,18 +830,11 @@ mod tests {
     }
 
     fn mem(cycle: u64, dir: MemDir, value: u32, channel: usize) -> f1_isa::streams::MemEntry {
-        f1_isa::streams::MemEntry {
-            cycle,
-            dir,
-            value: f1_isa::dfg::ValueId(value),
-            bytes: 4096,
-            bank: 0,
-            channel,
-        }
+        f1_isa::streams::MemEntry { cycle, dir, value: f1_isa::dfg::ValueId(value), channel }
     }
 
     fn evict(cycle: u64, value: u32) -> f1_isa::streams::EvictEntry {
-        f1_isa::streams::EvictEntry { cycle, value: f1_isa::dfg::ValueId(value), bytes: 4096 }
+        f1_isa::streams::EvictEntry { cycle, value: f1_isa::dfg::ValueId(value) }
     }
 
     #[test]
@@ -892,12 +869,6 @@ mod tests {
         check_corrupted(|cs, arch| {
             cs.schedule.compute[0][0].fu_index = arch.fus_per_cluster(FuType::Ntt);
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "evict byte-count mismatch for ValueId(0)")]
-    fn checker_rejects_evict_byte_mismatch() {
-        check_corrupted(|cs, _| cs.schedule.evict[0].bytes -= 1);
     }
 
     #[test]
@@ -980,12 +951,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cluster 0 runs InstrId(2) on Mul, but its op needs Add")]
-    fn checker_rejects_wrong_fu_class() {
-        check_corrupted(|cs, _| cs.schedule.compute[0][2].fu = FuType::Mul);
-    }
-
-    #[test]
     #[should_panic(expected = "InstrId(1) is on no compute stream")]
     fn checker_rejects_missing_instr() {
         check_corrupted(|cs, _| {
@@ -1003,9 +968,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "makespan claimed as 1013 (streams: 1014) but the streams end at 1014"
-    )]
+    #[should_panic(expected = "makespan claimed as 1013 but the streams end at 1014")]
     fn checker_rejects_understated_makespan() {
         check_corrupted(|cs, _| cs.makespan -= 1);
     }
@@ -1024,46 +987,100 @@ mod tests {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
     }
 
+    /// Applies mutation operators to copies of a legal schedule and
+    /// counts, per operator, the mutants tried and the mutants
+    /// [`check_schedule`] accepted.
+    struct Mutants<'a, const K: usize> {
+        ex: &'a Expanded,
+        plan: &'a MovePlan,
+        cs: &'a CycleSchedule,
+        arch: &'a ArchConfig,
+        tried: [usize; K],
+        survived: [usize; K],
+    }
+
+    impl<'a, const K: usize> Mutants<'a, K> {
+        fn new(
+            ex: &'a Expanded,
+            plan: &'a MovePlan,
+            cs: &'a CycleSchedule,
+            arch: &'a ArchConfig,
+        ) -> Self {
+            check_schedule(ex, plan, cs, arch);
+            Self { ex, plan, cs, arch, tried: [0; K], survived: [0; K] }
+        }
+
+        fn try_op(&mut self, op: usize, mutate: impl FnOnce(&mut CycleSchedule)) {
+            let mut m = self.cs.clone();
+            mutate(&mut m);
+            self.tried[op] += 1;
+            self.survived[op] += usize::from(!rejects(self.ex, self.plan, &m, self.arch));
+        }
+    }
+
     #[test]
     fn checker_rejects_every_compute_stream_mutant() {
-        // Four mutation operators over a compiled schedule: drop one
-        // compute entry, give one the next FU class, append a copy of one
-        // on the next cluster (kept in cycle order), and claim one cycle
-        // less of makespan. The streams are the only record of when each
-        // instruction ran, so every mutant must be rejected.
+        // Three mutation operators over a compiled schedule: drop one
+        // compute entry, append a copy of one on the next cluster (kept
+        // in cycle order), and claim one cycle less of makespan. The
+        // streams are the only record of when each instruction ran, so
+        // every mutant must be rejected.
         let p = FheProgram::listing2_matvec(1 << 10, 3, 2);
         let (ex, plan, cs, arch) = run(&p);
-        check_schedule(&ex, &plan, &cs, &arch);
-        let next_fu = |fu: FuType| FuType::ALL[(fu.index() + 1) % FuType::ALL.len()];
-        let mut tried = [0usize; 4];
-        let mut survived = [0usize; 4];
-        let mut mutant = |op: usize, mutate: &dyn Fn(&mut CycleSchedule)| {
-            let mut m = cs.clone();
-            mutate(&mut m);
-            tried[op] += 1;
-            survived[op] += usize::from(!rejects(&ex, &plan, &m, &arch));
-        };
+        let mut m = Mutants::<3>::new(&ex, &plan, &cs, &arch);
         for (c, stream) in cs.schedule.compute.iter().enumerate() {
             for (k, e) in stream.iter().enumerate() {
-                mutant(0, &|m| {
+                m.try_op(0, |m| {
                     m.schedule.compute[c].remove(k);
                 });
-                mutant(1, &|m| m.schedule.compute[c][k].fu = next_fu(e.fu));
-                mutant(2, &|m| {
+                m.try_op(1, |m| {
                     let other = &mut m.schedule.compute[(c + 1) % arch.clusters];
                     other.push(e.clone());
                     other.sort_by_key(|e| e.cycle);
                 });
             }
         }
-        mutant(3, &|m| {
-            m.makespan -= 1;
-            m.schedule.makespan -= 1;
-        });
-        assert_eq!(tried[0], ex.dfg.instrs().len());
+        m.try_op(2, |m| m.makespan -= 1);
+        assert_eq!(m.tried[0], ex.dfg.instrs().len());
         assert_eq!(
-            survived, [0; 4],
-            "mutants accepted of {tried:?} (drop, relabel, duplicate, makespan - 1)"
+            m.survived, [0; 3],
+            "mutants accepted of {:?} (drop, duplicate, makespan - 1)",
+            m.tried
+        );
+    }
+
+    #[test]
+    fn checker_rejects_every_crossbar_endpoint_mutant() {
+        // Four mutation operators over the crossbar stream of a compiled
+        // schedule whose small register files force re-homes: move a
+        // transfer's source to the next bank or cluster, move a re-home's
+        // destination to the next bank, source a transfer from a bank past
+        // the last, and send a transfer back to its own source. A bank end
+        // must be the value's own bank, a cluster source its producer, and
+        // the ends must differ, so every mutant must be rejected.
+        let p = FheProgram::listing2_matvec(1 << 10, 3, 2);
+        let mut arch = ArchConfig::f1_default();
+        arch.rf_bytes_per_cluster = 4 * 4096;
+        let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
+        let next = |end: ComponentId| match end {
+            ComponentId::Bank(b) => ComponentId::Bank((b + 1) % arch.scratchpad_banks),
+            ComponentId::Cluster(c) => ComponentId::Cluster((c + 1) % arch.clusters),
+        };
+        let mut m = Mutants::<4>::new(&ex, &plan, &cs, &arch);
+        for (k, e) in cs.schedule.net.iter().enumerate() {
+            m.try_op(0, |m| m.schedule.net[k].from = next(e.from));
+            if matches!(e.to, ComponentId::Bank(_)) {
+                m.try_op(1, |m| m.schedule.net[k].to = next(e.to));
+            }
+            m.try_op(2, |m| m.schedule.net[k].from = ComponentId::Bank(arch.scratchpad_banks + 7));
+            m.try_op(3, |m| m.schedule.net[k].to = e.from);
+        }
+        assert!(m.tried[1] > 0, "the schedule must re-home values to their banks");
+        assert_eq!(
+            m.survived, [0; 4],
+            "mutants accepted of {:?} (next source, next re-home bank, bank out of range, \
+             back to source)",
+            m.tried
         );
     }
 
@@ -1088,10 +1105,11 @@ mod tests {
         // second's cycle (delaying keeps dependences satisfied, so the
         // checker must trip on the structural hazard specifically).
         let mut found = None;
+        let is_ntt = |e: &ComputeEntry| ex.dfg.instr(e.instr).op.fu_type() == FuType::Ntt;
         'outer: for stream in cs.schedule.compute.iter_mut() {
             let mut first: Option<usize> = None;
             for idx in 0..stream.len() {
-                if stream[idx].fu == FuType::Ntt {
+                if is_ntt(&stream[idx]) {
                     if let Some(fidx) = first {
                         if stream[fidx].fu_index == stream[idx].fu_index {
                             stream[fidx].cycle = stream[idx].cycle;

@@ -8,11 +8,14 @@
 //!
 //! * [`checker`] — that checker: validates a compiled [`f1_compiler::CycleSchedule`]
 //!   against its DFG and architecture (dependences, FU structural
-//!   hazards, memory bandwidth, scratchpad capacity, makespan) from the
-//!   emitted streams alone, the only record of when and where each
-//!   instruction ran, and derives the evaluation statistics from them:
-//!   traffic breakdown (Fig 9a), power breakdown (Fig 9b) and
-//!   utilization-over-time series (Fig 10).
+//!   hazards, memory bandwidth, crossbar endpoints, scratchpad capacity,
+//!   makespan) from the emitted streams alone, the only record of when
+//!   and where each instruction ran, and derives the evaluation
+//!   statistics from them: traffic breakdown (Fig 9a), power breakdown
+//!   (Fig 9b) and utilization-over-time series (Fig 10). Stream entries
+//!   carry no sizes, banks or FU classes: the checker reads each from
+//!   its one owner (`Dfg::vector_bytes`, `ArchConfig::bank_of`, the
+//!   instruction's op) once per check.
 //! * [`functional`] — the functional simulator of §8.5: executes lowered
 //!   `FheProgram`s against the real BGV implementation to verify input-output
 //!   correctness, and doubles as the *timed CPU software baseline* of

@@ -122,8 +122,9 @@ pub fn replay_schedule(
         Evict(ValueId),
     }
     let mut events: Vec<(u64, u8, Ev)> = Vec::new();
+    let transfer = arch.mem_channel_cycles(dfg.vector_bytes());
     for m in &cs.schedule.mem {
-        let done = m.cycle + arch.mem_channel_cycles(m.bytes);
+        let done = m.cycle + transfer;
         match m.dir {
             MemDir::Store => events.push((done, 0, Ev::StoreDone(m.value))),
             MemDir::Load => events.push((done + arch.hbm_latency_cycles, 1, Ev::LoadDone(m.value))),
@@ -247,6 +248,7 @@ mod tests {
         let p = FheProgram::listing2_matvec(1 << 10, 4, 2);
         let arch = arch_with_pad(64);
         let (_, _, ex, _, mut cs) = compile_fhe(&p, &arch);
+        let load = arch.mem_channel_cycles(ex.dfg.vector_bytes()) + arch.hbm_latency_cycles;
         // Find an evicted, loaded value and destroy its pad copy right
         // after the load lands: every reader in between now reads a hole.
         let mut moved = false;
@@ -257,7 +259,7 @@ mod tests {
                 .mem
                 .iter()
                 .filter(|m| m.dir == MemDir::Load && m.value == v)
-                .map(|m| m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles)
+                .map(|m| m.cycle + load)
                 .min()
             {
                 if done + 1 < cs.schedule.evict[i].cycle {

@@ -125,8 +125,8 @@ fn listing2_hom_op_counts() {
     };
     let ex = f1::compiler::expand::expand(&p, &opts);
     assert_eq!(ex.hint_values.len(), 15);
-    let hint_bytes: u64 =
-        ex.hint_values.values().flat_map(|vals| vals.iter().map(|&v| ex.dfg.value(v).bytes)).sum();
+    let hint_vectors: usize = ex.hint_values.values().map(Vec::len).sum();
+    let hint_bytes = hint_vectors as u64 * ex.dfg.vector_bytes();
     // 15 hints × 32 MB = 480 MB, exceeding on-chip storage — the paper's
     // exact number.
     assert_eq!(hint_bytes, 480 * 1024 * 1024);

@@ -125,7 +125,8 @@ proptest! {
             std::collections::HashMap::new();
         for (c, stream) in cycles.schedule.compute.iter().enumerate() {
             for e in stream {
-                by_slot.entry((c, e.fu, e.fu_index)).or_default().push(e.cycle);
+                let fu = ex.dfg.instr(e.instr).op.fu_type();
+                by_slot.entry((c, fu, e.fu_index)).or_default().push(e.cycle);
             }
         }
         for ((c, fu, slot), mut starts) in by_slot {
