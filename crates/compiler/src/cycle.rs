@@ -36,6 +36,16 @@
 //! gated on the refetch's completion. The `f1-sim` checker re-verifies
 //! capacity from the emitted streams alone.
 //!
+//! A plan that moves only compulsory traffic skips the lineage at first.
+//! Pass 2 evicted no live value for it, so its donors record only the
+//! order in which free space was reused, not a capacity decision. Such a
+//! plan is scheduled without donor edges on a pad with no capacity bound,
+//! and that schedule is kept when its peak residency fits the pad. The
+//! peak is sound: the timeline's deltas are the checker's residency
+//! intervals, an allocation's bytes from its start to its release. A
+//! plan that spills or refetches, or whose lineage-free peak overflows,
+//! is scheduled with the lineage.
+//!
 //! On-chip, produced values live in their cluster's register file until
 //! its capacity (`arch.rf_bytes_per_cluster`) overflows; the scheduler
 //! then *re-homes* the oldest values to their scratchpad bank with a
@@ -251,6 +261,9 @@ impl Units {
 /// Cycles per [`PadTimeline`] leaf.
 const PAD_LEAF_CYCLES: u64 = 256;
 
+/// The capacity of a [`PadTimeline`] that no allocation can overflow.
+const UNBOUNDED: u64 = i64::MAX as u64;
+
 /// The scratchpad's resident bytes over time, as net per-cycle deltas:
 /// `+bytes` at each allocation's start, `-bytes` at each release. The
 /// resident set at cycle `t` is the sum of the deltas through `t`, so a
@@ -341,8 +354,10 @@ impl PadTimeline {
     /// # Panics
     ///
     /// Panics if the bytes resident at the end of the timeline leave no
-    /// room for `bytes`: pass 2's byte lineage rules that out, because an
-    /// allocation commits only after the releases that free its bytes.
+    /// room for `bytes`. On the machine's pad, pass 2's byte lineage rules
+    /// that out, because an allocation commits only after the releases
+    /// that free its bytes. A lineage-free schedule runs on an
+    /// [`UNBOUNDED`] pad, where the end always has room.
     fn fit(&self, bytes: u64) -> u64 {
         let room = self.cap as i64 - bytes as i64;
         let (total, peak) = self.tree[1];
@@ -389,6 +404,27 @@ impl PadTimeline {
         }
         fit
     }
+
+    /// The most bytes resident at any cycle: the larger of the root's
+    /// peak before an entry and its total after the last one.
+    fn peak(&self) -> u64 {
+        let (total, peak) = self.tree[1];
+        let most = total.max(peak) as u64;
+        #[cfg(test)]
+        assert_eq!(most, self.peak_linear(), "pad peak != linear scan");
+        most
+    }
+
+    /// Reference for [`Self::peak`]: walks every entry.
+    #[cfg(test)]
+    fn peak_linear(&self) -> u64 {
+        let (mut resident, mut most) = (0i64, 0i64);
+        for &(_, d) in self.leaves.iter().flatten() {
+            resident += d;
+            most = most.max(resident);
+        }
+        most as u64
+    }
 }
 
 /// How a predecessor's commit time gates a successor's earliest start.
@@ -416,8 +452,19 @@ enum MemNode {
 }
 
 /// Schedules the plan onto the machine.
+///
+/// A plan that moves only compulsory traffic is first scheduled without
+/// its byte lineage on an unbounded scratchpad, and that schedule is kept
+/// when its peak residency fits the pad. Otherwise, and for every plan
+/// that spills or refetches, allocations commit behind their lineage.
 pub fn schedule(expanded: &Expanded, plan: &MovePlan, arch: &ArchConfig) -> CycleSchedule {
-    CycleScheduler::new(expanded, plan, arch).run()
+    if plan.traffic.non_compulsory() == 0 {
+        let (cs, peak) = CycleScheduler::new(expanded, plan, arch, false).run();
+        if peak <= arch.scratchpad_bytes() {
+            return cs;
+        }
+    }
+    CycleScheduler::new(expanded, plan, arch, true).run().0
 }
 
 /// Sentinel for "no entry" in the dense per-value tables.
@@ -495,7 +542,15 @@ struct CycleScheduler<'a> {
 }
 
 impl<'a> CycleScheduler<'a> {
-    fn new(expanded: &'a Expanded, plan: &'a MovePlan, arch: &'a ArchConfig) -> Self {
+    /// Builds the event graph of `plan`. With `lineage`, every allocation
+    /// also waits for its `space_from` donors to commit, and the pad is
+    /// the machine's; without it, the pad has no capacity bound.
+    fn new(
+        expanded: &'a Expanded,
+        plan: &'a MovePlan,
+        arch: &'a ArchConfig,
+        lineage: bool,
+    ) -> Self {
         let dfg = &expanded.dfg;
         let n = dfg.n;
         let n_instr = dfg.instrs().len();
@@ -543,7 +598,7 @@ impl<'a> CycleScheduler<'a> {
                         reader_pool.push((nid, *head));
                         *head = (reader_pool.len() - 1) as u32;
                     }
-                    for &d in space_from {
+                    for &d in space_from.iter().filter(|_| lineage) {
                         edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     let out = dfg.instr(*instr).output.0 as usize;
@@ -553,7 +608,7 @@ impl<'a> CycleScheduler<'a> {
                 MoveEvent::Load { value, space_from, .. } => {
                     let nid = (n_instr + mem_nodes.len()) as u32;
                     mem_nodes.push(MemNode::Load { ev: ei as u32 });
-                    for &d in space_from {
+                    for &d in space_from.iter().filter(|_| lineage) {
                         edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     // A reload may not start before the previous copy's
@@ -653,7 +708,7 @@ impl<'a> CycleScheduler<'a> {
             fu_slots,
             net_busy,
             n_comp,
-            pad: PadTimeline::new(arch.scratchpad_bytes()),
+            pad: PadTimeline::new(if lineage { arch.scratchpad_bytes() } else { UNBOUNDED }),
             avail: vec![0; n_values],
             home: vec![None; n_values],
             copies: vec![Vec::new(); n_values],
@@ -715,7 +770,9 @@ impl<'a> CycleScheduler<'a> {
         }
     }
 
-    fn run(mut self) -> CycleSchedule {
+    /// Commits every node and returns the schedule with the peak bytes
+    /// resident on the scratchpad.
+    fn run(mut self) -> (CycleSchedule, u64) {
         let total = self.n_instr + self.mem_nodes.len();
         let mut committed = 0usize;
         while committed < total {
@@ -742,7 +799,7 @@ impl<'a> CycleScheduler<'a> {
         self.out.evict.sort_by_key(|e| e.cycle);
         self.out.validate_monotone();
 
-        CycleSchedule { schedule: self.out, makespan: self.makespan }
+        (CycleSchedule { schedule: self.out, makespan: self.makespan }, self.pad.peak())
     }
 
     /// Commits one value's transfer on the HBM channel that can start it
@@ -1403,6 +1460,99 @@ mod tests {
             assert!((0..=cap as i64).contains(&occupied), "{occupied} bytes at cycle {cycle}");
         }
         assert_eq!(occupied, resident as i64);
+    }
+
+    #[test]
+    fn pad_peak_matches_linear_scan() {
+        // Random allocations and releases, some netting out in one cycle;
+        // in a test build every `peak` also checks itself against a linear
+        // scan of the deltas.
+        let mut pad = PadTimeline::new(UNBOUNDED);
+        assert_eq!(pad.peak(), 0, "an empty pad holds nothing");
+        pad.add(0, 60);
+        pad.add(10, -60);
+        pad.add(10, 50);
+        assert_eq!(pad.peak(), 60, "the peak precedes the last entry");
+        pad.add(20, 30);
+        assert_eq!(pad.peak(), 80, "the peak follows the last entry");
+        let mut rng = 0x0123_4567_89ab_cdef_u64;
+        let mut live: Vec<(u64, i64)> = Vec::new();
+        for _ in 0..4000 {
+            if live.is_empty() || !xorshift(&mut rng).is_multiple_of(3) {
+                let (at, bytes) = (xorshift(&mut rng) % 300_000, (xorshift(&mut rng) % 64) as i64);
+                pad.add(at, bytes);
+                live.push((at, bytes));
+            } else {
+                let (at, bytes) = live.swap_remove(xorshift(&mut rng) as usize % live.len());
+                pad.add(at + xorshift(&mut rng) % 2000, -bytes);
+            }
+            assert_eq!(pad.peak(), pad.peak_linear());
+        }
+        assert!(pad.leaves.len() >= 512, "only {} leaves", pad.leaves.len());
+    }
+
+    /// `p` through the optimizer and lowering, as [`crate::compile_fhe`]
+    /// runs it.
+    fn optimized(p: &FheProgram) -> Program {
+        p.optimize().0.lower().program
+    }
+
+    /// The schedules of one plan without and with its byte lineage, and
+    /// the lineage-free one's peak residency.
+    fn both_schedules(
+        ex: &Expanded,
+        plan: &MovePlan,
+        arch: &ArchConfig,
+    ) -> (CycleSchedule, u64, CycleSchedule) {
+        let (free, peak) = CycleScheduler::new(ex, plan, arch, false).run();
+        let (lineage, _) = CycleScheduler::new(ex, plan, arch, true).run();
+        (free, peak, lineage)
+    }
+
+    #[test]
+    fn compulsory_only_plans_keep_a_lineage_free_schedule_that_fits() {
+        // The BGV block (mul, rotate, mod-switch at N = 2^14, L = 16)
+        // moves only compulsory traffic on the 64 MB machine. Without the
+        // byte lineage its loads and instructions are no longer held to
+        // pass 2's reuse order, and the schedule still fits the pad. It
+        // took 25,429 cycles against the lineage's 31,133 when written.
+        let mut f = FheProgram::new(1 << 14, Scheme::Bgv);
+        let (x, y) = (f.input(16), f.input(16));
+        let m = f.mul(x, y);
+        let r = f.rotate(m, 1);
+        let s = f.mod_switch(r);
+        f.output(s);
+        let arch = ArchConfig::f1_default();
+        let (ex, plan, cs) = compile(&optimized(&f), &arch);
+        assert_eq!(plan.traffic.non_compulsory(), 0);
+        let (free, peak, lineage) = both_schedules(&ex, &plan, &arch);
+        assert!(peak <= arch.scratchpad_bytes(), "lineage-free peak {peak} over the pad");
+        assert_eq!(format!("{cs:?}"), format!("{free:?}"), "the lineage-free schedule is kept");
+        assert!(free.makespan < lineage.makespan, "{} vs {}", free.makespan, lineage.makespan);
+    }
+
+    #[test]
+    fn lineage_free_schedules_over_the_pad_fall_back_to_the_lineage() {
+        // Sixteen inputs, each rotated and summed, on a 4 MB pad. Pass 2
+        // fits them with compulsory traffic only. Without the lineage,
+        // pass 3 loads them faster than the key-switches consume them,
+        // and they pile up past the pad: the lineage schedule is kept,
+        // though the discarded one is shorter.
+        let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
+        let xs: Vec<_> = (0..16).map(|_| f.input(4)).collect();
+        let mut acc = f.rotate(xs[0], 1);
+        for &x in &xs[1..] {
+            let r = f.rotate(x, 1);
+            acc = f.add(acc, r);
+        }
+        f.output(acc);
+        let arch = tiny_pad(4);
+        let (ex, plan, cs) = compile(&optimized(&f), &arch);
+        assert_eq!(plan.traffic.non_compulsory(), 0);
+        let (free, peak, lineage) = both_schedules(&ex, &plan, &arch);
+        assert!(peak > arch.scratchpad_bytes(), "lineage-free peak {peak} fits the pad");
+        assert!(free.makespan < lineage.makespan);
+        assert_eq!(format!("{cs:?}"), format!("{lineage:?}"), "the lineage schedule is kept");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!    priority scheduling against a scratchpad model with Belady-style
 //!    furthest-reuse eviction, emitting a residency event script whose
 //!    allocations carry the byte lineage of the space they reuse (pass 3
-//!    keeps it as commit order only).
+//!    keeps it as commit order only, and skips it for a compulsory-only
+//!    plan whose lineage-free schedule fits the pad).
 //! 4. [`cycle`] — the cycle-level scheduler (§4.4): a resource-explicit
 //!    list scheduler over the event graph that ranks instructions by
 //!    critical-path depth, overlaps loads/spills/refetches with compute

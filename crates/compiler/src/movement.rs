@@ -20,8 +20,10 @@
 //! script against real resource timelines, the scratchpad's resident
 //! bytes among them. It commits every allocation after its donors, so
 //! room for the allocation always exists, and starts it wherever its
-//! bytes fit, which can be before those donors release. The `f1-sim`
-//! checker verifies capacity independently.
+//! bytes fit, which can be before those donors release. A plan with only
+//! compulsory traffic is first scheduled without the donors, and that
+//! schedule is kept if it fits the pad (see [`crate::cycle`]). The
+//! `f1-sim` checker verifies capacity independently.
 //!
 //! An instruction's result also keeps a **reserve** of free space ahead
 //! of it. Free chunks leave the pool in release order. On a full pad, an

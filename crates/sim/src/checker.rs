@@ -253,6 +253,9 @@ const NO_CLUSTER: u32 = u32::MAX;
 /// * **Residency**: every consumer must read each operand inside one of
 ///   the value's on-chip residency intervals — a value whose last copy
 ///   was evicted may not be read until its refetch *completes*.
+/// * **Bank copies**: a crossbar transfer out of a bank reads a copy that
+///   a load or a re-home put there. Its residency interval began with a
+///   load, or a re-home made within the interval landed before it starts.
 /// * **Capacity**: the byte-weighted overlap of all residency intervals
 ///   must stay within the scratchpad at every cycle.
 /// * **Ordering**: a refetch may not start before the previous copy's
@@ -271,8 +274,8 @@ const NO_CLUSTER: u32 = u32::MAX;
 /// Panics (like the paper's checker) on any missed dependence, resource
 /// double-booking, capacity overflow, makespan mismatch, stream entry
 /// naming a value or instruction the DFG does not have, crossbar
-/// transfer between the wrong endpoints, or instruction missing from or
-/// repeated in the compute streams.
+/// transfer between the wrong endpoints or out of a bank that holds no
+/// copy, or instruction missing from or repeated in the compute streams.
 ///
 /// The first violation found is reported, and which one that is does not
 /// vary from run to run: the checks run in a fixed order (ids and the
@@ -290,10 +293,10 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
     let dfg = &expanded.dfg;
     let n = dfg.n;
     let vector = dfg.vector_bytes();
-    let mem_cycles = arch.mem_channel_cycles(vector);
+    let (mem_cycles, net_cycles) = (arch.mem_channel_cycles(vector), arch.net_cycles(vector));
     let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
     let (issue, cluster_of, fu) = issue_table(expanded, cs);
-    check_structural(cs, arch, n, &fu, mem_cycles, arch.net_cycles(vector));
+    check_structural(cs, arch, n, &fu, mem_cycles, net_cycles);
 
     // --- Crossbar endpoints: a bank end is the value's own bank, a
     // cluster source is the cluster that produced the value (remote
@@ -354,14 +357,36 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
     // read must fall inside an on-chip residency interval — a value whose
     // last copy was evicted may not be read until its refetch completes.
     // Remote consumption additionally needs a crossbar transfer, within
-    // the same interval, that lands before the consumer issues.
+    // the same interval, that lands before the consumer issues. A bank
+    // holds a copy only once a load or a re-home (a cluster-to-bank
+    // writeback) put one there: a transfer out of a bank must read an
+    // interval that began with a load, or start after a re-home made
+    // within its interval has landed.
+    let rehomes = ByValue::build(
+        dfg.values().len(),
+        cs.schedule
+            .net
+            .iter()
+            .filter(|e| matches!((e.from, e.to), (ComponentId::Cluster(_), ComponentId::Bank(_))))
+            .map(|e| (e.value, e.cycle)),
+    );
     for e in &cs.schedule.net {
-        assert!(
-            covering(e.value, e.cycle).is_some(),
-            "net transfer of {:?} at {} outside any on-chip residency interval",
-            e.value,
-            e.cycle
-        );
+        let r = covering(e.value, e.cycle).unwrap_or_else(|| {
+            panic!(
+                "net transfer of {:?} at {} outside any on-chip residency interval",
+                e.value, e.cycle
+            )
+        });
+        if matches!(e.from, ComponentId::Bank(_)) && !r.loaded {
+            let rehomed = rehomes.get(e.value.0 as usize);
+            let ok = rehomed.iter().any(|&s| s >= r.start && s + net_cycles <= e.cycle);
+            assert!(
+                ok,
+                "net transfer of {:?} at {} from {:?} reads no copy: the value was not \
+                 loaded, and no re-home of it landed there by then",
+                e.value, e.cycle, e.from
+            );
+        }
     }
     // Crossbar deliveries per value: (destination, start, arrival).
     let arrivals = ByValue::build(
@@ -1051,13 +1076,15 @@ mod tests {
 
     #[test]
     fn checker_rejects_every_crossbar_endpoint_mutant() {
-        // Four mutation operators over the crossbar stream of a compiled
+        // Five mutation operators over the crossbar stream of a compiled
         // schedule whose small register files force re-homes: move a
         // transfer's source to the next bank or cluster, move a re-home's
         // destination to the next bank, source a transfer from a bank past
-        // the last, and send a transfer back to its own source. A bank end
-        // must be the value's own bank, a cluster source its producer, and
-        // the ends must differ, so every mutant must be rejected.
+        // the last, send a transfer back to its own source, and re-source
+        // a cluster-to-cluster transfer from the value's bank. A bank end
+        // must be the value's own bank, a cluster source its producer, the
+        // ends must differ, and a bank source must hold a loaded or
+        // re-homed copy, so every mutant must be rejected.
         let p = FheProgram::listing2_matvec(1 << 10, 3, 2);
         let mut arch = ArchConfig::f1_default();
         arch.rf_bytes_per_cluster = 4 * 4096;
@@ -1066,7 +1093,7 @@ mod tests {
             ComponentId::Bank(b) => ComponentId::Bank((b + 1) % arch.scratchpad_banks),
             ComponentId::Cluster(c) => ComponentId::Cluster((c + 1) % arch.clusters),
         };
-        let mut m = Mutants::<4>::new(&ex, &plan, &cs, &arch);
+        let mut m = Mutants::<5>::new(&ex, &plan, &cs, &arch);
         for (k, e) in cs.schedule.net.iter().enumerate() {
             m.try_op(0, |m| m.schedule.net[k].from = next(e.from));
             if matches!(e.to, ComponentId::Bank(_)) {
@@ -1074,12 +1101,16 @@ mod tests {
             }
             m.try_op(2, |m| m.schedule.net[k].from = ComponentId::Bank(arch.scratchpad_banks + 7));
             m.try_op(3, |m| m.schedule.net[k].to = e.from);
+            if matches!((e.from, e.to), (ComponentId::Cluster(_), ComponentId::Cluster(_))) {
+                m.try_op(4, |m| m.schedule.net[k].from = ComponentId::Bank(arch.bank_of(e.value)));
+            }
         }
         assert!(m.tried[1] > 0, "the schedule must re-home values to their banks");
+        assert!(m.tried[4] > 0, "the schedule must copy values between clusters");
         assert_eq!(
-            m.survived, [0; 4],
+            m.survived, [0; 5],
             "mutants accepted of {:?} (next source, next re-home bank, bank out of range, \
-             back to source)",
+             back to source, cluster source moved to the bank)",
             m.tried
         );
     }

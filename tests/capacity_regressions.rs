@@ -8,7 +8,7 @@ use f1::isa::dfg::ValueId;
 use f1::isa::streams::MemDir;
 use f1::workloads::benchmarks::{
     bgv_bootstrapping, ckks_bootstrapping, db_lookup, logistic_regression, lola_cifar_uw,
-    lola_mnist_uw,
+    lola_mnist_ew, lola_mnist_uw,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -125,6 +125,33 @@ fn tinypad_makespan_is_monotone_in_capacity() {
             cs.makespan
         );
         prev = cs.makespan;
+    }
+}
+
+/// Pass 3 schedules a plan that moves only compulsory traffic without
+/// pass 2's byte lineage, and keeps that schedule only when its peak fits
+/// the pad. The checker is then the only guard of the kept schedule.
+/// LoLa-MNIST EW and the fhe-ops BGV block keep their lineage-free
+/// schedules. LoLa-CIFAR's peaks at 83.4 MB, so it keeps its lineage
+/// schedule of 181,499 cycles, as before lineage-free schedules existed.
+#[test]
+fn compulsory_only_schedules_fit_the_pad() {
+    let mut bgv = FheProgram::new(1 << 14, Scheme::Bgv);
+    let (x, y) = (bgv.input(16), bgv.input(16));
+    let m = bgv.mul(x, y);
+    let r = bgv.rotate(m, 1);
+    let s = bgv.mod_switch(r);
+    bgv.output(s);
+    let arch = ArchConfig::f1_default();
+    for (name, p, makespan) in [
+        ("bgv_block", bgv, 25_429),
+        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 31_492),
+        ("lola_cifar", lola_cifar_uw(8).fhe, 181_499),
+    ] {
+        let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
+        assert_eq!(plan.traffic.non_compulsory(), 0, "{name}");
+        f1::sim::check_schedule(&ex, &plan, &cs, &arch);
+        assert_eq!(cs.makespan, makespan, "{name}");
     }
 }
 
