@@ -10,7 +10,7 @@
 //! * **HBM channels** — `arch.hbm_channels` independent streams, each at
 //!   the per-channel bandwidth. Loads, refetches and spill stores all
 //!   compete for the same channel timelines and run *concurrently with
-//!   compute*; ready loads drain in pass 2's liveness-deadline order.
+//!   compute*; ready loads drain deepest first (see below).
 //! * **Functional units** — per (cluster, class, instance) interval
 //!   timelines with first-fit gap insertion, so a late-ready instruction
 //!   never blocks an idle window.
@@ -51,9 +51,15 @@
 //! then *re-homes* the oldest values to their scratchpad bank with a
 //! crossbar writeback, and later consumers fetch them from the bank.
 //!
-//! Ready instructions are ranked by critical-path depth on the DFG
-//! (longest streaming path to a sink, [`f1_isa::dfg::Dfg::critical_depths`]),
-//! not by pass-2 order.
+//! Ready instructions and loads are ranked by their depth on the event
+//! graph this pass commits, not by pass-2 order: the longest path to a
+//! sink, each edge weighted by the time it carries (a producer's
+//! [`stream_weight`], a reader's hold, a producer's drain, a load's
+//! transfer and HBM latency, a store's transfer). A donor edge
+//! carries no time, but it makes a reader of the donor value as deep as
+//! the allocation its release feeds, so that reader is not left behind
+//! shallower work while the allocation waits on it. Ready releases drain
+//! before loads.
 //!
 //! Timing uses F1's rate-matched streaming semantics: every standard unit
 //! and 512-byte port produces and consumes at `lanes` elements per cycle,
@@ -475,7 +481,7 @@ struct CycleScheduler<'a> {
     plan: &'a MovePlan,
     arch: &'a ArchConfig,
     n_instr: usize,
-    /// Event nodes (ids `n_instr + k`).
+    /// Event nodes (ids `n_instr + k`), in pass 2's event order.
     mem_nodes: Vec<MemNode>,
     /// Successor edges in CSR form: node `i`'s successors are
     /// `succ_dat[succ_off[i]..succ_off[i + 1]]`, in the order pass 2's
@@ -487,6 +493,8 @@ struct CycleScheduler<'a> {
     indeg: Vec<u32>,
     /// Earliest start each node inherits from its gating predecessors.
     gate_time: Vec<u64>,
+    /// Rank of every node: its longest weighted path to a sink of the
+    /// event graph ([`Self::event_depths`]).
     depth: Vec<u64>,
     /// Per-FU-class `occupancy` / [`stream_weight`] / `latency` at ring
     /// size `n`, indexed by [`FuType::index`] (identical for every
@@ -526,6 +534,10 @@ struct CycleScheduler<'a> {
     rf_queue: Vec<VecDeque<ValueId>>,
     /// Cluster whose register file holds the value, `NONE_U32` if none.
     rf_member: Vec<u32>,
+    /// Latest start of a committed crossbar transfer that reads the value
+    /// out of its cluster's register file; a re-home may not free the
+    /// slot before then.
+    rf_read: Vec<u64>,
     /// Reusable operand buffer (avoids cloning instruction input lists).
     input_buf: Vec<ValueId>,
     /// Reusable scratch for [`Self::pick_cluster`]: the sorted
@@ -535,7 +547,8 @@ struct CycleScheduler<'a> {
     order_buf: Vec<(u64, u64, usize)>,
     // Ready queues.
     instr_ready: BinaryHeap<(u64, std::cmp::Reverse<u32>)>,
-    mem_ready: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    /// `(is release, depth, node)`: releases first, then the deepest load.
+    mem_ready: BinaryHeap<(bool, u64, std::cmp::Reverse<u32>)>,
     // Output.
     out: StaticSchedule,
     makespan: u64,
@@ -669,10 +682,6 @@ impl<'a> CycleScheduler<'a> {
         }
         drop(edges);
 
-        // Rank = streaming critical-path depth (matches the availability
-        // semantics the schedule is checked under).
-        let depth = dfg.critical_depths(&|i| stream_weight(arch, i.op.fu_type(), n));
-
         let fu_occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
         let fu_weight = FuType::ALL.map(|fu| stream_weight(arch, fu, n));
         let fu_lat = FuType::ALL.map(|fu| arch.latency(fu, n));
@@ -697,7 +706,7 @@ impl<'a> CycleScheduler<'a> {
             succ_dat,
             indeg,
             gate_time: vec![0; total],
-            depth,
+            depth: Vec::new(),
             fu_occ,
             fu_weight,
             fu_lat,
@@ -717,6 +726,7 @@ impl<'a> CycleScheduler<'a> {
             rf_used: vec![0; arch.clusters],
             rf_queue: vec![VecDeque::new(); arch.clusters],
             rf_member: vec![NONE_U32; n_values],
+            rf_read: vec![0; n_values],
             input_buf: Vec::new(),
             order_buf: Vec::new(),
             instr_ready: BinaryHeap::new(),
@@ -724,6 +734,7 @@ impl<'a> CycleScheduler<'a> {
             out: StaticSchedule::new(arch.clusters),
             makespan: 0,
         };
+        s.depth = s.event_depths();
         for nid in 0..total as u32 {
             if s.indeg[nid as usize] == 0 {
                 s.enqueue(nid);
@@ -732,18 +743,52 @@ impl<'a> CycleScheduler<'a> {
         s
     }
 
-    fn enqueue(&mut self, nid: u32) {
-        if (nid as usize) < self.n_instr {
-            self.instr_ready.push((self.depth[nid as usize], std::cmp::Reverse(nid)));
-        } else {
-            let key = match self.mem_nodes[nid as usize - self.n_instr] {
-                MemNode::Load { ev } => match &self.plan.events[ev as usize] {
-                    MoveEvent::Load { deadline, .. } => *deadline,
-                    _ => 0,
-                },
-                _ => 0,
+    /// Each node's longest path to a sink, each edge weighted by the time
+    /// [`Self::finish`] propagates across it, measured from the node's
+    /// start. Pass 2's event order is a topological order of the graph,
+    /// so one reverse walk of it visits every successor first.
+    fn event_depths(&self) -> Vec<u64> {
+        // Edge weights per source kind, indexed by `Gate as usize`.
+        let instr = FuType::ALL.map(|fu| {
+            let (occ, lat) = (self.fu_occ[fu.index()], self.fu_lat[fu.index()]);
+            [self.fu_weight[fu.index()], occ, occ + lat, 0]
+        });
+        let load = [self.mem_cycles + self.arch.hbm_latency_cycles; 4];
+        let store = [0, 0, 0, self.mem_cycles];
+        let mut depth = vec![0u64; self.n_instr + self.mem_nodes.len()];
+        let mut mem = self.mem_nodes.len();
+        for ev in self.plan.events.iter().rev() {
+            let (nid, w) = match ev {
+                MoveEvent::Issue { instr: i, .. } => {
+                    (i.0 as usize, &instr[self.dfg.instr(*i).op.fu_type().index()])
+                }
+                _ => {
+                    mem -= 1;
+                    let w = match self.mem_nodes[mem] {
+                        MemNode::Load { .. } => &load,
+                        MemNode::Store { .. } => &store,
+                        MemNode::Drop { .. } => &[0; 4],
+                    };
+                    (self.n_instr + mem, w)
+                }
             };
-            self.mem_ready.push(std::cmp::Reverse((key, nid)));
+            let succs =
+                &self.succ_dat[self.succ_off[nid] as usize..self.succ_off[nid + 1] as usize];
+            depth[nid] =
+                succs.iter().map(|&(s, g)| depth[s as usize] + w[g as usize]).max().unwrap_or(0);
+        }
+        depth
+    }
+
+    fn enqueue(&mut self, nid: u32) {
+        let depth = self.depth[nid as usize];
+        let id = std::cmp::Reverse(nid);
+        if (nid as usize) < self.n_instr {
+            self.instr_ready.push((depth, id));
+        } else if let MemNode::Load { .. } = self.mem_nodes[nid as usize - self.n_instr] {
+            self.mem_ready.push((false, depth, id));
+        } else {
+            self.mem_ready.push((true, 0, id));
         }
     }
 
@@ -777,7 +822,7 @@ impl<'a> CycleScheduler<'a> {
         let mut committed = 0usize;
         while committed < total {
             let mut progressed = false;
-            while let Some(std::cmp::Reverse((_, nid))) = self.mem_ready.pop() {
+            while let Some((_, _, std::cmp::Reverse(nid))) = self.mem_ready.pop() {
                 self.commit_mem(nid);
                 committed += 1;
                 progressed = true;
@@ -831,6 +876,10 @@ impl<'a> CycleScheduler<'a> {
         let (dur, pair) = (self.net_cycles, self.lane_index(from, to));
         let (port, cycle) = self.net_busy[pair].fit(ready, dur);
         self.net_busy[pair].commit(port, cycle, dur);
+        if let ComponentId::Cluster(_) = from {
+            let read = &mut self.rf_read[v.0 as usize];
+            *read = (*read).max(cycle);
+        }
         self.out.net.push(NetEntry { cycle, value: v, from, to, port });
         cycle
     }
@@ -1138,12 +1187,15 @@ impl<'a> CycleScheduler<'a> {
     }
 
     /// Writes a register-file-resident value back to its scratchpad bank
-    /// over the crossbar; later consumers fetch it from the bank.
+    /// over the crossbar; later consumers fetch it from the bank. The
+    /// writeback starts no earlier than the last committed transfer out of
+    /// the register file, so the slot is not freed under a read.
     fn rehome(&mut self, w: ValueId, c: usize) {
         let wi = w.0 as usize;
         let from = ComponentId::Cluster(c);
         let to = ComponentId::Bank(self.arch.bank_of(w));
-        let landed = self.commit_net(w, from, to, self.avail[wi]) + self.net_cycles;
+        let ready = self.avail[wi].max(self.rf_read[wi]);
+        let landed = self.commit_net(w, from, to, ready) + self.net_cycles;
         self.home[wi] = Some(to);
         self.bank_ready[wi] = landed;
         self.wb_done[wi] = landed;
@@ -1553,6 +1605,92 @@ mod tests {
         assert!(peak > arch.scratchpad_bytes(), "lineage-free peak {peak} fits the pad");
         assert!(free.makespan < lineage.makespan);
         assert_eq!(format!("{cs:?}"), format!("{lineage:?}"), "the lineage schedule is kept");
+    }
+
+    /// Pass 1 and pass 2 of `p` on `arch`.
+    fn plan_of(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
+        let ex = expand(p, &ExpandOptions { machine: Some(arch.clone()), ..Default::default() });
+        let plan = movement::schedule(&ex, arch);
+        (ex, plan)
+    }
+
+    /// Node `nid`'s successor edges.
+    fn succs<'s>(s: &'s CycleScheduler, nid: usize) -> &'s [(u32, Gate)] {
+        &s.succ_dat[s.succ_off[nid] as usize..s.succ_off[nid + 1] as usize]
+    }
+
+    #[test]
+    fn event_depths_are_longest_weighted_paths() {
+        // Every node's rank is at least each successor's plus the time the
+        // edge carries, and equals the largest such sum (0 at a sink). The
+        // weights are re-derived from the machine here: a producer's
+        // stream weight, a reader's occupancy, a producer's drain, a
+        // load's transfer plus HBM latency, a store's transfer, and
+        // nothing across a donor edge or out of a drop.
+        let p = listing2(1 << 12, 8, 4);
+        for arch in [ArchConfig::f1_default(), tiny_pad(2)] {
+            let (ex, plan) = plan_of(&p, &arch);
+            let (dfg, n) = (&ex.dfg, ex.dfg.n);
+            let mem = arch.mem_channel_cycles(dfg.vector_bytes());
+            for lineage in [false, true] {
+                let s = CycleScheduler::new(&ex, &plan, &arch, lineage);
+                for nid in 0..s.depth.len() {
+                    let weight = |g: Gate| {
+                        if nid >= s.n_instr {
+                            return match s.mem_nodes[nid - s.n_instr] {
+                                MemNode::Load { .. } => mem + arch.hbm_latency_cycles,
+                                MemNode::Store { .. } if g == Gate::Done => mem,
+                                _ => 0,
+                            };
+                        }
+                        let fu = dfg.instr(InstrId(nid as u32)).op.fu_type();
+                        match g {
+                            Gate::Order => stream_weight(&arch, fu, n),
+                            Gate::ReaderHold => arch.occupancy(fu, n),
+                            Gate::Drain => arch.occupancy(fu, n) + arch.latency(fu, n),
+                            Gate::Done => panic!("instruction {nid} gates on completion"),
+                        }
+                    };
+                    let mut longest = 0;
+                    for &(t, g) in succs(&s, nid) {
+                        let via = s.depth[t as usize] + weight(g);
+                        assert!(s.depth[nid] >= via, "node {nid} below successor {t} ({g:?})");
+                        longest = longest.max(via);
+                    }
+                    assert_eq!(s.depth[nid], longest, "node {nid}, lineage {lineage}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_donor_values_reader_outranks_the_allocation_its_release_feeds() {
+        // Under the lineage, an allocation commits after its donor
+        // releases, and a release after every reader of the donor value.
+        // A reader that is shallow on the DFG then gates a deep
+        // allocation, so it must rank above it.
+        let p = listing2(1 << 12, 8, 4);
+        let arch = tiny_pad(2);
+        let (ex, plan) = plan_of(&p, &arch);
+        let dfg_depth = ex.dfg.critical_depths(&|i| stream_weight(&arch, i.op.fu_type(), ex.dfg.n));
+        let s = CycleScheduler::new(&ex, &plan, &arch, true);
+        let mut inverted = 0;
+        for reader in 0..s.n_instr {
+            for &(release, _) in succs(&s, reader).iter().filter(|&&(_, g)| g == Gate::ReaderHold) {
+                for &(alloc, g) in succs(&s, release as usize) {
+                    let alloc = alloc as usize;
+                    if g == Gate::Order && alloc < s.n_instr && dfg_depth[reader] < dfg_depth[alloc]
+                    {
+                        inverted += 1;
+                        assert!(
+                            s.depth[reader] > s.depth[alloc],
+                            "reader {reader} ranks below allocation {alloc} it gates"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(inverted > 0, "no reader is shallower on the DFG than an allocation it gates");
     }
 
     #[test]

@@ -120,10 +120,6 @@ pub enum MoveEvent {
         value: ValueId,
         /// `true` when this re-fetches a previously evicted value.
         refetch: bool,
-        /// Liveness-derived deadline: the issue rank of the earliest
-        /// unissued consumer (lower = needed sooner). Pass 3 drains
-        /// ready loads in this order.
-        deadline: u64,
         /// Release events whose freed bytes this allocation reuses.
         space_from: Vec<EventId>,
     },
@@ -600,13 +596,7 @@ impl<'a> Scheduler<'a> {
         }
         self.mem_cycle += self.arch.mem_cycles(bytes);
         let space_from = self.take_space(bytes);
-        let deadline = self.next_use_rank(v);
-        self.out.events.push(MoveEvent::Load {
-            value: v,
-            refetch: !first_time,
-            deadline,
-            space_from,
-        });
+        self.out.events.push(MoveEvent::Load { value: v, refetch: !first_time, space_from });
         self.requested[v.0 as usize] = false;
         self.mark_resident(v, false);
     }

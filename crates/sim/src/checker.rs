@@ -8,6 +8,8 @@ use f1_compiler::{CycleSchedule, MovePlan};
 use f1_isa::dfg::ValueId;
 use f1_isa::streams::MemDir;
 use f1_isa::{ComponentId, FuType};
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Per-window utilization series — the data behind Fig 10.
 #[derive(Debug, Clone, Default)]
@@ -253,9 +255,11 @@ const NO_CLUSTER: u32 = u32::MAX;
 /// * **Residency**: every consumer must read each operand inside one of
 ///   the value's on-chip residency intervals — a value whose last copy
 ///   was evicted may not be read until its refetch *completes*.
-/// * **Bank copies**: a crossbar transfer out of a bank reads a copy that
-///   a load or a re-home put there. Its residency interval began with a
-///   load, or a re-home made within the interval landed before it starts.
+/// * **Bank and register-file copies**: a crossbar transfer out of a bank
+///   reads a copy that a load or a re-home put there. Its residency
+///   interval began with a load, or a re-home made within the interval
+///   landed before it starts. A transfer out of a cluster starts before
+///   the value's re-home, which frees its register-file slot, has landed.
 /// * **Capacity**: the byte-weighted overlap of all residency intervals
 ///   must stay within the scratchpad at every cycle.
 /// * **Ordering**: a refetch may not start before the previous copy's
@@ -267,23 +271,24 @@ const NO_CLUSTER: u32 = u32::MAX;
 ///
 /// All per-value state lives in flat arrays indexed by value id, so the
 /// cost is linear in the stream entries plus small per-value sorts and
-/// one sort of the capacity deltas.
+/// one sort of the allocation cycles.
 ///
 /// # Panics
 ///
 /// Panics (like the paper's checker) on any missed dependence, resource
 /// double-booking, capacity overflow, makespan mismatch, stream entry
 /// naming a value or instruction the DFG does not have, crossbar
-/// transfer between the wrong endpoints or out of a bank that holds no
-/// copy, or instruction missing from or repeated in the compute streams.
+/// transfer between the wrong endpoints, out of a bank that holds no
+/// copy or out of a register file the value's re-home freed, or
+/// instruction missing from or repeated in the compute streams.
 ///
 /// The first violation found is reported, and which one that is does not
 /// vary from run to run: the checks run in a fixed order (ids and the
 /// issue table, structural resources, crossbar endpoints, residency,
 /// capacity, transfers, dependences, memory ordering, makespan),
-/// residency walks values in id order, and the other checks walk the
-/// streams in stream order. Of several values with broken residency, the
-/// panic names the lowest id.
+/// residency and dependences walk values in id order, and the other
+/// checks walk the streams in stream order. Of several values with
+/// broken residency or a broken read, the panic names the lowest id.
 pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> u64 {
     verify(expanded, cs, arch).0
 }
@@ -326,21 +331,20 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
         residency_intervals(expanded, cs, &issue, &weight, mem_cycles + arch.hbm_latency_cycles);
     {
         let cap = arch.scratchpad_bytes();
-        // A release's negative delta sorts before an allocation's
-        // positive one at the same cycle: bytes freed at cycle t may be
-        // reused by an allocation starting at t.
-        let bytes = vector as i64;
-        let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(2 * intervals.items.len());
-        for r in &intervals.items {
-            deltas.push((r.start, bytes));
-            if r.end != u64::MAX {
-                deltas.push((r.end, -bytes));
+        // Every interval holds one vector. Each eviction closed exactly
+        // one interval (`residency_intervals` panics otherwise), so the
+        // releases are the evict stream's cycles, already in cycle order;
+        // only the allocations need sorting. Releases up to cycle t apply
+        // before an allocation at t: bytes freed at t may be reused then.
+        let mut starts: Vec<u64> = intervals.items.iter().map(|r| r.start).collect();
+        starts.sort_unstable();
+        let mut releases = cs.schedule.evict.iter().map(|e| e.cycle).peekable();
+        let (bytes, mut occupied) = (vector as i64, 0i64);
+        for cycle in starts {
+            while releases.next_if(|&end| end <= cycle).is_some() {
+                occupied -= bytes;
             }
-        }
-        deltas.sort_unstable();
-        let mut occupied = 0i64;
-        for (cycle, d) in deltas {
-            occupied += d;
+            occupied += bytes;
             assert!(
                 occupied <= cap as i64,
                 "resident set ({occupied} bytes) exceeds scratchpad capacity ({cap}) at cycle {cycle}"
@@ -361,7 +365,9 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
     // holds a copy only once a load or a re-home (a cluster-to-bank
     // writeback) put one there: a transfer out of a bank must read an
     // interval that began with a load, or start after a re-home made
-    // within its interval has landed.
+    // within its interval has landed. A re-home frees the value's
+    // register-file slot once it lands, so a transfer out of the cluster
+    // must start before then.
     let rehomes = ByValue::build(
         dfg.values().len(),
         cs.schedule
@@ -377,15 +383,28 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
                 e.value, e.cycle
             )
         });
-        if matches!(e.from, ComponentId::Bank(_)) && !r.loaded {
-            let rehomed = rehomes.get(e.value.0 as usize);
-            let ok = rehomed.iter().any(|&s| s >= r.start && s + net_cycles <= e.cycle);
-            assert!(
-                ok,
-                "net transfer of {:?} at {} from {:?} reads no copy: the value was not \
-                 loaded, and no re-home of it landed there by then",
-                e.value, e.cycle, e.from
-            );
+        let rehomed = rehomes.get(e.value.0 as usize);
+        match e.from {
+            ComponentId::Bank(_) if !r.loaded => {
+                let ok = rehomed.iter().any(|&s| s >= r.start && s + net_cycles <= e.cycle);
+                assert!(
+                    ok,
+                    "net transfer of {:?} at {} from {:?} reads no copy: the value was not \
+                     loaded, and no re-home of it landed there by then",
+                    e.value, e.cycle, e.from
+                );
+            }
+            ComponentId::Cluster(_) => {
+                if let Some(freed) = rehomed.iter().map(|&s| s + net_cycles).find(|&l| l <= e.cycle)
+                {
+                    panic!(
+                        "net transfer of {:?} at {} from {:?} reads a register-file slot its \
+                         re-home freed at {freed}",
+                        e.value, e.cycle, e.from
+                    );
+                }
+            }
+            _ => {}
         }
     }
     // Crossbar deliveries per value: (destination, start, arrival).
@@ -396,35 +415,41 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
             .iter()
             .map(|e| (e.value, (e.to, e.cycle, e.cycle + f1_compiler::cycle::XBAR_HOP_CYCLES))),
     );
-    for (c, stream) in cs.schedule.compute.iter().enumerate() {
-        let here = ComponentId::Cluster(c);
-        for e in stream {
-            let instr = dfg.instr(e.instr);
-            for &v in &instr.inputs {
-                let r = covering(v, e.cycle).unwrap_or_else(|| {
-                    panic!(
-                        "instr {:?} at {} reads {v:?} while it is evicted \
-                         (no completed on-chip copy: refetch not done or value never loaded)",
-                        e.instr, e.cycle
-                    )
+    // Operand reads per value: (issue cycle, cluster, instruction), so
+    // each value's intervals, deliveries and reads are checked together
+    // and the per-value arrays are walked in order.
+    let reads = ByValue::build(
+        dfg.values().len(),
+        dfg.instrs().iter().flat_map(|instr| {
+            let read = (issue[instr.id.0 as usize], cluster_of[instr.output.0 as usize], instr.id);
+            instr.inputs.iter().map(move |&v| (v, read))
+        }),
+    );
+    for v in (0..dfg.values().len()).map(|v| ValueId(v as u32)) {
+        let deliveries = arrivals.get(v.0 as usize);
+        for &(cycle, c, id) in reads.get(v.0 as usize) {
+            let r = covering(v, cycle).unwrap_or_else(|| {
+                panic!(
+                    "instr {id:?} at {cycle} reads {v:?} while it is evicted \
+                     (no completed on-chip copy: refetch not done or value never loaded)"
+                )
+            });
+            let local = !r.loaded && cluster_of[v.0 as usize] == c;
+            if !local {
+                // Remote (bank-resident or other-cluster) operands MUST
+                // arrive over the crossbar within this same residency
+                // interval — a missing transfer is a scheduler bug, and a
+                // transfer from before the eviction carries stale bytes,
+                // not a free pass.
+                let here = ComponentId::Cluster(c as usize);
+                let ok = deliveries.iter().any(|&(to, s, arrive)| {
+                    to == here && arrive <= cycle && s >= r.start && s <= r.end
                 });
-                let local = !r.loaded && cluster_of[v.0 as usize] == c as u32;
-                if !local {
-                    // Remote (bank-resident or other-cluster) operands MUST
-                    // arrive over the crossbar within this same residency
-                    // interval — a missing transfer is a scheduler bug, and
-                    // a transfer from before the eviction carries stale
-                    // bytes, not a free pass.
-                    let ok = arrivals.get(v.0 as usize).iter().any(|&(to, s, arrive)| {
-                        to == here && arrive <= e.cycle && s >= r.start && s <= r.end
-                    });
-                    assert!(
-                        ok,
-                        "instr {:?} on cluster {c} consumes remote {v:?} with no \
-                         crossbar transfer inside the value's residency interval",
-                        e.instr
-                    );
-                }
+                assert!(
+                    ok,
+                    "instr {id:?} on cluster {c} consumes remote {v:?} with no \
+                     crossbar transfer inside the value's residency interval"
+                );
             }
         }
     }
@@ -484,19 +509,18 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
     (makespan.max(1), fu)
 }
 
-/// Exclusivity of one kind of resource: `uses` holds `(resource, start
-/// cycle)`, and two uses of one resource must be `busy` cycles apart.
-/// One sort brings each resource's uses together in cycle order, so only
-/// neighbours need comparing.
-fn check_exclusive<K: Ord + Copy + std::fmt::Debug>(
+/// Exclusivity of one kind of resource: `uses` yields `(resource, start
+/// cycle)` in cycle order, and two uses of one resource must be `busy`
+/// cycles apart. Each use then only needs comparing with its resource's
+/// previous one.
+fn check_exclusive<K: Hash + Eq + Copy + std::fmt::Debug>(
     what: &str,
-    mut uses: Vec<(K, u64)>,
+    uses: impl Iterator<Item = (K, u64)>,
     busy: u64,
 ) {
-    uses.sort_unstable();
-    for w in uses.windows(2) {
-        let ((key, c0), (next_key, c1)) = (w[0], w[1]);
-        if key == next_key {
+    let mut last: HashMap<K, u64> = HashMap::new();
+    for (key, c1) in uses {
+        if let Some(c0) = last.insert(key, c1) {
             assert!(c1 >= c0 + busy, "{what} {key:?} double-booked: transfers at {c0} and {c1}");
         }
     }
@@ -543,12 +567,13 @@ fn check_structural(
     }
 
     // --- HBM channels: each channel is exclusive; transfers on it must
-    // be spaced by their per-channel streaming time.
+    // be spaced by their per-channel streaming time. The memory and net
+    // streams are sorted by cycle too, so uses arrive in cycle order.
     let channel_uses = cs.schedule.mem.iter().map(|m| {
         assert!(m.channel < arch.hbm_channels, "unknown HBM channel {}", m.channel);
         (m.channel, m.cycle)
     });
-    check_exclusive("HBM channel", channel_uses.collect(), mem_cycles);
+    check_exclusive("HBM channel", channel_uses, mem_cycles);
 
     // --- Crossbar ports: per ((from, to), lane), transfers must be
     // spaced by their streaming time.
@@ -556,7 +581,7 @@ fn check_structural(
         assert!(e.port < arch.xbar_ports, "unknown crossbar lane {}", e.port);
         ((e.from, e.to, e.port), e.cycle)
     });
-    check_exclusive("crossbar lane", lane_uses.collect(), net_cycles);
+    check_exclusive("crossbar lane", lane_uses, net_cycles);
 }
 
 /// The event counts behind the power breakdown, derived from the streams
@@ -1076,24 +1101,36 @@ mod tests {
 
     #[test]
     fn checker_rejects_every_crossbar_endpoint_mutant() {
-        // Five mutation operators over the crossbar stream of a compiled
+        // Six mutation operators over the crossbar stream of a compiled
         // schedule whose small register files force re-homes: move a
         // transfer's source to the next bank or cluster, move a re-home's
         // destination to the next bank, source a transfer from a bank past
-        // the last, send a transfer back to its own source, and re-source
-        // a cluster-to-cluster transfer from the value's bank. A bank end
-        // must be the value's own bank, a cluster source its producer, the
-        // ends must differ, and a bank source must hold a loaded or
-        // re-homed copy, so every mutant must be rejected.
+        // the last, send a transfer back to its own source, re-source a
+        // cluster-to-cluster transfer from the value's bank, and move a
+        // value's re-home earlier so it lands as a cluster-to-cluster
+        // transfer of the value starts. A bank end must be the value's own
+        // bank, a cluster source its producer, the ends must differ, a
+        // bank source must hold a loaded or re-homed copy, and a cluster
+        // source must still hold the value in its register file, so every
+        // mutant must be rejected.
+        // Register files of eight values: with four, no transfer of a
+        // re-homed value starts late enough for an early re-home to start
+        // after its value exists, so only other checks would be tested.
         let p = FheProgram::listing2_matvec(1 << 10, 3, 2);
         let mut arch = ArchConfig::f1_default();
-        arch.rf_bytes_per_cluster = 4 * 4096;
+        arch.rf_bytes_per_cluster = 8 * 4096;
         let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         let next = |end: ComponentId| match end {
             ComponentId::Bank(b) => ComponentId::Bank((b + 1) % arch.scratchpad_banks),
             ComponentId::Cluster(c) => ComponentId::Cluster((c + 1) % arch.clusters),
         };
-        let mut m = Mutants::<5>::new(&ex, &plan, &cs, &arch);
+        let net_cycles = arch.net_cycles(ex.dfg.vector_bytes());
+        let rehomes: Vec<_> = (cs.schedule.net.iter().enumerate())
+            .filter(|(_, e)| {
+                matches!((e.from, e.to), (ComponentId::Cluster(_), ComponentId::Bank(_)))
+            })
+            .collect();
+        let mut m = Mutants::<6>::new(&ex, &plan, &cs, &arch);
         for (k, e) in cs.schedule.net.iter().enumerate() {
             m.try_op(0, |m| m.schedule.net[k].from = next(e.from));
             if matches!(e.to, ComponentId::Bank(_)) {
@@ -1103,14 +1140,22 @@ mod tests {
             m.try_op(3, |m| m.schedule.net[k].to = e.from);
             if matches!((e.from, e.to), (ComponentId::Cluster(_), ComponentId::Cluster(_))) {
                 m.try_op(4, |m| m.schedule.net[k].from = ComponentId::Bank(arch.bank_of(e.value)));
+                let Some(early) = e.cycle.checked_sub(net_cycles) else { continue };
+                for &(j, _) in rehomes.iter().filter(|(_, r)| r.value == e.value) {
+                    m.try_op(5, |m| {
+                        m.schedule.net[j].cycle = early;
+                        m.schedule.net.sort_by_key(|e| e.cycle);
+                    });
+                }
             }
         }
         assert!(m.tried[1] > 0, "the schedule must re-home values to their banks");
         assert!(m.tried[4] > 0, "the schedule must copy values between clusters");
+        assert!(m.tried[5] > 0, "the schedule must copy a value it later re-homes");
         assert_eq!(
-            m.survived, [0; 5],
+            m.survived, [0; 6],
             "mutants accepted of {:?} (next source, next re-home bank, bank out of range, \
-             back to source, cluster source moved to the bank)",
+             back to source, cluster source moved to the bank, re-home before a read)",
             m.tried
         );
     }
