@@ -21,9 +21,10 @@
 //! bytes among them. It commits every allocation after its donors, so
 //! room for the allocation always exists, and starts it wherever its
 //! bytes fit, which can be before those donors release. A plan with only
-//! compulsory traffic is first scheduled without the donors, and that
-//! schedule is kept if it fits the pad (see [`crate::cycle`]). The
-//! `f1-sim` checker verifies capacity independently.
+//! compulsory traffic is also scheduled without the donors, and that
+//! schedule is kept if it fits the pad and is no longer (see
+//! [`crate::cycle`]). The `f1-sim` checker verifies capacity
+//! independently.
 //!
 //! An instruction's result also keeps a **reserve** of free space ahead
 //! of it. Free chunks leave the pool in release order. On a full pad, an
@@ -51,6 +52,16 @@
 //! eviction, so programs whose live data always fits keep prefetching
 //! freely. A skipped request stays pending, and `force_one_load` serves it
 //! when nothing is ready to issue.
+//!
+//! Nor does prefetch run ahead of the computation that its user waits on.
+//! Requests are urgent by their earliest unissued user, and that user may
+//! also read an intermediate whose producer has not issued; the loaded
+//! bytes would then sit unread until it does, and under pressure be
+//! evicted unread and loaded again. So draining stops at such a request,
+//! with or without pressure. It too stays pending for `force_one_load`.
+//! With this hold no full-size paper program releases a load unread on the
+//! 64 MB machine, and both bootstrapping plans move only compulsory
+//! traffic.
 
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, InstrId, ValueId, ValueKind};
@@ -303,6 +314,9 @@ struct EvictionPaths {
     /// Prefetches [`Scheduler::drain_loads`] held back by the do-no-harm
     /// rule.
     held_prefetches: u64,
+    /// Prefetches [`Scheduler::drain_loads`] held back because the value's
+    /// next user also reads an intermediate not yet produced.
+    unproduced_holds: u64,
 }
 
 impl<'a> Scheduler<'a> {
@@ -503,6 +517,17 @@ impl<'a> Scheduler<'a> {
             if !self.make_space(bytes, false) {
                 break;
             }
+            // Hold: the value's next user cannot issue before an operand
+            // still to be computed, so the bytes would sit unread meanwhile.
+            // (`still_wanted` just moved the cursor to that user.)
+            let user = self.sorted_users[vid as usize][self.user_cursor[vid as usize] as usize];
+            if self.waits_on_unproduced(InstrId(user)) {
+                #[cfg(test)]
+                {
+                    self.paths.unproduced_holds += 1;
+                }
+                break;
+            }
             // Do no harm: under pressure, a value reused no sooner than the
             // first live victim would itself be the next victim, so loading
             // it now only gets it evicted unread.
@@ -519,6 +544,15 @@ impl<'a> Scheduler<'a> {
             self.pending_loads.pop();
             self.do_load(v, bytes);
         }
+    }
+
+    /// Whether `i` reads an intermediate whose producer has not issued.
+    fn waits_on_unproduced(&self, i: InstrId) -> bool {
+        self.dfg
+            .instr(i)
+            .inputs
+            .iter()
+            .any(|&w| self.dfg.producer(w).is_some_and(|p| !self.issued[p.0 as usize]))
     }
 
     /// Next use rank of the value [`Self::make_space_pinned`] would evict
@@ -1126,6 +1160,42 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_waits_for_its_users_unproduced_operand() {
+        // `x` is read only by the final add, whose other operand comes out
+        // of a rotation chain. With room to spare, pass 2 would load `x`
+        // at once, and its bytes would sit unread while the chain runs. So
+        // a value whose only user also reads an intermediate is loaded
+        // after that intermediate's producer issues.
+        let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
+        let (x, mut z) = (f.input(4), f.input(4));
+        for k in 1..4 {
+            z = f.rotate(z, k);
+        }
+        let s = f.add(x, z);
+        f.output(s);
+        let (ex, plan) = plan_for(&f.lower().program, &ArchConfig::f1_default());
+        let dfg = &ex.dfg;
+        let mut issued = HashSet::new();
+        let mut held = 0;
+        for e in &plan.events {
+            match *e {
+                MoveEvent::Issue { instr, .. } => {
+                    issued.insert(instr);
+                }
+                MoveEvent::Load { value, .. } if dfg.users(value).len() == 1 => {
+                    let user = dfg.instr(dfg.users(value)[0]);
+                    for p in user.inputs.iter().filter_map(|&w| dfg.producer(w)) {
+                        held += 1;
+                        assert!(issued.contains(&p), "{value:?} loaded before {p:?} issued");
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(held > 0, "no single-user load also waits on an intermediate");
+    }
+
+    #[test]
     fn heap_eviction_exercises_every_path() {
         // Every slow-path `make_space_pinned` call in a test build, the
         // best-effort reserve call in `issue` included, also sorts the
@@ -1135,9 +1205,13 @@ mod tests {
         // eviction loop fire, so the check is not vacuous: operands of the
         // issuing instruction set aside, outputs that later instructions
         // still read set aside, prefetches that stop at a live value,
-        // prefetches held back under pressure, and spilled values reloaded.
-        // The second program's outputs are read again at the end of a long
-        // rotation chain.
+        // prefetches held back under pressure or until their user's other
+        // operand is produced, and spilled values reloaded. The matvec
+        // runs at level 8: at level 4, once prefetches wait for their
+        // users' operands, no eviction on these pads reaches the issuing
+        // instruction's operands. The second
+        // program's outputs are read again at the end of a long rotation
+        // chain.
         let mut outs = FheProgram::new(1 << 12, Scheme::Bgv);
         let products: Vec<_> = (0..4)
             .map(|_| {
@@ -1157,7 +1231,7 @@ mod tests {
         outs.output(z);
         let mut total = EvictionPaths::default();
         let mut spill_reloads = 0;
-        for p in [listing2(1 << 12, 4, 4), outs.lower().program] {
+        for p in [listing2(1 << 12, 8, 4), outs.lower().program] {
             let ex = expand(&p, &ExpandOptions::default());
             for mb in 1..=4 {
                 let arch = ArchConfig::f1_default().with_scratchpad_mb(mb);
@@ -1167,6 +1241,7 @@ mod tests {
                 total.live_output_skips += s.paths.live_output_skips;
                 total.no_live_returns += s.paths.no_live_returns;
                 total.held_prefetches += s.paths.held_prefetches;
+                total.unproduced_holds += s.paths.unproduced_holds;
                 let mut spilled = HashSet::new();
                 for e in &s.out.events {
                     match *e {
@@ -1185,6 +1260,7 @@ mod tests {
         assert!(total.live_output_skips > 0, "no live output was set aside");
         assert!(total.no_live_returns > 0, "no prefetch stopped at a live value");
         assert!(total.held_prefetches > 0, "no prefetch was held back under pressure");
+        assert!(total.unproduced_holds > 0, "no prefetch waited for an unproduced operand");
         assert!(spill_reloads > 0, "no spilled value was reloaded");
     }
 }
