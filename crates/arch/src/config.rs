@@ -174,8 +174,10 @@ impl ArchConfig {
     pub fn latency(&self, fu: FuType, n: usize) -> u64 {
         let g = (n / self.lanes).max(1) as u64;
         match fu {
-            // Two E-point NTT passes around a transpose: the transpose
-            // buffers E/2 vectors before the first output (Fig 7).
+            // The G input vectors stream through two E-point NTT passes
+            // around a transpose (§5.2). The transpose buffers E/2 vectors
+            // before its first output (Fig 7), and each pass is a pipeline
+            // of log2 E butterfly stages, so the passes add 2·log2 E.
             FuType::Ntt => {
                 let fill = self.lanes as u64 / 2 + 2 * (self.lanes as u64).ilog2() as u64;
                 let lat = g + fill;
@@ -185,7 +187,10 @@ impl ArchConfig {
                     lat
                 }
             }
-            // Column permute, transpose (E/2 fill), row permute, transpose.
+            // Column permute, transpose, row permute, transpose back
+            // (§5.1, Figs 5–6). Each of the two transposes buffers E/2
+            // vectors before its first output, so the fill is 2·E/2 = E; the
+            // permutations add none.
             FuType::Aut => {
                 let lat = g + self.lanes as u64;
                 if self.low_throughput_aut {
@@ -293,6 +298,12 @@ mod tests {
             assert!(c.latency(fu, 16384) > 0);
         }
         assert!(c.latency(FuType::Ntt, 16384) > c.latency(FuType::Mul, 16384));
+        // At N = 2^14 on 128 lanes, G = 128 vectors stream through each unit.
+        // NTT: G + E/2 transpose fill + 2·log2 E butterfly stages.
+        assert_eq!(c.latency(FuType::Ntt, 16384), 128 + 64 + 14);
+        // Automorphism: G + the E/2 fill of each of its two transposes.
+        assert_eq!(c.latency(FuType::Aut, 16384), 128 + 2 * 64);
+        assert_eq!(c.occupancy(FuType::Aut, 16384), 128);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! into a *column permutation* that is identical for every chunk, a
 //! transpose, a *row permutation* local to each transposed chunk, and a
 //! transpose back — all operations on `E`-element vectors.
-//! [`apply_via_matrix`] implements exactly that pipeline and is checked
-//! against the direct definition.
+//!
+//! That decomposition is not executed here. The simulator charges it
+//! through the `Aut` term of `ArchConfig::latency` in f1-arch (`G` input
+//! vectors plus the `E/2` fill of each of its two transposes), and every
+//! residue is computed by the direct kernels below.
 
 use crate::ntt::bit_reverse;
-use crate::transpose::QuadrantSwapUnit;
 use f1_modarith::Modulus;
 
 /// Validates an automorphism exponent: odd and in `(0, 2N)`.
@@ -84,99 +86,6 @@ pub fn apply_ntt_into(a_hat: &[u32], k: usize, out: &mut [u32]) {
         let j = (src_eval - 1) / 2;
         *x = a_hat[bit_reverse(j, log_n)];
     }
-}
-
-/// Applies `σ_k` in coefficient representation through the hardware
-/// pipeline of Fig 6: per-chunk column permutation → transpose → per-chunk
-/// row permutation with sign flips → transpose back.
-///
-/// `e` is the lane width (chunk size); the polynomial is processed as a
-/// `G × E` matrix with `G = N / E`. Bit-exact with [`apply_coeff`].
-///
-/// # Panics
-///
-/// Panics if `e` does not divide `a.len()` or `G > E`.
-pub fn apply_via_matrix(a: &[u32], k: usize, e: usize, m: &Modulus) -> Vec<u32> {
-    let n = a.len();
-    assert!(n.is_power_of_two() && e.is_power_of_two());
-    assert!(n.is_multiple_of(e), "lane width must divide N");
-    let g = n / e;
-    assert!(g <= e, "automorphism unit requires G <= E");
-    assert_valid_exponent(k, n);
-    let two_n = 2 * n;
-
-    // Stage 1: column permutation, identical for every chunk. Element at
-    // column c moves to column c*k mod E. ("Permute column" in Fig 5/6 —
-    // realized as a fixed pipeline of sub-permutations in hardware.)
-    let mut stage1 = vec![vec![0u32; e]; g];
-    for r in 0..g {
-        for c in 0..e {
-            stage1[r][(c * k) % e] = a[r * e + c];
-        }
-    }
-
-    // Stage 2: transpose through the quadrant-swap unit.
-    let unit = QuadrantSwapUnit::new(e);
-    let t = unit.transpose_rect(&stage1);
-
-    // Stage 3: per-chunk row permutation + sign flip. Transposed chunk c'
-    // (a row of length G) sends element r to row (r*k + d) mod G, where
-    // d = floor(c*k / E) mod G and c is the pre-permutation column
-    // (c = c' * k^{-1} mod E). The sign of each element depends on its
-    // original flat index i = r*E + c: negative iff i*k mod 2N >= N.
-    let k_inv_mod_e = mod_inverse_odd(k % (2 * e), e);
-    let mut stage3 = vec![vec![0u32; g]; e];
-    for c_prime in 0..e {
-        let c = (c_prime * k_inv_mod_e) % e;
-        let d = (c * k) / e % g;
-        for r in 0..g {
-            let dst = (r * k + d) % g;
-            let i = r * e + c;
-            let val = t[c_prime][r];
-            let negate = (i * k) % two_n >= n;
-            stage3[c_prime][dst] = if negate { m.neg(val) } else { val };
-        }
-    }
-
-    // Stage 4: transpose back and flatten.
-    let back = unit_transpose_back(&stage3, g, e);
-    let mut out = vec![0u32; n];
-    for r in 0..g {
-        for c in 0..e {
-            out[r * e + c] = back[r][c];
-        }
-    }
-    out
-}
-
-/// Transposes the `E × G` stage-3 matrix back to `G × E` using the same
-/// quadrant-swap unit (run in the mirrored direction).
-fn unit_transpose_back(rows: &[Vec<u32>], g: usize, e: usize) -> Vec<Vec<u32>> {
-    debug_assert_eq!(rows.len(), e);
-    // Pad E x G up to E x E, quadrant-swap transpose, take the top G rows.
-    let unit = QuadrantSwapUnit::new(e);
-    let padded: Vec<Vec<u32>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = r.clone();
-            row.resize(e, 0);
-            row
-        })
-        .collect();
-    let t = unit.transpose_square(&padded);
-    t.into_iter().take(g).collect()
-}
-
-/// Inverse of an odd `k` modulo a power of two `e`.
-fn mod_inverse_odd(k: usize, e: usize) -> usize {
-    debug_assert!(e.is_power_of_two());
-    debug_assert!(k % 2 == 1);
-    // Newton–Hensel on the 2-adics, enough iterations for e <= 2^64.
-    let mut x = k; // 3-bit correct
-    for _ in 0..6 {
-        x = x.wrapping_mul(2usize.wrapping_sub(k.wrapping_mul(x)));
-    }
-    x & (e - 1)
 }
 
 /// The exponent used to homomorphically rotate packed slots by `amount`
@@ -251,35 +160,6 @@ mod tests {
             tables.forward(&mut a_hat);
             let rhs = apply_ntt(&a_hat, k);
             assert_eq!(lhs, rhs, "k={k}");
-        }
-    }
-
-    #[test]
-    fn matrix_pipeline_matches_direct() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
-        for (n, e) in [(16usize, 4usize), (64, 8), (1024, 32), (4096, 128)] {
-            let m = modulus(n);
-            let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..m.value())).collect();
-            for k in [3usize, 5, n - 1, n + 3, 2 * n - 1] {
-                let want = apply_coeff(&a, k, &m);
-                let got = apply_via_matrix(&a, k, e, &m);
-                assert_eq!(got, want, "n={n}, e={e}, k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn figure5_example_sigma3_n16_e4() {
-        // The worked example of Fig 5: σ_3 on N=16, E=4. Signs aside, index
-        // i must land at 3i mod 16.
-        let n = 16;
-        let m = modulus(n);
-        let a: Vec<u32> = (1..=16).collect(); // distinct markers
-        let out = apply_via_matrix(&a, 3, 4, &m);
-        for i in 0..n {
-            let j = (3 * i) % n;
-            let expect = if (3 * i) % (2 * n) < n { a[i] } else { m.neg(a[i]) };
-            assert_eq!(out[j], expect, "element {i}");
         }
     }
 

@@ -2,19 +2,13 @@
 //!
 //! FHE ciphertexts are pairs of polynomials in `R_Q = Z_Q[X]/(X^N + 1)`,
 //! stored in RNS form as `L` residue polynomials with 32-bit coefficients
-//! (paper §2.2–2.3). This crate implements the data types and the three
-//! non-trivial kernels F1 builds functional units for:
+//! (paper §2.2–2.3). This crate implements the data types and the
+//! reference kernels behind every residue the FHE layer computes:
 //!
 //! * [`ntt`] — negacyclic NTTs (merged-ψ Cooley–Tukey forward, Gentleman–
 //!   Sande inverse) over each RNS limb.
-//! * [`four_step`] — the four-step NTT decomposition that F1's NTT unit
-//!   implements in hardware (§5.2): two passes of `E`-point NTTs around a
-//!   twiddle multiplication and a transpose.
 //! * [`automorphism`] — Galois automorphisms `σ_k` in both coefficient and
-//!   NTT domains, plus the column-permute / transpose / row-permute
-//!   decomposition of §5.1 (Fig 5) that makes them vectorizable.
-//! * [`transpose`] — the quadrant-swap transpose unit of Fig 7, modeled
-//!   operationally (the same unit serves the NTT and automorphism FUs).
+//!   NTT domains.
 //! * [`rns`] — RNS contexts and [`rns::RnsPoly`], the `RVec`-of-limbs type
 //!   every F1 instruction operates on (flat limb-major storage, in-place
 //!   operators).
@@ -35,18 +29,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Index loops intentionally mirror the per-element/NTT/transpose kernels structure of the
-// hardware they model; iterator rewrites obscure that correspondence.
-#![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
 pub mod automorphism;
 pub mod crt;
-pub mod four_step;
 pub mod ntt;
 pub mod par;
 pub mod rns;
-pub mod transpose;
 
 pub use rns::{Domain, ResiduePoly, RnsContext, RnsPoly};
 

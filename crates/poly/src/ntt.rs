@@ -23,8 +23,10 @@
 //!   back to the reference kernels. Outputs are bit-identical to the
 //!   reference transforms.
 //!
-//! The hardware-shaped four-step pipeline of [`crate::four_step`] is
-//! validated against the same reference transforms.
+//! F1's NTT unit computes these transforms as two passes of `E`-point NTTs
+//! around a twiddle multiply and a transpose (§5.2). That dataflow is
+//! modelled by its timing only, `ArchConfig::{occupancy, latency}` in
+//! f1-arch; every residue is computed here.
 
 use f1_modarith::mul::ShoupMul;
 use f1_modarith::Modulus;
@@ -307,6 +309,8 @@ pub fn bit_reverse(i: usize, bits: u32) -> usize {
 }
 
 /// Schoolbook negacyclic multiplication, the `O(n^2)` oracle for tests.
+// The oracle indexes `a[i]`, `b[j]` and `out[i + j]` as the definition does.
+#[allow(clippy::needless_range_loop)]
 pub fn negacyclic_mul_schoolbook(a: &[u32], b: &[u32], m: &Modulus) -> Vec<u32> {
     let n = a.len();
     assert_eq!(b.len(), n);
@@ -421,6 +425,8 @@ mod tests {
     }
 
     #[test]
+    // Slot `i` both indexes the output and names its evaluation point.
+    #[allow(clippy::needless_range_loop)]
     fn ntt_is_evaluation_at_odd_psi_powers() {
         // Pin the domain convention: forward NTT output in bit-reversed
         // order corresponds to evaluations at psi^{2*bitrev(i)+1}. We verify
