@@ -12,7 +12,6 @@
 
 use crate::ir::{FheOp, FheProgram, IrId};
 use f1_arch::ArchConfig;
-use f1_fhe::keyswitch::KeySwitchVariant;
 use std::collections::BTreeMap;
 
 /// Bytes one IR value occupies resident: ciphertexts are two RNS
@@ -108,7 +107,8 @@ pub fn analyze(p: &FheProgram, arch: &ArchConfig) -> PressureReport {
             FheOp::Aut { k, .. } => ((*k, node.ty.level), node.ty.level),
             _ => continue,
         };
-        let bytes = KeySwitchVariant::Decomposition.cost(level, 0, p.n).hint_bytes as u64;
+        // Listing 1's hint: 2·L² residue vectors of N 32-bit words.
+        let bytes = 2 * (level * level) as u64 * p.n as u64 * 4;
         hints.insert(key, bytes);
     }
     let max_hint_bytes = hints.values().copied().max().unwrap_or(0);

@@ -128,8 +128,9 @@ mod tests {
     fn csr_declares_large_graphs_intractable() {
         // Fabricate a size check without building a huge graph.
         let mut g = f1_isa::dfg::Dfg::new(1024);
-        let v = g.add_value(f1_isa::dfg::ValueKind::Input, None);
-        let _ = g.add_instr(f1_isa::dfg::VectorOp::Ntt, vec![v], 0);
+        let q0 = f1_isa::dfg::Limb::Q(0);
+        let v = g.add_value(f1_isa::dfg::ValueKind::Input, q0, None);
+        let _ = g.add_instr(f1_isa::dfg::VectorOp::Ntt, vec![v], q0, 0);
         assert!(g.instrs().len() <= CSR_TRACTABLE_LIMIT, "tiny graphs are tractable");
         assert!(csr_order(&g).is_some());
     }

@@ -11,13 +11,15 @@
 //!   (Listing 1's decomposition variant vs the GHS-style `O(L)`-hint
 //!   variant) from `L`, hint reuse and FU load (§2.4, §4.2).
 //! * **Translation**: expand every homomorphic operation into
-//!   residue-vector instructions; one `Mul` at `L = 16` becomes ~1,600
-//!   instructions, dominated by the key-switch.
+//!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,152
+//!   instructions with GHS (1,360 with Listing 1), dominated by the
+//!   key-switch. Each value records its RNS limb and each scalar multiply
+//!   its constant, so the DFG can be evaluated on real residues.
 
 use crate::dsl::{CtId, HomOp, Program};
 use f1_arch::ArchConfig;
-use f1_isa::dfg::{Dfg, ValueId, ValueKind, VectorOp};
-use std::collections::BTreeMap;
+use f1_isa::dfg::{Dfg, Limb, Scalar, ValueId, ValueKind, VectorOp};
+use std::collections::{BTreeMap, HashMap};
 
 /// Identifies a key-switch hint (one pair of matrices, §2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,9 +85,11 @@ struct LoweredCt {
 /// key-switch variants (expansion is linear and cheap next to the
 /// scheduling passes) and keeps the one whose estimated makespan — the
 /// max of its bandwidth, FU-throughput and dependence bounds on the
-/// target machine — is lower. Decomposition has the least compute but
-/// `O(L²)` hints; GHS pays more arithmetic for `O(L)` hints, winning
-/// whenever hint traffic would leave the machine bandwidth-bound.
+/// target machine — is lower. Decomposition has `O(L²)` hints and `L²`
+/// NTTs; GHS has `O(L)` hints and `3L + 3K` NTTs, but more scalar
+/// multiplies and a longer dependence path (its base conversions are
+/// serial chains), so decomposition still wins small latency-bound
+/// programs.
 ///
 /// The op order is [`hint_reuse_order`]'s rule under the live-bytes
 /// budget of the target machine's scratchpad (`opts.machine`).
@@ -197,6 +201,7 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
         program,
         dfg: Dfg::new(program.n),
         hints: BTreeMap::new(),
+        hint_index: HashMap::new(),
         cts: vec![None; program.ops().len()],
         plains: vec![None; program.ops().len()],
         priority: 0,
@@ -376,6 +381,9 @@ struct Expander<'p> {
     program: &'p Program,
     dfg: Dfg,
     hints: BTreeMap<HintId, Vec<ValueId>>,
+    /// Each hint vector by `(hint, polynomial, row, limb)`: see
+    /// [`Expander::hint_val`].
+    hint_index: HashMap<(HintId, u8, u16, Limb), ValueId>,
     /// Lowered ciphertexts, indexed by [`CtId`] (= op index; `None` until
     /// the op lowers). Dense tables — the per-op lookups are hot.
     cts: Vec<Option<LoweredCt>>,
@@ -400,9 +408,21 @@ impl<'p> Expander<'p> {
         self.priority
     }
 
+    /// A program input's residue vector on limb `i`.
+    fn input(&mut self, i: usize, label: String) -> ValueId {
+        self.dfg.add_value(ValueKind::Input, Limb::Q(i as u16), Some(label))
+    }
+
+    /// Emits `op` with its result on its first operand's limb.
     fn emit(&mut self, op: VectorOp, inputs: Vec<ValueId>) -> ValueId {
+        let limb = self.dfg.value(inputs[0]).limb;
+        self.emit_on(limb, op, inputs)
+    }
+
+    /// Emits `op` with its result on `limb`.
+    fn emit_on(&mut self, limb: Limb, op: VectorOp, inputs: Vec<ValueId>) -> ValueId {
         let p = self.next_priority();
-        self.dfg.add_instr(op, inputs, p)
+        self.dfg.add_instr(op, inputs, limb, p)
     }
 
     fn lower_op(&mut self, idx: usize) {
@@ -410,18 +430,12 @@ impl<'p> Expander<'p> {
         let level = self.program.level_of(id);
         match self.program.ops()[idx].clone() {
             HomOp::Input { level } => {
-                let a = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("ct{idx}.a[{i}]"))))
-                    .collect();
-                let b = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("ct{idx}.b[{i}]"))))
-                    .collect();
+                let a = (0..level).map(|i| self.input(i, format!("ct{idx}.a[{i}]"))).collect();
+                let b = (0..level).map(|i| self.input(i, format!("ct{idx}.b[{i}]"))).collect();
                 self.cts[id.0 as usize] = Some(LoweredCt { a, b });
             }
             HomOp::PlainInput { level } => {
-                let p = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("pt{idx}[{i}]"))))
-                    .collect();
+                let p = (0..level).map(|i| self.input(i, format!("pt{idx}[{i}]"))).collect();
                 self.plains[id.0 as usize] = Some(p);
             }
             HomOp::Add { a, b } => {
@@ -492,11 +506,12 @@ impl<'p> Expander<'p> {
                     // δ = INTT(top limb); per remaining limb: NTT(δ),
                     // subtract, scale by q_top^{-1} (§2.2.2 in RNS form).
                     let delta = this.emit(VectorOp::Intt, vec![poly[top]]);
+                    let c = Scalar::QInv { i: top as u16 };
                     (0..out_level)
                         .map(|j| {
-                            let d = this.emit(VectorOp::Ntt, vec![delta]);
+                            let d = this.emit_on(Limb::Q(j as u16), VectorOp::Ntt, vec![delta]);
                             let s = this.emit(VectorOp::Sub, vec![poly[j], d]);
-                            this.emit(VectorOp::ScalarMul, vec![s])
+                            this.emit(VectorOp::ScalarMul { c }, vec![s])
                         })
                         .collect()
                 };
@@ -507,18 +522,25 @@ impl<'p> Expander<'p> {
         }
     }
 
-    /// Residue vectors of a hint's matrices, created on first use.
-    fn hint_vals(&mut self, hint: HintId, count: usize) -> Vec<ValueId> {
-        if let Some(v) = self.hints.get(&hint) {
-            if v.len() >= count {
-                return v.clone();
-            }
+    /// The residue vector on `limb` of polynomial `poly` (0 for `ksh0`, 1
+    /// for `ksh1`) of `hint`'s row `row` (the digit, in the decomposition
+    /// variant; always 0 in GHS's single row), registered on first use.
+    /// One hint serves every level: a lower level reads a subset of the
+    /// vectors a higher one does.
+    fn hint_val(&mut self, hint: HintId, poly: u8, row: usize, limb: Limb) -> ValueId {
+        let key = (hint, poly, row as u16, limb);
+        if let Some(&v) = self.hint_index.get(&key) {
+            return v;
         }
-        let vals: Vec<ValueId> = (0..count)
-            .map(|i| self.dfg.add_value(ValueKind::KeySwitchHint, Some(format!("{hint:?}[{i}]"))))
-            .collect();
-        self.hints.insert(hint, vals.clone());
-        vals
+        let label = if self.used_ghs {
+            format!("{hint:?}.ksh{poly}")
+        } else {
+            format!("{hint:?}.ksh{poly}[{row}]")
+        };
+        let v = self.dfg.add_value(ValueKind::KeySwitchHint, limb, Some(label));
+        self.hint_index.insert(key, v);
+        self.hints.entry(hint).or_default().push(v);
+        v
     }
 
     /// Key-switch expansion: Listing 1 (decomposition) or GHS.
@@ -538,24 +560,24 @@ impl<'p> Expander<'p> {
         hint: HintId,
         l: usize,
     ) -> (Vec<ValueId>, Vec<ValueId>) {
-        let hints = self.hint_vals(hint, 2 * l * l);
-        let ksh0 = |i: usize, j: usize| hints[i * l + j];
-        let ksh1 = |i: usize, j: usize| hints[l * l + i * l + j];
         // Line 3: y = [INTT(x[i])].
         let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();
         let mut u0: Vec<Option<ValueId>> = vec![None; l];
         let mut u1: Vec<Option<ValueId>> = vec![None; l];
         for i in 0..l {
             for j in 0..l {
+                let limb = Limb::Q(j as u16);
                 // Line 8: xqj = (i == j) ? x[i] : NTT(y[i], q_j).
-                let xqj = if i == j { x[i] } else { self.emit(VectorOp::Ntt, vec![y[i]]) };
+                let xqj = if i == j { x[i] } else { self.emit_on(limb, VectorOp::Ntt, vec![y[i]]) };
                 // Lines 9-10: multiply-accumulate against both hint rows.
-                let m0 = self.emit(VectorOp::Mul, vec![xqj, ksh0(i, j)]);
+                let h0 = self.hint_val(hint, 0, i, limb);
+                let m0 = self.emit(VectorOp::Mul, vec![xqj, h0]);
                 u0[j] = Some(match u0[j] {
                     None => m0,
                     Some(acc) => self.emit(VectorOp::Add, vec![acc, m0]),
                 });
-                let m1 = self.emit(VectorOp::Mul, vec![xqj, ksh1(i, j)]);
+                let h1 = self.hint_val(hint, 1, i, limb);
+                let m1 = self.emit(VectorOp::Mul, vec![xqj, h1]);
                 u1[j] = Some(match u1[j] {
                     None => m1,
                     Some(acc) => self.emit(VectorOp::Add, vec![acc, m1]),
@@ -565,49 +587,89 @@ impl<'p> Expander<'p> {
         (u0.into_iter().map(Option::unwrap).collect(), u1.into_iter().map(Option::unwrap).collect())
     }
 
-    /// GHS-style key-switch: raise `x` into `L + K` limbs, multiply by an
-    /// `O(L)` hint, then divide by the special modulus with rounding.
-    /// More compute, far smaller hints (§2.4).
+    /// GHS key-switch (§2.4) in its RNS form: ModUp, the hint product,
+    /// then ModDown (Cheon, Han, Kim, Kim & Song 2018), with `K = l`
+    /// special primes. Hints are `2(l + K)` RVecs; the work is
+    /// `3l + 3K` NTTs and INTTs, `2(l + K)` multiplies, and `l + 2K`
+    /// base-conversion chains of scalar multiply-accumulates.
+    ///
+    /// * *ModUp*: INTT each limb of `x` and scale it into its CRT digit,
+    ///   convert the digits to each special prime and NTT the result. The
+    ///   program limbs of the extension are `x` itself.
+    /// * *ModDown* (see [`Self::mod_down`]) divides each product by the
+    ///   special modulus `P`.
     fn keyswitch_ghs(
         &mut self,
         x: &[ValueId],
         hint: HintId,
         l: usize,
     ) -> (Vec<ValueId>, Vec<ValueId>) {
-        // One special limb per operating limb (K = L, at least one).
-        let k = l.max(1);
-        let total = l + k;
-        let hints = self.hint_vals(hint, 2 * total);
-        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();
-        // Basis extension: per target limb, a digit-weighted sum of the
-        // coefficient-domain limbs, then one forward NTT.
-        let lifted: Vec<ValueId> = (0..total)
-            .map(|_| {
-                let mut acc = self.emit(VectorOp::ScalarMul, vec![y[0]]);
-                for yi in y.iter().skip(1) {
-                    acc = self.emit(VectorOp::ScalarMulAdd, vec![acc, *yi]);
-                }
-                self.emit(VectorOp::Ntt, vec![acc])
+        let k = l;
+        let level = l as u16;
+        let digits: Vec<ValueId> = (0..l)
+            .map(|i| {
+                let y = self.emit(VectorOp::Intt, vec![x[i]]);
+                let c = Scalar::QHatInv { l: level, i: i as u16 };
+                self.emit(VectorOp::ScalarMul { c }, vec![y])
             })
             .collect();
-        let mut u0: Vec<ValueId> =
-            (0..total).map(|j| self.emit(VectorOp::Mul, vec![lifted[j], hints[j]])).collect();
-        let mut u1: Vec<ValueId> = (0..total)
-            .map(|j| self.emit(VectorOp::Mul, vec![lifted[j], hints[total + j]]))
-            .collect();
-        // Rounded division by each special prime (both polynomials).
-        for poly in [&mut u0, &mut u1] {
-            for sp in (l..total).rev() {
-                let delta = self.emit(VectorOp::Intt, vec![poly[sp]]);
-                for limb in poly.iter_mut().take(sp) {
-                    let d = self.emit(VectorOp::Ntt, vec![delta]);
-                    let s = self.emit(VectorOp::Sub, vec![*limb, d]);
-                    *limb = self.emit(VectorOp::ScalarMul, vec![s]);
-                }
-            }
-            poly.truncate(l);
+        let mut ext = x.to_vec();
+        for p in 0..k {
+            let conv = self.convert(&digits, Limb::P(p as u16), |i| Scalar::QHat { l: level, i });
+            ext.push(self.emit(VectorOp::Ntt, vec![conv]));
         }
-        (u0, u1)
+        let [u0, u1] = [0, 1].map(|poly| {
+            ext.iter()
+                .map(|&e| {
+                    let h = self.hint_val(hint, poly, 0, self.dfg.value(e).limb);
+                    self.emit(VectorOp::Mul, vec![e, h])
+                })
+                .collect::<Vec<_>>()
+        });
+        (self.mod_down(&u0, l), self.mod_down(&u1, l))
+    }
+
+    /// ModDown: divides `u` (NTT domain, `l` program limbs then `K`
+    /// specials) by the special modulus `P`, keeping the result's noise a
+    /// multiple of `t`. INTT each special limb and scale it into its CRT
+    /// digit of `[t^{-1} u]_P`; then per program limb, convert the digits
+    /// to it with weights `t · P / p_i`, NTT, subtract from `u`'s limb and
+    /// multiply by `P^{-1}`. The conversion (see [`VectorOp::ScalarMul`])
+    /// reads the digits centered, so its overshoot adds at most `t·K/2`
+    /// to the noise, a multiple of `t`.
+    fn mod_down(&mut self, u: &[ValueId], l: usize) -> Vec<ValueId> {
+        let k = (u.len() - l) as u16;
+        let digits: Vec<ValueId> = (0..k)
+            .map(|p| {
+                let v = self.emit(VectorOp::Intt, vec![u[l + p as usize]]);
+                self.emit(VectorOp::ScalarMul { c: Scalar::PHatInv { k, i: p } }, vec![v])
+            })
+            .collect();
+        (0..l)
+            .map(|j| {
+                let conv = self.convert(&digits, Limb::Q(j as u16), |i| Scalar::PHat { k, i });
+                let d = self.emit(VectorOp::Ntt, vec![conv]);
+                let s = self.emit(VectorOp::Sub, vec![u[j], d]);
+                self.emit(VectorOp::ScalarMul { c: Scalar::PInv { k } }, vec![s])
+            })
+            .collect()
+    }
+
+    /// Fast base conversion of coefficient-domain CRT digits to `limb`:
+    /// `Σ_i digit_i · weight(i)`, one `ScalarMul` then a `ScalarMulAdd`
+    /// chain.
+    fn convert(
+        &mut self,
+        digits: &[ValueId],
+        limb: Limb,
+        weight: impl Fn(u16) -> Scalar,
+    ) -> ValueId {
+        let mut acc = self.emit_on(limb, VectorOp::ScalarMul { c: weight(0) }, vec![digits[0]]);
+        for (i, &d) in digits.iter().enumerate().skip(1) {
+            let op = VectorOp::ScalarMulAdd { c: weight(i as u16) };
+            acc = self.emit_on(limb, op, vec![acc, d]);
+        }
+        acc
     }
 }
 
@@ -778,18 +840,20 @@ mod tests {
     #[test]
     fn auto_chooser_respects_scratchpad_capacity() {
         // The same program that keeps decomposition on the 64 MB machine
-        // must flip to GHS on a capacity-starved one: eight muls reuse
-        // the relinearization hint, so decomposition's O(L²) hint (128 KB
-        // here) gets re-fetched on a 64 KB pad every round, while GHS's
-        // O(L) hint is four times cheaper to thrash.
+        // must flip to GHS on a capacity-starved one. Eight serial muls
+        // at L = 8 reuse the relinearization hint: on 64 MB the dependence
+        // bound decides, and Listing 1's key-switch path is the shorter
+        // (1,760 cycles against GHS's 4,160 when written), but its O(L²)
+        // hint (512 KB here) gets re-fetched on a 64 KB pad every round,
+        // while GHS's O(L) hint is four times cheaper to thrash.
         let build = || {
             let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+            let x = p.input(8);
+            let mut m = x;
             for _ in 0..8 {
-                let x = p.input(4);
-                let y = p.input(4);
-                let m = p.mul(x, y);
-                p.output(m);
+                m = p.mul(m, x);
             }
+            p.output(m);
             p.lower().program
         };
         let big = expand(
@@ -814,24 +878,34 @@ mod tests {
     }
 
     #[test]
-    fn ghs_uses_more_compute() {
-        let d = expand(
-            &one_mul(1 << 10, 8),
-            &ExpandOptions { keyswitch: KeySwitchChoice::Decomposition, ..Default::default() },
-        );
-        let g = expand(
-            &one_mul(1 << 10, 8),
-            &ExpandOptions { keyswitch: KeySwitchChoice::Ghs, ..Default::default() },
-        );
-        assert!(
-            g.dfg.instrs().len() > d.dfg.instrs().len(),
-            "GHS {} should exceed decomposition {} instructions",
-            g.dfg.instrs().len(),
-            d.dfg.instrs().len()
-        );
-        let hint_bytes =
-            |e: &Expanded| e.hint_values[&HintId::Relin].len() as u64 * e.dfg.vector_bytes();
-        assert!(hint_bytes(&g) < hint_bytes(&d) / 3, "GHS hints must be much smaller");
+    fn ghs_instruction_counts() {
+        // One hom-mul at level l with K = l specials. Around the tensor
+        // (4l muls, l adds) and the final 2l adds, the GHS key-switch runs
+        // 3l + 3K NTT-class instructions: ModUp's l INTTs and K NTTs, and
+        // per polynomial ModDown's K INTTs and l NTTs. Each of the l + 2K
+        // base conversions is a ScalarMul and a ScalarMulAdd chain.
+        let (l, k) = (8, 8);
+        let ex = |keyswitch| {
+            expand(&one_mul(1 << 10, l), &ExpandOptions { keyswitch, ..Default::default() })
+        };
+        let g = ex(KeySwitchChoice::Ghs);
+        let c = g.dfg.op_counts();
+        assert_eq!(c["intt"] + c["ntt"], 3 * l + 3 * k);
+        assert_eq!((c["intt"], c["ntt"]), (l + 2 * k, k + 2 * l));
+        assert_eq!(c["mul"], 4 * l + 2 * (l + k), "tensor + hint product");
+        // Digit scales (l in ModUp, K per polynomial in ModDown),
+        // conversion heads (K, then l per polynomial) and, per
+        // polynomial, l divisions by P.
+        assert_eq!(c["scalar_mul"], l + k + 2 * (k + 2 * l));
+        assert_eq!(c["scalar_mul_add"], k * (l - 1) + 2 * l * (k - 1));
+        assert_eq!((c["add"], c["sub"]), (3 * l, 2 * l));
+        assert_eq!(g.dfg.instrs().len(), 384);
+        // Listing 1 is the cheaper expansion at this level, and its hint
+        // is four times larger.
+        let d = ex(KeySwitchChoice::Decomposition);
+        assert_eq!(d.dfg.instrs().len(), 360);
+        let hint_vectors = |e: &Expanded| e.hint_values[&HintId::Relin].len();
+        assert_eq!((hint_vectors(&g), hint_vectors(&d)), (2 * (l + k), 2 * l * l));
     }
 
     #[test]

@@ -40,6 +40,13 @@
 //! it, the paper suite's off-chip traffic is 1.4% lower and its simulated
 //! gmean 4% higher.
 //!
+//! Prefetch runs at most a **lookahead** ahead of compute: while an
+//! instruction is ready, loads stop once the memory timeline leads the
+//! compute front by the HBM time to fill the scratchpad once (65,536
+//! cycles at 64 MB and 1 TB/s). Like the reserve it is derived from the
+//! machine, not tuned: a longer lead would hold more than a pad's worth of
+//! loaded, unread data.
+//!
 //! Prefetching and eviction must not fight. Once the pad is full, filling
 //! free space with the most urgent pending load can fetch a value whose
 //! first use is far off; the next instruction's allocation then evicts it
@@ -232,6 +239,14 @@ pub fn schedule_with_order(
 /// paper's 64 MB and N = 2^14 this is 16 × 64 KB = 1 MB.
 fn reserve_bytes(arch: &ArchConfig, result_bytes: u64) -> u64 {
     (arch.hbm_channels as u64 * result_bytes).min(arch.bank_bytes)
+}
+
+/// How far, in cycles, [`Scheduler::drain_loads`] lets memory run ahead
+/// of compute while an instruction is ready: the HBM time to fill the
+/// scratchpad once, so the loaded, unread data never needs more than the
+/// pad. At the paper's 64 MB and 1 TB/s this is 65,536 cycles.
+fn lookahead_cycles(arch: &ArchConfig) -> u64 {
+    arch.mem_cycles(arch.scratchpad_bytes())
 }
 
 struct Scheduler<'a> {
@@ -501,7 +516,7 @@ impl<'a> Scheduler<'a> {
     /// Issues pending loads while memory is not too far ahead of compute
     /// and space is free (evicting only dead or clean-and-distant data).
     fn drain_loads(&mut self) {
-        const LOOKAHEAD: u64 = 20_000;
+        let lookahead = lookahead_cycles(self.arch);
         while let Some(&Reverse((_, vid))) = self.pending_loads.peek() {
             let v = ValueId(vid);
             if self.resident[vid as usize] || !self.still_wanted(v) {
@@ -510,7 +525,7 @@ impl<'a> Scheduler<'a> {
                 continue;
             }
             let have_ready = !self.ready.is_empty();
-            if have_ready && self.mem_cycle > self.compute_front() + LOOKAHEAD {
+            if have_ready && self.mem_cycle > self.compute_front() + lookahead {
                 break;
             }
             let bytes = self.dfg.vector_bytes();
@@ -908,13 +923,23 @@ impl<'a> Scheduler<'a> {
 mod tests {
     use super::*;
     use crate::dsl::Program;
-    use crate::expand::{expand, ExpandOptions};
+    use crate::expand::{expand, ExpandOptions, KeySwitchChoice};
     use crate::ir::{FheProgram, Scheme};
     use crate::listing2;
     use std::collections::HashMap;
 
     fn plan_for(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
-        let ex = expand(p, &ExpandOptions::default());
+        plan_with(p, arch, ExpandOptions::default())
+    }
+
+    /// [`plan_for`] with Listing 1's key-switch pinned.
+    fn decomposition_plan(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
+        let keyswitch = KeySwitchChoice::Decomposition;
+        plan_with(p, arch, ExpandOptions { keyswitch, ..Default::default() })
+    }
+
+    fn plan_with(p: &Program, arch: &ArchConfig, opts: ExpandOptions) -> (Expanded, MovePlan) {
+        let ex = expand(p, &opts);
         let plan = schedule(&ex, arch);
         (ex, plan)
     }
@@ -928,14 +953,14 @@ mod tests {
         f.output(m);
         let p = f.lower().program;
         let arch = ArchConfig::f1_default();
-        let (ex, plan) = plan_for(&p, &arch);
+        let (ex, plan) = decomposition_plan(&p, &arch);
         let issues = plan.events.iter().filter(|e| matches!(e, MoveEvent::Issue { .. })).count();
         assert_eq!(issues, ex.dfg.instrs().len());
         let t = plan.traffic;
         assert_eq!(t.ksh_non_compulsory, 0);
         assert_eq!(t.input_non_compulsory, 0);
         assert_eq!(t.interm_load + t.interm_store, 0);
-        // Compulsory = all hints + all inputs + outputs.
+        // Compulsory = all hints (Listing 1's 2L²) + all inputs + outputs.
         let expect_inputs = 4 * 4 * (1 << 12) * 4u64; // 2 cts × 2 polys × 4 limbs
         let expect_out = 2 * 4 * (1 << 12) * 4u64;
         assert_eq!(t.input_compulsory, expect_inputs + expect_out);
@@ -965,17 +990,17 @@ mod tests {
 
     #[test]
     fn tiny_scratchpad_forces_noncompulsory_traffic() {
-        // Shrink the scratchpad below the hint working set: hints must be
-        // re-fetched (the §4.2 thrashing scenario).
+        // Shrink the scratchpad below the hint working set: Listing 1's
+        // hints must be re-fetched (the §4.2 thrashing scenario).
         let p = listing2(1 << 12, 8, 4);
         let mut arch = ArchConfig::f1_default();
         arch.scratchpad_banks = 1;
         arch.bank_bytes = 4 * 1024 * 1024; // 4 MB << 15 hints × 2 MB
-        let (_, plan) = plan_for(&p, &arch);
+        let (_, plan) = decomposition_plan(&p, &arch);
         let big = plan.traffic;
         let mut arch2 = ArchConfig::f1_default();
         arch2.scratchpad_banks = 16;
-        let (_, plan2) = plan_for(&listing2(1 << 12, 8, 4), &arch2);
+        let (_, plan2) = decomposition_plan(&listing2(1 << 12, 8, 4), &arch2);
         let small = plan2.traffic;
         assert!(
             big.total() > small.total(),

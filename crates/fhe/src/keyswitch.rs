@@ -21,14 +21,16 @@
 //!   `2L²` multiplies + `2L²` adds.
 //! * [`GhsHint`] — a GHS-style variant [34, 45] whose hint grows `O(L)`:
 //!   one pair of polynomials over the extended basis `Q·P` (`P` a product
-//!   of special primes). It needs more compute per limb (basis extension
-//!   into the special primes and a rounded division by `P`) but much less
-//!   hint traffic, becoming attractive at very large `L` — the tradeoff
-//!   §2.4 describes.
+//!   of `K` special primes). It runs in RNS form, ModUp and ModDown by
+//!   fast base conversion (Cheon, Han, Kim, Kim & Song 2018): `3L + 3K`
+//!   NTTs, `2(L + K)` multiplies by the hint, and `O(L·K)` scalar
+//!   multiply-accumulates for the conversions. Its hint traffic is far
+//!   smaller, and at large `L` so is its NTT work — the tradeoff §2.4
+//!   describes. Pass 1 of the compiler emits the same arithmetic.
 
 use crate::keys::SecretKey;
 use f1_modarith::mul::ShoupMul;
-use f1_modarith::{slice_ops, CenteredLift};
+use f1_modarith::{slice_ops, CenteredLift, Modulus};
 use f1_poly::par::par_limbs;
 use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
@@ -47,59 +49,6 @@ use std::sync::Arc;
 pub struct KsScratch {
     /// Coefficient-domain copy of the key-switch input.
     y: Option<RnsPoly>,
-}
-
-/// Which key-switch implementation to use (the compiler's choice, §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeySwitchVariant {
-    /// Listing 1: `L²` hints, lowest compute.
-    Decomposition,
-    /// GHS-style: `O(L)` hints, more compute.
-    Ghs,
-}
-
-/// Operation counts for one key-switch at level `l`, used by the compiler
-/// cost model and by the paper's Listing-1 analysis (`L²` NTTs, `2L²`
-/// multiplies, `2L²` adds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeySwitchCost {
-    /// Number of `N`-point NTT/INTT invocations.
-    pub ntts: usize,
-    /// Number of element-wise `N`-vector multiplies.
-    pub muls: usize,
-    /// Number of element-wise `N`-vector adds.
-    pub adds: usize,
-    /// Hint bytes that must be resident for the operation.
-    pub hint_bytes: usize,
-}
-
-impl KeySwitchVariant {
-    /// The cost of one key-switch at level `l` with ring dimension `n`
-    /// (and `k` special primes for the GHS variant).
-    pub fn cost(&self, l: usize, k_special: usize, n: usize) -> KeySwitchCost {
-        match self {
-            // Listing 1: L INTTs for y, L*(L-1) forward NTTs for the lifts,
-            // 2L^2 multiplies and 2L^2 adds; hints are 2 * L * L RVecs.
-            KeySwitchVariant::Decomposition => KeySwitchCost {
-                ntts: l + l * (l - 1),
-                muls: 2 * l * l,
-                adds: 2 * l * l,
-                hint_bytes: 2 * l * l * n * 4,
-            },
-            // GHS, as `GhsHint::apply` runs it: l INTTs for the digits, k
-            // NTTs for the extended special limbs (the program limbs are x
-            // itself), 2(l+k) INTTs after the hint product, and 2l NTTs
-            // returning the result. 2(l+k) multiplies for the hint product,
-            // then the rounded division by P: per special, at most (l+k)
-            // scalar multiply-subtract passes on each polynomial.
-            KeySwitchVariant::Ghs => KeySwitchCost {
-                ntts: 5 * l + 3 * k_special,
-                muls: 2 * (l + k_special) + 2 * k_special * (l + k_special),
-                adds: 2 * (l + k_special) + 2 * k_special * (l + k_special),
-                hint_bytes: 2 * (l + k_special) * n * 4,
-            },
-        }
-    }
 }
 
 /// The Listing-1 hint: one `(ksh0, ksh1)` row per source limb.
@@ -374,13 +323,42 @@ impl GhsHint {
         }
     }
 
+    /// Chain index of the first special prime; the `K` specials follow it.
+    pub fn special_start(&self) -> usize {
+        self.special_start
+    }
+
+    /// Read access to the hint: `(ksh0, ksh1)`, NTT domain over the whole
+    /// chain (the program limbs, then the specials).
+    pub fn ksh(&self) -> (&RnsPoly, &RnsPoly) {
+        (&self.ksh0, &self.ksh1)
+    }
+
     /// Applies the GHS key-switch to `x` (NTT domain, level `l <= level`).
     ///
-    /// Pipeline: lift `x` into the special basis, multiply by the hint over
-    /// `Q_l * P`, then divide by `P` with `t`-preserving rounding, one
-    /// special at a time. Every step but the overflow estimate runs
-    /// limb-parallel, and no per-coefficient loop divides: the constants
-    /// are Shoup multipliers and the reductions are Barrett.
+    /// The RNS form (Cheon, Han, Kim, Kim & Song 2018), built only from
+    /// fast base conversions, so every step is a vector operation F1 runs
+    /// and pass 1 emits the same arithmetic:
+    ///
+    /// * *ModUp*: INTT each limb of `x` and scale it into its CRT digit
+    ///   `[y_i · (Q/q_i)^{-1}]_{q_i}`; convert the digits to each special
+    ///   prime (weights `Q/q_i`) and NTT. The program limbs are `x`
+    ///   itself. The extension is `y + αQ` with `|α| <= l/2`, and the
+    ///   `αQ` vanishes modulo `Q` after ModDown.
+    /// * *Hint product* over `Q_l · P`.
+    /// * *ModDown*, per polynomial: INTT each special limb and scale it
+    ///   into its CRT digit of `a = [t^{-1} u]_P`; per program limb,
+    ///   convert the digits (weights `t · P/p_i`), NTT, subtract, and
+    ///   multiply by `P^{-1}`. The conversion yields `t · c` with
+    ///   `c ≡ a (mod P)` and `|c| <= K·P/2`, so the division by `P` is
+    ///   exact, its error is at most `t·K/2`, and the noise stays a
+    ///   multiple of `t`, as BGV needs.
+    ///
+    /// Conversions read each digit as its centered representative, so
+    /// their overshoot `α` (or `c - a`) is centered too: with digits in
+    /// `[0, p)` it would bias every coefficient, which a CKKS decoding
+    /// sums up across slots. Every step runs limb-parallel; the constants
+    /// are Shoup multipliers.
     pub fn apply(&self, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
         assert_eq!(x.domain(), Domain::Ntt);
         let l = x.level();
@@ -388,99 +366,104 @@ impl GhsHint {
         let ctx = x.context().clone();
         let n = x.n();
         let k = self.special_count;
+        let t = self.error_scale;
         // Position in the extended basis -> chain index: the program limbs
         // 0..l, then the specials.
         let limb_of = |pos: usize| if pos < l { pos } else { self.special_start + pos - l };
-        // Lift x into the specials with the floating-point-assisted RNS base
-        // extension (HPS-style): exact for chains far deeper than ours, and
-        // O(N * l * K) word ops — the same arithmetic shape the accelerator
-        // executes as vector ops. Per-coefficient digits
-        // yhat_i = [y_i * (Q/q_i)^{-1}]_{q_i} of y = INTT(x) and the overflow
-        // estimate alpha = round(sum yhat_i / q_i), so that
-        // y = sum yhat_i * (Q/q_i) - alpha * Q exactly, with y in [0, Q).
+        let specials = &ctx.moduli()[self.special_start..self.special_start + k];
+        // `t · P / p_i mod m` for every special `i`.
+        let t_p_hat = |m: &Modulus| -> Vec<u32> {
+            (0..k)
+                .map(|i| {
+                    let others = specials.iter().enumerate().filter(|&(o, _)| o != i);
+                    others.fold(reduce(t, m), |acc, (_, p)| m.mul(acc, reduce(p.value() as u64, m)))
+                })
+                .collect()
+        };
+        // ModUp digits.
         let crt = ctx.crt_level(l);
-        let mut yhat = x.flat().to_vec();
-        par_limbs(&mut yhat, n, |i, limb| {
+        let mut digits = x.flat().to_vec();
+        par_limbs(&mut digits, n, |i, limb| {
             let mi = ctx.modulus(i);
             ctx.tables(i).inverse(limb);
-            let inv = ShoupMul::new(crt.q_over_qi_inv[i], mi);
-            limb.iter_mut().for_each(|d| *d = inv.mul(*d, mi.value()));
+            scale(limb, ShoupMul::new(crt.q_over_qi_inv[i], mi), mi.value());
         });
-        // The f64 sum runs i-ascending per coefficient: its rounding is
-        // part of the result.
-        let mut frac = vec![0f64; n];
-        for (i, digits) in yhat.chunks_exact(n).enumerate() {
-            let qi_f = ctx.modulus(i).value() as f64;
-            frac.iter_mut().zip(digits).for_each(|(f, &d)| *f += d as f64 / qi_f);
-        }
-        let alpha: Vec<u32> = frac.iter().map(|f| f.round() as u32).collect();
-        // One [u0 | u1] limb pair per extended-basis position: extend, NTT,
-        // multiply by the hint, and INTT for the rounding below.
+        // One [u0 | u1] limb pair per extended-basis position: extend,
+        // multiply by the hint, and, on the specials, turn the products
+        // into ModDown's digits.
         let mut acc = vec![0u32; 2 * (l + k) * n];
         par_limbs(&mut acc, 2 * n, |pos, pair| {
             let j = limb_of(pos);
             let mj = *ctx.modulus(j);
-            let q = mj.value();
             let (w0, w1) = pair.split_at_mut(n);
             if pos < l {
-                // Q ≡ 0 mod q_j: the extension's program limbs are x itself.
                 w0.copy_from_slice(x.limb(j));
             } else {
-                for (i, digits) in yhat.chunks_exact(n).enumerate() {
-                    let w_ij = crt.q_over_qi[i].rem_u64(q as u64) as u32;
-                    let w_ij = ShoupMul::new(w_ij, &mj);
-                    for (o, &d) in w0.iter_mut().zip(digits) {
-                        let s = *o + w_ij.mul(d, q);
-                        *o = s.min(s.wrapping_sub(q));
-                    }
-                }
-                let q_mod_j = ShoupMul::new(crt.q_big.rem_u64(q as u64) as u32, &mj);
-                for (o, &a) in w0.iter_mut().zip(&alpha) {
-                    *o = mj.sub(*o, q_mod_j.mul(a, q));
-                }
+                let weights: Vec<u32> =
+                    crt.q_over_qi.iter().map(|w| w.rem_u64(mj.value() as u64) as u32).collect();
+                convert(w0, digits.chunks_exact(n), &ctx.moduli()[..l], &weights, &mj);
                 ctx.tables(j).forward(w0);
             }
             slice_ops::mul_slice_into(&mj, w1, w0, self.ksh1.limb(j));
             slice_ops::mul_slice(&mj, w0, self.ksh0.limb(j));
-            ctx.tables(j).inverse(w0);
-            ctx.tables(j).inverse(w1);
-        });
-        // Rounded division by P with t-preserving correction, special by
-        // special from the top, in coefficient domain; the last round
-        // returns the surviving program limbs to the NTT domain.
-        let t = self.error_scale;
-        let mut mu = vec![0u32; 2 * n];
-        for sp in (0..k).rev() {
-            let p = *ctx.modulus(self.special_start + sp);
-            let t_inv_p = if t == 1 { 1 } else { p.inv((t % p.value() as u64) as u32) };
-            let t_inv_p = ShoupMul::new(t_inv_p, &p);
-            let (head, top) = acc.split_at_mut((l + sp) * 2 * n);
-            // mu = [top * t^{-1}]_p, for u0 then u1: once per (special,
-            // coefficient), shared by every remaining limb.
-            for (m, &v) in mu.iter_mut().zip(&top[..2 * n]) {
-                *m = t_inv_p.mul(v, p.value());
+            if pos >= l {
+                let digit_scale = ShoupMul::new(mj.inv(t_p_hat(&mj)[pos - l]), &mj);
+                for w in [w0, w1] {
+                    ctx.tables(j).inverse(w);
+                    scale(w, digit_scale, mj.value());
+                }
             }
-            par_limbs(head, 2 * n, |pos, pair| {
-                let j = limb_of(pos);
-                let mj = *ctx.modulus(j);
-                let q = mj.value();
-                let lift = CenteredLift::new(&p, &mj);
-                let p_inv = ShoupMul::new(mj.inv((p.value() as u64 % q as u64) as u32), &mj);
-                let t_red = ShoupMul::new((t % q as u64) as u32, &mj);
-                for (w, &m) in pair.iter_mut().zip(&mu) {
-                    // delta = t * centered(mu): congruent to the top
-                    // residue mod p and to 0 mod t.
-                    let delta = t_red.mul(lift.lift(m), q);
-                    *w = p_inv.mul(mj.sub(*w, delta), q);
-                }
-                if sp == 0 {
-                    let (w0, w1) = pair.split_at_mut(n);
-                    ctx.tables(j).forward(w0);
-                    ctx.tables(j).forward(w1);
-                }
-            });
-        }
+        });
+        // ModDown of both polynomials, per program limb.
+        let (head, special_digits) = acc.split_at_mut(2 * l * n);
+        par_limbs(head, 2 * n, |j, pair| {
+            let mj = *ctx.modulus(j);
+            let weights = t_p_hat(&mj);
+            let p_mod =
+                specials.iter().fold(1, |acc, p| mj.mul(acc, reduce(p.value() as u64, &mj)));
+            let p_inv = ShoupMul::new(mj.inv(p_mod), &mj);
+            let mut conv = vec![0u32; n];
+            for (half, w) in pair.chunks_exact_mut(n).enumerate() {
+                conv.fill(0);
+                let digits = special_digits.chunks_exact(n).skip(half).step_by(2);
+                convert(&mut conv, digits, specials, &weights, &mj);
+                ctx.tables(j).forward(&mut conv);
+                slice_ops::sub_slice(&mj, w, &conv);
+                scale(w, p_inv, mj.value());
+            }
+        });
         split_pairs(&ctx, l, &acc)
+    }
+}
+
+/// `x mod m` for a 64-bit `x`.
+fn reduce(x: u64, m: &Modulus) -> u32 {
+    (x % m.value() as u64) as u32
+}
+
+/// Multiplies every residue of `limb` by a Shoup constant modulo `q`.
+fn scale(limb: &mut [u32], c: ShoupMul, q: u32) {
+    limb.iter_mut().for_each(|d| *d = c.mul(*d, q));
+}
+
+/// Fast base conversion's inner product: `out += Σ_i digits_i · weights_i
+/// mod m`, each digit (a residue modulo `from_i`) read as its centered
+/// representative, so that the conversion's overshoot is centered too.
+fn convert<'a>(
+    out: &mut [u32],
+    digits: impl Iterator<Item = &'a [u32]>,
+    from: &[Modulus],
+    weights: &[u32],
+    m: &Modulus,
+) {
+    let q = m.value();
+    for ((digit, from), &w) in digits.zip(from).zip(weights) {
+        let lift = CenteredLift::new(from, m);
+        let w = ShoupMul::new(w, m);
+        for (o, &d) in out.iter_mut().zip(digit) {
+            let s = *o + w.mul(lift.lift(d), q);
+            *o = s.min(s.wrapping_sub(q));
+        }
     }
 }
 
@@ -557,77 +540,92 @@ mod tests {
         (u0, u1)
     }
 
-    /// Reference for [`GhsHint::apply`]: the serial loops with a 64-bit
-    /// `%` per (coefficient, digit, limb) and a full extension of every
-    /// limb, program limbs included.
+    /// Reference for [`GhsHint::apply`]: ModUp and ModDown as serial
+    /// loops with a 64-bit `%` per operation and the constants built from
+    /// the moduli directly.
     fn ghs_reference(hint: &GhsHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
         let l = x.level();
         let ctx = x.context().clone();
         let n = x.n();
-        let y = x.to_coeff();
-        let lvl_limbs: Vec<usize> =
-            (0..l).chain(hint.special_start..hint.special_start + hint.special_count).collect();
-        let crt = ctx.crt_level(l);
-        let mut yhat = vec![vec![0u32; n]; l];
-        let mut frac = vec![0f64; n];
-        for i in 0..l {
-            let mi = ctx.modulus(i);
-            let qi_f = mi.value() as f64;
-            for c in 0..n {
-                yhat[i][c] = mi.mul(y.limb(i)[c], crt.q_over_qi_inv[i]);
-                frac[c] += yhat[i][c] as f64 / qi_f;
-            }
-        }
-        let alpha: Vec<u64> = frac.iter().map(|f| f.round() as u64).collect();
-        let mut u0_limbs = Vec::new();
-        let mut u1_limbs = Vec::new();
-        for &j in &lvl_limbs {
-            let mj = ctx.modulus(j);
-            let q = mj.value() as u64;
-            let q_mod_j = crt.q_big.rem_u64(q);
-            let mut ext = vec![0u32; n];
-            for c in 0..n {
-                let mut acc = 0u64;
-                for i in 0..l {
-                    acc += yhat[i][c] as u64 * crt.q_over_qi[i].rem_u64(q) % q;
-                }
-                ext[c] = mj.sub((acc % q) as u32, (alpha[c] * q_mod_j % q) as u32);
-            }
-            ctx.tables(j).forward(&mut ext);
-            let mut l0: Vec<u32> = (0..n).map(|c| mj.mul(ext[c], hint.ksh0.limb(j)[c])).collect();
-            let mut l1: Vec<u32> = (0..n).map(|c| mj.mul(ext[c], hint.ksh1.limb(j)[c])).collect();
-            ctx.tables(j).inverse(&mut l0);
-            ctx.tables(j).inverse(&mut l1);
-            u0_limbs.push(l0);
-            u1_limbs.push(l1);
-        }
+        let k = hint.special_count;
         let t = hint.error_scale;
-        for sp in (0..hint.special_count).rev() {
-            let sp_pos = l + sp;
-            let p = ctx.modulus(hint.special_start + sp);
-            let t_inv_p = if t == 1 { 1 } else { p.inv((t % p.value() as u64) as u32) };
-            for limbs in [&mut u0_limbs, &mut u1_limbs] {
-                let (head, tail) = limbs.split_at_mut(sp_pos);
-                for (pos, limb) in head.iter_mut().enumerate() {
-                    let mj = ctx.modulus(lvl_limbs[pos]);
-                    let p_inv = mj.inv((p.value() as u64 % mj.value() as u64) as u32);
-                    let t_red = (t % mj.value() as u64) as u32;
-                    for c in 0..n {
-                        let mu = p.center(p.mul(tail[0][c], t_inv_p));
-                        let delta = mj.mul(mu.rem_euclid(mj.value() as i64) as u32, t_red);
-                        limb[c] = mj.mul(mj.sub(limb[c], delta), p_inv);
-                    }
-                }
-                limbs.truncate(sp_pos);
+        let chain: Vec<u64> = ctx.moduli().iter().map(|m| m.value() as u64).collect();
+        let specials = &chain[hint.special_start..hint.special_start + k];
+        let prod = |ps: &[u64], m: u64| ps.iter().fold(1, |acc, &p| acc * (p % m) % m);
+        let inv = |a: u64, m: u64| Modulus::new(m as u32).inv((a % m) as u32) as u64;
+        // The centered representative of `d mod from`, reduced mod `m`.
+        let lift = |d: u64, from: u64, m: u64| {
+            let centered = if d > from / 2 { d as i64 - from as i64 } else { d as i64 };
+            centered.rem_euclid(m as i64) as u64
+        };
+        // ModUp: digits, then one conversion per special.
+        let y = x.to_coeff();
+        let digits: Vec<Vec<u64>> = (0..l)
+            .map(|i| {
+                let q_hat = prod(&[&chain[..i], &chain[i + 1..l]].concat(), chain[i]);
+                let c = inv(q_hat, chain[i]);
+                y.limb(i).iter().map(|&v| v as u64 * c % chain[i]).collect()
+            })
+            .collect();
+        let limbs: Vec<usize> = (0..l).chain(hint.special_start..hint.special_start + k).collect();
+        let mut u = [Vec::new(), Vec::new()];
+        for (pos, &j) in limbs.iter().enumerate() {
+            let m = chain[j];
+            let ext: Vec<u32> = if pos < l {
+                x.limb(j).to_vec()
+            } else {
+                let mut ext: Vec<u32> = (0..n)
+                    .map(|c| {
+                        let sum = (0..l).map(|i| {
+                            let q_hat = prod(&[&chain[..i], &chain[i + 1..l]].concat(), m);
+                            lift(digits[i][c], chain[i], m) * q_hat % m
+                        });
+                        (sum.sum::<u64>() % m) as u32
+                    })
+                    .collect();
+                ctx.tables(j).forward(&mut ext);
+                ext
+            };
+            for (half, ksh) in [&hint.ksh0, &hint.ksh1].into_iter().enumerate() {
+                let limb: Vec<u32> =
+                    (0..n).map(|c| (ext[c] as u64 * ksh.limb(j)[c] as u64 % m) as u32).collect();
+                u[half].push(limb);
             }
         }
-        let mut u0 = RnsPoly::zero_at_level(&ctx, l);
-        let mut u1 = RnsPoly::zero_at_level(&ctx, l);
-        for j in 0..l {
-            u0.limb_mut(j).copy_from_slice(&u0_limbs[j]);
-            u1.limb_mut(j).copy_from_slice(&u1_limbs[j]);
-        }
-        (u0.to_ntt(), u1.to_ntt())
+        // ModDown, per polynomial.
+        let p_hat = |i: usize, m: u64| {
+            let others = [&specials[..i], &specials[i + 1..]].concat();
+            t % m * prod(&others, m) % m
+        };
+        let out = u.map(|mut u| {
+            let down: Vec<Vec<u64>> = (0..k)
+                .map(|i| {
+                    let (j, m) = (hint.special_start + i, specials[i]);
+                    ctx.tables(j).inverse(&mut u[l + i]);
+                    let c = inv(p_hat(i, m), m);
+                    u[l + i].iter().map(|&v| v as u64 * c % m).collect()
+                })
+                .collect();
+            let mut poly = RnsPoly::zero_ntt_at_level(&ctx, l);
+            for j in 0..l {
+                let m = chain[j];
+                let mut conv: Vec<u32> = (0..n)
+                    .map(|c| {
+                        let sum =
+                            (0..k).map(|i| lift(down[i][c], specials[i], m) * p_hat(i, m) % m);
+                        (sum.sum::<u64>() % m) as u32
+                    })
+                    .collect();
+                ctx.tables(j).forward(&mut conv);
+                let p_inv = inv(prod(specials, m), m);
+                for (o, (&w, &d)) in poly.limb_mut(j).iter_mut().zip(u[j].iter().zip(&conv)) {
+                    *o = ((w as u64 + m - d as u64) * p_inv % m) as u32;
+                }
+            }
+            poly
+        });
+        let [u0, u1] = out;
+        (u0, u1)
     }
 
     #[test]
@@ -733,30 +731,19 @@ mod tests {
 
     #[test]
     fn hint_sizes_scale_as_documented() {
-        // Paper §2.4: at L=16, N=16K, decomposition hints total 32 MB per
-        // (ksh0, ksh1) pair; GHS hints grow linearly.
-        let cost_decomp = KeySwitchVariant::Decomposition.cost(16, 0, 16384);
-        assert_eq!(cost_decomp.hint_bytes, 32 * 1024 * 1024);
-        let cost_ghs = KeySwitchVariant::Ghs.cost(16, 16, 16384);
-        assert!(cost_ghs.hint_bytes < cost_decomp.hint_bytes / 7);
-        assert!(cost_ghs.muls > cost_decomp.muls, "GHS trades compute for hint size");
-    }
-
-    #[test]
-    fn listing1_op_counts() {
-        // L^2 NTTs (L inverse + L(L-1) forward), 2L^2 muls, 2L^2 adds.
-        let c = KeySwitchVariant::Decomposition.cost(16, 0, 16384);
-        assert_eq!(c.ntts, 16 * 16);
-        assert_eq!(c.muls, 2 * 16 * 16);
-        assert_eq!(c.adds, 2 * 16 * 16);
-    }
-
-    #[test]
-    fn ghs_op_counts() {
-        // GhsHint::apply at l = 8, K = 9: 8 digit INTTs, 9 special NTTs,
-        // 2 * 17 INTTs after the hint product, 2 * 8 NTTs back: 5l + 3K.
-        let c = KeySwitchVariant::Ghs.cost(8, 9, 16384);
-        assert_eq!(c.ntts, 8 + 9 + 2 * 17 + 2 * 8);
-        assert_eq!(c.ntts, 5 * 8 + 3 * 9);
+        // Paper §2.4: decomposition hints hold 2L² residue vectors (32 MB
+        // per (ksh0, ksh1) pair at L = 16, N = 16K); GHS hints hold
+        // 2(L + K), linear in L.
+        let (n, l, k) = (64, 4, 3);
+        let ctx = RnsContext::for_ring(n, 30, l + k);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let decomp = DecompHint::generate(&sk, &sk.s_squared_at_level(l), l, 65537, 8, &mut rng);
+        let ghs = GhsHint::generate(&sk, &sk.s_squared_at_level(l + k), l, 65537, 8, &mut rng);
+        let vector = n * 4;
+        let decomp_bytes: usize =
+            decomp.rows.iter().map(|(r0, r1)| r0.size_bytes() + r1.size_bytes()).sum();
+        assert_eq!(decomp_bytes, 2 * l * l * vector);
+        assert_eq!(ghs.ksh0.size_bytes() + ghs.ksh1.size_bytes(), 2 * (l + k) * vector);
     }
 }

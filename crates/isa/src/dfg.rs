@@ -26,12 +26,22 @@ pub enum VectorOp {
     /// Element-wise modular multiplication.
     Mul,
     /// Multiplication by a scalar constant (modular multiplier with one
-    /// broadcast operand; used by modulus-switch corrections and
-    /// plaintext-scalar operations).
-    ScalarMul,
-    /// Scalar multiply-accumulate `dst = src0 + c * src1` (decomposed into
-    /// Mul + Add by the scheduler; kept fused in the DFG for compactness).
-    ScalarMulAdd,
+    /// broadcast operand; used by modulus switching and the base
+    /// conversions of GHS key-switching). The operand's centered
+    /// representative is reduced modulo the output's limb first, so a
+    /// `ScalarMul` can move a residue vector to another limb.
+    ScalarMul {
+        /// The constant.
+        c: Scalar,
+    },
+    /// Scalar multiply-accumulate `dst = src0 + c * src1`, with `src1`
+    /// moved to the output's limb like a [`VectorOp::ScalarMul`] operand
+    /// (decomposed into Mul + Add by the scheduler; kept fused in the DFG
+    /// for compactness).
+    ScalarMulAdd {
+        /// The constant `c`.
+        c: Scalar,
+    },
     /// Forward NTT (limb-local; §5.2's four-step unit).
     Ntt,
     /// Inverse NTT.
@@ -52,7 +62,9 @@ impl VectorOp {
         use crate::streams::FuType;
         match self {
             VectorOp::Add | VectorOp::Sub | VectorOp::Copy => FuType::Add,
-            VectorOp::Mul | VectorOp::ScalarMul | VectorOp::ScalarMulAdd => FuType::Mul,
+            VectorOp::Mul | VectorOp::ScalarMul { .. } | VectorOp::ScalarMulAdd { .. } => {
+                FuType::Mul
+            }
             VectorOp::Ntt | VectorOp::Intt => FuType::Ntt,
             VectorOp::Aut { .. } => FuType::Aut,
         }
@@ -62,14 +74,76 @@ impl VectorOp {
     pub fn arity(&self) -> usize {
         match self {
             VectorOp::Add | VectorOp::Sub | VectorOp::Mul => 2,
-            VectorOp::ScalarMulAdd => 2,
-            VectorOp::ScalarMul
+            VectorOp::ScalarMulAdd { .. } => 2,
+            VectorOp::ScalarMul { .. }
             | VectorOp::Ntt
             | VectorOp::Intt
             | VectorOp::Aut { .. }
             | VectorOp::Copy => 1,
         }
     }
+}
+
+/// A scalar constant, named by what it is rather than by its value:
+/// pass 1 knows a program's RNS structure but not its primes. Here
+/// `Q_l = q_0 ⋯ q_{l-1}` is the modulus at level `l`, `P = p_0 ⋯ p_{k-1}`
+/// the product of the first `k` special primes, and `t` the plaintext
+/// modulus (1 for CKKS). The constant is reduced modulo the instruction's
+/// output limb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Scalar {
+    /// `(Q_l / q_i)^{-1}`: scales digit `i` of a level-`l` polynomial
+    /// before a base conversion out of `Q_l`.
+    QHatInv {
+        /// The level `l`.
+        l: u16,
+        /// The digit `i`.
+        i: u16,
+    },
+    /// `Q_l / q_i`: the weight of digit `i` in a base conversion out of
+    /// `Q_l`.
+    QHat {
+        /// The level `l`.
+        l: u16,
+        /// The digit `i`.
+        i: u16,
+    },
+    /// `(t · P / p_i)^{-1}`: scales special digit `i` before a base
+    /// conversion out of `P`.
+    PHatInv {
+        /// The number of special primes `k`.
+        k: u16,
+        /// The digit `i`.
+        i: u16,
+    },
+    /// `t · P / p_i`: the weight of special digit `i` in a base conversion
+    /// out of `P`, times `t` so that the converted value is a multiple of
+    /// `t`.
+    PHat {
+        /// The number of special primes `k`.
+        k: u16,
+        /// The digit `i`.
+        i: u16,
+    },
+    /// `P^{-1}`: the division that ends a key-switch.
+    PInv {
+        /// The number of special primes `k`.
+        k: u16,
+    },
+    /// `q_i^{-1}`: the division by the limb a modulus switch drops.
+    QInv {
+        /// The dropped limb `i`.
+        i: u16,
+    },
+}
+
+/// The RNS prime a residue vector is reduced by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Limb {
+    /// Program prime `q_i`.
+    Q(u16),
+    /// Special prime `p_i`, of the basis GHS key-switching extends into.
+    P(u16),
 }
 
 /// What a value is, for the data-movement accounting of Fig 9a.
@@ -93,6 +167,8 @@ pub struct ValueInfo {
     pub id: ValueId,
     /// Traffic class.
     pub kind: ValueKind,
+    /// The prime its residues are reduced by.
+    pub limb: Limb,
     /// Optional label for diagnostics (e.g. `"ksh_mul[3][7]"`).
     pub label: Option<String>,
 }
@@ -139,27 +215,34 @@ impl Dfg {
         Self { n, ..Default::default() }
     }
 
-    /// Registers a new value of the given kind and returns its id.
-    pub fn add_value(&mut self, kind: ValueKind, label: Option<String>) -> ValueId {
+    /// Registers a new value of the given kind on `limb` and returns its
+    /// id.
+    pub fn add_value(&mut self, kind: ValueKind, limb: Limb, label: Option<String>) -> ValueId {
         let id = ValueId(self.values.len() as u32);
-        self.values.push(ValueInfo { id, kind, label });
+        self.values.push(ValueInfo { id, kind, limb, label });
         self.producer.push(None);
         self.users.push(Vec::new());
         id
     }
 
-    /// Adds an instruction producing a fresh intermediate value.
+    /// Adds an instruction producing a fresh intermediate value on `limb`.
     ///
     /// # Panics
     ///
     /// Panics if the operand count does not match the op's arity or an
     /// input id is unknown.
-    pub fn add_instr(&mut self, op: VectorOp, inputs: Vec<ValueId>, priority: u64) -> ValueId {
+    pub fn add_instr(
+        &mut self,
+        op: VectorOp,
+        inputs: Vec<ValueId>,
+        limb: Limb,
+        priority: u64,
+    ) -> ValueId {
         assert_eq!(inputs.len(), op.arity(), "operand count mismatch for {op:?}");
         for &v in &inputs {
             assert!((v.0 as usize) < self.values.len(), "unknown input value {v:?}");
         }
-        let out = self.add_value(ValueKind::Intermediate, None);
+        let out = self.add_value(ValueKind::Intermediate, limb, None);
         let id = InstrId(self.instrs.len() as u32);
         for &v in &inputs {
             self.users[v.0 as usize].push(id);
@@ -235,8 +318,8 @@ impl Dfg {
                 VectorOp::Add => "add",
                 VectorOp::Sub => "sub",
                 VectorOp::Mul => "mul",
-                VectorOp::ScalarMul => "scalar_mul",
-                VectorOp::ScalarMulAdd => "scalar_mul_add",
+                VectorOp::ScalarMul { .. } => "scalar_mul",
+                VectorOp::ScalarMulAdd { .. } => "scalar_mul_add",
                 VectorOp::Ntt => "ntt",
                 VectorOp::Intt => "intt",
                 VectorOp::Aut { .. } => "aut",
@@ -285,20 +368,22 @@ impl Dfg {
 mod tests {
     use super::*;
 
+    const Q0: Limb = Limb::Q(0);
+
     fn tiny_graph() -> (Dfg, ValueId, ValueId, ValueId) {
         let mut g = Dfg::new(1024);
-        let a = g.add_value(ValueKind::Input, Some("a".into()));
-        let b = g.add_value(ValueKind::Input, Some("b".into()));
-        let h = g.add_value(ValueKind::KeySwitchHint, Some("ksh".into()));
+        let a = g.add_value(ValueKind::Input, Q0, Some("a".into()));
+        let b = g.add_value(ValueKind::Input, Q0, Some("b".into()));
+        let h = g.add_value(ValueKind::KeySwitchHint, Q0, Some("ksh".into()));
         (g, a, b, h)
     }
 
     #[test]
     fn ssa_and_users() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0);
-        let p = g.add_instr(VectorOp::Mul, vec![s, h], 1);
-        let t = g.add_instr(VectorOp::Ntt, vec![p], 2);
+        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
+        let p = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
+        let t = g.add_instr(VectorOp::Ntt, vec![p], Q0, 2);
         g.mark_output(t);
         assert_eq!(g.validate(), 3);
         assert_eq!(g.users(s).len(), 1);
@@ -312,7 +397,7 @@ mod tests {
     fn arity_checked() {
         let (mut g, a, _, _) = tiny_graph();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.add_instr(VectorOp::Add, vec![a], 0);
+            g.add_instr(VectorOp::Add, vec![a], Q0, 0);
         }));
         assert!(r.is_err(), "Add with one operand must panic");
     }
@@ -326,8 +411,8 @@ mod tests {
     #[test]
     fn dead_after_accounting() {
         let (mut g, a, b, _) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0);
-        let t = g.add_instr(VectorOp::Ntt, vec![s], 1);
+        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
+        let t = g.add_instr(VectorOp::Ntt, vec![s], Q0, 1);
         g.mark_output(t);
         assert!(g.dead_after(s, InstrId(1)));
         assert!(!g.dead_after(s, InstrId(0)));
@@ -337,9 +422,9 @@ mod tests {
     #[test]
     fn op_histogram() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0);
-        let m = g.add_instr(VectorOp::Mul, vec![s, h], 1);
-        let _ = g.add_instr(VectorOp::Aut { k: 3 }, vec![m], 2);
+        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
+        let m = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
+        let _ = g.add_instr(VectorOp::Aut { k: 3 }, vec![m], Q0, 2);
         let counts = g.op_counts();
         assert_eq!(counts["add"], 1);
         assert_eq!(counts["mul"], 1);
@@ -349,9 +434,9 @@ mod tests {
     #[test]
     fn critical_depths_follow_longest_path() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0); // depth: w(add)+w(mul)+w(ntt)
-        let p = g.add_instr(VectorOp::Mul, vec![s, h], 1);
-        let t = g.add_instr(VectorOp::Ntt, vec![p], 2);
+        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0); // depth: w(add)+w(mul)+w(ntt)
+        let p = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
+        let t = g.add_instr(VectorOp::Ntt, vec![p], Q0, 2);
         g.mark_output(t);
         let w = |i: &Instruction| match i.op {
             VectorOp::Add => 4u64,

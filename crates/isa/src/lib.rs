@@ -13,5 +13,5 @@
 pub mod dfg;
 pub mod streams;
 
-pub use dfg::{Dfg, InstrId, Instruction, ValueId, ValueInfo, ValueKind, VectorOp};
+pub use dfg::{Dfg, InstrId, Instruction, Limb, Scalar, ValueId, ValueInfo, ValueKind, VectorOp};
 pub use streams::{ComponentId, FuType};

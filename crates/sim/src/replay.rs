@@ -59,10 +59,10 @@ fn apply(op: VectorOp, ins: &[&Vec<u64>]) -> Vec<u64> {
         VectorOp::Add => (0..len).map(|i| ins[0][i].wrapping_add(ins[1][i])).collect(),
         VectorOp::Sub => (0..len).map(|i| ins[0][i].wrapping_sub(ins[1][i])).collect(),
         VectorOp::Mul => (0..len).map(|i| ins[0][i].wrapping_mul(ins[1][i]) ^ 0xF1).collect(),
-        VectorOp::ScalarMul => {
+        VectorOp::ScalarMul { .. } => {
             (0..len).map(|i| ins[0][i].wrapping_mul(0x10001).wrapping_add(7)).collect()
         }
-        VectorOp::ScalarMulAdd => {
+        VectorOp::ScalarMulAdd { .. } => {
             (0..len).map(|i| ins[0][i].wrapping_add(ins[1][i].wrapping_mul(0x101))).collect()
         }
         VectorOp::Ntt => (0..len).map(|i| ins[0][(i + 1) % len].rotate_left(7) ^ 0xA5A5).collect(),

@@ -132,11 +132,12 @@ fn tinypad_makespan_is_monotone_in_capacity() {
 /// Pass 3 schedules a plan that moves only compulsory traffic both
 /// without and with pass 2's byte lineage, and keeps the lineage-free
 /// schedule only when its peak fits the pad and it is no longer. The
-/// checker is then the only guard of the kept schedule. LoLa-MNIST EW
-/// keeps its lineage-free schedule (the lineage one takes 32,511 cycles).
-/// The fhe-ops BGV block's lineage-free schedule fits but takes 22,173
-/// cycles, and LoLa-CIFAR's peaks at 83.3 MB, so both keep their lineage
-/// schedules.
+/// checker is then the only guard of the kept schedule. The fhe-ops BGV
+/// block and LoLa-MNIST EW keep their lineage-free schedules (the lineage
+/// ones take 15,942 and 28,108 cycles). Listing 2's matvec at N = 2^12,
+/// L = 6 with 8 rows keeps its lineage schedule, because the lineage-free
+/// one fits but takes 19,541 cycles, and so does LoLa-CIFAR, whose
+/// lineage-free schedule peaks at 82.5 MB.
 #[test]
 fn compulsory_only_schedules_fit_the_pad() {
     let mut bgv = FheProgram::new(1 << 14, Scheme::Bgv);
@@ -147,9 +148,10 @@ fn compulsory_only_schedules_fit_the_pad() {
     bgv.output(s);
     let arch = ArchConfig::f1_default();
     for (name, p, makespan) in [
-        ("bgv_block", bgv, 22_149),
-        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 31_205),
-        ("lola_cifar", lola_cifar_uw(8).fhe, 161_339),
+        ("bgv_block", bgv, 14_736),
+        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_566),
+        ("listing2_matvec", FheProgram::listing2_matvec(1 << 12, 6, 8), 18_992),
+        ("lola_cifar", lola_cifar_uw(8).fhe, 101_278),
     ] {
         let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         assert_eq!(plan.traffic.non_compulsory(), 0, "{name}");
@@ -271,6 +273,18 @@ fn full_size_bgv_bootstrapping_releases_no_load_unread() {
     let (loads, wasted) = loads_released_unread(&ex, &plan);
     assert!(loads > 0, "nothing loaded");
     assert_eq!(wasted, 0, "{wasted} of {loads} loads released before any instruction read them");
+}
+
+/// Full-size DB lookup on the 64 MB machine, passes 1 and 2 only. Pass 2
+/// lets prefetch lead compute by the HBM time to fill the scratchpad once
+/// (65,536 cycles here). With the fixed 20,000-cycle lead it used
+/// before, the plan moved 690.4 MB of non-compulsory traffic; with the
+/// derived lead, 570.8 MB when this was written.
+#[test]
+fn full_size_db_lookup_prefetch_lead_is_a_pad_fill() {
+    let (_, plan) = plan_of(&db_lookup(1), &ArchConfig::f1_default());
+    let bytes = plan.traffic.non_compulsory();
+    assert!(bytes <= 570_753_024, "{bytes} B of non-compulsory traffic");
 }
 
 /// Pass 1 orders ops under a live-bytes budget of a quarter of the

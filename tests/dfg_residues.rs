@@ -1,0 +1,249 @@
+//! Real-residue check of pass 1's key-switch expansion.
+//!
+//! Every makespan depends on the exact NTTs, base conversions, hint
+//! multiplies and automorphisms that pass 1 emits, so this test runs the
+//! expanded DFG of one BGV `mul` and one `rotate` on real residues: the
+//! inputs are `f1-fhe` encryptions and the hint vectors are the residues
+//! of the same keys' hints. Each output residue must equal `f1-fhe`'s
+//! own key-switch, and each output must decrypt like `f1-fhe`'s
+//! decomposition key-switch of the same ciphertexts.
+
+use f1::compiler::expand::{expand, ExpandOptions};
+use f1::compiler::{FheProgram, KeySwitchChoice, Lowered, Scheme};
+use f1::fhe::bgv::{Ciphertext, KeySet};
+use f1::fhe::keyswitch::{DecompHint, GhsHint};
+use f1::fhe::BgvParams;
+use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
+use f1::modarith::{CenteredLift, Modulus};
+use f1::poly::automorphism;
+use f1::poly::rns::{RnsContext, RnsPoly};
+use rand::SeedableRng;
+
+const N: usize = 1 << 10;
+const L: usize = 4;
+
+/// The RNS chain a DFG is evaluated over: the program primes, the special
+/// primes from `special_start`, and the plaintext modulus `t`.
+struct Chain<'a> {
+    ctx: &'a RnsContext,
+    special_start: usize,
+    t: u64,
+}
+
+impl Chain<'_> {
+    fn index(&self, limb: Limb) -> usize {
+        match limb {
+            Limb::Q(i) => i as usize,
+            Limb::P(i) => self.special_start + i as usize,
+        }
+    }
+
+    fn modulus(&self, limb: Limb) -> Modulus {
+        *self.ctx.modulus(self.index(limb))
+    }
+
+    /// `Π_{j < count, j ≠ skip} limb(j) mod m`.
+    fn product(&self, limb: fn(u16) -> Limb, count: u16, skip: Option<u16>, m: &Modulus) -> u32 {
+        let reduce = |x: u64| (x % m.value() as u64) as u32;
+        (0..count)
+            .filter(|&j| Some(j) != skip)
+            .fold(1, |acc, j| m.mul(acc, reduce(self.modulus(limb(j)).value() as u64)))
+    }
+
+    /// The value of `c` modulo `m` (see [`Scalar`]).
+    fn scalar(&self, c: Scalar, m: &Modulus) -> u32 {
+        let t = (self.t % m.value() as u64) as u32;
+        match c {
+            Scalar::QHatInv { l, i } => m.inv(self.product(Limb::Q, l, Some(i), m)),
+            Scalar::QHat { l, i } => self.product(Limb::Q, l, Some(i), m),
+            Scalar::PHatInv { k, i } => m.inv(m.mul(t, self.product(Limb::P, k, Some(i), m))),
+            Scalar::PHat { k, i } => m.mul(t, self.product(Limb::P, k, Some(i), m)),
+            Scalar::PInv { k } => m.inv(self.product(Limb::P, k, None, m)),
+            Scalar::QInv { i } => {
+                m.inv((self.modulus(Limb::Q(i)).value() as u64 % m.value() as u64) as u32)
+            }
+        }
+    }
+
+    /// Evaluates `dfg` in creation order; `leaf` fills the values no
+    /// instruction produces. Returns every value's residues.
+    fn eval(&self, dfg: &Dfg, leaf: impl Fn(&str, Limb) -> Vec<u32>) -> Vec<Vec<u32>> {
+        let mut vals: Vec<Vec<u32>> = dfg
+            .values()
+            .iter()
+            .map(|v| match v.kind {
+                ValueKind::Input | ValueKind::KeySwitchHint => {
+                    leaf(v.label.as_deref().expect("leaf values are labelled"), v.limb)
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        for instr in dfg.instrs() {
+            let out_limb = dfg.value(instr.output).limb;
+            let m = self.modulus(out_limb);
+            let arg = |k: usize| &vals[instr.inputs[k].0 as usize];
+            let limb_of = |k: usize| dfg.value(instr.inputs[k]).limb;
+            // An operand on another limb is read as its centered
+            // representative.
+            let moved = |k: usize| -> Vec<u32> {
+                let lift = CenteredLift::new(&self.modulus(limb_of(k)), &m);
+                arg(k).iter().map(|&x| lift.lift(x) % m.value()).collect()
+            };
+            let same = |k: usize| {
+                assert_eq!(limb_of(k), out_limb, "{:?} mixes limbs", instr.op);
+                arg(k)
+            };
+            let zip = |f: &dyn Fn(u32, u32) -> u32| -> Vec<u32> {
+                same(0).iter().zip(same(1)).map(|(&a, &b)| f(a, b)).collect()
+            };
+            let out = match instr.op {
+                VectorOp::Add => zip(&|a, b| m.add(a, b)),
+                VectorOp::Sub => zip(&|a, b| m.sub(a, b)),
+                VectorOp::Mul => zip(&|a, b| m.mul(a, b)),
+                VectorOp::ScalarMul { c } => {
+                    let c = self.scalar(c, &m);
+                    moved(0).iter().map(|&a| m.mul(a, c)).collect()
+                }
+                VectorOp::ScalarMulAdd { c } => {
+                    let c = self.scalar(c, &m);
+                    same(0).iter().zip(moved(1)).map(|(&a, b)| m.add(a, m.mul(b, c))).collect()
+                }
+                VectorOp::Ntt => {
+                    let mut v = moved(0);
+                    self.ctx.tables(self.index(out_limb)).forward(&mut v);
+                    v
+                }
+                VectorOp::Intt => {
+                    let mut v = same(0).clone();
+                    self.ctx.tables(self.index(out_limb)).inverse(&mut v);
+                    v
+                }
+                VectorOp::Aut { k } => automorphism::apply_ntt(same(0), k),
+                VectorOp::Copy => same(0).clone(),
+            };
+            vals[instr.output.0 as usize] = out;
+        }
+        vals
+    }
+}
+
+/// A key-switch hint as the DFG's leaves see it.
+enum Hint<'a> {
+    Ghs(&'a GhsHint),
+    Decomp(&'a DecompHint),
+}
+
+impl Hint<'_> {
+    /// The residues behind a hint label (`<hint>.ksh<poly>` or
+    /// `<hint>.ksh<poly>[<row>]`) on chain limb `j`.
+    fn residues(&self, label: &str, j: usize) -> Vec<u32> {
+        let (_, part) = label.split_once(".ksh").expect("hint label");
+        let poly = &part[..1];
+        let (ksh0, ksh1) = match self {
+            Hint::Ghs(h) => h.ksh(),
+            Hint::Decomp(h) => {
+                let row = part[2..part.len() - 1].parse().expect("decomposition row");
+                h.row(row)
+            }
+        };
+        if poly == "0" { ksh0 } else { ksh1 }.limb(j).to_vec()
+    }
+}
+
+/// Runs the expanded DFG of `lowered` on `inputs` (by build-time ordinal)
+/// and `hint`, returning the single output ciphertext.
+fn run(
+    lowered: &Lowered,
+    choice: KeySwitchChoice,
+    inputs: &[&Ciphertext],
+    hint: &Hint<'_>,
+    chain: &Chain<'_>,
+) -> (RnsPoly, RnsPoly) {
+    let opts = ExpandOptions { keyswitch: choice, ..Default::default() };
+    let ex = expand(&lowered.program, &opts);
+    assert_eq!(ex.used_ghs, matches!(hint, Hint::Ghs(_)));
+    let vals = chain.eval(&ex.dfg, |label, limb| {
+        let j = chain.index(limb);
+        if label.starts_with("ct") {
+            let (ct, poly) = label.split_once('.').unwrap();
+            let id: u32 = ct[2..].parse().unwrap();
+            let ordinal = lowered.ct_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
+            let ct = inputs[ordinal as usize];
+            let p = if poly.starts_with('a') { &ct.a } else { &ct.b };
+            p.limb(j).to_vec()
+        } else {
+            hint.residues(label, j)
+        }
+    });
+    // Outputs are the result's `a` limbs, then its `b` limbs.
+    let outs = ex.dfg.outputs();
+    assert_eq!(outs.len(), 2 * L);
+    let poly = |limbs: &[f1::isa::ValueId]| {
+        let mut p = RnsPoly::zero_ntt_at_level(inputs[0].a.context(), L);
+        for (j, v) in limbs.iter().enumerate() {
+            p.limb_mut(j).copy_from_slice(&vals[v.0 as usize]);
+        }
+        p
+    };
+    (poly(&outs[..L]), poly(&outs[L..]))
+}
+
+fn with_polys(ct: &Ciphertext, (a, b): (RnsPoly, RnsPoly)) -> Ciphertext {
+    Ciphertext { a, b, ..ct.clone() }
+}
+
+#[test]
+fn expanded_keyswitches_compute_f1_fhe_residues() {
+    let params = BgvParams::test_with_specials(N, L, L);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+    let mut keys = KeySet::generate(&params, &mut rng);
+    let t = params.plaintext_modulus;
+    let plain = |seed: u64| {
+        let coeffs: Vec<u64> = (0..N as u64).map(|i| (i * i + seed) % t).collect();
+        f1::fhe::bgv::Plaintext::from_coeffs(&params, &coeffs)
+    };
+    let (ct1, ct2) = (keys.encrypt(&plain(1), &mut rng), keys.encrypt(&plain(2), &mut rng));
+    let ctx = params.context();
+    let ghs = keys.relin_hint_ghs().unwrap();
+    let chain = Chain { ctx, special_start: ghs.special_start(), t };
+
+    // mul: the relinearization hints of `keys`.
+    let mut f = FheProgram::new(N, Scheme::Bgv);
+    let (x, y) = (f.input(L), f.input(L));
+    let m = f.mul(x, y);
+    f.output(m);
+    let lowered = f.lower();
+    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &Hint::Ghs(ghs), &chain);
+    let want = ct1.mul_ghs(&ct2, ghs);
+    assert!(got == (want.a.clone(), want.b.clone()), "GHS mul residues differ from f1-fhe's");
+    let decomp = keys.relin_hint();
+    let got_d =
+        run(&lowered, KeySwitchChoice::Decomposition, &[&ct1, &ct2], &Hint::Decomp(decomp), &chain);
+    let want_d = ct1.mul(&ct2, decomp);
+    assert!(got_d == (want_d.a.clone(), want_d.b.clone()), "Listing 1 mul residues differ");
+    assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
+
+    // rotate: the DFG key-switches σ_k(a), so its hints target -σ_k(s).
+    let mut f = FheProgram::new(N, Scheme::Bgv);
+    let x = f.input(L);
+    let r = f.rotate(x, 1);
+    f.output(r);
+    let lowered = f.lower();
+    let k = 3;
+    let sk = keys.secret_key();
+    let full = ctx.max_level();
+    let target = sk.s_automorphism_at_level(k, full).neg();
+    let rotated = |(u0, u1): (RnsPoly, RnsPoly)| (u1, ct1.b.automorphism(k).add(&u0));
+    let ghs = GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
+    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1], &Hint::Ghs(&ghs), &chain);
+    assert!(got == rotated(ghs.apply(&ct1.a.automorphism(k))), "GHS rotate residues differ");
+    let target = sk.s_automorphism_at_level(k, L).neg();
+    let decomp = DecompHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
+    let hint = Hint::Decomp(&decomp);
+    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1], &hint, &chain);
+    assert!(got_d == rotated(decomp.apply(&ct1.a.automorphism(k))), "Listing 1 rotate differs");
+    keys.add_rotation_hint(k, &mut rng);
+    let reference = ct1.automorphism(k, keys.rotation_hint(k));
+    assert_eq!(keys.decrypt(&with_polys(&ct1, got)), keys.decrypt(&reference));
+    assert_eq!(keys.decrypt(&with_polys(&ct1, got_d)), keys.decrypt(&reference));
+}
