@@ -1,6 +1,6 @@
 //! Static-analysis driver over the benchmark suite: runs the compiler's
-//! analyzer (noise abstract interpretation, typing validation, pressure,
-//! lints) on all seven paper benchmarks and writes `ANALYSIS.json`.
+//! analyzer (noise abstract interpretation, typing validation, lints)
+//! on all seven paper benchmarks and writes `ANALYSIS.json`.
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin analyze              # writes ANALYSIS.json
@@ -26,7 +26,6 @@
 //!   1 if any managed program carries an Error-severity diagnostic or
 //!   fails the search.
 
-use f1_arch::ArchConfig;
 use f1_compiler::analysis::param_search::{search, SearchSpec};
 use f1_compiler::analysis::{Analyzer, Severity};
 use f1_workloads::{all_benchmarks, Benchmark};
@@ -52,11 +51,10 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "ANALYSIS.json".to_string());
 
-    let arch = ArchConfig::f1_default();
     let spec = SearchSpec::default();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-analysis-v2\",\n");
+    out.push_str("  \"schema\": \"f1-analysis-v3\",\n");
     out.push_str("  \"scale\": 1,\n");
     out.push_str(&format!(
         "  \"managed_spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}}},\n",
@@ -74,10 +72,9 @@ fn main() {
     // managed-program re-analysis) is independent across benchmarks; run
     // it one benchmark per core. Output stays deterministic: `par_map`
     // preserves order and the JSON below is assembled serially.
-    let arch_ref = &arch;
     let spec_ref = &spec;
     let analyses = rayon::par_map(&benchmarks, |b: &Benchmark| {
-        let mut analyzer = Analyzer::new().with_arch(arch_ref.clone());
+        let mut analyzer = Analyzer::new();
         analyzer.registry_mut().override_severity(
             "noise::budget-exhausted",
             Severity::Info,
@@ -90,10 +87,7 @@ fn main() {
         // program with NO severity overrides.
         let found = search(&b.fhe, spec_ref);
         let managed_errors = match &found {
-            Some(r) => Analyzer::new()
-                .with_arch(arch_ref.clone())
-                .analyze(&r.managed)
-                .count(Severity::Error),
+            Some(r) => Analyzer::new().analyze(&r.managed).count(Severity::Error),
             None => 1, // unsearchable: gate failure
         };
         (opt, stats, report, found, managed_errors)
@@ -175,21 +169,6 @@ fn main() {
             }
             None => out.push_str("null,\n"),
         }
-        out.push_str("      \"pressure\": {\n");
-        out.push_str(&format!(
-            "        \"peak_live_bytes\": {},\n",
-            report.pressure.peak_live_bytes
-        ));
-        out.push_str(&format!("        \"live_at_peak\": {},\n", report.pressure.live_at_peak));
-        out.push_str(&format!("        \"max_hint_bytes\": {},\n", report.pressure.max_hint_bytes));
-        out.push_str(&format!(
-            "        \"total_hint_bytes\": {},\n",
-            report.pressure.total_hint_bytes
-        ));
-        out.push_str(&format!("        \"distinct_hints\": {},\n", report.pressure.distinct_hints));
-        out.push_str(&format!("        \"capacity_bytes\": {},\n", report.pressure.capacity_bytes));
-        out.push_str(&format!("        \"spills\": {}\n", report.pressure.spills()));
-        out.push_str("      },\n");
         out.push_str("      \"waivers\": [");
         // The waiver list is static per benchmark (the same override is
         // installed for every hand-managed program); reconstruct it here

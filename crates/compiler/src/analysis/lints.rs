@@ -1,4 +1,4 @@
-//! The lint driver: six rule functions run in a fixed order, plus a
+//! The lint driver: five rule functions run in a fixed order, plus a
 //! registry of per-rule severity overrides.
 //!
 //! Rule catalog (default severities; `analyze` in `f1-bench` serializes
@@ -13,7 +13,6 @@
 //! | `noise::unproven` | Warning | worst-case bound overruns the budget (correctness not statically proven) |
 //! | `noise::pessimistic-estimate` | Info | estimate overruns but the sound bound fits (heuristic drift, not a failure) |
 //! | `noise::low-margin` | Info | worst-case margin below 10 bits |
-//! | `pressure::scratchpad-spill` | Warning | peak live bytes + one hint exceed the scratchpad |
 //! | `redundancy::dead-node` | Warning | nodes that cannot reach an output (run `optimize`) |
 //! | `program::no-outputs` | Warning | the program computes nothing observable |
 //!
@@ -21,7 +20,7 @@
 //! the BGV model is validated against a real executor (see
 //! [`super::noise`]), so CKKS/GSW noise findings never gate CI.
 
-use super::{Diagnostic, NoiseReport, PressureReport, Severity};
+use super::{Diagnostic, NoiseReport, Severity};
 use crate::ir::{FheProgram, IrId, Scheme};
 
 /// `scale::*`: CKKS scale bookkeeping beyond plain type-correctness.
@@ -149,25 +148,6 @@ fn noise_lint(p: &FheProgram, r: &NoiseReport) -> Vec<Diagnostic> {
     out
 }
 
-/// `pressure::scratchpad-spill`: peak live bytes vs scratchpad capacity.
-fn pressure_lint(r: &PressureReport) -> Vec<Diagnostic> {
-    if !r.spills() {
-        return Vec::new();
-    }
-    vec![Diagnostic::warning(
-        "pressure::scratchpad-spill",
-        r.peak_at,
-        format!(
-            "peak working set {:.1} MB ({} live values + {:.1} MB hint) exceeds the \
-                 {:.0} MB scratchpad: pass 2 will spill",
-            r.peak_live_bytes as f64 / (1 << 20) as f64,
-            r.live_at_peak,
-            r.max_hint_bytes as f64 / (1 << 20) as f64,
-            r.capacity_bytes as f64 / (1 << 20) as f64
-        ),
-    )]
-}
-
 /// `redundancy::dead-node`: nodes that cannot reach any program output.
 fn dead_node_lint(p: &FheProgram) -> Vec<Diagnostic> {
     let n = p.nodes().len();
@@ -253,16 +233,10 @@ impl LintRegistry {
     /// Runs every rule (`typing::*` is the full
     /// [`super::typing::check`] validator) and applies severity
     /// overrides.
-    pub fn run(
-        &self,
-        p: &FheProgram,
-        noise: &NoiseReport,
-        pressure: &PressureReport,
-    ) -> Vec<Diagnostic> {
+    pub fn run(&self, p: &FheProgram, noise: &NoiseReport) -> Vec<Diagnostic> {
         let mut out = super::typing::check(p);
         out.extend(scale_lint(p));
         out.extend(noise_lint(p, noise));
-        out.extend(pressure_lint(pressure));
         out.extend(dead_node_lint(p));
         out.extend(no_outputs_lint(p));
         for d in &mut out {
@@ -432,23 +406,6 @@ mod tests {
             has(&d, "noise::low-margin") || has(&d, "noise::unproven"),
             "expected a thin-margin finding: {d:?}"
         );
-    }
-
-    #[test]
-    fn triggers_scratchpad_spill() {
-        let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
-        let xs: Vec<IrId> = (0..64).map(|_| p.input(16)).collect();
-        let mut acc = xs[0];
-        for &x in &xs[1..] {
-            acc = p.add(acc, x);
-        }
-        let m = p.mul(acc, acc);
-        p.output(m);
-        let mut analyzer =
-            Analyzer::new().with_arch(f1_arch::ArchConfig::f1_default().with_scratchpad_mb(4));
-        let _ = &mut analyzer;
-        let d = analyzer.analyze(&p).diagnostics;
-        assert!(has(&d, "pressure::scratchpad-spill"), "{d:?}");
     }
 
     #[test]

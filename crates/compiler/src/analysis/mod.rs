@@ -16,9 +16,6 @@
 //!   node (tracked-estimate and worst-case-bound recurrences from
 //!   [`f1_fhe::noise`]), reporting each node's remaining budget margin
 //!   and the critical noise path.
-//! * [`pressure`] — peak-live-ciphertext-bytes from IR liveness vs the
-//!   [`f1_arch::ArchConfig`] scratchpad, flagging programs that will
-//!   thrash the pad before pass 2/3 run.
 //! * [`lints`] — the lint rules binding it all into
 //!   machine-readable diagnostics (the `analyze` bin in `f1-bench`
 //!   serializes them into `ANALYSIS.json`; CI fails on any
@@ -37,16 +34,13 @@
 pub mod lints;
 pub mod noise;
 pub mod param_search;
-pub mod pressure;
 pub mod typing;
 
 use crate::ir::{FheProgram, IrId};
-use f1_arch::ArchConfig;
 
 pub use lints::LintRegistry;
 pub use noise::NoiseReport;
 pub use param_search::{SearchResult, SearchSpec};
-pub use pressure::PressureReport;
 
 /// How bad a diagnostic is. `Error` means the program is wrong (ill-typed
 /// or statically guaranteed to fail); `Warning` means it is suspicious or
@@ -125,8 +119,6 @@ impl std::fmt::Display for Diagnostic {
 pub struct AnalysisReport {
     /// The noise-budget abstract interpretation.
     pub noise: NoiseReport,
-    /// The scratchpad pressure analysis.
-    pub pressure: PressureReport,
     /// All lint findings, in registry order then node order.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -143,11 +135,10 @@ impl AnalysisReport {
     }
 }
 
-/// The analysis driver: owns a lint registry and an architecture model
-/// and runs the full framework over a program.
+/// The analysis driver: owns a lint registry and runs the full
+/// framework over a program.
 pub struct Analyzer {
     registry: LintRegistry,
-    arch: ArchConfig,
 }
 
 impl Default for Analyzer {
@@ -157,16 +148,9 @@ impl Default for Analyzer {
 }
 
 impl Analyzer {
-    /// An analyzer with the default lint set against the F1 default
-    /// machine.
+    /// An analyzer with the default lint set.
     pub fn new() -> Self {
-        Self { registry: LintRegistry::default(), arch: ArchConfig::f1_default() }
-    }
-
-    /// Replaces the architecture model (pressure analysis capacity).
-    pub fn with_arch(mut self, arch: ArchConfig) -> Self {
-        self.arch = arch;
-        self
+        Self { registry: LintRegistry::default() }
     }
 
     /// Mutable access to the lint registry (to override severities).
@@ -177,9 +161,8 @@ impl Analyzer {
     /// Runs every analysis and lint over `p`.
     pub fn analyze(&self, p: &FheProgram) -> AnalysisReport {
         let noise = noise::analyze(p);
-        let pressure = pressure::analyze(p, &self.arch);
-        let diagnostics = self.registry.run(p, &noise, &pressure);
-        AnalysisReport { noise, pressure, diagnostics }
+        let diagnostics = self.registry.run(p, &noise);
+        AnalysisReport { noise, diagnostics }
     }
 }
 

@@ -929,17 +929,17 @@ mod tests {
     use std::collections::HashMap;
 
     fn plan_for(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
-        plan_with(p, arch, ExpandOptions::default())
+        plan_with(p, arch, &ExpandOptions::default())
     }
 
     /// [`plan_for`] with Listing 1's key-switch pinned.
     fn decomposition_plan(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
         let keyswitch = KeySwitchChoice::Decomposition;
-        plan_with(p, arch, ExpandOptions { keyswitch, ..Default::default() })
+        plan_with(p, arch, &ExpandOptions { keyswitch, ..Default::default() })
     }
 
-    fn plan_with(p: &Program, arch: &ArchConfig, opts: ExpandOptions) -> (Expanded, MovePlan) {
-        let ex = expand(p, &opts);
+    fn plan_with(p: &Program, arch: &ArchConfig, opts: &ExpandOptions) -> (Expanded, MovePlan) {
+        let ex = expand(p, opts);
         let plan = schedule(&ex, arch);
         (ex, plan)
     }

@@ -303,14 +303,8 @@ impl Dfg {
         &self.outputs
     }
 
-    /// Whether a value is live after an instruction (has users with a
-    /// larger id) — helper for the schedulers' replacement policies.
-    pub fn dead_after(&self, v: ValueId, i: InstrId) -> bool {
-        !self.outputs.contains(&v) && self.users(v).iter().all(|&u| u <= i)
-    }
-
-    /// Operation histogram (diagnostics; also drives the CPU baseline's
-    /// per-op cost accounting).
+    /// Operation histogram, keyed by vector-op name (diagnostics and
+    /// pass 1's instruction-count tests).
     pub fn op_counts(&self) -> HashMap<&'static str, usize> {
         let mut h = HashMap::new();
         for i in &self.instrs {
@@ -406,17 +400,6 @@ mod tests {
     fn value_sizes_follow_ring() {
         let g = Dfg::new(16384);
         assert_eq!(g.vector_bytes(), 64 * 1024, "one RVec at N=16K is 64 KB (§2.4)");
-    }
-
-    #[test]
-    fn dead_after_accounting() {
-        let (mut g, a, b, _) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
-        let t = g.add_instr(VectorOp::Ntt, vec![s], Q0, 1);
-        g.mark_output(t);
-        assert!(g.dead_after(s, InstrId(1)));
-        assert!(!g.dead_after(s, InstrId(0)));
-        assert!(!g.dead_after(t, InstrId(1)), "outputs are never dead");
     }
 
     #[test]

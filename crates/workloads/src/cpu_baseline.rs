@@ -7,11 +7,9 @@
 //! measurements. This per-op measurement approach keeps full-size
 //! baselines tractable (LoLa-CIFAR in software took the paper 20
 //! minutes); the measured per-op costs are real executions of the real
-//! scheme, not estimates. A parallel-efficiency factor measured with
-//! `std::thread::scope` models the paper's multicore baseline. The BGV
-//! key-switch already spreads its output limbs over the cores (from
-//! `N = 2048` up), so that factor only credits what independent op
-//! streams add on top.
+//! scheme, not estimates. Programs are charged one op at a time: the
+//! baseline is single-thread apart from the BGV key-switch, which
+//! spreads its output limbs over the host's cores (from `N = 2048` up).
 
 use f1_compiler::dsl::{HomOp, Program};
 use f1_fhe::bgv::{KeySet, Plaintext};
@@ -34,20 +32,10 @@ fn cost_cache() -> &'static Mutex<HashMap<CostKey, f64>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Process-wide memo of the measured multicore scaling factor per
-/// `measure_n`.
-fn speedup_cache() -> &'static Mutex<HashMap<usize, f64>> {
-    static CACHE: OnceLock<Mutex<HashMap<usize, f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Timed repetitions of each per-op measurement. Each rep is timed on its
 /// own and the fastest is kept: on a shared host, preemption and steal
 /// only ever add wall time, so the minimum is the least disturbed sample.
 const REPS: usize = 5;
-
-/// Timed repetitions of the multicore scaling measurement (each side).
-const SPEEDUP_REPS: usize = 3;
 
 /// The fastest of `reps` separately timed runs of `f`, in seconds.
 fn min_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -66,8 +54,6 @@ pub struct CpuBaseline {
     n: usize,
     /// seconds per op, by (kind, level).
     costs: HashMap<(&'static str, usize), f64>,
-    /// Multicore scaling factor (≥ 1) measured with scoped threads.
-    pub parallel_speedup: f64,
 }
 
 fn kind_of(op: &HomOp) -> Option<&'static str> {
@@ -89,8 +75,7 @@ impl CpuBaseline {
     ///
     /// Measurements are memoized process-wide by `(measure_n, kind,
     /// level)`, so a Table-3 run over many benchmarks measures each pair
-    /// (and the multicore scaling factor) exactly once, keeping the fastest
-    /// of five separately timed reps.
+    /// exactly once, keeping the fastest of five separately timed reps.
     pub fn measure(program: &Program, measure_n: usize) -> Self {
         let mut needed: Vec<(&'static str, usize)> = Vec::new();
         for (i, op) in program.ops().iter().enumerate() {
@@ -112,10 +97,9 @@ impl CpuBaseline {
                 .copied()
                 .collect()
         };
-        let speedup_known = speedup_cache().lock().unwrap().contains_key(&measure_n);
-        if !missing.is_empty() || !speedup_known {
+        if !missing.is_empty() {
             // Key generation is itself expensive, so it only happens when
-            // at least one pair (or the scaling factor) is unmeasured.
+            // at least one pair is unmeasured.
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA5E);
             let max_level = needed.iter().map(|&(_, l)| l).max().unwrap_or(1);
             let params = BgvParams::test_small(measure_n, max_level);
@@ -148,12 +132,6 @@ impl CpuBaseline {
                 });
                 cost_cache().lock().unwrap().insert((measure_n, k, lvl), per_op);
             }
-            if !speedup_known {
-                // Parallel efficiency: run independent op streams across
-                // cores (the paper parallelizes its DB-lookup baseline, §7).
-                let s = Self::measure_parallel_speedup(&keys, &m);
-                speedup_cache().lock().unwrap().insert(measure_n, s);
-            }
         }
         {
             let cache = cost_cache().lock().unwrap();
@@ -161,30 +139,7 @@ impl CpuBaseline {
                 costs.insert((k, lvl), cache[&(measure_n, k, lvl)]);
             }
         }
-        let parallel_speedup = speedup_cache().lock().unwrap()[&measure_n];
-        Self { n: measure_n, costs, parallel_speedup }
-    }
-
-    fn measure_parallel_speedup(keys: &KeySet, m: &Plaintext) -> f64 {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
-        let ct = keys.encrypt(m, &mut rng);
-        let work = |reps: usize| {
-            for _ in 0..reps {
-                let _ = ct.mul(&ct, keys.relin_hint());
-            }
-        };
-        let t1 = min_seconds(SPEEDUP_REPS, || work(2));
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(8);
-        let t_par = min_seconds(SPEEDUP_REPS, || {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| work(2));
-                }
-            });
-        });
-        // threads × work done in t_par vs 1 × in t1.
-        let speedup = (threads as f64 * t1 / t_par).max(1.0);
-        speedup.min(threads as f64)
+        Self { n: measure_n, costs }
     }
 
     /// Estimated seconds for a program at ring dimension `target_n`, one
@@ -209,11 +164,6 @@ impl CpuBaseline {
             }
         }
         total * scale
-    }
-
-    /// Estimated multicore seconds (the paper's baseline uses all cores).
-    pub fn estimate_seconds_parallel(&self, program: &Program, target_n: usize) -> f64 {
-        self.estimate_seconds(program, target_n) / self.parallel_speedup
     }
 
     /// Directly measured end-to-end evaluation of a (small) program via
@@ -242,9 +192,6 @@ mod tests {
         let base = CpuBaseline::measure(&program, 256);
         let t = base.estimate_seconds(&program, b.n);
         assert!(t > 0.0, "estimate must be positive");
-        assert!(base.parallel_speedup >= 1.0);
-        let tp = base.estimate_seconds_parallel(&program, b.n);
-        assert!(tp <= t);
     }
 
     #[test]

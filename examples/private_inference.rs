@@ -15,7 +15,7 @@ fn main() {
     let program = lowered.program;
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
     let baseline = CpuBaseline::measure(&program, 1024);
-    let cpu_s = baseline.estimate_seconds_parallel(&program, b.n);
+    let cpu_s = baseline.estimate_seconds(&program, b.n);
     println!("{} ({}, scale 1/{}):", b.name, b.scheme, b.scale);
     println!(
         "  IR passes: {} hom ops -> {} before key-switch expansion",
@@ -28,11 +28,7 @@ fn main() {
         report.makespan,
         if ex.used_ghs { "GHS" } else { "decomposition" }
     );
-    println!(
-        "  CPU: {:.1} ms  (measured f1-fhe per-op costs, {:.1}x parallel)",
-        cpu_s * 1e3,
-        baseline.parallel_speedup
-    );
+    println!("  CPU: {:.1} ms  (measured f1-fhe per-op costs, single-thread)", cpu_s * 1e3);
     println!("  speedup: {:.0}x", cpu_s / report.seconds);
     println!("  avg FU utilization {:.0}% (paper: ~30%) — loads stream on {} HBM channels concurrently with compute",
         report.avg_fu_utilization * 100.0, arch.hbm_channels);

@@ -1,16 +1,19 @@
-//! Real-residue check of pass 1's key-switch expansion.
+//! Real-residue check of pass 1's expansion.
 //!
 //! Every makespan depends on the exact NTTs, base conversions, hint
-//! multiplies and automorphisms that pass 1 emits, so this test runs the
-//! expanded DFG of one BGV `mul` and one `rotate` on real residues: the
-//! inputs are `f1-fhe` encryptions and the hint vectors are the residues
-//! of the same keys' hints. Each output residue must equal `f1-fhe`'s
-//! own key-switch, and each output must decrypt like `f1-fhe`'s
-//! decomposition key-switch of the same ciphertexts.
+//! multiplies and automorphisms that pass 1 emits, so these tests run
+//! expanded DFGs on real residues: one BGV `mul`, one `rotate`, and one
+//! program that chains a `mul` with `mul_plain`, `add` and `add_plain`.
+//! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
+//! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
+//! hint vectors are the residues of the same keys' hints. Each output
+//! residue must equal `f1-fhe`'s own evaluation, and each output must
+//! decrypt like `f1-fhe`'s decomposition key-switch of the same
+//! ciphertexts.
 
 use f1::compiler::expand::{expand, ExpandOptions};
 use f1::compiler::{FheProgram, KeySwitchChoice, Lowered, Scheme};
-use f1::fhe::bgv::{Ciphertext, KeySet};
+use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
 use f1::fhe::keyswitch::{DecompHint, GhsHint};
 use f1::fhe::BgvParams;
 use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
@@ -150,12 +153,26 @@ impl Hint<'_> {
     }
 }
 
-/// Runs the expanded DFG of `lowered` on `inputs` (by build-time ordinal)
-/// and `hint`, returning the single output ciphertext.
+/// A plaintext as the DFG's `pt<id>[<limb>]` leaves see it: the centered
+/// lift of its coefficients to `level` limbs, in NTT form (what `f1-fhe`'s
+/// `mul_plain` and `add_plain` multiply and add).
+fn plain_residues(params: &BgvParams, m: &Plaintext, level: usize) -> RnsPoly {
+    let t = params.plaintext_modulus as i64;
+    let signed: Vec<i64> = m
+        .coeffs()
+        .iter()
+        .map(|&c| if c as i64 > t / 2 { c as i64 - t } else { c as i64 })
+        .collect();
+    RnsPoly::from_signed_coeffs(params.context(), level, &signed).to_ntt()
+}
+
+/// Runs the expanded DFG of `lowered` on `inputs` and `plains` (each by
+/// build-time ordinal) and `hint`, returning the single output ciphertext.
 fn run(
     lowered: &Lowered,
     choice: KeySwitchChoice,
     inputs: &[&Ciphertext],
+    plains: &[&RnsPoly],
     hint: &Hint<'_>,
     chain: &Chain<'_>,
 ) -> (RnsPoly, RnsPoly) {
@@ -171,6 +188,10 @@ fn run(
             let ct = inputs[ordinal as usize];
             let p = if poly.starts_with('a') { &ct.a } else { &ct.b };
             p.limb(j).to_vec()
+        } else if let Some(pt) = label.strip_prefix("pt") {
+            let id: u32 = pt[..pt.find('[').unwrap()].parse().unwrap();
+            let ordinal = lowered.pt_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
+            plains[ordinal as usize].limb(j).to_vec()
         } else {
             hint.residues(label, j)
         }
@@ -192,17 +213,21 @@ fn with_polys(ct: &Ciphertext, (a, b): (RnsPoly, RnsPoly)) -> Ciphertext {
     Ciphertext { a, b, ..ct.clone() }
 }
 
+/// A plaintext with distinct, full-range coefficients.
+fn plain(params: &BgvParams, seed: u64) -> Plaintext {
+    let t = params.plaintext_modulus;
+    let coeffs: Vec<u64> = (0..N as u64).map(|i| (i * i + seed) % t).collect();
+    Plaintext::from_coeffs(params, &coeffs)
+}
+
 #[test]
 fn expanded_keyswitches_compute_f1_fhe_residues() {
     let params = BgvParams::test_with_specials(N, L, L);
     let mut rng = rand::rngs::StdRng::seed_from_u64(36);
     let mut keys = KeySet::generate(&params, &mut rng);
     let t = params.plaintext_modulus;
-    let plain = |seed: u64| {
-        let coeffs: Vec<u64> = (0..N as u64).map(|i| (i * i + seed) % t).collect();
-        f1::fhe::bgv::Plaintext::from_coeffs(&params, &coeffs)
-    };
-    let (ct1, ct2) = (keys.encrypt(&plain(1), &mut rng), keys.encrypt(&plain(2), &mut rng));
+    let (ct1, ct2) =
+        (keys.encrypt(&plain(&params, 1), &mut rng), keys.encrypt(&plain(&params, 2), &mut rng));
     let ctx = params.context();
     let ghs = keys.relin_hint_ghs().unwrap();
     let chain = Chain { ctx, special_start: ghs.special_start(), t };
@@ -213,12 +238,12 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let m = f.mul(x, y);
     f.output(m);
     let lowered = f.lower();
-    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &Hint::Ghs(ghs), &chain);
+    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &[], &Hint::Ghs(ghs), &chain);
     let want = ct1.mul_ghs(&ct2, ghs);
     assert!(got == (want.a.clone(), want.b.clone()), "GHS mul residues differ from f1-fhe's");
     let decomp = keys.relin_hint();
-    let got_d =
-        run(&lowered, KeySwitchChoice::Decomposition, &[&ct1, &ct2], &Hint::Decomp(decomp), &chain);
+    let hint = Hint::Decomp(decomp);
+    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1, &ct2], &[], &hint, &chain);
     let want_d = ct1.mul(&ct2, decomp);
     assert!(got_d == (want_d.a.clone(), want_d.b.clone()), "Listing 1 mul residues differ");
     assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
@@ -235,15 +260,55 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let target = sk.s_automorphism_at_level(k, full).neg();
     let rotated = |(u0, u1): (RnsPoly, RnsPoly)| (u1, ct1.b.automorphism(k).add(&u0));
     let ghs = GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
-    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1], &Hint::Ghs(&ghs), &chain);
+    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1], &[], &Hint::Ghs(&ghs), &chain);
     assert!(got == rotated(ghs.apply(&ct1.a.automorphism(k))), "GHS rotate residues differ");
     let target = sk.s_automorphism_at_level(k, L).neg();
     let decomp = DecompHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
     let hint = Hint::Decomp(&decomp);
-    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1], &hint, &chain);
+    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1], &[], &hint, &chain);
     assert!(got_d == rotated(decomp.apply(&ct1.a.automorphism(k))), "Listing 1 rotate differs");
     keys.add_rotation_hint(k, &mut rng);
     let reference = ct1.automorphism(k, keys.rotation_hint(k));
     assert_eq!(keys.decrypt(&with_polys(&ct1, got)), keys.decrypt(&reference));
     assert_eq!(keys.decrypt(&with_polys(&ct1, got_d)), keys.decrypt(&reference));
+}
+
+#[test]
+fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
+    let params = BgvParams::test_with_specials(N, L, L);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+    let keys = KeySet::generate(&params, &mut rng);
+    let (ct1, ct2) =
+        (keys.encrypt(&plain(&params, 1), &mut rng), keys.encrypt(&plain(&params, 2), &mut rng));
+    let (p, q) = (plain(&params, 3), plain(&params, 4));
+    let (p_res, q_res) = (plain_residues(&params, &p, L), plain_residues(&params, &q, L));
+    let ghs = keys.relin_hint_ghs().unwrap();
+    let chain = Chain {
+        ctx: params.context(),
+        special_start: ghs.special_start(),
+        t: params.plaintext_modulus,
+    };
+
+    // add_plain(add(mul(x, y), mul_plain(x, p)), q), p and q runtime inputs.
+    let mut f = FheProgram::new(N, Scheme::Bgv);
+    let (x, y) = (f.input(L), f.input(L));
+    let (pp, pq) = (f.plain_input(L), f.plain_input(L));
+    let m = f.mul(x, y);
+    let mp = f.mul_plain(x, pp);
+    let s = f.add(m, mp);
+    let r = f.add_plain(s, pq);
+    f.output(r);
+    let lowered = f.lower();
+    let (inputs, plains) = ([&ct1, &ct2], [&p_res, &q_res]);
+    let rest = |prod: Ciphertext| prod.add(&ct1.mul_plain(&p, &params)).add_plain(&q, &params);
+
+    let got = run(&lowered, KeySwitchChoice::Ghs, &inputs, &plains, &Hint::Ghs(ghs), &chain);
+    let want = rest(ct1.mul_ghs(&ct2, ghs));
+    assert!(got == (want.a.clone(), want.b.clone()), "GHS program residues differ from f1-fhe's");
+    let decomp = keys.relin_hint();
+    let hint = Hint::Decomp(decomp);
+    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &inputs, &plains, &hint, &chain);
+    let want_d = rest(ct1.mul(&ct2, decomp));
+    assert!(got_d == (want_d.a.clone(), want_d.b.clone()), "Listing 1 program residues differ");
+    assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
 }
