@@ -3,8 +3,10 @@
 //! Times the hot kernels of the CPU baseline — forward/inverse NTT (lazy
 //! and retained-reference), negacyclic multiplication, decomposition
 //! key-switching (scratch-arena and a faithful reconstruction of the
-//! pre-lazy-reduction allocation-heavy formulation), and a full BGV
-//! homomorphic multiply — at paper sizes, and writes `BENCH_poly.json`
+//! pre-lazy-reduction allocation-heavy formulation), GHS key-switching
+//! (`GhsHint::apply`, the path CKKS mul/rotate and BGV `mul_ghs` run, with
+//! `K = L` special primes), and a full BGV homomorphic multiply — at
+//! paper sizes, and writes `BENCH_poly.json`
 //! so every PR has a recorded perf trajectory.
 //!
 //! ```text
@@ -20,7 +22,7 @@
 
 use f1_fhe::bgv::{KeySet, Plaintext};
 use f1_fhe::keys::SecretKey;
-use f1_fhe::keyswitch::{DecompHint, KsScratch};
+use f1_fhe::keyswitch::{DecompHint, GhsHint, KsScratch};
 use f1_fhe::params::BgvParams;
 use f1_modarith::{primes, Modulus};
 use f1_poly::ntt::NttTables;
@@ -190,6 +192,18 @@ fn bench_keyswitch(records: &mut Vec<Record>, samples: usize, points: &[(usize, 
             level: l,
             ns_per_op: time_ns(samples, || {
                 let _ = keyswitch_pre_pr(&hint, &x);
+            }),
+        });
+        let ctx = RnsContext::for_ring(n, 30, 2 * l);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let hint = GhsHint::generate(&sk, &sk.s_squared_at_level(2 * l), l, 65537, 8, &mut rng);
+        let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+        records.push(Record {
+            kernel: "keyswitch_ghs",
+            n,
+            level: l,
+            ns_per_op: time_ns(samples, || {
+                let _ = hint.apply(&x);
             }),
         });
     }

@@ -11,7 +11,7 @@
 //!   (Listing 1's decomposition variant vs the GHS-style `O(L)`-hint
 //!   variant) from `L`, hint reuse and FU load (§2.4, §4.2).
 //! * **Translation**: expand every homomorphic operation into
-//!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,152
+//!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,088
 //!   instructions with GHS (1,360 with Listing 1), dominated by the
 //!   key-switch. Each value records its RNS limb and each scalar multiply
 //!   its constant, so the DFG can be evaluated on real residues.
@@ -590,14 +590,14 @@ impl<'p> Expander<'p> {
     /// GHS key-switch (§2.4) in its RNS form: ModUp, the hint product,
     /// then ModDown (Cheon, Han, Kim, Kim & Song 2018), with `K = l`
     /// special primes. Hints are `2(l + K)` RVecs; the work is
-    /// `3l + 3K` NTTs and INTTs, `2(l + K)` multiplies, and `l + 2K`
-    /// base-conversion chains of scalar multiply-accumulates.
+    /// `3l + 3K` NTTs and INTTs, `2(l + K)` multiplies, `l` digit scales,
+    /// and `K + 2l` base-conversion chains of scalar multiply-accumulates.
     ///
     /// * *ModUp*: INTT each limb of `x` and scale it into its CRT digit,
     ///   convert the digits to each special prime and NTT the result. The
     ///   program limbs of the extension are `x` itself.
     /// * *ModDown* (see [`Self::mod_down`]) divides each product by the
-    ///   special modulus `P`.
+    ///   special modulus `P`, with its constants folded into the hint.
     fn keyswitch_ghs(
         &mut self,
         x: &[ValueId],
@@ -631,26 +631,23 @@ impl<'p> Expander<'p> {
 
     /// ModDown: divides `u` (NTT domain, `l` program limbs then `K`
     /// specials) by the special modulus `P`, keeping the result's noise a
-    /// multiple of `t`. INTT each special limb and scale it into its CRT
-    /// digit of `[t^{-1} u]_P`; then per program limb, convert the digits
-    /// to it with weights `t · P / p_i`, NTT, subtract from `u`'s limb and
-    /// multiply by `P^{-1}`. The conversion (see [`VectorOp::ScalarMul`])
-    /// reads the digits centered, so its overshoot adds at most `t·K/2`
-    /// to the noise, a multiple of `t`.
+    /// multiple of `t`. The hint is pre-scaled key material (`f1-fhe`'s
+    /// `GhsHint::ksh`): its special limbs carry the CRT digit scales
+    /// `(t · P / p_i)^{-1}` and its program limbs `P^{-1}`. So INTT each
+    /// special limb, which is then its CRT digit of `[t^{-1} u]_P`; per
+    /// program limb, convert the digits to it with weights `t · p_i^{-1}`
+    /// ([`Scalar::TPInv`]), NTT and subtract from `u`'s limb. The
+    /// conversion (see [`VectorOp::ScalarMul`]) reads the digits centered,
+    /// so its overshoot adds at most `t·K/2` to the noise, a multiple of
+    /// `t`.
     fn mod_down(&mut self, u: &[ValueId], l: usize) -> Vec<ValueId> {
-        let k = (u.len() - l) as u16;
-        let digits: Vec<ValueId> = (0..k)
-            .map(|p| {
-                let v = self.emit(VectorOp::Intt, vec![u[l + p as usize]]);
-                self.emit(VectorOp::ScalarMul { c: Scalar::PHatInv { k, i: p } }, vec![v])
-            })
-            .collect();
+        let digits: Vec<ValueId> =
+            u[l..].iter().map(|&v| self.emit(VectorOp::Intt, vec![v])).collect();
         (0..l)
             .map(|j| {
-                let conv = self.convert(&digits, Limb::Q(j as u16), |i| Scalar::PHat { k, i });
+                let conv = self.convert(&digits, Limb::Q(j as u16), |i| Scalar::TPInv { i });
                 let d = self.emit(VectorOp::Ntt, vec![conv]);
-                let s = self.emit(VectorOp::Sub, vec![u[j], d]);
-                self.emit(VectorOp::ScalarMul { c: Scalar::PInv { k } }, vec![s])
+                self.emit(VectorOp::Sub, vec![u[j], d])
             })
             .collect()
     }
@@ -882,7 +879,7 @@ mod tests {
         // One hom-mul at level l with K = l specials. Around the tensor
         // (4l muls, l adds) and the final 2l adds, the GHS key-switch runs
         // 3l + 3K NTT-class instructions: ModUp's l INTTs and K NTTs, and
-        // per polynomial ModDown's K INTTs and l NTTs. Each of the l + 2K
+        // per polynomial ModDown's K INTTs and l NTTs. Each of the K + 2l
         // base conversions is a ScalarMul and a ScalarMulAdd chain.
         let (l, k) = (8, 8);
         let ex = |keyswitch| {
@@ -893,15 +890,15 @@ mod tests {
         assert_eq!(c["intt"] + c["ntt"], 3 * l + 3 * k);
         assert_eq!((c["intt"], c["ntt"]), (l + 2 * k, k + 2 * l));
         assert_eq!(c["mul"], 4 * l + 2 * (l + k), "tensor + hint product");
-        // Digit scales (l in ModUp, K per polynomial in ModDown),
-        // conversion heads (K, then l per polynomial) and, per
-        // polynomial, l divisions by P.
-        assert_eq!(c["scalar_mul"], l + k + 2 * (k + 2 * l));
+        // ModUp's l digit scales and the conversion heads (K in ModUp, l
+        // per polynomial in ModDown). ModDown's digit scales and divisions
+        // by P live in the hint.
+        assert_eq!(c["scalar_mul"], l + k + 2 * l);
         assert_eq!(c["scalar_mul_add"], k * (l - 1) + 2 * l * (k - 1));
         assert_eq!((c["add"], c["sub"]), (3 * l, 2 * l));
-        assert_eq!(g.dfg.instrs().len(), 384);
-        // Listing 1 is the cheaper expansion at this level, and its hint
-        // is four times larger.
+        assert_eq!(g.dfg.instrs().len(), 352);
+        // Listing 1 runs more instructions at this level (more NTTs and
+        // adds, fewer multiplies), and its hint is four times larger.
         let d = ex(KeySwitchChoice::Decomposition);
         assert_eq!(d.dfg.instrs().len(), 360);
         let hint_vectors = |e: &Expanded| e.hint_values[&HintId::Relin].len();

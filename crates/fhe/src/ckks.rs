@@ -591,6 +591,33 @@ mod tests {
     }
 
     #[test]
+    fn rotation_keyswitch_precision_is_pinned() {
+        // One rotation at N = 2^12, L = 4 (5 specials, scale 2^25). The
+        // automorphism permutes the input's noise exactly, so the error
+        // against the rotated decryption of the input is the key-switch's
+        // alone: ModDown's rounding, which the fast base conversion widens
+        // to at most K/2 per coefficient. This seed reads a max slot error
+        // of 2.79e-4 (seeds 0x5107..0x510e read 2.66e-4 to 3.28e-4). The
+        // bound 4.0e-4 leaves a 1.43x margin, so a conversion change that
+        // loses half a bit or more fails here.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5107);
+        let params = CkksParams::test_small(1 << 12, 4);
+        let mut keys = KeySet::generate(&params, &mut rng);
+        let slots = params.n / 2;
+        let vals: Vec<Complex> = (0..slots)
+            .map(|j| Complex::new((j as f64 * 0.37).sin(), (j as f64 * 0.11).cos()))
+            .collect();
+        let ct = keys.encrypt(&vals, &mut rng);
+        let k = keys.encoder().rotation_exponent(1);
+        keys.add_rotation_hint(k, &mut rng);
+        let input = keys.decrypt(&ct);
+        let rotated = keys.decrypt(&ct.automorphism(k, keys.rotation_hint(k)));
+        let err =
+            (0..slots).map(|j| (rotated[j] - input[(j + 1) % slots]).abs()).fold(0.0, f64::max);
+        assert!(err < 4.0e-4, "rotation key-switch max slot error {err:e} (pinned 2.79e-4)");
+    }
+
+    #[test]
     fn scalar_multiplication() {
         let (_params, keys, mut rng) = setup(3);
         let vals: Vec<Complex> = (0..32).map(|j| Complex::new(0.5 + j as f64 * 0.1, 0.0)).collect();

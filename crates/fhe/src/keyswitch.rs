@@ -24,7 +24,8 @@
 //!   of `K` special primes). It runs in RNS form, ModUp and ModDown by
 //!   fast base conversion (Cheon, Han, Kim, Kim & Song 2018): `3L + 3K`
 //!   NTTs, `2(L + K)` multiplies by the hint, and `O(L·K)` scalar
-//!   multiply-accumulates for the conversions. Its hint traffic is far
+//!   multiply-accumulates for the conversions; ModDown's scalings are
+//!   folded into the hint as key material. Its hint traffic is far
 //!   smaller, and at large `L` so is its NTT work — the tradeoff §2.4
 //!   describes. Pass 1 of the compiler emits the same arithmetic.
 
@@ -264,7 +265,8 @@ pub struct GhsHint {
     /// Number of special primes `K`.
     special_count: usize,
     error_scale: u64,
-    /// `(ksh0, ksh1)` over `special_start + special_count` limbs, NTT.
+    /// `(ksh0, ksh1)` over `special_start + special_count` limbs, NTT,
+    /// with ModDown's constants folded in (see [`GhsHint::ksh`]).
     ksh0: RnsPoly,
     ksh1: RnsPoly,
 }
@@ -275,12 +277,29 @@ impl GhsHint {
     /// `target` must be given at the *full* chain length (program limbs +
     /// specials); the hint encrypts `P * target` so that the rounded
     /// division by `P` after the product leaves `x * target` plus small
-    /// noise.
+    /// noise. ModDown's constants are then folded into the key material
+    /// once (see [`GhsHint::ksh`]): every level keeps all `K` specials, so
+    /// `P` and the constants are the same at every level.
     ///
     /// # Panics
     ///
     /// Panics if the context has no special primes.
     pub fn generate(
+        sk: &SecretKey,
+        target_full: &RnsPoly,
+        program_level: usize,
+        error_scale: u64,
+        eta: u32,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let mut hint = Self::unfolded(sk, target_full, program_level, error_scale, eta, rng);
+        hint.fold();
+        hint
+    }
+
+    /// The hint before [`GhsHint::fold`]: `ksh0 = a·s + t·e + P·s'`,
+    /// `ksh1 = a`.
+    fn unfolded(
         sk: &SecretKey,
         target_full: &RnsPoly,
         program_level: usize,
@@ -299,14 +318,11 @@ impl GhsHint {
         let e = RnsPoly::random_error(&ctx, full, eta, rng)
             .to_ntt()
             .mul_scalar(scale_residue(error_scale));
-        // P mod each limb: product of the special primes.
+        let specials = &ctx.moduli()[program_level..];
         let mut p_target = target_full.clone();
         for j in 0..full {
             let m = ctx.modulus(j);
-            let mut p_mod = 1u32;
-            for sp in program_level..full {
-                p_mod = m.mul(p_mod, (ctx.modulus(sp).value() as u64 % m.value() as u64) as u32);
-            }
+            let p_mod = special_product(1, specials, None, m);
             for x in p_target.limb_mut(j).iter_mut() {
                 *x = m.mul(*x, p_mod);
             }
@@ -323,6 +339,28 @@ impl GhsHint {
         }
     }
 
+    /// Folds ModDown's two scalings into both polynomials: each special
+    /// limb `p_i` times `(t·P/p_i)^{-1}`, each program limb `q_j` times
+    /// `P^{-1}`. The hint product, INTT, NTT and base conversion are
+    /// linear modulo each prime, so [`GhsHint::apply`] then computes the
+    /// same residues without them.
+    fn fold(&mut self) {
+        let ctx = self.ksh0.context().clone();
+        let specials = &ctx.moduli()[self.special_start..self.special_start + self.special_count];
+        for j in 0..self.special_start + self.special_count {
+            let m = ctx.modulus(j);
+            let c = if j < self.special_start {
+                special_product(1, specials, None, m)
+            } else {
+                special_product(self.error_scale, specials, Some(j - self.special_start), m)
+            };
+            let c = ShoupMul::new(m.inv(c), m);
+            for poly in [&mut self.ksh0, &mut self.ksh1] {
+                scale(poly.limb_mut(j), c, m.value());
+            }
+        }
+    }
+
     /// Chain index of the first special prime; the `K` specials follow it.
     pub fn special_start(&self) -> usize {
         self.special_start
@@ -330,6 +368,12 @@ impl GhsHint {
 
     /// Read access to the hint: `(ksh0, ksh1)`, NTT domain over the whole
     /// chain (the program limbs, then the specials).
+    ///
+    /// The limbs are pre-scaled key material: each program limb `q_j` is
+    /// multiplied by `P^{-1} mod q_j`, and each special limb `p_i` by
+    /// `(t·P/p_i)^{-1} mod p_i`, where `P` is the product of the `K`
+    /// specials and `t` the error scale. Scaling a key by a public
+    /// constant does not change its security.
     pub fn ksh(&self) -> (&RnsPoly, &RnsPoly) {
         (&self.ksh0, &self.ksh1)
     }
@@ -346,13 +390,15 @@ impl GhsHint {
     ///   itself. The extension is `y + αQ` with `|α| <= l/2`, and the
     ///   `αQ` vanishes modulo `Q` after ModDown.
     /// * *Hint product* over `Q_l · P`.
-    /// * *ModDown*, per polynomial: INTT each special limb and scale it
-    ///   into its CRT digit of `a = [t^{-1} u]_P`; per program limb,
-    ///   convert the digits (weights `t · P/p_i`), NTT, subtract, and
-    ///   multiply by `P^{-1}`. The conversion yields `t · c` with
-    ///   `c ≡ a (mod P)` and `|c| <= K·P/2`, so the division by `P` is
-    ///   exact, its error is at most `t·K/2`, and the noise stays a
-    ///   multiple of `t`, as BGV needs.
+    /// * *ModDown*, per polynomial: INTT each special limb, which the
+    ///   pre-scaled hint (see [`GhsHint::ksh`]) has already made the CRT
+    ///   digit of `a = [t^{-1} u]_P`; per program limb, convert the
+    ///   digits (weights `t · p_i^{-1}`, that is `t · P/p_i` times the
+    ///   `P^{-1}` the hint's program limbs carry), NTT and subtract. The
+    ///   conversion yields `t · c` with `c ≡ a (mod P)` and
+    ///   `|c| <= K·P/2`, so the division by `P` is exact, its error is at
+    ///   most `t·K/2`, and the noise stays a multiple of `t`, as BGV
+    ///   needs.
     ///
     /// Conversions read each digit as its centered representative, so
     /// their overshoot `α` (or `c - a`) is centered too: with digits in
@@ -371,15 +417,6 @@ impl GhsHint {
         // 0..l, then the specials.
         let limb_of = |pos: usize| if pos < l { pos } else { self.special_start + pos - l };
         let specials = &ctx.moduli()[self.special_start..self.special_start + k];
-        // `t · P / p_i mod m` for every special `i`.
-        let t_p_hat = |m: &Modulus| -> Vec<u32> {
-            (0..k)
-                .map(|i| {
-                    let others = specials.iter().enumerate().filter(|&(o, _)| o != i);
-                    others.fold(reduce(t, m), |acc, (_, p)| m.mul(acc, reduce(p.value() as u64, m)))
-                })
-                .collect()
-        };
         // ModUp digits.
         let crt = ctx.crt_level(l);
         let mut digits = x.flat().to_vec();
@@ -389,7 +426,7 @@ impl GhsHint {
             scale(limb, ShoupMul::new(crt.q_over_qi_inv[i], mi), mi.value());
         });
         // One [u0 | u1] limb pair per extended-basis position: extend,
-        // multiply by the hint, and, on the specials, turn the products
+        // multiply by the hint, and, on the specials, INTT the products
         // into ModDown's digits.
         let mut acc = vec![0u32; 2 * (l + k) * n];
         par_limbs(&mut acc, 2 * n, |pos, pair| {
@@ -407,21 +444,19 @@ impl GhsHint {
             slice_ops::mul_slice_into(&mj, w1, w0, self.ksh1.limb(j));
             slice_ops::mul_slice(&mj, w0, self.ksh0.limb(j));
             if pos >= l {
-                let digit_scale = ShoupMul::new(mj.inv(t_p_hat(&mj)[pos - l]), &mj);
-                for w in [w0, w1] {
-                    ctx.tables(j).inverse(w);
-                    scale(w, digit_scale, mj.value());
-                }
+                ctx.tables(j).inverse(w0);
+                ctx.tables(j).inverse(w1);
             }
         });
         // ModDown of both polynomials, per program limb.
         let (head, special_digits) = acc.split_at_mut(2 * l * n);
         par_limbs(head, 2 * n, |j, pair| {
             let mj = *ctx.modulus(j);
-            let weights = t_p_hat(&mj);
-            let p_mod =
-                specials.iter().fold(1, |acc, p| mj.mul(acc, reduce(p.value() as u64, &mj)));
-            let p_inv = ShoupMul::new(mj.inv(p_mod), &mj);
+            // `t · p_i^{-1} mod q_j` for every special `i`.
+            let weights: Vec<u32> = specials
+                .iter()
+                .map(|p| mj.mul(reduce(t, &mj), mj.inv(reduce(p.value() as u64, &mj))))
+                .collect();
             let mut conv = vec![0u32; n];
             for (half, w) in pair.chunks_exact_mut(n).enumerate() {
                 conv.fill(0);
@@ -429,11 +464,17 @@ impl GhsHint {
                 convert(&mut conv, digits, specials, &weights, &mj);
                 ctx.tables(j).forward(&mut conv);
                 slice_ops::sub_slice(&mj, w, &conv);
-                scale(w, p_inv, mj.value());
             }
         });
         split_pairs(&ctx, l, &acc)
     }
+}
+
+/// `t · Π p mod m` over the `specials` other than `skip`: `P mod m` for
+/// `t = 1` and no skip, `t · P/p_i mod m` when skipping `i`.
+fn special_product(t: u64, specials: &[Modulus], skip: Option<usize>, m: &Modulus) -> u32 {
+    let others = specials.iter().enumerate().filter(|&(i, _)| Some(i) != skip);
+    others.fold(reduce(t, m), |acc, (_, p)| m.mul(acc, reduce(p.value() as u64, m)))
 }
 
 /// `x mod m` for a 64-bit `x`.
@@ -542,7 +583,7 @@ mod tests {
 
     /// Reference for [`GhsHint::apply`]: ModUp and ModDown as serial
     /// loops with a 64-bit `%` per operation and the constants built from
-    /// the moduli directly.
+    /// the moduli directly, over the pre-scaled hint.
     fn ghs_reference(hint: &GhsHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
         let l = x.level();
         let ctx = x.context().clone();
@@ -592,40 +633,95 @@ mod tests {
                 u[half].push(limb);
             }
         }
-        // ModDown, per polynomial.
-        let p_hat = |i: usize, m: u64| {
-            let others = [&specials[..i], &specials[i + 1..]].concat();
-            t % m * prod(&others, m) % m
-        };
+        // ModDown, per polynomial: the hint's specials already carry the
+        // digit scales and its program limbs `P^{-1}`.
         let out = u.map(|mut u| {
-            let down: Vec<Vec<u64>> = (0..k)
-                .map(|i| {
-                    let (j, m) = (hint.special_start + i, specials[i]);
-                    ctx.tables(j).inverse(&mut u[l + i]);
-                    let c = inv(p_hat(i, m), m);
-                    u[l + i].iter().map(|&v| v as u64 * c % m).collect()
-                })
-                .collect();
+            for i in 0..k {
+                ctx.tables(hint.special_start + i).inverse(&mut u[l + i]);
+            }
             let mut poly = RnsPoly::zero_ntt_at_level(&ctx, l);
             for j in 0..l {
                 let m = chain[j];
                 let mut conv: Vec<u32> = (0..n)
                     .map(|c| {
-                        let sum =
-                            (0..k).map(|i| lift(down[i][c], specials[i], m) * p_hat(i, m) % m);
+                        let sum = (0..k).map(|i| {
+                            let w = t % m * inv(specials[i], m) % m;
+                            lift(u[l + i][c] as u64, specials[i], m) * w % m
+                        });
                         (sum.sum::<u64>() % m) as u32
                     })
                     .collect();
                 ctx.tables(j).forward(&mut conv);
-                let p_inv = inv(prod(specials, m), m);
                 for (o, (&w, &d)) in poly.limb_mut(j).iter_mut().zip(u[j].iter().zip(&conv)) {
-                    *o = ((w as u64 + m - d as u64) * p_inv % m) as u32;
+                    *o = ((w as u64 + m - d as u64) % m) as u32;
                 }
             }
             poly
         });
         let [u0, u1] = out;
         (u0, u1)
+    }
+
+    /// [`GhsHint::apply`] before the fold, over an unfolded hint: ModDown
+    /// scales each special digit by `(t·P/p_i)^{-1}`, converts with weights
+    /// `t·P/p_i` and multiplies each program limb by `P^{-1}` explicitly.
+    fn unfolded_apply(hint: &GhsHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
+        let l = x.level();
+        let ctx = x.context().clone();
+        let n = x.n();
+        let k = hint.special_count;
+        let t = hint.error_scale;
+        let limb_of = |pos: usize| if pos < l { pos } else { hint.special_start + pos - l };
+        let specials = &ctx.moduli()[hint.special_start..hint.special_start + k];
+        let t_p_hat = |m: &Modulus| -> Vec<u32> {
+            (0..k).map(|i| special_product(t, specials, Some(i), m)).collect()
+        };
+        let crt = ctx.crt_level(l);
+        let mut digits = x.flat().to_vec();
+        par_limbs(&mut digits, n, |i, limb| {
+            let mi = ctx.modulus(i);
+            ctx.tables(i).inverse(limb);
+            scale(limb, ShoupMul::new(crt.q_over_qi_inv[i], mi), mi.value());
+        });
+        let mut acc = vec![0u32; 2 * (l + k) * n];
+        par_limbs(&mut acc, 2 * n, |pos, pair| {
+            let j = limb_of(pos);
+            let mj = *ctx.modulus(j);
+            let (w0, w1) = pair.split_at_mut(n);
+            if pos < l {
+                w0.copy_from_slice(x.limb(j));
+            } else {
+                let weights: Vec<u32> =
+                    crt.q_over_qi.iter().map(|w| w.rem_u64(mj.value() as u64) as u32).collect();
+                convert(w0, digits.chunks_exact(n), &ctx.moduli()[..l], &weights, &mj);
+                ctx.tables(j).forward(w0);
+            }
+            slice_ops::mul_slice_into(&mj, w1, w0, hint.ksh1.limb(j));
+            slice_ops::mul_slice(&mj, w0, hint.ksh0.limb(j));
+            if pos >= l {
+                let digit_scale = ShoupMul::new(mj.inv(t_p_hat(&mj)[pos - l]), &mj);
+                for w in [w0, w1] {
+                    ctx.tables(j).inverse(w);
+                    scale(w, digit_scale, mj.value());
+                }
+            }
+        });
+        let (head, special_digits) = acc.split_at_mut(2 * l * n);
+        par_limbs(head, 2 * n, |j, pair| {
+            let mj = *ctx.modulus(j);
+            let weights = t_p_hat(&mj);
+            let p_inv = ShoupMul::new(mj.inv(special_product(1, specials, None, &mj)), &mj);
+            let mut conv = vec![0u32; n];
+            for (half, w) in pair.chunks_exact_mut(n).enumerate() {
+                conv.fill(0);
+                let digits = special_digits.chunks_exact(n).skip(half).step_by(2);
+                convert(&mut conv, digits, specials, &weights, &mj);
+                ctx.tables(j).forward(&mut conv);
+                slice_ops::sub_slice(&mj, w, &conv);
+                scale(w, p_inv, mj.value());
+            }
+        });
+        split_pairs(&ctx, l, &acc)
     }
 
     #[test]
@@ -658,6 +754,29 @@ mod tests {
                     let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
                     assert_eq!(hint.apply(&x), ghs_reference(&hint, &x), "n={n} t={t} l={l}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_ghs_apply_is_bit_identical_to_explicit_mod_down() {
+        // The fold moves ModDown's (t·P/p_i)^{-1} and P^{-1} into the hint;
+        // the residues must not move by one bit, at every level 1..=L.
+        // BGV (t = 65537) with K = 4 and K = 5 specials, and CKKS (t = 1).
+        let (n, l) = (1 << 10, 4);
+        for (k, t) in [(4, 65537), (5, 65537), (4, 1), (5, 1)] {
+            let ctx = RnsContext::for_ring(n, 30, l + k);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(38);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let target = sk.s_squared_at_level(l + k);
+            let unfolded = GhsHint::unfolded(&sk, &target, l, t, 8, &mut rng);
+            let mut folded = unfolded.clone();
+            folded.fold();
+            assert_ne!(folded.ksh(), unfolded.ksh(), "K={k} t={t}: the fold changed no limb");
+            for level in 1..=l {
+                let x = RnsPoly::random_at_level(&ctx, level, &mut rng).to_ntt();
+                let want = unfolded_apply(&unfolded, &x);
+                assert!(folded.apply(&x) == want, "K={k} t={t} l={level}: residues differ");
             }
         }
     }

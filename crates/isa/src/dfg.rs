@@ -87,9 +87,9 @@ impl VectorOp {
 /// A scalar constant, named by what it is rather than by its value:
 /// pass 1 knows a program's RNS structure but not its primes. Here
 /// `Q_l = q_0 ⋯ q_{l-1}` is the modulus at level `l`, `P = p_0 ⋯ p_{k-1}`
-/// the product of the first `k` special primes, and `t` the plaintext
-/// modulus (1 for CKKS). The constant is reduced modulo the instruction's
-/// output limb.
+/// the product of the `k` special primes, and `t` the plaintext modulus
+/// (1 for CKKS). The constant is reduced modulo the instruction's output
+/// limb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     /// `(Q_l / q_i)^{-1}`: scales digit `i` of a level-`l` polynomial
@@ -108,27 +108,15 @@ pub enum Scalar {
         /// The digit `i`.
         i: u16,
     },
-    /// `(t · P / p_i)^{-1}`: scales special digit `i` before a base
-    /// conversion out of `P`.
-    PHatInv {
-        /// The number of special primes `k`.
-        k: u16,
+    /// `t · p_i^{-1}`: the weight of special digit `i` in ModDown's base
+    /// conversion out of `P`. It is the CRT weight `P / p_i`, times `t` so
+    /// that the converted value is a multiple of `t`, times the `P^{-1}`
+    /// that ends a key-switch. GHS hints carry that `P^{-1}` and the
+    /// digits' `(t · P / p_i)^{-1}` scales as key material, so ModDown
+    /// multiplies by no other constant.
+    TPInv {
         /// The digit `i`.
         i: u16,
-    },
-    /// `t · P / p_i`: the weight of special digit `i` in a base conversion
-    /// out of `P`, times `t` so that the converted value is a multiple of
-    /// `t`.
-    PHat {
-        /// The number of special primes `k`.
-        k: u16,
-        /// The digit `i`.
-        i: u16,
-    },
-    /// `P^{-1}`: the division that ends a key-switch.
-    PInv {
-        /// The number of special primes `k`.
-        k: u16,
     },
     /// `q_i^{-1}`: the division by the limb a modulus switch drops.
     QInv {

@@ -134,10 +134,10 @@ fn tinypad_makespan_is_monotone_in_capacity() {
 /// schedule only when its peak fits the pad and it is no longer. The
 /// checker is then the only guard of the kept schedule. The fhe-ops BGV
 /// block and LoLa-MNIST EW keep their lineage-free schedules (the lineage
-/// ones take 15,942 and 28,108 cycles). Listing 2's matvec at N = 2^12,
+/// ones take 15,550 and 26,796 cycles). Listing 2's matvec at N = 2^12,
 /// L = 6 with 8 rows keeps its lineage schedule, because the lineage-free
-/// one fits but takes 19,541 cycles, and so does LoLa-CIFAR, whose
-/// lineage-free schedule peaks at 82.5 MB.
+/// one fits but takes 17,536 cycles, and so does LoLa-CIFAR, whose
+/// lineage-free schedule peaks at 81.7 MB.
 #[test]
 fn compulsory_only_schedules_fit_the_pad() {
     let mut bgv = FheProgram::new(1 << 14, Scheme::Bgv);
@@ -148,10 +148,10 @@ fn compulsory_only_schedules_fit_the_pad() {
     bgv.output(s);
     let arch = ArchConfig::f1_default();
     for (name, p, makespan) in [
-        ("bgv_block", bgv, 14_736),
-        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_566),
-        ("listing2_matvec", FheProgram::listing2_matvec(1 << 12, 6, 8), 18_992),
-        ("lola_cifar", lola_cifar_uw(8).fhe, 101_278),
+        ("bgv_block", bgv, 14_727),
+        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_198),
+        ("listing2_matvec", FheProgram::listing2_matvec(1 << 12, 6, 8), 17_025),
+        ("lola_cifar", lola_cifar_uw(8).fhe, 95_147),
     ] {
         let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         assert_eq!(plan.traffic.non_compulsory(), 0, "{name}");

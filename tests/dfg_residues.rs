@@ -9,7 +9,9 @@
 //! hint vectors are the residues of the same keys' hints. Each output
 //! residue must equal `f1-fhe`'s own evaluation, and each output must
 //! decrypt like `f1-fhe`'s decomposition key-switch of the same
-//! ciphertexts.
+//! ciphertexts. A GHS hint's vectors carry ModDown's constants, so the
+//! `mul` DFG is also run over the hint multiplied back to unscaled, and
+//! those residues must differ.
 
 use f1::compiler::expand::{expand, ExpandOptions};
 use f1::compiler::{FheProgram, KeySwitchChoice, Lowered, Scheme};
@@ -47,10 +49,9 @@ impl Chain<'_> {
 
     /// `Π_{j < count, j ≠ skip} limb(j) mod m`.
     fn product(&self, limb: fn(u16) -> Limb, count: u16, skip: Option<u16>, m: &Modulus) -> u32 {
-        let reduce = |x: u64| (x % m.value() as u64) as u32;
         (0..count)
             .filter(|&j| Some(j) != skip)
-            .fold(1, |acc, j| m.mul(acc, reduce(self.modulus(limb(j)).value() as u64)))
+            .fold(1, |acc, j| m.mul(acc, self.reduced(limb(j), m)))
     }
 
     /// The value of `c` modulo `m` (see [`Scalar`]).
@@ -59,11 +60,25 @@ impl Chain<'_> {
         match c {
             Scalar::QHatInv { l, i } => m.inv(self.product(Limb::Q, l, Some(i), m)),
             Scalar::QHat { l, i } => self.product(Limb::Q, l, Some(i), m),
-            Scalar::PHatInv { k, i } => m.inv(m.mul(t, self.product(Limb::P, k, Some(i), m))),
-            Scalar::PHat { k, i } => m.mul(t, self.product(Limb::P, k, Some(i), m)),
-            Scalar::PInv { k } => m.inv(self.product(Limb::P, k, None, m)),
-            Scalar::QInv { i } => {
-                m.inv((self.modulus(Limb::Q(i)).value() as u64 % m.value() as u64) as u32)
+            Scalar::TPInv { i } => m.mul(t, m.inv(self.reduced(Limb::P(i), m))),
+            Scalar::QInv { i } => m.inv(self.reduced(Limb::Q(i), m)),
+        }
+    }
+
+    /// The prime of `limb` reduced modulo `m`.
+    fn reduced(&self, limb: Limb, m: &Modulus) -> u32 {
+        (self.modulus(limb).value() as u64 % m.value() as u64) as u32
+    }
+
+    /// The factor that undoes a GHS hint's pre-scaling on `limb`: `P` on a
+    /// program limb, `t · P / p_i` on special limb `i`.
+    fn unfold(&self, limb: Limb) -> u32 {
+        let m = self.modulus(limb);
+        let k = (self.ctx.max_level() - self.special_start) as u16;
+        match limb {
+            Limb::Q(_) => self.product(Limb::P, k, None, &m),
+            Limb::P(i) => {
+                m.mul((self.t % m.value() as u64) as u32, self.product(Limb::P, k, Some(i), &m))
             }
         }
     }
@@ -133,23 +148,32 @@ impl Chain<'_> {
 /// A key-switch hint as the DFG's leaves see it.
 enum Hint<'a> {
     Ghs(&'a GhsHint),
+    /// A GHS hint with its limbs multiplied back to before ModDown's
+    /// constants were folded in: the negative control of the fold.
+    GhsUnfolded(&'a GhsHint),
     Decomp(&'a DecompHint),
 }
 
 impl Hint<'_> {
     /// The residues behind a hint label (`<hint>.ksh<poly>` or
-    /// `<hint>.ksh<poly>[<row>]`) on chain limb `j`.
-    fn residues(&self, label: &str, j: usize) -> Vec<u32> {
+    /// `<hint>.ksh<poly>[<row>]`) on `limb`.
+    fn residues(&self, label: &str, limb: Limb, chain: &Chain<'_>) -> Vec<u32> {
         let (_, part) = label.split_once(".ksh").expect("hint label");
         let poly = &part[..1];
         let (ksh0, ksh1) = match self {
-            Hint::Ghs(h) => h.ksh(),
+            Hint::Ghs(h) | Hint::GhsUnfolded(h) => h.ksh(),
             Hint::Decomp(h) => {
                 let row = part[2..part.len() - 1].parse().expect("decomposition row");
                 h.row(row)
             }
         };
-        if poly == "0" { ksh0 } else { ksh1 }.limb(j).to_vec()
+        let residues = if poly == "0" { ksh0 } else { ksh1 }.limb(chain.index(limb));
+        if let Hint::GhsUnfolded(_) = self {
+            let (m, c) = (chain.modulus(limb), chain.unfold(limb));
+            residues.iter().map(|&x| m.mul(x, c)).collect()
+        } else {
+            residues.to_vec()
+        }
     }
 }
 
@@ -178,7 +202,7 @@ fn run(
 ) -> (RnsPoly, RnsPoly) {
     let opts = ExpandOptions { keyswitch: choice, ..Default::default() };
     let ex = expand(&lowered.program, &opts);
-    assert_eq!(ex.used_ghs, matches!(hint, Hint::Ghs(_)));
+    assert_eq!(ex.used_ghs, !matches!(hint, Hint::Decomp(_)));
     let vals = chain.eval(&ex.dfg, |label, limb| {
         let j = chain.index(limb);
         if label.starts_with("ct") {
@@ -193,7 +217,7 @@ fn run(
             let ordinal = lowered.pt_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
             plains[ordinal as usize].limb(j).to_vec()
         } else {
-            hint.residues(label, j)
+            hint.residues(label, limb, chain)
         }
     });
     // Outputs are the result's `a` limbs, then its `b` limbs.
@@ -241,6 +265,11 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &[], &Hint::Ghs(ghs), &chain);
     let want = ct1.mul_ghs(&ct2, ghs);
     assert!(got == (want.a.clone(), want.b.clone()), "GHS mul residues differ from f1-fhe's");
+    // Negative control: the same DFG over the hint without the fold's
+    // constants computes other residues, so the comparison sees the fold.
+    let unfolded = Hint::GhsUnfolded(ghs);
+    let (a, b) = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &[], &unfolded, &chain);
+    assert!(a != want.a && b != want.b, "the unfolded hint computed f1-fhe's residues");
     let decomp = keys.relin_hint();
     let hint = Hint::Decomp(decomp);
     let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1, &ct2], &[], &hint, &chain);
