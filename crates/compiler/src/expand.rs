@@ -6,7 +6,9 @@
 //!   the same key-switch hint, then list-schedule the clusters, so each
 //!   hint is fetched once and reused (Listing 2 would otherwise cycle
 //!   through 480 MB of hints four times, §4.2), while the live results
-//!   stay within a quarter of the scratchpad.
+//!   stay within a quarter of the scratchpad. Hint-free ops that read
+//!   only program inputs are then sunk to their first user, so their
+//!   results are not all held from the start.
 //! * **Algorithmic choice**: pick the key-switch implementation
 //!   (Listing 1's decomposition variant vs the GHS-style `O(L)`-hint
 //!   variant) from `L`, hint reuse and FU load (§2.4, §4.2).
@@ -232,6 +234,12 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
 /// pick is instead the lowest-index ready operation: program order
 /// consumes results near where they were made, where staying on one hint
 /// fans out every ready use of it and holds all the results at once.
+///
+/// Ops that need no hint and read only program inputs (or other such ops)
+/// are ready from the start, so the drain would compute all of them first:
+/// DB lookup's 64 query–key diffs at L = 17 peaked at 143 MB of live
+/// results. A last pass therefore moves each of them to just before its
+/// first user, which leaves DB lookup's peak at 4.1 MB.
 pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
     budgeted_order(program, live_budget(&ArchConfig::default()))
 }
@@ -244,8 +252,14 @@ fn live_budget(arch: &ArchConfig) -> u64 {
 }
 
 /// [`hint_reuse_order`]'s rule under a live set of at most `budget` bytes
-/// (a soft bound: hint-free operations drain regardless).
+/// (a soft bound: hint-free operations drain regardless), then
+/// [`sink_input_ops`].
 fn budgeted_order(program: &Program, budget: u64) -> Vec<usize> {
+    sink_input_ops(program, &list_order(program, budget))
+}
+
+/// [`budgeted_order`]'s list-scheduling rule, before the sink.
+fn list_order(program: &Program, budget: u64) -> Vec<usize> {
     let ops = program.ops();
     let n_ops = ops.len();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
@@ -310,6 +324,53 @@ fn budgeted_order(program: &Program, budget: u64) -> Vec<usize> {
     }
     assert_eq!(order.len(), n_ops, "cycle in homomorphic-op graph");
     order
+}
+
+/// Moves each *sinkable* op of `order` to just before its first user: an
+/// op is sinkable when it needs no hint and every operand is a program
+/// input or another sinkable op. Such an op is ready from the start, so
+/// [`budgeted_order`]'s drain would compute all of them up front and hold
+/// every result until its user comes. Sinkable ops keep their relative
+/// order (so chains stay in order), and those with no user go last.
+/// [`expand`]'s `keep_program_order` skips this pass with the rest.
+fn sink_input_ops(program: &Program, order: &[usize]) -> Vec<usize> {
+    let ops = program.ops();
+    let is_input = |i: usize| matches!(ops[i], HomOp::Input { .. } | HomOp::PlainInput { .. });
+    // Operands precede their users in op-index order.
+    let mut sinkable = vec![false; ops.len()];
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        let deps = op_deps(op);
+        for d in &deps {
+            users[d.0 as usize].push(i);
+        }
+        sinkable[i] = !is_input(i)
+            && hint_of(op).is_none()
+            && deps.iter().all(|d| is_input(d.0 as usize) || sinkable[d.0 as usize]);
+    }
+    // anchor[i]: an op's position in `order`, or for a sinkable op, that of
+    // the non-sinkable op it is placed before (`order.len()` = the end).
+    // Users follow in `order`, so a reverse walk sees their anchors first.
+    let mut anchor = vec![0usize; ops.len()];
+    for (p, &i) in order.iter().enumerate() {
+        anchor[i] = p;
+    }
+    for &i in order.iter().rev().filter(|&&i| sinkable[i]) {
+        anchor[i] = users[i].iter().map(|&u| anchor[u]).min().unwrap_or(order.len());
+    }
+    let mut before: Vec<Vec<usize>> = vec![Vec::new(); order.len() + 1];
+    for &i in order.iter().filter(|&&i| sinkable[i]) {
+        before[anchor[i]].push(i);
+    }
+    let mut sunk = Vec::with_capacity(order.len());
+    for (p, &i) in order.iter().enumerate() {
+        if !sinkable[i] {
+            sunk.append(&mut before[p]);
+            sunk.push(i);
+        }
+    }
+    sunk.append(&mut before[order.len()]);
+    sunk
 }
 
 /// The live set of a partial op order: the computed results that still
@@ -818,6 +879,58 @@ mod tests {
         let bounded = budgeted_order(&p, budget);
         let peak = peak_live_bytes(&p, &bounded);
         assert!(peak <= budget + result, "peak {peak} over budget {budget} + {result}");
+    }
+
+    /// DB lookup's shape: `entries` keys each compared with one query
+    /// (`add`, the diff), squared twice with a mod switch between, masked
+    /// by a plaintext and summed.
+    fn db_lookup_shaped(entries: usize) -> Program {
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+        let query = p.input(4);
+        let mut acc = None;
+        for _ in 0..entries {
+            let key = p.input(4);
+            let diff = p.add(query, key);
+            let eq = p.square(diff);
+            let eq = p.mod_switch(eq);
+            let eq = p.square(eq);
+            let value = p.plain_input(3);
+            let hit = p.mul_plain(eq, value);
+            acc = Some(acc.map_or(hit, |a| p.add(a, hit)));
+        }
+        p.output(acc.unwrap());
+        p.lower().program
+    }
+
+    #[test]
+    fn input_only_ops_sink_to_their_first_user() {
+        // The list rule drains every ready hint-free op first, so all the
+        // diffs would be computed before any square and live together.
+        let entries = 8;
+        let p = db_lookup_shaped(entries);
+        let ops = p.ops();
+        let is_diff = |i: usize| {
+            matches!(ops[i], HomOp::Add { a, b } if [a, b].iter().all(|d| {
+                matches!(ops[d.0 as usize], HomOp::Input { .. })
+            }))
+        };
+        let order = expand(&p, &ExpandOptions::default()).hom_order;
+        let mut diffs = 0;
+        for w in order.windows(2).filter(|w| is_diff(w[0])) {
+            diffs += 1;
+            let d = CtId(w[0] as u32);
+            assert!(
+                matches!(ops[w[1]], HomOp::Mul { a, b } if a == d && b == d),
+                "diff {} is followed by op {}, not its square",
+                w[0],
+                w[1]
+            );
+        }
+        assert_eq!(diffs, entries);
+        let budget = live_budget(&ArchConfig::default());
+        let listed = peak_live_bytes(&p, &list_order(&p, budget));
+        let sunk = peak_live_bytes(&p, &order);
+        assert!(sunk < listed, "sinking left the live peak at {sunk} B (list order {listed} B)");
     }
 
     #[test]

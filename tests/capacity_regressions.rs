@@ -151,7 +151,7 @@ fn compulsory_only_schedules_fit_the_pad() {
         ("bgv_block", bgv, 14_727),
         ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_198),
         ("listing2_matvec", FheProgram::listing2_matvec(1 << 12, 6, 8), 17_025),
-        ("lola_cifar", lola_cifar_uw(8).fhe, 95_147),
+        ("lola_cifar", lola_cifar_uw(8).fhe, 95_156),
     ] {
         let (_, _, ex, plan, cs) = compile_fhe(&p, &arch);
         assert_eq!(plan.traffic.non_compulsory(), 0, "{name}");
@@ -273,6 +273,26 @@ fn full_size_bgv_bootstrapping_releases_no_load_unread() {
     let (loads, wasted) = loads_released_unread(&ex, &plan);
     assert!(loads > 0, "nothing loaded");
     assert_eq!(wasted, 0, "{wasted} of {loads} loads released before any instruction read them");
+}
+
+/// LogReg at `F1_SCALE=2` on the 64 MB machine, passes 1 and 2 only: the
+/// smallest scale at which its plan comes under pressure once pass 1
+/// sinks the sample-block rescales to their users. Each issue's reserve
+/// call can evict up to 17 live values (1 MB of 64 KB vectors, plus the
+/// result's own), so a prefetch that ranks among them is released unread,
+/// requested again and prefetched again into the room the reserve just
+/// freed, issue after issue. When pass 2 compared a prefetch with the
+/// first live victim only, 2,080 of 3,484 loads were released unread;
+/// compared with the 17th, 379 of 1,783 are.
+#[test]
+fn logreg_prefetches_escape_the_reserve() {
+    let (ex, plan) = plan_of(&logistic_regression(2), &ArchConfig::f1_default());
+    let (loads, wasted) = loads_released_unread(&ex, &plan);
+    assert!(wasted > 0, "scale 2 no longer puts LogReg under pressure");
+    assert!(
+        wasted * 4 < loads,
+        "{wasted} of {loads} loads released before any instruction read them"
+    );
 }
 
 /// Full-size DB lookup on the 64 MB machine, passes 1 and 2 only. Pass 2
