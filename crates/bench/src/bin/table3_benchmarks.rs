@@ -61,11 +61,8 @@ fn main() {
     // IR optimization effect: hom-op and expanded-DFG node counts before
     // vs after the frontend passes (CSE, DCE, rotation dedup, constant
     // folding, key-switch hoisting). Both variants expand under the same
-    // options against the same machine; note the Auto key-switch chooser
-    // re-decides per variant, so a flipped choice can shift (even
-    // occasionally invert) the DFG delta — the signed percentage keeps
-    // that honest. (Re-expanding here costs a few extra linear passes;
-    // scheduling still dominates this bin's runtime.)
+    // options against the same machine. (Re-expanding here costs a few
+    // extra linear passes; scheduling still dominates this bin's runtime.)
     println!("\nIR pass effect (frontend passes before key-switch expansion):");
     println!(
         "{:<30} {:>9} {:>9} {:>10} {:>10} {:>8}",

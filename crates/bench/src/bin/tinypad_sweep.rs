@@ -8,8 +8,8 @@
 //! at capacities from 1 MB to the paper's 64 MB, validates every schedule
 //! with the capacity-strict checker, and emits each makespan/traffic
 //! curve. On the larger pads both plans move only compulsory traffic, and
-//! the encrypted-weights program keeps schedules made without pass 2's
-//! byte lineage there, so the sweep also covers those.
+//! both programs keep schedules made without pass 2's byte lineage from
+//! 16 MB up, so the sweep also covers those.
 //!
 //! Exits non-zero if makespan ever *increases* with capacity — the
 //! self-check CI runs at `F1_SCALE=8`.

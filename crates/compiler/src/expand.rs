@@ -5,25 +5,26 @@
 //! * **Ordering**: cluster independent homomorphic operations that reuse
 //!   the same key-switch hint, then list-schedule the clusters, so each
 //!   hint is fetched once and reused (Listing 2 would otherwise cycle
-//!   through 480 MB of hints four times, §4.2), while the live results
+//!   through its 15 hints four times, §4.2), while the live results
 //!   stay within a quarter of the scratchpad. Hint-free ops that read
 //!   only program inputs are then sunk to their first user, so their
 //!   results are not all held from the start.
-//! * **Algorithmic choice**: pick the key-switch implementation
-//!   (Listing 1's decomposition variant vs the GHS-style `O(L)`-hint
-//!   variant) from `L`, hint reuse and FU load (§2.4, §4.2).
 //! * **Translation**: expand every homomorphic operation into
 //!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,088
-//!   instructions with GHS (1,360 with Listing 1), dominated by the
-//!   key-switch. Each value records its RNS limb and each scalar multiply
-//!   its constant, so the DFG can be evaluated on real residues.
+//!   instructions, dominated by the key-switch. Every key-switch is the
+//!   GHS variant in its RNS form (ModUp, hint product, ModDown; §2.4):
+//!   `O(L)` hint vectors and `3L + 3K` NTTs, where Listing 1's
+//!   decomposition moves `2L²` hint vectors through `L²` NTTs. Each value
+//!   records its RNS limb and each scalar multiply its constant, so the
+//!   DFG can be evaluated on real residues.
 
 use crate::dsl::{CtId, HomOp, Program};
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, Limb, Scalar, ValueId, ValueKind, VectorOp};
 use std::collections::{BTreeMap, HashMap};
 
-/// Identifies a key-switch hint (one pair of matrices, §2.4).
+/// Identifies a key-switch hint (one pair of polynomials over the program
+/// and special limbs, §2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HintId {
     /// The relinearization hint shared by every multiplication.
@@ -32,30 +33,15 @@ pub enum HintId {
     Aut(usize),
 }
 
-/// Key-switch implementation selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum KeySwitchChoice {
-    /// Force Listing 1's decomposition variant.
-    Decomposition,
-    /// Force the GHS-style variant.
-    Ghs,
-    /// Let the compiler decide from `L`, reuse and footprint (§4.2).
-    #[default]
-    Auto,
-}
-
 /// Options for the expansion pass.
 #[derive(Debug, Clone, Default)]
 pub struct ExpandOptions {
-    /// Key-switch implementation policy.
-    pub keyswitch: KeySwitchChoice,
     /// Disable the hint-reuse reordering (for ablations; the paper's
     /// Listing 2 discussion shows why leaving program order hurts).
     pub keep_program_order: bool,
-    /// The machine whose scratchpad sets the op order's live-bytes budget
-    /// and that the `Auto` chooser estimates against; `None` uses the
-    /// paper's default configuration. [`crate::compile_fhe`] fills this with
-    /// the target architecture.
+    /// The machine whose scratchpad sets the op order's live-bytes budget;
+    /// `None` uses the paper's default configuration.
+    /// [`crate::compile_fhe`] fills this with the target architecture.
     pub machine: Option<ArchConfig>,
 }
 
@@ -67,8 +53,6 @@ pub struct Expanded {
     /// Residue vectors of each hint (for reuse accounting). Ordered so
     /// that iteration never depends on hash state (determinism).
     pub hint_values: BTreeMap<HintId, Vec<ValueId>>,
-    /// The key-switch variant actually used.
-    pub used_ghs: bool,
     /// The hint-reuse order of homomorphic ops chosen by the pass.
     pub hom_order: Vec<usize>,
 }
@@ -80,125 +64,16 @@ struct LoweredCt {
     b: Vec<ValueId>,
 }
 
-/// Expands a program into an instruction DFG.
-///
-/// Under [`KeySwitchChoice::Auto`] the pass implements §4.2's algorithmic
-/// choice with a machine model: it lowers the program with *both*
-/// key-switch variants (expansion is linear and cheap next to the
-/// scheduling passes) and keeps the one whose estimated makespan — the
-/// max of its bandwidth, FU-throughput and dependence bounds on the
-/// target machine — is lower. Decomposition has `O(L²)` hints and `L²`
-/// NTTs; GHS has `O(L)` hints and `3L + 3K` NTTs, but more scalar
-/// multiplies and a longer dependence path (its base conversions are
-/// serial chains), so decomposition still wins small latency-bound
-/// programs.
-///
-/// The op order is [`hint_reuse_order`]'s rule under the live-bytes
-/// budget of the target machine's scratchpad (`opts.machine`).
+/// Expands a program into an instruction DFG, lowering each homomorphic
+/// operation in [`hint_reuse_order`]'s rule under the live-bytes budget of
+/// the target machine's scratchpad (`opts.machine`), or in program order
+/// under `opts.keep_program_order`.
 pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
-    let machine = opts.machine.clone().unwrap_or_default();
     let order = if opts.keep_program_order {
         (0..program.ops().len()).collect()
     } else {
-        budgeted_order(program, live_budget(&machine))
+        budgeted_order(program, live_budget(&opts.machine.clone().unwrap_or_default()))
     };
-    match opts.keyswitch {
-        KeySwitchChoice::Decomposition => expand_with(program, &order, false),
-        KeySwitchChoice::Ghs => expand_with(program, &order, true),
-        KeySwitchChoice::Auto => {
-            // No key-switching ops: both variants lower identically, so
-            // skip the comparison entirely.
-            if program.ops().iter().all(|op| hint_of(op).is_none()) {
-                return expand_with(program, &order, false);
-            }
-            // Fast path (and the paper's stated rule): very large L always
-            // favors GHS — skip the double expansion.
-            if max_hint_level(program) >= 20 {
-                return expand_with(program, &order, true);
-            }
-            let decomp = expand_with(program, &order, false);
-            let ghs = expand_with(program, &order, true);
-            if estimate_makespan(&ghs, &machine) < estimate_makespan(&decomp, &machine) {
-                ghs
-            } else {
-                decomp
-            }
-        }
-    }
-}
-
-/// Largest operating level among hint-using operations.
-fn max_hint_level(program: &Program) -> usize {
-    let mut max_level = 1usize;
-    for (i, op) in program.ops().iter().enumerate() {
-        if hint_of(op).is_some() {
-            max_level = max_level.max(program.level_of(CtId(i as u32)));
-        }
-    }
-    max_level
-}
-
-/// Estimated makespan of an expansion on `arch`: the max of its three
-/// lower bounds — per-class FU throughput, off-chip traffic over
-/// aggregate bandwidth, and the streaming critical path. The traffic
-/// bound includes a **capacity term**: when the loadable working set
-/// (hints + inputs) exceeds the scratchpad, the overflow fraction of
-/// every re-read beyond a value's first turns into a refetch, so a
-/// variant with smaller hints (GHS) wins on capacity-starved machines
-/// even where decomposition wins at 64 MB. The cycle-level scheduler
-/// approaches whichever bound binds.
-fn estimate_makespan(ex: &Expanded, arch: &ArchConfig) -> u64 {
-    let dfg = &ex.dfg;
-    let n = dfg.n;
-    // FU-throughput bound per class (all instructions of a class share
-    // one occupancy at ring size n, so count then multiply).
-    let mut count = [0u64; 4];
-    for i in dfg.instrs() {
-        count[i.op.fu_type().index()] += 1;
-    }
-    let fu_bound = f1_isa::FuType::ALL
-        .iter()
-        .map(|&fu| {
-            count[fu.index()] * arch.occupancy(fu, n)
-                / (arch.fus_per_cluster(fu) * arch.clusters).max(1) as u64
-        })
-        .max()
-        .unwrap_or(0);
-    // Bandwidth bound: compulsory traffic (used inputs and hints loaded
-    // once, outputs stored once) — the hint-reuse order keeps refetches
-    // negligible for working sets that fit the scratchpad.
-    let vector = dfg.vector_bytes();
-    let loadable: Vec<ValueId> = dfg
-        .values()
-        .iter()
-        .filter(|v| matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint))
-        .map(|v| v.id)
-        .filter(|&v| !dfg.users(v).is_empty())
-        .collect();
-    let working_set = loadable.len() as u64 * vector;
-    let mut traffic = working_set + dfg.outputs().len() as u64 * vector;
-    // Capacity term: the overflow fraction of the working set cannot stay
-    // resident, so that share of every repeat read is a refetch.
-    let cap = arch.scratchpad_bytes();
-    if working_set > cap {
-        let rereads: u64 = loadable.iter().map(|&v| dfg.users(v).len() as u64 - 1).sum();
-        let reread = rereads * vector;
-        let overflow = (working_set - cap) as f64 / working_set as f64;
-        traffic += (reread as f64 * overflow) as u64;
-    }
-    let mem_bound = arch.mem_cycles(traffic);
-    // Dependence bound: the streaming critical path, under the weighting
-    // pass 3 ranks by.
-    let cp = dfg
-        .critical_depths(&|i| crate::cycle::stream_weight(arch, i.op.fu_type(), n))
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    fu_bound.max(mem_bound).max(cp)
-}
-
-/// Lowers the program with a fixed key-switch variant.
-fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
     let mut ex = Expander {
         program,
         dfg: Dfg::new(program.n),
@@ -207,9 +82,8 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
         cts: vec![None; program.ops().len()],
         plains: vec![None; program.ops().len()],
         priority: 0,
-        used_ghs,
     };
-    for &op_idx in order {
+    for &op_idx in &order {
         ex.lower_op(op_idx);
     }
     for &out in program.outputs() {
@@ -219,7 +93,7 @@ fn expand_with(program: &Program, order: &[usize], used_ghs: bool) -> Expanded {
         }
     }
     ex.dfg.validate();
-    Expanded { dfg: ex.dfg, hint_values: ex.hints, used_ghs, hom_order: order.to_vec() }
+    Expanded { dfg: ex.dfg, hint_values: ex.hints, hom_order: order }
 }
 
 /// Orders homomorphic operations to maximize hint reuse (§4.2) without
@@ -442,15 +316,14 @@ struct Expander<'p> {
     program: &'p Program,
     dfg: Dfg,
     hints: BTreeMap<HintId, Vec<ValueId>>,
-    /// Each hint vector by `(hint, polynomial, row, limb)`: see
+    /// Each hint vector by `(hint, polynomial, limb)`: see
     /// [`Expander::hint_val`].
-    hint_index: HashMap<(HintId, u8, u16, Limb), ValueId>,
+    hint_index: HashMap<(HintId, u8, Limb), ValueId>,
     /// Lowered ciphertexts, indexed by [`CtId`] (= op index; `None` until
     /// the op lowers). Dense tables — the per-op lookups are hot.
     cts: Vec<Option<LoweredCt>>,
     plains: Vec<Option<Vec<ValueId>>>,
     priority: u64,
-    used_ghs: bool,
 }
 
 impl Expander<'_> {
@@ -584,68 +457,19 @@ impl<'p> Expander<'p> {
     }
 
     /// The residue vector on `limb` of polynomial `poly` (0 for `ksh0`, 1
-    /// for `ksh1`) of `hint`'s row `row` (the digit, in the decomposition
-    /// variant; always 0 in GHS's single row), registered on first use.
-    /// One hint serves every level: a lower level reads a subset of the
-    /// vectors a higher one does.
-    fn hint_val(&mut self, hint: HintId, poly: u8, row: usize, limb: Limb) -> ValueId {
-        let key = (hint, poly, row as u16, limb);
+    /// for `ksh1`) of `hint`, registered on first use. One hint serves
+    /// every level: a lower level reads a subset of the vectors a higher
+    /// one does.
+    fn hint_val(&mut self, hint: HintId, poly: u8, limb: Limb) -> ValueId {
+        let key = (hint, poly, limb);
         if let Some(&v) = self.hint_index.get(&key) {
             return v;
         }
-        let label = if self.used_ghs {
-            format!("{hint:?}.ksh{poly}")
-        } else {
-            format!("{hint:?}.ksh{poly}[{row}]")
-        };
+        let label = format!("{hint:?}.ksh{poly}");
         let v = self.dfg.add_value(ValueKind::KeySwitchHint, limb, Some(label));
         self.hint_index.insert(key, v);
         self.hints.entry(hint).or_default().push(v);
         v
-    }
-
-    /// Key-switch expansion: Listing 1 (decomposition) or GHS.
-    fn keyswitch(&mut self, x: &[ValueId], hint: HintId, l: usize) -> (Vec<ValueId>, Vec<ValueId>) {
-        if self.used_ghs {
-            self.keyswitch_ghs(x, hint, l)
-        } else {
-            self.keyswitch_decomp(x, hint, l)
-        }
-    }
-
-    /// Listing 1, line for line: `L` INTTs, `L(L-1)` forward NTTs,
-    /// `2L²` multiplies, `2L²` accumulating adds; hints are `2L²` RVecs.
-    fn keyswitch_decomp(
-        &mut self,
-        x: &[ValueId],
-        hint: HintId,
-        l: usize,
-    ) -> (Vec<ValueId>, Vec<ValueId>) {
-        // Line 3: y = [INTT(x[i])].
-        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();
-        let mut u0: Vec<Option<ValueId>> = vec![None; l];
-        let mut u1: Vec<Option<ValueId>> = vec![None; l];
-        for i in 0..l {
-            for j in 0..l {
-                let limb = Limb::Q(j as u16);
-                // Line 8: xqj = (i == j) ? x[i] : NTT(y[i], q_j).
-                let xqj = if i == j { x[i] } else { self.emit_on(limb, VectorOp::Ntt, vec![y[i]]) };
-                // Lines 9-10: multiply-accumulate against both hint rows.
-                let h0 = self.hint_val(hint, 0, i, limb);
-                let m0 = self.emit(VectorOp::Mul, vec![xqj, h0]);
-                u0[j] = Some(match u0[j] {
-                    None => m0,
-                    Some(acc) => self.emit(VectorOp::Add, vec![acc, m0]),
-                });
-                let h1 = self.hint_val(hint, 1, i, limb);
-                let m1 = self.emit(VectorOp::Mul, vec![xqj, h1]);
-                u1[j] = Some(match u1[j] {
-                    None => m1,
-                    Some(acc) => self.emit(VectorOp::Add, vec![acc, m1]),
-                });
-            }
-        }
-        (u0.into_iter().map(Option::unwrap).collect(), u1.into_iter().map(Option::unwrap).collect())
     }
 
     /// GHS key-switch (§2.4) in its RNS form: ModUp, the hint product,
@@ -659,12 +483,7 @@ impl<'p> Expander<'p> {
     ///   program limbs of the extension are `x` itself.
     /// * *ModDown* (see [`Self::mod_down`]) divides each product by the
     ///   special modulus `P`, with its constants folded into the hint.
-    fn keyswitch_ghs(
-        &mut self,
-        x: &[ValueId],
-        hint: HintId,
-        l: usize,
-    ) -> (Vec<ValueId>, Vec<ValueId>) {
+    fn keyswitch(&mut self, x: &[ValueId], hint: HintId, l: usize) -> (Vec<ValueId>, Vec<ValueId>) {
         let k = l;
         let level = l as u16;
         let digits: Vec<ValueId> = (0..l)
@@ -682,7 +501,7 @@ impl<'p> Expander<'p> {
         let [u0, u1] = [0, 1].map(|poly| {
             ext.iter()
                 .map(|&e| {
-                    let h = self.hint_val(hint, poly, 0, self.dfg.value(e).limb);
+                    let h = self.hint_val(hint, poly, self.dfg.value(e).limb);
                     self.emit(VectorOp::Mul, vec![e, h])
                 })
                 .collect::<Vec<_>>()
@@ -751,31 +570,14 @@ mod tests {
     }
 
     #[test]
-    fn listing1_instruction_counts() {
-        // One hom-mul at level L: tensor 4L mul + L add; key-switch L
-        // INTT + L(L-1) NTT + 2L^2 mul + 2L(L-1) add; final 2L adds.
-        let p = one_mul(1 << 10, 4);
-        let ex = expand(&p, &ExpandOptions::default());
-        let counts = ex.dfg.op_counts();
-        let l = 4usize;
-        assert_eq!(counts["intt"], l);
-        assert_eq!(counts["ntt"], l * (l - 1));
-        assert_eq!(counts["mul"], 4 * l + 2 * l * l);
-        assert_eq!(counts["add"], l + 2 * l * (l - 1) + 2 * l);
-        assert!(!ex.used_ghs);
-    }
-
-    #[test]
     fn hint_sizes_match_paper_example() {
-        // §2.4: at L = 16, N = 16K the decomposition key-switch hints are
-        // 32 MB (pinned explicitly: Auto picks GHS here precisely
-        // *because* of this footprint).
+        // §2.4: at L = 16, N = 16K a GHS hint is 2(L + K) = 64 residue
+        // vectors of 64 KB, 4 MB. The paper's 32 MB counts Listing 1's
+        // decomposition hint, 2L² vectors.
         let p = one_mul(1 << 14, 16);
-        let opts =
-            ExpandOptions { keyswitch: KeySwitchChoice::Decomposition, ..Default::default() };
-        let ex = expand(&p, &opts);
+        let ex = expand(&p, &ExpandOptions::default());
         let hint_bytes = ex.hint_values[&HintId::Relin].len() as u64 * ex.dfg.vector_bytes();
-        assert_eq!(hint_bytes, 32 * 1024 * 1024);
+        assert_eq!(hint_bytes, 4 * 1024 * 1024);
     }
 
     #[test]
@@ -934,57 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_chooser_flips_to_ghs_when_bandwidth_bound() {
-        // A single relinearization at L = 16, N = 16K: decomposition moves
-        // a 32 MB hint for ~200K busy FU-cycles — bandwidth-bound on the
-        // paper machine — so the §4.2 cost model must pick GHS (O(L)
-        // hints, more compute).
-        let p = one_mul(1 << 14, 16);
-        let ex = expand(&p, &ExpandOptions::default());
-        assert!(ex.used_ghs, "bandwidth-bound program must choose GHS");
-        // A shallow program whose hints are tiny stays on decomposition.
-        let exq = expand(&one_mul(1 << 10, 4), &ExpandOptions::default());
-        assert!(!exq.used_ghs, "compute-cheap program must keep decomposition");
-    }
-
-    #[test]
-    fn auto_chooser_respects_scratchpad_capacity() {
-        // The same program that keeps decomposition on the 64 MB machine
-        // must flip to GHS on a capacity-starved one. Eight serial muls
-        // at L = 8 reuse the relinearization hint: on 64 MB the dependence
-        // bound decides, and Listing 1's key-switch path is the shorter
-        // (1,760 cycles against GHS's 4,160 when written), but its O(L²)
-        // hint (512 KB here) gets re-fetched on a 64 KB pad every round,
-        // while GHS's O(L) hint is four times cheaper to thrash.
-        let build = || {
-            let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-            let x = p.input(8);
-            let mut m = x;
-            for _ in 0..8 {
-                m = p.mul(m, x);
-            }
-            p.output(m);
-            p.lower().program
-        };
-        let big = expand(
-            &build(),
-            &ExpandOptions { machine: Some(ArchConfig::f1_default()), ..Default::default() },
-        );
-        assert!(!big.used_ghs, "64 MB machine must keep decomposition");
-        let mut tiny = ArchConfig::f1_default();
-        tiny.bank_bytes = 64 * 1024 / tiny.scratchpad_banks as u64;
-        let small = expand(&build(), &ExpandOptions { machine: Some(tiny), ..Default::default() });
-        assert!(small.used_ghs, "64 KB machine must flip to GHS (capacity term)");
-    }
-
-    #[test]
     fn ghs_choice_at_large_l() {
+        // GHS hints are O(L): 2(L + K) residue vectors, far below Listing
+        // 1's 2L², which is what makes GHS the choice at large L (§2.4).
         let p = one_mul(1 << 10, 21);
         let ex = expand(&p, &ExpandOptions::default());
-        assert!(ex.used_ghs, "L >= 20 must select the GHS variant (§2.4)");
-        // GHS hints are O(L): 2(L+K) residue vectors, far below 2L².
-        let hint_count = ex.hint_values[&HintId::Relin].len();
-        assert!(hint_count <= 4 * 21 + 4, "GHS hint count {hint_count}");
+        assert_eq!(ex.hint_values[&HintId::Relin].len(), 2 * (21 + 21));
     }
 
     #[test]
@@ -995,10 +752,7 @@ mod tests {
         // per polynomial ModDown's K INTTs and l NTTs. Each of the K + 2l
         // base conversions is a ScalarMul and a ScalarMulAdd chain.
         let (l, k) = (8, 8);
-        let ex = |keyswitch| {
-            expand(&one_mul(1 << 10, l), &ExpandOptions { keyswitch, ..Default::default() })
-        };
-        let g = ex(KeySwitchChoice::Ghs);
+        let g = expand(&one_mul(1 << 10, l), &ExpandOptions::default());
         let c = g.dfg.op_counts();
         assert_eq!(c["intt"] + c["ntt"], 3 * l + 3 * k);
         assert_eq!((c["intt"], c["ntt"]), (l + 2 * k, k + 2 * l));
@@ -1010,12 +764,7 @@ mod tests {
         assert_eq!(c["scalar_mul_add"], k * (l - 1) + 2 * l * (k - 1));
         assert_eq!((c["add"], c["sub"]), (3 * l, 2 * l));
         assert_eq!(g.dfg.instrs().len(), 352);
-        // Listing 1 runs more instructions at this level (more NTTs and
-        // adds, fewer multiplies), and its hint is four times larger.
-        let d = ex(KeySwitchChoice::Decomposition);
-        assert_eq!(d.dfg.instrs().len(), 360);
-        let hint_vectors = |e: &Expanded| e.hint_values[&HintId::Relin].len();
-        assert_eq!((hint_vectors(&g), hint_vectors(&d)), (2 * (l + k), 2 * l * l));
+        assert_eq!(g.hint_values[&HintId::Relin].len(), 2 * (l + k));
     }
 
     #[test]

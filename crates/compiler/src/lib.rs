@@ -15,9 +15,9 @@
 //!    entry point that runs the whole stack.
 //! 2. [`expand`] — the homomorphic-operation compiler (§4.2): orders
 //!    homomorphic operations to maximize key-switch-hint reuse within a
-//!    live-bytes budget of a quarter of the scratchpad, chooses
-//!    between key-switching implementations, and translates each
-//!    operation into residue-vector instructions (Listing 1's expansion).
+//!    live-bytes budget of a quarter of the scratchpad, and translates
+//!    each operation into residue-vector instructions, with every
+//!    key-switch in GHS's RNS form (ModUp, hint product, ModDown).
 //! 3. [`movement`] — the off-chip data movement scheduler (§4.3): greedy
 //!    priority scheduling against a scratchpad model with Belady-style
 //!    furthest-reuse eviction, emitting a residency event script whose
@@ -56,7 +56,7 @@ pub mod movement;
 pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
 pub use cycle::CycleSchedule;
 pub use dsl::{CtId, HomOp, Program};
-pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
+pub use expand::{ExpandOptions, Expanded};
 pub use ir::{FheProgram, IrId, Lowered, OptStats, RescaleStats, Scheme};
 pub use movement::MovePlan;
 
@@ -64,8 +64,8 @@ pub use movement::MovePlan;
 /// lower → the three scheduling passes. Returns the lowering (with its
 /// constant table and input maps), the optimization statistics, the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.
-/// The target architecture informs pass 1's key-switch cost model (§4.2)
-/// as well as the two scheduling passes.
+/// The target architecture sets pass 1's live-bytes budget (a quarter of
+/// its scratchpad) as well as the two scheduling passes.
 /// For automatic noise management, run [`ir::rescale::insert_rescales`]
 /// on the program first.
 pub fn compile_fhe(

@@ -289,13 +289,16 @@ struct Scheduler<'a> {
     heap_key: Vec<u64>,
     output_set: Vec<bool>,
     stored_outputs: Vec<bool>,
-    /// Per-value user lists sorted by `(rank, instruction id)`. With the
-    /// cursor below, [`Self::next_use_rank`] is amortized O(1): the first
+    /// Per-value user lists sorted by `(rank, instruction id)`, stored
+    /// back to back: value `v`'s list is
+    /// `sorted_users[user_start[v]..user_start[v + 1]]`. With the cursor
+    /// below, [`Self::next_use_rank`] is amortized O(1): the first
     /// unissued entry at/after the cursor *is* the minimum-rank unissued
     /// user. (The DFG's creation-order lists made it a scan of every
     /// remaining user — O(users²) per value over a run, which dominated
     /// the pass on high-fanout key-switch hints at full scale.)
-    sorted_users: Vec<Vec<u32>>,
+    sorted_users: Vec<u32>,
+    user_start: Vec<u32>,
     /// Per-value cursor into its `sorted_users` list.
     user_cursor: Vec<u32>,
     issued: Vec<bool>,
@@ -379,13 +382,16 @@ impl<'a> Scheduler<'a> {
         }
         // Per-value lineage/liveness tables: each value's users sorted by
         // final rank.
-        let sorted_users: Vec<Vec<u32>> = (0..n_values as u32)
-            .map(|vi| {
-                let mut us: Vec<u32> = dfg.users(ValueId(vi)).iter().map(|u| u.0).collect();
-                us.sort_unstable_by_key(|&u| (rank[u as usize], u));
-                us
-            })
-            .collect();
+        let mut sorted_users =
+            Vec::with_capacity(dfg.instrs().iter().map(|i| i.inputs.len()).sum());
+        let mut user_start = Vec::with_capacity(n_values + 1);
+        user_start.push(0);
+        for vi in 0..n_values as u32 {
+            let from = sorted_users.len();
+            sorted_users.extend(dfg.users(ValueId(vi)).iter().map(|u| u.0));
+            sorted_users[from..].sort_unstable_by_key(|&u| (rank[u as usize], u));
+            user_start.push(sorted_users.len() as u32);
+        }
         Self {
             dfg,
             arch,
@@ -400,6 +406,7 @@ impl<'a> Scheduler<'a> {
             output_set,
             stored_outputs: vec![false; n_values],
             sorted_users,
+            user_start,
             user_cursor: vec![0; n_values],
             issued: vec![false; n_instr],
             rank,
@@ -555,7 +562,8 @@ impl<'a> Scheduler<'a> {
             // Hold: the value's next user cannot issue before an operand
             // still to be computed, so the bytes would sit unread meanwhile.
             // (`still_wanted` just moved the cursor to that user.)
-            let user = self.sorted_users[vid as usize][self.user_cursor[vid as usize] as usize];
+            let at = self.user_start[vid as usize] + self.user_cursor[vid as usize];
+            let user = self.sorted_users[at as usize];
             if self.waits_on_unproduced(InstrId(user)) {
                 #[cfg(test)]
                 {
@@ -813,8 +821,10 @@ impl<'a> Scheduler<'a> {
     /// user list is rank-sorted, so the first unissued entry at/after the
     /// cursor is the minimum.
     fn next_use_rank(&mut self, v: ValueId) -> u64 {
-        let users = &self.sorted_users[v.0 as usize];
-        let cur = &mut self.user_cursor[v.0 as usize];
+        let vi = v.0 as usize;
+        let users =
+            &self.sorted_users[self.user_start[vi] as usize..self.user_start[vi + 1] as usize];
+        let cur = &mut self.user_cursor[vi];
         while (*cur as usize) < users.len() && self.issued[users[*cur as usize] as usize] {
             *cur += 1;
         }
@@ -967,23 +977,13 @@ impl<'a> Scheduler<'a> {
 mod tests {
     use super::*;
     use crate::dsl::Program;
-    use crate::expand::{expand, ExpandOptions, KeySwitchChoice};
+    use crate::expand::{expand, ExpandOptions};
     use crate::ir::{FheProgram, Scheme};
     use crate::listing2;
     use std::collections::HashMap;
 
     fn plan_for(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
-        plan_with(p, arch, &ExpandOptions::default())
-    }
-
-    /// [`plan_for`] with Listing 1's key-switch pinned.
-    fn decomposition_plan(p: &Program, arch: &ArchConfig) -> (Expanded, MovePlan) {
-        let keyswitch = KeySwitchChoice::Decomposition;
-        plan_with(p, arch, &ExpandOptions { keyswitch, ..Default::default() })
-    }
-
-    fn plan_with(p: &Program, arch: &ArchConfig, opts: &ExpandOptions) -> (Expanded, MovePlan) {
-        let ex = expand(p, opts);
+        let ex = expand(p, &ExpandOptions::default());
         let plan = schedule(&ex, arch);
         (ex, plan)
     }
@@ -997,18 +997,18 @@ mod tests {
         f.output(m);
         let p = f.lower().program;
         let arch = ArchConfig::f1_default();
-        let (ex, plan) = decomposition_plan(&p, &arch);
+        let (ex, plan) = plan_for(&p, &arch);
         let issues = plan.events.iter().filter(|e| matches!(e, MoveEvent::Issue { .. })).count();
         assert_eq!(issues, ex.dfg.instrs().len());
         let t = plan.traffic;
         assert_eq!(t.ksh_non_compulsory, 0);
         assert_eq!(t.input_non_compulsory, 0);
         assert_eq!(t.interm_load + t.interm_store, 0);
-        // Compulsory = all hints (Listing 1's 2L²) + all inputs + outputs.
+        // Compulsory = all hints (GHS's 2(L + K)) + all inputs + outputs.
         let expect_inputs = 4 * 4 * (1 << 12) * 4u64; // 2 cts × 2 polys × 4 limbs
         let expect_out = 2 * 4 * (1 << 12) * 4u64;
         assert_eq!(t.input_compulsory, expect_inputs + expect_out);
-        assert_eq!(t.ksh_compulsory, 2 * 16 * (1 << 12) * 4);
+        assert_eq!(t.ksh_compulsory, 2 * (4 + 4) * (1 << 12) * 4);
     }
 
     #[test]
@@ -1034,17 +1034,18 @@ mod tests {
 
     #[test]
     fn tiny_scratchpad_forces_noncompulsory_traffic() {
-        // Shrink the scratchpad below the hint working set: Listing 1's
-        // hints must be re-fetched (the §4.2 thrashing scenario).
+        // Shrink the scratchpad to two hints (13 hints × 512 KB = 6.5 MB
+        // are used): with the live ciphertexts beside them, the hints
+        // must be re-fetched (the §4.2 thrashing scenario).
         let p = listing2(1 << 12, 8, 4);
         let mut arch = ArchConfig::f1_default();
         arch.scratchpad_banks = 1;
-        arch.bank_bytes = 4 * 1024 * 1024; // 4 MB << 15 hints × 2 MB
-        let (_, plan) = decomposition_plan(&p, &arch);
+        arch.bank_bytes = 1024 * 1024;
+        let (_, plan) = plan_for(&p, &arch);
         let big = plan.traffic;
         let mut arch2 = ArchConfig::f1_default();
         arch2.scratchpad_banks = 16;
-        let (_, plan2) = decomposition_plan(&listing2(1 << 12, 8, 4), &arch2);
+        let (_, plan2) = plan_for(&listing2(1 << 12, 8, 4), &arch2);
         let small = plan2.traffic;
         assert!(
             big.total() > small.total(),
@@ -1052,6 +1053,7 @@ mod tests {
             big.total(),
             small.total()
         );
+        assert!(big.ksh_non_compulsory > 0, "the 1 MB pad must refetch hints");
         assert_eq!(small.ksh_non_compulsory, 0, "64 MB pad fits the matvec working set");
     }
 

@@ -8,9 +8,9 @@
 //! * [`params`] — parameter sets (ring dimension, RNS chain, plaintext
 //!   modulus, security estimation per §2.2.3).
 //! * [`keys`] — secret keys and key generation.
-//! * [`keyswitch`] — the two key-switching implementations the paper's
-//!   compiler chooses between (§2.4, §4.2): the `L²`-hint decomposition
-//!   variant of Listing 1 and a GHS-style variant with `O(L)` hints.
+//! * [`keyswitch`] — the two key-switching implementations of §2.4: the
+//!   `L²`-hint decomposition variant of Listing 1 and a GHS-style variant
+//!   with `O(L)` hints, the one the compiler's pass 1 expands.
 //! * [`bgv`] — the BGV scheme: encryption, homomorphic add/multiply,
 //!   rotations, modulus switching, noise accounting (§2.2).
 //! * [`encoding`] — SIMD slot packing for BGV plaintexts.

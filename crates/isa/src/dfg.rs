@@ -7,6 +7,7 @@
 //! only reference already-registered values.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Identifies a value (one `RVec`) in a [`Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -179,7 +180,7 @@ pub struct Instruction {
 
 /// The instruction-level dataflow graph.
 ///
-/// Producer/user relations are dense `Vec`s indexed by [`ValueId`] (ids
+/// Producer/user relations are dense arrays indexed by [`ValueId`] (ids
 /// are allocated densely by construction): the schedulers touch them
 /// several times per instruction and hashing dominated the passes at
 /// full benchmark scale.
@@ -191,8 +192,9 @@ pub struct Dfg {
     instrs: Vec<Instruction>,
     /// producer[v] = instruction that writes v (None for graph inputs).
     producer: Vec<Option<InstrId>>,
-    /// users[v] = instructions that read v, in creation order.
-    users: Vec<Vec<InstrId>>,
+    /// Every value's users, built from `instrs` on the first
+    /// [`Dfg::users`] call and dropped by any later addition.
+    users: OnceLock<Users>,
     /// Values that must be written back to memory.
     outputs: Vec<ValueId>,
 }
@@ -209,7 +211,7 @@ impl Dfg {
         let id = ValueId(self.values.len() as u32);
         self.values.push(ValueInfo { id, kind, limb, label });
         self.producer.push(None);
-        self.users.push(Vec::new());
+        self.users.take();
         id
     }
 
@@ -232,9 +234,6 @@ impl Dfg {
         }
         let out = self.add_value(ValueKind::Intermediate, limb, None);
         let id = InstrId(self.instrs.len() as u32);
-        for &v in &inputs {
-            self.users[v.0 as usize].push(id);
-        }
         self.producer[out.0 as usize] = Some(id);
         self.instrs.push(Instruction { id, op, inputs, output: out, priority });
         out
@@ -281,9 +280,12 @@ impl Dfg {
         self.producer[v.0 as usize]
     }
 
-    /// The instructions consuming a value.
+    /// The instructions consuming a value, in creation order (an
+    /// instruction reading `v` twice appears twice).
     pub fn users(&self, v: ValueId) -> &[InstrId] {
-        &self.users[v.0 as usize]
+        let users = self.users.get_or_init(|| Users::new(self));
+        let v = v.0 as usize;
+        &users.instrs[users.start[v] as usize..users.start[v + 1] as usize]
     }
 
     /// Program outputs.
@@ -346,6 +348,38 @@ impl Dfg {
     }
 }
 
+/// Every value's users as one compressed index: value `v`'s users are
+/// `instrs[start[v]..start[v + 1]]`. One allocation per table, where a
+/// list per value made one per value and kept the allocator's heap high
+/// after the graph was dropped.
+#[derive(Debug, Clone)]
+struct Users {
+    start: Vec<u32>,
+    instrs: Vec<InstrId>,
+}
+
+impl Users {
+    fn new(dfg: &Dfg) -> Self {
+        let mut start = vec![0u32; dfg.values.len() + 1];
+        for v in dfg.instrs.iter().flat_map(|i| &i.inputs) {
+            start[v.0 as usize + 1] += 1;
+        }
+        for v in 0..dfg.values.len() {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut instrs = vec![InstrId(0); start[dfg.values.len()] as usize];
+        for i in &dfg.instrs {
+            for v in &i.inputs {
+                let slot = &mut next[v.0 as usize];
+                instrs[*slot as usize] = i.id;
+                *slot += 1;
+            }
+        }
+        Self { start, instrs }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +407,10 @@ mod tests {
         assert_eq!(g.producer(a), None);
         assert_eq!(g.outputs(), &[t]);
         assert_eq!(g.value(t).kind, ValueKind::Output);
+        // An addition after a `users` call is seen by the next one, and
+        // an instruction reading a value twice is listed twice.
+        g.add_instr(VectorOp::Mul, vec![s, s], Q0, 3);
+        assert_eq!(g.users(s), &[InstrId(1), InstrId(3), InstrId(3)]);
     }
 
     #[test]

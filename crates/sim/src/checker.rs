@@ -817,12 +817,8 @@ mod tests {
             ..Default::default()
         };
         let plan = MovePlan { events: Vec::new(), traffic };
-        let ex = Expanded {
-            dfg,
-            hint_values: std::collections::BTreeMap::new(),
-            used_ghs: false,
-            hom_order: vec![],
-        };
+        let ex =
+            Expanded { dfg, hint_values: std::collections::BTreeMap::new(), hom_order: vec![] };
         (ex, plan, cs, arch)
     }
 

@@ -22,11 +22,10 @@ fn main() {
         opt.nodes_before, opt.nodes_after
     );
     println!(
-        "  F1:  {:.3} ms  ({} instructions, {} cycles, {} key-switching)",
+        "  F1:  {:.3} ms  ({} instructions, {} cycles, GHS key-switching)",
         report.seconds * 1e3,
         ex.dfg.instrs().len(),
         report.makespan,
-        if ex.used_ghs { "GHS" } else { "decomposition" }
     );
     println!("  CPU: {:.1} ms  (measured f1-fhe per-op costs, single-thread)", cpu_s * 1e3);
     println!("  speedup: {:.0}x", cpu_s / report.seconds);

@@ -40,8 +40,7 @@ fn main() {
         report.traffic.total() / (1024 * 1024),
     );
     println!(
-        "key-switch hints fetched: {} MB via {} key-switching (decomposition would move the paper's 32 MB hint, §2.4)",
+        "key-switch hints fetched: {} MB via GHS key-switching (decomposition would move the paper's 32 MB hint, §2.4)",
         plan.traffic.ksh_compulsory / (1024 * 1024),
-        if ex.used_ghs { "GHS" } else { "decomposition" },
     );
 }

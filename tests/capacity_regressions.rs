@@ -4,7 +4,7 @@
 use f1::arch::ArchConfig;
 use f1::compiler::expand::Expanded;
 use f1::compiler::movement::{MoveEvent, MovePlan};
-use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, KeySwitchChoice, Scheme};
+use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, Scheme};
 use f1::isa::dfg::ValueId;
 use f1::isa::streams::MemDir;
 use f1::workloads::benchmarks::{
@@ -295,16 +295,17 @@ fn logreg_prefetches_escape_the_reserve() {
     );
 }
 
-/// Full-size DB lookup on the 64 MB machine, passes 1 and 2 only. Pass 2
+/// Full-size LoLa-CIFAR on the 64 MB machine, passes 1 and 2 only. Pass 2
 /// lets prefetch lead compute by the HBM time to fill the scratchpad once
 /// (65,536 cycles here). With the fixed 20,000-cycle lead it used
-/// before, the plan moved 690.4 MB of non-compulsory traffic; with the
-/// derived lead, 570.8 MB when this was written.
+/// before, the plan moved 412.9 MB of non-compulsory traffic (spill
+/// traffic 303.4 MB); with the derived lead, 359.9 MB (241.0 MB) when
+/// this was written.
 #[test]
-fn full_size_db_lookup_prefetch_lead_is_a_pad_fill() {
-    let (_, plan) = plan_of(&db_lookup(1), &ArchConfig::f1_default());
+fn full_size_lola_cifar_prefetch_lead_is_a_pad_fill() {
+    let (_, plan) = plan_of(&lola_cifar_uw(1), &ArchConfig::f1_default());
     let bytes = plan.traffic.non_compulsory();
-    assert!(bytes <= 570_753_024, "{bytes} B of non-compulsory traffic");
+    assert!(bytes <= 359_858_176, "{bytes} B of non-compulsory traffic");
 }
 
 /// Pass 1 orders ops under a live-bytes budget of a quarter of the
@@ -312,14 +313,13 @@ fn full_size_db_lookup_prefetch_lead_is_a_pad_fill() {
 /// pad must spill less than its order budgeted for the 64 MB default,
 /// under which the hint-reuse order fans out every ready use of a
 /// rotation hint (164 MB against 35 MB of spill stores when this was
-/// written). The key-switch variant is pinned so that only the order
-/// differs.
+/// written).
 #[test]
 fn live_budget_cuts_spills_on_a_small_pad() {
     let p = lola_cifar_uw(8).lowered().0;
     let tiny = ArchConfig::f1_default().with_scratchpad_mb(4);
     let spill = |machine: Option<ArchConfig>| {
-        let opts = ExpandOptions { keyswitch: KeySwitchChoice::Ghs, machine, ..Default::default() };
+        let opts = ExpandOptions { machine, ..Default::default() };
         let ex = f1::compiler::expand::expand(&p, &opts);
         f1::compiler::movement::schedule(&ex, &tiny).traffic.interm_store
     };

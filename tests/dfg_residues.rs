@@ -7,16 +7,16 @@
 //! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
 //! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
 //! hint vectors are the residues of the same keys' hints. Each output
-//! residue must equal `f1-fhe`'s own evaluation, and each output must
-//! decrypt like `f1-fhe`'s decomposition key-switch of the same
-//! ciphertexts. A GHS hint's vectors carry ModDown's constants, so the
-//! `mul` DFG is also run over the hint multiplied back to unscaled, and
-//! those residues must differ.
+//! residue must equal `f1-fhe`'s own GHS evaluation, and each output must
+//! decrypt like `f1-fhe`'s decomposition key-switch (Listing 1) of the
+//! same ciphertexts. A GHS hint's vectors carry ModDown's constants, so
+//! the `mul` DFG is also run over the hint multiplied back to unscaled,
+//! and those residues must differ.
 
 use f1::compiler::expand::{expand, ExpandOptions};
-use f1::compiler::{FheProgram, KeySwitchChoice, Lowered, Scheme};
+use f1::compiler::{FheProgram, Lowered, Scheme};
 use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
-use f1::fhe::keyswitch::{DecompHint, GhsHint};
+use f1::fhe::keyswitch::GhsHint;
 use f1::fhe::BgvParams;
 use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
 use f1::modarith::{CenteredLift, Modulus};
@@ -151,22 +151,14 @@ enum Hint<'a> {
     /// A GHS hint with its limbs multiplied back to before ModDown's
     /// constants were folded in: the negative control of the fold.
     GhsUnfolded(&'a GhsHint),
-    Decomp(&'a DecompHint),
 }
 
 impl Hint<'_> {
-    /// The residues behind a hint label (`<hint>.ksh<poly>` or
-    /// `<hint>.ksh<poly>[<row>]`) on `limb`.
+    /// The residues behind a hint label (`<hint>.ksh<poly>`) on `limb`.
     fn residues(&self, label: &str, limb: Limb, chain: &Chain<'_>) -> Vec<u32> {
-        let (_, part) = label.split_once(".ksh").expect("hint label");
-        let poly = &part[..1];
-        let (ksh0, ksh1) = match self {
-            Hint::Ghs(h) | Hint::GhsUnfolded(h) => h.ksh(),
-            Hint::Decomp(h) => {
-                let row = part[2..part.len() - 1].parse().expect("decomposition row");
-                h.row(row)
-            }
-        };
+        let (_, poly) = label.split_once(".ksh").expect("hint label");
+        let (Hint::Ghs(h) | Hint::GhsUnfolded(h)) = self;
+        let (ksh0, ksh1) = h.ksh();
         let residues = if poly == "0" { ksh0 } else { ksh1 }.limb(chain.index(limb));
         if let Hint::GhsUnfolded(_) = self {
             let (m, c) = (chain.modulus(limb), chain.unfold(limb));
@@ -194,15 +186,12 @@ fn plain_residues(params: &BgvParams, m: &Plaintext, level: usize) -> RnsPoly {
 /// build-time ordinal) and `hint`, returning the single output ciphertext.
 fn run(
     lowered: &Lowered,
-    choice: KeySwitchChoice,
     inputs: &[&Ciphertext],
     plains: &[&RnsPoly],
     hint: &Hint<'_>,
     chain: &Chain<'_>,
 ) -> (RnsPoly, RnsPoly) {
-    let opts = ExpandOptions { keyswitch: choice, ..Default::default() };
-    let ex = expand(&lowered.program, &opts);
-    assert_eq!(ex.used_ghs, !matches!(hint, Hint::Decomp(_)));
+    let ex = expand(&lowered.program, &ExpandOptions::default());
     let vals = chain.eval(&ex.dfg, |label, limb| {
         let j = chain.index(limb);
         if label.starts_with("ct") {
@@ -262,19 +251,15 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let m = f.mul(x, y);
     f.output(m);
     let lowered = f.lower();
-    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &[], &Hint::Ghs(ghs), &chain);
+    let got = run(&lowered, &[&ct1, &ct2], &[], &Hint::Ghs(ghs), &chain);
     let want = ct1.mul_ghs(&ct2, ghs);
     assert!(got == (want.a.clone(), want.b.clone()), "GHS mul residues differ from f1-fhe's");
     // Negative control: the same DFG over the hint without the fold's
     // constants computes other residues, so the comparison sees the fold.
     let unfolded = Hint::GhsUnfolded(ghs);
-    let (a, b) = run(&lowered, KeySwitchChoice::Ghs, &[&ct1, &ct2], &[], &unfolded, &chain);
+    let (a, b) = run(&lowered, &[&ct1, &ct2], &[], &unfolded, &chain);
     assert!(a != want.a && b != want.b, "the unfolded hint computed f1-fhe's residues");
-    let decomp = keys.relin_hint();
-    let hint = Hint::Decomp(decomp);
-    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1, &ct2], &[], &hint, &chain);
-    let want_d = ct1.mul(&ct2, decomp);
-    assert!(got_d == (want_d.a.clone(), want_d.b.clone()), "Listing 1 mul residues differ");
+    let want_d = ct1.mul(&ct2, keys.relin_hint());
     assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
 
     // rotate: the DFG key-switches σ_k(a), so its hints target -σ_k(s).
@@ -289,17 +274,11 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let target = sk.s_automorphism_at_level(k, full).neg();
     let rotated = |(u0, u1): (RnsPoly, RnsPoly)| (u1, ct1.b.automorphism(k).add(&u0));
     let ghs = GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
-    let got = run(&lowered, KeySwitchChoice::Ghs, &[&ct1], &[], &Hint::Ghs(&ghs), &chain);
+    let got = run(&lowered, &[&ct1], &[], &Hint::Ghs(&ghs), &chain);
     assert!(got == rotated(ghs.apply(&ct1.a.automorphism(k))), "GHS rotate residues differ");
-    let target = sk.s_automorphism_at_level(k, L).neg();
-    let decomp = DecompHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
-    let hint = Hint::Decomp(&decomp);
-    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &[&ct1], &[], &hint, &chain);
-    assert!(got_d == rotated(decomp.apply(&ct1.a.automorphism(k))), "Listing 1 rotate differs");
     keys.add_rotation_hint(k, &mut rng);
     let reference = ct1.automorphism(k, keys.rotation_hint(k));
     assert_eq!(keys.decrypt(&with_polys(&ct1, got)), keys.decrypt(&reference));
-    assert_eq!(keys.decrypt(&with_polys(&ct1, got_d)), keys.decrypt(&reference));
 }
 
 #[test]
@@ -331,13 +310,9 @@ fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
     let (inputs, plains) = ([&ct1, &ct2], [&p_res, &q_res]);
     let rest = |prod: Ciphertext| prod.add(&ct1.mul_plain(&p, &params)).add_plain(&q, &params);
 
-    let got = run(&lowered, KeySwitchChoice::Ghs, &inputs, &plains, &Hint::Ghs(ghs), &chain);
+    let got = run(&lowered, &inputs, &plains, &Hint::Ghs(ghs), &chain);
     let want = rest(ct1.mul_ghs(&ct2, ghs));
     assert!(got == (want.a.clone(), want.b.clone()), "GHS program residues differ from f1-fhe's");
-    let decomp = keys.relin_hint();
-    let hint = Hint::Decomp(decomp);
-    let got_d = run(&lowered, KeySwitchChoice::Decomposition, &inputs, &plains, &hint, &chain);
-    let want_d = rest(ct1.mul(&ct2, decomp));
-    assert!(got_d == (want_d.a.clone(), want_d.b.clone()), "Listing 1 program residues differ");
+    let want_d = rest(ct1.mul(&ct2, keys.relin_hint()));
     assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
 }

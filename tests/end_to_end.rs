@@ -68,7 +68,7 @@ fn every_benchmark_compiles_validates_and_is_memory_sane() {
 }
 
 #[test]
-fn ghs_and_decomposition_schedules_both_validate() {
+fn ghs_keyswitch_schedule_validates() {
     let arch = ArchConfig::f1_default();
     let mut f = FheProgram::new(1 << 12, Scheme::Bgv);
     let x = f.input(8);
@@ -77,15 +77,11 @@ fn ghs_and_decomposition_schedules_both_validate() {
     let r = f.aut(m, 3);
     f.output(r);
     let p = f.lower().program;
-    for choice in [f1::compiler::KeySwitchChoice::Decomposition, f1::compiler::KeySwitchChoice::Ghs]
-    {
-        let opts = ExpandOptions { keyswitch: choice, ..Default::default() };
-        let ex = f1::compiler::expand::expand(&p, &opts);
-        let plan = f1::compiler::movement::schedule(&ex, &arch);
-        let cycles = f1::compiler::cycle::schedule(&ex, &plan, &arch);
-        let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
-        assert!(report.makespan > 0, "{choice:?}");
-    }
+    let ex = f1::compiler::expand::expand(&p, &ExpandOptions::default());
+    let plan = f1::compiler::movement::schedule(&ex, &arch);
+    let cycles = f1::compiler::cycle::schedule(&ex, &plan, &arch);
+    let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
+    assert!(report.makespan > 0);
 }
 
 #[test]
@@ -115,19 +111,12 @@ fn hint_reuse_beats_program_order_on_traffic() {
 fn listing2_hom_op_counts() {
     // Unoptimized: the optimizer drops each row's identity rotation.
     let p = FheProgram::listing2_matvec(1 << 14, 16, 4).lower().program;
-    // 15 hint groups: 1 relin + 14 rotations (log2 16K); §4.2's "480 MB"
-    // example counts 15 hint sets of Listing 1's decomposition variant
-    // (pinned explicitly — the Auto cost model switches this very
-    // program to GHS precisely because of that footprint).
-    let opts = ExpandOptions {
-        keyswitch: f1::compiler::KeySwitchChoice::Decomposition,
-        ..Default::default()
-    };
-    let ex = f1::compiler::expand::expand(&p, &opts);
+    // 15 hint groups: 1 relin + 14 rotations (log2 16K).
+    let ex = f1::compiler::expand::expand(&p, &ExpandOptions::default());
     assert_eq!(ex.hint_values.len(), 15);
     let hint_vectors: usize = ex.hint_values.values().map(Vec::len).sum();
     let hint_bytes = hint_vectors as u64 * ex.dfg.vector_bytes();
-    // 15 hints × 32 MB = 480 MB, exceeding on-chip storage — the paper's
-    // exact number.
-    assert_eq!(hint_bytes, 480 * 1024 * 1024);
+    // 15 GHS hints × 4 MB = 60 MB. §4.2's "480 MB" counts 15 hints of
+    // Listing 1's decomposition variant, 32 MB each.
+    assert_eq!(hint_bytes, 60 * 1024 * 1024);
 }
