@@ -27,7 +27,7 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
     // ids index directly, and the counts are read on every score).
     let mut remaining_users: Vec<u32> = vec![0; dfg.values().len()];
     for instr in dfg.instrs() {
-        for &v in &instr.inputs {
+        for &v in instr.inputs() {
             remaining_users[v.0 as usize] += 1;
         }
     }
@@ -39,11 +39,11 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
     let mut indegree: Vec<usize> = dfg
         .instrs()
         .iter()
-        .map(|i| i.inputs.iter().filter(|v| dfg.producer(**v).is_some()).count())
+        .map(|i| i.inputs().iter().filter(|v| dfg.producer(**v).is_some()).count())
         .collect();
     let score = |dfg: &Dfg, remaining: &[u32], i: InstrId| -> i64 {
         let instr = dfg.instr(i);
-        let freed = instr.inputs.iter().filter(|v| remaining[v.0 as usize] == 1).count() as i64;
+        let freed = instr.inputs().iter().filter(|v| remaining[v.0 as usize] == 1).count() as i64;
         freed - 1 // every instruction creates one value
     };
     // Scores go stale as values die; we re-derive the candidate set each
@@ -54,7 +54,7 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
     let mut issued = vec![false; n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for instr in dfg.instrs() {
-        for &v in &instr.inputs {
+        for &v in instr.inputs() {
             if let Some(p) = dfg.producer(v) {
                 succs[p.0 as usize].push(instr.id.0 as usize);
             }
@@ -73,7 +73,7 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
         debug_assert!(!issued[ci]);
         issued[ci] = true;
         order.push(chosen);
-        for &v in &dfg.instr(chosen).inputs {
+        for &v in dfg.instr(chosen).inputs() {
             remaining_users[v.0 as usize] -= 1;
         }
         for &s in &succs[ci] {
@@ -103,7 +103,7 @@ mod tests {
             pos[i.0 as usize] = k;
         }
         for instr in ex.dfg.instrs() {
-            for &v in &instr.inputs {
+            for &v in instr.inputs() {
                 if let Some(prod) = ex.dfg.producer(v) {
                     assert!(pos[prod.0 as usize] < pos[instr.id.0 as usize]);
                 }
@@ -130,7 +130,7 @@ mod tests {
         let mut g = f1_isa::dfg::Dfg::new(1024);
         let q0 = f1_isa::dfg::Limb::Q(0);
         let v = g.add_value(f1_isa::dfg::ValueKind::Input, q0, None);
-        let _ = g.add_instr(f1_isa::dfg::VectorOp::Ntt, vec![v], q0, 0);
+        let _ = g.add_instr(f1_isa::dfg::VectorOp::Ntt, &[v], q0, 0);
         assert!(g.instrs().len() <= CSR_TRACTABLE_LIMIT, "tiny graphs are tractable");
         assert!(csr_order(&g).is_some());
     }

@@ -675,7 +675,7 @@ impl<'a> CycleScheduler<'a> {
             match ev {
                 MoveEvent::Issue { instr, space_from } => {
                     let nid = instr.0;
-                    for &v in &dfg.instr(*instr).inputs {
+                    for &v in dfg.instr(*instr).inputs() {
                         let a = cur_alloc[v.0 as usize];
                         if a != NONE_U32 {
                             edge(&mut edges, &mut indeg, a, nid, Gate::Order);
@@ -1193,7 +1193,7 @@ impl<'a> CycleScheduler<'a> {
         let (fu, output) = {
             let instr = self.dfg.instr(iid);
             self.input_buf.clear();
-            self.input_buf.extend_from_slice(&instr.inputs);
+            self.input_buf.extend_from_slice(instr.inputs());
             (instr.op.fu_type(), instr.output)
         };
         let inputs = std::mem::take(&mut self.input_buf);
@@ -1340,7 +1340,7 @@ mod tests {
         let (ex, _, cs) = compile(&p, &arch);
         let issue = issue_cycles(&cs, &ex.dfg);
         for instr in ex.dfg.instrs() {
-            for &v in &instr.inputs {
+            for &v in instr.inputs() {
                 if let Some(prod) = ex.dfg.producer(v) {
                     assert!(
                         done_cycle(&issue, &ex.dfg, &arch, prod) <= issue[instr.id.0 as usize],
@@ -1964,7 +1964,7 @@ mod tests {
                 .dfg
                 .instrs()
                 .iter()
-                .filter(|i| i.inputs.len() == 2 && i.inputs[0] == i.inputs[1]);
+                .filter(|i| i.inputs().len() == 2 && i.inputs()[0] == i.inputs()[1]);
             assert!(doubled.count() > 0, "{clusters} clusters: no instruction reads a value twice");
             let mut copied_to: HashMap<ValueId, std::collections::HashSet<usize>> = HashMap::new();
             for e in &cs.schedule.net {

@@ -11,7 +11,7 @@
 pub struct CtId(pub u32);
 
 /// One homomorphic operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HomOp {
     /// An encrypted input at a given level.
     Input {

@@ -6,9 +6,11 @@
 //!   the same key-switch hint, then list-schedule the clusters, so each
 //!   hint is fetched once and reused (Listing 2 would otherwise cycle
 //!   through its 15 hints four times, §4.2), while the live results
-//!   stay within a quarter of the scratchpad. Hint-free ops that read
-//!   only program inputs are then sunk to their first user, so their
-//!   results are not all held from the start.
+//!   stay within a quarter of the scratchpad. Each sum then adds its
+//!   terms in the order they are computed, and hint-free ops that free
+//!   nothing by running early (those that read only program inputs, or
+//!   whose operands are read again later) are sunk to their first user,
+//!   so their results are not all held at once.
 //! * **Translation**: expand every homomorphic operation into
 //!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,088
 //!   instructions, dominated by the key-switch. Every key-switch is the
@@ -53,7 +55,9 @@ pub struct Expanded {
     /// Residue vectors of each hint (for reuse accounting). Ordered so
     /// that iteration never depends on hash state (determinism).
     pub hint_values: BTreeMap<HintId, Vec<ValueId>>,
-    /// The hint-reuse order of homomorphic ops chosen by the pass.
+    /// The hint-reuse order of homomorphic ops chosen by the pass, over
+    /// the program [`order_ops`] returns with it: the input program with
+    /// some sums' terms re-added in a new order.
     pub hom_order: Vec<usize>,
 }
 
@@ -65,15 +69,10 @@ struct LoweredCt {
 }
 
 /// Expands a program into an instruction DFG, lowering each homomorphic
-/// operation in [`hint_reuse_order`]'s rule under the live-bytes budget of
-/// the target machine's scratchpad (`opts.machine`), or in program order
-/// under `opts.keep_program_order`.
+/// operation in [`order_ops`]' order.
 pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
-    let order = if opts.keep_program_order {
-        (0..program.ops().len()).collect()
-    } else {
-        budgeted_order(program, live_budget(&opts.machine.clone().unwrap_or_default()))
-    };
+    let (reassociated, order) = order_ops(program, opts);
+    let program = &reassociated;
     let mut ex = Expander {
         program,
         dfg: Dfg::new(program.n),
@@ -96,9 +95,25 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
     Expanded { dfg: ex.dfg, hint_values: ex.hints, hom_order: order }
 }
 
+/// Pass 1's order of `program`'s homomorphic ops, and the program it
+/// indexes: [`hint_reuse_order`]'s rule under the live-bytes budget of the
+/// target machine's scratchpad (`opts.machine`), or program order under
+/// `opts.keep_program_order`. The order adds each sum's terms as they are
+/// computed, so the program it returns is `program` with some `Add`s'
+/// operands changed; every other op, every op's level and the outputs are
+/// `program`'s.
+pub fn order_ops(program: &Program, opts: &ExpandOptions) -> (Program, Vec<usize>) {
+    if opts.keep_program_order {
+        (program.clone(), (0..program.ops().len()).collect())
+    } else {
+        budgeted_order(program, live_budget(&opts.machine.clone().unwrap_or_default()))
+    }
+}
+
 /// Orders homomorphic operations to maximize hint reuse (§4.2) without
 /// letting the working set outgrow the scratchpad (§4.3): the order of
-/// [`expand`] on the paper's default 64 MB machine.
+/// [`expand`] on the paper's default 64 MB machine, over the program
+/// [`order_ops`] returns with it.
 ///
 /// The rule: issue hint-free ready operations eagerly; among hint-using
 /// ready operations, stay on the current hint as long as possible,
@@ -109,30 +124,39 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
 /// consumes results near where they were made, where staying on one hint
 /// fans out every ready use of it and holds all the results at once.
 ///
-/// Ops that need no hint and read only program inputs (or other such ops)
-/// are ready from the start, so the drain would compute all of them first:
-/// DB lookup's 64 query–key diffs at L = 17 peaked at 143 MB of live
-/// results. A last pass therefore moves each of them to just before its
-/// first user, which leaves DB lookup's peak at 4.1 MB.
+/// Two rewrites follow. Each tree of additions adds its terms in the
+/// order they are computed, so no term waits, live, for its turn in a
+/// fixed chain. And hint-free ops that would only hold their result
+/// longer by running early move to just before their first user: those
+/// that read only program inputs, which are ready from the start (DB
+/// lookup's 64 query–key diffs at L = 17 peaked at 143 MB of live
+/// results), and those whose every operand is read again later anyway.
 pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
-    budgeted_order(program, live_budget(&ArchConfig::default()))
+    budgeted_order(program, live_budget(&ArchConfig::default())).1
 }
 
 /// The live-bytes budget of pass 1's order on `arch`: a quarter of the
-/// scratchpad. Budgets from a sixteenth to a third of the pad schedule the
-/// paper suite alike; half the pad already spills again.
+/// scratchpad. On the paper suite at 64 MB, budgets from a sixteenth to a
+/// half of the pad give simulated gmeans within 1.6% of each other
+/// (0.3727 ms at a sixteenth, 0.3690 at a quarter, 0.3667 at a half), and
+/// half the pad moves no more off-chip data than a quarter. A third or a
+/// half runs LoLa-CIFAR 3.7% faster than a quarter, but the budget has not
+/// been tuned on small pads, where a pad's own quarter still runs
+/// LoLa-CIFAR longer than the 64 MB machine's.
 fn live_budget(arch: &ArchConfig) -> u64 {
     arch.scratchpad_bytes() / 4
 }
 
 /// [`hint_reuse_order`]'s rule under a live set of at most `budget` bytes
 /// (a soft bound: hint-free operations drain regardless), then
-/// [`sink_input_ops`].
-fn budgeted_order(program: &Program, budget: u64) -> Vec<usize> {
-    sink_input_ops(program, &list_order(program, budget))
+/// [`reassociate_sums`] and [`sink_ops`].
+fn budgeted_order(program: &Program, budget: u64) -> (Program, Vec<usize>) {
+    let (program, order) = reassociate_sums(program, &list_order(program, budget));
+    let order = sink_ops(&program, &order);
+    (program, order)
 }
 
-/// [`budgeted_order`]'s list-scheduling rule, before the sink.
+/// [`budgeted_order`]'s list-scheduling rule, before its rewrites.
 fn list_order(program: &Program, budget: u64) -> Vec<usize> {
     let ops = program.ops();
     let n_ops = ops.len();
@@ -200,35 +224,156 @@ fn list_order(program: &Program, budget: u64) -> Vec<usize> {
     order
 }
 
-/// Moves each *sinkable* op of `order` to just before its first user: an
-/// op is sinkable when it needs no hint and every operand is a program
-/// input or another sinkable op. Such an op is ready from the start, so
-/// [`budgeted_order`]'s drain would compute all of them up front and hold
-/// every result until its user comes. Sinkable ops keep their relative
+/// A *sum tree* is a maximal tree of `Add`s whose inner nodes are not
+/// outputs and each have exactly one user, itself an `Add` (conv 2's
+/// eight tap chains and the sum of the chains form one). As written, a
+/// tree adds its terms in one fixed order, so a term the list order
+/// computes early waits, live, until the chain reaches it, as conv 2's
+/// products of out-of-order rotations did. This rewrite adds
+/// each tree's terms in the order that `order` computes them: the first
+/// two form the first `Add` and each later term is added to the running
+/// sum, directly after the term. The tree's `Add`s keep their ids, in
+/// ascending order along the new chain, so the root is the last and its
+/// users and the program's outputs do not change. Modular addition is
+/// exact, so every residue does too.
+///
+/// Returns the rewritten program and `order` with every `Add` moved to its
+/// new place; an `Add` ends up no later than it was, so users still
+/// follow.
+fn reassociate_sums(program: &Program, order: &[usize]) -> (Program, Vec<usize>) {
+    let ops = program.ops();
+    let is_add = |i: usize| matches!(ops[i], HomOp::Add { .. });
+    let mut refs = vec![0usize; ops.len()];
+    let mut user = vec![0usize; ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        for d in op_deps(op) {
+            refs[d.0 as usize] += 1;
+            user[d.0 as usize] = i;
+        }
+    }
+    let mut inner = vec![false; ops.len()];
+    for i in (0..ops.len()).filter(|&i| is_add(i) && refs[i] == 1 && is_add(user[i])) {
+        inner[i] = true;
+    }
+    for o in program.outputs() {
+        inner[o.0 as usize] = false;
+    }
+    // Each tree's `Add`s, ascending, and each op's trees (once per use as
+    // a term).
+    let mut trees: Vec<SumTree> = Vec::new();
+    let mut term_of: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
+    for root in (0..ops.len()).filter(|&i| is_add(i) && !inner[i]) {
+        let mut adds = Vec::new();
+        let mut stack = vec![root];
+        while let Some(i) = stack.pop() {
+            adds.push(i);
+            for d in op_deps(&ops[i]) {
+                let d = d.0 as usize;
+                if inner[d] {
+                    stack.push(d);
+                } else {
+                    term_of[d].push(trees.len());
+                }
+            }
+        }
+        adds.sort_unstable();
+        trees.push(SumTree { adds, added: 0, sum: None });
+    }
+    // Walk `order` without its `Add`s; each op computed feeds its trees,
+    // and a tree's root, once emitted, feeds the trees it is a term of.
+    let mut new_ops = ops.to_vec();
+    let mut new_order = Vec::with_capacity(order.len());
+    let mut computed = Vec::new();
+    for &i in order.iter().filter(|&&i| !is_add(i)) {
+        computed.push(i);
+        while let Some(term) = computed.pop() {
+            new_order.push(term);
+            for &t in &term_of[term] {
+                let tree = &mut trees[t];
+                let Some(sum) = tree.sum else {
+                    tree.sum = Some(term);
+                    continue;
+                };
+                let add = tree.adds[tree.added];
+                tree.added += 1;
+                new_ops[add] = HomOp::Add { a: CtId(sum as u32), b: CtId(term as u32) };
+                tree.sum = Some(add);
+                if tree.added == tree.adds.len() {
+                    computed.push(add);
+                } else {
+                    new_order.push(add);
+                }
+            }
+        }
+    }
+    debug_assert_eq!(new_order.len(), order.len());
+    let mut rewritten = Program::with_outputs(program.n, program.outputs().to_vec());
+    for (i, op) in new_ops.into_iter().enumerate() {
+        rewritten.push(op, program.level_of(CtId(i as u32)));
+    }
+    (rewritten, new_order)
+}
+
+/// One sum tree of [`reassociate_sums`] while it is rewritten.
+struct SumTree {
+    /// The tree's `Add`s, ascending: the root is the last.
+    adds: Vec<usize>,
+    /// How many of `adds` the new chain has emitted.
+    added: usize,
+    /// The running sum: the first term, then the last `Add` emitted.
+    sum: Option<usize>,
+}
+
+/// Moves each *sinkable* op of `order` to just before its first user. A
+/// hint-free op is sinkable under either of two rules:
+///
+/// * *input-only*: every operand is a program input or another input-only
+///   op. Such an op is ready from the start, so [`budgeted_order`]'s drain
+///   would compute all of them up front and hold every result until its
+///   user comes.
+/// * *frees nothing*: every operand that is not an input is read again
+///   later in `order`. Running such an op early frees no operand and only
+///   adds its result to the live set: LoLa-CIFAR's first dense layer
+///   drained all 64 of its `mul_plain(h, w_i)` at once.
+///
+/// The rules stay apart: merged (any operand a sinkable op), they could
+/// let a chain whose head the second rule sank sink whole, past the
+/// chains it should interleave with. Both rules read positions in
+/// `order`, not op indices: after [`reassociate_sums`], an operand can
+/// have a larger index than its user. Sinkable ops keep their relative
 /// order (so chains stay in order), and those with no user go last.
 /// [`expand`]'s `keep_program_order` skips this pass with the rest.
-fn sink_input_ops(program: &Program, order: &[usize]) -> Vec<usize> {
+fn sink_ops(program: &Program, order: &[usize]) -> Vec<usize> {
     let ops = program.ops();
     let is_input = |i: usize| matches!(ops[i], HomOp::Input { .. } | HomOp::PlainInput { .. });
-    // Operands precede their users in op-index order.
-    let mut sinkable = vec![false; ops.len()];
+    let mut pos = vec![0usize; ops.len()];
+    for (p, &i) in order.iter().enumerate() {
+        pos[i] = p;
+    }
     let mut users: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
+    let mut last_read = vec![0usize; ops.len()];
     for (i, op) in ops.iter().enumerate() {
-        let deps = op_deps(op);
-        for d in &deps {
+        for d in op_deps(op) {
             users[d.0 as usize].push(i);
+            last_read[d.0 as usize] = last_read[d.0 as usize].max(pos[i]);
         }
-        sinkable[i] = !is_input(i)
-            && hint_of(op).is_none()
-            && deps.iter().all(|d| is_input(d.0 as usize) || sinkable[d.0 as usize]);
+    }
+    let mut input_only = vec![false; ops.len()];
+    let mut sinkable = vec![false; ops.len()];
+    for (p, &i) in order.iter().enumerate() {
+        if is_input(i) || hint_of(&ops[i]).is_some() {
+            continue;
+        }
+        let deps = op_deps(&ops[i]);
+        input_only[i] = deps.iter().all(|d| is_input(d.0 as usize) || input_only[d.0 as usize]);
+        let frees_nothing =
+            deps.iter().all(|d| is_input(d.0 as usize) || last_read[d.0 as usize] > p);
+        sinkable[i] = input_only[i] || frees_nothing;
     }
     // anchor[i]: an op's position in `order`, or for a sinkable op, that of
     // the non-sinkable op it is placed before (`order.len()` = the end).
     // Users follow in `order`, so a reverse walk sees their anchors first.
-    let mut anchor = vec![0usize; ops.len()];
-    for (p, &i) in order.iter().enumerate() {
-        anchor[i] = p;
-    }
+    let mut anchor = pos;
     for &i in order.iter().rev().filter(|&&i| sinkable[i]) {
         anchor[i] = users[i].iter().map(|&u| anchor[u]).min().unwrap_or(order.len());
     }
@@ -348,13 +493,13 @@ impl<'p> Expander<'p> {
     }
 
     /// Emits `op` with its result on its first operand's limb.
-    fn emit(&mut self, op: VectorOp, inputs: Vec<ValueId>) -> ValueId {
+    fn emit(&mut self, op: VectorOp, inputs: &[ValueId]) -> ValueId {
         let limb = self.dfg.value(inputs[0]).limb;
         self.emit_on(limb, op, inputs)
     }
 
     /// Emits `op` with its result on `limb`.
-    fn emit_on(&mut self, limb: Limb, op: VectorOp, inputs: Vec<ValueId>) -> ValueId {
+    fn emit_on(&mut self, limb: Limb, op: VectorOp, inputs: &[ValueId]) -> ValueId {
         let p = self.next_priority();
         self.dfg.add_instr(op, inputs, limb, p)
     }
@@ -375,8 +520,8 @@ impl<'p> Expander<'p> {
             HomOp::Add { a, b } => {
                 let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.a[i], y.a[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.b[i], y.b[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[x.a[i], y.a[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], y.b[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -385,7 +530,7 @@ impl<'p> Expander<'p> {
                 let pt = self.plain(p).to_vec();
                 let out = LoweredCt {
                     a: x.a.clone(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.b[i], pt[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], pt[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -393,8 +538,8 @@ impl<'p> Expander<'p> {
                 let x = self.ct(a).clone();
                 let pt = self.plain(p).to_vec();
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.a[i], pt[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.b[i], pt[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], pt[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], pt[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -402,33 +547,33 @@ impl<'p> Expander<'p> {
                 let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
                 // Tensor (§2.2.1): l2 = a0*a1, l1 = a0*b1 + a1*b0, l0 = b0*b1.
                 let l2: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.a[i], y.a[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], y.a[i]])).collect();
                 let l1: Vec<ValueId> = (0..level)
                     .map(|i| {
-                        let t1 = self.emit(VectorOp::Mul, vec![x.a[i], y.b[i]]);
-                        let t2 = self.emit(VectorOp::Mul, vec![x.b[i], y.a[i]]);
-                        self.emit(VectorOp::Add, vec![t1, t2])
+                        let t1 = self.emit(VectorOp::Mul, &[x.a[i], y.b[i]]);
+                        let t2 = self.emit(VectorOp::Mul, &[x.b[i], y.a[i]]);
+                        self.emit(VectorOp::Add, &[t1, t2])
                     })
                     .collect();
                 let l0: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.b[i], y.b[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], y.b[i]])).collect();
                 let (u0, u1) = self.keyswitch(&l2, HintId::Relin, level);
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, vec![l1[i], u1[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![l0[i], u0[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[l1[i], u1[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[l0[i], u0[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::Aut { a, k } => {
                 let x = self.ct(a).clone();
                 let sa: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, vec![x.a[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, &[x.a[i]])).collect();
                 let sb: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, vec![x.b[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, &[x.b[i]])).collect();
                 let (u0, u1) = self.keyswitch(&sa, HintId::Aut(k), level);
                 let out = LoweredCt {
                     a: u1,
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![sb[i], u0[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[sb[i], u0[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -439,13 +584,13 @@ impl<'p> Expander<'p> {
                 let lower = |poly: &[ValueId], this: &mut Self| -> Vec<ValueId> {
                     // δ = INTT(top limb); per remaining limb: NTT(δ),
                     // subtract, scale by q_top^{-1} (§2.2.2 in RNS form).
-                    let delta = this.emit(VectorOp::Intt, vec![poly[top]]);
+                    let delta = this.emit(VectorOp::Intt, &[poly[top]]);
                     let c = Scalar::QInv { i: top as u16 };
                     (0..out_level)
                         .map(|j| {
-                            let d = this.emit_on(Limb::Q(j as u16), VectorOp::Ntt, vec![delta]);
-                            let s = this.emit(VectorOp::Sub, vec![poly[j], d]);
-                            this.emit(VectorOp::ScalarMul { c }, vec![s])
+                            let d = this.emit_on(Limb::Q(j as u16), VectorOp::Ntt, &[delta]);
+                            let s = this.emit(VectorOp::Sub, &[poly[j], d]);
+                            this.emit(VectorOp::ScalarMul { c }, &[s])
                         })
                         .collect()
                 };
@@ -488,21 +633,21 @@ impl<'p> Expander<'p> {
         let level = l as u16;
         let digits: Vec<ValueId> = (0..l)
             .map(|i| {
-                let y = self.emit(VectorOp::Intt, vec![x[i]]);
+                let y = self.emit(VectorOp::Intt, &[x[i]]);
                 let c = Scalar::QHatInv { l: level, i: i as u16 };
-                self.emit(VectorOp::ScalarMul { c }, vec![y])
+                self.emit(VectorOp::ScalarMul { c }, &[y])
             })
             .collect();
         let mut ext = x.to_vec();
         for p in 0..k {
             let conv = self.convert(&digits, Limb::P(p as u16), |i| Scalar::QHat { l: level, i });
-            ext.push(self.emit(VectorOp::Ntt, vec![conv]));
+            ext.push(self.emit(VectorOp::Ntt, &[conv]));
         }
         let [u0, u1] = [0, 1].map(|poly| {
             ext.iter()
                 .map(|&e| {
                     let h = self.hint_val(hint, poly, self.dfg.value(e).limb);
-                    self.emit(VectorOp::Mul, vec![e, h])
+                    self.emit(VectorOp::Mul, &[e, h])
                 })
                 .collect::<Vec<_>>()
         });
@@ -522,12 +667,12 @@ impl<'p> Expander<'p> {
     /// `t`.
     fn mod_down(&mut self, u: &[ValueId], l: usize) -> Vec<ValueId> {
         let digits: Vec<ValueId> =
-            u[l..].iter().map(|&v| self.emit(VectorOp::Intt, vec![v])).collect();
+            u[l..].iter().map(|&v| self.emit(VectorOp::Intt, &[v])).collect();
         (0..l)
             .map(|j| {
                 let conv = self.convert(&digits, Limb::Q(j as u16), |i| Scalar::TPInv { i });
-                let d = self.emit(VectorOp::Ntt, vec![conv]);
-                self.emit(VectorOp::Sub, vec![u[j], d])
+                let d = self.emit(VectorOp::Ntt, &[conv]);
+                self.emit(VectorOp::Sub, &[u[j], d])
             })
             .collect()
     }
@@ -541,10 +686,10 @@ impl<'p> Expander<'p> {
         limb: Limb,
         weight: impl Fn(u16) -> Scalar,
     ) -> ValueId {
-        let mut acc = self.emit_on(limb, VectorOp::ScalarMul { c: weight(0) }, vec![digits[0]]);
+        let mut acc = self.emit_on(limb, VectorOp::ScalarMul { c: weight(0) }, &[digits[0]]);
         for (i, &d) in digits.iter().enumerate().skip(1) {
             let op = VectorOp::ScalarMulAdd { c: weight(i as u16) };
-            acc = self.emit_on(limb, op, vec![acc, d]);
+            acc = self.emit_on(limb, op, &[acc, d]);
         }
         acc
     }
@@ -670,16 +815,16 @@ mod tests {
         let result = 2 * 4 * (1u64 << 10) * 4;
         // Unbounded: the order stays on the first hint, so all `r` first
         // rotations issue back to back and their sums wait together.
-        let grouped = budgeted_order(&p, u64::MAX);
+        let (q, grouped) = budgeted_order(&p, u64::MAX);
         let auts: Vec<usize> =
             grouped.iter().copied().filter(|&i| hint_of(&p.ops()[i]).is_some()).collect();
         assert!(auts[..r].iter().all(|&i| first_rotation(i)), "{auts:?}");
-        assert!(peak_live_bytes(&p, &grouped) >= r as u64 * result);
+        assert!(peak_live_bytes(&q, &grouped) >= r as u64 * result);
         // A three-result budget: the order falls back to program order
         // whenever the live set outgrows it.
         let budget = 3 * result;
-        let bounded = budgeted_order(&p, budget);
-        let peak = peak_live_bytes(&p, &bounded);
+        let (q, bounded) = budgeted_order(&p, budget);
+        let peak = peak_live_bytes(&q, &bounded);
         assert!(peak <= budget + result, "peak {peak} over budget {budget} + {result}");
     }
 
@@ -716,7 +861,7 @@ mod tests {
                 matches!(ops[d.0 as usize], HomOp::Input { .. })
             }))
         };
-        let order = expand(&p, &ExpandOptions::default()).hom_order;
+        let (q, order) = order_ops(&p, &ExpandOptions::default());
         let mut diffs = 0;
         for w in order.windows(2).filter(|w| is_diff(w[0])) {
             diffs += 1;
@@ -731,8 +876,104 @@ mod tests {
         assert_eq!(diffs, entries);
         let budget = live_budget(&ArchConfig::default());
         let listed = peak_live_bytes(&p, &list_order(&p, budget));
-        let sunk = peak_live_bytes(&p, &order);
+        let sunk = peak_live_bytes(&q, &order);
         assert!(sunk < listed, "sinking left the live peak at {sunk} B (list order {listed} B)");
+    }
+
+    /// Conv 2's shape: `chains` sums of `taps` products each, where chain
+    /// `g` reads rotations `g .. g + taps` of one input, so neighbouring
+    /// chains share rotations at shifted taps. Each chain is an output.
+    /// At N = 2^10 the amounts 5, 6, … have exponents `3^amount mod 2N`
+    /// out of amount order, so the hint order computes the taps out of
+    /// every chain's order.
+    fn shifted_tap_chains(chains: usize, taps: usize) -> Program {
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+        let x = p.input(4);
+        let rots: Vec<_> = (0..chains + taps - 1).map(|k| p.rotate(x, 5 + k)).collect();
+        for g in 0..chains {
+            let mut acc = None;
+            for &r in &rots[g..g + taps] {
+                let w = p.plain_input(4);
+                let m = p.mul_plain(r, w);
+                acc = Some(acc.map_or(m, |a| p.add(a, m)));
+            }
+            p.output(acc.unwrap());
+        }
+        p.lower().program
+    }
+
+    #[test]
+    fn sum_terms_are_added_as_they_are_computed() {
+        let (chains, taps) = (4, 8);
+        let p = shifted_tap_chains(chains, taps);
+        let result = 2 * 4 * (1u64 << 10) * 4;
+        let (q, order) = order_ops(&p, &ExpandOptions::default());
+        // The live set holds the chains' running sums plus one tap in
+        // flight: its rotation and one product.
+        let peak = peak_live_bytes(&q, &order);
+        assert!(peak <= (chains as u64 + 2) * result, "peak {} results", peak / result);
+        // In program order each chain holds its products until it reaches
+        // them.
+        let listed = peak_live_bytes(&p, &list_order(&p, live_budget(&ArchConfig::default())));
+        assert!(listed > peak + 2 * result, "list order peak {} results", listed / result);
+        // Only `Add`s changed, and the chains' roots still sum them.
+        let changed: Vec<usize> =
+            (0..p.ops().len()).filter(|&i| p.ops()[i] != q.ops()[i]).collect();
+        assert!(!changed.is_empty(), "no sum was reassociated");
+        let is_add = |op: &HomOp| matches!(op, HomOp::Add { .. });
+        assert!(changed.iter().all(|&i| is_add(&p.ops()[i]) && is_add(&q.ops()[i])));
+        assert_eq!(p.outputs(), q.outputs());
+    }
+
+    /// A dense layer's shape: `blocks` products `mul_plain(h, w_i)` of one
+    /// computed `h`, each summed over its slots by an `inner_sum`, and the
+    /// block sums added up.
+    fn dense_fan_out(blocks: usize) -> Program {
+        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+        let x = p.input(4);
+        let h = p.square(x);
+        let sums: Vec<_> = (0..blocks)
+            .map(|_| {
+                let w = p.plain_input(4);
+                let m = p.mul_plain(h, w);
+                p.inner_sum(m, 8)
+            })
+            .collect();
+        let total = sums[1..].iter().fold(sums[0], |acc, &s| p.add(acc, s));
+        p.output(total);
+        p.lower().program
+    }
+
+    #[test]
+    fn products_that_free_nothing_sink_to_their_first_rotation() {
+        // The list rule drains all the products as soon as `h` is
+        // computed. Each but the last frees nothing (`h` is read again), so
+        // it waits for its first rotation. Over budget, as LoLa-CIFAR's
+        // dense layers are, the list order then runs the blocks one by one,
+        // and only one block's product is held at a time.
+        let blocks = 8;
+        let p = dense_fan_out(blocks);
+        let result = 2 * 4 * (1u64 << 10) * 4;
+        let budget = 2 * result;
+        let (q, order) = budgeted_order(&p, budget);
+        let ops = q.ops();
+        let products: Vec<usize> =
+            (0..ops.len()).filter(|&i| matches!(ops[i], HomOp::MulPlain { .. })).collect();
+        assert_eq!(products.len(), blocks);
+        let pos = |i: usize| order.iter().position(|&j| j == i).unwrap();
+        for &m in &products[..blocks - 1] {
+            let next = order[pos(m) + 1];
+            assert!(
+                matches!(ops[next], HomOp::Aut { a, .. } if a.0 as usize == m),
+                "product {m} is followed by op {next}, not its first rotation"
+            );
+        }
+        let listed = peak_live_bytes(&p, &list_order(&p, budget)) / result;
+        let sunk = peak_live_bytes(&q, &order) / result;
+        assert!(
+            sunk < listed,
+            "sinking left the live peak at {sunk} results (list order {listed})"
+        );
     }
 
     #[test]

@@ -368,8 +368,8 @@ impl<'a> Scheduler<'a> {
         let mut missing = vec![0usize; n_instr];
         let mut ready = BinaryHeap::new();
         for instr in dfg.instrs() {
-            missing[instr.id.0 as usize] = instr.inputs.len();
-            if instr.inputs.is_empty() {
+            missing[instr.id.0 as usize] = instr.inputs().len();
+            if instr.inputs().is_empty() {
                 ready.push(Reverse((rank[instr.id.0 as usize], instr.id.0)));
             }
         }
@@ -383,7 +383,7 @@ impl<'a> Scheduler<'a> {
         // Per-value lineage/liveness tables: each value's users sorted by
         // final rank.
         let mut sorted_users =
-            Vec::with_capacity(dfg.instrs().iter().map(|i| i.inputs.len()).sum());
+            Vec::with_capacity(dfg.instrs().iter().map(|i| i.inputs().len()).sum());
         let mut user_start = Vec::with_capacity(n_values + 1);
         user_start.push(0);
         for vi in 0..n_values as u32 {
@@ -593,7 +593,7 @@ impl<'a> Scheduler<'a> {
     fn waits_on_unproduced(&self, i: InstrId) -> bool {
         self.dfg
             .instr(i)
-            .inputs
+            .inputs()
             .iter()
             .any(|&w| self.dfg.producer(w).is_some_and(|p| !self.issued[p.0 as usize]))
     }
@@ -734,7 +734,7 @@ impl<'a> Scheduler<'a> {
             // ops have at most two operands, so two slots hold the misses.
             let mut missing = [ValueId(0); 2];
             let mut n_missing = 0;
-            for &v in &self.dfg.instr(i).inputs {
+            for &v in self.dfg.instr(i).inputs() {
                 if !self.resident[v.0 as usize] {
                     missing[n_missing] = v;
                     n_missing += 1;
@@ -795,9 +795,9 @@ impl<'a> Scheduler<'a> {
         self.mark_resident(output, true);
         // Free operands that just died; re-key the others, whose next use
         // just moved past this instruction.
-        let n_inputs = self.dfg.instr(i).inputs.len();
+        let n_inputs = self.dfg.instr(i).inputs().len();
         for k in 0..n_inputs {
-            let v = self.dfg.instr(i).inputs[k];
+            let v = self.dfg.instr(i).inputs()[k];
             let vi = v.0 as usize;
             let next = self.next_use_rank(v);
             if next == u64::MAX && !self.output_set[vi] {
@@ -867,7 +867,7 @@ impl<'a> Scheduler<'a> {
                 continue; // stale entry
             }
             debug_assert_eq!(next, self.next_use_rank(v), "stale eviction key for {v:?}");
-            if pinned.is_some_and(|p| self.dfg.instr(p).inputs.contains(&v)) {
+            if pinned.is_some_and(|p| self.dfg.instr(p).inputs().contains(&v)) {
                 #[cfg(test)]
                 {
                     self.paths.pinned_skips += 1;
@@ -913,7 +913,8 @@ impl<'a> Scheduler<'a> {
         let mut candidates: Vec<(u64, ValueId)> = Vec::new();
         for vi in 0..self.resident.len() {
             let v = ValueId(vi as u32);
-            if !self.resident[vi] || pinned.is_some_and(|p| self.dfg.instr(p).inputs.contains(&v)) {
+            if !self.resident[vi] || pinned.is_some_and(|p| self.dfg.instr(p).inputs().contains(&v))
+            {
                 continue;
             }
             let next = self.next_use_rank(v);
@@ -1025,7 +1026,7 @@ mod tests {
             .collect();
         for e in &plan.events {
             let MoveEvent::Issue { instr: i, .. } = *e else { continue };
-            for &inp in &ex.dfg.instr(i).inputs {
+            for &inp in ex.dfg.instr(i).inputs() {
                 assert!(produced.contains(&inp), "instr {i:?} uses unproduced {inp:?}");
             }
             produced.insert(ex.dfg.instr(i).output);
@@ -1089,7 +1090,7 @@ mod tests {
         }
         for (i, ev) in plan.events.iter().enumerate() {
             if let MoveEvent::Issue { instr, .. } = ev {
-                for &inp in &ex.dfg.instr(*instr).inputs {
+                for &inp in ex.dfg.instr(*instr).inputs() {
                     let pos = plan.events[..i].iter().position(|e| {
                         matches!(e, MoveEvent::Load { value, .. } if *value == inp)
                             || matches!(e, MoveEvent::Issue { instr: p, .. }
@@ -1255,7 +1256,7 @@ mod tests {
                 }
                 MoveEvent::Load { value, .. } if dfg.users(value).len() == 1 => {
                     let user = dfg.instr(dfg.users(value)[0]);
-                    for p in user.inputs.iter().filter_map(|&w| dfg.producer(w)) {
+                    for p in user.inputs().iter().filter_map(|&w| dfg.producer(w)) {
                         held += 1;
                         assert!(issued.contains(&p), "{value:?} loaded before {p:?} issued");
                     }
@@ -1312,7 +1313,8 @@ mod tests {
         // users' operands, no eviction on these pads reaches the issuing
         // instruction's operands. The second
         // program's outputs are read again at the end of a long rotation
-        // chain.
+        // chain, by multiplies: pass 1 would add the terms of a sum as
+        // soon as they are computed, long before the chain ends.
         let mut outs = FheProgram::new(1 << 12, Scheme::Bgv);
         let products: Vec<_> = (0..4)
             .map(|_| {
@@ -1327,7 +1329,7 @@ mod tests {
             z = outs.rotate(z, k);
         }
         for m in products {
-            z = outs.add(z, m);
+            z = outs.mul(z, m);
         }
         outs.output(z);
         let mut total = EvictionPaths::default();

@@ -36,9 +36,12 @@ pub enum VectorOp {
         c: Scalar,
     },
     /// Scalar multiply-accumulate `dst = src0 + c * src1`, with `src1`
-    /// moved to the output's limb like a [`VectorOp::ScalarMul`] operand
-    /// (decomposed into Mul + Add by the scheduler; kept fused in the DFG
-    /// for compactness).
+    /// moved to the output's limb like a [`VectorOp::ScalarMul`] operand:
+    /// one step of a base conversion. [`VectorOp::fu_type`] puts it on the
+    /// Mul class only, so pass 3 books one Mul slot for it and no adder,
+    /// and the checker and the energy counters charge it likewise. Whether
+    /// the add half should occupy an adder is the ROADMAP item "Charge the
+    /// base conversions' multiply-accumulates to the units that run them".
     ScalarMulAdd {
         /// The constant `c`.
         c: Scalar,
@@ -169,13 +172,22 @@ pub struct Instruction {
     pub id: InstrId,
     /// The operation.
     pub op: VectorOp,
-    /// Input values, in operand order.
-    pub inputs: Vec<ValueId>,
+    /// Input values, in operand order: the first `op.arity()` slots (see
+    /// [`Instruction::inputs`]). Inline, so an instruction allocates
+    /// nothing.
+    operands: [ValueId; 2],
     /// The single produced value.
     pub output: ValueId,
     /// Global order priority assigned by the homomorphic-operation
     /// compiler (§4.2): lower = earlier in the reuse-maximizing order.
     pub priority: u64,
+}
+
+impl Instruction {
+    /// Input values, in operand order.
+    pub fn inputs(&self) -> &[ValueId] {
+        &self.operands[..self.op.arity()]
+    }
 }
 
 /// The instruction-level dataflow graph.
@@ -224,18 +236,20 @@ impl Dfg {
     pub fn add_instr(
         &mut self,
         op: VectorOp,
-        inputs: Vec<ValueId>,
+        inputs: &[ValueId],
         limb: Limb,
         priority: u64,
     ) -> ValueId {
         assert_eq!(inputs.len(), op.arity(), "operand count mismatch for {op:?}");
-        for &v in &inputs {
+        for &v in inputs {
             assert!((v.0 as usize) < self.values.len(), "unknown input value {v:?}");
         }
         let out = self.add_value(ValueKind::Intermediate, limb, None);
         let id = InstrId(self.instrs.len() as u32);
         self.producer[out.0 as usize] = Some(id);
-        self.instrs.push(Instruction { id, op, inputs, output: out, priority });
+        // An unused second slot repeats the first operand.
+        let operands = [inputs[0], inputs[inputs.len() - 1]];
+        self.instrs.push(Instruction { id, op, operands, output: out, priority });
         out
     }
 
@@ -338,7 +352,7 @@ impl Dfg {
     /// validation-style simulator, §7).
     pub fn validate(&self) -> usize {
         for instr in &self.instrs {
-            for &v in &instr.inputs {
+            for &v in instr.inputs() {
                 if let Some(p) = self.producer(v) {
                     assert!(p < instr.id, "instruction {:?} uses value produced later", instr.id);
                 }
@@ -361,7 +375,7 @@ struct Users {
 impl Users {
     fn new(dfg: &Dfg) -> Self {
         let mut start = vec![0u32; dfg.values.len() + 1];
-        for v in dfg.instrs.iter().flat_map(|i| &i.inputs) {
+        for v in dfg.instrs.iter().flat_map(|i| i.inputs()) {
             start[v.0 as usize + 1] += 1;
         }
         for v in 0..dfg.values.len() {
@@ -370,7 +384,7 @@ impl Users {
         let mut next = start.clone();
         let mut instrs = vec![InstrId(0); start[dfg.values.len()] as usize];
         for i in &dfg.instrs {
-            for v in &i.inputs {
+            for v in i.inputs() {
                 let slot = &mut next[v.0 as usize];
                 instrs[*slot as usize] = i.id;
                 *slot += 1;
@@ -397,9 +411,9 @@ mod tests {
     #[test]
     fn ssa_and_users() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
-        let p = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
-        let t = g.add_instr(VectorOp::Ntt, vec![p], Q0, 2);
+        let s = g.add_instr(VectorOp::Add, &[a, b], Q0, 0);
+        let p = g.add_instr(VectorOp::Mul, &[s, h], Q0, 1);
+        let t = g.add_instr(VectorOp::Ntt, &[p], Q0, 2);
         g.mark_output(t);
         assert_eq!(g.validate(), 3);
         assert_eq!(g.users(s).len(), 1);
@@ -409,7 +423,7 @@ mod tests {
         assert_eq!(g.value(t).kind, ValueKind::Output);
         // An addition after a `users` call is seen by the next one, and
         // an instruction reading a value twice is listed twice.
-        g.add_instr(VectorOp::Mul, vec![s, s], Q0, 3);
+        g.add_instr(VectorOp::Mul, &[s, s], Q0, 3);
         assert_eq!(g.users(s), &[InstrId(1), InstrId(3), InstrId(3)]);
     }
 
@@ -417,7 +431,7 @@ mod tests {
     fn arity_checked() {
         let (mut g, a, _, _) = tiny_graph();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.add_instr(VectorOp::Add, vec![a], Q0, 0);
+            g.add_instr(VectorOp::Add, &[a], Q0, 0);
         }));
         assert!(r.is_err(), "Add with one operand must panic");
     }
@@ -431,9 +445,9 @@ mod tests {
     #[test]
     fn op_histogram() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0);
-        let m = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
-        let _ = g.add_instr(VectorOp::Aut { k: 3 }, vec![m], Q0, 2);
+        let s = g.add_instr(VectorOp::Add, &[a, b], Q0, 0);
+        let m = g.add_instr(VectorOp::Mul, &[s, h], Q0, 1);
+        let _ = g.add_instr(VectorOp::Aut { k: 3 }, &[m], Q0, 2);
         let counts = g.op_counts();
         assert_eq!(counts["add"], 1);
         assert_eq!(counts["mul"], 1);
@@ -443,9 +457,9 @@ mod tests {
     #[test]
     fn critical_depths_follow_longest_path() {
         let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], Q0, 0); // depth: w(add)+w(mul)+w(ntt)
-        let p = g.add_instr(VectorOp::Mul, vec![s, h], Q0, 1);
-        let t = g.add_instr(VectorOp::Ntt, vec![p], Q0, 2);
+        let s = g.add_instr(VectorOp::Add, &[a, b], Q0, 0); // depth: w(add)+w(mul)+w(ntt)
+        let p = g.add_instr(VectorOp::Mul, &[s, h], Q0, 1);
+        let t = g.add_instr(VectorOp::Ntt, &[p], Q0, 2);
         g.mark_output(t);
         let w = |i: &Instruction| match i.op {
             VectorOp::Add => 4u64,

@@ -422,7 +422,7 @@ fn verify(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> (u64, V
         dfg.values().len(),
         dfg.instrs().iter().flat_map(|instr| {
             let read = (issue[instr.id.0 as usize], cluster_of[instr.output.0 as usize], instr.id);
-            instr.inputs.iter().map(move |&v| (v, read))
+            instr.inputs().iter().map(move |&v| (v, read))
         }),
     );
     for v in (0..dfg.values().len()).map(|v| ValueId(v as u32)) {
@@ -604,7 +604,7 @@ fn energy_counters(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -
         ..Default::default()
     };
     for instr in dfg.instrs() {
-        c.rf_bytes += (instr.inputs.len() as u64 + 1) * vector;
+        c.rf_bytes += (instr.inputs().len() as u64 + 1) * vector;
         let fu = instr.op.fu_type();
         c.add_fu_busy(fu, arch.occupancy(fu, dfg.n));
     }
@@ -772,9 +772,9 @@ mod tests {
         let n = 1024usize; // 4 KB values
         let mut dfg = Dfg::new(n);
         let a = dfg.add_value(ValueKind::Input, Limb::Q(0), Some("a".into()));
-        let v1 = dfg.add_instr(VectorOp::Ntt, vec![a], Limb::Q(0), 0); // i0: reads a pre-evict
-        let v2 = dfg.add_instr(VectorOp::Ntt, vec![a], Limb::Q(0), 1); // i1: reads a post-refetch
-        let v3 = dfg.add_instr(VectorOp::Add, vec![v1, v2], Limb::Q(0), 2); // i2
+        let v1 = dfg.add_instr(VectorOp::Ntt, &[a], Limb::Q(0), 0); // i0: reads a pre-evict
+        let v2 = dfg.add_instr(VectorOp::Ntt, &[a], Limb::Q(0), 1); // i1: reads a post-refetch
+        let v3 = dfg.add_instr(VectorOp::Add, &[v1, v2], Limb::Q(0), 2); // i2
         dfg.mark_output(v3);
 
         let mut arch = ArchConfig::f1_default();

@@ -82,7 +82,7 @@ pub fn eval_dfg(dfg: &Dfg, inputs: &HashMap<ValueId, Vec<u64>>) -> HashMap<Value
     let mut vals: HashMap<ValueId, Vec<u64>> = inputs.clone();
     for instr in dfg.instrs() {
         let ins: Vec<&Vec<u64>> = instr
-            .inputs
+            .inputs()
             .iter()
             .map(|v| vals.get(v).unwrap_or_else(|| panic!("operand {v:?} undefined")))
             .collect();
@@ -173,7 +173,7 @@ pub fn replay_schedule(
             Ev::Exec(i) => {
                 let instr = &dfg.instrs()[i as usize];
                 let ins: Vec<&Vec<u64>> = instr
-                    .inputs
+                    .inputs()
                     .iter()
                     .map(|v| {
                         pad.get(v).unwrap_or_else(|| {

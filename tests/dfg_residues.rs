@@ -2,8 +2,10 @@
 //!
 //! Every makespan depends on the exact NTTs, base conversions, hint
 //! multiplies and automorphisms that pass 1 emits, so these tests run
-//! expanded DFGs on real residues: one BGV `mul`, one `rotate`, and one
-//! program that chains a `mul` with `mul_plain`, `add` and `add_plain`.
+//! expanded DFGs on real residues: one BGV `mul`, one `rotate`, one
+//! program that chains a `mul` with `mul_plain`, `add` and `add_plain`,
+//! and two sums of products that pass 1 re-adds in the order it computes
+//! their terms.
 //! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
 //! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
 //! hint vectors are the residues of the same keys' hints. Each output
@@ -13,8 +15,8 @@
 //! the `mul` DFG is also run over the hint multiplied back to unscaled,
 //! and those residues must differ.
 
-use f1::compiler::expand::{expand, ExpandOptions};
-use f1::compiler::{FheProgram, Lowered, Scheme};
+use f1::compiler::expand::{expand, order_ops, ExpandOptions};
+use f1::compiler::{FheProgram, HomOp, Lowered, Scheme};
 use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
 use f1::fhe::keyswitch::GhsHint;
 use f1::fhe::BgvParams;
@@ -99,8 +101,8 @@ impl Chain<'_> {
         for instr in dfg.instrs() {
             let out_limb = dfg.value(instr.output).limb;
             let m = self.modulus(out_limb);
-            let arg = |k: usize| &vals[instr.inputs[k].0 as usize];
-            let limb_of = |k: usize| dfg.value(instr.inputs[k]).limb;
+            let arg = |k: usize| &vals[instr.inputs()[k].0 as usize];
+            let limb_of = |k: usize| dfg.value(instr.inputs()[k]).limb;
             // An operand on another limb is read as its centered
             // representative.
             let moved = |k: usize| -> Vec<u32> {
@@ -151,13 +153,24 @@ enum Hint<'a> {
     /// A GHS hint with its limbs multiplied back to before ModDown's
     /// constants were folded in: the negative control of the fold.
     GhsUnfolded(&'a GhsHint),
+    /// One GHS rotation hint per automorphism exponent `k`.
+    Rotations(&'a [(usize, GhsHint)]),
 }
 
 impl Hint<'_> {
     /// The residues behind a hint label (`<hint>.ksh<poly>`) on `limb`.
     fn residues(&self, label: &str, limb: Limb, chain: &Chain<'_>) -> Vec<u32> {
-        let (_, poly) = label.split_once(".ksh").expect("hint label");
-        let (Hint::Ghs(h) | Hint::GhsUnfolded(h)) = self;
+        let (name, poly) = label.split_once(".ksh").expect("hint label");
+        let h = match self {
+            Hint::Ghs(h) | Hint::GhsUnfolded(h) => h,
+            Hint::Rotations(hints) => {
+                let k: usize = name
+                    .strip_prefix("Aut(")
+                    .and_then(|k| k.strip_suffix(')'))
+                    .map_or(0, |k| k.parse().expect("automorphism exponent"));
+                &hints.iter().find(|(hk, _)| *hk == k).expect("rotation hint").1
+            }
+        };
         let (ksh0, ksh1) = h.ksh();
         let residues = if poly == "0" { ksh0 } else { ksh1 }.limb(chain.index(limb));
         if let Hint::GhsUnfolded(_) = self {
@@ -191,6 +204,20 @@ fn run(
     hint: &Hint<'_>,
     chain: &Chain<'_>,
 ) -> (RnsPoly, RnsPoly) {
+    let mut outs = run_all(lowered, inputs, plains, hint, chain);
+    assert_eq!(outs.len(), 1);
+    outs.pop().unwrap()
+}
+
+/// [`run`] for a program with any number of level-`L` outputs, in output
+/// order.
+fn run_all(
+    lowered: &Lowered,
+    inputs: &[&Ciphertext],
+    plains: &[&RnsPoly],
+    hint: &Hint<'_>,
+    chain: &Chain<'_>,
+) -> Vec<(RnsPoly, RnsPoly)> {
     let ex = expand(&lowered.program, &ExpandOptions::default());
     let vals = chain.eval(&ex.dfg, |label, limb| {
         let j = chain.index(limb);
@@ -209,9 +236,9 @@ fn run(
             hint.residues(label, limb, chain)
         }
     });
-    // Outputs are the result's `a` limbs, then its `b` limbs.
+    // Each output is its `a` limbs, then its `b` limbs.
     let outs = ex.dfg.outputs();
-    assert_eq!(outs.len(), 2 * L);
+    assert_eq!(outs.len(), 2 * L * lowered.program.outputs().len());
     let poly = |limbs: &[f1::isa::ValueId]| {
         let mut p = RnsPoly::zero_ntt_at_level(inputs[0].a.context(), L);
         for (j, v) in limbs.iter().enumerate() {
@@ -219,7 +246,7 @@ fn run(
         }
         p
     };
-    (poly(&outs[..L]), poly(&outs[L..]))
+    outs.chunks(2 * L).map(|ct| (poly(&ct[..L]), poly(&ct[L..]))).collect()
 }
 
 fn with_polys(ct: &Ciphertext, (a, b): (RnsPoly, RnsPoly)) -> Ciphertext {
@@ -315,4 +342,68 @@ fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
     assert!(got == (want.a.clone(), want.b.clone()), "GHS program residues differ from f1-fhe's");
     let want_d = rest(ct1.mul(&ct2, keys.relin_hint()));
     assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
+}
+
+#[test]
+fn reassociated_sums_compute_f1_fhe_residues() {
+    // Conv 2's shape: two chains of `mul_plain` products over rotations
+    // of one input, chain `g` reading rotations `5 + g ..= 7 + g`. At
+    // N = 2^10 the exponents `3^amount mod 2N` of amounts 5, 6, 7, 8 are
+    // 243, 729, 139, 417, so the hint order computes the taps out of
+    // either chain's order and pass 1 re-adds the chains.
+    let params = BgvParams::test_with_specials(N, L, L);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let keys = KeySet::generate(&params, &mut rng);
+    let ct = keys.encrypt(&plain(&params, 1), &mut rng);
+    let ctx = params.context();
+    let sk = keys.secret_key();
+    let t = params.plaintext_modulus;
+    let amounts = [5, 6, 7, 8];
+    let exponent = |amount: u32| (0..amount).fold(1, |k, _| k * 3 % (2 * N));
+    let hints: Vec<(usize, GhsHint)> = amounts
+        .iter()
+        .map(|&a| {
+            let k = exponent(a);
+            let target = sk.s_automorphism_at_level(k, ctx.max_level()).neg();
+            (k, GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng))
+        })
+        .collect();
+    let chain = Chain { ctx, special_start: hints[0].1.special_start(), t };
+    let (taps, chains) = (3, 2);
+    let weights: Vec<Plaintext> =
+        (0..taps * chains).map(|i| plain(&params, 10 + i as u64)).collect();
+    let weight_residues: Vec<RnsPoly> =
+        weights.iter().map(|w| plain_residues(&params, w, L)).collect();
+
+    let mut f = FheProgram::new(N, Scheme::Bgv);
+    let x = f.input(L);
+    let rots: Vec<_> = amounts.iter().map(|&a| f.rotate(x, a as usize)).collect();
+    let pts: Vec<_> = weights.iter().map(|_| f.plain_input(L)).collect();
+    for g in 0..chains {
+        let terms: Vec<_> =
+            (0..taps).map(|i| f.mul_plain(rots[g + i], pts[g * taps + i])).collect();
+        let sum = terms[1..].iter().fold(terms[0], |acc, &m| f.add(acc, m));
+        f.output(sum);
+    }
+    let lowered = f.lower();
+    let (rewritten, _) = order_ops(&lowered.program, &ExpandOptions::default());
+    let changed: Vec<_> =
+        lowered.program.ops().iter().zip(rewritten.ops()).filter(|(a, b)| a != b).collect();
+    assert!(!changed.is_empty(), "pass 1 re-added no chain");
+    assert!(changed.iter().all(|ops| matches!(ops, (HomOp::Add { .. }, HomOp::Add { .. }))));
+
+    let plains: Vec<&RnsPoly> = weight_residues.iter().collect();
+    let got = run_all(&lowered, &[&ct], &plains, &Hint::Rotations(&hints), &chain);
+    let rotated: Vec<Ciphertext> = hints
+        .iter()
+        .map(|(k, h)| {
+            let (u0, u1) = h.apply(&ct.a.automorphism(*k));
+            with_polys(&ct, (u1, ct.b.automorphism(*k).add(&u0)))
+        })
+        .collect();
+    for (g, (a, b)) in got.into_iter().enumerate() {
+        let term = |i: usize| rotated[g + i].mul_plain(&weights[g * taps + i], &params);
+        let want = (1..taps).fold(term(0), |acc, i| acc.add(&term(i)));
+        assert!(a == want.a && b == want.b, "chain {g}'s residues differ from f1-fhe's");
+    }
 }
