@@ -26,7 +26,7 @@
 //! its evict cycle. An allocation starts no earlier than the first cycle
 //! from which its bytes stay within capacity at every later cycle. Pass 2
 //! hands over a byte lineage: each allocation names the release events
-//! (`space_from`) whose freed bytes it reuses. The scheduler keeps those
+//! (its donors) whose freed bytes it reuses. The scheduler keeps those
 //! only as commit order. An allocation commits after its donors, so its
 //! bytes are free at the end of the timeline, but it may start before
 //! they release wherever other bytes are free by then. A release may not
@@ -629,7 +629,7 @@ struct CycleScheduler<'a> {
 
 impl<'a> CycleScheduler<'a> {
     /// Builds the event graph of `plan`. With `lineage`, every allocation
-    /// also waits for its `space_from` donors to commit, and the pad is
+    /// also waits for its donors ([`MovePlan::donors`]) to commit, and the pad is
     /// the machine's; without it, the pad has no capacity bound.
     fn new(
         expanded: &'a Expanded,
@@ -663,6 +663,7 @@ impl<'a> CycleScheduler<'a> {
         let mut reader_head: Vec<u32> = vec![NONE_U32; n_values];
         let mut reader_pool: Vec<(u32, u32)> = Vec::new();
         let mut last_release: Vec<u32> = vec![NONE_U32; n_values];
+        let donors = |ei: usize| if lineage { plan.donors(ei as u32) } else { &[] };
         let edge = |edges: &mut Vec<(u32, u32, Gate)>,
                     indeg: &mut Vec<u32>,
                     from: u32,
@@ -673,7 +674,7 @@ impl<'a> CycleScheduler<'a> {
         };
         for (ei, ev) in plan.events.iter().enumerate() {
             match ev {
-                MoveEvent::Issue { instr, space_from } => {
+                MoveEvent::Issue { instr } => {
                     let nid = instr.0;
                     for &v in dfg.instr(*instr).inputs() {
                         let a = cur_alloc[v.0 as usize];
@@ -684,17 +685,17 @@ impl<'a> CycleScheduler<'a> {
                         reader_pool.push((nid, *head));
                         *head = (reader_pool.len() - 1) as u32;
                     }
-                    for &d in space_from.iter().filter(|_| lineage) {
+                    for &d in donors(ei) {
                         edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     let out = dfg.instr(*instr).output.0 as usize;
                     cur_alloc[out] = nid;
                     reader_head[out] = NONE_U32;
                 }
-                MoveEvent::Load { value, space_from, .. } => {
+                MoveEvent::Load { value, .. } => {
                     let nid = (n_instr + mem_nodes.len()) as u32;
                     mem_nodes.push(MemNode::Load { ev: ei as u32 });
-                    for &d in space_from.iter().filter(|_| lineage) {
+                    for &d in donors(ei) {
                         edge(&mut edges, &mut indeg, ev_node[d as usize], nid, Gate::Order);
                     }
                     // A reload may not start before the previous copy's

@@ -15,8 +15,8 @@
 //! The pass's product is a **residency event script** ([`MoveEvent`]):
 //! every load, instruction issue, spill store, refetch, silent drop and
 //! output store, in simulation order, with each allocation carrying the
-//! *byte lineage* of the scratchpad space it occupies (`space_from`: the
-//! release events whose freed bytes it reuses). Pass 3 schedules this
+//! *byte lineage* of the scratchpad space it occupies (its *donors*,
+//! [`MovePlan::donors`]: the release events whose freed bytes it reuses). Pass 3 schedules this
 //! script against real resource timelines, the scratchpad's resident
 //! bytes among them. It commits every allocation after its donors, so
 //! room for the allocation always exists, and starts it wherever its
@@ -132,8 +132,8 @@ impl TrafficBreakdown {
 /// (`dfg.vector_bytes()`).
 ///
 /// Events appear in pass-2 simulation order, which is a legal order for
-/// every constraint they encode: an allocation's `space_from` donors
-/// always precede it, a refetch always follows the eviction it undoes,
+/// every constraint they encode: an allocation's donors
+/// ([`MovePlan::donors`]) always precede it, a refetch always follows the eviction it undoes,
 /// and every release follows the reads it must wait out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MoveEvent {
@@ -145,15 +145,11 @@ pub enum MoveEvent {
         value: ValueId,
         /// `true` when this re-fetches a previously evicted value.
         refetch: bool,
-        /// Release events whose freed bytes this allocation reuses.
-        space_from: Vec<EventId>,
     },
     /// Issue an instruction; its output value is allocated here.
     Issue {
         /// The instruction issued.
         instr: InstrId,
-        /// Release events whose freed bytes the output reuses.
-        space_from: Vec<EventId>,
     },
     /// Evict a dirty, still-needed `value`: write it back to HBM. The
     /// bytes are free once the store completes; a later [`MoveEvent::Load`]
@@ -203,16 +199,47 @@ impl MoveEvent {
 }
 
 /// The pass-2 result: the residency event script (its `Issue` events are
-/// the instruction issue order) and traffic accounting.
+/// the instruction issue order), each allocation's donors and traffic
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct MovePlan {
     /// The residency script, in simulation order (see [`MoveEvent`]).
     pub events: Vec<MoveEvent>,
+    /// Every event's donors, stored back to back: event `e`'s are
+    /// `donor_ids[donor_start[e]..donor_start[e + 1]]`.
+    donor_start: Vec<u32>,
+    donor_ids: Vec<EventId>,
     /// Traffic accounting.
     pub traffic: TrafficBreakdown,
 }
 
+impl Default for MovePlan {
+    fn default() -> Self {
+        Self {
+            events: Vec::new(),
+            donor_start: vec![0],
+            donor_ids: Vec::new(),
+            traffic: TrafficBreakdown::default(),
+        }
+    }
+}
+
 impl MovePlan {
+    /// The release events whose freed bytes `event`, an allocation
+    /// ([`MoveEvent::Load`] or [`MoveEvent::Issue`]), reuses: its byte
+    /// lineage, distinct and in the order the space was taken. Empty for
+    /// any other event and for an allocation on never-used space.
+    pub fn donors(&self, event: EventId) -> &[EventId] {
+        let e = event as usize;
+        &self.donor_ids[self.donor_start[e] as usize..self.donor_start[e + 1] as usize]
+    }
+
+    /// Appends `event`, whose donors are the ids added since the last push.
+    fn push(&mut self, event: MoveEvent) {
+        self.events.push(event);
+        self.donor_start.push(self.donor_ids.len() as u32);
+    }
+
     /// Values loaded at least once (convenience for tests/diagnostics).
     pub fn loaded_values(&self) -> HashSet<ValueId> {
         self.events
@@ -262,7 +289,7 @@ struct Scheduler<'a> {
     free_bytes: u64,
     /// Free scratchpad chunks in FIFO order, each tagged with the release
     /// event that freed it (`None` = the initial empty pad). Consuming a
-    /// chunk makes its release event a `space_from` donor.
+    /// chunk makes its release event a donor ([`MovePlan::donors`]).
     free_pool: VecDeque<(u64, Option<EventId>)>,
     // All per-value state is dense (indexed by ValueId): the scheduler
     // touches it several times per instruction, and hashing dominated the
@@ -419,7 +446,7 @@ impl<'a> Scheduler<'a> {
             kth_victim: None,
             mem_cycle: 0,
             compute_cycle: [0.0; 4],
-            out: MovePlan { events: Vec::new(), traffic: TrafficBreakdown::default() },
+            out: MovePlan::default(),
             issued_count: 0,
             #[cfg(test)]
             paths: EvictionPaths::default(),
@@ -488,7 +515,7 @@ impl<'a> Scheduler<'a> {
             let bytes = self.dfg.vector_bytes();
             self.mem_cycle += self.arch.mem_cycles(bytes);
             self.out.traffic.input_compulsory += bytes;
-            self.out.events.push(MoveEvent::OutputStore { value: v, frees: false });
+            self.out.push(MoveEvent::OutputStore { value: v, frees: false });
         }
     }
 
@@ -496,18 +523,19 @@ impl<'a> Scheduler<'a> {
         self.compute_cycle.iter().cloned().fold(0.0f64, f64::max) as u64
     }
 
-    /// Claims `bytes` from the free pool, returning the distinct release
-    /// events whose space is being reused (the allocation's byte lineage).
-    fn take_space(&mut self, bytes: u64) -> Vec<EventId> {
+    /// Claims `bytes` from the free pool and records the distinct release
+    /// events whose space is being reused (the allocation's byte lineage)
+    /// as the donors of the next event pushed.
+    fn take_space(&mut self, bytes: u64) {
         assert!(self.free_bytes >= bytes, "allocation without space");
         self.free_bytes -= bytes;
+        let first = *self.out.donor_start.last().expect("donor table starts at 0") as usize;
         let mut need = bytes;
-        let mut donors = Vec::new();
         while need > 0 {
             let (sz, src) = self.free_pool.pop_front().expect("free pool out of sync");
             if let Some(e) = src {
-                if !donors.contains(&e) {
-                    donors.push(e);
+                if !self.out.donor_ids[first..].contains(&e) {
+                    self.out.donor_ids.push(e);
                 }
             }
             if sz > need {
@@ -517,7 +545,6 @@ impl<'a> Scheduler<'a> {
                 need -= sz;
             }
         }
-        donors
     }
 
     /// Returns `bytes` to the free pool, tagged with the release event.
@@ -693,8 +720,8 @@ impl<'a> Scheduler<'a> {
             _ => self.out.traffic.interm_load += bytes,
         }
         self.mem_cycle += self.arch.mem_cycles(bytes);
-        let space_from = self.take_space(bytes);
-        self.out.events.push(MoveEvent::Load { value: v, refetch: !first_time, space_from });
+        self.take_space(bytes);
+        self.out.push(MoveEvent::Load { value: v, refetch: !first_time });
         self.requested[v.0 as usize] = false;
         self.mark_resident(v, false);
     }
@@ -788,8 +815,8 @@ impl<'a> Scheduler<'a> {
         // front of `free_pool` rather than the ones just made.
         self.make_space_pinned(bytes + reserve_bytes(self.arch, bytes), true, Some(i));
         assert!(self.make_space_pinned(bytes, true, Some(i)), "cannot allocate result space");
-        let space_from = self.take_space(bytes);
-        self.out.events.push(MoveEvent::Issue { instr: i, space_from });
+        self.take_space(bytes);
+        self.out.push(MoveEvent::Issue { instr: i });
         self.issued[i.0 as usize] = true;
         self.issued_count += 1;
         self.mark_resident(output, true);
@@ -952,18 +979,18 @@ impl<'a> Scheduler<'a> {
             // Spill store (the later refetch is gated on its completion).
             self.out.traffic.interm_store += bytes;
             self.mem_cycle += self.arch.mem_cycles(bytes);
-            self.out.events.push(MoveEvent::SpillStore { value: v });
+            self.out.push(MoveEvent::SpillStore { value: v });
             self.in_hbm[vi] = true;
         } else if was_dirty && self.output_set[vi] && !self.stored_outputs[vi] {
             // Dead output squeezed out: store it now (compulsory anyway).
             self.out.traffic.input_compulsory += bytes;
             self.mem_cycle += self.arch.mem_cycles(bytes);
-            self.out.events.push(MoveEvent::OutputStore { value: v, frees: true });
+            self.out.push(MoveEvent::OutputStore { value: v, frees: true });
             self.stored_outputs[vi] = true;
             self.in_hbm[vi] = true;
         } else {
             // A clean copy was loaded, so HBM already holds the value.
-            self.out.events.push(MoveEvent::Drop { value: v });
+            self.out.push(MoveEvent::Drop { value: v });
         }
         self.release_space(bytes, eid);
         if still_needed {
@@ -1118,7 +1145,7 @@ mod tests {
         let mut resident: HashSet<ValueId> = HashSet::new();
         for (i, ev) in plan.events.iter().enumerate() {
             match ev {
-                MoveEvent::Load { value, refetch, space_from, .. } => {
+                MoveEvent::Load { value, refetch } => {
                     assert!(!resident.contains(value), "double load of {value:?}");
                     if *refetch {
                         let prior = plan.events[..i]
@@ -1126,14 +1153,14 @@ mod tests {
                             .any(|e| e.frees_space() && e.value() == Some(*value));
                         assert!(prior, "refetch of {value:?} with no prior eviction");
                     }
-                    for d in space_from {
+                    for d in plan.donors(i as EventId) {
                         assert!(freed_bytes.contains_key(d), "donor {d} has not freed yet");
                     }
                     occupied += ex.dfg.vector_bytes();
                     resident.insert(*value);
                 }
-                MoveEvent::Issue { instr, space_from } => {
-                    for d in space_from {
+                MoveEvent::Issue { instr } => {
+                    for d in plan.donors(i as EventId) {
                         assert!(freed_bytes.contains_key(d), "donor {d} has not freed yet");
                     }
                     occupied += ex.dfg.vector_bytes();
@@ -1191,9 +1218,9 @@ mod tests {
         let mut prev_issue = None;
         let (mut allocations, mut chained) = (0usize, 0usize);
         for (i, e) in plan.events.iter().enumerate() {
-            if let MoveEvent::Issue { space_from, .. } = e {
+            if let MoveEvent::Issue { .. } = e {
                 allocations += 1;
-                let newest = space_from.iter().max().map(|&d| d as usize);
+                let newest = plan.donors(i as EventId).iter().max().map(|&d| d as usize);
                 chained += usize::from(prev_issue.is_some_and(|p| newest > Some(p)));
                 prev_issue = Some(i);
             }

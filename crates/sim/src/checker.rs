@@ -816,7 +816,8 @@ mod tests {
             input_non_compulsory: 4096,
             ..Default::default()
         };
-        let plan = MovePlan { events: Vec::new(), traffic };
+        let mut plan = MovePlan::default();
+        plan.traffic = traffic;
         let ex =
             Expanded { dfg, hint_values: std::collections::BTreeMap::new(), hom_order: vec![] };
         (ex, plan, cs, arch)

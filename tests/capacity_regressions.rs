@@ -84,11 +84,11 @@ fn allocations_start_before_their_byte_donors_release() {
     let mut released_at = vec![None; plan.events.len()];
     let (mut allocations, mut early) = (0, 0);
     for (ei, e) in plan.events.iter().enumerate() {
-        let (start, space_from) = match e {
-            MoveEvent::Load { value, space_from, .. } => {
-                (loads.get_mut(value).and_then(VecDeque::pop_front).expect("load"), space_from)
+        let start = match e {
+            MoveEvent::Load { value, .. } => {
+                loads.get_mut(value).and_then(VecDeque::pop_front).expect("load")
             }
-            MoveEvent::Issue { instr, space_from } => (issue[instr.0 as usize], space_from),
+            MoveEvent::Issue { instr } => issue[instr.0 as usize],
             e if e.frees_space() => {
                 let v = e.value().expect("a release names its value");
                 released_at[ei] = evicts.get_mut(&v).and_then(VecDeque::pop_front);
@@ -96,7 +96,7 @@ fn allocations_start_before_their_byte_donors_release() {
             }
             _ => continue,
         };
-        if let Some(&newest) = space_from.iter().max() {
+        if let Some(&newest) = plan.donors(ei as u32).iter().max() {
             allocations += 1;
             let release = released_at[newest as usize].expect("donors release first");
             early += usize::from(start < release);

@@ -51,8 +51,8 @@ fn whole_suite_double_compiles_identically_at_test_scale() {
         let (_, _, ex2, plan2, cs2) = f1::compiler::compile_fhe(&b.fhe, &arch);
         assert_eq!(ex1.hom_order, ex2.hom_order, "{}: hom-op order differs", a.name);
         assert_eq!(
-            format!("{:?}", plan1.events),
-            format!("{:?}", plan2.events),
+            format!("{plan1:?}"),
+            format!("{plan2:?}"),
             "{}: residency event scripts differ",
             a.name
         );
