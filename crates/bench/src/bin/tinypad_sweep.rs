@@ -4,23 +4,26 @@
 //! schedules stay *physically realizable* when the scratchpad shrinks:
 //! spills and refetches must be co-scheduled with compute on the HBM
 //! channel timelines, and consumers gated on refetch completion. This
-//! sweep compiles LoLa-MNIST with unencrypted and with encrypted weights
-//! at capacities from 1 MB to the paper's 64 MB, validates every schedule
-//! with the capacity-strict checker, and emits each makespan/traffic
-//! curve. On the larger pads both plans move only compulsory traffic, and
-//! both programs keep schedules made without pass 2's byte lineage from
-//! 16 MB up, so the sweep also covers those.
+//! sweep compiles LoLa-MNIST with unencrypted and with encrypted weights,
+//! and DB lookup, at capacities from 1 MB to the paper's 64 MB, validates
+//! every schedule with the capacity-strict checker, and emits each
+//! makespan/traffic curve. On the larger pads both LoLa-MNIST plans move
+//! only compulsory traffic and keep schedules made without pass 2's byte
+//! lineage from 16 MB up, so the sweep also covers those. DB lookup is
+//! the sweep's Mul-bound program, and its sums of products are
+//! relinearized once each (see `f1_compiler::expand::relin_plan`), so
+//! the sweep also checks schedules that carry unrelinearized products.
 //!
 //! Exits non-zero if makespan ever *increases* with capacity — the
 //! self-check CI runs at `F1_SCALE=8`.
 
 use f1_arch::ArchConfig;
 use f1_bench::bench_scale;
-use f1_workloads::benchmarks::{lola_mnist_ew, lola_mnist_uw};
+use f1_workloads::benchmarks::{db_lookup, lola_mnist_ew, lola_mnist_uw};
 
 fn main() {
     let scale = bench_scale();
-    for b in [lola_mnist_uw(scale), lola_mnist_ew(scale)] {
+    for b in [lola_mnist_uw(scale), lola_mnist_ew(scale), db_lookup(scale)] {
         println!("# Tiny-pad sweep: {} (scale 1/{scale})", b.name);
         println!(
             "capacity_mb,makespan_cycles,ms,traffic_mb,noncompulsory_mb,spill_refetch_mb,fu_util_pct"

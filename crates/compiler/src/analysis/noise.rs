@@ -18,6 +18,13 @@
 //! the alignment only when histories differ, exactly as the runtime
 //! does.
 //!
+//! Every `Mul` is charged its own relinearization key-switch. Pass 1 may
+//! instead relinearize a sum of products once, at the sum's root
+//! ([`crate::expand::relin_plan`]): the sum then carries one key-switch
+//! error instead of one per product, and a `MulPlain` of a deferred
+//! product no longer scales that error. So the per-`Mul` charge stays an
+//! upper bound on the noise of the DFG pass 1 emits.
+//!
 //! Soundness: `tests/ir_differential.rs` property-checks `wc ≥ measured`
 //! against the real software BGV executor for random optimized and
 //! unoptimized programs. The CKKS and GSW models use the same machinery

@@ -38,7 +38,10 @@ pub enum HomOp {
         /// Plaintext operand.
         p: CtId,
     },
-    /// Homomorphic multiplication (tensor + key-switch, §2.2.1).
+    /// Homomorphic multiplication (tensor + key-switch, §2.2.1). When the
+    /// product is a term of a sum, pass 1 may move the key-switch to the
+    /// sum's root, which relinearizes the summed products once
+    /// ([`crate::expand::relin_plan`]).
     Mul {
         /// Left operand.
         a: CtId,

@@ -11,6 +11,12 @@
 //!   nothing by running early (those that read only program inputs, or
 //!   whose operands are read again later) are sunk to their first user,
 //!   so their results are not all held at once.
+//! * **Lazy relinearization**: a sum of two or more products is
+//!   relinearized once, at its root, instead of once per product
+//!   ([`relin_plan`]; Chen 2017). Each product is lowered to its tensor
+//!   alone and carries `l2` through the sum, so DB lookup's 64 masked
+//!   squares, LoLa-MNIST EW's 25 conv taps and each `re² + im²` of CKKS
+//!   bootstrapping's double-angle steps run one key-switch per sum.
 //! * **Translation**: expand every homomorphic operation into
 //!   residue-vector instructions; one `Mul` at `L = 16` becomes 1,088
 //!   instructions, dominated by the key-switch. Every key-switch is the
@@ -61,20 +67,25 @@ pub struct Expanded {
     pub hom_order: Vec<usize>,
 }
 
-/// A ciphertext lowered to per-limb values (NTT domain).
+/// A ciphertext lowered to per-limb values (NTT domain). A value that
+/// carries `l2` ([`Relin::Tensor`], [`Relin::Carry`]) is a product not yet
+/// relinearized: `b + a·s + l2·s²` decrypts it.
 #[derive(Debug, Clone)]
 struct LoweredCt {
     a: Vec<ValueId>,
     b: Vec<ValueId>,
+    l2: Option<Vec<ValueId>>,
 }
 
 /// Expands a program into an instruction DFG, lowering each homomorphic
 /// operation in [`order_ops`]' order.
 pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
-    let (reassociated, order) = order_ops(program, opts);
+    let relin = relin_plan(program);
+    let (reassociated, order) = order_ops_by(program, &relin, opts);
     let program = &reassociated;
     let mut ex = Expander {
         program,
+        relin: &relin,
         dfg: Dfg::new(program.n),
         hints: BTreeMap::new(),
         hint_index: HashMap::new(),
@@ -87,6 +98,7 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
     }
     for &out in program.outputs() {
         let ct = ex.cts[out.0 as usize].as_ref().expect("output must be a ciphertext");
+        debug_assert!(ct.l2.is_none(), "output {out:?} is not relinearized");
         for &v in ct.a.iter().chain(&ct.b) {
             ex.dfg.mark_output(v);
         }
@@ -103,10 +115,15 @@ pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
 /// operands changed; every other op, every op's level and the outputs are
 /// `program`'s.
 pub fn order_ops(program: &Program, opts: &ExpandOptions) -> (Program, Vec<usize>) {
+    order_ops_by(program, &relin_plan(program), opts)
+}
+
+/// [`order_ops`] with `program`'s [`relin_plan`] given.
+fn order_ops_by(program: &Program, relin: &[Relin], opts: &ExpandOptions) -> (Program, Vec<usize>) {
     if opts.keep_program_order {
         (program.clone(), (0..program.ops().len()).collect())
     } else {
-        budgeted_order(program, live_budget(&opts.machine.clone().unwrap_or_default()))
+        budgeted_order(program, relin, live_budget(&opts.machine.clone().unwrap_or_default()))
     }
 }
 
@@ -132,7 +149,7 @@ pub fn order_ops(program: &Program, opts: &ExpandOptions) -> (Program, Vec<usize
 /// lookup's 64 query–key diffs at L = 17 peaked at 143 MB of live
 /// results), and those whose every operand is read again later anyway.
 pub fn hint_reuse_order(program: &Program) -> Vec<usize> {
-    budgeted_order(program, live_budget(&ArchConfig::default())).1
+    budgeted_order(program, &relin_plan(program), live_budget(&ArchConfig::default())).1
 }
 
 /// The live-bytes budget of pass 1's order on `arch`: a quarter of the
@@ -149,15 +166,23 @@ fn live_budget(arch: &ArchConfig) -> u64 {
 
 /// [`hint_reuse_order`]'s rule under a live set of at most `budget` bytes
 /// (a soft bound: hint-free operations drain regardless), then
-/// [`reassociate_sums`] and [`sink_ops`].
-fn budgeted_order(program: &Program, budget: u64) -> (Program, Vec<usize>) {
-    let (program, order) = reassociate_sums(program, &list_order(program, budget));
-    let order = sink_ops(&program, &order);
+/// [`reassociate_sums`] and [`sink_ops`]. `relin` is `program`'s
+/// [`relin_plan`]; the rewrites keep its hints, so it serves both.
+fn budgeted_order(program: &Program, relin: &[Relin], budget: u64) -> (Program, Vec<usize>) {
+    let hints = hint_table(program, relin);
+    let (program, order) = reassociate_sums(program, &list_order(program, relin, &hints, budget));
+    let order = sink_ops(&program, &hints, &order);
     (program, order)
 }
 
-/// [`budgeted_order`]'s list-scheduling rule, before its rewrites.
-fn list_order(program: &Program, budget: u64) -> Vec<usize> {
+/// [`budgeted_order`]'s list-scheduling rule, before its rewrites, with
+/// each op's hint from `hints` ([`hint_table`]).
+fn list_order(
+    program: &Program,
+    relin: &[Relin],
+    hints: &[Option<HintId>],
+    budget: u64,
+) -> Vec<usize> {
     let ops = program.ops();
     let n_ops = ops.len();
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
@@ -168,14 +193,14 @@ fn list_order(program: &Program, budget: u64) -> Vec<usize> {
             indegree[i] += 1;
         }
     }
-    let mut live = LiveSet::new(program);
+    let mut live = LiveSet::new(program, relin);
     let mut ready: Vec<usize> = (0..n_ops).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n_ops);
     let mut current_hint: Option<HintId> = None;
     while !ready.is_empty() {
         ready.sort_unstable();
         // 1. Drain hint-free ready ops (adds, plain ops, mod switches).
-        let pos = ready.iter().position(|&i| hint_of(&ops[i]).is_none());
+        let pos = ready.iter().position(|&i| hints[i].is_none());
         let pick = if let Some(p) = pos {
             p
         } else if live.bytes > budget {
@@ -183,9 +208,8 @@ fn list_order(program: &Program, budget: u64) -> Vec<usize> {
             0
         } else {
             // 3. Prefer the current hint; otherwise the most popular one.
-            let same = ready
-                .iter()
-                .position(|&i| hint_of(&ops[i]) == current_hint && current_hint.is_some());
+            let same =
+                ready.iter().position(|&i| hints[i] == current_hint && current_hint.is_some());
             match same {
                 Some(p) => p,
                 None => {
@@ -196,19 +220,19 @@ fn list_order(program: &Program, budget: u64) -> Vec<usize> {
                     // makespan wobble ROADMAP tracked.)
                     let mut counts: BTreeMap<HintId, usize> = BTreeMap::new();
                     for &i in &ready {
-                        if let Some(h) = hint_of(&ops[i]) {
+                        if let Some(h) = hints[i] {
                             *counts.entry(h).or_insert(0) += 1;
                         }
                     }
                     let best = counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
                     let best = best.map(|(h, _)| h).unwrap();
                     current_hint = Some(best);
-                    ready.iter().position(|&i| hint_of(&ops[i]) == Some(best)).unwrap()
+                    ready.iter().position(|&i| hints[i] == Some(best)).unwrap()
                 }
             }
         };
         let chosen = ready.swap_remove(pick);
-        if let Some(h) = hint_of(&ops[chosen]) {
+        if let Some(h) = hints[chosen] {
             current_hint = Some(h);
         }
         order.push(chosen);
@@ -243,42 +267,20 @@ fn list_order(program: &Program, budget: u64) -> Vec<usize> {
 fn reassociate_sums(program: &Program, order: &[usize]) -> (Program, Vec<usize>) {
     let ops = program.ops();
     let is_add = |i: usize| matches!(ops[i], HomOp::Add { .. });
-    let mut refs = vec![0usize; ops.len()];
-    let mut user = vec![0usize; ops.len()];
-    for (i, op) in ops.iter().enumerate() {
-        for d in op_deps(op) {
-            refs[d.0 as usize] += 1;
-            user[d.0 as usize] = i;
-        }
-    }
-    let mut inner = vec![false; ops.len()];
-    for i in (0..ops.len()).filter(|&i| is_add(i) && refs[i] == 1 && is_add(user[i])) {
-        inner[i] = true;
-    }
-    for o in program.outputs() {
-        inner[o.0 as usize] = false;
-    }
     // Each tree's `Add`s, ascending, and each op's trees (once per use as
     // a term).
-    let mut trees: Vec<SumTree> = Vec::new();
     let mut term_of: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
-    for root in (0..ops.len()).filter(|&i| is_add(i) && !inner[i]) {
-        let mut adds = Vec::new();
-        let mut stack = vec![root];
-        while let Some(i) = stack.pop() {
-            adds.push(i);
-            for d in op_deps(&ops[i]) {
-                let d = d.0 as usize;
-                if inner[d] {
-                    stack.push(d);
-                } else {
-                    term_of[d].push(trees.len());
-                }
+    let mut trees: Vec<SumTree> = sum_trees(program)
+        .into_iter()
+        .enumerate()
+        .map(|(t, (mut adds, terms))| {
+            for d in terms {
+                term_of[d].push(t);
             }
-        }
-        adds.sort_unstable();
-        trees.push(SumTree { adds, added: 0, sum: None });
-    }
+            adds.sort_unstable();
+            SumTree { adds, added: 0, sum: None }
+        })
+        .collect();
     // Walk `order` without its `Add`s; each op computed feeds its trees,
     // and a tree's root, once emitted, feeds the trees it is a term of.
     let mut new_ops = ops.to_vec();
@@ -314,6 +316,173 @@ fn reassociate_sums(program: &Program, order: &[usize]) -> (Program, Vec<usize>)
     (rewritten, new_order)
 }
 
+/// The program's sum trees (see [`reassociate_sums`]), by ascending root:
+/// each tree's `Add`s, every `Add` before its operands (the root first),
+/// and its terms, the operands that are not its `Add`s, once per use.
+fn sum_trees(program: &Program) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let ops = program.ops();
+    let is_add = |i: usize| matches!(ops[i], HomOp::Add { .. });
+    let (refs, user) = readers(program);
+    let mut inner = vec![false; ops.len()];
+    for i in (0..ops.len()).filter(|&i| is_add(i) && refs[i] == 1 && is_add(user[i])) {
+        inner[i] = true;
+    }
+    for o in program.outputs() {
+        inner[o.0 as usize] = false;
+    }
+    let mut trees = Vec::new();
+    for root in (0..ops.len()).filter(|&i| is_add(i) && !inner[i]) {
+        let (mut adds, mut terms) = (Vec::new(), Vec::new());
+        let mut stack = vec![root];
+        while let Some(i) = stack.pop() {
+            adds.push(i);
+            for d in op_deps(&ops[i]) {
+                let d = d.0 as usize;
+                if inner[d] {
+                    stack.push(d);
+                } else {
+                    terms.push(d);
+                }
+            }
+        }
+        trees.push((adds, terms));
+    }
+    trees
+}
+
+/// Per op, how many ops read it and the last of them.
+fn readers(program: &Program) -> (Vec<usize>, Vec<usize>) {
+    let mut refs = vec![0usize; program.ops().len()];
+    let mut user = vec![0usize; program.ops().len()];
+    for (i, op) in program.ops().iter().enumerate() {
+        for d in op_deps(op) {
+            refs[d.0 as usize] += 1;
+            user[d.0 as usize] = i;
+        }
+    }
+    (refs, user)
+}
+
+/// How pass 1 relinearizes an op (see [`relin_plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relin {
+    /// Relinearized as written: a `Mul` key-switches its own product.
+    Own,
+    /// A `Mul` lowered to its tensor alone; its result carries `l2`.
+    Tensor,
+    /// Carries `l2` through: a `MulPlain` of a [`Relin::Tensor`], or an
+    /// inner `Add` of the sum tree with an operand that carries it.
+    Carry,
+    /// A sum tree's root `Add`: key-switches the summed `l2` once, with the
+    /// relinearization hint.
+    Root,
+}
+
+impl Relin {
+    /// Whether the op's result carries `l2`, a third polynomial.
+    fn carries_l2(self) -> bool {
+        matches!(self, Relin::Tensor | Relin::Carry)
+    }
+}
+
+/// Where pass 1 relinearizes each op of `program` (lazy relinearization,
+/// after Chen 2017): relinearization is linear, so a sum of products can be
+/// key-switched once, on the sum of their `l2` polynomials. A *sum tree*
+/// is a maximal tree of `Add`s whose inner `Add`s are not outputs and each
+/// have one user, itself an `Add`. A *product term* of a sum tree is a
+/// `Mul`, or a `MulPlain` of a `Mul`, that only the tree reads and that is
+/// not an output (nor is the `Mul`). In a tree with two or more product terms,
+/// each product is lowered to its tensor alone, the `l2` is carried
+/// through the tree's `MulPlain`s and `Add`s, and the root `Add`
+/// key-switches the sum. Modular addition is exact, so the result differs
+/// from relinearizing every product only in the key-switch's rounding:
+/// one key-switch error instead of one per product. Every other op is
+/// [`Relin::Own`].
+///
+/// The plan is read from the program's structure, so the op order (a
+/// deferred product needs no hint and a root needs the relinearization
+/// one), the live-set budget (a value carrying `l2` holds three
+/// polynomials) and the DFG agree. Re-adding a sum's terms in another
+/// order ([`order_ops`]) keeps every tree's `Add`s, terms and root, so a
+/// plan holds for the rewritten program too, except which of a tree's
+/// inner `Add`s carry `l2`.
+pub fn relin_plan(program: &Program) -> Vec<Relin> {
+    let ops = program.ops();
+    let (refs, _) = readers(program);
+    let mut is_output = vec![false; ops.len()];
+    for o in program.outputs() {
+        is_output[o.0 as usize] = true;
+    }
+    let mut plan = vec![Relin::Own; ops.len()];
+    // Per op, its uses as a term of the tree at hand.
+    let mut uses = vec![0usize; ops.len()];
+    for (adds, terms) in sum_trees(program) {
+        for &d in &terms {
+            uses[d] += 1;
+        }
+        // Each product term and its `Mul`, once (a listed term's uses are
+        // cleared).
+        let mut products: Vec<(usize, usize)> = Vec::new();
+        for &d in &terms {
+            let mul = match ops[d] {
+                HomOp::Mul { .. } => d,
+                HomOp::MulPlain { a, .. }
+                    if matches!(ops[a.0 as usize], HomOp::Mul { .. })
+                        && refs[a.0 as usize] == 1
+                        && !is_output[a.0 as usize] =>
+                {
+                    a.0 as usize
+                }
+                _ => continue,
+            };
+            if !is_output[d] && refs[d] == uses[d] {
+                products.push((d, mul));
+                uses[d] = 0;
+            }
+        }
+        for &d in &terms {
+            uses[d] = 0;
+        }
+        if products.len() < 2 {
+            continue;
+        }
+        for (d, mul) in products {
+            debug_assert_eq!(
+                program.level_of(CtId(d as u32)),
+                program.level_of(CtId(adds[0] as u32))
+            );
+            plan[mul] = Relin::Tensor;
+            if d != mul {
+                plan[d] = Relin::Carry;
+            }
+        }
+        // Operands before their `Add`s: the reverse of the walk's order.
+        for &i in adds[1..].iter().rev() {
+            if op_deps(&ops[i]).iter().any(|d| plan[d.0 as usize].carries_l2()) {
+                plan[i] = Relin::Carry;
+            }
+        }
+        plan[adds[0]] = Relin::Root;
+    }
+    plan
+}
+
+/// Each op's key-switch hint under `relin` ([`relin_plan`]): a deferred
+/// product has none, and a sum root that relinearizes uses
+/// [`HintId::Relin`].
+fn hint_table(program: &Program, relin: &[Relin]) -> Vec<Option<HintId>> {
+    program
+        .ops()
+        .iter()
+        .zip(relin)
+        .map(|(op, r)| match r {
+            Relin::Tensor => None,
+            Relin::Root => Some(HintId::Relin),
+            Relin::Own | Relin::Carry => hint_of(op),
+        })
+        .collect()
+}
+
 /// One sum tree of [`reassociate_sums`] while it is rewritten.
 struct SumTree {
     /// The tree's `Add`s, ascending: the root is the last.
@@ -325,7 +494,8 @@ struct SumTree {
 }
 
 /// Moves each *sinkable* op of `order` to just before its first user. A
-/// hint-free op is sinkable under either of two rules:
+/// hint-free op (by `hints`, [`hint_table`]) is sinkable under either of
+/// two rules:
 ///
 /// * *input-only*: every operand is a program input or another input-only
 ///   op. Such an op is ready from the start, so [`budgeted_order`]'s drain
@@ -343,7 +513,7 @@ struct SumTree {
 /// have a larger index than its user. Sinkable ops keep their relative
 /// order (so chains stay in order), and those with no user go last.
 /// [`expand`]'s `keep_program_order` skips this pass with the rest.
-fn sink_ops(program: &Program, order: &[usize]) -> Vec<usize> {
+fn sink_ops(program: &Program, hints: &[Option<HintId>], order: &[usize]) -> Vec<usize> {
     let ops = program.ops();
     let is_input = |i: usize| matches!(ops[i], HomOp::Input { .. } | HomOp::PlainInput { .. });
     let mut pos = vec![0usize; ops.len()];
@@ -361,7 +531,7 @@ fn sink_ops(program: &Program, order: &[usize]) -> Vec<usize> {
     let mut input_only = vec![false; ops.len()];
     let mut sinkable = vec![false; ops.len()];
     for (p, &i) in order.iter().enumerate() {
-        if is_input(i) || hint_of(&ops[i]).is_some() {
+        if is_input(i) || hints[i].is_some() {
             continue;
         }
         let deps = op_deps(&ops[i]);
@@ -394,16 +564,18 @@ fn sink_ops(program: &Program, order: &[usize]) -> Vec<usize> {
 
 /// The live set of a partial op order: the computed results that still
 /// have unissued users or are outputs, at `2 · L · N · 4` bytes each (both
-/// polynomials). Inputs are left out: pass 2 loads them on demand.
+/// polynomials), or `3 · L · N · 4` for a result that carries `l2`
+/// ([`relin_plan`]). Inputs are left out: pass 2 loads them on demand.
 struct LiveSet<'p> {
     program: &'p Program,
+    relin: &'p [Relin],
     unissued_users: Vec<usize>,
     is_output: Vec<bool>,
     bytes: u64,
 }
 
 impl<'p> LiveSet<'p> {
-    fn new(program: &'p Program) -> Self {
+    fn new(program: &'p Program, relin: &'p [Relin]) -> Self {
         let mut unissued_users = vec![0usize; program.ops().len()];
         for op in program.ops() {
             for d in op_deps(op) {
@@ -414,13 +586,14 @@ impl<'p> LiveSet<'p> {
         for o in program.outputs() {
             is_output[o.0 as usize] = true;
         }
-        Self { program, unissued_users, is_output, bytes: 0 }
+        Self { program, relin, unissued_users, is_output, bytes: 0 }
     }
 
     fn result_bytes(&self, i: usize) -> u64 {
+        let polys = if self.relin[i].carries_l2() { 3 } else { 2 };
         match self.program.ops()[i] {
             HomOp::Input { .. } | HomOp::PlainInput { .. } => 0,
-            _ => 2 * self.program.level_of(CtId(i as u32)) as u64 * self.program.n as u64 * 4,
+            _ => polys * self.program.level_of(CtId(i as u32)) as u64 * self.program.n as u64 * 4,
         }
     }
 
@@ -459,6 +632,9 @@ fn hint_of(op: &HomOp) -> Option<HintId> {
 
 struct Expander<'p> {
     program: &'p Program,
+    /// The input program's [`relin_plan`]: its `Tensor`s and `Root`s hold
+    /// for `program`, which may re-add its sums.
+    relin: &'p [Relin],
     dfg: Dfg,
     hints: BTreeMap<HintId, Vec<ValueId>>,
     /// Each hint vector by `(hint, polynomial, limb)`: see
@@ -474,6 +650,14 @@ struct Expander<'p> {
 impl Expander<'_> {
     fn ct(&self, id: CtId) -> &LoweredCt {
         self.cts[id.0 as usize].as_ref().expect("ciphertext not yet lowered")
+    }
+
+    /// [`Self::ct`] of an operand that must be relinearized: only a sum
+    /// tree's `MulPlain`s and `Add`s read a value that carries `l2`.
+    fn relinearized(&self, id: CtId) -> &LoweredCt {
+        let ct = self.ct(id);
+        debug_assert!(ct.l2.is_none(), "{id:?} is read before its sum is relinearized");
+        ct
     }
 
     fn plain(&self, id: CtId) -> &[ValueId] {
@@ -511,7 +695,7 @@ impl<'p> Expander<'p> {
             HomOp::Input { level } => {
                 let a = (0..level).map(|i| self.input(i, format!("ct{idx}.a[{i}]"))).collect();
                 let b = (0..level).map(|i| self.input(i, format!("ct{idx}.b[{i}]"))).collect();
-                self.cts[id.0 as usize] = Some(LoweredCt { a, b });
+                self.cts[id.0 as usize] = Some(LoweredCt { a, b, l2: None });
             }
             HomOp::PlainInput { level } => {
                 let p = (0..level).map(|i| self.input(i, format!("pt{idx}[{i}]"))).collect();
@@ -519,32 +703,47 @@ impl<'p> Expander<'p> {
             }
             HomOp::Add { a, b } => {
                 let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
-                let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[x.a[i], y.a[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], y.b[i]])).collect(),
+                let sum = |this: &mut Self, u: &[ValueId], v: &[ValueId]| -> Vec<ValueId> {
+                    (0..level).map(|i| this.emit(VectorOp::Add, &[u[i], v[i]])).collect()
                 };
+                let mut out = LoweredCt {
+                    a: sum(self, &x.a, &y.a),
+                    b: sum(self, &x.b, &y.b),
+                    l2: match (x.l2, y.l2) {
+                        (Some(u), Some(v)) => Some(sum(self, &u, &v)),
+                        (u, v) => u.or(v),
+                    },
+                };
+                if self.relin[idx] == Relin::Root {
+                    out = self.relinearize(out, level);
+                }
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::AddPlain { a, p } => {
-                let x = self.ct(a).clone();
+                let x = self.relinearized(a).clone();
                 let pt = self.plain(p).to_vec();
                 let out = LoweredCt {
                     a: x.a.clone(),
                     b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], pt[i]])).collect(),
+                    l2: None,
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::MulPlain { a, p } => {
                 let x = self.ct(a).clone();
                 let pt = self.plain(p).to_vec();
+                let mut times_pt = |u: &[ValueId]| -> Vec<ValueId> {
+                    (0..level).map(|i| self.emit(VectorOp::Mul, &[u[i], pt[i]])).collect()
+                };
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], pt[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], pt[i]])).collect(),
+                    a: times_pt(&x.a),
+                    b: times_pt(&x.b),
+                    l2: x.l2.as_deref().map(times_pt),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::Mul { a, b } => {
-                let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
+                let (x, y) = (self.relinearized(a).clone(), self.relinearized(b).clone());
                 // Tensor (§2.2.1): l2 = a0*a1, l1 = a0*b1 + a1*b0, l0 = b0*b1.
                 let l2: Vec<ValueId> =
                     (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], y.a[i]])).collect();
@@ -557,15 +756,14 @@ impl<'p> Expander<'p> {
                     .collect();
                 let l0: Vec<ValueId> =
                     (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], y.b[i]])).collect();
-                let (u0, u1) = self.keyswitch(&l2, HintId::Relin, level);
-                let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[l1[i], u1[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[l0[i], u0[i]])).collect(),
-                };
+                let mut out = LoweredCt { a: l1, b: l0, l2: Some(l2) };
+                if self.relin[idx] != Relin::Tensor {
+                    out = self.relinearize(out, level);
+                }
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::Aut { a, k } => {
-                let x = self.ct(a).clone();
+                let x = self.relinearized(a).clone();
                 let sa: Vec<ValueId> =
                     (0..level).map(|i| self.emit(VectorOp::Aut { k }, &[x.a[i]])).collect();
                 let sb: Vec<ValueId> =
@@ -574,11 +772,12 @@ impl<'p> Expander<'p> {
                 let out = LoweredCt {
                     a: u1,
                     b: (0..level).map(|i| self.emit(VectorOp::Add, &[sb[i], u0[i]])).collect(),
+                    l2: None,
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::ModSwitch { a } => {
-                let x = self.ct(a).clone();
+                let x = self.relinearized(a).clone();
                 let out_level = level; // already the reduced level
                 let top = out_level; // index of the dropped limb in inputs
                 let lower = |poly: &[ValueId], this: &mut Self| -> Vec<ValueId> {
@@ -596,8 +795,20 @@ impl<'p> Expander<'p> {
                 };
                 let a_new = lower(&x.a, self);
                 let b_new = lower(&x.b, self);
-                self.cts[id.0 as usize] = Some(LoweredCt { a: a_new, b: b_new });
+                self.cts[id.0 as usize] = Some(LoweredCt { a: a_new, b: b_new, l2: None });
             }
+        }
+    }
+
+    /// Key-switches `ct`'s `l2` with the relinearization hint and adds the
+    /// result to `ct`'s polynomials.
+    fn relinearize(&mut self, ct: LoweredCt, level: usize) -> LoweredCt {
+        let l2 = ct.l2.expect("only a product is relinearized");
+        let (u0, u1) = self.keyswitch(&l2, HintId::Relin, level);
+        LoweredCt {
+            a: (0..level).map(|i| self.emit(VectorOp::Add, &[ct.a[i], u1[i]])).collect(),
+            b: (0..level).map(|i| self.emit(VectorOp::Add, &[ct.b[i], u0[i]])).collect(),
+            l2: None,
         }
     }
 
@@ -794,9 +1005,16 @@ mod tests {
         p.lower().program
     }
 
+    /// [`list_order`] with `p`'s own relinearization plan.
+    fn list_order_of(p: &Program, budget: u64) -> Vec<usize> {
+        let relin = relin_plan(p);
+        list_order(p, &relin, &hint_table(p, &relin), budget)
+    }
+
     /// The largest live set `order` leaves after an issue.
     fn peak_live_bytes(p: &Program, order: &[usize]) -> u64 {
-        let mut live = LiveSet::new(p);
+        let relin = relin_plan(p);
+        let mut live = LiveSet::new(p, &relin);
         order
             .iter()
             .map(|&i| {
@@ -815,7 +1033,7 @@ mod tests {
         let result = 2 * 4 * (1u64 << 10) * 4;
         // Unbounded: the order stays on the first hint, so all `r` first
         // rotations issue back to back and their sums wait together.
-        let (q, grouped) = budgeted_order(&p, u64::MAX);
+        let (q, grouped) = budgeted_order(&p, &relin_plan(&p), u64::MAX);
         let auts: Vec<usize> =
             grouped.iter().copied().filter(|&i| hint_of(&p.ops()[i]).is_some()).collect();
         assert!(auts[..r].iter().all(|&i| first_rotation(i)), "{auts:?}");
@@ -823,7 +1041,7 @@ mod tests {
         // A three-result budget: the order falls back to program order
         // whenever the live set outgrows it.
         let budget = 3 * result;
-        let (q, bounded) = budgeted_order(&p, budget);
+        let (q, bounded) = budgeted_order(&p, &relin_plan(&p), budget);
         let peak = peak_live_bytes(&q, &bounded);
         assert!(peak <= budget + result, "peak {peak} over budget {budget} + {result}");
     }
@@ -875,7 +1093,7 @@ mod tests {
         }
         assert_eq!(diffs, entries);
         let budget = live_budget(&ArchConfig::default());
-        let listed = peak_live_bytes(&p, &list_order(&p, budget));
+        let listed = peak_live_bytes(&p, &list_order_of(&p, budget));
         let sunk = peak_live_bytes(&q, &order);
         assert!(sunk < listed, "sinking left the live peak at {sunk} B (list order {listed} B)");
     }
@@ -914,7 +1132,7 @@ mod tests {
         assert!(peak <= (chains as u64 + 2) * result, "peak {} results", peak / result);
         // In program order each chain holds its products until it reaches
         // them.
-        let listed = peak_live_bytes(&p, &list_order(&p, live_budget(&ArchConfig::default())));
+        let listed = peak_live_bytes(&p, &list_order_of(&p, live_budget(&ArchConfig::default())));
         assert!(listed > peak + 2 * result, "list order peak {} results", listed / result);
         // Only `Add`s changed, and the chains' roots still sum them.
         let changed: Vec<usize> =
@@ -955,7 +1173,7 @@ mod tests {
         let p = dense_fan_out(blocks);
         let result = 2 * 4 * (1u64 << 10) * 4;
         let budget = 2 * result;
-        let (q, order) = budgeted_order(&p, budget);
+        let (q, order) = budgeted_order(&p, &relin_plan(&p), budget);
         let ops = q.ops();
         let products: Vec<usize> =
             (0..ops.len()).filter(|&i| matches!(ops[i], HomOp::MulPlain { .. })).collect();
@@ -968,12 +1186,132 @@ mod tests {
                 "product {m} is followed by op {next}, not its first rotation"
             );
         }
-        let listed = peak_live_bytes(&p, &list_order(&p, budget)) / result;
+        let listed = peak_live_bytes(&p, &list_order_of(&p, budget)) / result;
         let sunk = peak_live_bytes(&q, &order) / result;
         assert!(
             sunk < listed,
             "sinking left the live peak at {sunk} results (list order {listed})"
         );
+    }
+
+    /// `k` products of fresh level-4 inputs, summed into one output.
+    fn sum_of_products(k: usize) -> (FheProgram, Vec<crate::IrId>, crate::IrId) {
+        let mut f = FheProgram::new(1 << 10, Scheme::Bgv);
+        let products: Vec<_> = (0..k)
+            .map(|_| {
+                let (x, y) = (f.input(4), f.input(4));
+                f.mul(x, y)
+            })
+            .collect();
+        let sum = products[1..].iter().fold(products[0], |acc, &m| f.add(acc, m));
+        (f, products, sum)
+    }
+
+    /// How many key-switches of `ex` read the relinearization hint: its
+    /// hint multiplies over one key-switch's `2(l + K)` hint vectors.
+    fn relin_keyswitches(ex: &Expanded) -> usize {
+        let Some(hint) = ex.hint_values.get(&HintId::Relin) else { return 0 };
+        let reads = ex
+            .dfg
+            .instrs()
+            .iter()
+            .filter(|i| i.op == VectorOp::Mul && i.inputs().iter().any(|v| hint.contains(v)))
+            .count();
+        reads / hint.len()
+    }
+
+    #[test]
+    fn a_sum_of_products_relinearizes_once() {
+        for k in [2, 3, 8] {
+            let (mut f, _, sum) = sum_of_products(k);
+            f.output(sum);
+            let p = f.lower().program;
+            let relin = relin_plan(&p);
+            let count = |r: Relin| relin.iter().filter(|&&x| x == r).count();
+            assert_eq!((count(Relin::Tensor), count(Relin::Root)), (k, 1));
+            for keep_program_order in [false, true] {
+                let opts = ExpandOptions { keep_program_order, ..Default::default() };
+                let ex = expand(&p, &opts);
+                assert_eq!(relin_keyswitches(&ex), 1, "{k} products, {opts:?}");
+                let c = ex.dfg.op_counts();
+                assert_eq!(c["mul"], k * 4 * 4 + 2 * (4 + 4), "{k} tensors and one hint product");
+            }
+            // Every product and the order's own hint table: the products
+            // need no hint, the root the relinearization one.
+            let hints = hint_table(&p, &relin);
+            for (i, op) in p.ops().iter().enumerate() {
+                match op {
+                    HomOp::Mul { .. } => assert_eq!(hints[i], None),
+                    HomOp::Add { .. } if relin[i] == Relin::Root => {
+                        assert_eq!(hints[i], Some(HintId::Relin));
+                    }
+                    _ => assert_eq!(hints[i], hint_of(op)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn products_read_elsewhere_keep_their_relinearization() {
+        // Each program leaves fewer than two product terms in its sum, so
+        // every `Mul` key-switches its own product.
+        let lone = {
+            let mut f = FheProgram::new(1 << 10, Scheme::Bgv);
+            let (x, y, z) = (f.input(4), f.input(4), f.input(4));
+            let m = f.mul(x, y);
+            let s = f.add(m, z);
+            f.output(s);
+            f
+        };
+        let second_reader = {
+            let (mut f, products, sum) = sum_of_products(2);
+            let r = f.rotate(products[0], 1);
+            f.output(sum);
+            f.output(r);
+            f
+        };
+        let output = {
+            let (mut f, products, sum) = sum_of_products(2);
+            f.output(sum);
+            f.output(products[0]);
+            f
+        };
+        for (name, f) in [("lone", lone), ("second reader", second_reader), ("output", output)] {
+            let p = f.lower().program;
+            assert!(relin_plan(&p).iter().all(|&r| r == Relin::Own), "{name}");
+            let muls = p.ops().iter().filter(|op| matches!(op, HomOp::Mul { .. })).count();
+            let ex = expand(&p, &ExpandOptions::default());
+            assert_eq!(relin_keyswitches(&ex), muls, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_live_set_counts_l2() {
+        // A deferred product, and a `MulPlain` of one, hold three
+        // polynomials until the root relinearizes their sum.
+        let mut f = FheProgram::new(1 << 10, Scheme::Bgv);
+        let (x1, y1, x2, y2) = (f.input(4), f.input(4), f.input(4), f.input(4));
+        let (m1, m2) = (f.mul(x1, y1), f.mul(x2, y2));
+        let pt = f.plain_input(4);
+        let scaled = f.mul_plain(m2, pt);
+        let total = f.add(m1, scaled);
+        f.output(total);
+        let p = f.lower().program;
+        let relin = relin_plan(&p);
+        let live = LiveSet::new(&p, &relin);
+        let poly = 4 * (1u64 << 10) * 4;
+        let (mut tensors, mut carries) = (0, 0);
+        for i in 0..p.ops().len() {
+            let polys = match relin[i] {
+                Relin::Tensor | Relin::Carry => 3,
+                _ if matches!(p.ops()[i], HomOp::Input { .. } | HomOp::PlainInput { .. }) => 0,
+                _ => 2,
+            };
+            tensors += usize::from(relin[i] == Relin::Tensor);
+            carries += usize::from(relin[i] == Relin::Carry);
+            assert_eq!(live.result_bytes(i), polys * poly, "op {i}: {:?}", p.ops()[i]);
+        }
+        assert_eq!((tensors, carries), (2, 1), "{relin:?}");
     }
 
     #[test]

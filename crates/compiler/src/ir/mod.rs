@@ -126,6 +126,9 @@ pub enum FheOp {
     /// Addition of a plaintext operand.
     AddPlain(IrId, IrId),
     /// Homomorphic multiplication (tensor + relinearization key-switch).
+    /// When the product is a term of a sum, pass 1 may move the
+    /// relinearization to the sum's root, which key-switches the summed
+    /// products once ([`crate::expand::relin_plan`]).
     Mul(IrId, IrId),
     /// Multiplication by a plaintext operand (no key-switch).
     MulPlain(IrId, IrId),

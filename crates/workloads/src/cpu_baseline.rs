@@ -10,8 +10,12 @@
 //! scheme, not estimates. Programs are charged one op at a time: the
 //! baseline is single-thread apart from the BGV key-switch, which
 //! spreads its output limbs over the host's cores (from `N = 2048` up).
+//! A program is charged the key-switches F1 runs: pass 1 relinearizes a
+//! sum of products once, at its root ([`relin_plan`]), and so does the
+//! CPU side.
 
-use f1_compiler::dsl::{HomOp, Program};
+use f1_compiler::dsl::{CtId, HomOp, Program};
+use f1_compiler::expand::{relin_plan, Relin};
 use f1_fhe::bgv::{KeySet, Plaintext};
 use f1_fhe::keyswitch::KsScratch;
 use f1_fhe::params::BgvParams;
@@ -67,6 +71,29 @@ fn kind_of(op: &HomOp) -> Option<&'static str> {
     }
 }
 
+/// What `program` is charged: per op, its measured kind at its level, and
+/// a relinearization (`relin`, one key-switch of the tensor's `l2`) less
+/// for a product whose relinearization pass 1 defers ([`Relin::Tensor`])
+/// or more for the sum root that relinearizes it ([`Relin::Root`]). Each
+/// charge is `(kind, level, sign)`.
+fn charges(program: &Program) -> Vec<(&'static str, usize, f64)> {
+    let relin = relin_plan(program);
+    let mut out = Vec::new();
+    for (i, op) in program.ops().iter().enumerate() {
+        let Some(k) = kind_of(op) else { continue };
+        let lvl = program.level_of(CtId(i as u32)).max(1);
+        // mod_switch consumes the level above its output.
+        let lvl = if k == "mod_switch" { lvl + 1 } else { lvl };
+        out.push((k, lvl, 1.0));
+        match relin[i] {
+            Relin::Tensor => out.push(("relin", lvl, -1.0)),
+            Relin::Root => out.push(("relin", lvl, 1.0)),
+            Relin::Own | Relin::Carry => {}
+        }
+    }
+    out
+}
+
 impl CpuBaseline {
     /// Measures per-op costs for every `(kind, level)` pair a program
     /// uses, on a reduced-but-real instance: the ring dimension is
@@ -78,14 +105,9 @@ impl CpuBaseline {
     /// exactly once, keeping the fastest of five separately timed reps.
     pub fn measure(program: &Program, measure_n: usize) -> Self {
         let mut needed: Vec<(&'static str, usize)> = Vec::new();
-        for (i, op) in program.ops().iter().enumerate() {
-            if let Some(k) = kind_of(op) {
-                let lvl = program.level_of(f1_compiler::dsl::CtId(i as u32)).max(1);
-                // mod_switch consumes the level above its output.
-                let lvl = if k == "mod_switch" { lvl + 1 } else { lvl };
-                if !needed.contains(&(k, lvl)) {
-                    needed.push((k, lvl));
-                }
+        for (k, lvl, _) in charges(program) {
+            if !needed.contains(&(k, lvl)) {
+                needed.push((k, lvl));
             }
         }
         let mut costs = HashMap::new();
@@ -115,6 +137,9 @@ impl CpuBaseline {
                     }
                     "mul" => {
                         let _ = ct.mul_with_scratch(&ct, keys.relin_hint(), &mut scratch);
+                    }
+                    "relin" => {
+                        let _ = keys.relin_hint().apply_with_scratch(&ct.a, &mut scratch);
                     }
                     "mul_plain" => {
                         let _ = ct.mul_plain(&m, &params);
@@ -149,11 +174,9 @@ impl CpuBaseline {
         let scale =
             (target_n as f64 * (target_n as f64).log2()) / (self.n as f64 * (self.n as f64).log2());
         let mut total = 0.0;
-        for (i, op) in program.ops().iter().enumerate() {
-            if let Some(k) = kind_of(op) {
-                let lvl = program.level_of(f1_compiler::dsl::CtId(i as u32)).max(1);
-                let lvl = if k == "mod_switch" { lvl + 1 } else { lvl };
-                total += self.costs.get(&(k, lvl)).copied().unwrap_or_else(|| {
+        for (k, lvl, sign) in charges(program) {
+            total += sign
+                * self.costs.get(&(k, lvl)).copied().unwrap_or_else(|| {
                     // Fall back to the nearest measured level of the kind.
                     self.costs
                         .iter()
@@ -161,7 +184,6 @@ impl CpuBaseline {
                         .map(|(_, &c)| c)
                         .fold(0.0, f64::max)
                 });
-            }
         }
         total * scale
     }

@@ -134,7 +134,7 @@ fn tinypad_makespan_is_monotone_in_capacity() {
 /// schedule only when its peak fits the pad and it is no longer. The
 /// checker is then the only guard of the kept schedule. The fhe-ops BGV
 /// block and LoLa-MNIST EW keep their lineage-free schedules (the lineage
-/// ones take 15,550 and 26,796 cycles). Listing 2's matvec at N = 2^12,
+/// ones take 15,550 and 27,041 cycles). Listing 2's matvec at N = 2^12,
 /// L = 6 with 8 rows keeps its lineage schedule, because the lineage-free
 /// one fits but takes 17,536 cycles, and so does LoLa-CIFAR, whose
 /// lineage-free schedule peaks at 86.2 MB.
@@ -149,7 +149,7 @@ fn compulsory_only_schedules_fit_the_pad() {
     let arch = ArchConfig::f1_default();
     for (name, p, makespan) in [
         ("bgv_block", bgv, 14_727),
-        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_198),
+        ("lola_mnist_ew", lola_mnist_ew(8).fhe, 26_188),
         ("listing2_matvec", FheProgram::listing2_matvec(1 << 12, 6, 8), 17_025),
         ("lola_cifar", lola_cifar_uw(8).fhe, 94_964),
     ] {

@@ -4,8 +4,8 @@
 //! multiplies and automorphisms that pass 1 emits, so these tests run
 //! expanded DFGs on real residues: one BGV `mul`, one `rotate`, one
 //! program that chains a `mul` with `mul_plain`, `add` and `add_plain`,
-//! and two sums of products that pass 1 re-adds in the order it computes
-//! their terms.
+//! two sums of products that pass 1 re-adds in the order it computes
+//! their terms, and a sum of products that pass 1 relinearizes once.
 //! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
 //! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
 //! hint vectors are the residues of the same keys' hints. Each output
@@ -406,4 +406,63 @@ fn reassociated_sums_compute_f1_fhe_residues() {
         let want = (1..taps).fold(term(0), |acc, i| acc.add(&term(i)));
         assert!(a == want.a && b == want.b, "chain {g}'s residues differ from f1-fhe's");
     }
+}
+
+#[test]
+fn lazily_relinearized_sums_compute_f1_fhe_residues() {
+    // add(add(mul(x1, y1), mul(x2, y2)), mul_plain(mul(x3, y3), p)): pass 1
+    // lowers the three products to their tensors, carries `l2` through
+    // the `mul_plain` and the adds, and key-switches the summed `l2` once,
+    // at the root.
+    let params = BgvParams::test_with_specials(N, L, L);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let keys = KeySet::generate(&params, &mut rng);
+    let messages: Vec<Plaintext> = (1..=6).map(|i| plain(&params, i)).collect();
+    let cts: Vec<Ciphertext> = messages.iter().map(|m| keys.encrypt(m, &mut rng)).collect();
+    let p = plain(&params, 7);
+    let p_res = plain_residues(&params, &p, L);
+    let ghs = keys.relin_hint_ghs().unwrap();
+    let chain = Chain {
+        ctx: params.context(),
+        special_start: ghs.special_start(),
+        t: params.plaintext_modulus,
+    };
+
+    let mut f = FheProgram::new(N, Scheme::Bgv);
+    let xs: Vec<_> = cts.iter().map(|_| f.input(L)).collect();
+    let pp = f.plain_input(L);
+    let (m1, m2, m3) = (f.mul(xs[0], xs[1]), f.mul(xs[2], xs[3]), f.mul(xs[4], xs[5]));
+    let s = f.add(m1, m2);
+    let scaled = f.mul_plain(m3, pp);
+    let r = f.add(s, scaled);
+    f.output(r);
+    let lowered = f.lower();
+    let inputs: Vec<&Ciphertext> = cts.iter().collect();
+    let got = run(&lowered, &inputs, &[&p_res], &Hint::Ghs(ghs), &chain);
+
+    // The reference: the summed tensors `(Σl0, Σl1, Σl2)`, the third scaled
+    // by `p`, with one GHS key-switch of `Σl2` added.
+    let tensor = |x: &Ciphertext, y: &Ciphertext| {
+        let l1 = x.a.mul(&y.b).add(&x.b.mul(&y.a));
+        [x.b.mul(&y.b), l1, x.a.mul(&y.a)]
+    };
+    let [t1, t2, t3] = [0, 2, 4].map(|i| tensor(&cts[i], &cts[i + 1]));
+    let [l0, l1, l2] = [0, 1, 2].map(|j| t1[j].add(&t2[j]).add(&t3[j].mul(&p_res)));
+    let (u0, u1) = ghs.apply(&l2);
+    let want = (l1.add(&u1), l0.add(&u0));
+    assert!(got == want, "lazily relinearized residues differ from f1-fhe's");
+
+    // Negative control: relinearizing every product adds three key-switch
+    // roundings, not one, so the residues differ.
+    let eager = cts[0]
+        .mul_ghs(&cts[1], ghs)
+        .add(&cts[2].mul_ghs(&cts[3], ghs))
+        .add(&cts[4].mul_ghs(&cts[5], ghs).mul_plain(&p, &params));
+    assert!(got.0 != eager.a && got.1 != eager.b, "one key-switch computed the eager residues");
+
+    // Either way the sum decrypts to the plaintext sum of products.
+    let product = |i: usize| messages[i].ring_mul(&messages[i + 1]);
+    let sum = product(0).ring_add(&product(2)).ring_add(&product(4).ring_mul(&p));
+    assert_eq!(keys.decrypt(&eager), sum);
+    assert_eq!(keys.decrypt(&with_polys(&eager, got)), sum);
 }
