@@ -1,11 +1,10 @@
 //! Software polynomial-stack microbenchmarks with a tracked JSON trajectory.
 //!
 //! Times the hot kernels of the CPU baseline — forward/inverse NTT (lazy
-//! and retained-reference), negacyclic multiplication, decomposition
-//! key-switching (scratch-arena and a faithful reconstruction of the
-//! pre-lazy-reduction allocation-heavy formulation), GHS key-switching
-//! (`GhsHint::apply`, the path CKKS mul/rotate and BGV `mul_ghs` run, with
-//! `K = L` special primes), and a full BGV homomorphic multiply — at
+//! and retained-reference), negacyclic multiplication, GHS key-switching
+//! (`GhsHint::apply_with_scratch` over a BGV `KeySet`'s relinearization
+//! hint, with its `K = L` special primes: the key-switch every BGV and
+//! CKKS mul and rotate runs), and a full BGV homomorphic multiply — at
 //! paper sizes, and writes `BENCH_poly.json`
 //! so every PR has a recorded perf trajectory.
 //!
@@ -17,16 +16,15 @@
 //!
 //! `--check <file>` compares the fresh run against a previously committed
 //! JSON: it fails (exit 1) if any matching kernel regressed by more than
-//! 1.5x, and always enforces the lazy-vs-reference speedup floor (NTT and
-//! key-switch must be ≥ 2x faster than the pre-PR kernels).
+//! 1.5x, and always enforces the lazy-vs-reference speedup floor (the NTTs
+//! must be ≥ 2x faster than the reference kernels).
 
 use f1_fhe::bgv::{KeySet, Plaintext};
-use f1_fhe::keys::SecretKey;
-use f1_fhe::keyswitch::{DecompHint, GhsHint, KsScratch};
+use f1_fhe::keyswitch::KsScratch;
 use f1_fhe::params::BgvParams;
 use f1_modarith::{primes, Modulus};
 use f1_poly::ntt::NttTables;
-use f1_poly::rns::{Domain, RnsContext, RnsPoly};
+use f1_poly::rns::RnsPoly;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -68,47 +66,6 @@ fn time_ns(samples: usize, mut f: impl FnMut()) -> f64 {
     }
     per_iter.sort_by(|a, b| a.total_cmp(b));
     per_iter[per_iter.len() / 2]
-}
-
-/// The pre-PR key-switch formulation, reconstructed faithfully for the
-/// before/after record: strict (non-lazy) butterflies for every transform,
-/// per-digit allocation of the lift, `truncate_level` clones of both hint
-/// rows, and operator-chaining (`u0 = u0.add(&lifted.mul(&row))`) instead
-/// of fused in-place accumulation.
-fn keyswitch_pre_pr(hint: &DecompHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
-    let l = x.level();
-    let ctx = x.context().clone();
-    let n = x.n();
-    // y = [INTT_reference(x[i])].
-    let mut y = x.clone();
-    for i in 0..l {
-        ctx.tables(i).inverse_reference(y.limb_mut(i));
-    }
-    y.assume_domain(Domain::Coefficient);
-    let mut u0 = RnsPoly::zero_ntt_at_level(&ctx, l);
-    let mut u1 = u0.clone();
-    for i in 0..l {
-        let mi = *ctx.modulus(i);
-        let mut lifted = RnsPoly::zero_at_level(&ctx, l);
-        for j in 0..l {
-            if j == i {
-                lifted.limb_mut(j).copy_from_slice(x.limb(i));
-                continue;
-            }
-            let mj = *ctx.modulus(j);
-            for c in 0..n {
-                let v = mj.reduce_i64(mi.center(y.limb(i)[c]));
-                lifted.limb_mut(j)[c] = v;
-            }
-            ctx.tables(j).forward_reference(lifted.limb_mut(j));
-        }
-        lifted.assume_domain(Domain::Ntt);
-        let row0 = hint.row(i).0.truncate_level(l);
-        let row1 = hint.row(i).1.truncate_level(l);
-        u0 = u0.add(&lifted.mul(&row0));
-        u1 = u1.add(&lifted.mul(&row1));
-    }
-    (u0, u1)
 }
 
 fn bench_ntt(records: &mut Vec<Record>, samples: usize, sizes: &[usize]) {
@@ -172,38 +129,15 @@ fn bench_ntt(records: &mut Vec<Record>, samples: usize, sizes: &[usize]) {
 fn bench_keyswitch(records: &mut Vec<Record>, samples: usize, points: &[(usize, usize)]) {
     for &(n, l) in points {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x4B5);
-        let ctx = RnsContext::for_ring(n, 30, l);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let target = sk.s_squared_at_level(l);
-        let hint = DecompHint::generate(&sk, &target, l, 65537, 8, &mut rng);
-        let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+        let keys = KeySet::generate(&BgvParams::test_small(n, l), &mut rng);
+        let x = RnsPoly::random_at_level(keys.params().context(), l, &mut rng).to_ntt();
         let mut scratch = KsScratch::default();
-        records.push(Record {
-            kernel: "keyswitch",
-            n,
-            level: l,
-            ns_per_op: time_ns(samples, || {
-                let _ = hint.apply_with_scratch(&x, &mut scratch);
-            }),
-        });
-        records.push(Record {
-            kernel: "keyswitch_pre_pr",
-            n,
-            level: l,
-            ns_per_op: time_ns(samples, || {
-                let _ = keyswitch_pre_pr(&hint, &x);
-            }),
-        });
-        let ctx = RnsContext::for_ring(n, 30, 2 * l);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let hint = GhsHint::generate(&sk, &sk.s_squared_at_level(2 * l), l, 65537, 8, &mut rng);
-        let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
         records.push(Record {
             kernel: "keyswitch_ghs",
             n,
             level: l,
             ns_per_op: time_ns(samples, || {
-                let _ = hint.apply(&x);
+                let _ = keys.relin_hint().apply_with_scratch(&x, &mut scratch);
             }),
         });
     }
@@ -276,14 +210,10 @@ fn parse_json(text: &str) -> Vec<(String, usize, usize, f64)> {
 }
 
 /// Enforces the lazy-vs-reference speedup floor on a fresh run: the
-/// rewritten kernels must hold ≥ `min_ratio`x over the retained pre-PR
+/// rewritten kernels must hold ≥ `min_ratio`x over the retained reference
 /// kernels. Returns failure descriptions.
 fn check_speedup_floor(records: &[Record], min_ratio: f64) -> Vec<String> {
-    let pairs = [
-        ("ntt_forward", "ntt_forward_ref"),
-        ("ntt_inverse", "ntt_inverse_ref"),
-        ("keyswitch", "keyswitch_pre_pr"),
-    ];
+    let pairs = [("ntt_forward", "ntt_forward_ref"), ("ntt_inverse", "ntt_inverse_ref")];
     let mut failures = Vec::new();
     for (new, old) in pairs {
         for r_new in records.iter().filter(|r| r.kernel == new) {
@@ -355,7 +285,7 @@ fn main() {
     let mut failed = false;
     let floor_failures = check_speedup_floor(&records, 2.0);
     if floor_failures.is_empty() {
-        println!("speedup floor: all rewritten kernels >= 2x over pre-PR kernels");
+        println!("speedup floor: all rewritten kernels >= 2x over reference kernels");
     } else {
         for f in &floor_failures {
             println!("SPEEDUP FLOOR FAILED: {f}");
@@ -366,15 +296,15 @@ fn main() {
     if let (Some(path), Some(text)) = (check_path, reference_text) {
         let reference = parse_json(&text);
         assert!(!reference.is_empty(), "reference {path} holds no parseable records");
-        // Host-speed normalization: the pre-PR kernels (`*_ref`,
-        // `keyswitch_pre_pr`) are frozen code, so their current/reference
+        // Host-speed normalization: the reference kernels (`*_ref`) are
+        // frozen code, so their current/reference
         // ratio measures how fast *this host* is relative to the machine
         // that recorded the JSON, not any code change. Scaling the 1.5x
         // gate by their median ratio keeps the check meaningful when CI
         // runs on different hardware than the committed reference.
         let mut probe_ratios: Vec<f64> = Vec::new();
         for (k, n, l, ref_ns) in &reference {
-            if !(k.ends_with("_ref") || k == "keyswitch_pre_pr") {
+            if !k.ends_with("_ref") {
                 continue;
             }
             if let Some(cur) = records.iter().find(|r| r.key() == (k.clone(), *n, *l)) {

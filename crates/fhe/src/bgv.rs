@@ -5,10 +5,11 @@
 //! decryption recovers `e' = b - a*s` centered mod `Q_l`, then `m = e' mod
 //! t`. Homomorphic multiplication tensors and key-switches exactly as
 //! §2.2.1 describes; homomorphic permutation applies the automorphism to
-//! both polynomials and key-switches `σ_k(a)`.
+//! both polynomials and key-switches `σ_k(a)`. Every key-switch is GHS
+//! ([`GhsHint`]), the one pass 1 of the compiler expands.
 
 use crate::keys::SecretKey;
-use crate::keyswitch::{DecompHint, GhsHint, KsScratch};
+use crate::keyswitch::{GhsHint, KsScratch};
 use crate::noise;
 use crate::params::BgvParams;
 use f1_modarith::CenteredLift;
@@ -133,12 +134,13 @@ impl Ciphertext {
 ///
 /// Key-switch hints are the dominant working set of FHE programs (§2.4);
 /// this struct is what workloads hand to the compiler to size hint traffic.
+/// Every hint is a [`GhsHint`] over the parameter set's `K = L` special
+/// primes, generated at the top level and valid at every level below it.
 pub struct KeySet {
     params: BgvParams,
     sk: SecretKey,
-    relin: DecompHint,
-    relin_ghs: Option<GhsHint>,
-    rotation: HashMap<usize, DecompHint>,
+    relin: GhsHint,
+    rotation: HashMap<usize, GhsHint>,
 }
 
 impl KeySet {
@@ -152,17 +154,9 @@ impl KeySet {
     /// Builds hints for an existing secret key (bootstrapping shares the
     /// secret key between the base scheme and the boot plaintext space).
     pub fn from_secret_key(params: &BgvParams, sk: SecretKey, rng: &mut impl Rng) -> Self {
-        let l = params.max_level;
-        let t = params.plaintext_modulus;
-        let relin =
-            DecompHint::generate(&sk, &sk.s_squared_at_level(l), l, t, params.error_eta, rng);
-        let relin_ghs = if params.special_levels > 0 {
-            let full = params.context().max_level();
-            Some(GhsHint::generate(&sk, &sk.s_squared_at_level(full), l, t, params.error_eta, rng))
-        } else {
-            None
-        };
-        Self { params: params.clone(), sk, relin, relin_ghs, rotation: HashMap::new() }
+        let full = params.context().max_level();
+        let relin = ghs_hint(params, &sk, &sk.s_squared_at_level(full), rng);
+        Self { params: params.clone(), sk, relin, rotation: HashMap::new() }
     }
 
     /// The parameter set.
@@ -176,23 +170,20 @@ impl KeySet {
         &self.sk
     }
 
-    /// The relinearization hint (for homomorphic multiplication).
-    pub fn relin_hint(&self) -> &DecompHint {
+    /// The relinearization hint (for homomorphic multiplication): it
+    /// targets `s²`.
+    pub fn relin_hint(&self) -> &GhsHint {
         &self.relin
     }
 
-    /// The GHS relinearization hint, if special primes were provisioned.
-    pub fn relin_hint_ghs(&self) -> Option<&GhsHint> {
-        self.relin_ghs.as_ref()
-    }
-
     /// Generates and caches the hint for automorphism exponent `k`.
+    ///
+    /// The hint targets `-σ_k(s)`, pass 1's convention, so
+    /// [`Ciphertext::automorphism`] key-switches `σ_k(a)` as it is.
     pub fn add_rotation_hint(&mut self, k: usize, rng: &mut impl Rng) {
-        let l = self.params.max_level;
-        let t = self.params.plaintext_modulus;
-        let target = self.sk.s_automorphism_at_level(k, l);
-        let hint = DecompHint::generate(&self.sk, &target, l, t, self.params.error_eta, rng);
-        self.rotation.insert(k, hint);
+        let full = self.params.context().max_level();
+        let target = self.sk.s_automorphism_at_level(k, full).neg();
+        self.rotation.insert(k, ghs_hint(&self.params, &self.sk, &target, rng));
     }
 
     /// The hint for automorphism exponent `k`.
@@ -200,7 +191,7 @@ impl KeySet {
     /// # Panics
     ///
     /// Panics if the hint was never generated.
-    pub fn rotation_hint(&self, k: usize) -> &DecompHint {
+    pub fn rotation_hint(&self, k: usize) -> &GhsHint {
         self.rotation
             .get(&k)
             .unwrap_or_else(|| panic!("no rotation hint for k={k}; call add_rotation_hint"))
@@ -266,6 +257,13 @@ impl KeySet {
         let noise = ct.b.sub(&ct.a.mul(&s)).sub(&m_poly.to_ntt()).to_coeff();
         crt::log2_infinity_norm(&noise)
     }
+}
+
+/// A GHS hint re-encrypting `target` (NTT domain over the whole chain)
+/// into `sk`, for ciphertexts up to the top level.
+fn ghs_hint(params: &BgvParams, sk: &SecretKey, target: &RnsPoly, rng: &mut impl Rng) -> GhsHint {
+    let (l, t) = (params.max_level, params.plaintext_modulus);
+    GhsHint::generate(sk, target, l, t, params.error_eta, rng)
 }
 
 /// Lifts a plaintext into an RNS polynomial with centered coefficients.
@@ -426,7 +424,7 @@ impl Ciphertext {
     /// `(l1 + u1, l0 + u0)`. One-shot arena; programs evaluating many
     /// multiplies should hold a [`KsScratch`] and call
     /// [`Ciphertext::mul_with_scratch`].
-    pub fn mul(&self, other: &Self, relin: &DecompHint) -> Self {
+    pub fn mul(&self, other: &Self, relin: &GhsHint) -> Self {
         self.mul_with_scratch(other, relin, &mut KsScratch::default())
     }
 
@@ -434,12 +432,7 @@ impl Ciphertext {
     /// arena: the tensor products run in place ([`RnsPoly::mul_assign`] /
     /// [`RnsPoly::fma_assign`]), so steady state allocates only the output
     /// ciphertext.
-    pub fn mul_with_scratch(
-        &self,
-        other: &Self,
-        relin: &DecompHint,
-        scratch: &mut KsScratch,
-    ) -> Self {
+    pub fn mul_with_scratch(&self, other: &Self, relin: &GhsHint, scratch: &mut KsScratch) -> Self {
         let mut l2 = self.a.clone();
         l2.mul_assign(&other.a);
         let (u0, u1) = relin.apply_with_scratch(&l2, scratch);
@@ -460,35 +453,15 @@ impl Ciphertext {
         }
     }
 
-    /// Homomorphic multiplication using the GHS key-switch variant.
-    pub fn mul_ghs(&self, other: &Self, relin: &GhsHint) -> Self {
-        let mut l2 = self.a.clone();
-        l2.mul_assign(&other.a);
-        let (u0, u1) = relin.apply(&l2);
-        let mut a = self.a.clone();
-        a.mul_assign(&other.b);
-        a.fma_assign(&other.a, &self.b);
-        a.add_assign(&u1);
-        let mut b = self.b.clone();
-        b.mul_assign(&other.b);
-        b.add_assign(&u0);
-        Self {
-            a,
-            b,
-            noise_log2: noise::mul_est(self.noise_log2, other.noise_log2, self.a.n()),
-            correction: mul_mod_u64(self.correction, other.correction, self.pt_modulus),
-            pt_modulus: self.pt_modulus,
-        }
-    }
-
     /// Squares the ciphertext (saves one tensor multiply vs `mul`).
-    pub fn square(&self, relin: &DecompHint) -> Self {
+    pub fn square(&self, relin: &GhsHint) -> Self {
         self.mul(self, relin)
     }
 
     /// Homomorphic permutation: automorphism on both polynomials followed
-    /// by a key-switch of `σ_k(a)` (§2.2.1). `hint` must target `σ_k(s)`.
-    pub fn automorphism(&self, k: usize, hint: &DecompHint) -> Self {
+    /// by a key-switch of `σ_k(a)` (§2.2.1). `hint` must target `-σ_k(s)`
+    /// ([`KeySet::add_rotation_hint`]).
+    pub fn automorphism(&self, k: usize, hint: &GhsHint) -> Self {
         self.automorphism_with_scratch(k, hint, &mut KsScratch::default())
     }
 
@@ -496,15 +469,13 @@ impl Ciphertext {
     pub fn automorphism_with_scratch(
         &self,
         k: usize,
-        hint: &DecompHint,
+        hint: &GhsHint,
         scratch: &mut KsScratch,
     ) -> Self {
-        let mut a_s = self.a.automorphism(k);
-        a_s.neg_assign();
-        // Key-switch -σ_k(a): (u0, u1) with u0 - u1*s = -σ(a)σ(s) + tE,
-        // so (u1, σ(b) + u0) decrypts to σ(m): b' - a'*s = σ(b) + u0 - u1*s
-        // = σ(b) - σ(a)σ(s) + tE = σ(m) + t(σ(e) + E).
-        let (u0, u1) = hint.apply_with_scratch(&a_s, scratch);
+        // Key-switch σ_k(a) to -σ_k(s): (u0, u1) with u0 - u1*s =
+        // -σ(a)σ(s) + tE, so (u1, σ(b) + u0) decrypts to σ(m): b' - a'*s =
+        // σ(b) + u0 - u1*s = σ(b) - σ(a)σ(s) + tE = σ(m) + t(σ(e) + E).
+        let (u0, u1) = hint.apply_with_scratch(&self.a.automorphism(k), scratch);
         let mut b = self.b.automorphism(k);
         b.add_assign(&u0);
         Self {
@@ -721,8 +692,7 @@ mod tests {
     fn multiplicative_depth_chain() {
         // Square 3 times, mod-switching before each subsequent square
         // (the paper's usage, §2.2.2). The final multiply happens at
-        // level 2: decomposition key-switching adds ~q-sized noise, so
-        // level 1 is reserved for additions only.
+        // level 2, leaving level 1 for additions.
         let (params, keys, mut rng) = setup(4);
         let m = Plaintext::from_coeffs(&params, &[2]);
         let mut acc = keys.encrypt(&m, &mut rng);
@@ -739,16 +709,26 @@ mod tests {
     }
 
     #[test]
-    fn ghs_multiplication_matches() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB62);
-        let params = BgvParams::test_with_specials(64, 3, 4);
-        let keys = KeySet::generate(&params, &mut rng);
-        let m1 = Plaintext::from_coeffs(&params, &[4, 1]);
-        let m2 = Plaintext::from_coeffs(&params, &[9]);
-        let ct1 = keys.encrypt_at_level(&m1, 3, &mut rng);
-        let ct2 = keys.encrypt_at_level(&m2, 3, &mut rng);
-        let prod = ct1.mul_ghs(&ct2, keys.relin_hint_ghs().unwrap());
-        assert_eq!(keys.decrypt(&prod), m1.ring_mul(&m2));
+    fn rotation_keyswitch_noise_is_pinned() {
+        // One rotation at N = 2^12, L = 4 (K = 4 specials, t = 65537): the
+        // BGV twin of `ckks::tests::rotation_keyswitch_precision_is_pinned`.
+        // The measured noise is the input's fresh `t·e` (about 2^20),
+        // permuted, plus the GHS key-switch's: the hint error divided by
+        // `P ≈ Q`, and ModDown's rounding times `t`. This seed reads
+        // 2^24.17 (seeds 0x5109..0x510f read 2^24.09 to 2^24.23). The pin
+        // 2^25 leaves 0.8 bits, so a key-switch that loses a bit fails
+        // here.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5108);
+        let params = BgvParams::test_small(1 << 12, 4);
+        let mut keys = KeySet::generate(&params, &mut rng);
+        let coeffs: Vec<u64> = (0..params.n as u64).map(|i| i * i % 65537).collect();
+        let m = Plaintext::from_coeffs(&params, &coeffs);
+        let ct = keys.encrypt(&m, &mut rng);
+        keys.add_rotation_hint(3, &mut rng);
+        let noise = keys.decrypt_noise(&ct.automorphism(3, keys.rotation_hint(3)));
+        let model = noise::NoiseModel::bgv(params.n, params.plaintext_modulus, params.error_eta);
+        assert!(noise < 25.0, "rotation key-switch noise 2^{noise:.2} (pinned 2^24.17)");
+        assert!(noise < model.wc_keyswitch(4), "2^{noise:.1} above the worst-case bound");
     }
 
     #[test]

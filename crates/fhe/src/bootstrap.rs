@@ -423,7 +423,7 @@ mod tests {
     fn bgv_bootstrap_refreshes_bits() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
         // N = 32 (nu=5), rho = 7, t' = 2^13, Lmax = 12.
-        let params = BgvParams::new_fhe_friendly(32, 12, 0, 2);
+        let params = BgvParams::new_fhe_friendly(32, 12, 2);
         let keys = bgv::KeySet::generate(&params, &mut rng);
         let boot = BgvBootstrapper::new(&params, keys.secret_key(), 7, &mut rng);
         for bit in [0u64, 1] {

@@ -259,10 +259,9 @@ pub struct KeySet {
 impl KeySet {
     /// Generates keys (relinearization hint included).
     ///
-    /// CKKS uses GHS key-switching throughout: decomposition key-switch
-    /// noise is `q`-sized, which a CKKS payload at scale Δ ≈ q cannot
-    /// absorb — the very tradeoff the paper's compiler reasons about
-    /// (§2.4, §4.2).
+    /// Like BGV, CKKS key-switches by GHS: its noise is divided back down
+    /// by `P`, while Listing 1's digit decomposition would add `q`-sized
+    /// noise, which a CKKS payload at scale Δ ≈ q cannot absorb (§2.4).
     pub fn generate(params: &CkksParams, rng: &mut impl Rng) -> Self {
         let sk = SecretKey::generate(params.context(), rng);
         let full = params.context().max_level();
@@ -300,9 +299,9 @@ impl KeySet {
 
     /// Generates and caches the hint for automorphism exponent `k`.
     ///
-    /// CKKS rotation hints use the GHS variant: a decomposition key-switch
-    /// adds `q`-sized noise, which would swamp a CKKS payload living at
-    /// scale Δ — exactly the algorithmic-choice pressure §2.4 describes.
+    /// The hint is a GHS hint, like every key-switch hint: a digit
+    /// decomposition would add `q`-sized noise, which would swamp a CKKS
+    /// payload living at scale Δ.
     ///
     /// # Panics
     ///

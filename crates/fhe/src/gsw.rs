@@ -6,8 +6,8 @@
 //! primitives: NTTs, modular multiplies and adds. We implement the
 //! RNS-limb-gadget variant: a GSW ciphertext encrypting a bit `μ` is a
 //! `2L × 2` matrix of RLWE rows, and the external product with an RLWE
-//! ciphertext decomposes the RLWE polynomials limb-by-limb (the same
-//! decomposition machinery as Listing 1's key-switch).
+//! ciphertext decomposes the RLWE polynomials limb-by-limb: Listing 1's
+//! digit decomposition, which GSW keeps while key-switching runs GHS.
 
 use crate::keys::SecretKey;
 use crate::keyswitch::{decompose_mac, Digits};
@@ -87,10 +87,10 @@ impl GswCiphertext {
     /// External product `GSW(μ) ⊡ RLWE(m) -> RLWE(μ*m)`.
     ///
     /// Decomposes both polynomials of `ct` limb-by-limb (centered lift,
-    /// exactly the key-switch lift of Listing 1) in one digit-decomposition
-    /// pass: `b` against the b-block rows and `a` against the a-block rows.
-    /// Both blocks are indicator-gadget rows, so they serve every level
-    /// `l <= level` by truncation, like a decomposition hint. The a-block
+    /// the digit lift of Listing 1) in one digit-decomposition pass: `b`
+    /// against the b-block rows and `a` against the a-block rows. Both
+    /// blocks are indicator-gadget rows, so they serve every level
+    /// `l <= level` by truncation. The a-block
     /// rows carry phase `e - μ*g_i*s`, so accumulating them contributes
     /// `-μ*(a*s)` as required.
     pub fn external_product(&self, ct: &Rlwe) -> Rlwe {

@@ -1,7 +1,7 @@
-//! Key-switching: the dominant FHE kernel (§2.4) in its two variants.
+//! Key-switching: the dominant FHE kernel (§2.4).
 //!
 //! Key-switching re-encrypts a polynomial `x` that is implicitly multiplied
-//! by some other secret `s'` (e.g. `s²` after a tensor product, `σ_k(s)`
+//! by some other secret `s'` (e.g. `s²` after a tensor product, `-σ_k(s)`
 //! after an automorphism) into the original key `s`. It returns `(u0, u1)`
 //! with
 //!
@@ -12,22 +12,17 @@
 //! where `t_err` is the plaintext modulus for BGV (so the added noise stays
 //! a multiple of `t`) or 1 for CKKS.
 //!
-//! Two implementations, matching the algorithmic choice the paper's
-//! compiler exploits (§2.4, §4.2):
-//!
-//! * [`DecompHint`] — the RNS-decomposition variant of **Listing 1**:
-//!   hints are `L × L` matrices of residue vectors (32 MB at `L = 16`,
-//!   `N = 16K` — exactly the paper's example), compute is `L²` NTTs +
-//!   `2L²` multiplies + `2L²` adds.
-//! * [`GhsHint`] — a GHS-style variant [34, 45] whose hint grows `O(L)`:
-//!   one pair of polynomials over the extended basis `Q·P` (`P` a product
-//!   of `K` special primes). It runs in RNS form, ModUp and ModDown by
-//!   fast base conversion (Cheon, Han, Kim, Kim & Song 2018): `3L + 3K`
-//!   NTTs, `2(L + K)` multiplies by the hint, and `O(L·K)` scalar
-//!   multiply-accumulates for the conversions; ModDown's scalings are
-//!   folded into the hint as key material. Its hint traffic is far
-//!   smaller, and at large `L` so is its NTT work — the tradeoff §2.4
-//!   describes. Pass 1 of the compiler emits the same arithmetic.
+//! §2.4 weighs two algorithms: Listing 1's digit decomposition, whose
+//! hints are `L × L` matrices of residue vectors (32 MB at `L = 16`,
+//! `N = 16K`), and the GHS variant [34, 45] whose hint grows `O(L)`. BGV,
+//! CKKS and pass 1 of the compiler run GHS, [`GhsHint`]: one pair of
+//! polynomials over the extended basis `Q·P` (`P` a product of `K`
+//! special primes). It runs in RNS form, ModUp and ModDown by fast base
+//! conversion (Cheon, Han, Kim, Kim & Song 2018): `3L + 3K` NTTs,
+//! `2(L + K)` multiplies by the hint, and `O(L·K)` scalar
+//! multiply-accumulates for the conversions; ModDown's scalings are folded
+//! into the hint as key material. Listing 1's digit loop survives as
+//! `decompose_mac`, the GSW external product's decomposition.
 
 use crate::keys::SecretKey;
 use f1_modarith::mul::ShoupMul;
@@ -37,150 +32,18 @@ use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Reusable scratch buffer for the decomposition key-switch.
+/// Reusable scratch buffer for the key-switch.
 ///
-/// [`DecompHint::apply_with_scratch`] needs one working polynomial: the
-/// coefficient-domain copy of the input (`y` in Listing 1). Holding it in
-/// a caller-owned arena means the key-switches of a whole program reuse
-/// one allocation; `Default::default()` starts empty and the buffer is
-/// grown (and re-homed to a new context) on first use. The lifted digits
-/// never exist as polynomials: `decompose_mac` lifts them one limb at a
-/// time into a buffer owned by the output limb being accumulated.
+/// [`GhsHint::apply_with_scratch`] needs one working copy of its input:
+/// ModUp's digits `[y_i · (Q/q_i)^{-1}]_{q_i}`, one coefficient-domain limb
+/// per program limb, which every conversion to a special prime reads.
+/// Holding them in a caller-owned arena means the key-switches of a whole
+/// program reuse one allocation; `Default::default()` starts empty and the
+/// buffer grows on first use.
 #[derive(Debug, Default)]
 pub struct KsScratch {
-    /// Coefficient-domain copy of the key-switch input.
-    y: Option<RnsPoly>,
-}
-
-/// The Listing-1 hint: one `(ksh0, ksh1)` row per source limb.
-///
-/// Row `i` quasi-encrypts `s' * e_i` under `s`, where `e_i` is the CRT
-/// idempotent of limb `i` (whose RNS representation is the indicator
-/// vector) — truncating rows and limbs therefore yields a correct hint for
-/// every lower level, which is how one hint serves the whole program as
-/// modulus switching sheds limbs.
-#[derive(Debug, Clone)]
-pub struct DecompHint {
-    level: usize,
-    /// The noise multiplier the hint was generated with (t for BGV, 1 for
-    /// CKKS); retained for diagnostics and scheduling metadata.
-    pub error_scale: u64,
-    /// `rows[i] = (ksh0_i, ksh1_i)`, NTT domain, `level` limbs each.
-    rows: Vec<(RnsPoly, RnsPoly)>,
-}
-
-impl DecompHint {
-    /// Generates a hint re-encrypting `target` (e.g. `s²` or `σ_k(s)`, NTT
-    /// domain at `level`) into `sk`.
-    pub fn generate(
-        sk: &SecretKey,
-        target: &RnsPoly,
-        level: usize,
-        error_scale: u64,
-        eta: u32,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self::generate_with(sk, target, level, error_scale, eta, rng, true, true)
-    }
-
-    /// Test-isolation constructor: toggles the random mask and the noise
-    /// term independently.
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_with(
-        sk: &SecretKey,
-        target: &RnsPoly,
-        level: usize,
-        error_scale: u64,
-        eta: u32,
-        rng: &mut impl Rng,
-        with_mask: bool,
-        with_noise: bool,
-    ) -> Self {
-        assert_eq!(target.domain(), Domain::Ntt);
-        assert_eq!(target.level(), level);
-        let ctx = sk.context().clone();
-        let s = sk.s_at_level(level);
-        let mut rows = Vec::with_capacity(level);
-        for i in 0..level {
-            let a = if with_mask {
-                RnsPoly::random_at_level(&ctx, level, rng).to_ntt()
-            } else {
-                RnsPoly::zero_ntt_at_level(&ctx, level)
-            };
-            let e = if with_noise {
-                RnsPoly::random_error(&ctx, level, eta, rng)
-                    .to_ntt()
-                    .mul_scalar(scale_residue(error_scale))
-            } else {
-                RnsPoly::zero_ntt_at_level(&ctx, level)
-            };
-            // gadget * target: zero every limb except limb i.
-            let mut g_target = target.clone();
-            for j in 0..level {
-                if j != i {
-                    g_target.limb_mut(j).iter_mut().for_each(|x| *x = 0);
-                }
-            }
-            // ksh0 = a*s + t*e + g_i*s', ksh1 = a, so that
-            // u0 - u1*s = Σ lift_i*(t*e_i) + x*s'.
-            let ksh0 = a.mul(&s).add(&e).add(&g_target);
-            rows.push((ksh0, a));
-        }
-        Self { level, error_scale, rows }
-    }
-
-    /// The level the hint was generated at.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Read access to hint row `i`: the `(ksh0_i, ksh1_i)` pair (NTT
-    /// domain, `level` limbs each). Exposed for benchmarks and traffic
-    /// analyses.
-    pub fn row(&self, i: usize) -> (&RnsPoly, &RnsPoly) {
-        let (r0, r1) = &self.rows[i];
-        (r0, r1)
-    }
-
-    /// Applies the key-switch to `x` (NTT domain, level `l <= level`).
-    ///
-    /// Convenience wrapper over [`DecompHint::apply_with_scratch`] with a
-    /// one-shot arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not in NTT domain or exceeds the hint's level.
-    pub fn apply(&self, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
-        self.apply_with_scratch(x, &mut KsScratch::default())
-    }
-
-    /// Applies the key-switch to `x`, reusing `scratch`'s buffers for the
-    /// digit-decomposition inner loop.
-    ///
-    /// This is Listing 1: INTT the input into the scratch arena (line 3),
-    /// then `decompose_mac` lifts, NTTs and multiply-accumulates every
-    /// digit against the hint rows (lines 5-10), so steady state allocates
-    /// only the returned `(u0, u1)`, their accumulator and one scratch
-    /// limb per output limb.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not in NTT domain or exceeds the hint's level.
-    pub fn apply_with_scratch(&self, x: &RnsPoly, scratch: &mut KsScratch) -> (RnsPoly, RnsPoly) {
-        assert_eq!(x.domain(), Domain::Ntt, "key-switch input must be in NTT domain");
-        let l = x.level();
-        assert!(l <= self.level, "hint level {} below input level {l}", self.level);
-        let y = match &mut scratch.y {
-            Some(y) => {
-                y.clone_from(x);
-                y
-            }
-            slot => slot.insert(x.clone()),
-        };
-        y.intt_inplace();
-        decompose_mac(&[Digits { ntt: x, coeff: y, rows: &self.rows }])
-    }
+    /// ModUp's digits, limb-major.
+    digits: Vec<u32>,
 }
 
 /// One source of digits for [`decompose_mac`]: a polynomial at level `l`
@@ -191,12 +54,12 @@ pub(crate) struct Digits<'a> {
     pub(crate) ntt: &'a RnsPoly,
     /// The same polynomial in coefficient domain, which the lifts read.
     pub(crate) coeff: &'a RnsPoly,
-    /// Row `i` multiplies digit `i`: Listing 1's hint rows or a GSW block.
+    /// Row `i` multiplies digit `i`: a GSW block.
     pub(crate) rows: &'a [(RnsPoly, RnsPoly)],
 }
 
 /// The digit-decomposition multiply-accumulate of Listing 1 (lines 5-10),
-/// shared by [`DecompHint`] and the GSW external product. Returns
+/// which the GSW external product runs. Returns
 /// `(u0, u1) = Σ_sources Σ_i lift(digit_i) * (r0_i, r1_i)` in NTT domain at
 /// the sources' level `l`.
 ///
@@ -205,7 +68,8 @@ pub(crate) struct Digits<'a> {
 /// representative and NTTs it in that output limb's scratch buffer (or reads
 /// `ntt[i]` as is when `i == j`), then `fma`s it into both accumulators'
 /// limb `j`. Rows live at their own level; reading their first `l` limbs
-/// is the truncation that keeps one hint valid for every lower level.
+/// is the truncation that keeps one GSW ciphertext valid for every lower
+/// level.
 /// Each output limb is independent, so results are bit-identical to a
 /// serial loop.
 pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> (RnsPoly, RnsPoly) {
@@ -327,7 +191,7 @@ impl GhsHint {
                 *x = m.mul(*x, p_mod);
             }
         }
-        // ksh0 = a*s + t*e + P*s', ksh1 = a (same convention as DecompHint).
+        // ksh0 = a*s + t*e + P*s', ksh1 = a.
         let ksh0 = a.mul(&s).add(&e).add(&p_target);
         Self {
             level: program_level,
@@ -405,10 +269,21 @@ impl GhsHint {
     /// `[0, p)` it would bias every coefficient, which a CKKS decoding
     /// sums up across slots. Every step runs limb-parallel; the constants
     /// are Shoup multipliers.
+    ///
+    /// One-shot form of [`GhsHint::apply_with_scratch`].
     pub fn apply(&self, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
-        assert_eq!(x.domain(), Domain::Ntt);
+        self.apply_with_scratch(x, &mut KsScratch::default())
+    }
+
+    /// [`GhsHint::apply`] with ModUp's digits in a caller-held arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not in NTT domain or exceeds the hint's level.
+    pub fn apply_with_scratch(&self, x: &RnsPoly, scratch: &mut KsScratch) -> (RnsPoly, RnsPoly) {
+        assert_eq!(x.domain(), Domain::Ntt, "key-switch input must be in NTT domain");
         let l = x.level();
-        assert!(l <= self.level);
+        assert!(l <= self.level, "hint level {} below input level {l}", self.level);
         let ctx = x.context().clone();
         let n = x.n();
         let k = self.special_count;
@@ -419,8 +294,10 @@ impl GhsHint {
         let specials = &ctx.moduli()[self.special_start..self.special_start + k];
         // ModUp digits.
         let crt = ctx.crt_level(l);
-        let mut digits = x.flat().to_vec();
-        par_limbs(&mut digits, n, |i, limb| {
+        let digits = &mut scratch.digits;
+        digits.clear();
+        digits.extend_from_slice(x.flat());
+        par_limbs(digits, n, |i, limb| {
             let mi = ctx.modulus(i);
             ctx.tables(i).inverse(limb);
             scale(limb, ShoupMul::new(crt.q_over_qi_inv[i], mi), mi.value());
@@ -564,21 +441,6 @@ mod tests {
             noise < max_noise_log2,
             "key-switch noise too large: 2^{noise:.1} (limit 2^{max_noise_log2})"
         );
-    }
-
-    /// Reference for [`DecompHint::apply`]: every digit lifted into a
-    /// whole polynomial, then multiply-accumulated limb by limb, serially.
-    fn decomp_reference(hint: &DecompHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
-        let l = x.level();
-        let y = x.to_coeff();
-        let mut u0 = RnsPoly::zero_ntt_at_level(x.context(), l);
-        let mut u1 = u0.clone();
-        for (i, (row0, row1)) in hint.rows.iter().take(l).enumerate() {
-            let lifted = lift_reference(&y, i, l);
-            u0.fma_assign(&lifted, &row0.truncate_level(l));
-            u1.fma_assign(&lifted, &row1.truncate_level(l));
-        }
-        (u0, u1)
     }
 
     /// Reference for [`GhsHint::apply`]: ModUp and ModDown as serial
@@ -725,22 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_decomp_keyswitch_matches_serial_reference() {
-        // N = 2^12 runs the output limbs on threads, N = 2^10 serially;
-        // both below the hint's level, where rows are read truncated.
-        for n in [1 << 12, 1 << 10] {
-            let ctx = RnsContext::for_ring(n, 30, 4);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-            let sk = SecretKey::generate(&ctx, &mut rng);
-            let hint = DecompHint::generate(&sk, &sk.s_squared_at_level(4), 4, 65537, 8, &mut rng);
-            for l in [3, 4] {
-                let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
-                assert_eq!(hint.apply(&x), decomp_reference(&hint, &x), "n={n} l={l}");
-            }
-        }
-    }
-
-    #[test]
     fn ghs_apply_matches_serial_reference() {
         // BGV's t = 65537 and CKKS's t = 1; 3 program limbs + 2 specials,
         // applied at and below the hint's program level.
@@ -782,33 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn decomp_keyswitch_is_correct() {
-        let ctx = RnsContext::for_ring(64, 30, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let target = sk.s_squared_at_level(3);
-        let hint = DecompHint::generate(&sk, &target, 3, 65537, 8, &mut rng);
-        let x = RnsPoly::random_at_level(&ctx, 3, &mut rng).to_ntt();
-        let out = hint.apply(&x);
-        // Noise bound: |x̂_i| < q/2 ~ 2^29, times t*e (~2^20), times N*L.
-        check_keyswitch(&ctx, &sk, &x, &target, out, 65537, 29.0 + 17.0 + 4.0 + 12.0);
-    }
-
-    #[test]
-    fn decomp_keyswitch_at_lower_level() {
-        // A hint generated at level 3 must remain correct after modulus
-        // switching drops the ciphertext to level 2.
-        let ctx = RnsContext::for_ring(64, 30, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let target = sk.s_squared_at_level(3);
-        let hint = DecompHint::generate(&sk, &target, 3, 65537, 8, &mut rng);
-        let x = RnsPoly::random_at_level(&ctx, 2, &mut rng).to_ntt();
-        let out = hint.apply(&x);
-        check_keyswitch(&ctx, &sk, &x, &target, out, 65537, 62.0);
-    }
-
-    #[test]
     fn ghs_keyswitch_is_correct() {
         // 3 program limbs + 3 specials (P > Q so the rounded division
         // leaves small noise).
@@ -823,15 +642,28 @@ mod tests {
     }
 
     #[test]
+    fn ghs_keyswitch_at_lower_level() {
+        // A hint generated at level 3 must remain correct after modulus
+        // switching drops the ciphertext to level 2: all K specials stay.
+        let ctx = RnsContext::for_ring(64, 30, 6);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let target_full = sk.s_squared_at_level(6);
+        let hint = GhsHint::generate(&sk, &target_full, 3, 65537, 8, &mut rng);
+        let x = RnsPoly::random_at_level(&ctx, 2, &mut rng).to_ntt();
+        let out = hint.apply(&x);
+        check_keyswitch(&ctx, &sk, &x, &target_full, out, 65537, 60.0);
+    }
+
+    #[test]
     fn keyswitch_outputs_are_canonical_and_scratch_invariant() {
-        // The fused fma accumulation must leave every residue < q, and a
-        // reused scratch arena must not change results (including across
-        // inputs of different levels).
-        let ctx = RnsContext::for_ring(64, 30, 3);
+        // Every residue must be < q, and a reused scratch arena must not
+        // change results (including across inputs of different levels).
+        let ctx = RnsContext::for_ring(64, 30, 6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let target = sk.s_squared_at_level(3);
-        let hint = DecompHint::generate(&sk, &target, 3, 65537, 8, &mut rng);
+        let target = sk.s_squared_at_level(6);
+        let hint = GhsHint::generate(&sk, &target, 3, 65537, 8, &mut rng);
         let mut scratch = KsScratch::default();
         for level in [3usize, 2, 3] {
             let x = RnsPoly::random_at_level(&ctx, level, &mut rng).to_ntt();
@@ -850,19 +682,13 @@ mod tests {
 
     #[test]
     fn hint_sizes_scale_as_documented() {
-        // Paper §2.4: decomposition hints hold 2L² residue vectors (32 MB
-        // per (ksh0, ksh1) pair at L = 16, N = 16K); GHS hints hold
-        // 2(L + K), linear in L.
+        // Paper §2.4: GHS hints hold 2(L + K) residue vectors, linear in L
+        // (decomposition hints would hold 2L²).
         let (n, l, k) = (64, 4, 3);
         let ctx = RnsContext::for_ring(n, 30, l + k);
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         let sk = SecretKey::generate(&ctx, &mut rng);
-        let decomp = DecompHint::generate(&sk, &sk.s_squared_at_level(l), l, 65537, 8, &mut rng);
         let ghs = GhsHint::generate(&sk, &sk.s_squared_at_level(l + k), l, 65537, 8, &mut rng);
-        let vector = n * 4;
-        let decomp_bytes: usize =
-            decomp.rows.iter().map(|(r0, r1)| r0.size_bytes() + r1.size_bytes()).sum();
-        assert_eq!(decomp_bytes, 2 * l * l * vector);
-        assert_eq!(ghs.ksh0.size_bytes() + ghs.ksh1.size_bytes(), 2 * (l + k) * vector);
+        assert_eq!(ghs.ksh0.size_bytes() + ghs.ksh1.size_bytes(), 2 * (l + k) * n * 4);
     }
 }

@@ -8,9 +8,8 @@
 //! * [`params`] — parameter sets (ring dimension, RNS chain, plaintext
 //!   modulus, security estimation per §2.2.3).
 //! * [`keys`] — secret keys and key generation.
-//! * [`keyswitch`] — the two key-switching implementations of §2.4: the
-//!   `L²`-hint decomposition variant of Listing 1 and a GHS-style variant
-//!   with `O(L)` hints, the one the compiler's pass 1 expands.
+//! * [`keyswitch`] — key-switching (§2.4): the GHS variant with `O(L)`
+//!   hints, which BGV and CKKS run and the compiler's pass 1 expands.
 //! * [`bgv`] — the BGV scheme: encryption, homomorphic add/multiply,
 //!   rotations, modulus switching, noise accounting (§2.2).
 //! * [`encoding`] — SIMD slot packing for BGV plaintexts.
@@ -33,7 +32,7 @@
 //! let keys = bgv::KeySet::generate(&params, &mut rng);
 //! let m = bgv::Plaintext::from_coeffs(&params, &[1, 2, 3]);
 //! let ct = keys.encrypt(&m, &mut rng);
-//! let ct2 = ct.mul(&ct, &keys.relin_hint());
+//! let ct2 = ct.mul(&ct, keys.relin_hint());
 //! assert_eq!(keys.decrypt(&ct2).coeff(0), 1); // 1*1
 //! ```
 

@@ -250,11 +250,15 @@ impl NoiseModel {
 
     /// Bound on key-switch additive noise at `level` limbs.
     ///
-    /// BGV/GSW use the limb-decomposition variant: `l · N · 2^limb_bits ·
-    /// t · η` (one hint row per limb, each row's error `t·e` convolved
-    /// with a limb-sized digit). CKKS parameter sets provision GHS-grade
-    /// special primes (`P ≥ Q`, [`crate::params::CkksParams::test_small`]),
-    /// so the hint product's noise is divided back down by `P` and only
+    /// BGV/GSW: `l · N · 2^limb_bits · t · η`, the noise of a
+    /// limb-decomposition key-switch (one hint row per limb, each row's
+    /// error `t·e` convolved with a limb-sized digit). GSW's external
+    /// product decomposes so. BGV key-switches by GHS with `K = L` special
+    /// primes ([`crate::params::BgvParams::new`]), whose noise, the hint
+    /// error divided back down by `P ≈ Q` plus ModDown's rounding, is far
+    /// below this, so for BGV the bound is sound but loose. CKKS parameter
+    /// sets provision GHS-grade special primes too (`P ≥ Q`,
+    /// [`crate::params::CkksParams::test_small`]), and there only
     /// `≈ √N·η` survives the rounded division — no digit-width or `t`
     /// term.
     pub fn wc_keyswitch(&self, level: usize) -> f64 {

@@ -1,7 +1,7 @@
 //! FHE parameter sets (§2.2.3, §7).
 //!
 //! A parameter set fixes the ring dimension `N`, the RNS modulus chain
-//! `q_1..q_L` (plus the special primes the GHS key-switch variant needs),
+//! `q_1..q_L` (plus the special primes GHS key-switching needs),
 //! the plaintext modulus `t` (BGV) or scale (CKKS), and the error
 //! distribution. The paper's security rule of thumb — `N / log Q` must
 //! stay above a scheme-dependent floor — is checked by
@@ -48,7 +48,8 @@ pub struct BgvParams {
     pub n: usize,
     /// Number of ciphertext limbs at the top level (the paper's `L`).
     pub max_level: usize,
-    /// Number of special primes reserved for GHS key-switching.
+    /// Number of special primes `K` for GHS key-switching: always
+    /// `max_level`, set by the constructors.
     pub special_levels: usize,
     /// Plaintext modulus `t`.
     pub plaintext_modulus: u64,
@@ -59,14 +60,17 @@ pub struct BgvParams {
 }
 
 impl BgvParams {
-    /// Builds a parameter set, generating the RNS chain.
+    /// Builds a parameter set, generating the RNS chain: `max_level`
+    /// program limbs followed by `K = max_level` special primes, so that
+    /// `P ≈ Q` and a GHS key-switch adds only small noise at every level.
+    /// That is pass 1's `K = l` at the top level.
     ///
     /// # Panics
     ///
     /// Panics if `t < 2`, if `t` shares a factor with the generated chain
-    /// (BGV needs `gcd(t, Q) = 1`), or the chain cannot be generated.
-    pub fn new(n: usize, max_level: usize, special_levels: usize, t: u64) -> Self {
-        Self::with_prime_class(n, max_level, special_levels, t, false)
+    /// (BGV needs `gcd(t, Q·P) = 1`), or the chain cannot be generated.
+    pub fn new(n: usize, max_level: usize, t: u64) -> Self {
+        Self::with_prime_class(n, max_level, t, false)
     }
 
     /// Builds a parameter set whose chain consists of *FHE-friendly* primes
@@ -74,18 +78,13 @@ impl BgvParams {
     /// multiplier, this class makes `q^{-1} ≡ 1` modulo every power-of-two
     /// plaintext modulus up to `2^16`, so bootstrapping's digit extraction
     /// runs with trivial correction factors.
-    pub fn new_fhe_friendly(n: usize, max_level: usize, special_levels: usize, t: u64) -> Self {
-        Self::with_prime_class(n, max_level, special_levels, t, true)
+    pub fn new_fhe_friendly(n: usize, max_level: usize, t: u64) -> Self {
+        Self::with_prime_class(n, max_level, t, true)
     }
 
-    fn with_prime_class(
-        n: usize,
-        max_level: usize,
-        special_levels: usize,
-        t: u64,
-        fhe_friendly: bool,
-    ) -> Self {
+    fn with_prime_class(n: usize, max_level: usize, t: u64, fhe_friendly: bool) -> Self {
         assert!(t >= 2, "plaintext modulus must be at least 2");
+        let special_levels = max_level;
         let ctx = if fhe_friendly {
             let qs =
                 f1_modarith::primes::fhe_friendly_primes(LIMB_BITS, max_level + special_levels);
@@ -103,14 +102,9 @@ impl BgvParams {
     }
 
     /// A small parameter set for fast unit tests: `t = 65537` (SIMD-capable
-    /// for every supported `N`), no special primes.
+    /// for every supported `N`).
     pub fn test_small(n: usize, levels: usize) -> Self {
-        Self::new(n, levels, 0, 65537)
-    }
-
-    /// A parameter set with special primes for GHS key-switching tests.
-    pub fn test_with_specials(n: usize, levels: usize, specials: usize) -> Self {
-        Self::new(n, levels, specials, 65537)
+        Self::new(n, levels, 65537)
     }
 
     /// The shared polynomial context (program limbs followed by special
@@ -217,16 +211,17 @@ mod tests {
     #[test]
     fn bgv_params_build_chain() {
         let p = BgvParams::test_small(64, 4);
-        assert_eq!(p.context().max_level(), 4);
+        assert_eq!(p.max_level, 4);
         assert_eq!(p.plaintext_modulus, 65537);
         assert!(p.log_q() >= 4 * (LIMB_BITS - 1));
     }
 
     #[test]
     fn specials_extend_the_chain() {
-        let p = BgvParams::test_with_specials(64, 3, 2);
-        assert_eq!(p.context().max_level(), 5);
-        assert_eq!(p.max_level, 3);
+        // K = L special primes follow the program limbs.
+        let p = BgvParams::test_small(64, 3);
+        assert_eq!((p.max_level, p.special_levels), (3, 3));
+        assert_eq!(p.context().max_level(), 6);
     }
 
     #[test]

@@ -260,8 +260,9 @@ impl Modulus {
 /// Maps residues modulo `from` to residues modulo `to` through their
 /// centered representatives: `lift(s) == to.reduce_i64(from.center(s))`.
 ///
-/// This is the digit lift of RNS key-switching (Listing 1 line 8) and of
-/// the rounding corrections of modulus switching. It neither divides nor
+/// This is the digit lift of the GSW decomposition (Listing 1 line 8), of
+/// GHS key-switching's base conversions and of the rounding corrections of
+/// modulus switching. It neither divides nor
 /// branches per element: a residue above `from/2` stands for `s - from`,
 /// so it gets an offset congruent to `-from` added. When `from/2 < to`
 /// (every chain of same-width primes) the offset is `to - from` and the

@@ -319,15 +319,6 @@ impl RnsPoly {
         &self.data
     }
 
-    /// Re-tags the representation without transforming the data.
-    ///
-    /// For kernels that fill limbs with data already in the target
-    /// representation (e.g. a digit lift that writes NTT-domain residues
-    /// directly); the caller asserts the tag is truthful.
-    pub fn assume_domain(&mut self, domain: Domain) {
-        self.domain = domain;
-    }
-
     /// Size of this polynomial in bytes (4 bytes per coefficient residue) —
     /// the unit the data-movement analyses of §2.4 count.
     pub fn size_bytes(&self) -> usize {

@@ -9,10 +9,10 @@
 //! minutes); the measured per-op costs are real executions of the real
 //! scheme, not estimates. Programs are charged one op at a time: the
 //! baseline is single-thread apart from the BGV key-switch, which
-//! spreads its output limbs over the host's cores (from `N = 2048` up).
-//! A program is charged the key-switches F1 runs: pass 1 relinearizes a
-//! sum of products once, at its root ([`relin_plan`]), and so does the
-//! CPU side.
+//! spreads its limbs over the host's cores (from `N = 2048` up).
+//! A program is charged the key-switches F1 runs: GHS, the algorithm
+//! pass 1 expands, and pass 1 relinearizes a sum of products once, at its
+//! root ([`relin_plan`]), and so does the CPU side.
 
 use f1_compiler::dsl::{CtId, HomOp, Program};
 use f1_compiler::expand::{relin_plan, Relin};
@@ -72,7 +72,8 @@ fn kind_of(op: &HomOp) -> Option<&'static str> {
 }
 
 /// What `program` is charged: per op, its measured kind at its level, and
-/// a relinearization (`relin`, one key-switch of the tensor's `l2`) less
+/// a relinearization (`relin`, one GHS key-switch of the tensor's `l2`,
+/// `GhsHint::apply_with_scratch`) less
 /// for a product whose relinearization pass 1 defers ([`Relin::Tensor`])
 /// or more for the sum root that relinearizes it ([`Relin::Root`]). Each
 /// charge is `(kind, level, sign)`.

@@ -12,7 +12,7 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     // t = 257 keeps Fermat exponentiation shallow: x^(t-1) = x^256, eight
     // squarings.
-    let params = BgvParams::new(64, 10, 0, 257);
+    let params = BgvParams::new(64, 10, 257);
     let keys = KeySet::generate(&params, &mut rng);
     let db: [(u64, u64); 4] = [(3, 111), (17, 222), (42, 198), (99, 255)];
     let query_key = 42u64;

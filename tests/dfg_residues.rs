@@ -8,17 +8,16 @@
 //! their terms, and a sum of products that pass 1 relinearizes once.
 //! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
 //! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
-//! hint vectors are the residues of the same keys' hints. Each output
-//! residue must equal `f1-fhe`'s own GHS evaluation, and each output must
-//! decrypt like `f1-fhe`'s decomposition key-switch (Listing 1) of the
-//! same ciphertexts. A GHS hint's vectors carry ModDown's constants, so
-//! the `mul` DFG is also run over the hint multiplied back to unscaled,
-//! and those residues must differ.
+//! hint vectors are the residues of the `KeySet`'s own relinearization
+//! and rotation hints. `f1-fhe`'s BGV key-switches by GHS with `K = L`
+//! special primes, as pass 1 does at the top level, so each output
+//! residue must equal `f1-fhe`'s own evaluation bit for bit. A GHS hint's
+//! vectors carry ModDown's constants, so the `mul` DFG is also run over
+//! the hint multiplied back to unscaled, and those residues must differ.
 
 use f1::compiler::expand::{expand, order_ops, ExpandOptions};
 use f1::compiler::{FheProgram, HomOp, Lowered, Scheme};
 use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
-use f1::fhe::keyswitch::GhsHint;
 use f1::fhe::BgvParams;
 use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
 use f1::modarith::{CenteredLift, Modulus};
@@ -37,7 +36,14 @@ struct Chain<'a> {
     t: u64,
 }
 
-impl Chain<'_> {
+impl<'a> Chain<'a> {
+    /// The chain of `keys`' parameter set.
+    fn of(keys: &'a KeySet) -> Self {
+        let params = keys.params();
+        let special_start = keys.relin_hint().special_start();
+        Self { ctx: params.context(), special_start, t: params.plaintext_modulus }
+    }
+
     fn index(&self, limb: Limb) -> usize {
         match limb {
             Limb::Q(i) => i as usize,
@@ -147,33 +153,25 @@ impl Chain<'_> {
     }
 }
 
-/// A key-switch hint as the DFG's leaves see it.
-enum Hint<'a> {
-    Ghs(&'a GhsHint),
-    /// A GHS hint with its limbs multiplied back to before ModDown's
-    /// constants were folded in: the negative control of the fold.
-    GhsUnfolded(&'a GhsHint),
-    /// One GHS rotation hint per automorphism exponent `k`.
-    Rotations(&'a [(usize, GhsHint)]),
+/// The key-switch hints as the DFG's leaves see them: a `KeySet`'s own.
+struct Hints<'a> {
+    keys: &'a KeySet,
+    /// Multiplies every limb back to before ModDown's constants were folded
+    /// in: the negative control of the fold.
+    unfolded: bool,
 }
 
-impl Hint<'_> {
+impl Hints<'_> {
     /// The residues behind a hint label (`<hint>.ksh<poly>`) on `limb`.
     fn residues(&self, label: &str, limb: Limb, chain: &Chain<'_>) -> Vec<u32> {
         let (name, poly) = label.split_once(".ksh").expect("hint label");
-        let h = match self {
-            Hint::Ghs(h) | Hint::GhsUnfolded(h) => h,
-            Hint::Rotations(hints) => {
-                let k: usize = name
-                    .strip_prefix("Aut(")
-                    .and_then(|k| k.strip_suffix(')'))
-                    .map_or(0, |k| k.parse().expect("automorphism exponent"));
-                &hints.iter().find(|(hk, _)| *hk == k).expect("rotation hint").1
-            }
+        let h = match name.strip_prefix("Aut(").and_then(|k| k.strip_suffix(')')) {
+            Some(k) => self.keys.rotation_hint(k.parse().expect("automorphism exponent")),
+            None => self.keys.relin_hint(),
         };
         let (ksh0, ksh1) = h.ksh();
         let residues = if poly == "0" { ksh0 } else { ksh1 }.limb(chain.index(limb));
-        if let Hint::GhsUnfolded(_) = self {
+        if self.unfolded {
             let (m, c) = (chain.modulus(limb), chain.unfold(limb));
             residues.iter().map(|&x| m.mul(x, c)).collect()
         } else {
@@ -196,15 +194,14 @@ fn plain_residues(params: &BgvParams, m: &Plaintext, level: usize) -> RnsPoly {
 }
 
 /// Runs the expanded DFG of `lowered` on `inputs` and `plains` (each by
-/// build-time ordinal) and `hint`, returning the single output ciphertext.
+/// build-time ordinal) and `hints`, returning the single output ciphertext.
 fn run(
     lowered: &Lowered,
     inputs: &[&Ciphertext],
     plains: &[&RnsPoly],
-    hint: &Hint<'_>,
-    chain: &Chain<'_>,
+    hints: &Hints<'_>,
 ) -> (RnsPoly, RnsPoly) {
-    let mut outs = run_all(lowered, inputs, plains, hint, chain);
+    let mut outs = run_all(lowered, inputs, plains, hints);
     assert_eq!(outs.len(), 1);
     outs.pop().unwrap()
 }
@@ -215,9 +212,9 @@ fn run_all(
     lowered: &Lowered,
     inputs: &[&Ciphertext],
     plains: &[&RnsPoly],
-    hint: &Hint<'_>,
-    chain: &Chain<'_>,
+    hints: &Hints<'_>,
 ) -> Vec<(RnsPoly, RnsPoly)> {
+    let chain = Chain::of(hints.keys);
     let ex = expand(&lowered.program, &ExpandOptions::default());
     let vals = chain.eval(&ex.dfg, |label, limb| {
         let j = chain.index(limb);
@@ -233,7 +230,7 @@ fn run_all(
             let ordinal = lowered.pt_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
             plains[ordinal as usize].limb(j).to_vec()
         } else {
-            hint.residues(label, limb, chain)
+            hints.residues(label, limb, &chain)
         }
     });
     // Each output is its `a` limbs, then its `b` limbs.
@@ -262,67 +259,49 @@ fn plain(params: &BgvParams, seed: u64) -> Plaintext {
 
 #[test]
 fn expanded_keyswitches_compute_f1_fhe_residues() {
-    let params = BgvParams::test_with_specials(N, L, L);
+    let params = BgvParams::test_small(N, L);
     let mut rng = rand::rngs::StdRng::seed_from_u64(36);
     let mut keys = KeySet::generate(&params, &mut rng);
-    let t = params.plaintext_modulus;
     let (ct1, ct2) =
         (keys.encrypt(&plain(&params, 1), &mut rng), keys.encrypt(&plain(&params, 2), &mut rng));
-    let ctx = params.context();
-    let ghs = keys.relin_hint_ghs().unwrap();
-    let chain = Chain { ctx, special_start: ghs.special_start(), t };
 
-    // mul: the relinearization hints of `keys`.
+    // mul: the relinearization hint of `keys`.
     let mut f = FheProgram::new(N, Scheme::Bgv);
     let (x, y) = (f.input(L), f.input(L));
     let m = f.mul(x, y);
     f.output(m);
     let lowered = f.lower();
-    let got = run(&lowered, &[&ct1, &ct2], &[], &Hint::Ghs(ghs), &chain);
-    let want = ct1.mul_ghs(&ct2, ghs);
-    assert!(got == (want.a.clone(), want.b.clone()), "GHS mul residues differ from f1-fhe's");
+    let got = run(&lowered, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: false });
+    let want = ct1.mul(&ct2, keys.relin_hint());
+    assert!(got == (want.a.clone(), want.b.clone()), "mul residues differ from f1-fhe's");
     // Negative control: the same DFG over the hint without the fold's
     // constants computes other residues, so the comparison sees the fold.
-    let unfolded = Hint::GhsUnfolded(ghs);
-    let (a, b) = run(&lowered, &[&ct1, &ct2], &[], &unfolded, &chain);
+    let (a, b) = run(&lowered, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: true });
     assert!(a != want.a && b != want.b, "the unfolded hint computed f1-fhe's residues");
-    let want_d = ct1.mul(&ct2, keys.relin_hint());
-    assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
 
-    // rotate: the DFG key-switches σ_k(a), so its hints target -σ_k(s).
+    // rotate: the DFG key-switches σ_k(a), and the rotation hint of `keys`
+    // targets -σ_k(s).
     let mut f = FheProgram::new(N, Scheme::Bgv);
     let x = f.input(L);
     let r = f.rotate(x, 1);
     f.output(r);
     let lowered = f.lower();
     let k = 3;
-    let sk = keys.secret_key();
-    let full = ctx.max_level();
-    let target = sk.s_automorphism_at_level(k, full).neg();
-    let rotated = |(u0, u1): (RnsPoly, RnsPoly)| (u1, ct1.b.automorphism(k).add(&u0));
-    let ghs = GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng);
-    let got = run(&lowered, &[&ct1], &[], &Hint::Ghs(&ghs), &chain);
-    assert!(got == rotated(ghs.apply(&ct1.a.automorphism(k))), "GHS rotate residues differ");
     keys.add_rotation_hint(k, &mut rng);
-    let reference = ct1.automorphism(k, keys.rotation_hint(k));
-    assert_eq!(keys.decrypt(&with_polys(&ct1, got)), keys.decrypt(&reference));
+    let got = run(&lowered, &[&ct1], &[], &Hints { keys: &keys, unfolded: false });
+    let want = ct1.automorphism(k, keys.rotation_hint(k));
+    assert!(got == (want.a, want.b), "rotate residues differ from f1-fhe's");
 }
 
 #[test]
 fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
-    let params = BgvParams::test_with_specials(N, L, L);
+    let params = BgvParams::test_small(N, L);
     let mut rng = rand::rngs::StdRng::seed_from_u64(37);
     let keys = KeySet::generate(&params, &mut rng);
     let (ct1, ct2) =
         (keys.encrypt(&plain(&params, 1), &mut rng), keys.encrypt(&plain(&params, 2), &mut rng));
     let (p, q) = (plain(&params, 3), plain(&params, 4));
     let (p_res, q_res) = (plain_residues(&params, &p, L), plain_residues(&params, &q, L));
-    let ghs = keys.relin_hint_ghs().unwrap();
-    let chain = Chain {
-        ctx: params.context(),
-        special_start: ghs.special_start(),
-        t: params.plaintext_modulus,
-    };
 
     // add_plain(add(mul(x, y), mul_plain(x, p)), q), p and q runtime inputs.
     let mut f = FheProgram::new(N, Scheme::Bgv);
@@ -337,11 +316,9 @@ fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
     let (inputs, plains) = ([&ct1, &ct2], [&p_res, &q_res]);
     let rest = |prod: Ciphertext| prod.add(&ct1.mul_plain(&p, &params)).add_plain(&q, &params);
 
-    let got = run(&lowered, &inputs, &plains, &Hint::Ghs(ghs), &chain);
-    let want = rest(ct1.mul_ghs(&ct2, ghs));
-    assert!(got == (want.a.clone(), want.b.clone()), "GHS program residues differ from f1-fhe's");
-    let want_d = rest(ct1.mul(&ct2, keys.relin_hint()));
-    assert_eq!(keys.decrypt(&with_polys(&want, got)), keys.decrypt(&want_d));
+    let got = run(&lowered, &inputs, &plains, &Hints { keys: &keys, unfolded: false });
+    let want = rest(ct1.mul(&ct2, keys.relin_hint()));
+    assert!(got == (want.a, want.b), "program residues differ from f1-fhe's");
 }
 
 #[test]
@@ -351,24 +328,15 @@ fn reassociated_sums_compute_f1_fhe_residues() {
     // N = 2^10 the exponents `3^amount mod 2N` of amounts 5, 6, 7, 8 are
     // 243, 729, 139, 417, so the hint order computes the taps out of
     // either chain's order and pass 1 re-adds the chains.
-    let params = BgvParams::test_with_specials(N, L, L);
+    let params = BgvParams::test_small(N, L);
     let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-    let keys = KeySet::generate(&params, &mut rng);
+    let mut keys = KeySet::generate(&params, &mut rng);
     let ct = keys.encrypt(&plain(&params, 1), &mut rng);
-    let ctx = params.context();
-    let sk = keys.secret_key();
-    let t = params.plaintext_modulus;
     let amounts = [5, 6, 7, 8];
-    let exponent = |amount: u32| (0..amount).fold(1, |k, _| k * 3 % (2 * N));
-    let hints: Vec<(usize, GhsHint)> = amounts
-        .iter()
-        .map(|&a| {
-            let k = exponent(a);
-            let target = sk.s_automorphism_at_level(k, ctx.max_level()).neg();
-            (k, GhsHint::generate(sk, &target, L, t, params.error_eta, &mut rng))
-        })
-        .collect();
-    let chain = Chain { ctx, special_start: hints[0].1.special_start(), t };
+    let exponents = amounts.map(|amount| (0..amount).fold(1, |k, _| k * 3 % (2 * N)));
+    for k in exponents {
+        keys.add_rotation_hint(k, &mut rng);
+    }
     let (taps, chains) = (3, 2);
     let weights: Vec<Plaintext> =
         (0..taps * chains).map(|i| plain(&params, 10 + i as u64)).collect();
@@ -393,14 +361,8 @@ fn reassociated_sums_compute_f1_fhe_residues() {
     assert!(changed.iter().all(|ops| matches!(ops, (HomOp::Add { .. }, HomOp::Add { .. }))));
 
     let plains: Vec<&RnsPoly> = weight_residues.iter().collect();
-    let got = run_all(&lowered, &[&ct], &plains, &Hint::Rotations(&hints), &chain);
-    let rotated: Vec<Ciphertext> = hints
-        .iter()
-        .map(|(k, h)| {
-            let (u0, u1) = h.apply(&ct.a.automorphism(*k));
-            with_polys(&ct, (u1, ct.b.automorphism(*k).add(&u0)))
-        })
-        .collect();
+    let got = run_all(&lowered, &[&ct], &plains, &Hints { keys: &keys, unfolded: false });
+    let rotated = exponents.map(|k| ct.automorphism(k, keys.rotation_hint(k)));
     for (g, (a, b)) in got.into_iter().enumerate() {
         let term = |i: usize| rotated[g + i].mul_plain(&weights[g * taps + i], &params);
         let want = (1..taps).fold(term(0), |acc, i| acc.add(&term(i)));
@@ -414,19 +376,14 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
     // lowers the three products to their tensors, carries `l2` through
     // the `mul_plain` and the adds, and key-switches the summed `l2` once,
     // at the root.
-    let params = BgvParams::test_with_specials(N, L, L);
+    let params = BgvParams::test_small(N, L);
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let keys = KeySet::generate(&params, &mut rng);
     let messages: Vec<Plaintext> = (1..=6).map(|i| plain(&params, i)).collect();
     let cts: Vec<Ciphertext> = messages.iter().map(|m| keys.encrypt(m, &mut rng)).collect();
     let p = plain(&params, 7);
     let p_res = plain_residues(&params, &p, L);
-    let ghs = keys.relin_hint_ghs().unwrap();
-    let chain = Chain {
-        ctx: params.context(),
-        special_start: ghs.special_start(),
-        t: params.plaintext_modulus,
-    };
+    let relin = keys.relin_hint();
 
     let mut f = FheProgram::new(N, Scheme::Bgv);
     let xs: Vec<_> = cts.iter().map(|_| f.input(L)).collect();
@@ -438,7 +395,7 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
     f.output(r);
     let lowered = f.lower();
     let inputs: Vec<&Ciphertext> = cts.iter().collect();
-    let got = run(&lowered, &inputs, &[&p_res], &Hint::Ghs(ghs), &chain);
+    let got = run(&lowered, &inputs, &[&p_res], &Hints { keys: &keys, unfolded: false });
 
     // The reference: the summed tensors `(Σl0, Σl1, Σl2)`, the third scaled
     // by `p`, with one GHS key-switch of `Σl2` added.
@@ -448,16 +405,16 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
     };
     let [t1, t2, t3] = [0, 2, 4].map(|i| tensor(&cts[i], &cts[i + 1]));
     let [l0, l1, l2] = [0, 1, 2].map(|j| t1[j].add(&t2[j]).add(&t3[j].mul(&p_res)));
-    let (u0, u1) = ghs.apply(&l2);
+    let (u0, u1) = relin.apply(&l2);
     let want = (l1.add(&u1), l0.add(&u0));
     assert!(got == want, "lazily relinearized residues differ from f1-fhe's");
 
     // Negative control: relinearizing every product adds three key-switch
     // roundings, not one, so the residues differ.
     let eager = cts[0]
-        .mul_ghs(&cts[1], ghs)
-        .add(&cts[2].mul_ghs(&cts[3], ghs))
-        .add(&cts[4].mul_ghs(&cts[5], ghs).mul_plain(&p, &params));
+        .mul(&cts[1], relin)
+        .add(&cts[2].mul(&cts[3], relin))
+        .add(&cts[4].mul(&cts[5], relin).mul_plain(&p, &params));
     assert!(got.0 != eager.a && got.1 != eager.b, "one key-switch computed the eager residues");
 
     // Either way the sum decrypts to the plaintext sum of products.
