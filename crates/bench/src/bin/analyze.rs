@@ -54,7 +54,7 @@ fn main() {
     let spec = SearchSpec::default();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-analysis-v3\",\n");
+    out.push_str("  \"schema\": \"f1-analysis-v4\",\n");
     out.push_str("  \"scale\": 1,\n");
     out.push_str(&format!(
         "  \"managed_spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}}},\n",
@@ -65,8 +65,8 @@ fn main() {
     let benchmarks = all_benchmarks(1);
     let mut total_errors = 0usize;
     println!(
-        "{:<28} {:>6} {:>6} {:>9} {:>9} {:>5} {:>7} {:>9} {:>6}",
-        "benchmark", "nodes", "opt", "wc-margin", "est-marg.", "L*", "N*", "wc-mgd", "errs"
+        "{:<28} {:>6} {:>6} {:>9} {:>5} {:>7} {:>9} {:>6}",
+        "benchmark", "nodes", "opt", "wc-margin", "L*", "N*", "wc-mgd", "errs"
     );
     // The heavy per-benchmark work (optimize, analyze, (N, L) search,
     // managed-program re-analysis) is independent across benchmarks; run
@@ -103,12 +103,11 @@ fn main() {
         total_errors += managed_errors;
 
         println!(
-            "{:<28} {:>6} {:>6} {:>9.1} {:>9.1} {:>5} {:>7} {:>9} {:>6}",
+            "{:<28} {:>6} {:>6} {:>9.1} {:>5} {:>7} {:>9} {:>6}",
             b.name,
             stats.nodes_before,
             stats.nodes_after,
             report.noise.min_margin_wc,
-            report.noise.min_margin_est,
             found.as_ref().map_or("-".into(), |r| r.l.to_string()),
             found.as_ref().map_or("-".into(), |r| r.n_secure.to_string()),
             found.as_ref().map_or("-".into(), |r| format!("{:+.1}", r.stats.min_margin_wc_after)),
@@ -127,10 +126,6 @@ fn main() {
         out.push_str(&format!(
             "        \"min_margin_wc_bits\": {:.1},\n",
             report.noise.min_margin_wc
-        ));
-        out.push_str(&format!(
-            "        \"min_margin_est_bits\": {:.1},\n",
-            report.noise.min_margin_est
         ));
         out.push_str(&format!(
             "        \"critical_node\": {},\n",
@@ -157,10 +152,6 @@ fn main() {
                 out.push_str(&format!(
                     "        \"min_margin_wc_bits\": {:.1},\n",
                     r.stats.min_margin_wc_after
-                ));
-                out.push_str(&format!(
-                    "        \"min_margin_est_bits\": {:.1},\n",
-                    r.stats.min_margin_est_after
                 ));
                 out.push_str(&format!("        \"rescales_inserted\": {},\n", r.stats.inserted));
                 out.push_str(&format!("        \"hand_switches_dropped\": {},\n", r.stats.dropped));

@@ -107,7 +107,7 @@ fn main() {
     let benchmarks_full = all_benchmarks(1);
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-param-search-v1\",\n");
+    out.push_str("  \"schema\": \"f1-param-search-v2\",\n");
     out.push_str("  \"scale\": 1,\n");
     out.push_str(&format!(
         "  \"spec\": {{\"target_margin_bits\": {:.1}, \"min_security_bits\": {:.1}, \"max_l\": {}}},\n",
@@ -116,14 +116,13 @@ fn main() {
     out.push_str("  \"benchmarks\": [\n");
 
     println!(
-        "{:<28} {:>6} {:>5} {:>5} {:>8} {:>8} {:>9} {:>9} {:>8} {:>9}",
+        "{:<28} {:>6} {:>5} {:>5} {:>8} {:>8} {:>9} {:>8} {:>9}",
         "benchmark",
         "paperL",
         "L*",
         "lg N*",
         "sec-bits",
         "wc-marg",
-        "est-marg",
         "inserted",
         "dropped",
         "wc-hand"
@@ -134,14 +133,13 @@ fn main() {
         match &found {
             Some(r) => {
                 println!(
-                    "{:<28} {:>6} {:>5} {:>5} {:>8.1} {:>8.1} {:>9.1} {:>9} {:>8} {:>9.1}",
+                    "{:<28} {:>6} {:>5} {:>5} {:>8.1} {:>8.1} {:>9} {:>8} {:>9.1}",
                     b.name,
                     b.l,
                     r.l,
                     r.n_secure.ilog2(),
                     r.security_bits,
                     r.stats.min_margin_wc_after,
-                    r.stats.min_margin_est_after,
                     r.stats.inserted,
                     r.stats.dropped,
                     r.stats.min_margin_wc_before
@@ -149,7 +147,7 @@ fn main() {
             }
             None => {
                 println!(
-                    "{:<28} {:>6} SEARCH FAILED (no L ≤ {} meets the target)",
+                    "{:<28} {:>6} SEARCH FAILED (no L ≤ {} meets the margin target at a secure ring)",
                     b.name, b.l, spec.max_l
                 );
                 failures += 1;
@@ -168,10 +166,6 @@ fn main() {
                 out.push_str(&format!(
                     "        \"min_margin_wc_bits\": {:.1},\n",
                     r.stats.min_margin_wc_after
-                ));
-                out.push_str(&format!(
-                    "        \"min_margin_est_bits\": {:.1},\n",
-                    r.stats.min_margin_est_after
                 ));
                 out.push_str(&format!("        \"rescales_inserted\": {},\n", r.stats.inserted));
                 out.push_str(&format!("        \"hand_switches_dropped\": {}\n", r.stats.dropped));

@@ -9,9 +9,7 @@
 //! | `typing::*` | Error | structural/typing invariant broken (see [`super::typing`]) |
 //! | `scale::exceeds-level` | Warning | CKKS scale exceeds remaining levels: cannot rescale back to Δ |
 //! | `scale::saturated-rescale` | Warning | CKKS rescale at scale 1 hit the saturation floor |
-//! | `noise::budget-exhausted` | Error (BGV) / Warning | estimate AND worst-case bound both overrun `log2(Q_l/2)` |
-//! | `noise::unproven` | Warning | worst-case bound overruns the budget (correctness not statically proven) |
-//! | `noise::pessimistic-estimate` | Info | estimate overruns but the sound bound fits (heuristic drift, not a failure) |
+//! | `noise::budget-exhausted` | Error (BGV) / Warning | worst-case bound overruns `log2(Q_l/2)` |
 //! | `noise::low-margin` | Info | worst-case margin below 10 bits |
 //! | `redundancy::dead-node` | Warning | nodes that cannot reach an output (run `optimize`) |
 //! | `program::no-outputs` | Warning | the program computes nothing observable |
@@ -83,69 +81,33 @@ fn scale_lint(p: &FheProgram) -> Vec<Diagnostic> {
     out
 }
 
-/// `noise::*`: noise-budget findings from the abstract interpretation.
+/// `noise::*`: noise-budget findings from the abstract interpretation,
+/// anchored at the node with the least worst-case margin.
 fn noise_lint(p: &FheProgram, r: &NoiseReport) -> Vec<Diagnostic> {
     let Some(critical) = r.critical else { return Vec::new() };
-    let mut out = Vec::new();
-    // Only the BGV model is executor-validated; other schemes never
-    // exceed Warning.
-    let ceiling = if p.scheme() == Scheme::Bgv { Severity::Error } else { Severity::Warning };
-    if r.min_margin_wc < 0.0 && r.min_margin_est < 0.0 {
-        // Both quantities overrun: the program is exhausted by any
-        // reading. Anchor at the node with the worst *estimate*
-        // margin (the runtime's view of where it dies first).
-        let worst_est = (0..p.nodes().len())
-            .map(|i| IrId(i as u32))
-            .filter(|&id| !p.node(id).ty.plain)
-            .min_by(|&a, &b| {
-                r.margin_est(p, a).partial_cmp(&r.margin_est(p, b)).expect("margins are finite")
-            })
-            .expect("critical implies a ciphertext node exists");
-        out.push(Diagnostic {
+    if r.min_margin_wc < 0.0 {
+        // Only the BGV model is executor-validated; other schemes never
+        // exceed Warning.
+        let severity = if p.scheme() == Scheme::Bgv { Severity::Error } else { Severity::Warning };
+        vec![Diagnostic {
             rule: "noise::budget-exhausted",
-            severity: ceiling,
-            node: Some(worst_est),
+            severity,
+            node: Some(critical),
             message: format!(
-                "tracked noise estimate overruns the budget by {:.1} bits at level {}",
-                -r.min_margin_est,
-                p.node(worst_est).ty.level
+                "worst-case noise bound overruns the budget by {:.1} bits at level {}",
+                -r.min_margin_wc,
+                p.node(critical).ty.level
             ),
-        });
-    } else if r.min_margin_wc < 0.0 {
-        out.push(Diagnostic::warning(
-            "noise::unproven",
-            Some(critical),
-            format!(
-                "worst-case noise bound overruns the budget by {:.1} bits \
-                     (estimate still fits by {:.1}): correctness is not statically proven",
-                -r.min_margin_wc, r.min_margin_est
-            ),
-        ));
-    } else if r.min_margin_est < 0.0 {
-        // The sound worst-case bound fits, so correctness IS
-        // statically proven; the heuristic estimate overrunning is
-        // accumulated per-op pessimism (e.g. BGV `add_est = max+1`
-        // adds a full bit where the exact sum adds almost nothing,
-        // so deep addition trees drift tens of bits above the true
-        // noise). Informational only — the bound is the authority.
-        out.push(Diagnostic::info(
-            "noise::pessimistic-estimate",
-            Some(critical),
-            format!(
-                "tracked estimate overruns by {:.1} bits but the worst-case bound \
-                     fits with {:.1} bits to spare: the estimate recurrence is \
-                     pessimistic on this shape, not the program",
-                -r.min_margin_est, r.min_margin_wc
-            ),
-        ));
+        }]
     } else if r.min_margin_wc < 10.0 {
-        out.push(Diagnostic::info(
+        vec![Diagnostic::info(
             "noise::low-margin",
             Some(critical),
             format!("worst-case noise margin is only {:.1} bits", r.min_margin_wc),
-        ));
+        )]
+    } else {
+        Vec::new()
     }
-    out
 }
 
 /// `redundancy::dead-node`: nodes that cannot reach any program output.
@@ -344,28 +306,48 @@ mod tests {
 
     #[test]
     fn triggers_noise_budget_exhausted() {
-        // Relentless squaring at one level: the estimate itself overruns.
-        let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
-        let mut x = p.input(2);
-        for _ in 0..4 {
-            x = p.square(x);
+        // Relentless squaring at one level: the bound overruns by far.
+        // Only the BGV bound is executor-validated, so only BGV errs.
+        for (scheme, severity) in
+            [(Scheme::Bgv, Severity::Error), (Scheme::Ckks, Severity::Warning)]
+        {
+            let mut p = FheProgram::new(1 << 14, scheme);
+            let mut x = p.input(2);
+            for _ in 0..4 {
+                x = p.square(x);
+            }
+            p.output(x);
+            let d = diags(&p);
+            assert!(
+                d.iter().any(|x| x.rule == "noise::budget-exhausted" && x.severity == severity),
+                "{scheme:?} exhaustion must be a {severity:?}: {d:?}"
+            );
         }
-        p.output(x);
-        let d = diags(&p);
-        assert!(has(&d, "noise::budget-exhausted"), "{d:?}");
-        assert!(
-            d.iter().any(|x| x.rule == "noise::budget-exhausted" && x.severity == Severity::Error),
-            "BGV exhaustion must be an Error"
-        );
     }
 
     #[test]
-    fn proven_bound_downgrades_estimate_overrun_to_info() {
-        // A long addition chain: the estimate pays a full bit per add
-        // (`add_est = max + 1`) while the exact worst-case sum grows
-        // logarithmically, so after ~200 adds the estimate overruns a
-        // budget the sound bound fits comfortably. Correctness is
-        // proven, so this must NOT be budget-exhausted.
+    fn bgv_bound_overrun_is_an_error() {
+        // One square at level 2: the relinearization term alone bounds
+        // the noise at 1 + 14 + 30 + 16 + 3 = 64 bits against budget
+        // 2·29 − 1 = 57. The bound is the only static noise quantity,
+        // so a BGV overrun is an Error, anchored at the critical node.
+        let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
+        let x = p.input(2);
+        let m = p.square(x);
+        p.output(m);
+        let d = diags(&p);
+        let found: Vec<_> = d.iter().filter(|x| x.rule.starts_with("noise::")).collect();
+        assert_eq!(found.len(), 1, "{d:?}");
+        assert_eq!(found[0].rule, "noise::budget-exhausted");
+        assert_eq!(found[0].severity, Severity::Error);
+        assert_eq!(found[0].node, Some(m));
+    }
+
+    #[test]
+    fn fitting_bound_raises_no_noise_finding() {
+        // A long addition chain: the worst-case sum grows only
+        // logarithmically, so after 200 adds the bound still fits with
+        // room to spare. No noise finding may appear above Info.
         let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
         let mut x = p.input(4);
         let y = p.input(4);
@@ -373,39 +355,27 @@ mod tests {
             x = p.add(x, y);
         }
         p.output(x);
-        let d = diags(&p);
-        assert!(!has(&d, "noise::budget-exhausted"), "{d:?}");
-        assert!(has(&d, "noise::pessimistic-estimate"), "{d:?}");
+        let report = Analyzer::new().analyze(&p);
+        assert!(report.noise.min_margin_wc > 0.0, "{}", report.noise.min_margin_wc);
+        let d = report.diagnostics;
+        assert!(
+            d.iter().all(|x| !x.rule.starts_with("noise::") || x.severity == Severity::Info),
+            "{d:?}"
+        );
         assert!(d.iter().all(|x| x.severity != Severity::Error), "{d:?}");
     }
 
     #[test]
-    fn triggers_noise_unproven() {
-        // One mul at a level the estimate fits but the worst case
-        // doesn't: est ≈ 17+17+14 = 48, wc ≈ 14+2·16+ks ≈ 70+ vs
-        // budget 2·29-1 = 57.
-        let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
-        let x = p.input(2);
-        let m = p.square(x);
-        p.output(m);
-        let d = diags(&p);
-        assert!(has(&d, "noise::unproven"), "{d:?}");
-    }
-
-    #[test]
     fn triggers_noise_low_margin() {
-        // Two plain-muls at level 2: wc ≈ 2·(14+15) + fresh 19 ≈ 50
-        // against budget 57 — inside the 10-bit band.
+        // A plain-mul at level 2: wc ≈ 14 + 15 + fresh 19 ≈ 48 against
+        // budget 57 — inside the 10-bit band.
         let mut p = FheProgram::new(1 << 14, Scheme::Bgv);
         let x = p.input(2);
         let c = p.scalar(3, 2);
         let m = p.mul_plain(x, c);
         p.output(m);
         let d = diags(&p);
-        assert!(
-            has(&d, "noise::low-margin") || has(&d, "noise::unproven"),
-            "expected a thin-margin finding: {d:?}"
-        );
+        assert!(has(&d, "noise::low-margin"), "expected a thin-margin finding: {d:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   a miscompiling pass is caught at the boundary that introduced it,
 //!   and [`crate::ir::lower::lower`] refuses any program it rejects.
 //! * [`noise`] — abstract interpretation of noise growth in bits per
-//!   node (tracked-estimate and worst-case-bound recurrences from
+//!   node (the sound worst-case-bound recurrences from
 //!   [`f1_fhe::noise`]), reporting each node's remaining budget margin
 //!   and the critical noise path.
 //! * [`lints`] — the lint rules binding it all into

@@ -1,10 +1,12 @@
-//! Static noise-budget estimation: abstract interpretation of noise
+//! Static noise-budget analysis: abstract interpretation of noise
 //! growth in bits per node.
 //!
-//! Each node carries two numbers, both `log2` of the noise magnitude
-//! `|t·e|`: the **tracked estimate** (the same recurrences the runtime
-//! [`f1_fhe::bgv::Ciphertext`] uses) and a **worst-case sound bound**
-//! (see [`f1_fhe::noise::NoiseModel`]). The margin against the
+//! Each node carries one number, a **worst-case sound bound** on `log2`
+//! of the noise magnitude `|t·e|` (see [`f1_fhe::noise::NoiseModel`]).
+//! It is the only static noise quantity: lints, rescale insertion and
+//! the parameter search all read it, and the only other noise number in
+//! the system is the one measured with the secret key
+//! ([`f1_fhe::bgv::KeySet::decrypt_noise`]). The margin against the
 //! decryption ceiling `log2(Q_l/2)` is reported per node; the minimum
 //! over the program plus the chain of worst operands from an input to
 //! that node is the **critical noise path** — the place a rescale or an
@@ -37,8 +39,6 @@ use f1_fhe::noise::NoiseModel;
 /// Per-node abstract noise state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseFact {
-    /// Tracked-estimate noise bits (the runtime recurrence).
-    pub est: f64,
     /// Worst-case sound bound on noise bits.
     pub wc: f64,
     /// Abstract BGV correction history: sorted (switched-from level,
@@ -52,12 +52,8 @@ pub struct NoiseFact {
 /// The bottom fact: no encryption noise. Plaintexts carry it, and so
 /// does an operand that is not an earlier node (malformed IR, which the
 /// typing validator reports).
-static NOISELESS: NoiseFact = NoiseFact {
-    est: f64::NEG_INFINITY,
-    wc: f64::NEG_INFINITY,
-    correction: Vec::new(),
-    worst_operand: None,
-};
+static NOISELESS: NoiseFact =
+    NoiseFact { wc: f64::NEG_INFINITY, correction: Vec::new(), worst_operand: None };
 
 fn merge_corrections(a: &[(usize, u32)], b: &[(usize, u32)]) -> Vec<(usize, u32)> {
     let mut out = a.to_vec();
@@ -109,19 +105,14 @@ impl NoiseAnalysis {
         let fact = |v: &IrId| facts.get(v.0 as usize).unwrap_or(&NOISELESS);
         let scale = |v: &IrId| p.nodes().get(v.0 as usize).map_or(0, |n| n.ty.scale);
         match &node.op {
-            FheOp::CtInput { .. } => NoiseFact {
-                est: m.est_fresh(),
-                wc: m.wc_fresh(),
-                correction: Vec::new(),
-                worst_operand: None,
-            },
+            FheOp::CtInput { .. } => {
+                NoiseFact { wc: m.wc_fresh(), correction: Vec::new(), worst_operand: None }
+            }
             FheOp::Add(a_id, b_id) => {
                 let (a, b) = (fact(a_id), fact(b_id));
                 let aligned = !self.track_corrections || a.correction == b.correction;
-                let (b_est, b_wc) =
-                    if aligned { (b.est, b.wc) } else { (m.est_align(b.est), m.wc_align(b.wc)) };
+                let b_wc = if aligned { b.wc } else { m.wc_align(b.wc) };
                 NoiseFact {
-                    est: m.est_add(a.est, b_est),
                     wc: m.wc_add(a.wc, b_wc),
                     correction: a.correction.clone(),
                     worst_operand: Some(if a.wc >= b_wc { *a_id } else { *b_id }),
@@ -130,7 +121,6 @@ impl NoiseAnalysis {
             FheOp::AddPlain(a_id, _) => {
                 let a = fact(a_id);
                 NoiseFact {
-                    est: m.est_add_plain(a.est),
                     // BGV: the scaled plaintext re-centers mod t (+ t);
                     // CKKS: only the encoding-rounding error is added.
                     wc: m.wc_add_plain(a.wc),
@@ -140,20 +130,15 @@ impl NoiseAnalysis {
             }
             FheOp::Mul(a_id, b_id) => {
                 let (a, b) = (fact(a_id), fact(b_id));
-                let (est, wc) = if p.scheme() == Scheme::Ckks {
+                let wc = if p.scheme() == Scheme::Ckks {
                     // The CKKS bound needs the operand scales: the message
                     // magnitude (Δ^scale) multiplies the other operand's
                     // noise in the cross terms.
-                    let (sa, sb) = (scale(a_id), scale(b_id));
-                    (
-                        m.est_mul_ckks(a.est, sa, b.est, sb, level),
-                        m.wc_mul_ckks(a.wc, sa, b.wc, sb, level),
-                    )
+                    m.wc_mul_ckks(a.wc, scale(a_id), b.wc, scale(b_id), level)
                 } else {
-                    (m.est_mul(a.est, b.est, level), m.wc_mul(a.wc, b.wc, level))
+                    m.wc_mul(a.wc, b.wc, level)
                 };
                 NoiseFact {
-                    est,
                     wc,
                     correction: merge_corrections(&a.correction, &b.correction),
                     worst_operand: Some(if a.wc >= b.wc { *a_id } else { *b_id }),
@@ -161,18 +146,16 @@ impl NoiseAnalysis {
             }
             FheOp::MulPlain(a_id, b_id) => {
                 let a = fact(a_id);
-                let (est, wc) = if p.scheme() == Scheme::Ckks {
-                    let (sa, sp) = (scale(a_id), scale(b_id));
-                    (m.est_mul_plain_ckks(a.est, sa, sp), m.wc_mul_plain_ckks(a.wc, sa, sp))
+                let wc = if p.scheme() == Scheme::Ckks {
+                    m.wc_mul_plain_ckks(a.wc, scale(a_id), scale(b_id))
                 } else {
-                    (m.est_mul_plain(a.est), m.wc_mul_plain(a.wc))
+                    m.wc_mul_plain(a.wc)
                 };
-                NoiseFact { est, wc, correction: a.correction.clone(), worst_operand: Some(*a_id) }
+                NoiseFact { wc, correction: a.correction.clone(), worst_operand: Some(*a_id) }
             }
             FheOp::Aut { a: a_id, .. } => {
                 let a = fact(a_id);
                 NoiseFact {
-                    est: m.est_aut(a.est),
                     wc: m.wc_aut(a.wc, level),
                     correction: a.correction.clone(),
                     worst_operand: Some(*a_id),
@@ -189,7 +172,6 @@ impl NoiseAnalysis {
                     Vec::new()
                 };
                 NoiseFact {
-                    est: m.est_mod_switch(a.est, from),
                     wc: m.wc_mod_switch(a.wc, from),
                     correction,
                     worst_operand: Some(*a_id),
@@ -220,8 +202,6 @@ pub struct NoiseReport {
     /// Minimum worst-case margin over all ciphertext nodes (`+inf` if
     /// the program has none).
     pub min_margin_wc: f64,
-    /// Minimum tracked-estimate margin.
-    pub min_margin_est: f64,
     /// The node attaining `min_margin_wc`.
     pub critical: Option<IrId>,
     /// Worst-operand chain from an input to [`NoiseReport::critical`].
@@ -246,13 +226,6 @@ impl NoiseReport {
             - self.headroom(p, id)
             - self.facts[id.0 as usize].wc
     }
-
-    /// Tracked-estimate margin of one node.
-    pub fn margin_est(&self, p: &FheProgram, id: IrId) -> f64 {
-        self.model.budget_bits(p.node(id).ty.level)
-            - self.headroom(p, id)
-            - self.facts[id.0 as usize].est
-    }
 }
 
 /// Runs the noise analysis with the scheme's default model.
@@ -273,7 +246,6 @@ pub fn analyze_with(p: &FheProgram, model: NoiseModel) -> NoiseReport {
         model: analysis.model,
         facts,
         min_margin_wc: f64::INFINITY,
-        min_margin_est: f64::INFINITY,
         critical: None,
         critical_path: Vec::new(),
     };
@@ -283,8 +255,6 @@ pub fn analyze_with(p: &FheProgram, model: NoiseModel) -> NoiseReport {
         }
         let id = IrId(i as u32);
         let wc = report.margin_wc(p, id);
-        let est = report.margin_est(p, id);
-        report.min_margin_est = report.min_margin_est.min(est);
         if wc < report.min_margin_wc {
             report.min_margin_wc = wc;
             report.critical = Some(id);
@@ -324,20 +294,6 @@ mod tests {
         let shallow = analyze(&chain(1, 8));
         let deep = analyze(&chain(4, 8));
         assert!(deep.min_margin_wc < shallow.min_margin_wc);
-        assert!(deep.min_margin_est < shallow.min_margin_est);
-    }
-
-    #[test]
-    fn wc_dominates_est_everywhere() {
-        let p = chain(3, 8);
-        let r = analyze(&p);
-        for (i, node) in p.nodes().iter().enumerate() {
-            if node.ty.plain {
-                continue;
-            }
-            let f = &r.facts[i];
-            assert!(f.wc >= f.est - 1.0, "node {i}: wc {} < est {}", f.wc, f.est);
-        }
     }
 
     #[test]

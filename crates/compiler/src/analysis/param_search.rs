@@ -18,18 +18,22 @@
 //!    `target_margin_bits` (each extra limb buys `limb_bits - 1` budget
 //!    bits, so margin is monotone in `L`).
 //! 2. **N** — the smallest power-of-two ring dimension that keeps
-//!    `security_level_bits(N, L·limb_bits) ≥ min_security_bits` per the
-//!    HE-standard table. A larger ring raises the convolution noise
+//!    `security_level_bits(N, 2·L·limb_bits) ≥ min_security_bits` per
+//!    the HE-standard table. Every key-switch runs over `Q·P` with
+//!    `K = L` special primes, so the hint modulus is twice the chain's
+//!    width (as [`f1_fhe::params::BgvParams::security_bits`] counts it).
+//!    A larger ring raises the convolution noise
 //!    (√N-grade), so after raising `N` the margin is re-proven under the
 //!    larger-ring model and `L` re-searched if it regressed — iterated
 //!    to a fixpoint (a handful of rounds; both axes are monotone).
 //!
 //! The managed program keeps the *structural* ring dimension of the
 //! input (automorphism exponents live mod `2N`); `n_secure` reports the
-//! ring the parameters must be instantiated at. For every F1 benchmark
-//! the structural ring (2^14) already clears 128-bit security at the
-//! paper's chain lengths; deep bootstrapping chains honestly report the
-//! larger ring they would need.
+//! ring the parameters must be instantiated at. Counted over `Q·P`, no
+//! F1 benchmark's found chain clears 128-bit security at the structural
+//! ring (2^14): the LoLa, LogReg and DB-lookup chains need 2^15 or 2^16,
+//! and the deep bootstrapping chains honestly report the larger ring
+//! they would need.
 
 use super::noise::{analyze_with, default_model};
 use crate::ir::rescale::{insert_rescales_with, RescaleStats};
@@ -70,7 +74,8 @@ pub struct SearchResult {
     /// Smallest power-of-two ring dimension meeting the security target
     /// at `l` limbs (≥ the program's structural ring).
     pub n_secure: usize,
-    /// Security level at `(n_secure, l)` per the HE-standard table.
+    /// Security level at `(n_secure, l)` per the HE-standard table, over
+    /// the key-switch modulus `Q·P` (`2·l` limbs).
     pub security_bits: f64,
     /// The reflowed program (inputs at level `l`, rescales inserted).
     pub managed: FheProgram,
@@ -115,22 +120,37 @@ fn min_l(
     Some((hi, best.0, best.1))
 }
 
+/// The largest ring the search considers. The table extrapolates
+/// linearly beyond 2^15; 2^24 is far past any realistic FHE ring (it
+/// admits the worst-case-priced bootstrapping chains, which honestly
+/// need rings this large) and bounds the loop.
+const MAX_RING: usize = 1 << 24;
+
+/// `log2` of the key-switch modulus `Q·P` at `l` limbs (`K = l`
+/// specials), counting each prime at its full width: an upper bound on
+/// the modulus, so conservative for security.
+fn key_switch_log_q(l: usize, model: &NoiseModel) -> u32 {
+    2 * l as u32 * model.limb_bits
+}
+
 /// Smallest power-of-two ring dimension (≥ `floor_n`) reaching
-/// `min_security_bits` at `log_q` total modulus bits.
-fn min_secure_n(floor_n: usize, log_q: u32, min_security_bits: f64) -> usize {
+/// `min_security_bits` at `log_q` total modulus bits, or `None` when
+/// not even [`MAX_RING`] does.
+fn min_secure_n(floor_n: usize, log_q: u32, min_security_bits: f64) -> Option<usize> {
     let mut n = floor_n.max(1024);
-    // The table extrapolates linearly beyond 2^15; 2^24 is far past any
-    // realistic FHE ring (it admits the worst-case-priced bootstrapping
-    // chains, which honestly need rings this large) and bounds the loop.
-    while security_level_bits(n, log_q) < min_security_bits && n < (1 << 24) {
+    while security_level_bits(n, log_q) < min_security_bits {
+        if n >= MAX_RING {
+            return None;
+        }
         n *= 2;
     }
-    n
+    Some(n)
 }
 
 /// Runs the `(N, L)` search for `p` under `spec`. Returns `None` when no
-/// chain length up to `spec.max_l` reaches the margin target (or the
-/// scheme has no modulus chain to size).
+/// chain length up to `spec.max_l` reaches the margin target, when no
+/// ring up to 2^24 reaches the security target, or when the
+/// scheme has no modulus chain to size.
 pub fn search(p: &FheProgram, spec: &SearchSpec) -> Option<SearchResult> {
     if p.scheme() == Scheme::Gsw {
         return None;
@@ -141,11 +161,8 @@ pub fn search(p: &FheProgram, spec: &SearchSpec) -> Option<SearchResult> {
     // raises √N-grade noise, which can push L up, which can push N up.
     for _ in 0..8 {
         let (l, managed, stats) = min_l(p, spec, &model)?;
-        // Security is judged against the *full* limb width (primes are
-        // < 2^limb_bits): an upper bound on log Q, conservative for
-        // security.
-        let log_q = (l as u32) * model.limb_bits;
-        let n_secure = min_secure_n(p.n, log_q, spec.min_security_bits);
+        let log_q = key_switch_log_q(l, &model);
+        let n_secure = min_secure_n(p.n, log_q, spec.min_security_bits)?;
         if n_secure <= model.n {
             return Some(SearchResult {
                 l,
@@ -215,7 +232,7 @@ mod tests {
         // bigger ring for 128-bit security.
         let p = chain(6);
         let r = search(&p, &SearchSpec::default()).unwrap();
-        let log_q = (r.l as u32) * default_model(&p).limb_bits;
+        let log_q = key_switch_log_q(r.l, &default_model(&p));
         assert!(r.security_bits >= 128.0, "{}", r.security_bits);
         assert!(r.n_secure >= p.n);
         assert!(security_level_bits(r.n_secure / 2, log_q) < 128.0 || r.n_secure == p.n);
@@ -233,6 +250,16 @@ mod tests {
     fn unreachable_target_returns_none() {
         let p = chain(3);
         let spec = SearchSpec { max_l: 1, ..Default::default() };
+        assert!(search(&p, &spec).is_none());
+    }
+
+    #[test]
+    fn security_beyond_the_largest_ring_returns_none() {
+        // No ring up to 2^24 reaches 10^6 bits at a few limbs: the
+        // search must fail rather than report an insecure point.
+        let p = chain(3);
+        let spec = SearchSpec { min_security_bits: 1e6, ..Default::default() };
+        assert_eq!(min_secure_n(p.n, key_switch_log_q(4, &default_model(&p)), 1e6), None);
         assert!(search(&p, &spec).is_none());
     }
 

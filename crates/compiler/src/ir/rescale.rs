@@ -58,19 +58,6 @@ pub struct RescaleStats {
     pub min_margin_wc_before: f64,
     /// Minimum worst-case margin after insertion (bits).
     pub min_margin_wc_after: f64,
-    /// Minimum tracked-estimate margin after insertion (bits).
-    ///
-    /// The estimate mirrors the runtime's per-op recurrences, which are
-    /// deliberately cheap and can be *more pessimistic than the sound
-    /// bound* on some shapes (BGV `add_est = max + 1` pays a full bit
-    /// per add where the exact sum grows logarithmically; the CKKS
-    /// exact-add and automorphism recurrences similarly over-shoot). A
-    /// negative value here with a positive [`min_margin_wc_after`]
-    /// means the estimate drifted, not the program — the worst-case
-    /// bound is the correctness authority.
-    ///
-    /// [`min_margin_wc_after`]: RescaleStats::min_margin_wc_after
-    pub min_margin_est_after: f64,
 }
 
 /// Reflows `p` with the scheme's default noise model. See the module
@@ -106,7 +93,6 @@ pub fn insert_rescales_with(
             dropped: 0,
             min_margin_wc_before: before.min_margin_wc,
             min_margin_wc_after: before.min_margin_wc,
-            min_margin_est_after: before.min_margin_est,
         };
         return (p.clone(), stats);
     }
@@ -202,7 +188,6 @@ pub fn insert_rescales_with(
         dropped: r.dropped,
         min_margin_wc_before: before.min_margin_wc,
         min_margin_wc_after: after.min_margin_wc,
-        min_margin_est_after: after.min_margin_est,
     };
     (out, stats)
 }

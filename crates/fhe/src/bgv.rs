@@ -1,5 +1,5 @@
 //! The BGV scheme (§2.2): encryption, homomorphic operations, modulus
-//! switching and noise accounting.
+//! switching and noise measurement.
 //!
 //! Conventions: a ciphertext is `(a, b)` with `b = a*s + t*e + m (mod Q_l)`;
 //! decryption recovers `e' = b - a*s` centered mod `Q_l`, then `m = e' mod
@@ -10,7 +10,6 @@
 
 use crate::keys::SecretKey;
 use crate::keyswitch::{GhsHint, KsScratch};
-use crate::noise;
 use crate::params::BgvParams;
 use f1_modarith::CenteredLift;
 use f1_poly::crt;
@@ -90,17 +89,14 @@ impl Plaintext {
     }
 }
 
-/// A BGV ciphertext: `(a, b)` in NTT form at some level, plus noise
-/// bookkeeping.
+/// A BGV ciphertext: `(a, b)` in NTT form at some level, plus its
+/// plaintext bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
     /// The `a` polynomial (mask).
     pub a: RnsPoly,
     /// The `b` polynomial (body).
     pub b: RnsPoly,
-    /// Estimated `log2` of the noise magnitude `|t*e|` (tracked, not
-    /// measured; see [`KeySet::decrypt_noise`] for ground truth).
-    pub noise_log2: f64,
     /// Plaintext correction factor `F`: the raw decryption equals
     /// `F * m (mod t)`. Modulus switching multiplies the embedded plaintext
     /// by `q_top^{-1} mod t`, so `F` accumulates those factors (SEAL-style
@@ -120,13 +116,6 @@ impl Ciphertext {
     /// Ciphertext size in bytes (2 polynomials).
     pub fn size_bytes(&self) -> usize {
         self.a.size_bytes() + self.b.size_bytes()
-    }
-
-    /// Remaining noise budget in bits at this level: `log2(Q_l/2) -
-    /// noise_log2`. Decryption fails when this reaches zero (§2.2.2).
-    pub fn noise_budget_bits(&self) -> f64 {
-        let log_q = self.a.context().log_q(self.level()) as f64;
-        (log_q - 1.0) - self.noise_log2
     }
 }
 
@@ -217,8 +206,7 @@ impl KeySet {
         let mut b = a.mul(&s);
         b.add_assign(&te);
         b.add_assign(&m_poly);
-        let noise = noise::fresh_est(t, self.params.error_eta);
-        Ciphertext { a, b, noise_log2: noise, correction: 1, pt_modulus: t }
+        Ciphertext { a, b, correction: 1, pt_modulus: t }
     }
 
     /// Decrypts a ciphertext (using the plaintext modulus the ciphertext
@@ -240,8 +228,8 @@ impl KeySet {
         Plaintext { t, coeffs }
     }
 
-    /// Measures the true noise magnitude `log2 |b - a*s - m|` (ground truth
-    /// for the tracked estimate).
+    /// Measures the true noise magnitude `log2 |b - a*s - m|`, the ground
+    /// truth the static bound [`crate::noise::NoiseModel`] must dominate.
     pub fn decrypt_noise(&self, ct: &Ciphertext) -> f64 {
         let l = ct.level();
         let s = self.sk.s_at_level(l);
@@ -256,6 +244,14 @@ impl KeySet {
         let m_poly = plaintext_to_poly(&m_raw, l, &self.params);
         let noise = ct.b.sub(&ct.a.mul(&s)).sub(&m_poly.to_ntt()).to_coeff();
         crt::log2_infinity_norm(&noise)
+    }
+
+    /// Measured noise budget in bits: `log2(Q_l/2) - decrypt_noise(ct)`.
+    /// Decryption fails when this reaches zero (§2.2.2).
+    pub fn noise_budget_bits(&self, ct: &Ciphertext) -> f64 {
+        let ctx = ct.a.context();
+        let log2_q: f64 = (0..ct.level()).map(|j| f64::from(ctx.modulus(j).value()).log2()).sum();
+        log2_q - 1.0 - self.decrypt_noise(ct)
     }
 }
 
@@ -285,7 +281,6 @@ impl Ciphertext {
         Self {
             a: self.a.add(&other.a),
             b: self.b.add(&other.b),
-            noise_log2: noise::add_est(self.noise_log2, other.noise_log2),
             correction: self.correction,
             pt_modulus: self.pt_modulus,
         }
@@ -296,7 +291,6 @@ impl Ciphertext {
         Self {
             a: self.a.neg(),
             b: self.b.neg(),
-            noise_log2: self.noise_log2,
             correction: self.correction,
             pt_modulus: self.pt_modulus,
         }
@@ -331,7 +325,6 @@ impl Ciphertext {
         Self {
             a,
             b,
-            noise_log2: (self.noise_log2 - k as f64).max(1.0),
             correction: self.correction % new_params.plaintext_modulus,
             pt_modulus: new_params.plaintext_modulus,
         }
@@ -343,7 +336,6 @@ impl Ciphertext {
         Self {
             a: self.a.sub(&other.a),
             b: self.b.sub(&other.b),
-            noise_log2: noise::add_est(self.noise_log2, other.noise_log2),
             correction: self.correction,
             pt_modulus: self.pt_modulus,
         }
@@ -376,13 +368,7 @@ impl Ciphertext {
             a = a.neg();
             b = b.neg();
         }
-        Self {
-            a,
-            b,
-            noise_log2: noise::scale_est(self.noise_log2, fr),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        Self { a, b, correction: self.correction, pt_modulus: self.pt_modulus }
     }
 
     /// Adds an unencrypted plaintext (cheap, §2.1). The plaintext is
@@ -397,7 +383,6 @@ impl Ciphertext {
         Self {
             a: self.a.clone(),
             b: self.b.add(&mp),
-            noise_log2: self.noise_log2,
             correction: self.correction,
             pt_modulus: self.pt_modulus,
         }
@@ -411,7 +396,6 @@ impl Ciphertext {
         Self {
             a: self.a.mul(&mp),
             b: self.b.mul(&mp),
-            noise_log2: noise::mul_plain_est(self.noise_log2, params.plaintext_modulus, params.n),
             correction: self.correction,
             pt_modulus: self.pt_modulus,
         }
@@ -447,7 +431,6 @@ impl Ciphertext {
         Self {
             a,
             b,
-            noise_log2: noise::mul_est(self.noise_log2, other.noise_log2, self.a.n()),
             correction: mul_mod_u64(self.correction, other.correction, self.pt_modulus),
             pt_modulus: self.pt_modulus,
         }
@@ -478,13 +461,7 @@ impl Ciphertext {
         let (u0, u1) = hint.apply_with_scratch(&self.a.automorphism(k), scratch);
         let mut b = self.b.automorphism(k);
         b.add_assign(&u0);
-        Self {
-            a: u1,
-            b,
-            noise_log2: noise::aut_est(self.noise_log2),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        Self { a: u1, b, correction: self.correction, pt_modulus: self.pt_modulus }
     }
 
     /// BGV modulus switching (§2.2.2): rescales from `Q_l` to `Q_{l-1}`,
@@ -508,14 +485,6 @@ impl Ciphertext {
         Self {
             a: mod_switch_poly(&self.a, t),
             b: mod_switch_poly(&self.b, t),
-            // Noise shrinks by log2(q_l) but gains the rounding term
-            // ~ t * |s|_1; net effect tracked coarsely.
-            noise_log2: noise::mod_switch_est(
-                self.noise_log2,
-                (q_top as f64).log2(),
-                t,
-                self.a.n(),
-            ),
             correction: mul_mod_u64(self.correction, q_top_inv_t, t),
             pt_modulus: self.pt_modulus,
         }
@@ -578,6 +547,7 @@ pub fn mod_switch_poly(p: &RnsPoly, t: u64) -> RnsPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise;
     use rand::SeedableRng;
 
     fn setup(levels: usize) -> (BgvParams, KeySet, rand::rngs::StdRng) {
@@ -593,7 +563,8 @@ mod tests {
         let m = Plaintext::from_coeffs(&params, &[5, 17, 65536, 0, 42]);
         let ct = keys.encrypt(&m, &mut rng);
         assert_eq!(keys.decrypt(&ct), m);
-        assert!(ct.noise_budget_bits() > 40.0, "fresh budget: {}", ct.noise_budget_bits());
+        let budget = keys.noise_budget_bits(&ct);
+        assert!(budget > 40.0, "fresh budget: {budget}");
     }
 
     #[test]
@@ -729,21 +700,5 @@ mod tests {
         let model = noise::NoiseModel::bgv(params.n, params.plaintext_modulus, params.error_eta);
         assert!(noise < 25.0, "rotation key-switch noise 2^{noise:.2} (pinned 2^24.17)");
         assert!(noise < model.wc_keyswitch(4), "2^{noise:.1} above the worst-case bound");
-    }
-
-    #[test]
-    fn noise_tracking_is_conservative_enough() {
-        let (params, keys, mut rng) = setup(3);
-        let m = Plaintext::from_coeffs(&params, &[5]);
-        let ct = keys.encrypt(&m, &mut rng);
-        let sq = ct.square(keys.relin_hint());
-        let measured = keys.decrypt_noise(&sq);
-        // Tracked estimate must not be wildly below the measurement.
-        assert!(
-            sq.noise_log2 + 40.0 > measured,
-            "tracked {} vs measured {measured}",
-            sq.noise_log2
-        );
-        let _ = params;
     }
 }

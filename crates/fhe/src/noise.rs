@@ -1,19 +1,17 @@
-//! Noise accounting shared by the runtime schemes and the static
-//! analyzer (§2.2.2).
+//! Static noise bounds (§2.2.2): the formulas the compiler's analyzer
+//! interprets programs over, checked against the noise the runtime
+//! schemes measure.
 //!
-//! Two families of formulas live here, both in the `log2` domain:
-//!
-//! - **Tracked estimates** (`*_est`): the heuristic recurrences the
-//!   runtime [`crate::bgv::Ciphertext`] carries in `noise_log2`. These
-//!   follow average-case growth and are what the scheme code has always
-//!   used; they are *estimates*, not bounds.
-//! - **Worst-case bounds** (`NoiseModel::wc_*`): sound upper bounds on
-//!   the noise magnitude `|t·e|` (infinity norm of the decryption
-//!   residue), derived from the centered-binomial error bound `|e| ≤ η`
-//!   and per-coefficient magnitudes. The compiler's static noise-budget
-//!   analysis interprets programs over these; the differential proptests
-//!   in `tests/ir_differential.rs` check the bound dominates measured
-//!   noise on the real BGV stack.
+//! One static quantity lives here: the **worst-case bound**
+//! (`NoiseModel::wc_*`), a sound upper bound on the noise magnitude
+//! `|t·e|` (infinity norm of the decryption residue) in the `log2`
+//! domain, derived from the centered-binomial error bound `|e| ≤ η` and
+//! per-coefficient magnitudes. The compiler's static noise-budget
+//! analysis interprets programs over it; the differential proptests in
+//! `tests/ir_differential.rs` check the bound dominates the noise
+//! measured on the real BGV stack. The only other noise number is that
+//! measurement itself, [`crate::bgv::KeySet::decrypt_noise`], which
+//! needs the secret key.
 //!
 //! Only the BGV bounds are validated against a real executor; the CKKS
 //! and GSW models follow the same derivation style but are
@@ -32,48 +30,6 @@ pub fn log2_add(a: f64, b: f64) -> f64 {
         return hi;
     }
     hi + (1.0 + (lo - hi).exp2()).log2()
-}
-
-/// Tracked estimate for a fresh encryption: `log2(t) + log2(σ) + 1` with
-/// `σ ≈ sqrt(η/2)` the error standard deviation.
-pub fn fresh_est(t: u64, eta: u32) -> f64 {
-    (t as f64).log2() + (eta as f64 / 2.0).sqrt().log2().max(0.0) + 1.0
-}
-
-/// Tracked estimate for homomorphic addition/subtraction.
-pub fn add_est(a: f64, b: f64) -> f64 {
-    a.max(b) + 1.0
-}
-
-/// Tracked estimate for ciphertext-ciphertext multiplication (tensor +
-/// key-switch): noises multiply and pick up a ring-convolution factor.
-pub fn mul_est(a: f64, b: f64, n: usize) -> f64 {
-    a + b + (n as f64).log2()
-}
-
-/// Tracked estimate for plaintext multiplication: the plaintext operand
-/// contributes its magnitude (≤ t) times the average convolution growth.
-pub fn mul_plain_est(a: f64, t: u64, n: usize) -> f64 {
-    a + (t as f64).log2() + (n as f64).log2() / 2.0
-}
-
-/// Tracked estimate for a homomorphic automorphism (key-switch additive
-/// noise, small relative to the operand).
-pub fn aut_est(a: f64) -> f64 {
-    a + 2.0
-}
-
-/// Tracked estimate for BGV modulus switching: noise shrinks by the
-/// dropped limb's width but cannot fall below the rounding floor
-/// `~ t * |s|_1`.
-pub fn mod_switch_est(a: f64, log2_q_top: f64, t: u64, n: usize) -> f64 {
-    (a - log2_q_top).max((t as f64).log2() + (n as f64).log2())
-}
-
-/// Tracked estimate for scaling both polynomials by a centered factor
-/// `|f| = fr` (correction alignment).
-pub fn scale_est(a: f64, fr: u32) -> f64 {
-    a + (fr.max(1) as f64).log2()
 }
 
 /// Which scheme's recurrences a [`NoiseModel`] uses where the formulas
@@ -157,11 +113,6 @@ impl NoiseModel {
         0.5 * self.log2_n() + 3.0
     }
 
-    /// Average-case convolution expansion (`√N`, no tail constant).
-    fn log2_conv_est(&self) -> f64 {
-        0.5 * self.log2_n()
-    }
-
     /// Guaranteed (lower-bound) `log2 Q_l` at `level` limbs.
     pub fn log2_q(&self, level: usize) -> f64 {
         level as f64 * f64::from(self.limb_bits - 1)
@@ -173,70 +124,6 @@ impl NoiseModel {
     pub fn budget_bits(&self, level: usize) -> f64 {
         self.log2_q(level) - 1.0
     }
-
-    // ---- tracked estimates (the runtime recurrences, statically) ----
-
-    /// Estimate for a ciphertext input encrypted at some level
-    /// (`log2(t·σ) + 1` with `σ = sqrt(η/2)`).
-    pub fn est_fresh(&self) -> f64 {
-        match self.scheme {
-            NoiseScheme::Bgv => self.log2_t + ((self.log2_eta - 1.0) / 2.0).max(0.0) + 1.0,
-            // CKKS/GSW fresh noise is the raw error, not t-scaled.
-            NoiseScheme::Ckks | NoiseScheme::Gsw => self.log2_eta + 1.0,
-        }
-    }
-
-    /// Estimate for addition.
-    pub fn est_add(&self, a: f64, b: f64) -> f64 {
-        add_est(a, b)
-    }
-
-    /// Estimate for ciphertext multiplication at `level` limbs.
-    pub fn est_mul(&self, a: f64, b: f64, level: usize) -> f64 {
-        match self.scheme {
-            NoiseScheme::Bgv => mul_est(a, b, self.n),
-            NoiseScheme::Ckks => self.est_mul_ckks(a, 1, b, 1, level),
-            // GSW external product: additive growth by N·l·2^limb.
-            NoiseScheme::Gsw => {
-                log2_add(a, b)
-                    + self.log2_n()
-                    + f64::from(self.limb_bits)
-                    + (level.max(1) as f64).log2()
-            }
-        }
-    }
-
-    /// Estimate for plaintext multiplication.
-    pub fn est_mul_plain(&self, a: f64) -> f64 {
-        match self.scheme {
-            NoiseScheme::Bgv | NoiseScheme::Gsw => a + self.log2_t + self.log2_n() / 2.0,
-            NoiseScheme::Ckks => self.est_mul_plain_ckks(a, 1, 1),
-        }
-    }
-
-    /// Estimate for an automorphism.
-    pub fn est_aut(&self, a: f64) -> f64 {
-        aut_est(a)
-    }
-
-    /// Estimate for modulus switching / rescaling *from* `level`.
-    pub fn est_mod_switch(&self, a: f64, _level: usize) -> f64 {
-        let floor = match self.scheme {
-            NoiseScheme::Bgv => self.log2_t + self.log2_n(),
-            NoiseScheme::Ckks | NoiseScheme::Gsw => self.log2_eta + 1.0,
-        };
-        // The dropped limb is at least 2^(limb_bits - 1) — credit only
-        // the guaranteed width.
-        (a - f64::from(self.limb_bits - 1)).max(floor)
-    }
-
-    /// Estimate for correction-factor alignment before an addition whose
-    /// operands carry different factors (scale by ≤ t/2).
-    pub fn est_align(&self, a: f64) -> f64 {
-        a + (self.log2_t - 1.0).max(0.0)
-    }
-
-    // ---- worst-case bounds (sound for BGV) ----
 
     /// Bound on fresh-encryption noise: `|t·e| ≤ t·η` (BGV); for CKKS the
     /// raw error plus the `√N`-grade encoding-rounding term.
@@ -293,14 +180,6 @@ impl NoiseModel {
         }
     }
 
-    /// Tracked estimate for adding a runtime plaintext.
-    pub fn est_add_plain(&self, a: f64) -> f64 {
-        match self.scheme {
-            NoiseScheme::Bgv | NoiseScheme::Gsw => log2_add(a, self.log2_t),
-            NoiseScheme::Ckks => log2_add(a, self.log2_conv_est()),
-        }
-    }
-
     /// Bound on correction-factor alignment: scaling by a centered
     /// factor `|f| ≤ t/2` gives `(t/2)·(n + t/2) + t`.
     pub fn wc_align(&self, a: f64) -> f64 {
@@ -348,14 +227,6 @@ impl NoiseModel {
         log2_add(self.log2_conv_wc() + cross, self.wc_keyswitch(level))
     }
 
-    /// Tracked-estimate counterpart of [`NoiseModel::wc_mul_ckks`].
-    pub fn est_mul_ckks(&self, a: f64, sa: u32, b: f64, sb: u32, level: usize) -> f64 {
-        let ma = f64::from(sa) * self.log2_t;
-        let mb = f64::from(sb) * self.log2_t;
-        let cross = log2_add(log2_add(ma + b, mb + a), a + b);
-        log2_add(self.log2_conv_est() + cross, self.wc_keyswitch(level) - 1.0)
-    }
-
     /// Bound on plaintext multiplication: `N·(t/2)·(n + t/2) + t`.
     ///
     /// CKKS callers with scale information should use
@@ -379,13 +250,6 @@ impl NoiseModel {
         let mp = f64::from(sp) * self.log2_t;
         let ma = f64::from(sa) * self.log2_t;
         self.log2_conv_wc() + log2_add(mp + a, ma - 1.0)
-    }
-
-    /// Tracked-estimate counterpart of [`NoiseModel::wc_mul_plain_ckks`].
-    pub fn est_mul_plain_ckks(&self, a: f64, sa: u32, sp: u32) -> f64 {
-        let mp = f64::from(sp) * self.log2_t;
-        let ma = f64::from(sa) * self.log2_t;
-        self.log2_conv_est() + log2_add(mp + a, ma - 1.0)
     }
 
     /// Bound on an automorphism: the permuted noise plus the key-switch
@@ -428,22 +292,6 @@ mod tests {
         assert!((log2_add(0.0, 10.0) - log2_add(10.0, 0.0)).abs() < 1e-12);
         // Far-apart terms collapse to the max.
         assert_eq!(log2_add(200.0, 1.0), 200.0);
-    }
-
-    #[test]
-    fn worst_case_dominates_estimate_per_op() {
-        let m = NoiseModel::bgv_default(1 << 14);
-        let a = 40.0;
-        let b = 35.0;
-        assert!(m.wc_fresh() >= m.est_fresh() - 2.0, "fresh: wc within σ slack of est");
-        // est_add = max + 1 overshoots wc for unequal operands; equality
-        // is the worst case and there wc must still dominate.
-        assert!(m.wc_add(a, a) >= m.est_add(a, a));
-        assert!(m.wc_mul(a, b, 8) >= m.est_mul(a, b, 8));
-        assert!(m.wc_mul_plain(a) >= m.est_mul_plain(a));
-        assert!(m.wc_aut(a, 8) >= m.est_aut(a));
-        assert!(m.wc_mod_switch(a, 8) >= m.est_mod_switch(a, 8));
-        assert!(m.wc_align(a) >= m.est_align(a));
     }
 
     #[test]

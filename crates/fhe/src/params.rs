@@ -47,10 +47,8 @@ pub struct BgvParams {
     /// Ring dimension `N`.
     pub n: usize,
     /// Number of ciphertext limbs at the top level (the paper's `L`).
+    /// The chain carries as many special primes after them (`K = L`).
     pub max_level: usize,
-    /// Number of special primes `K` for GHS key-switching: always
-    /// `max_level`, set by the constructors.
-    pub special_levels: usize,
     /// Plaintext modulus `t`.
     pub plaintext_modulus: u64,
     /// Centered-binomial error parameter η (std-dev ≈ sqrt(η/2)).
@@ -84,13 +82,11 @@ impl BgvParams {
 
     fn with_prime_class(n: usize, max_level: usize, t: u64, fhe_friendly: bool) -> Self {
         assert!(t >= 2, "plaintext modulus must be at least 2");
-        let special_levels = max_level;
         let ctx = if fhe_friendly {
-            let qs =
-                f1_modarith::primes::fhe_friendly_primes(LIMB_BITS, max_level + special_levels);
+            let qs = f1_modarith::primes::fhe_friendly_primes(LIMB_BITS, 2 * max_level);
             RnsContext::from_moduli(n, &qs)
         } else {
-            RnsContext::for_ring(n, LIMB_BITS, max_level + special_levels)
+            RnsContext::for_ring(n, LIMB_BITS, 2 * max_level)
         };
         for m in ctx.moduli() {
             assert!(
@@ -98,7 +94,7 @@ impl BgvParams {
                 "plaintext modulus must be coprime to the chain"
             );
         }
-        Self { n, max_level, special_levels, plaintext_modulus: t, error_eta: 8, ctx }
+        Self { n, max_level, plaintext_modulus: t, error_eta: 8, ctx }
     }
 
     /// A small parameter set for fast unit tests: `t = 65537` (SIMD-capable
@@ -113,9 +109,10 @@ impl BgvParams {
         &self.ctx
     }
 
-    /// Security estimate at the top level.
+    /// Security estimate at the top level, over the key-switch modulus
+    /// `Q·P` (`2·max_level` limbs).
     pub fn security_bits(&self) -> f64 {
-        security_level_bits(self.n, self.ctx.log_q(self.max_level + self.special_levels))
+        security_level_bits(self.n, self.ctx.log_q(2 * self.max_level))
     }
 
     /// `log2` of the top-level ciphertext modulus (excluding specials).
@@ -220,7 +217,7 @@ mod tests {
     fn specials_extend_the_chain() {
         // K = L special primes follow the program limbs.
         let p = BgvParams::test_small(64, 3);
-        assert_eq!((p.max_level, p.special_levels), (3, 3));
+        assert_eq!(p.max_level, 3);
         assert_eq!(p.context().max_level(), 6);
     }
 

@@ -21,13 +21,13 @@ fn main() {
         println!(
             "bit {bit}: level {} budget {:.1} bits",
             exhausted.level(),
-            exhausted.noise_budget_bits()
+            keys.noise_budget_bits(&exhausted)
         );
         let fresh = boot.bootstrap(&exhausted);
         println!(
             "  -> bootstrapped: level {} budget {:.1} bits, decrypts to {}",
             fresh.level(),
-            fresh.noise_budget_bits(),
+            keys.noise_budget_bits(&fresh),
             keys.decrypt(&fresh).coeff(0)
         );
         assert_eq!(keys.decrypt(&fresh).coeff(0), bit);
