@@ -23,32 +23,9 @@ use f1_compiler::analysis::param_search::{search, SearchSpec};
 use f1_compiler::ir::FheProgram;
 use f1_fhe::bgv::Plaintext;
 use f1_fhe::params::BgvParams;
-use f1_sim::{bind_constants, BgvExecutor};
+use f1_sim::BgvExecutor;
 use f1_workloads::{all_benchmarks, benchmarks};
 use rand::SeedableRng;
-use std::collections::HashMap;
-
-/// Runs a typed program functionally on real software BGV, binding
-/// ciphertext/plaintext inputs by build-time ordinal.
-fn run_functional(
-    fhe: &FheProgram,
-    params: &BgvParams,
-    ct_data: &[Plaintext],
-    pt_data: &[Plaintext],
-) -> Vec<Plaintext> {
-    let lowered = fhe.lower();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D1F);
-    let exec = BgvExecutor::new(params.clone(), &lowered.program, &mut rng);
-    let mut inputs = HashMap::new();
-    for &(ordinal, id) in &lowered.ct_inputs {
-        inputs.insert(id, ct_data[ordinal as usize % ct_data.len()].clone());
-    }
-    let mut plains = bind_constants(&lowered, params);
-    for &(ordinal, id) in &lowered.pt_inputs {
-        plains.insert(id, pt_data[ordinal as usize % pt_data.len()].clone());
-    }
-    exec.run(&lowered.program, &inputs, &plains, &mut rng).outputs
-}
 
 /// Differential validation: the managed program must decrypt
 /// bit-identically to the hand-managed original on real software BGV.
@@ -70,8 +47,13 @@ fn validate(name: &str, hand: &FheProgram, spec: &SearchSpec) -> bool {
         .collect();
     let pt_data: Vec<Plaintext> =
         (0..16).map(|i| Plaintext::from_coeffs(&params, &[(2 * i + 1) as u64])).collect();
-    let out_hand = run_functional(hand, &params, &ct_data, &pt_data);
-    let out_managed = run_functional(&r.managed, &params, &ct_data, &pt_data);
+    // Inputs bind by build-time ordinal, so both variants read the same
+    // data.
+    let run = |fhe: &FheProgram| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D1F);
+        BgvExecutor::new(params.clone(), fhe, &mut rng).run(fhe, &ct_data, &pt_data, &mut rng)
+    };
+    let (out_hand, out_managed) = (run(hand).outputs, run(&r.managed).outputs);
     let mut ok = out_hand.len() == out_managed.len();
     if ok {
         'outer: for (h, m) in out_hand.iter().zip(&out_managed) {

@@ -20,8 +20,8 @@
 //!   key-switch hoisting and dead-code elimination (see
 //!   [`FheProgram::optimize`]).
 //! * [`lower`] translates the (optimized) IR 1:1 into a
-//!   [`crate::dsl::Program`] for the three scheduling passes, carrying a
-//!   table of folded plaintext constants for functional execution.
+//!   [`crate::dsl::Program`] for the three scheduling passes. Functional
+//!   execution (`f1_sim::BgvExecutor`) runs the IR itself.
 //!
 //! The pipeline is therefore: **frontend → IR passes → DFG → pass 1/2/3**
 //! (Fig 3, with the IR inserted where the paper's "homomorphic-operation
@@ -97,8 +97,9 @@ pub struct ValType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FheOp {
     /// An encrypted input. `ordinal` is the input's position among all
-    /// ciphertext inputs (stable across passes — the binding key for
-    /// functional execution, never merged by CSE).
+    /// ciphertext inputs (stable across passes, never merged by CSE): the
+    /// executor binds its data by ordinal, so differently-optimized
+    /// variants of one program read the same inputs.
     CtInput {
         /// RNS limbs at entry.
         level: usize,
@@ -288,11 +289,12 @@ impl FheProgram {
         self.push(FheOp::MulPlain(a, p))
     }
 
-    /// The lowering rule for an operation between two plaintext values:
-    /// legal only when both are constants that fold (runtime plain x
-    /// plain compute has no lowering). Checked here so an unlowerable op
-    /// (u64 overflow, non-scalar constant product) fails fast at the
-    /// construction site instead of deep inside `lower()`.
+    /// The rule for an operation between two plaintext values: legal
+    /// only when both are compile-time constants whose exact-integer fold
+    /// exists (no u64 overflow, no non-scalar constant product), so the
+    /// optimizer folds every such node and the executor's mod-`t`
+    /// evaluation of it agrees with the fold. Runtime plain x plain
+    /// compute is refused outright.
     fn check_foldable(&self, a: IrId, b: IrId, is_add: bool) {
         if !(self.node(a).ty.plain && self.node(b).ty.plain) {
             return;
@@ -454,8 +456,8 @@ impl FheProgram {
     ///
     /// # Panics
     ///
-    /// Panics on the first Error of [`crate::analysis::typing::check`],
-    /// and on constant arithmetic with no lowering; see [`lower::lower`].
+    /// Panics on the first Error of [`crate::analysis::typing::check`];
+    /// see [`lower::lower`].
     pub fn lower(&self) -> Lowered {
         lower::lower(self)
     }

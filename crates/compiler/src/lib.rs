@@ -61,9 +61,9 @@ pub use ir::{FheProgram, IrId, Lowered, OptStats, RescaleStats, Scheme};
 pub use movement::MovePlan;
 
 /// Compiles a typed [`FheProgram`] end-to-end: optimize (IR passes) →
-/// lower → the three scheduling passes. Returns the lowering (with its
-/// constant table and input maps), the optimization statistics, the
-/// expanded DFG, the data-movement plan and the cycle-level schedule.
+/// lower → the three scheduling passes. Returns the lowering, the
+/// optimization statistics, the expanded DFG, the data-movement plan and
+/// the cycle-level schedule.
 /// The target architecture sets pass 1's live-bytes budget (a quarter of
 /// its scratchpad) as well as the two scheduling passes.
 /// For automatic noise management, run [`ir::rescale::insert_rescales`]

@@ -16,10 +16,11 @@
 //!   carry no sizes, banks or FU classes: the checker reads each from
 //!   its one owner (`Dfg::vector_bytes`, `ArchConfig::bank_of`, the
 //!   instruction's op) once per check.
-//! * [`functional`] — the functional simulator of §8.5: executes lowered
-//!   `FheProgram`s against the real BGV implementation to verify input-output
-//!   correctness, and doubles as the *timed CPU software baseline* of
-//!   Table 3.
+//! * [`functional`] — the functional simulator of §8.5: executes typed
+//!   BGV `FheProgram`s against the real BGV implementation to verify
+//!   input-output correctness and measure output noise. Table 3's CPU
+//!   baseline charges measured per-op costs instead; the executor's timing
+//!   only cross-checks them on small programs.
 //! * [`replay`] — capacity-faithful replay: executes a schedule's
 //!   streams in cycle order against an explicit scratchpad + HBM (with
 //!   evictions literally destroying on-chip copies) and compares outputs
@@ -33,5 +34,5 @@ pub mod functional;
 pub mod replay;
 
 pub use checker::{check_schedule, check_streams, SimReport, Timeline};
-pub use functional::{bind_constants, BgvExecutor, FunctionalRun};
+pub use functional::{BgvExecutor, FunctionalRun};
 pub use replay::{eval_dfg, mock_inputs, replay_schedule};

@@ -16,6 +16,7 @@
 
 use f1_compiler::dsl::{CtId, HomOp, Program};
 use f1_compiler::expand::{relin_plan, Relin};
+use f1_compiler::ir::FheProgram;
 use f1_fhe::bgv::{KeySet, Plaintext};
 use f1_fhe::keyswitch::KsScratch;
 use f1_fhe::params::BgvParams;
@@ -191,14 +192,11 @@ impl CpuBaseline {
 
     /// Directly measured end-to-end evaluation of a (small) program via
     /// the functional simulator — used to validate the per-op estimates,
-    /// so it too keeps the fastest of five runs.
-    pub fn measure_direct(program: &Program, params: BgvParams) -> Duration {
+    /// so it too keeps the fastest of five runs. Every input is zero.
+    pub fn measure_direct(program: &FheProgram, params: BgvParams) -> Duration {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xD137);
         let exec = f1_sim::BgvExecutor::new(params, program, &mut rng);
-        (0..REPS)
-            .map(|_| exec.run(program, &HashMap::new(), &HashMap::new(), &mut rng).eval_time)
-            .min()
-            .expect("REPS > 0")
+        (0..REPS).map(|_| exec.run(program, &[], &[], &mut rng).eval_time).min().expect("REPS > 0")
     }
 }
 
@@ -206,7 +204,7 @@ impl CpuBaseline {
 mod tests {
     use super::*;
     use crate::benchmarks;
-    use f1_compiler::ir::{FheProgram, Scheme};
+    use f1_compiler::ir::Scheme;
 
     #[test]
     fn baseline_measures_and_estimates() {
@@ -232,7 +230,7 @@ mod tests {
         let base = CpuBaseline::measure(&p, 256);
         let est = base.estimate_seconds(&p, 256);
         let params = BgvParams::test_small(256, 3);
-        let direct = CpuBaseline::measure_direct(&p, params).as_secs_f64();
+        let direct = CpuBaseline::measure_direct(&f, params).as_secs_f64();
         let ratio = est / direct;
         assert!(
             (0.2..5.0).contains(&ratio),

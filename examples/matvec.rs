@@ -7,12 +7,10 @@
 
 use f1::arch::ArchConfig;
 use f1::compiler::ir::{FheProgram, IrId, Scheme};
-use f1::compiler::CtId;
 use f1::fhe::encoding::SlotEncoder;
 use f1::fhe::params::BgvParams;
 use f1::sim::BgvExecutor;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -29,22 +27,21 @@ fn main() {
         let sum = p.inner_sum(prod, n / 2);
         p.output(sum);
     }
-    let lowered = p.lower();
-    // Lowering keeps ids: IR node `IrId(i)` is op `CtId(i)`.
-    let ct = |id: IrId| CtId(id.0);
-    let exec = BgvExecutor::new(params.clone(), &lowered.program, &mut rng);
+    let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
+    // Inputs bind by build-time ordinal: the rows are inputs 0..rows,
+    // the vector input `rows`.
     let vec_data: Vec<u64> = (0..n / 2).map(|j| (j % 9) as u64).collect();
-    let mut inputs = HashMap::new();
+    let mut inputs = Vec::new();
     let mut expected = Vec::new();
-    for (r, &id) in m_rows.iter().enumerate() {
+    for r in 0..rows {
         let row: Vec<u64> = (0..n / 2).map(|j| ((3 * j + r) % 7) as u64).collect();
         expected.push(
             row.iter().zip(&vec_data).map(|(&a, &b)| a * b).sum::<u64>() % params.plaintext_modulus,
         );
-        inputs.insert(ct(id), enc.encode(&[row.clone(), row], &params));
+        inputs.push(enc.encode(&[row.clone(), row], &params));
     }
-    inputs.insert(ct(v), enc.encode(&[vec_data.clone(), vec_data], &params));
-    let run = exec.run(&lowered.program, &inputs, &HashMap::new(), &mut rng);
+    inputs.push(enc.encode(&[vec_data.clone(), vec_data], &params));
+    let run = exec.run(&p, &inputs, &[], &mut rng);
     for (r, out) in run.outputs.iter().enumerate() {
         let got = enc.decode(out)[0][0];
         println!("row {r}: dot product = {got} (expected {})", expected[r]);

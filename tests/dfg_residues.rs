@@ -16,7 +16,8 @@
 //! the hint multiplied back to unscaled, and those residues must differ.
 
 use f1::compiler::expand::{expand, order_ops, ExpandOptions};
-use f1::compiler::{FheProgram, HomOp, Lowered, Scheme};
+use f1::compiler::ir::FheOp;
+use f1::compiler::{FheProgram, HomOp, IrId, Scheme};
 use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
 use f1::fhe::BgvParams;
 use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
@@ -193,15 +194,15 @@ fn plain_residues(params: &BgvParams, m: &Plaintext, level: usize) -> RnsPoly {
     RnsPoly::from_signed_coeffs(params.context(), level, &signed).to_ntt()
 }
 
-/// Runs the expanded DFG of `lowered` on `inputs` and `plains` (each by
+/// Runs the expanded DFG of `fhe` on `inputs` and `plains` (each by
 /// build-time ordinal) and `hints`, returning the single output ciphertext.
 fn run(
-    lowered: &Lowered,
+    fhe: &FheProgram,
     inputs: &[&Ciphertext],
     plains: &[&RnsPoly],
     hints: &Hints<'_>,
 ) -> (RnsPoly, RnsPoly) {
-    let mut outs = run_all(lowered, inputs, plains, hints);
+    let mut outs = run_all(fhe, inputs, plains, hints);
     assert_eq!(outs.len(), 1);
     outs.pop().unwrap()
 }
@@ -209,33 +210,35 @@ fn run(
 /// [`run`] for a program with any number of level-`L` outputs, in output
 /// order.
 fn run_all(
-    lowered: &Lowered,
+    fhe: &FheProgram,
     inputs: &[&Ciphertext],
     plains: &[&RnsPoly],
     hints: &Hints<'_>,
 ) -> Vec<(RnsPoly, RnsPoly)> {
     let chain = Chain::of(hints.keys);
-    let ex = expand(&lowered.program, &ExpandOptions::default());
+    let ex = expand(&fhe.lower().program, &ExpandOptions::default());
+    // A leaf's label names its node (lowering keeps ids), and the IR
+    // node holds the input's build-time ordinal.
+    let ordinal = |id: &str| match fhe.node(IrId(id.parse().unwrap())).op {
+        FheOp::CtInput { ordinal, .. } | FheOp::PtInput { ordinal, .. } => ordinal as usize,
+        ref op => panic!("leaf %{id} is {op:?}, not an input"),
+    };
     let vals = chain.eval(&ex.dfg, |label, limb| {
         let j = chain.index(limb);
         if label.starts_with("ct") {
             let (ct, poly) = label.split_once('.').unwrap();
-            let id: u32 = ct[2..].parse().unwrap();
-            let ordinal = lowered.ct_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
-            let ct = inputs[ordinal as usize];
+            let ct = inputs[ordinal(&ct[2..])];
             let p = if poly.starts_with('a') { &ct.a } else { &ct.b };
             p.limb(j).to_vec()
         } else if let Some(pt) = label.strip_prefix("pt") {
-            let id: u32 = pt[..pt.find('[').unwrap()].parse().unwrap();
-            let ordinal = lowered.pt_inputs.iter().find(|(_, c)| c.0 == id).unwrap().0;
-            plains[ordinal as usize].limb(j).to_vec()
+            plains[ordinal(&pt[..pt.find('[').unwrap()])].limb(j).to_vec()
         } else {
             hints.residues(label, limb, &chain)
         }
     });
     // Each output is its `a` limbs, then its `b` limbs.
     let outs = ex.dfg.outputs();
-    assert_eq!(outs.len(), 2 * L * lowered.program.outputs().len());
+    assert_eq!(outs.len(), 2 * L * fhe.outputs().len());
     let poly = |limbs: &[f1::isa::ValueId]| {
         let mut p = RnsPoly::zero_ntt_at_level(inputs[0].a.context(), L);
         for (j, v) in limbs.iter().enumerate() {
@@ -270,13 +273,12 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let (x, y) = (f.input(L), f.input(L));
     let m = f.mul(x, y);
     f.output(m);
-    let lowered = f.lower();
-    let got = run(&lowered, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: false });
     let want = ct1.mul(&ct2, keys.relin_hint());
     assert!(got == (want.a.clone(), want.b.clone()), "mul residues differ from f1-fhe's");
     // Negative control: the same DFG over the hint without the fold's
     // constants computes other residues, so the comparison sees the fold.
-    let (a, b) = run(&lowered, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: true });
+    let (a, b) = run(&f, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: true });
     assert!(a != want.a && b != want.b, "the unfolded hint computed f1-fhe's residues");
 
     // rotate: the DFG key-switches σ_k(a), and the rotation hint of `keys`
@@ -285,10 +287,9 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let x = f.input(L);
     let r = f.rotate(x, 1);
     f.output(r);
-    let lowered = f.lower();
     let k = 3;
     keys.add_rotation_hint(k, &mut rng);
-    let got = run(&lowered, &[&ct1], &[], &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &[&ct1], &[], &Hints { keys: &keys, unfolded: false });
     let want = ct1.automorphism(k, keys.rotation_hint(k));
     assert!(got == (want.a, want.b), "rotate residues differ from f1-fhe's");
 }
@@ -312,11 +313,10 @@ fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
     let s = f.add(m, mp);
     let r = f.add_plain(s, pq);
     f.output(r);
-    let lowered = f.lower();
     let (inputs, plains) = ([&ct1, &ct2], [&p_res, &q_res]);
     let rest = |prod: Ciphertext| prod.add(&ct1.mul_plain(&p, &params)).add_plain(&q, &params);
 
-    let got = run(&lowered, &inputs, &plains, &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &inputs, &plains, &Hints { keys: &keys, unfolded: false });
     let want = rest(ct1.mul(&ct2, keys.relin_hint()));
     assert!(got == (want.a, want.b), "program residues differ from f1-fhe's");
 }
@@ -361,7 +361,7 @@ fn reassociated_sums_compute_f1_fhe_residues() {
     assert!(changed.iter().all(|ops| matches!(ops, (HomOp::Add { .. }, HomOp::Add { .. }))));
 
     let plains: Vec<&RnsPoly> = weight_residues.iter().collect();
-    let got = run_all(&lowered, &[&ct], &plains, &Hints { keys: &keys, unfolded: false });
+    let got = run_all(&f, &[&ct], &plains, &Hints { keys: &keys, unfolded: false });
     let rotated = exponents.map(|k| ct.automorphism(k, keys.rotation_hint(k)));
     for (g, (a, b)) in got.into_iter().enumerate() {
         let term = |i: usize| rotated[g + i].mul_plain(&weights[g * taps + i], &params);
@@ -393,9 +393,8 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
     let scaled = f.mul_plain(m3, pp);
     let r = f.add(s, scaled);
     f.output(r);
-    let lowered = f.lower();
     let inputs: Vec<&Ciphertext> = cts.iter().collect();
-    let got = run(&lowered, &inputs, &[&p_res], &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &inputs, &[&p_res], &Hints { keys: &keys, unfolded: false });
 
     // The reference: the summed tensors `(Σl0, Σl1, Σl2)`, the third scaled
     // by `p`, with one GHS key-switch of `Σl2` added.

@@ -3,12 +3,11 @@
 //! execution on the real FHE implementation.
 
 use f1::arch::ArchConfig;
-use f1::compiler::{compile_fhe, CtId, ExpandOptions, FheProgram, Scheme};
+use f1::compiler::{compile_fhe, ExpandOptions, FheProgram, Scheme};
 use f1::fhe::encoding::SlotEncoder;
 use f1::fhe::params::BgvParams;
 use f1::sim::BgvExecutor;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 #[test]
 fn compile_simulate_and_verify_matvec() {
@@ -34,14 +33,12 @@ fn compile_simulate_and_verify_matvec() {
     let prod = f.mul(row, v);
     let sum = f.inner_sum(prod, n_sw / 2);
     f.output(sum);
-    let p = f.lower().program;
-    let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
+    let exec = BgvExecutor::new(params.clone(), &f, &mut rng);
     let row_data: Vec<u64> = (0..n_sw / 2).map(|j| (j % 5) as u64).collect();
     let vec_data: Vec<u64> = (0..n_sw / 2).map(|j| (j % 3) as u64).collect();
-    let mut inputs = HashMap::new();
-    inputs.insert(CtId(row.0), enc.encode(&[row_data.clone(), row_data.clone()], &params));
-    inputs.insert(CtId(v.0), enc.encode(&[vec_data.clone(), vec_data.clone()], &params));
-    let run = exec.run(&p, &inputs, &HashMap::new(), &mut rng);
+    // Inputs bind by build-time ordinal: `row` is input 0, `v` input 1.
+    let inputs = [&row_data, &vec_data].map(|d| enc.encode(&[d.clone(), d.clone()], &params));
+    let run = exec.run(&f, &inputs, &[], &mut rng);
     let want: u64 = row_data.iter().zip(&vec_data).map(|(&a, &b)| a * b).sum::<u64>()
         % params.plaintext_modulus;
     assert_eq!(enc.decode(&run.outputs[0])[0][0], want);

@@ -14,10 +14,9 @@ use f1::compiler::ExpandOptions;
 use f1::fhe::bgv::Plaintext;
 use f1::fhe::noise::NoiseModel;
 use f1::fhe::params::BgvParams;
-use f1::sim::{bind_constants, BgvExecutor};
+use f1::sim::BgvExecutor;
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Materializes a random op recipe as a typed program over ring `n`.
 /// The recipe deliberately revisits operands and rotation amounts so
@@ -57,27 +56,16 @@ fn build_fhe(n: usize, start_level: usize, choices: &[(u8, u8)]) -> FheProgram {
     p
 }
 
-/// Runs a lowered variant functionally with inputs bound by build-time
-/// ordinal, returning the full run (decrypted outputs plus measured
-/// noise).
+/// Runs a variant on real BGV with inputs bound by build-time ordinal,
+/// returning the full run (decrypted outputs plus measured noise).
 fn run_functional(
     fhe: &FheProgram,
     params: &BgvParams,
     ct_data: &[Plaintext],
     pt_data: &[Plaintext],
 ) -> f1::sim::FunctionalRun {
-    let lowered = fhe.lower();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D1F);
-    let exec = BgvExecutor::new(params.clone(), &lowered.program, &mut rng);
-    let mut inputs = HashMap::new();
-    for &(ordinal, id) in &lowered.ct_inputs {
-        inputs.insert(id, ct_data[ordinal as usize].clone());
-    }
-    let mut plains = bind_constants(&lowered, params);
-    for &(ordinal, id) in &lowered.pt_inputs {
-        plains.insert(id, pt_data[ordinal as usize].clone());
-    }
-    exec.run(&lowered.program, &inputs, &plains, &mut rng)
+    BgvExecutor::new(params.clone(), fhe, &mut rng).run(fhe, ct_data, pt_data, &mut rng)
 }
 
 proptest! {
