@@ -15,9 +15,8 @@ fn main() {
         "{:<30} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
         "Benchmark", "KSH-C", "In-C", "KSH-NC", "In-NC", "Int-Ld", "Int-St", "Total[MB]"
     );
-    let benches = all_benchmarks(scale);
     let mut reports = Vec::new();
-    for b in &benches {
+    for b in &all_benchmarks(scale) {
         let r = run_benchmark(b, &arch);
         let t = r.traffic;
         let tot = t.total().max(1) as f64;
@@ -61,25 +60,4 @@ fn main() {
     println!(
         "\nPaper shape: 59-96 W averages; computation is 20-30% of power, data movement dominates."
     );
-
-    // IR pass effect on the DFGs behind these breakdowns (hom-op counts
-    // before/after CSE + DCE + rotation dedup + folding + hoisting; the
-    // stats come from re-running the passes behind each schedule above).
-    println!("\nIR pass effect per benchmark (hom-ops before -> after, key-switches):");
-    for b in &benches {
-        let opt = b.lowered().1;
-        println!(
-            "  {:<30} ops {:>5} -> {:<5}  keyswitch {:>4} -> {:<4}  (cse {}, dce {}, rot {}, fold {}, hoist {})",
-            b.name,
-            opt.nodes_before,
-            opt.nodes_after,
-            opt.keyswitch_before,
-            opt.keyswitch_after,
-            opt.cse_merged,
-            opt.dead_removed,
-            opt.rotations_merged,
-            opt.folded,
-            opt.hoisted
-        );
-    }
 }

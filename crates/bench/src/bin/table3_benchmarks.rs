@@ -59,14 +59,15 @@ fn main() {
     println!("Shape targets: 3-4 orders of magnitude; CKKS bootstrapping lowest (memory-bound).");
 
     // IR optimization effect: hom-op and expanded-DFG node counts before
-    // vs after the frontend passes (CSE, DCE, rotation dedup, constant
-    // folding, key-switch hoisting). Both variants expand under the same
-    // options against the same machine. (Re-expanding here costs a few
-    // extra linear passes; scheduling still dominates this bin's runtime.)
+    // vs after the frontend passes, and what each pass did (CSE merges,
+    // dead nodes, σ_1 identities, hoisted key-switches). Both variants
+    // expand under the same options against the same machine.
+    // (Re-expanding here costs a few extra linear passes; scheduling
+    // still dominates this bin's runtime.)
     println!("\nIR pass effect (frontend passes before key-switch expansion):");
     println!(
-        "{:<30} {:>9} {:>9} {:>10} {:>10} {:>8}",
-        "Benchmark", "HomOps", "(opt)", "DFG nodes", "(opt)", "Saved"
+        "{:<30} {:>9} {:>9} {:>10} {:>10} {:>8} {:>5} {:>5} {:>5} {:>5}",
+        "Benchmark", "HomOps", "(opt)", "DFG nodes", "(opt)", "Saved", "CSE", "DCE", "σ_1", "Hoist"
     );
     for (b, (program, opt)) in benches.iter().zip(&lowered) {
         let opts = f1_compiler::ExpandOptions { machine: Some(arch.clone()), ..Default::default() };
@@ -75,8 +76,17 @@ fn main() {
         let dfg_after = f1_compiler::expand::expand(program, &opts).dfg.instrs().len();
         let saved = 100.0 * (dfg_before as f64 - dfg_after as f64) / (dfg_before.max(1)) as f64;
         println!(
-            "{:<30} {:>9} {:>9} {:>10} {:>10} {:>7.1}%",
-            b.name, opt.nodes_before, opt.nodes_after, dfg_before, dfg_after, saved
+            "{:<30} {:>9} {:>9} {:>10} {:>10} {:>7.1}% {:>5} {:>5} {:>5} {:>5}",
+            b.name,
+            opt.nodes_before,
+            opt.nodes_after,
+            dfg_before,
+            dfg_after,
+            saved,
+            opt.cse_merged,
+            opt.dead_removed,
+            opt.rotations_merged,
+            opt.hoisted
         );
     }
 }

@@ -60,8 +60,7 @@ fn scale_lint(p: &FheProgram) -> Vec<Diagnostic> {
             first_saturated,
             format!(
                 "{saturated} rescale(s) of a scale-1 value saturate at the Δ floor \
-                     (first: %{}): a level is burned for no scale reduction \
-                     (with_strict_scale programs reject this at build time)",
+                     (first: %{}): a level is burned for no scale reduction",
                 first_saturated.expect("saturated > 0").0
             ),
         ));

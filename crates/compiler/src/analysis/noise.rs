@@ -97,8 +97,7 @@ impl NoiseAnalysis {
         let m = &self.model;
         let node = p.node(id);
         if node.ty.plain {
-            // Constants, runtime plaintexts and compile-time constant
-            // pairs carry no encryption noise.
+            // Constants and runtime plaintexts carry no encryption noise.
             return NOISELESS.clone();
         }
         let level = node.ty.level;

@@ -34,7 +34,6 @@ pub fn infer(p: &FheProgram, op: &FheOp) -> Result<ValType, Diagnostic> {
         ill("typing::operand-kind", format!("{what}: operand %{} must be a {want}", v.0))
     };
     let ckks = p.scheme() == Scheme::Ckks;
-    let strict = ckks && p.strict_scale();
     let leaf = |level: usize, plain: bool, what: &str| {
         if level == 0 {
             return ill("typing::level-underflow", format!("{what} at level 0"));
@@ -48,9 +47,7 @@ pub fn infer(p: &FheProgram, op: &FheOp) -> Result<ValType, Diagnostic> {
         FheOp::Add(a, b) | FheOp::Mul(a, b) => {
             let is_mul = matches!(op, FheOp::Mul(..));
             let what = if is_mul { "mul" } else { "add" };
-            // Two ciphertexts, or a compile-time constant pair.
-            let plain = ty(*a).plain && ty(*b).plain;
-            let (ta, tb) = (kind(what, *a, plain)?, kind(what, *b, plain)?);
+            let (ta, tb) = (kind(what, *a, false)?, kind(what, *b, false)?);
             if ta.level != tb.level {
                 return ill(
                     "typing::level-mismatch",
@@ -60,24 +57,12 @@ pub fn infer(p: &FheProgram, op: &FheOp) -> Result<ValType, Diagnostic> {
                     ),
                 );
             }
-            let level = ta.level;
-            if plain {
-                Ok(ValType { plain, level, scale: ta.scale.max(tb.scale), depth: 0 })
-            } else if is_mul {
-                let depth = ta.depth.max(tb.depth) + 1;
-                Ok(ValType { plain, level, scale: ta.scale + tb.scale, depth })
-            } else if strict && ta.scale != tb.scale {
-                ill(
-                    "typing::scale-mismatch",
-                    format!(
-                        "CKKS scales differ on add ({} vs {}); rescale first",
-                        ta.scale, tb.scale
-                    ),
-                )
+            let depth = ta.depth.max(tb.depth);
+            Ok(if is_mul {
+                ValType { scale: ta.scale + tb.scale, depth: depth + 1, ..ta }
             } else {
-                let depth = ta.depth.max(tb.depth);
-                Ok(ValType { plain, level, scale: ta.scale.max(tb.scale), depth })
-            }
+                ValType { scale: ta.scale.max(tb.scale), depth, ..ta }
+            })
         }
         FheOp::AddPlain(a, pt) | FheOp::MulPlain(a, pt) => {
             let is_mul = matches!(op, FheOp::MulPlain(..));
@@ -116,13 +101,6 @@ pub fn infer(p: &FheProgram, op: &FheOp) -> Result<ValType, Diagnostic> {
                 return ill(
                     "typing::level-underflow",
                     format!("cannot switch below level 1 (operand at level {})", ta.level),
-                );
-            }
-            if strict && ta.scale < 2 {
-                return ill(
-                    "typing::saturated-rescale",
-                    "CKKS rescale at scale 1 saturates (burns a level for no scale reduction)"
-                        .into(),
                 );
             }
             // A CKKS rescale consumes one Δ, saturating at the Δ floor.
@@ -348,11 +326,8 @@ mod tests {
 
     /// A program with ciphertexts `x` (level 2) and `y` (level 1), a
     /// constant `c` (level 1) and `m = x * x`, returned as `[x, y, c, m]`.
-    fn prefix(scheme: Scheme, strict: bool) -> (FheProgram, [IrId; 4]) {
+    fn prefix(scheme: Scheme) -> (FheProgram, [IrId; 4]) {
         let mut p = FheProgram::new(1 << 10, scheme);
-        if strict {
-            p = p.with_strict_scale();
-        }
         let (x, y, c) = (p.input(2), p.input(1), p.scalar(3, 1));
         let m = p.square(x);
         (p, [x, y, c, m])
@@ -360,28 +335,26 @@ mod tests {
 
     /// Every typing rule an op can break through a builder method: the
     /// rule, the program [`prefix`] it is built on, and the op.
-    type Case = (&'static str, Scheme, bool, fn([IrId; 4]) -> FheOp);
+    type Case = (&'static str, Scheme, fn([IrId; 4]) -> FheOp);
 
     fn cases() -> Vec<Case> {
-        use Scheme::{Bgv, Ckks, Gsw};
+        use Scheme::{Bgv, Gsw};
         vec![
-            ("typing::level-underflow", Bgv, false, |_| FheOp::CtInput { level: 0, ordinal: 9 }),
-            ("typing::level-underflow", Bgv, false, |_| FheOp::PtInput { level: 0, ordinal: 9 }),
-            ("typing::level-underflow", Bgv, false, |_| FheOp::Constant {
-                coeffs: vec![1],
-                level: 0,
-            }),
-            ("typing::level-underflow", Bgv, false, |[_, y, _, _]| FheOp::ModSwitch(y)),
-            ("typing::level-mismatch", Bgv, false, |[x, y, _, _]| FheOp::Add(x, y)),
-            ("typing::level-mismatch", Bgv, false, |[x, _, c, _]| FheOp::AddPlain(x, c)),
-            ("typing::operand-kind", Bgv, false, |[_, y, c, _]| FheOp::Add(y, c)),
-            ("typing::operand-kind", Bgv, false, |[_, y, _, _]| FheOp::MulPlain(y, y)),
-            ("typing::operand-kind", Bgv, false, |[_, _, c, _]| FheOp::Aut { a: c, k: 3 }),
-            ("typing::operand-kind", Bgv, false, |[_, _, c, _]| FheOp::ModSwitch(c)),
-            ("typing::aut-exponent", Bgv, false, |[x, ..]| FheOp::Aut { a: x, k: 4 }),
-            ("typing::gsw-mod-switch", Gsw, false, |[x, ..]| FheOp::ModSwitch(x)),
-            ("typing::scale-mismatch", Ckks, true, |[x, _, _, m]| FheOp::Add(m, x)),
-            ("typing::saturated-rescale", Ckks, true, |[x, ..]| FheOp::ModSwitch(x)),
+            ("typing::level-underflow", Bgv, |_| FheOp::CtInput { level: 0, ordinal: 9 }),
+            ("typing::level-underflow", Bgv, |_| FheOp::PtInput { level: 0, ordinal: 9 }),
+            ("typing::level-underflow", Bgv, |_| FheOp::Constant { coeffs: vec![1], level: 0 }),
+            ("typing::level-underflow", Bgv, |[_, y, _, _]| FheOp::ModSwitch(y)),
+            ("typing::level-mismatch", Bgv, |[x, y, _, _]| FheOp::Add(x, y)),
+            ("typing::level-mismatch", Bgv, |[x, _, c, _]| FheOp::AddPlain(x, c)),
+            ("typing::operand-kind", Bgv, |[_, y, c, _]| FheOp::Add(y, c)),
+            // A plaintext is a leaf: no arithmetic yields one.
+            ("typing::operand-kind", Bgv, |[_, _, c, _]| FheOp::Add(c, c)),
+            ("typing::operand-kind", Bgv, |[_, _, c, _]| FheOp::Mul(c, c)),
+            ("typing::operand-kind", Bgv, |[_, y, _, _]| FheOp::MulPlain(y, y)),
+            ("typing::operand-kind", Bgv, |[_, _, c, _]| FheOp::Aut { a: c, k: 3 }),
+            ("typing::operand-kind", Bgv, |[_, _, c, _]| FheOp::ModSwitch(c)),
+            ("typing::aut-exponent", Bgv, |[x, ..]| FheOp::Aut { a: x, k: 4 }),
+            ("typing::gsw-mod-switch", Gsw, |[x, ..]| FheOp::ModSwitch(x)),
         ]
     }
 
@@ -432,8 +405,8 @@ mod tests {
 
     #[test]
     fn builder_panics_with_the_validators_message() {
-        for (rule, scheme, strict, op) in cases() {
-            let (mut p, ids) = prefix(scheme, strict);
+        for (rule, scheme, op) in cases() {
+            let (mut p, ids) = prefix(scheme);
             let op = op(ids);
             let said = panic_message(|| {
                 build(&mut p.clone(), &op);
@@ -443,7 +416,7 @@ mod tests {
             let d = diags.iter().find(|d| d.node == Some(v)).expect("the raw node is reported");
             assert_eq!((d.rule, &d.message), (rule, &said));
         }
-        let (p, [_, _, c, _]) = prefix(Scheme::Bgv, false);
+        let (p, [_, _, c, _]) = prefix(Scheme::Bgv);
         for (rule, o) in [("typing::plain-output", c), ("typing::ssa", IrId(9))] {
             let said = panic_message(|| p.clone().output(o));
             let mut q = p.clone();
@@ -465,8 +438,8 @@ mod tests {
             ("typing::input-ordinals", duplicate_ordinal()),
             ("typing::plain-output", plain_output),
         ];
-        for (rule, scheme, strict, op) in cases() {
-            let (mut p, ids) = prefix(scheme, strict);
+        for (rule, scheme, op) in cases() {
+            let (mut p, ids) = prefix(scheme);
             let v = p.raw_push(op(ids), CLAIMED);
             p.raw_output(v);
             table.push((rule, p));

@@ -2,10 +2,10 @@
 //!
 //! The translation is 1:1 — every IR node becomes exactly one
 //! homomorphic op at the same index, so the lowered program inherits the
-//! IR's dense, deterministic ids. Every plaintext value (runtime input,
-//! constant, or arithmetic on constants) lowers to a `PlainInput` op:
-//! pass 1 needs its level only. Functional execution runs the
-//! `FheProgram` itself, which keeps the values.
+//! IR's dense, deterministic ids. Every plaintext (runtime input or
+//! constant) lowers to a `PlainInput` op: pass 1 needs its level only.
+//! Functional execution runs the `FheProgram` itself, which keeps the
+//! values.
 
 use super::{FheOp, FheProgram, IrId};
 use crate::analysis::typing;
@@ -39,10 +39,6 @@ pub fn lower(ir: &FheProgram) -> Lowered {
         let op = match &node.op {
             FheOp::CtInput { level, .. } => HomOp::Input { level: *level },
             FheOp::PtInput { .. } | FheOp::Constant { .. } => {
-                HomOp::PlainInput { level: node.ty.level }
-            }
-            // Constant-pair arithmetic is a plaintext operand too.
-            FheOp::Add(..) | FheOp::Mul(..) if node.ty.plain => {
                 HomOp::PlainInput { level: node.ty.level }
             }
             FheOp::Add(a, b) => HomOp::Add { a: c(a), b: c(b) },

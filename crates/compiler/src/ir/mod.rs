@@ -4,9 +4,9 @@
 //! Pass 1 reads Listing 2's thin homomorphic-op list ([`crate::dsl`]):
 //! untyped ciphertext handles and exactly the operations it expands.
 //! Real workloads want more — scheme-specific typing (BGV levels, CKKS
-//! scales, GSW depth), plaintext *constants* the compiler can fold, and
-//! redundancy elimination before the expensive key-switch expansion
-//! multiplies every homomorphic op into hundreds of vector instructions.
+//! scales, GSW depth), plaintext constants, and redundancy elimination
+//! before the expensive key-switch expansion multiplies every
+//! homomorphic op into hundreds of vector instructions.
 //! This module is that layer:
 //!
 //! * [`FheProgram`] is simultaneously the circuit **builder** (typed
@@ -15,10 +15,9 @@
 //!   and the **normalized IR**: a flat SSA node list whose value ids
 //!   ([`IrId`]) are dense indices in creation order — stable and
 //!   deterministic by construction, never derived from hash iteration.
-//! * [`passes`] implements the optimization pipeline — constant folding,
-//!   rotation/automorphism dedup, common-subexpression elimination,
-//!   key-switch hoisting and dead-code elimination (see
-//!   [`FheProgram::optimize`]).
+//! * [`passes`] implements the optimization pipeline — rotation dedup
+//!   (`σ_1` removal), common-subexpression elimination, key-switch
+//!   hoisting and dead-code elimination (see [`FheProgram::optimize`]).
 //! * [`lower`] translates the (optimized) IR 1:1 into a
 //!   [`crate::dsl::Program`] for the three scheduling passes. Functional
 //!   execution (`f1_sim::BgvExecutor`) runs the IR itself.
@@ -80,7 +79,8 @@ impl std::fmt::Display for Scheme {
 /// The type of one IR value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValType {
-    /// Plaintext operand (one polynomial) vs ciphertext (two).
+    /// Plaintext operand (one polynomial) vs ciphertext (two). Only the
+    /// leaves `PtInput` and `Constant` are plaintexts.
     pub plain: bool,
     /// RNS limbs (BGV/CKKS modulus-chain position; constant for GSW).
     pub level: usize,
@@ -115,7 +115,7 @@ pub enum FheOp {
     },
     /// A plaintext constant known at compile time (coefficients of the
     /// plaintext polynomial; scalars are single-element). Constants are
-    /// foldable and CSE-mergeable, unlike runtime inputs.
+    /// CSE-mergeable, unlike runtime inputs.
     Constant {
         /// Plaintext coefficients (reduced mod t when bound).
         coeffs: Vec<u64>,
@@ -179,9 +179,6 @@ pub struct FheProgram {
     /// Ring dimension.
     pub n: usize,
     scheme: Scheme,
-    /// Enforce CKKS scale equality on additions (off by default: the
-    /// paper's benchmarks rescale at multiplication boundaries only).
-    strict_scale: bool,
     nodes: Vec<Node>,
     outputs: Vec<IrId>,
     next_ct_ordinal: u32,
@@ -196,7 +193,6 @@ impl FheProgram {
         Self {
             n,
             scheme,
-            strict_scale: false,
             nodes: Vec::new(),
             outputs: Vec::new(),
             next_ct_ordinal: 0,
@@ -204,21 +200,9 @@ impl FheProgram {
         }
     }
 
-    /// Enables strict CKKS scale checking: additions need equal scales,
-    /// and a rescale needs a scale above one Δ.
-    pub fn with_strict_scale(mut self) -> Self {
-        self.strict_scale = true;
-        self
-    }
-
     /// The program's scheme.
     pub fn scheme(&self) -> Scheme {
         self.scheme
-    }
-
-    /// Whether strict CKKS scale checking is enabled.
-    pub fn strict_scale(&self) -> bool {
-        self.strict_scale
     }
 
     /// Types `op` with [`typing::infer`] and appends it, panicking with
@@ -246,7 +230,7 @@ impl FheProgram {
 
     /// Declares a plaintext constant with the given coefficients, encoded
     /// at `level`. Unlike [`Self::plain_input`], constants participate in
-    /// constant folding and CSE.
+    /// CSE.
     pub fn constant(&mut self, coeffs: &[u64], level: usize) -> IrId {
         self.push(FheOp::Constant { coeffs: coeffs.to_vec(), level })
     }
@@ -257,10 +241,8 @@ impl FheProgram {
     }
 
     /// Homomorphic addition. Both operands must be ciphertexts at the
-    /// same level (and, under [`Self::with_strict_scale`], the same CKKS
-    /// scale) — or both plaintext constants, which fold at compile time.
+    /// same level; a plaintext operand goes through [`Self::add_plain`].
     pub fn add(&mut self, a: IrId, b: IrId) -> IrId {
-        self.check_foldable(a, b, true);
         self.push(FheOp::Add(a, b))
     }
 
@@ -271,9 +253,10 @@ impl FheProgram {
         self.push(FheOp::AddPlain(a, p))
     }
 
-    /// Homomorphic multiplication (tensor + relinearization).
+    /// Homomorphic multiplication (tensor + relinearization) of two
+    /// ciphertexts at the same level; a plaintext operand goes through
+    /// [`Self::mul_plain`].
     pub fn mul(&mut self, a: IrId, b: IrId) -> IrId {
-        self.check_foldable(a, b, false);
         self.push(FheOp::Mul(a, b))
     }
 
@@ -287,35 +270,6 @@ impl FheProgram {
     /// ciphertext's; the result takes the ciphertext's level.
     pub fn mul_plain(&mut self, a: IrId, p: IrId) -> IrId {
         self.push(FheOp::MulPlain(a, p))
-    }
-
-    /// The rule for an operation between two plaintext values: legal
-    /// only when both are compile-time constants whose exact-integer fold
-    /// exists (no u64 overflow, no non-scalar constant product), so the
-    /// optimizer folds every such node and the executor's mod-`t`
-    /// evaluation of it agrees with the fold. Runtime plain x plain
-    /// compute is refused outright.
-    fn check_foldable(&self, a: IrId, b: IrId, is_add: bool) {
-        if !(self.node(a).ty.plain && self.node(b).ty.plain) {
-            return;
-        }
-        let constant = |v: IrId| match &self.node(v).op {
-            FheOp::Constant { coeffs, .. } => Some(coeffs),
-            _ => None,
-        };
-        let (Some(ca), Some(cb)) = (constant(a), constant(b)) else {
-            panic!("plaintext-plaintext arithmetic requires compile-time constants");
-        };
-        let foldable = if is_add {
-            passes::fold_add(ca, cb).is_some()
-        } else {
-            passes::fold_mul_scalar(ca, cb).is_some()
-        };
-        assert!(
-            foldable,
-            "constant {} has no lowering (u64 overflow or non-scalar constant product)",
-            if is_add { "add" } else { "mul" }
-        );
     }
 
     /// Homomorphic rotation by `amount` slots: automorphism with
@@ -338,9 +292,8 @@ impl FheProgram {
     /// for GSW, which has no modulus chain.
     ///
     /// A CKKS rescale at scale 1 *saturates*: the scale cannot drop below
-    /// one Δ, so the op burns a level without buying scale headroom.
-    /// Under [`Self::with_strict_scale`] that is rejected outright; in
-    /// lax programs the `scale::saturated-rescale` lint flags it.
+    /// one Δ, so the op burns a level without buying scale headroom; the
+    /// `scale::saturated-rescale` lint flags it.
     pub fn mod_switch(&mut self, a: IrId) -> IrId {
         self.push(FheOp::ModSwitch(a))
     }
@@ -442,11 +395,11 @@ impl FheProgram {
         self.nodes.iter().filter(|n| n.op.is_keyswitch()).count()
     }
 
-    /// Runs the full optimization pipeline to a fixpoint: constant
-    /// folding → rotation dedup → CSE → key-switch hoisting → CSE → DCE,
-    /// iterated (bounded) until the node count stabilizes. Returns the
-    /// optimized program and per-pass statistics. Deterministic: passes
-    /// iterate the node list in id order only.
+    /// Runs the full optimization pipeline to a fixpoint: rotation dedup
+    /// (`σ_1` removal) → CSE → key-switch hoisting → CSE → DCE, iterated
+    /// (bounded) until no pass rewrites anything. Returns the optimized
+    /// program and per-pass statistics. Deterministic: passes iterate the
+    /// node list in id order only.
     pub fn optimize(&self) -> (FheProgram, OptStats) {
         passes::optimize(self)
     }
@@ -519,15 +472,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scales differ")]
-    fn strict_ckks_rejects_mismatched_scales() {
-        let mut p = FheProgram::new(1 << 10, Scheme::Ckks).with_strict_scale();
-        let x = p.input(4);
-        let sq = p.square(x); // scale 2
-        p.add(sq, x); // scale 2 vs 1
-    }
-
-    #[test]
     #[should_panic(expected = "no modulus chain")]
     fn gsw_rejects_mod_switch() {
         let mut p = FheProgram::new(1 << 10, Scheme::Gsw);
@@ -557,12 +501,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "compile-time constants")]
+    #[should_panic(expected = "add: operand %0 must be a ciphertext")]
     fn runtime_plain_pair_compute_is_rejected() {
         let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
         let a = p.plain_input(2);
         let b = p.plain_input(2);
-        p.add(a, b); // no lowering exists for runtime plain x plain
+        p.add(a, b); // a plaintext is a leaf: no op yields one
     }
 
     #[test]

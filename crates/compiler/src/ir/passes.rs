@@ -9,25 +9,23 @@
 //!
 //! The passes (run by [`optimize`] to a bounded fixpoint):
 //!
-//! * **Constant folding** — plaintext-constant arithmetic evaluates at
-//!   compile time (overflow-checked, so values stay exact integers and
-//!   remain congruent mod any plaintext modulus); `x * 1` and `x + 0`
-//!   against constants collapse to `x`.
 //! * **Rotation dedup** — `σ_1` is the identity and disappears (Listing
 //!   2's `innerSum` over all `N` slots emits one per output row because
-//!   `ord(3) = 2N/4`); single-use automorphism chains compose
-//!   (`σ_k2 ∘ σ_k1 = σ_{k1·k2 mod 2N}`), turning two key-switches into
-//!   one.
+//!   `ord(3) = 2N/4`).
 //! * **CSE** — structurally identical nodes merge (commutative operands
 //!   canonicalized by id order). Runtime inputs carry build-time
 //!   ordinals precisely so CSE can never merge two distinct inputs.
 //! * **Key-switch hoisting** — `ModSwitch(Aut(x, k))` with a single-use
-//!   automorphism becomes `Aut(ModSwitch(x), k)`: the automorphism (and
-//!   its key-switch) runs one level lower — `O((L-1)²)` instead of
-//!   `O(L²)` hint rows under decomposition — while every output level is
+//!   automorphism becomes `Aut(ModSwitch(x), k)`: the automorphism's GHS
+//!   key-switch runs one level lower, where its hint holds `4(l-1)`
+//!   vectors instead of `4l` and its base-conversion multiply-accumulates,
+//!   which grow as about `3l²`, shrink with it. Every output level is
 //!   preserved (mod-switch rounds coefficients independently, so it
 //!   commutes with the Galois permutation exactly).
 //! * **DCE** — nodes that cannot reach an output are dropped.
+//!
+//! A plaintext is a leaf of the IR (no op yields one), so there is no
+//! constant arithmetic to fold.
 
 use super::{FheOp, FheProgram, IrId, Node};
 use crate::analysis::typing;
@@ -47,9 +45,7 @@ pub struct OptStats {
     pub keyswitch_before: usize,
     /// Key-switching ops after.
     pub keyswitch_after: usize,
-    /// Constant-folding rewrites (folds + identity eliminations).
-    pub folded: usize,
-    /// Rotation identities removed + single-use chains composed.
+    /// Identity rotations (`σ_1`) removed.
     pub rotations_merged: usize,
     /// Common subexpressions merged.
     pub cse_merged: usize,
@@ -57,8 +53,6 @@ pub struct OptStats {
     pub hoisted: usize,
     /// Dead nodes removed.
     pub dead_removed: usize,
-    /// Fixpoint rounds executed.
-    pub rounds: usize,
 }
 
 impl OptStats {
@@ -89,11 +83,7 @@ pub fn optimize(input: &FheProgram) -> (FheProgram, OptStats) {
         ..Default::default()
     };
     for _ in 0..8 {
-        stats.rounds += 1;
-        let mut changed = 0usize;
-        let (q, f) = constant_fold(&p);
-        let q = verified(q, "constant_fold");
-        let (q, r) = rotation_dedup(&q);
+        let (q, r) = rotation_dedup(&p);
         let q = verified(q, "rotation_dedup");
         let (q, c1) = cse(&q);
         let q = verified(q, "cse");
@@ -103,14 +93,12 @@ pub fn optimize(input: &FheProgram) -> (FheProgram, OptStats) {
         let q = verified(q, "cse#2");
         let (q, d) = dce(&q);
         let q = verified(q, "dce");
-        stats.folded += f;
         stats.rotations_merged += r;
         stats.cse_merged += c1 + c2;
         stats.hoisted += h;
         stats.dead_removed += d;
-        changed += f + r + c1 + h + c2 + d;
         p = q;
-        if changed == 0 {
+        if r + c1 + h + c2 + d == 0 {
             break;
         }
     }
@@ -129,9 +117,8 @@ fn resolve(alias: &[u32], mut v: u32) -> u32 {
 
 /// Rebuilds a program through an alias table: aliased nodes are dropped
 /// (every reference to them has been redirected to their root), the rest
-/// keep their original relative order under dense renumbering. Returns
-/// the rebuilt program and the number of nodes dropped.
-fn apply_alias(p: &FheProgram, alias: &[u32]) -> (FheProgram, usize) {
+/// keep their original relative order under dense renumbering.
+fn apply_alias(p: &FheProgram, alias: &[u32]) -> FheProgram {
     let mut new_id = vec![u32::MAX; p.nodes.len()];
     let mut nodes = Vec::with_capacity(p.nodes.len());
     for (i, node) in p.nodes.iter().enumerate() {
@@ -144,17 +131,14 @@ fn apply_alias(p: &FheProgram, alias: &[u32]) -> (FheProgram, usize) {
     }
     let outputs =
         p.outputs.iter().map(|&o| IrId(new_id[resolve(alias, o.0) as usize])).collect::<Vec<_>>();
-    let dropped = p.nodes.len() - nodes.len();
-    let out = FheProgram {
+    FheProgram {
         n: p.n,
         scheme: p.scheme,
-        strict_scale: p.strict_scale,
         nodes,
         outputs,
         next_ct_ordinal: p.next_ct_ordinal,
         next_pt_ordinal: p.next_pt_ordinal,
-    };
-    (out, dropped)
+    }
 }
 
 fn remap_op(op: &FheOp, remap: &dyn Fn(IrId) -> IrId) -> FheOp {
@@ -183,132 +167,18 @@ fn use_counts(p: &FheProgram) -> Vec<usize> {
     uses
 }
 
-fn const_of(p: &FheProgram, v: IrId) -> Option<&[u64]> {
-    match &p.nodes[v.0 as usize].op {
-        FheOp::Constant { coeffs, .. } => Some(coeffs),
-        _ => None,
-    }
-}
-
-/// Constant folding + plaintext identities. Returns (program, rewrites).
-pub fn constant_fold(p: &FheProgram) -> (FheProgram, usize) {
-    let mut p = p.clone();
-    let mut alias: Vec<u32> = (0..p.nodes.len() as u32).collect();
-    let mut rewrites = 0usize;
-    for i in 0..p.nodes.len() {
-        let op = p.nodes[i].op.clone();
-        let r = |v: IrId| IrId(resolve(&alias, v.0));
-        match op {
-            // Plaintext-constant arithmetic evaluates at compile time.
-            FheOp::Add(a, b) | FheOp::Mul(a, b) if p.nodes[i].ty.plain => {
-                let (a, b) = (r(a), r(b));
-                let (ca, cb) = match (const_of(&p, a), const_of(&p, b)) {
-                    (Some(x), Some(y)) => (x.to_vec(), y.to_vec()),
-                    _ => continue,
-                };
-                let folded = if matches!(op, FheOp::Add(..)) {
-                    fold_add(&ca, &cb)
-                } else {
-                    fold_mul_scalar(&ca, &cb)
-                };
-                if let Some(coeffs) = folded {
-                    let level = p.nodes[i].ty.level;
-                    p.nodes[i].op = FheOp::Constant { coeffs, level };
-                    rewrites += 1;
-                }
-            }
-            // x * 1 and x + 0 against compile-time constants collapse.
-            // Aliasing is only sound when the replacement value has the
-            // identical type: in CKKS, MulPlain(x, 1) carries scale
-            // x.scale + 1, so folding it away would silently drop a
-            // rescale obligation from every downstream type.
-            FheOp::MulPlain(a, c)
-                if const_of(&p, r(c)).is_some_and(|v| v == [1])
-                    && p.nodes[i].ty == p.nodes[r(a).0 as usize].ty =>
-            {
-                alias[i] = r(a).0;
-                rewrites += 1;
-            }
-            FheOp::AddPlain(a, c)
-                if const_of(&p, r(c)).is_some_and(|v| v.iter().all(|&x| x == 0)) =>
-            {
-                alias[i] = r(a).0;
-                rewrites += 1;
-            }
-            _ => {}
-        }
-    }
-    let (q, _) = apply_alias(&p, &alias);
-    (q, rewrites)
-}
-
-/// Coefficient-wise constant addition; `None` on u64 overflow (exactness
-/// guarantees congruence mod any plaintext modulus).
-pub(crate) fn fold_add(a: &[u64], b: &[u64]) -> Option<Vec<u64>> {
-    let len = a.len().max(b.len());
-    (0..len)
-        .map(|i| {
-            let (x, y) = (a.get(i).copied().unwrap_or(0), b.get(i).copied().unwrap_or(0));
-            x.checked_add(y)
-        })
-        .collect()
-}
-
-/// Scalar constant multiplication (degree-0 polynomials only: negacyclic
-/// convolution of wider constants needs the plaintext modulus, which the
-/// IR does not know).
-pub(crate) fn fold_mul_scalar(a: &[u64], b: &[u64]) -> Option<Vec<u64>> {
-    if a.len() > 1 || b.len() > 1 {
-        return None;
-    }
-    let (x, y) = (a.first().copied().unwrap_or(0), b.first().copied().unwrap_or(0));
-    Some(vec![x.checked_mul(y)?])
-}
-
-/// Rotation/automorphism dedup: identity `σ_1` removal and single-use
-/// chain composition. Returns (program, rewrites).
+/// Rotation dedup: `σ_1` is the identity, so each `Aut` with `k = 1`
+/// aliases to its operand. Returns (program, rewrites).
 pub fn rotation_dedup(p: &FheProgram) -> (FheProgram, usize) {
-    let mut p = p.clone();
-    // Use counts are kept coherent as rewrites land in this very pass:
-    // aliasing a node transfers its users to the target, and re-pointing
-    // an operand moves one use — otherwise a later composition could
-    // read a stale "sole user" and fire against its own cost rationale.
-    let mut uses = use_counts(&p);
-    let two_n = 2 * p.n;
     let mut alias: Vec<u32> = (0..p.nodes.len() as u32).collect();
     let mut rewrites = 0usize;
-    for i in 0..p.nodes.len() {
-        let FheOp::Aut { a, k } = p.nodes[i].op else { continue };
-        let a = IrId(resolve(&alias, a.0));
-        if k == 1 {
-            alias[i] = a.0;
-            // a loses this node's operand use, gains this node's users
-            // (grouped so a dead node's zero use count cannot underflow).
-            uses[a.0 as usize] = uses[a.0 as usize] + uses[i] - 1;
+    for (i, node) in p.nodes.iter().enumerate() {
+        if let FheOp::Aut { a, k: 1 } = node.op {
+            alias[i] = resolve(&alias, a.0);
             rewrites += 1;
-            continue;
-        }
-        // Compose with an inner automorphism only when this is its sole
-        // user — otherwise the inner key-switch runs anyway and a fresh
-        // composite exponent would just add a hint to fetch.
-        if let FheOp::Aut { a: inner, k: k1 } = p.nodes[a.0 as usize].op {
-            if uses[a.0 as usize] == 1 {
-                let inner = IrId(resolve(&alias, inner.0));
-                let composed = (k1 * k) % two_n;
-                if composed == 1 {
-                    alias[i] = inner.0;
-                    uses[inner.0 as usize] += uses[i];
-                } else {
-                    p.nodes[i].op = FheOp::Aut { a: inner, k: composed };
-                    uses[inner.0 as usize] += 1;
-                }
-                uses[a.0 as usize] -= 1; // the dropped chain link
-                rewrites += 1;
-            }
         }
     }
-    let (q, _) = apply_alias(&p, &alias);
-    (q, rewrites)
+    (apply_alias(p, &alias), rewrites)
 }
 
 /// Canonical structural key for CSE. Commutative ops sort operand ids;
@@ -371,16 +241,17 @@ pub fn cse(p: &FheProgram) -> (FheProgram, usize) {
             }
         }
     }
-    let (q, _) = apply_alias(p, &alias);
-    (q, merges)
+    (apply_alias(p, &alias), merges)
 }
 
 /// Key-switch hoisting: `ModSwitch(Aut(x, k))` with a single-use
 /// automorphism becomes `Aut(ModSwitch(x), k)` by swapping the two nodes
 /// in place (the mod-switch moves into the automorphism's slot, so SSA
-/// order is preserved without renumbering). The automorphism's
-/// key-switch then runs one level lower; every downstream level is
-/// unchanged. Returns (program, hoists).
+/// order is preserved without renumbering). The automorphism's GHS
+/// key-switch then runs one level lower: at level `l` it fetches a
+/// `4l`-vector hint and spends about `3l²` multiplies on base
+/// conversion, so one level saves about `6l` of them. Every downstream
+/// level is unchanged. Returns (program, hoists).
 pub fn hoist_keyswitch(p: &FheProgram) -> (FheProgram, usize) {
     let mut p = p.clone();
     let uses = use_counts(&p);
@@ -445,8 +316,7 @@ pub fn dce(p: &FheProgram) -> (FheProgram, usize) {
         }
         alias[root as usize] = root;
     }
-    let (q, _) = apply_alias(p, &alias);
-    (q, removed)
+    (apply_alias(p, &alias), removed)
 }
 
 #[cfg(test)]
@@ -518,61 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn single_use_rotation_chains_compose() {
-        let mut p = bgv(1 << 10);
-        let x = p.input(4);
-        let r1 = p.aut(x, 3);
-        let r2 = p.aut(r1, 5); // sole user of r1
-        p.output(r2);
-        let (q, _) = optimize(&p);
-        let auts: Vec<usize> = q
-            .nodes()
-            .iter()
-            .filter_map(|n| match n.op {
-                FheOp::Aut { k, .. } => Some(k),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(auts, vec![15], "σ_5 ∘ σ_3 must compose to σ_15");
-    }
-
-    #[test]
-    fn shared_rotations_do_not_compose() {
-        let mut p = bgv(1 << 10);
-        let x = p.input(4);
-        let r1 = p.aut(x, 3);
-        let r2 = p.aut(r1, 5);
-        let s = p.add(r1, r2); // r1 has two users
-        p.output(s);
-        let (q, _) = optimize(&p);
-        let auts = q.nodes().iter().filter(|n| matches!(n.op, FheOp::Aut { .. })).count();
-        assert_eq!(auts, 2, "shared intermediate must keep both automorphisms");
-    }
-
-    #[test]
-    fn constants_fold_and_identities_collapse() {
-        let mut p = bgv(1 << 10);
-        let x = p.input(2);
-        let c2 = p.scalar(2, 2);
-        let c3 = p.scalar(3, 2);
-        let c6 = p.mul(c2, c3); // compile-time 2*3
-        let m = p.mul_plain(x, c6);
-        let one = p.scalar(1, 2);
-        let id = p.mul_plain(m, one); // x*6*1 → x*6
-        let zero = p.scalar(0, 2);
-        let id2 = p.add_plain(id, zero); // + 0 → id
-        p.output(id2);
-        let (q, stats) = optimize(&p);
-        assert!(stats.folded >= 3, "fold + two identities, got {stats:?}");
-        // One input, one folded constant, one mul_plain.
-        assert_eq!(q.nodes().len(), 3);
-        match &q.nodes()[1].op {
-            FheOp::Constant { coeffs, .. } => assert_eq!(coeffs, &vec![6]),
-            other => panic!("expected folded constant, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hoisting_moves_keyswitch_below_modswitch_and_preserves_levels() {
         let mut p = bgv(1 << 10);
         let x = p.input(4);
@@ -613,6 +428,27 @@ mod tests {
     }
 
     #[test]
+    fn hoisting_saves_keyswitch_multiplies() {
+        // The fhe-ops BGV block: mul → rotate → mod_switch at N = 2^14,
+        // L = 16. Hoisting runs the rotation's key-switch at l = 15.
+        let mut p = bgv(1 << 14);
+        let (x, y) = (p.input(16), p.input(16));
+        let m = p.mul(x, y);
+        let r = p.rotate(m, 1);
+        let d = p.mod_switch(r);
+        p.output(d);
+        let (q, stats) = optimize(&p);
+        assert_eq!(stats.hoisted, 1);
+        let muls = |p: &FheProgram| {
+            let ex = crate::expand::expand(&p.lower().program, &Default::default());
+            let mul = f1_isa::streams::FuType::Mul;
+            ex.dfg.instrs().iter().filter(|i| i.op.fu_type() == mul).count()
+        };
+        let (before, after) = (muls(&p), muls(&q));
+        assert!(after < before, "Mul-class instructions {before} -> {after}");
+    }
+
+    #[test]
     fn matvec_identity_rotations_vanish() {
         // Listing 2 at N=16K: innerSum over all N slots wraps its last
         // rotation to σ_1 (ord(3) = 2N/4) — one dead key-switch per row.
@@ -645,62 +481,5 @@ mod tests {
         let (a, _) = optimize(&build());
         let (b, _) = optimize(&build());
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "optimize must be bit-deterministic");
-    }
-
-    #[test]
-    #[should_panic(expected = "no lowering")]
-    fn overflowing_constant_arithmetic_fails_fast_at_build() {
-        let mut p = bgv(1 << 10);
-        let a = p.scalar(u64::MAX, 2);
-        let b = p.scalar(2, 2);
-        p.mul(a, b); // would overflow: rejected at the construction site
-    }
-
-    #[test]
-    fn fold_overflow_is_left_symbolic() {
-        // The builder rejects overflowing constant ops up front, so the
-        // pass's skip path is only reachable on hand-crafted IR — keep it
-        // covered anyway (defense in depth for future builder surface).
-        let mut p = bgv(1 << 10);
-        let a = p.scalar(1, 2);
-        let b = p.scalar(2, 2);
-        let c = p.mul(a, b);
-        let x = p.input(2);
-        let m = p.mul_plain(x, c);
-        p.output(m);
-        // Swap in an overflowing constant behind the builder's back.
-        p.nodes[a.0 as usize].op = FheOp::Constant { coeffs: vec![u64::MAX], level: 2 };
-        let (q, _) = constant_fold(&p);
-        assert!(
-            q.nodes().iter().any(|n| matches!(n.op, FheOp::Mul(..))),
-            "overflowing fold must be skipped"
-        );
-    }
-
-    #[test]
-    fn identity_alias_updates_use_counts_before_composition() {
-        // y = σ_3(w) has one direct user (an identity σ_1 node), but the
-        // identity's *two* users transfer to y when it is aliased away —
-        // so the later σ_5 must NOT compose with y (y's key-switch runs
-        // for the other user regardless; composing would only add a
-        // fresh σ_15 hint to fetch).
-        let mut p = bgv(1 << 10);
-        let w = p.input(4);
-        let y = p.aut(w, 3);
-        let id = p.aut(y, 1);
-        let s = p.square(id); // first user of id
-        let r = p.aut(id, 5); // second user of id
-        let out = p.add(s, r);
-        p.output(out);
-        let (q, _) = rotation_dedup(&p);
-        let auts: Vec<usize> = q
-            .nodes()
-            .iter()
-            .filter_map(|n| match n.op {
-                FheOp::Aut { k, .. } => Some(k),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(auts, vec![3, 5], "shared-after-aliasing chain must not compose");
     }
 }

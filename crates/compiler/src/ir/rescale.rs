@@ -140,15 +140,6 @@ pub fn insert_rescales_with(
                 r.dropped += 1;
                 map[a.0 as usize]
             }
-            // Compile-time constant pairs reconstruct verbatim.
-            FheOp::Add(a, b) if node.ty.plain => {
-                let v = r.new.add(map[a.0 as usize], map[b.0 as usize]);
-                r.track(v)
-            }
-            FheOp::Mul(a, b) if node.ty.plain => {
-                let v = r.new.mul(map[a.0 as usize], map[b.0 as usize]);
-                r.track(v)
-            }
             FheOp::Add(a, b) => r.emit_add(map[a.0 as usize], map[b.0 as usize]),
             FheOp::AddPlain(a, pt) => r.emit_add_plain(map[a.0 as usize], map[pt.0 as usize]),
             FheOp::Mul(a, b) => r.emit_mul(map[a.0 as usize], map[b.0 as usize]),
@@ -161,10 +152,7 @@ pub fn insert_rescales_with(
         let mapped = map[o.0 as usize];
         r.new.output(mapped);
     }
-    let mut out = r.new;
-    // The pass builds lax (its own insertions may transiently misalign
-    // CKKS scales); the caller's strictness travels with the program.
-    out.strict_scale = p.strict_scale;
+    let out = r.new;
 
     // Re-prove the invariants: the typing validator from scratch, plus
     // the interface properties a reflow must preserve (output count and

@@ -6,8 +6,8 @@
 //!
 //! 0. [`ir`] — the `FheProgram` frontend: a typed, scheme-aware circuit
 //!    builder (BGV/CKKS/GSW, level/scale/depth tracking, plaintext
-//!    constants) over a normalized SSA IR with dense deterministic ids,
-//!    plus the optimization pipeline (constant folding, rotation dedup,
+//!    constants as leaves) over a normalized SSA IR with dense
+//!    deterministic ids, plus the optimization pipeline (`σ_1` removal,
 //!    CSE, key-switch hoisting, DCE) that runs *before* key-switch
 //!    expansion multiplies every homomorphic op by ~100×.
 //! 1. [`dsl`] — Listing 2's homomorphic-op list (`Program`): what the

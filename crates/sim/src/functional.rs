@@ -89,8 +89,8 @@ impl BgvExecutor {
     /// each plaintext input binds `pts[ordinal]`, by its build-time
     /// ordinal, so differently-optimized variants of one program read
     /// the same data. Shorter slices cycle, and an empty one binds zero.
-    /// Constants, and arithmetic on them, are evaluated mod `t` before
-    /// the timed evaluation, which runs the ciphertext ops only.
+    /// Constants are encoded mod `t` before the timed evaluation, which
+    /// runs the ciphertext ops only.
     ///
     /// # Panics
     ///
@@ -103,8 +103,8 @@ impl BgvExecutor {
         rng: &mut impl Rng,
     ) -> FunctionalRun {
         assert_runnable(&self.params, program);
-        // Encrypt inputs and evaluate plaintext values (client side and
-        // compile time; not timed).
+        // Encrypt inputs and bind plaintexts (client side and compile
+        // time; not timed).
         let mut ct: HashMap<IrId, Ciphertext> = HashMap::new();
         let mut pt: HashMap<IrId, Plaintext> = HashMap::new();
         let zero = Plaintext::from_coeffs(&self.params, &[]);
@@ -121,14 +121,6 @@ impl BgvExecutor {
                 FheOp::Constant { coeffs, .. } => {
                     pt.insert(id, Plaintext::from_coeffs(&self.params, coeffs));
                 }
-                FheOp::Add(a, b) if node.ty.plain => {
-                    let r = pt[a].ring_add(&pt[b]);
-                    pt.insert(id, r);
-                }
-                FheOp::Mul(a, b) if node.ty.plain => {
-                    let r = pt[a].ring_mul(&pt[b]);
-                    pt.insert(id, r);
-                }
                 _ => {}
             }
         }
@@ -138,7 +130,6 @@ impl BgvExecutor {
         let mut hom_ops = 0usize;
         for (idx, node) in program.nodes().iter().enumerate() {
             let r = match &node.op {
-                _ if node.ty.plain => continue,
                 FheOp::CtInput { .. } | FheOp::PtInput { .. } | FheOp::Constant { .. } => continue,
                 FheOp::Add(a, b) => ct[a].add(&ct[b]),
                 FheOp::AddPlain(a, p) => ct[a].add_plain(&pt[p], &self.params),
@@ -244,30 +235,28 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_constant_arithmetic_runs() {
-        // The executor evaluates constant-pair nodes the optimizer has
-        // not folded: x·(2·3) and x + (2+3) decrypt alike unoptimized
-        // and optimized, to 42 and 12 at x = 7.
+    fn constant_operands_run() {
+        // Constants are encoded mod t and CSE merges the repeated one:
+        // x·6 and x + 6 decrypt alike unoptimized and optimized, to 42
+        // and 13 at x = 7.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1F4);
         let params = BgvParams::test_small(64, 2);
         let mut f = FheProgram::new(64, Scheme::Bgv);
         let x = f.input(2);
-        let (c2, c3) = (f.scalar(2, 2), f.scalar(3, 2));
-        let c6 = f.mul(c2, c3);
+        let c6 = f.scalar(6, 2);
         let m = f.mul_plain(x, c6);
         f.output(m);
-        let (c2, c3) = (f.scalar(2, 2), f.scalar(3, 2));
-        let c5 = f.add(c2, c3);
-        let s = f.add_plain(x, c5);
+        let c6 = f.scalar(6, 2);
+        let s = f.add_plain(x, c6);
         f.output(s);
         let (opt, stats) = f.optimize();
-        assert!(stats.nodes_after < stats.nodes_before, "the optimizer folds the constants");
+        assert_eq!(stats.cse_merged, 1, "the repeated constant merges");
         let xs = [Plaintext::from_coeffs(&params, &[7])];
         let exec = BgvExecutor::new(params.clone(), &f, &mut rng);
         let unopt = exec.run(&f, &xs, &[], &mut rng).outputs;
         let opt = exec.run(&opt, &xs, &[], &mut rng).outputs;
         assert_eq!(unopt, opt);
-        let want = [7 * 6, 7 + 5].map(|v| Plaintext::from_coeffs(&params, &[v]));
+        let want = [7 * 6, 7 + 6].map(|v| Plaintext::from_coeffs(&params, &[v]));
         assert_eq!(unopt, want);
     }
 

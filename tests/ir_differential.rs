@@ -20,8 +20,8 @@ use rand::SeedableRng;
 
 /// Materializes a random op recipe as a typed program over ring `n`.
 /// The recipe deliberately revisits operands and rotation amounts so
-/// CSE, rotation dedup and DCE all get real work; only the last value
-/// is an output, leaving plenty dead.
+/// CSE and DCE get real work; only the last value is an output, leaving
+/// plenty dead.
 fn build_fhe(n: usize, start_level: usize, choices: &[(u8, u8)]) -> FheProgram {
     let mut p = FheProgram::new(n, Scheme::Bgv);
     let mut vals = vec![p.input(start_level), p.input(start_level)];
@@ -44,7 +44,7 @@ fn build_fhe(n: usize, start_level: usize, choices: &[(u8, u8)]) -> FheProgram {
                 let w = p.plain_input(la);
                 p.add_plain(a, w)
             }
-            // A deliberate identity: x * 1 (constant folding fodder).
+            // x * 1: a plaintext product the optimizer leaves in place.
             _ => {
                 let one = p.scalar(1, la);
                 p.mul_plain(a, one)
