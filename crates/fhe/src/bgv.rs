@@ -6,16 +6,18 @@
 //! t`. Homomorphic multiplication tensors and key-switches exactly as
 //! §2.2.1 describes; homomorphic permutation applies the automorphism to
 //! both polynomials and key-switches `σ_k(a)`. Every key-switch is GHS
-//! ([`GhsHint`]), the one pass 1 of the compiler expands.
+//! ([`GhsHint`]), the one pass 1 of the compiler expands. The RLWE
+//! arithmetic is the shared [`crate::rlwe`] core; this module adds `t`,
+//! the correction factor and the plaintext encoding.
 
 use crate::keys::SecretKey;
 use crate::keyswitch::{GhsHint, KsScratch};
 use crate::params::BgvParams;
-use f1_modarith::CenteredLift;
+use crate::rlwe::{HintSet, Rlwe};
 use f1_poly::crt;
-use f1_poly::rns::{Domain, RnsPoly};
+use f1_poly::rns::RnsPoly;
 use rand::Rng;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// A BGV plaintext: `N` coefficients modulo `t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,14 +91,12 @@ impl Plaintext {
     }
 }
 
-/// A BGV ciphertext: `(a, b)` in NTT form at some level, plus its
+/// A BGV ciphertext: an [`Rlwe`] pair in NTT form at some level, plus its
 /// plaintext bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
-    /// The `a` polynomial (mask).
-    pub a: RnsPoly,
-    /// The `b` polynomial (body).
-    pub b: RnsPoly,
+    /// The `(a, b)` pair.
+    pub rlwe: Rlwe,
     /// Plaintext correction factor `F`: the raw decryption equals
     /// `F * m (mod t)`. Modulus switching multiplies the embedded plaintext
     /// by `q_top^{-1} mod t`, so `F` accumulates those factors (SEAL-style
@@ -110,26 +110,25 @@ pub struct Ciphertext {
 impl Ciphertext {
     /// Current level (number of RNS limbs).
     pub fn level(&self) -> usize {
-        self.a.level()
+        self.rlwe.level()
     }
 
-    /// Ciphertext size in bytes (2 polynomials).
-    pub fn size_bytes(&self) -> usize {
-        self.a.size_bytes() + self.b.size_bytes()
+    /// `rlwe` with this ciphertext's correction factor and plaintext
+    /// modulus.
+    pub(crate) fn with(&self, rlwe: Rlwe) -> Self {
+        Self { rlwe, correction: self.correction, pt_modulus: self.pt_modulus }
     }
 }
 
-/// Key material: the secret key plus relinearization and rotation hints.
+/// Key material: the secret key plus its [`HintSet`].
 ///
-/// Key-switch hints are the dominant working set of FHE programs (§2.4);
-/// this struct is what workloads hand to the compiler to size hint traffic.
-/// Every hint is a [`GhsHint`] over the parameter set's `K = L` special
-/// primes, generated at the top level and valid at every level below it.
+/// This struct is what workloads hand to the compiler to size hint
+/// traffic. Every hint is a [`GhsHint`] over the parameter set's `K = L`
+/// special primes.
 pub struct KeySet {
     params: BgvParams,
     sk: SecretKey,
-    relin: GhsHint,
-    rotation: HashMap<usize, GhsHint>,
+    hints: HintSet,
 }
 
 impl KeySet {
@@ -143,9 +142,9 @@ impl KeySet {
     /// Builds hints for an existing secret key (bootstrapping shares the
     /// secret key between the base scheme and the boot plaintext space).
     pub fn from_secret_key(params: &BgvParams, sk: SecretKey, rng: &mut impl Rng) -> Self {
-        let full = params.context().max_level();
-        let relin = ghs_hint(params, &sk, &sk.s_squared_at_level(full), rng);
-        Self { params: params.clone(), sk, relin, rotation: HashMap::new() }
+        let (l, t) = (params.max_level, params.plaintext_modulus);
+        let hints = HintSet::generate(&sk, l, t, params.error_eta, rng);
+        Self { params: params.clone(), sk, hints }
     }
 
     /// The parameter set.
@@ -159,10 +158,15 @@ impl KeySet {
         &self.sk
     }
 
+    /// The key-switch hints.
+    pub fn hints(&self) -> &HintSet {
+        &self.hints
+    }
+
     /// The relinearization hint (for homomorphic multiplication): it
     /// targets `s²`.
     pub fn relin_hint(&self) -> &GhsHint {
-        &self.relin
+        self.hints.relin()
     }
 
     /// Generates and caches the hint for automorphism exponent `k`.
@@ -170,9 +174,7 @@ impl KeySet {
     /// The hint targets `-σ_k(s)`, pass 1's convention, so
     /// [`Ciphertext::automorphism`] key-switches `σ_k(a)` as it is.
     pub fn add_rotation_hint(&mut self, k: usize, rng: &mut impl Rng) {
-        let full = self.params.context().max_level();
-        let target = self.sk.s_automorphism_at_level(k, full).neg();
-        self.rotation.insert(k, ghs_hint(&self.params, &self.sk, &target, rng));
+        self.hints.add_rotation(&self.sk, k, rng);
     }
 
     /// The hint for automorphism exponent `k`.
@@ -181,9 +183,7 @@ impl KeySet {
     ///
     /// Panics if the hint was never generated.
     pub fn rotation_hint(&self, k: usize) -> &GhsHint {
-        self.rotation
-            .get(&k)
-            .unwrap_or_else(|| panic!("no rotation hint for k={k}; call add_rotation_hint"))
+        self.hints.rotation(k)
     }
 
     /// Symmetric encryption at the top level: `ct = (a, a*s + t*e + m)`.
@@ -193,73 +193,43 @@ impl KeySet {
 
     /// Symmetric encryption at a chosen level.
     pub fn encrypt_at_level(&self, m: &Plaintext, level: usize, rng: &mut impl Rng) -> Ciphertext {
-        let ctx = self.params.context();
         let t = self.params.plaintext_modulus;
-        let mut a = RnsPoly::random_at_level(ctx, level, rng);
-        a.ntt_inplace();
-        let mut te = RnsPoly::random_error(ctx, level, self.params.error_eta, rng);
-        te.mul_scalar_assign(u32::try_from(t).expect("t fits u32"));
-        te.ntt_inplace();
-        let mut m_poly = plaintext_to_poly(m, level, &self.params);
-        m_poly.ntt_inplace();
-        let s = self.sk.s_at_level(level);
-        let mut b = a.mul(&s);
-        b.add_assign(&te);
-        b.add_assign(&m_poly);
-        Ciphertext { a, b, correction: 1, pt_modulus: t }
+        let mut rlwe = Rlwe::encrypt_zero(&self.sk, level, t, self.params.error_eta, rng);
+        rlwe.b.add_assign(&plaintext_to_poly(m, level, &self.params).to_ntt());
+        Ciphertext { rlwe, correction: 1, pt_modulus: t }
     }
 
     /// Decrypts a ciphertext (using the plaintext modulus the ciphertext
     /// carries, which bootstrapping changes mid-pipeline).
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let l = ct.level();
-        let s = self.sk.s_at_level(l);
-        let noise_poly = ct.b.sub(&ct.a.mul(&s)).to_coeff();
         let t = ct.pt_modulus;
         let f_inv = inv_mod(ct.correction % t, t);
-        let centered = crt::reconstruct_centered(&noise_poly);
-        let coeffs: Vec<u64> = centered
-            .iter()
-            .map(|c| {
-                let raw = crt::centered_mod_small(c, t);
-                ((raw as u128 * f_inv as u128) % t as u128) as u64
-            })
-            .collect();
-        Plaintext { t, coeffs }
+        let raw = raw_plaintext(&ct.rlwe.phase(&self.sk), t);
+        Plaintext { t, coeffs: raw.coeffs.iter().map(|&c| mul_mod_u64(c, f_inv, t)).collect() }
     }
 
     /// Measures the true noise magnitude `log2 |b - a*s - m|`, the ground
     /// truth the static bound [`crate::noise::NoiseModel`] must dominate.
     pub fn decrypt_noise(&self, ct: &Ciphertext) -> f64 {
-        let l = ct.level();
-        let s = self.sk.s_at_level(l);
-        let m = self.decrypt(ct);
-        let t = ct.pt_modulus;
-        let raw: Vec<u64> = m
-            .coeffs()
-            .iter()
-            .map(|&c| ((c as u128 * (ct.correction % t) as u128) % t as u128) as u64)
-            .collect();
-        let m_raw = Plaintext { t, coeffs: raw };
-        let m_poly = plaintext_to_poly(&m_raw, l, &self.params);
-        let noise = ct.b.sub(&ct.a.mul(&s)).sub(&m_poly.to_ntt()).to_coeff();
-        crt::log2_infinity_norm(&noise)
+        let phase = ct.rlwe.phase(&self.sk);
+        let m_raw = raw_plaintext(&phase, ct.pt_modulus);
+        crt::log2_infinity_norm(&phase.sub(&plaintext_to_poly(&m_raw, ct.level(), &self.params)))
     }
 
     /// Measured noise budget in bits: `log2(Q_l/2) - decrypt_noise(ct)`.
     /// Decryption fails when this reaches zero (§2.2.2).
     pub fn noise_budget_bits(&self, ct: &Ciphertext) -> f64 {
-        let ctx = ct.a.context();
+        let ctx = ct.rlwe.a.context();
         let log2_q: f64 = (0..ct.level()).map(|j| f64::from(ctx.modulus(j).value()).log2()).sum();
         log2_q - 1.0 - self.decrypt_noise(ct)
     }
 }
 
-/// A GHS hint re-encrypting `target` (NTT domain over the whole chain)
-/// into `sk`, for ciphertexts up to the top level.
-fn ghs_hint(params: &BgvParams, sk: &SecretKey, target: &RnsPoly, rng: &mut impl Rng) -> GhsHint {
-    let (l, t) = (params.max_level, params.plaintext_modulus);
-    GhsHint::generate(sk, target, l, t, params.error_eta, rng)
+/// The centered `phase` (coefficient form) mod `t`: the plaintext times
+/// the ciphertext's correction factor.
+fn raw_plaintext(phase: &RnsPoly, t: u64) -> Plaintext {
+    let centered = crt::reconstruct_centered(phase);
+    Plaintext { t, coeffs: centered.iter().map(|c| crt::centered_mod_small(c, t)).collect() }
 }
 
 /// Lifts a plaintext into an RNS polynomial with centered coefficients.
@@ -277,23 +247,12 @@ impl Ciphertext {
     /// was modulus-switched and the other freshly encrypted), the other
     /// operand is scaled by the factor ratio first.
     pub fn add(&self, other: &Self) -> Self {
-        let other = other.align_correction_to(self);
-        Self {
-            a: self.a.add(&other.a),
-            b: self.b.add(&other.b),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        self.with(self.rlwe.add(&other.aligned_to(self)))
     }
 
     /// Negation (the plaintext negates; noise magnitude is unchanged).
     pub fn neg(&self) -> Self {
-        Self {
-            a: self.a.neg(),
-            b: self.b.neg(),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        self.with(self.rlwe.neg())
     }
 
     /// Exactly divides the embedded plaintext by `2^k`, reducing the
@@ -310,21 +269,8 @@ impl Ciphertext {
             new_params.plaintext_modulus,
             "target plaintext modulus must be t / 2^k"
         );
-        let mut a = self.a.clone();
-        let mut b = self.b.clone();
-        let ctx = self.a.context().clone();
-        for j in 0..self.level() {
-            let m = ctx.modulus(j);
-            let inv = m.inv(m.pow(2, k as u64));
-            for poly in [&mut a, &mut b] {
-                for x in poly.limb_mut(j).iter_mut() {
-                    *x = m.mul(*x, inv);
-                }
-            }
-        }
         Self {
-            a,
-            b,
+            rlwe: self.rlwe.divide_pow2(k),
             correction: self.correction % new_params.plaintext_modulus,
             pt_modulus: new_params.plaintext_modulus,
         }
@@ -332,43 +278,21 @@ impl Ciphertext {
 
     /// Homomorphic subtraction.
     pub fn sub(&self, other: &Self) -> Self {
-        let other = other.align_correction_to(self);
-        Self {
-            a: self.a.sub(&other.a),
-            b: self.b.sub(&other.b),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        self.with(self.rlwe.sub(&other.aligned_to(self)))
     }
 
-    /// Rescales this ciphertext's embedded plaintext so its correction
-    /// factor matches `target`'s (a centered scalar multiply mod t).
-    fn align_correction_to(&self, target: &Self) -> Self {
+    /// This ciphertext's pair, rescaled so its correction factor matches
+    /// `target`'s: a multiply by the centered representative of
+    /// `F_target / F_self (mod t)`, which turns an `F_self`-corrected
+    /// ciphertext into an `F_target`-corrected one.
+    fn aligned_to(&self, target: &Self) -> Cow<'_, Rlwe> {
         if self.correction == target.correction {
-            return self.clone();
+            return Cow::Borrowed(&self.rlwe);
         }
         let t = self.pt_modulus;
-        // ratio = F_target / F_self (mod t); scaling raw by ratio turns an
-        // F_self-corrected ciphertext into an F_target-corrected one.
-        let ratio = ((target.correction as u128 * inv_mod(self.correction % t, t) as u128)
-            % t as u128) as u64;
-        let scaled = self.scale_raw_mod_t(ratio, t);
-        Self { correction: target.correction, ..scaled }
-    }
-
-    /// Multiplies both polynomials by the centered representative of
-    /// `factor mod t` (used for correction alignment).
-    fn scale_raw_mod_t(&self, factor: u64, t: u64) -> Self {
-        let f_centered = if factor > t / 2 { factor as i64 - t as i64 } else { factor as i64 };
-        let (fr, neg) =
-            if f_centered < 0 { ((-f_centered) as u32, true) } else { (f_centered as u32, false) };
-        let mut a = self.a.mul_scalar(fr);
-        let mut b = self.b.mul_scalar(fr);
-        if neg {
-            a = a.neg();
-            b = b.neg();
-        }
-        Self { a, b, correction: self.correction, pt_modulus: self.pt_modulus }
+        let ratio = mul_mod_u64(target.correction, inv_mod(self.correction % t, t), t);
+        let centered = if ratio > t / 2 { ratio as i64 - t as i64 } else { ratio as i64 };
+        Cow::Owned(self.rlwe.mul_int(centered))
     }
 
     /// Adds an unencrypted plaintext (cheap, §2.1). The plaintext is
@@ -376,36 +300,21 @@ impl Ciphertext {
     pub fn add_plain(&self, m: &Plaintext, params: &BgvParams) -> Self {
         let t = params.plaintext_modulus;
         let f = self.correction % t;
-        let scaled: Vec<u64> =
-            m.coeffs().iter().map(|&c| ((c as u128 * f as u128) % t as u128) as u64).collect();
+        let scaled: Vec<u64> = m.coeffs().iter().map(|&c| mul_mod_u64(c, f, t)).collect();
         let m_f = Plaintext { t, coeffs: scaled };
         let mp = plaintext_to_poly(&m_f, self.level(), params).to_ntt();
-        Self {
-            a: self.a.clone(),
-            b: self.b.add(&mp),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        self.with(Rlwe { a: self.rlwe.a.clone(), b: self.rlwe.b.add(&mp) })
     }
 
     /// Multiplies by an unencrypted plaintext (both polynomials scale;
     /// noise grows by the plaintext magnitude — the "cheaper" unencrypted
     /// operand multiply of §2.1).
     pub fn mul_plain(&self, m: &Plaintext, params: &BgvParams) -> Self {
-        let mp = plaintext_to_poly(m, self.level(), params).to_ntt();
-        Self {
-            a: self.a.mul(&mp),
-            b: self.b.mul(&mp),
-            correction: self.correction,
-            pt_modulus: self.pt_modulus,
-        }
+        self.with(self.rlwe.mul_poly(&plaintext_to_poly(m, self.level(), params).to_ntt()))
     }
 
-    /// Homomorphic multiplication: tensor + key-switch (§2.2.1).
-    ///
-    /// `ct× = (l2, l1, l0) = (a0a1, a0b1 + a1b0, b0b1)`; `l2` is
-    /// key-switched to produce `(u0, u1)` and the result is
-    /// `(l1 + u1, l0 + u0)`. One-shot arena; programs evaluating many
+    /// Homomorphic multiplication: tensor + key-switch (§2.2.1, see
+    /// [`Rlwe::mul`]). One-shot arena; programs evaluating many
     /// multiplies should hold a [`KsScratch`] and call
     /// [`Ciphertext::mul_with_scratch`].
     pub fn mul(&self, other: &Self, relin: &GhsHint) -> Self {
@@ -413,32 +322,13 @@ impl Ciphertext {
     }
 
     /// Homomorphic multiplication reusing a caller-held key-switch scratch
-    /// arena: the tensor products run in place ([`RnsPoly::mul_assign`] /
-    /// [`RnsPoly::fma_assign`]), so steady state allocates only the output
-    /// ciphertext.
+    /// arena.
     pub fn mul_with_scratch(&self, other: &Self, relin: &GhsHint, scratch: &mut KsScratch) -> Self {
-        let mut l2 = self.a.clone();
-        l2.mul_assign(&other.a);
-        let (u0, u1) = relin.apply_with_scratch(&l2, scratch);
-        // l1 = a0*b1 + a1*b0, then + u1 — fused into one accumulator.
-        let mut a = self.a.clone();
-        a.mul_assign(&other.b);
-        a.fma_assign(&other.a, &self.b);
-        a.add_assign(&u1);
-        let mut b = self.b.clone();
-        b.mul_assign(&other.b);
-        b.add_assign(&u0);
         Self {
-            a,
-            b,
+            rlwe: self.rlwe.mul(&other.rlwe, relin, scratch),
             correction: mul_mod_u64(self.correction, other.correction, self.pt_modulus),
             pt_modulus: self.pt_modulus,
         }
-    }
-
-    /// Squares the ciphertext (saves one tensor multiply vs `mul`).
-    pub fn square(&self, relin: &GhsHint) -> Self {
-        self.mul(self, relin)
     }
 
     /// Homomorphic permutation: automorphism on both polynomials followed
@@ -455,36 +345,21 @@ impl Ciphertext {
         hint: &GhsHint,
         scratch: &mut KsScratch,
     ) -> Self {
-        // Key-switch σ_k(a) to -σ_k(s): (u0, u1) with u0 - u1*s =
-        // -σ(a)σ(s) + tE, so (u1, σ(b) + u0) decrypts to σ(m): b' - a'*s =
-        // σ(b) + u0 - u1*s = σ(b) - σ(a)σ(s) + tE = σ(m) + t(σ(e) + E).
-        let (u0, u1) = hint.apply_with_scratch(&self.a.automorphism(k), scratch);
-        let mut b = self.b.automorphism(k);
-        b.add_assign(&u0);
-        Self { a: u1, b, correction: self.correction, pt_modulus: self.pt_modulus }
+        self.with(self.rlwe.automorphism(k, hint, scratch))
     }
 
-    /// BGV modulus switching (§2.2.2): rescales from `Q_l` to `Q_{l-1}`,
-    /// dividing the noise by `q_l` while preserving `m mod t`.
-    ///
-    /// Per remaining limb `j`: `c'_j = (c_j - δ) * q_l^{-1} mod q_j`, where
-    /// `δ ≡ c (mod q_l)`, `δ ≡ 0 (mod t)`, `|δ| <= t*q_l/2`.
-    pub fn mod_switch(&self, params: &BgvParams) -> Self {
-        debug_assert_eq!(params.plaintext_modulus, self.pt_modulus);
-        self.mod_switch_down()
-    }
-
-    /// Modulus switching driven by the ciphertext's own plaintext modulus
-    /// (bootstrapping changes that modulus mid-pipeline).
+    /// BGV modulus switching (§2.2.2), driven by the ciphertext's own
+    /// plaintext modulus (bootstrapping changes that modulus
+    /// mid-pipeline): rescales from `Q_l` to `Q_{l-1}`, dividing the noise
+    /// by `q_l` while preserving `m mod t` ([`Rlwe::mod_switch`]).
     pub fn mod_switch_down(&self) -> Self {
         let l = self.level();
         assert!(l >= 2, "cannot modulus-switch below level 1");
         let t = self.pt_modulus;
-        let q_top = self.a.context().modulus(l - 1).value() as u64;
+        let q_top = self.rlwe.a.context().modulus(l - 1).value() as u64;
         let q_top_inv_t = inv_mod(q_top % t, t);
         Self {
-            a: mod_switch_poly(&self.a, t),
-            b: mod_switch_poly(&self.b, t),
+            rlwe: self.rlwe.mod_switch(t),
             correction: mul_mod_u64(self.correction, q_top_inv_t, t),
             pt_modulus: self.pt_modulus,
         }
@@ -510,38 +385,6 @@ pub(crate) fn inv_mod(x: u64, m: u64) -> u64 {
 
 pub(crate) fn mul_mod_u64(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
-}
-
-/// Divide-and-round one polynomial by its top limb prime, preserving the
-/// value mod `t` (set `t = 1` for CKKS-style plain rounding; CKKS rescaling
-/// reuses this kernel).
-pub fn mod_switch_poly(p: &RnsPoly, t: u64) -> RnsPoly {
-    let l = p.level();
-    let ctx = p.context().clone();
-    let top_idx = l - 1;
-    let coeff = p.to_coeff();
-    let top_m = *ctx.modulus(top_idx);
-    let t_inv_top = if t == 1 { 1 } else { top_m.inv((t % top_m.value() as u64) as u32) };
-    let mut out = RnsPoly::zero_at_level(&ctx, l - 1);
-    let top_limb = coeff.limb(top_idx);
-    for j in 0..l - 1 {
-        let mj = *ctx.modulus(j);
-        let q_top_inv = mj.inv((top_m.value() as u64 % mj.value() as u64) as u32);
-        let t_red = (t % mj.value() as u64) as u32;
-        let lift = CenteredLift::new(&top_m, &mj);
-        let src = coeff.limb(j);
-        let dst = out.limb_mut(j);
-        for ((d, &s), &top) in dst.iter_mut().zip(src).zip(top_limb) {
-            let mu = top_m.mul(top, t_inv_top);
-            let delta = mj.mul(lift.lift(mu), t_red);
-            *d = mj.mul(mj.sub(s, delta), q_top_inv);
-        }
-    }
-    if p.domain() == Domain::Ntt {
-        out.to_ntt()
-    } else {
-        out
-    }
 }
 
 #[cfg(test)]
@@ -644,10 +487,11 @@ mod tests {
         // mod-switch rounding floor, so switching it cannot shrink noise —
         // the paper applies mod switching right before multiplications,
         // after noise has accumulated, §2.2.2).
-        let ct = keys.encrypt(&m, &mut rng).square(keys.relin_hint());
+        let ct = keys.encrypt(&m, &mut rng);
+        let ct = ct.mul(&ct, keys.relin_hint());
         let m_sq = m.ring_mul(&m);
         let noise_before = keys.decrypt_noise(&ct);
-        let switched = ct.mod_switch(&params);
+        let switched = ct.mod_switch_down();
         assert_eq!(switched.level(), 2);
         assert_eq!(keys.decrypt(&switched), m_sq);
         let noise_after = keys.decrypt_noise(&switched);
@@ -670,9 +514,9 @@ mod tests {
         let mut expected = 2u64;
         for step in 0..3 {
             if step > 0 {
-                acc = acc.mod_switch(&params);
+                acc = acc.mod_switch_down();
             }
-            acc = acc.square(keys.relin_hint());
+            acc = acc.mul(&acc, keys.relin_hint());
             expected = expected * expected % params.plaintext_modulus;
         }
         assert_eq!(acc.level(), 2);

@@ -23,8 +23,10 @@
 use crate::bgv;
 use crate::ckks;
 use crate::keys::SecretKey;
-use crate::keyswitch::GhsHint;
+use crate::keyswitch::KsScratch;
 use crate::params::{BgvParams, CkksParams};
+use crate::rlwe::Rlwe;
+use f1_poly::rns::RnsPoly;
 use rand::Rng;
 
 /// The ladder of automorphism exponents whose composed `(1 + σ_k)` stages
@@ -119,12 +121,12 @@ impl BgvBootstrapper {
     /// Panics if `ct` is not at level 1.
     pub fn bootstrap(&self, ct: &bgv::Ciphertext) -> bgv::Ciphertext {
         assert_eq!(ct.level(), 1, "bootstrap input must be an exhausted level-1 ciphertext");
-        let n = ct.a.n();
+        let n = ct.rlwe.a.n();
         let rho = self.rho;
         // Step 0: LSB -> MSB: multiply both polynomials by 2^{-1} mod q_1,
         // turning phase m + 2e into m*(q_1+1)/2 + e — the top bit now
         // carries m and survives any modulus switch.
-        let msb = self.to_msb_form(ct);
+        let msb = ct.with(ct.rlwe.divide_pow2(1));
         // Step 1: switch (in the clear — one scalar multiply + round per
         // coefficient) to q̃ = 2^ρ by plain rounding.
         let (a_t, b_t) = self.switch_to_power_of_two(&msb);
@@ -191,38 +193,22 @@ impl BgvBootstrapper {
             // once within its own modulus.
             z_cur = z_cur.mod_switch_down();
             for row in rows.iter_mut() {
-                *row = row.mod_switch_down().square(relin);
+                let down = row.mod_switch_down();
+                *row = down.mul(&down, relin);
             }
         }
         unreachable!("loop returns at k = e-1")
     }
 
-    /// LSB→MSB conversion: scale both polynomials by `2^{-1} mod Q`.
-    fn to_msb_form(&self, ct: &bgv::Ciphertext) -> bgv::Ciphertext {
-        let ctx = ct.a.context().clone();
-        let mut a = ct.a.clone();
-        let mut b = ct.b.clone();
-        for j in 0..ct.level() {
-            let m = ctx.modulus(j);
-            let inv2 = m.inv(2);
-            for poly in [&mut a, &mut b] {
-                for x in poly.limb_mut(j).iter_mut() {
-                    *x = m.mul(*x, inv2);
-                }
-            }
-        }
-        bgv::Ciphertext { a, b, ..ct.clone() }
-    }
-
     /// Modulus-switches a level-1 MSB-form ciphertext (in the clear) to
     /// `q̃ = 2^ρ` by plain nearest-integer rounding.
     fn switch_to_power_of_two(&self, ct: &bgv::Ciphertext) -> (Vec<u64>, Vec<u64>) {
-        let q1 = ct.a.context().modulus(0).value() as f64;
+        let q1 = ct.rlwe.a.context().modulus(0).value() as f64;
         let q_t = 1u64 << self.rho;
         let scale = q_t as f64 / q1;
-        let a = ct.a.to_coeff();
-        let b = ct.b.to_coeff();
-        let m0 = ct.a.context().modulus(0);
+        let a = ct.rlwe.a.to_coeff();
+        let b = ct.rlwe.b.to_coeff();
+        let m0 = ct.rlwe.a.context().modulus(0);
         let round_plain = |c: u32| -> u64 {
             let centered = m0.center(c);
             ((centered as f64 * scale).round() as i64).rem_euclid(q_t as i64) as u64
@@ -240,7 +226,6 @@ impl BgvBootstrapper {
 /// Non-packed CKKS bootstrapping via the scaled-sine approximation.
 pub struct CkksBootstrapper {
     params: CkksParams,
-    keys_rotation: Vec<(usize, GhsHint)>,
     /// Taylor degree for `exp(iθ)`.
     taylor_degree: usize,
     /// Number of double-angle squarings.
@@ -248,22 +233,21 @@ pub struct CkksBootstrapper {
 }
 
 impl CkksBootstrapper {
-    /// Builds a bootstrapper sharing the key set's secret key; generates
-    /// the ν trace rotation hints.
+    /// Builds a bootstrapper sharing the key set's secret key; adds the
+    /// ν trace rotation hints to `keys`, which [`CkksBootstrapper::bootstrap`]
+    /// then reads.
     pub fn new(keys: &mut ckks::KeySet, rng: &mut impl Rng) -> Self {
         let params = keys.params().clone();
         let n = params.n;
-        let mut keys_rotation = Vec::new();
         for k in trace_exponents(n) {
             keys.add_rotation_hint(k, rng);
-            keys_rotation.push((k, keys.rotation_hint(k).clone()));
         }
         // Double-angle count: the sine argument before reduction is up to
         // 2π(I_0 + |v|) with |I_0| <= (N+1)/2 (dense ternary keys), and the
         // Taylor window wants |θ| <= ~0.4 rad. HEAAN uses sparse keys to
         // keep this flat in N; we size it from N directly.
         let r = (n.trailing_zeros() + 3).max(6);
-        Self { params, keys_rotation, taylor_degree: 7, double_angles: r }
+        Self { params, taylor_degree: 7, double_angles: r }
     }
 
     /// Levels consumed by one bootstrap: θ scaling (three steps) + Taylor +
@@ -297,12 +281,12 @@ impl CkksBootstrapper {
             "bootstrap input must be at the input scale q_0/32"
         );
         let l_max = self.params.max_level;
-        let n = ct.a.n();
+        let n = ct.rlwe.a.n();
         // Step 1: modulus raise — reinterpret (a, b) mod Q_max. The phase
         // becomes φ + q_0 * I with |I| <= (N+1)/2.
+        let raise = |p: &RnsPoly| p.to_coeff().extend_basis(l_max).to_ntt();
         let raised = ckks::Ciphertext {
-            a: ct.a.to_coeff().extend_basis(l_max).to_ntt(),
-            b: ct.b.to_coeff().extend_basis(l_max).to_ntt(),
+            rlwe: Rlwe { a: raise(&ct.rlwe.a), b: raise(&ct.rlwe.b) },
             scale: ct.scale,
         };
         // Step 2: trace to the constant coefficient (phase becomes N·φ_0),
@@ -311,8 +295,8 @@ impl CkksBootstrapper {
         // rescale-based normalization would multiply the phase by
         // (1/N)(1+ε) and break the exact q_0·I multiples the sine needs.
         let mut z = raised;
-        for (k, hint) in &self.keys_rotation {
-            z = z.add(&z.automorphism(*k, hint));
+        for k in trace_exponents(n) {
+            z = z.add(&z.automorphism(k, keys.rotation_hint(k)));
         }
         let z = z.exact_divide_pow2(n.trailing_zeros());
         // Step 3: EvalMod — evaluate (q0/2π) sin(2π u / q0) at u = φ_0:
@@ -336,11 +320,16 @@ impl CkksBootstrapper {
         let q_next = ctx.modulus(theta_wide.level() - 1).value() as f64;
         let s_fix = (self.params.scale * q_next / theta_wide.scale).round();
         let theta = theta_wide.mul_scalar_f64(1.0, s_fix);
-        let (mut re, mut im) = self.complex_exp(&theta, keys);
+        // Every multiply below shares one key-switch arena.
+        let mut scratch = KsScratch::default();
+        let mut mul = |x: &ckks::Ciphertext, y: &ckks::Ciphertext| {
+            x.mul_with_scratch(y, keys.relin_hint(), &mut scratch)
+        };
+        let (mut re, mut im) = self.complex_exp(&theta, &mut mul);
         for _ in 0..self.double_angles {
-            let re2 = re.mul(&re, keys.relin_hint());
-            let im2 = im.mul(&im, keys.relin_hint());
-            let cross = re.mul(&im, keys.relin_hint());
+            let re2 = mul(&re, &re);
+            let im2 = mul(&im, &im);
+            let cross = mul(&re, &im);
             re = re2.sub(&im2);
             im = cross.add(&cross);
         }
@@ -349,12 +338,13 @@ impl CkksBootstrapper {
         im.mul_scalar_f64(q0 / (two_pi * delta_in), self.params.scale)
     }
 
-    /// Taylor evaluation of `exp(iθ)` by Horner's rule: returns the
-    /// (real, imaginary) ciphertext pair.
+    /// Taylor evaluation of `exp(iθ)` by Horner's rule with the
+    /// homomorphic multiply `mul`: returns the (real, imaginary)
+    /// ciphertext pair.
     fn complex_exp(
         &self,
         theta: &ckks::Ciphertext,
-        keys: &ckks::KeySet,
+        mul: &mut impl FnMut(&ckks::Ciphertext, &ckks::Ciphertext) -> ckks::Ciphertext,
     ) -> (ckks::Ciphertext, ckks::Ciphertext) {
         // Coefficients 1/k!.
         let mut inv_fact = vec![1f64; self.taylor_degree + 1];
@@ -366,8 +356,8 @@ impl CkksBootstrapper {
         let mut re = zero.add_const(inv_fact[self.taylor_degree]);
         let mut im = zero;
         for k in (0..self.taylor_degree).rev() {
-            let new_re = im.mul(theta, keys.relin_hint()).neg().add_const(inv_fact[k]);
-            let new_im = re.mul(theta, keys.relin_hint());
+            let new_re = mul(&im, theta).neg().add_const(inv_fact[k]);
+            let new_im = mul(&re, theta);
             re = new_re;
             im = new_im;
         }

@@ -5,18 +5,19 @@
 //! plaintext polynomial evaluates to (scaled copies of) the values at the
 //! primitive `2N`-th roots of unity. Multiplication rescales by one RNS
 //! limb to keep the fixed-point scale bounded — the modulus-switching
-//! machinery shared with BGV (`t = 1` rounding).
+//! machinery shared with BGV (`t = 1` rounding). The RLWE arithmetic is
+//! the shared [`crate::rlwe`] core; this module adds the scale and the
+//! encoder.
 
-use crate::bgv::mod_switch_poly;
 use crate::keys::SecretKey;
-use crate::keyswitch::GhsHint;
+use crate::keyswitch::{GhsHint, KsScratch};
 use crate::params::CkksParams;
+use crate::rlwe::{HintSet, Rlwe};
 use f1_poly::crt;
 use f1_poly::ntt::bit_reverse;
 use f1_poly::rns::RnsPoly;
 use rand::Rng;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// A complex number (we avoid external dependencies).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -224,13 +225,11 @@ impl CkksEncoder {
     }
 }
 
-/// A CKKS ciphertext: `(a, b)` plus the fixed-point scale.
+/// A CKKS ciphertext: an [`Rlwe`] pair plus the fixed-point scale.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
-    /// Mask polynomial.
-    pub a: RnsPoly,
-    /// Body polynomial.
-    pub b: RnsPoly,
+    /// The `(a, b)` pair.
+    pub rlwe: Rlwe,
     /// Fixed-point scale Δ of the embedded values.
     pub scale: f64,
 }
@@ -238,22 +237,16 @@ pub struct Ciphertext {
 impl Ciphertext {
     /// Current level.
     pub fn level(&self) -> usize {
-        self.a.level()
-    }
-
-    /// Size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.a.size_bytes() + self.b.size_bytes()
+        self.rlwe.level()
     }
 }
 
-/// CKKS key material.
+/// CKKS key material: the secret key, its [`HintSet`] and the encoder.
 pub struct KeySet {
     params: CkksParams,
     encoder: CkksEncoder,
     sk: SecretKey,
-    relin: GhsHint,
-    rotation: HashMap<usize, GhsHint>,
+    hints: HintSet,
 }
 
 impl KeySet {
@@ -264,22 +257,8 @@ impl KeySet {
     /// noise, which a CKKS payload at scale Δ ≈ q cannot absorb (§2.4).
     pub fn generate(params: &CkksParams, rng: &mut impl Rng) -> Self {
         let sk = SecretKey::generate(params.context(), rng);
-        let full = params.context().max_level();
-        let relin = GhsHint::generate(
-            &sk,
-            &sk.s_squared_at_level(full),
-            params.max_level,
-            1,
-            params.error_eta,
-            rng,
-        );
-        Self {
-            params: params.clone(),
-            encoder: CkksEncoder::new(params),
-            sk,
-            relin,
-            rotation: HashMap::new(),
-        }
+        let hints = HintSet::generate(&sk, params.max_level, 1, params.error_eta, rng);
+        Self { params: params.clone(), encoder: CkksEncoder::new(params), sk, hints }
     }
 
     /// The parameter set.
@@ -292,32 +271,26 @@ impl KeySet {
         &self.encoder
     }
 
+    /// The key-switch hints.
+    pub fn hints(&self) -> &HintSet {
+        &self.hints
+    }
+
     /// The relinearization hint.
     pub fn relin_hint(&self) -> &GhsHint {
-        &self.relin
+        self.hints.relin()
     }
 
     /// Generates and caches the hint for automorphism exponent `k`.
     ///
-    /// The hint is a GHS hint, like every key-switch hint: a digit
-    /// decomposition would add `q`-sized noise, which would swamp a CKKS
-    /// payload living at scale Δ.
+    /// The hint targets `-σ_k(s)`, pass 1's convention, as BGV's does, so
+    /// [`Ciphertext::automorphism`] key-switches `σ_k(a)` as it is.
     ///
     /// # Panics
     ///
     /// Panics if the parameter set has no special primes.
     pub fn add_rotation_hint(&mut self, k: usize, rng: &mut impl Rng) {
-        let full = self.params.context().max_level();
-        let target = self.sk.s_automorphism_at_level(k, full);
-        let hint = GhsHint::generate(
-            &self.sk,
-            &target,
-            self.params.max_level,
-            1,
-            self.params.error_eta,
-            rng,
-        );
-        self.rotation.insert(k, hint);
+        self.hints.add_rotation(&self.sk, k, rng);
     }
 
     /// The hint for automorphism exponent `k`.
@@ -326,9 +299,7 @@ impl KeySet {
     ///
     /// Panics if the hint was never generated.
     pub fn rotation_hint(&self, k: usize) -> &GhsHint {
-        self.rotation
-            .get(&k)
-            .unwrap_or_else(|| panic!("no rotation hint for k={k}; call add_rotation_hint"))
+        self.hints.rotation(k)
     }
 
     /// Encrypts complex slot values at the top level.
@@ -348,8 +319,8 @@ impl KeySet {
         self.encrypt_poly(&m, level, self.params.scale, rng)
     }
 
-    /// Encrypts an already-encoded polynomial (NTT domain) with a given
-    /// scale — the entry point bootstrapping uses.
+    /// Encrypts an already-encoded polynomial (NTT domain, at `level`)
+    /// with a given scale — the entry point bootstrapping uses.
     pub fn encrypt_poly(
         &self,
         m: &RnsPoly,
@@ -357,19 +328,13 @@ impl KeySet {
         scale: f64,
         rng: &mut impl Rng,
     ) -> Ciphertext {
-        let ctx = self.params.context();
-        let a = RnsPoly::random_at_level(ctx, level, rng).to_ntt();
-        let e = RnsPoly::random_error(ctx, level, self.params.error_eta, rng).to_ntt();
-        let s = self.sk.s_at_level(level);
-        let b = a.mul(&s).add(&e).add(m);
-        Ciphertext { a, b, scale }
+        assert_eq!(m.level(), level, "plaintext level");
+        Ciphertext { rlwe: Rlwe::encrypt(m, &self.sk, self.params.error_eta, rng), scale }
     }
 
     /// Decrypts to complex slot values.
     pub fn decrypt(&self, ct: &Ciphertext) -> Vec<Complex> {
-        let s = self.sk.s_at_level(ct.level());
-        let phase = ct.b.sub(&ct.a.mul(&s)).to_coeff();
-        self.encoder.decode(&phase, ct.scale)
+        self.encoder.decode(&ct.rlwe.phase(&self.sk), ct.scale)
     }
 }
 
@@ -381,40 +346,39 @@ impl Ciphertext {
     ///
     /// Panics if the operand scales differ by more than 0.01%.
     pub fn add(&self, other: &Self) -> Self {
-        assert!(
-            (self.scale / other.scale - 1.0).abs() < 1e-4,
-            "scale mismatch: {} vs {}",
-            self.scale,
-            other.scale
-        );
-        let (x, y) = self.aligned(other);
-        Self { a: x.a.add(&y.a), b: x.b.add(&y.b), scale: self.scale }
+        self.combine(other, Rlwe::add)
     }
 
-    /// Homomorphic subtraction.
+    /// Homomorphic subtraction (same conditions as [`Ciphertext::add`]).
     pub fn sub(&self, other: &Self) -> Self {
-        assert!((self.scale / other.scale - 1.0).abs() < 1e-4);
+        self.combine(other, Rlwe::sub)
+    }
+
+    /// `op` on the level-aligned pairs of two ciphertexts of one scale.
+    fn combine(&self, other: &Self, op: fn(&Rlwe, &Rlwe) -> Rlwe) -> Self {
+        let (s, o) = (self.scale, other.scale);
+        assert!((s / o - 1.0).abs() < 1e-4, "scale mismatch: {s} vs {o}");
         let (x, y) = self.aligned(other);
-        Self { a: x.a.sub(&y.a), b: x.b.sub(&y.b), scale: self.scale }
+        Self { rlwe: op(&x.rlwe, &y.rlwe), scale: self.scale }
     }
 
     /// Negation.
     pub fn neg(&self) -> Self {
-        Self { a: self.a.neg(), b: self.b.neg(), scale: self.scale }
+        Self { rlwe: self.rlwe.neg(), scale: self.scale }
     }
 
-    /// Homomorphic multiplication: tensor, relinearize, then rescale by
-    /// the top limb (scale becomes `Δ² / q_top`). Operands at different
-    /// levels are aligned by truncating the deeper one.
+    /// Homomorphic multiplication: tensor, relinearize ([`Rlwe::mul`]),
+    /// then rescale by the top limb (scale becomes `Δ² / q_top`). Operands
+    /// at different levels are aligned by truncating the deeper one.
+    /// One-shot arena; see [`Ciphertext::mul_with_scratch`].
     pub fn mul(&self, other: &Self, relin: &GhsHint) -> Self {
+        self.mul_with_scratch(other, relin, &mut KsScratch::default())
+    }
+
+    /// [`Ciphertext::mul`] reusing a caller-held key-switch arena.
+    pub fn mul_with_scratch(&self, other: &Self, relin: &GhsHint, scratch: &mut KsScratch) -> Self {
         let (x, y) = self.aligned(other);
-        let (u0, u1) = relin.apply(&x.a.mul(&y.a));
-        let mut a = x.a.mul(&y.b);
-        a.fma_assign(&y.a, &x.b);
-        a.add_assign(&u1);
-        let mut b = x.b.mul(&y.b);
-        b.add_assign(&u0);
-        Self { a, b, scale: x.scale * y.scale }.rescale()
+        Self { rlwe: x.rlwe.mul(&y.rlwe, relin, scratch), scale: x.scale * y.scale }.rescale()
     }
 
     /// Adds the real constant `c` (broadcast to every slot) at this
@@ -423,10 +387,11 @@ impl Ciphertext {
     pub fn add_const(&self, c: f64) -> Self {
         let v = (c * self.scale).round() as i64;
         let mut out = self.clone();
-        for j in 0..out.b.level() {
-            let m = *out.b.context().modulus(j);
+        let b = &mut out.rlwe.b;
+        for j in 0..b.level() {
+            let m = *b.context().modulus(j);
             let vr = m.reduce_i64(v);
-            for x in out.b.limb_mut(j).iter_mut() {
+            for x in b.limb_mut(j).iter_mut() {
                 *x = m.add(*x, vr);
             }
         }
@@ -436,23 +401,15 @@ impl Ciphertext {
     /// Multiplies by an unencrypted (already encoded, NTT-domain) plaintext
     /// polynomial with the given scale, then rescales.
     pub fn mul_plain(&self, m: &RnsPoly, m_scale: f64) -> Self {
-        let raw = Self { a: self.a.mul(m), b: self.b.mul(m), scale: self.scale * m_scale };
-        raw.rescale()
+        Self { rlwe: self.rlwe.mul_poly(m), scale: self.scale * m_scale }.rescale()
     }
 
     /// Multiplies by a real scalar by scaling the encoded values (the
     /// scalar is absorbed into integer multiplication at the current
     /// scale), then rescales.
     pub fn mul_scalar_f64(&self, s: f64, scale: f64) -> Self {
-        let s_int = (s * scale).round() as i64;
-        let (mag, neg) = if s_int < 0 { ((-s_int) as u32, true) } else { (s_int as u32, false) };
-        let mut a = self.a.mul_scalar(mag);
-        let mut b = self.b.mul_scalar(mag);
-        if neg {
-            a = a.neg();
-            b = b.neg();
-        }
-        Self { a, b, scale: self.scale * scale }.rescale()
+        let rlwe = self.rlwe.mul_int((s * scale).round() as i64);
+        Self { rlwe, scale: self.scale * scale }.rescale()
     }
 
     /// Exactly divides the phase by `2^k` via multiplication with
@@ -462,36 +419,15 @@ impl Ciphertext {
     /// structure exact, consumes no level, and leaves the scale declared
     /// unchanged (the *value* divides by `2^k`).
     pub fn exact_divide_pow2(&self, k: u32) -> Self {
-        let ctx = self.a.context().clone();
-        let mut a = self.a.clone();
-        let mut b = self.b.clone();
-        for j in 0..self.level() {
-            let m = ctx.modulus(j);
-            let inv = m.inv(m.pow(2, k as u64));
-            for poly in [&mut a, &mut b] {
-                for x in poly.limb_mut(j).iter_mut() {
-                    *x = m.mul(*x, inv);
-                }
-            }
-        }
-        Self { a, b, scale: self.scale }
+        Self { rlwe: self.rlwe.divide_pow2(k), scale: self.scale }
     }
 
     /// Rescales by the top RNS limb: divides values (and the scale) by
     /// `q_top` — CKKS's modulus-switching (§2.5 "forgoing" note: B/FV
     /// skips this; CKKS embraces it).
     pub fn rescale(&self) -> Self {
-        let q_top = self.a.context().modulus(self.level() - 1).value() as f64;
-        Self {
-            a: mod_switch_poly(&self.a, 1),
-            b: mod_switch_poly(&self.b, 1),
-            scale: self.scale / q_top,
-        }
-    }
-
-    /// Drops to a lower level without rescaling semantics (alignment aid).
-    pub fn truncate_level(&self, level: usize) -> Self {
-        Self { a: self.a.truncate_level(level), b: self.b.truncate_level(level), scale: self.scale }
+        let q_top = self.rlwe.a.context().modulus(self.level() - 1).value() as f64;
+        Self { rlwe: self.rlwe.mod_switch(1), scale: self.scale / q_top }
     }
 
     /// Both operands at the lower of their levels: the deeper one is
@@ -502,19 +438,18 @@ impl Ciphertext {
             if c.level() == l {
                 Cow::Borrowed(c)
             } else {
-                Cow::Owned(c.truncate_level(l))
+                Cow::Owned(Self { rlwe: c.rlwe.truncate_level(l), scale: c.scale })
             }
         };
         (at_l(self), at_l(other))
     }
 
-    /// Homomorphic slot rotation via `σ_k` + key-switch (GHS variant; see
+    /// Homomorphic slot rotation via `σ_k` + key-switch of `σ_k(a)`
+    /// ([`Rlwe::automorphism`]); `hint` must target `-σ_k(s)` (see
     /// [`KeySet::add_rotation_hint`]).
     pub fn automorphism(&self, k: usize, hint: &GhsHint) -> Self {
-        let a_s = self.a.automorphism(k);
-        let b_s = self.b.automorphism(k);
-        let (u0, u1) = hint.apply(&a_s.neg());
-        Self { a: u1, b: b_s.add(&u0), scale: self.scale }
+        let rlwe = self.rlwe.automorphism(k, hint, &mut KsScratch::default());
+        Self { rlwe, scale: self.scale }
     }
 }
 

@@ -5,47 +5,17 @@
 //! it with the same functional units because its kernels are the same
 //! primitives: NTTs, modular multiplies and adds. We implement the
 //! RNS-limb-gadget variant: a GSW ciphertext encrypting a bit `μ` is a
-//! `2L × 2` matrix of RLWE rows, and the external product with an RLWE
-//! ciphertext decomposes the RLWE polynomials limb-by-limb: Listing 1's
-//! digit decomposition, which GSW keeps while key-switching runs GHS.
+//! `2L × 2` matrix of RLWE rows, each a fresh encryption of zero from the
+//! shared [`crate::rlwe`] core with the gadget added, and the external
+//! product with an [`Rlwe`] ciphertext decomposes its polynomials
+//! limb-by-limb: Listing 1's digit decomposition, which GSW keeps while
+//! key-switching runs GHS.
 
 use crate::keys::SecretKey;
 use crate::keyswitch::{decompose_mac, Digits};
-use f1_poly::rns::{Domain, RnsContext, RnsPoly};
+pub use crate::rlwe::Rlwe;
+use f1_poly::rns::RnsPoly;
 use rand::Rng;
-use std::sync::Arc;
-
-/// An RLWE sample `(a, b)` with phase `φ = b - a*s`.
-#[derive(Debug, Clone)]
-pub struct Rlwe {
-    /// Mask polynomial (NTT domain).
-    pub a: RnsPoly,
-    /// Body polynomial (NTT domain).
-    pub b: RnsPoly,
-}
-
-impl Rlwe {
-    /// A trivial (noiseless, unmasked) encryption of `m`: `(0, m)`.
-    pub fn trivial(m: &RnsPoly) -> Self {
-        assert_eq!(m.domain(), Domain::Ntt);
-        Self { a: RnsPoly::zero_ntt_at_level(m.context(), m.level()), b: m.clone() }
-    }
-
-    /// A fresh encryption of `m` under `sk` with error parameter `eta`.
-    pub fn encrypt(m: &RnsPoly, sk: &SecretKey, eta: u32, rng: &mut impl Rng) -> Self {
-        let ctx = m.context().clone();
-        let level = m.level();
-        let a = RnsPoly::random_at_level(&ctx, level, rng).to_ntt();
-        let e = RnsPoly::random_error(&ctx, level, eta, rng).to_ntt();
-        let b = a.mul(&sk.s_at_level(level)).add(&e).add(m);
-        Self { a, b }
-    }
-
-    /// The phase `b - a*s` in coefficient form (decryption modulo noise).
-    pub fn phase(&self, sk: &SecretKey) -> RnsPoly {
-        self.b.sub(&self.a.mul(&sk.s_at_level(self.a.level()))).to_coeff()
-    }
-}
 
 /// A GSW ciphertext encrypting a small scalar (usually a bit).
 ///
@@ -54,34 +24,30 @@ impl Rlwe {
 #[derive(Debug, Clone)]
 pub struct GswCiphertext {
     level: usize,
-    /// `rows[r] = (a_r, b_r)` in NTT domain.
-    rows: Vec<(RnsPoly, RnsPoly)>,
+    /// NTT-domain rows.
+    rows: Vec<Rlwe>,
 }
 
 impl GswCiphertext {
     /// Encrypts the scalar `mu` (typically 0 or 1).
     pub fn encrypt(mu: u64, sk: &SecretKey, level: usize, eta: u32, rng: &mut impl Rng) -> Self {
-        let ctx = sk.context().clone();
-        let mu_r = u32::try_from(mu).expect("GSW payloads are small scalars");
-        let mut rows = Vec::with_capacity(2 * level);
-        // b-block: phase(row_i) = mu * g_i  (indicator gadget, limb i).
-        for i in 0..level {
-            let (a, mut b) = fresh_zero(&ctx, sk, level, eta, rng);
-            add_gadget(&mut b, i, mu_r, &ctx);
-            rows.push((a, b));
-        }
-        // a-block: rows encrypting -mu * g_i * s: add mu*g_i to the *mask*.
-        for i in 0..level {
-            let (mut a, b) = fresh_zero(&ctx, sk, level, eta, rng);
-            add_gadget(&mut a, i, mu_r, &ctx);
-            rows.push((a, b));
-        }
+        let mu = u32::try_from(mu).expect("GSW payloads are small scalars");
+        // Row r is a fresh encryption of zero plus mu * g_i (indicator
+        // gadget, limb i = r mod L): on the body in the b-block (phase
+        // mu * g_i), on the *mask* in the a-block (phase -mu * g_i * s).
+        let rows = (0..2 * level)
+            .map(|r| {
+                let mut row = Rlwe::encrypt_zero(sk, level, 1, eta, rng);
+                add_gadget(if r < level { &mut row.b } else { &mut row.a }, r % level, mu);
+                row
+            })
+            .collect();
         Self { level, rows }
     }
 
     /// Size in bytes (the `2L * 2` residue-polynomial matrix).
     pub fn size_bytes(&self) -> usize {
-        self.rows.iter().map(|(a, b)| a.size_bytes() + b.size_bytes()).sum()
+        self.rows.iter().map(Rlwe::size_bytes).sum()
     }
 
     /// External product `GSW(μ) ⊡ RLWE(m) -> RLWE(μ*m)`.
@@ -98,32 +64,17 @@ impl GswCiphertext {
         assert!(l <= self.level, "GSW level {} below input level {l}", self.level);
         let (b_coeff, a_coeff) = (ct.b.to_coeff(), ct.a.to_coeff());
         let (b_rows, a_rows) = self.rows.split_at(self.level);
-        let (a, b) = decompose_mac(&[
+        decompose_mac(&[
             Digits { ntt: &ct.b, coeff: &b_coeff, rows: b_rows },
             Digits { ntt: &ct.a, coeff: &a_coeff, rows: a_rows },
-        ]);
-        Rlwe { a, b }
+        ])
     }
 }
 
-/// Fresh RLWE encryption of zero as a row template.
-fn fresh_zero(
-    ctx: &Arc<RnsContext>,
-    sk: &SecretKey,
-    level: usize,
-    eta: u32,
-    rng: &mut impl Rng,
-) -> (RnsPoly, RnsPoly) {
-    let a = RnsPoly::random_at_level(ctx, level, rng).to_ntt();
-    let e = RnsPoly::random_error(ctx, level, eta, rng).to_ntt();
-    let b = a.mul(&sk.s_at_level(level)).add(&e);
-    (a, b)
-}
-
 /// Adds `mu * g_i` (gadget: the constant `mu` on limb `i` only) to `p`.
-fn add_gadget(p: &mut RnsPoly, i: usize, mu: u32, ctx: &Arc<RnsContext>) {
+fn add_gadget(p: &mut RnsPoly, i: usize, mu: u32) {
     // The constant polynomial mu has every NTT slot equal to mu.
-    let m = ctx.modulus(i);
+    let m = *p.context().modulus(i);
     let mu_r = mu % m.value();
     for x in p.limb_mut(i).iter_mut() {
         *x = m.add(*x, mu_r);
@@ -135,7 +86,9 @@ mod tests {
     use super::*;
     use crate::keyswitch::lift_reference;
     use f1_poly::crt;
+    use f1_poly::rns::RnsContext;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn setup() -> (Arc<RnsContext>, SecretKey, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x65);
@@ -201,10 +154,10 @@ mod tests {
         let mut out_a = RnsPoly::zero_ntt_at_level(ct.a.context(), l);
         let mut out_b = out_a.clone();
         for i in 0..l {
-            for (y, (ra, rb)) in [(&b_coeff, &gsw.rows[i]), (&a_coeff, &gsw.rows[gsw.level + i])] {
+            for (y, row) in [(&b_coeff, &gsw.rows[i]), (&a_coeff, &gsw.rows[gsw.level + i])] {
                 let dec = lift_reference(y, i, l);
-                out_a = out_a.add(&dec.mul(&ra.truncate_level(l)));
-                out_b = out_b.add(&dec.mul(&rb.truncate_level(l)));
+                out_a = out_a.add(&dec.mul(&row.a.truncate_level(l)));
+                out_b = out_b.add(&dec.mul(&row.b.truncate_level(l)));
             }
         }
         Rlwe { a: out_a, b: out_b }

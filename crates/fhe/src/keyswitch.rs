@@ -25,6 +25,7 @@
 //! `decompose_mac`, the GSW external product's decomposition.
 
 use crate::keys::SecretKey;
+use crate::rlwe::Rlwe;
 use f1_modarith::mul::ShoupMul;
 use f1_modarith::{slice_ops, CenteredLift, Modulus};
 use f1_poly::par::par_limbs;
@@ -47,21 +48,21 @@ pub struct KsScratch {
 }
 
 /// One source of digits for [`decompose_mac`]: a polynomial at level `l`
-/// in both domains and the `(r0, r1)` rows its digits multiply (at least
-/// `l` of them, each at level `l` or above).
+/// in both domains and the rows its digits multiply (at least `l` of them,
+/// each at level `l` or above).
 pub(crate) struct Digits<'a> {
     /// The polynomial, NTT domain: digit `i` lifted into its own base `i`.
     pub(crate) ntt: &'a RnsPoly,
     /// The same polynomial in coefficient domain, which the lifts read.
     pub(crate) coeff: &'a RnsPoly,
     /// Row `i` multiplies digit `i`: a GSW block.
-    pub(crate) rows: &'a [(RnsPoly, RnsPoly)],
+    pub(crate) rows: &'a [Rlwe],
 }
 
 /// The digit-decomposition multiply-accumulate of Listing 1 (lines 5-10),
 /// which the GSW external product runs. Returns
-/// `(u0, u1) = Σ_sources Σ_i lift(digit_i) * (r0_i, r1_i)` in NTT domain at
-/// the sources' level `l`.
+/// `Σ_sources Σ_i lift(digit_i) * row_i` in NTT domain at the sources'
+/// level `l`.
 ///
 /// Runs limb-parallel over the *output* limbs `j`: for each digit `i`, a
 /// thread lifts limb `i` of `coeff` into base `j` through its centered
@@ -72,7 +73,7 @@ pub(crate) struct Digits<'a> {
 /// level.
 /// Each output limb is independent, so results are bit-identical to a
 /// serial loop.
-pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> (RnsPoly, RnsPoly) {
+pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> Rlwe {
     let first = sources[0].ntt;
     let (ctx, l, n) = (first.context().clone(), first.level(), first.n());
     for src in sources {
@@ -87,7 +88,7 @@ pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> (RnsPoly, RnsPoly) {
         let mj = *ctx.modulus(j);
         let mut buf = vec![0u32; n];
         for src in sources {
-            for (i, (r0, r1)) in src.rows[..l].iter().enumerate() {
+            for (i, row) in src.rows[..l].iter().enumerate() {
                 let lifted = if i == j {
                     src.ntt.limb(j)
                 } else {
@@ -98,12 +99,13 @@ pub(crate) fn decompose_mac(sources: &[Digits<'_>]) -> (RnsPoly, RnsPoly) {
                     ctx.tables(j).forward(&mut buf);
                     &buf[..]
                 };
-                slice_ops::fma_slice(&mj, u0, lifted, r0.limb(j));
-                slice_ops::fma_slice(&mj, u1, lifted, r1.limb(j));
+                slice_ops::fma_slice(&mj, u0, lifted, row.a.limb(j));
+                slice_ops::fma_slice(&mj, u1, lifted, row.b.limb(j));
             }
         }
     });
-    split_pairs(&ctx, l, &acc)
+    let (a, b) = split_pairs(&ctx, l, &acc);
+    Rlwe { a, b }
 }
 
 /// Copies the first `l` `[u0_j | u1_j]` pairs of `acc` (NTT-domain limbs)
@@ -161,7 +163,8 @@ impl GhsHint {
         hint
     }
 
-    /// The hint before [`GhsHint::fold`]: `ksh0 = a·s + t·e + P·s'`,
+    /// The hint before [`GhsHint::fold`]: the [`Rlwe`] encryption of
+    /// `P·s'` with error scale `t`, `ksh0 = a·s + t·e + P·s'` and
     /// `ksh1 = a`.
     fn unfolded(
         sk: &SecretKey,
@@ -177,11 +180,7 @@ impl GhsHint {
         assert!(k > 0, "GHS key-switching requires special primes in the chain");
         assert_eq!(target_full.level(), full);
         assert_eq!(target_full.domain(), Domain::Ntt);
-        let s = sk.s_at_level(full);
-        let a = RnsPoly::random_at_level(&ctx, full, rng).to_ntt();
-        let e = RnsPoly::random_error(&ctx, full, eta, rng)
-            .to_ntt()
-            .mul_scalar(scale_residue(error_scale));
+        let Rlwe { a, b: mut ksh0 } = Rlwe::encrypt_zero(sk, full, error_scale, eta, rng);
         let specials = &ctx.moduli()[program_level..];
         let mut p_target = target_full.clone();
         for j in 0..full {
@@ -191,8 +190,7 @@ impl GhsHint {
                 *x = m.mul(*x, p_mod);
             }
         }
-        // ksh0 = a*s + t*e + P*s', ksh1 = a.
-        let ksh0 = a.mul(&s).add(&e).add(&p_target);
+        ksh0.add_assign(&p_target);
         Self {
             level: program_level,
             special_start: program_level,
@@ -383,12 +381,6 @@ fn convert<'a>(
             *o = s.min(s.wrapping_sub(q));
         }
     }
-}
-
-fn scale_residue(t: u64) -> u32 {
-    // Error scale as a small residue multiplier; t < 2^31 in all our
-    // parameter sets.
-    u32::try_from(t).expect("error scale must fit in 32 bits")
 }
 
 /// Reference for [`decompose_mac`]'s lift: limb `i` of the

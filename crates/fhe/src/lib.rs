@@ -10,12 +10,16 @@
 //! * [`keys`] — secret keys and key generation.
 //! * [`keyswitch`] — key-switching (§2.4): the GHS variant with `O(L)`
 //!   hints, which BGV and CKKS run and the compiler's pass 1 expands.
-//! * [`bgv`] — the BGV scheme: encryption, homomorphic add/multiply,
-//!   rotations, modulus switching, noise accounting (§2.2).
+//! * [`rlwe`] — the RLWE core the three schemes share: the `(a, b)` pair,
+//!   its encryption and phase, limb-wise arithmetic, the key-switched
+//!   tensor product and automorphism, and the hint set.
+//! * [`bgv`] — the BGV scheme over that core: plaintext modulus and
+//!   correction factor, modulus switching, noise measurement (§2.2).
 //! * [`encoding`] — SIMD slot packing for BGV plaintexts.
-//! * [`ckks`] — CKKS approximate arithmetic with encode/decode through the
-//!   canonical embedding, rescaling, and rotations.
-//! * [`gsw`] — ring-GSW bit encryption and the external product.
+//! * [`ckks`] — CKKS approximate arithmetic over that core, with
+//!   encode/decode through the canonical embedding and rescaling.
+//! * [`gsw`] — ring-GSW bit encryption, whose rows are the core's RLWE
+//!   encryptions, and the external product.
 //! * [`bootstrap`] — non-packed bootstrapping for BGV (digit extraction)
 //!   and CKKS (sine-series EvalMod), the procedures behind the paper's two
 //!   bootstrapping benchmarks (§7).
@@ -51,5 +55,6 @@ pub mod keys;
 pub mod keyswitch;
 pub mod noise;
 pub mod params;
+pub mod rlwe;
 
 pub use params::{BgvParams, CkksParams};

@@ -319,7 +319,7 @@ mod tests {
         let prod_wc = model.wc_mul(fresh_wc, fresh_wc, 4);
         assert!(prod_wc >= keys.decrypt_noise(&prod), "mul bound");
 
-        let down = prod.mod_switch(&params);
+        let down = prod.mod_switch_down();
         let down_wc = model.wc_mod_switch(prod_wc, 4);
         assert!(down_wc >= keys.decrypt_noise(&down), "mod-switch bound");
 

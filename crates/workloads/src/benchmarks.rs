@@ -10,6 +10,7 @@
 
 use f1_compiler::dsl::Program;
 use f1_compiler::ir::{FheProgram, IrId, OptStats, Scheme};
+use f1_fhe::bootstrap::trace_exponents;
 
 /// One benchmark: a typed FHE program plus its identity and parameters.
 #[derive(Debug, Clone)]
@@ -358,7 +359,6 @@ pub fn db_lookup(scale: usize) -> Benchmark {
 pub fn bgv_bootstrapping(scale: usize) -> Benchmark {
     let n = 1 << 14;
     let l_max = 24;
-    let nu = 14usize; // log2 N
     let rho = div_sqrt(15, scale);
     let mut p = FheProgram::new(n, Scheme::Bgv);
     // Bootstrapping key: Enc(s) at L_max; ã/b̃ as plaintext operands.
@@ -369,15 +369,10 @@ pub fn bgv_bootstrapping(scale: usize) -> Benchmark {
     let prod = p.mul_plain(boot_key, a_tilde);
     let mut z = p.add_plain(prod, b_tilde);
     // Trace: ν automorphism stages (the 3^{2^i} ladder + σ_{-1}).
-    let two_n = 2 * n;
-    let mut k = 3usize;
-    for _ in 0..nu - 1 {
+    for k in trace_exponents(n) {
         let rot = p.aut(z, k);
         z = p.add(z, rot);
-        k = (k * k) % two_n;
     }
-    let rot = p.aut(z, two_n - 1);
-    z = p.add(z, rot);
     // Exact division by 2^ν: a scalar multiply on both polynomials.
     let inv = p.plain_input(l_max);
     z = p.mul_plain(z, inv);
@@ -416,22 +411,15 @@ pub fn bgv_bootstrapping(scale: usize) -> Benchmark {
 pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
     let n = 1 << 14;
     let l_max = 24;
-    let nu = 14usize;
     let taylor = div_sqrt(7, scale);
     let double_angles = div_sqrt(9, scale); // sparse-key HEAAN setting
     let mut p = FheProgram::new(n, Scheme::Ckks);
-    let ct = p.input(l_max); // the raised ciphertext
-                             // Trace ladder.
-    let two_n = 2 * n;
-    let mut z = ct;
-    let mut k = 3usize;
-    for _ in 0..nu - 1 {
+    let mut z = p.input(l_max); // the raised ciphertext
+                                // Trace ladder.
+    for k in trace_exponents(n) {
         let rot = p.aut(z, k);
         z = p.add(z, rot);
-        k = (k * k) % two_n;
     }
-    let rot = p.aut(z, two_n - 1);
-    z = p.add(z, rot);
     // Exact 1/N normalization + two-step angle constant + scale fix.
     for _ in 0..3 {
         let c = p.plain_input(p.level_of(z));

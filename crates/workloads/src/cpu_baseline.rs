@@ -141,7 +141,7 @@ impl CpuBaseline {
                         let _ = ct.mul_with_scratch(&ct, keys.relin_hint(), &mut scratch);
                     }
                     "relin" => {
-                        let _ = keys.relin_hint().apply_with_scratch(&ct.a, &mut scratch);
+                        let _ = keys.relin_hint().apply_with_scratch(&ct.rlwe.a, &mut scratch);
                     }
                     "mul_plain" => {
                         let _ = ct.mul_plain(&m, &params);

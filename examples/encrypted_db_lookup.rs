@@ -28,9 +28,9 @@ fn main() {
         let mut pow = diff.clone();
         for _ in 0..8 {
             if pow.level() > 2 {
-                pow = pow.mod_switch(&params);
+                pow = pow.mod_switch_down();
             }
-            pow = pow.square(keys.relin_hint());
+            pow = pow.mul(&pow, keys.relin_hint());
         }
         let one = Plaintext::from_coeffs(&params, &[1]);
         let eq = pow.neg().add_plain(&one, &params);

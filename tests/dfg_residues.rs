@@ -5,13 +5,14 @@
 //! expanded DFGs on real residues: one BGV `mul`, one `rotate`, one
 //! program that chains a `mul` with `mul_plain`, `add` and `add_plain`,
 //! two sums of products that pass 1 re-adds in the order it computes
-//! their terms, and a sum of products that pass 1 relinearizes once.
-//! The ciphertext inputs are `f1-fhe` encryptions, the plaintext inputs
-//! are `f1-fhe`'s centered NTT-form lift of the same plaintexts, and the
-//! hint vectors are the residues of the `KeySet`'s own relinearization
-//! and rotation hints. `f1-fhe`'s BGV key-switches by GHS with `K = L`
-//! special primes, as pass 1 does at the top level, so each output
-//! residue must equal `f1-fhe`'s own evaluation bit for bit. A GHS hint's
+//! their terms, a sum of products that pass 1 relinearizes once, and one
+//! CKKS `rotate`. The ciphertext inputs are `f1-fhe` encryptions, the
+//! plaintext inputs are `f1-fhe`'s centered NTT-form lift of the same
+//! plaintexts, and the hint vectors are the residues of the `KeySet`'s
+//! own relinearization and rotation hints. `f1-fhe`'s BGV and CKKS
+//! key-switch by GHS with `K = L` special primes and the same hint
+//! targets, as pass 1 does at the top level, so each output residue must
+//! equal `f1-fhe`'s own evaluation bit for bit. A GHS hint's
 //! vectors carry ModDown's constants, so the `mul` DFG is also run over
 //! the hint multiplied back to unscaled, and those residues must differ.
 
@@ -19,7 +20,9 @@ use f1::compiler::expand::{expand, order_ops, ExpandOptions};
 use f1::compiler::ir::FheOp;
 use f1::compiler::{FheProgram, HomOp, IrId, Scheme};
 use f1::fhe::bgv::{Ciphertext, KeySet, Plaintext};
-use f1::fhe::BgvParams;
+use f1::fhe::ckks::{self, Complex};
+use f1::fhe::rlwe::{HintSet, Rlwe};
+use f1::fhe::{BgvParams, CkksParams};
 use f1::isa::dfg::{Dfg, Limb, Scalar, ValueKind, VectorOp};
 use f1::modarith::{CenteredLift, Modulus};
 use f1::poly::automorphism;
@@ -30,7 +33,7 @@ const N: usize = 1 << 10;
 const L: usize = 4;
 
 /// The RNS chain a DFG is evaluated over: the program primes, the special
-/// primes from `special_start`, and the plaintext modulus `t`.
+/// primes from `special_start`, and the plaintext modulus `t` (1 for CKKS).
 struct Chain<'a> {
     ctx: &'a RnsContext,
     special_start: usize,
@@ -38,11 +41,10 @@ struct Chain<'a> {
 }
 
 impl<'a> Chain<'a> {
-    /// The chain of `keys`' parameter set.
-    fn of(keys: &'a KeySet) -> Self {
-        let params = keys.params();
-        let special_start = keys.relin_hint().special_start();
-        Self { ctx: params.context(), special_start, t: params.plaintext_modulus }
+    /// The chain of `ctx` whose specials start at `special_start`, for a
+    /// scheme whose key-switch errors are multiples of `t`.
+    fn of(ctx: &'a RnsContext, special_start: usize, t: u64) -> Self {
+        Self { ctx, special_start, t }
     }
 
     fn index(&self, limb: Limb) -> usize {
@@ -154,21 +156,31 @@ impl<'a> Chain<'a> {
     }
 }
 
-/// The key-switch hints as the DFG's leaves see them: a `KeySet`'s own.
+/// The key-switch hints as the DFG's leaves see them: a `KeySet`'s own,
+/// over its chain.
 struct Hints<'a> {
-    keys: &'a KeySet,
+    chain: Chain<'a>,
+    hints: &'a HintSet,
     /// Multiplies every limb back to before ModDown's constants were folded
     /// in: the negative control of the fold.
     unfolded: bool,
 }
 
-impl Hints<'_> {
+impl<'a> Hints<'a> {
+    /// The hints of a BGV key set.
+    fn bgv(keys: &'a KeySet, unfolded: bool) -> Self {
+        let (params, special_start) = (keys.params(), keys.relin_hint().special_start());
+        let chain = Chain::of(params.context(), special_start, params.plaintext_modulus);
+        Self { chain, hints: keys.hints(), unfolded }
+    }
+
     /// The residues behind a hint label (`<hint>.ksh<poly>`) on `limb`.
-    fn residues(&self, label: &str, limb: Limb, chain: &Chain<'_>) -> Vec<u32> {
+    fn residues(&self, label: &str, limb: Limb) -> Vec<u32> {
+        let chain = &self.chain;
         let (name, poly) = label.split_once(".ksh").expect("hint label");
         let h = match name.strip_prefix("Aut(").and_then(|k| k.strip_suffix(')')) {
-            Some(k) => self.keys.rotation_hint(k.parse().expect("automorphism exponent")),
-            None => self.keys.relin_hint(),
+            Some(k) => self.hints.rotation(k.parse().expect("automorphism exponent")),
+            None => self.hints.relin(),
         };
         let (ksh0, ksh1) = h.ksh();
         let residues = if poly == "0" { ksh0 } else { ksh1 }.limb(chain.index(limb));
@@ -196,12 +208,7 @@ fn plain_residues(params: &BgvParams, m: &Plaintext, level: usize) -> RnsPoly {
 
 /// Runs the expanded DFG of `fhe` on `inputs` and `plains` (each by
 /// build-time ordinal) and `hints`, returning the single output ciphertext.
-fn run(
-    fhe: &FheProgram,
-    inputs: &[&Ciphertext],
-    plains: &[&RnsPoly],
-    hints: &Hints<'_>,
-) -> (RnsPoly, RnsPoly) {
+fn run(fhe: &FheProgram, inputs: &[&Rlwe], plains: &[&RnsPoly], hints: &Hints<'_>) -> Rlwe {
     let mut outs = run_all(fhe, inputs, plains, hints);
     assert_eq!(outs.len(), 1);
     outs.pop().unwrap()
@@ -211,11 +218,11 @@ fn run(
 /// order.
 fn run_all(
     fhe: &FheProgram,
-    inputs: &[&Ciphertext],
+    inputs: &[&Rlwe],
     plains: &[&RnsPoly],
     hints: &Hints<'_>,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    let chain = Chain::of(hints.keys);
+) -> Vec<Rlwe> {
+    let chain = &hints.chain;
     let ex = expand(&fhe.lower().program, &ExpandOptions::default());
     // A leaf's label names its node (lowering keeps ids), and the IR
     // node holds the input's build-time ordinal.
@@ -233,7 +240,7 @@ fn run_all(
         } else if let Some(pt) = label.strip_prefix("pt") {
             plains[ordinal(&pt[..pt.find('[').unwrap()])].limb(j).to_vec()
         } else {
-            hints.residues(label, limb, &chain)
+            hints.residues(label, limb)
         }
     });
     // Each output is its `a` limbs, then its `b` limbs.
@@ -246,11 +253,7 @@ fn run_all(
         }
         p
     };
-    outs.chunks(2 * L).map(|ct| (poly(&ct[..L]), poly(&ct[L..]))).collect()
-}
-
-fn with_polys(ct: &Ciphertext, (a, b): (RnsPoly, RnsPoly)) -> Ciphertext {
-    Ciphertext { a, b, ..ct.clone() }
+    outs.chunks(2 * L).map(|ct| Rlwe { a: poly(&ct[..L]), b: poly(&ct[L..]) }).collect()
 }
 
 /// A plaintext with distinct, full-range coefficients.
@@ -273,12 +276,13 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     let (x, y) = (f.input(L), f.input(L));
     let m = f.mul(x, y);
     f.output(m);
-    let got = run(&f, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: false });
-    let want = ct1.mul(&ct2, keys.relin_hint());
-    assert!(got == (want.a.clone(), want.b.clone()), "mul residues differ from f1-fhe's");
+    let inputs = [&ct1.rlwe, &ct2.rlwe];
+    let got = run(&f, &inputs, &[], &Hints::bgv(&keys, false));
+    let want = ct1.mul(&ct2, keys.relin_hint()).rlwe;
+    assert!(got == want, "mul residues differ from f1-fhe's");
     // Negative control: the same DFG over the hint without the fold's
     // constants computes other residues, so the comparison sees the fold.
-    let (a, b) = run(&f, &[&ct1, &ct2], &[], &Hints { keys: &keys, unfolded: true });
+    let Rlwe { a, b } = run(&f, &inputs, &[], &Hints::bgv(&keys, true));
     assert!(a != want.a && b != want.b, "the unfolded hint computed f1-fhe's residues");
 
     // rotate: the DFG key-switches σ_k(a), and the rotation hint of `keys`
@@ -289,9 +293,9 @@ fn expanded_keyswitches_compute_f1_fhe_residues() {
     f.output(r);
     let k = 3;
     keys.add_rotation_hint(k, &mut rng);
-    let got = run(&f, &[&ct1], &[], &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &[&ct1.rlwe], &[], &Hints::bgv(&keys, false));
     let want = ct1.automorphism(k, keys.rotation_hint(k));
-    assert!(got == (want.a, want.b), "rotate residues differ from f1-fhe's");
+    assert!(got == want.rlwe, "rotate residues differ from f1-fhe's");
 }
 
 #[test]
@@ -313,12 +317,12 @@ fn plaintext_ops_and_adds_compute_f1_fhe_residues() {
     let s = f.add(m, mp);
     let r = f.add_plain(s, pq);
     f.output(r);
-    let (inputs, plains) = ([&ct1, &ct2], [&p_res, &q_res]);
+    let (inputs, plains) = ([&ct1.rlwe, &ct2.rlwe], [&p_res, &q_res]);
     let rest = |prod: Ciphertext| prod.add(&ct1.mul_plain(&p, &params)).add_plain(&q, &params);
 
-    let got = run(&f, &inputs, &plains, &Hints { keys: &keys, unfolded: false });
+    let got = run(&f, &inputs, &plains, &Hints::bgv(&keys, false));
     let want = rest(ct1.mul(&ct2, keys.relin_hint()));
-    assert!(got == (want.a, want.b), "program residues differ from f1-fhe's");
+    assert!(got == want.rlwe, "program residues differ from f1-fhe's");
 }
 
 #[test]
@@ -361,12 +365,12 @@ fn reassociated_sums_compute_f1_fhe_residues() {
     assert!(changed.iter().all(|ops| matches!(ops, (HomOp::Add { .. }, HomOp::Add { .. }))));
 
     let plains: Vec<&RnsPoly> = weight_residues.iter().collect();
-    let got = run_all(&f, &[&ct], &plains, &Hints { keys: &keys, unfolded: false });
+    let got = run_all(&f, &[&ct.rlwe], &plains, &Hints::bgv(&keys, false));
     let rotated = exponents.map(|k| ct.automorphism(k, keys.rotation_hint(k)));
-    for (g, (a, b)) in got.into_iter().enumerate() {
+    for (g, got) in got.into_iter().enumerate() {
         let term = |i: usize| rotated[g + i].mul_plain(&weights[g * taps + i], &params);
         let want = (1..taps).fold(term(0), |acc, i| acc.add(&term(i)));
-        assert!(a == want.a && b == want.b, "chain {g}'s residues differ from f1-fhe's");
+        assert!(got == want.rlwe, "chain {g}'s residues differ from f1-fhe's");
     }
 }
 
@@ -393,19 +397,19 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
     let scaled = f.mul_plain(m3, pp);
     let r = f.add(s, scaled);
     f.output(r);
-    let inputs: Vec<&Ciphertext> = cts.iter().collect();
-    let got = run(&f, &inputs, &[&p_res], &Hints { keys: &keys, unfolded: false });
+    let inputs: Vec<&Rlwe> = cts.iter().map(|ct| &ct.rlwe).collect();
+    let got = run(&f, &inputs, &[&p_res], &Hints::bgv(&keys, false));
 
     // The reference: the summed tensors `(Σl0, Σl1, Σl2)`, the third scaled
     // by `p`, with one GHS key-switch of `Σl2` added.
-    let tensor = |x: &Ciphertext, y: &Ciphertext| {
+    let tensor = |x: &Rlwe, y: &Rlwe| {
         let l1 = x.a.mul(&y.b).add(&x.b.mul(&y.a));
         [x.b.mul(&y.b), l1, x.a.mul(&y.a)]
     };
-    let [t1, t2, t3] = [0, 2, 4].map(|i| tensor(&cts[i], &cts[i + 1]));
+    let [t1, t2, t3] = [0, 2, 4].map(|i| tensor(inputs[i], inputs[i + 1]));
     let [l0, l1, l2] = [0, 1, 2].map(|j| t1[j].add(&t2[j]).add(&t3[j].mul(&p_res)));
     let (u0, u1) = relin.apply(&l2);
-    let want = (l1.add(&u1), l0.add(&u0));
+    let want = Rlwe { a: l1.add(&u1), b: l0.add(&u0) };
     assert!(got == want, "lazily relinearized residues differ from f1-fhe's");
 
     // Negative control: relinearizing every product adds three key-switch
@@ -414,11 +418,38 @@ fn lazily_relinearized_sums_compute_f1_fhe_residues() {
         .mul(&cts[1], relin)
         .add(&cts[2].mul(&cts[3], relin))
         .add(&cts[4].mul(&cts[5], relin).mul_plain(&p, &params));
-    assert!(got.0 != eager.a && got.1 != eager.b, "one key-switch computed the eager residues");
+    assert!(
+        got.a != eager.rlwe.a && got.b != eager.rlwe.b,
+        "one key-switch computed the eager residues"
+    );
 
     // Either way the sum decrypts to the plaintext sum of products.
     let product = |i: usize| messages[i].ring_mul(&messages[i + 1]);
     let sum = product(0).ring_add(&product(2)).ring_add(&product(4).ring_mul(&p));
     assert_eq!(keys.decrypt(&eager), sum);
-    assert_eq!(keys.decrypt(&with_polys(&eager, got)), sum);
+    assert_eq!(keys.decrypt(&Ciphertext { rlwe: got, ..eager }), sum);
+}
+
+#[test]
+fn ckks_rotate_computes_f1_fhe_residues() {
+    // Pass 1 key-switches with K = l special primes at the top level, so
+    // the chain carries L specials (`CkksParams::test_small` has L + 1),
+    // and a CKKS key-switch error is not scaled (t = 1).
+    let params = CkksParams::new(N, L, L, (1u64 << 25) as f64);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let mut keys = ckks::KeySet::generate(&params, &mut rng);
+    let values: Vec<Complex> = (0..N / 2).map(|j| Complex::new(j as f64 / N as f64, 0.5)).collect();
+    let ct = keys.encrypt(&values, &mut rng);
+
+    // rotate: the rotation hint of `keys` targets -σ_k(s), as BGV's does.
+    let mut f = FheProgram::new(N, Scheme::Ckks);
+    let x = f.input(L);
+    let r = f.rotate(x, 1);
+    f.output(r);
+    let k = keys.encoder().rotation_exponent(1);
+    keys.add_rotation_hint(k, &mut rng);
+    let chain = Chain::of(params.context(), keys.relin_hint().special_start(), 1);
+    let got = run(&f, &[&ct.rlwe], &[], &Hints { chain, hints: keys.hints(), unfolded: false });
+    let want = ct.automorphism(k, keys.rotation_hint(k));
+    assert!(got == want.rlwe, "CKKS rotate residues differ from f1-fhe's");
 }
